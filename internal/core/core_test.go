@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"math"
+	goruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/apps/escat"
@@ -386,4 +388,32 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if decoded["patterns"].(map[string]any)["streams"].(float64) == 0 {
 		t.Fatal("no pattern streams in json")
 	}
+}
+
+// TestRunsLeaveNoGoroutines checks that a small run and a small sharded
+// fleet end every process coroutine and shard goroutine they start.
+func TestRunsLeaveNoGoroutines(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		// A goroutine that has signalled completion may still be on its
+		// way out, and one an earlier test left exiting may finish after
+		// base was taken, so poll briefly for at most base.
+		deadline := time.Now().Add(5 * time.Second)
+		for goruntime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines, want at most %d", what, goruntime.NumGoroutine(), base)
+			}
+			goruntime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, err := Run(SmallStudy(ESCAT)); err != nil {
+		t.Fatal(err)
+	}
+	settled("Run")
+	if _, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 3, Shards: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	settled("RunFleet")
 }

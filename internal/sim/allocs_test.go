@@ -6,10 +6,10 @@ import (
 )
 
 // TestEventLoopAllocCeiling guards the hot-path optimizations: the
-// schedule/pop/handoff cycle must not allocate per event. Before the value-type
+// schedule/pop/switch cycle must not allocate per event. Before the value-type
 // 4-ary heap and the process free list this workload allocated ~26k times per
 // simulation (roughly 2/event); now the total is dominated by the fixed
-// per-process setup (goroutine, channel, name), so the ceiling is a small
+// per-process setup (struct and coroutine), so the ceiling is a small
 // multiple of the process count, not the event count.
 func TestEventLoopAllocCeiling(t *testing.T) {
 	const procs, sleeps = 64, 200 // 12800 events per run
@@ -61,6 +61,35 @@ func TestSequentialChainAllocCeiling(t *testing.T) {
 	if avg > ceiling {
 		t.Fatalf("sequential chain allocated %.0f times per run (%d events); ceiling %d",
 			avg, sleeps, ceiling)
+	}
+}
+
+// TestSpawnReuseAllocCeiling pins process reuse: sequential short-lived
+// processes reissue one finished struct and its parked coroutine, so a spawn
+// costs no goroutine and no closure, and a run's allocations stay a small
+// constant however many processes it spawns.
+func TestSpawnReuseAllocCeiling(t *testing.T) {
+	const children = 10000
+	avg := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		e.Spawn("driver", func(p *Process) {
+			for k := 0; k < children; k++ {
+				e.Spawn("child", func(c *Process) {
+					c.Sleep(Microsecond)
+				})
+				p.Sleep(2 * Microsecond)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Error(err)
+		}
+	})
+	// Two coroutines, the engine, and heap growth: tens. One allocation per
+	// spawn would be 10000.
+	const ceiling = 100
+	if avg > ceiling {
+		t.Fatalf("%d sequential spawns allocated %.0f times per run; ceiling %d",
+			children, avg, ceiling)
 	}
 }
 

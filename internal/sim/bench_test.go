@@ -130,29 +130,6 @@ func BenchmarkEngineShardedFabric(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shards*procs*rounds*2), "ns/event")
 }
 
-// BenchmarkEngineCalendarQueue is BenchmarkEngineEventLoop on the calendar
-// queue, so the two headline numbers are directly comparable.
-func BenchmarkEngineCalendarQueue(b *testing.B) {
-	b.ReportAllocs()
-	const procs, sleeps = 64, 200
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		e.UseCalendar(DefaultCalendarWidth)
-		for j := 0; j < procs; j++ {
-			j := j
-			e.Spawn(fmt.Sprintf("p%d", j), func(p *Process) {
-				for k := 0; k < sleeps; k++ {
-					p.Sleep(Time(j+1) * Microsecond)
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*procs*sleeps), "ns/event")
-}
-
 // BenchmarkEngineBarrierRelease measures the batched barrier-release path: a
 // wide group arriving at a barrier repeatedly, so scheduleBatch's single
 // heapify (rather than per-waiter sift-ups) dominates.

@@ -5,25 +5,29 @@
 // Paragon XP/S machine model, the PFS parallel file system, and the
 // application skeletons all run as sim processes against one virtual clock.
 //
-// Concurrency model: processes are goroutines, but they execute in strict
-// lock-step — exactly one goroutine (the engine or a single process) runs at
-// any instant. A process runs until it blocks on a simulation primitive
-// (Sleep, Park, Resource.Acquire, Barrier.Wait, ...); the next event is then
-// popped from a stable priority queue (ordered by time, then by schedule
-// sequence number) and the corresponding process resumed. Because scheduling
-// order is a pure function of the event queue contents, identical inputs
-// produce identical traces, bit for bit.
+// Concurrency model: every process is a coroutine (iter.Pull), and the
+// goroutine that calls Engine.RunUntil is its engine's driver. Exactly one of
+// them runs at any instant. The driver pops the next event from a stable
+// priority queue (ordered by time, then by schedule sequence number) and
+// resumes that event's process; the process runs until it blocks on a
+// simulation primitive (Sleep, Park, Resource.Acquire, Barrier.Wait, ...) and
+// then yields back. Because scheduling order is a pure function of the event
+// queue contents, identical inputs produce identical traces, bit for bit.
+// Each fabric shard's engine has its own driver — whichever goroutine runs
+// that shard's window.
 //
 // Hot-path design: the event queue is an inlined 4-ary min-heap specialized
 // to the event struct — no interface boxing, no per-event allocation once the
-// backing array has grown. Control transfers are direct: a blocking process
-// runs the dispatch loop itself (Engine.advance) and resumes the next due
-// process with a single channel handoff, without bouncing through the engine
-// goroutine; when its own wake-up is the next event it simply keeps running.
-// The engine goroutine is only woken when no process is runnable (queue
-// drained, run limit reached, Stop, or deadlock). Dispatch runs the same
-// advance() whoever holds control, so the executed event order is identical
-// to the classic two-handoff engine loop.
+// backing array has grown. A blocking process runs the dispatch step itself
+// (Engine.advance): when its own wake-up is the next event it keeps running
+// with no switch at all, and otherwise it leaves the popped successor in
+// Engine.handoff and yields, so the driver resumes the successor directly.
+// A coroutine switch hands the thread straight to the resumed goroutine
+// without readying it through the scheduler, so no idle P is woken. A
+// finished process parks its coroutine on the engine's free list and a later
+// Spawn reissues it, so process churn costs neither a goroutine nor a
+// closure. When a run completes, the parked coroutines are stopped so no
+// goroutine outlives it.
 package sim
 
 import (
@@ -38,16 +42,15 @@ import (
 type Engine struct {
 	now    Time
 	events eventQueue
-	cal    *calendarQueue // non-nil: calendar queue replaces the binary heap
-	seq    uint64         // monotonically increasing schedule sequence, breaks ties
+	seq    uint64 // monotonically increasing schedule sequence, breaks ties
 	nextID int
 
 	living  int
 	stopped bool
-	limit   Time          // active RunUntil horizon (< 0: none); gates in-place resumes
-	wake    chan struct{} // signals the engine goroutine that no process is runnable
-	procs   []*Process    // live processes, for deadlock diagnostics
-	free    []*Process    // finished processes whose struct and channels are reusable
+	limit   Time       // active RunUntil horizon (< 0: none); gates in-place resumes
+	handoff *Process   // successor a yielding process popped for the driver; nil ends the run
+	procs   []*Process // live processes, for deadlock diagnostics
+	free    []*Process // finished processes whose parked coroutines are reusable
 
 	// external marks an engine owned by a Fabric shard: processes may park
 	// waiting for cross-shard mail, so a drained queue with living processes
@@ -67,7 +70,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at time zero and no processes.
 func NewEngine() *Engine {
-	return &Engine{limit: -1, wake: make(chan struct{})}
+	return &Engine{limit: -1}
 }
 
 // Now reports the current simulated time.
@@ -175,71 +178,11 @@ func (q *eventQueue) pushBatch(evs []event) {
 	}
 }
 
-// The engine's queue operations dispatch to the active structure: the inlined
-// 4-ary heap (default) or the optional calendar queue (UseCalendar). One
-// predictable nil check per operation — no interface boxing on the hot path.
-
-func (e *Engine) qPush(ev event) {
-	if e.cal != nil {
-		e.cal.push(ev)
-		return
-	}
-	e.events.push(ev)
-}
-
-func (e *Engine) qPushBatch(evs []event) {
-	if e.cal != nil {
-		for _, ev := range evs {
-			e.cal.push(ev)
-		}
-		return
-	}
-	e.events.pushBatch(evs)
-}
-
-func (e *Engine) qLen() int {
-	if e.cal != nil {
-		return e.cal.size
-	}
-	return e.events.len()
-}
-
-// qMin peeks at the next due event without removing it.
-func (e *Engine) qMin() (event, bool) {
-	if e.cal != nil {
-		return e.cal.peek()
-	}
-	if len(e.events.ev) == 0 {
-		return event{}, false
-	}
-	return e.events.ev[0], true
-}
-
-func (e *Engine) qPop() event {
-	if e.cal != nil {
-		return e.cal.pop()
-	}
-	return e.events.pop()
-}
-
-// UseCalendar replaces the engine's binary heap with a calendar queue of the
-// given bucket width — O(1) amortized holds for the dense, near-uniform event
-// populations a large fleet's disk and I/O-node service loops generate, where
-// a heap pays log(n) per operation. Pop order is the identical total (time,
-// sequence) order, so the queue choice never changes simulation results.
-// Must be called before any process is spawned.
-func (e *Engine) UseCalendar(width Time) {
-	if e.qLen() > 0 || e.living > 0 {
-		panic("sim: UseCalendar on an engine that already has events")
-	}
-	e.cal = newCalendarQueue(width, calendarBuckets)
-}
-
 func (e *Engine) schedule(p *Process, at Time) {
 	e.checkWake(p, at)
 	p.pendingWake = true
 	e.seq++
-	e.qPush(event{at: at, seq: e.seq, p: p})
+	e.events.push(event{at: at, seq: e.seq, p: p})
 }
 
 // scheduleBatch schedules every process in procs to resume at the same
@@ -259,7 +202,7 @@ func (e *Engine) scheduleBatch(procs []*Process, at Time) {
 		e.seq++
 		e.batch = append(e.batch, event{at: at, seq: e.seq, p: p})
 	}
-	e.qPushBatch(e.batch)
+	e.events.pushBatch(e.batch)
 	for i := range e.batch {
 		e.batch[i] = event{} // drop *Process refs for the collector
 	}
@@ -287,9 +230,9 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 }
 
 // SpawnAt creates a new process that starts after the given delay from the
-// current simulated time. Process structs and their handoff channels are
-// recycled from finished processes when possible; only the goroutine itself
-// is created fresh per spawn.
+// current simulated time. A finished process's struct and parked coroutine
+// are reissued when the free list holds one, so a recycled spawn starts no
+// goroutine; otherwise a new coroutine is created.
 func (e *Engine) SpawnAt(name string, delay Time, fn func(p *Process)) *Process {
 	if delay < 0 {
 		panic("sim: negative spawn delay")
@@ -302,37 +245,30 @@ func (e *Engine) SpawnAt(name string, delay Time, fn func(p *Process)) *Process 
 		e.free = e.free[:n-1]
 		p.done = false
 	} else {
-		p = &Process{
-			eng:    e,
-			resume: make(chan struct{}),
-		}
+		p = &Process{eng: e}
+		p.start()
 	}
 	p.id = e.nextID
 	p.name = name
+	p.fn = fn
 	e.living++
 	p.procIdx = len(e.procs)
 	e.procs = append(e.procs, p)
-	go p.top(fn)
 	e.schedule(p, e.now+delay)
 	return p
 }
 
 // advance pops events until it finds a process to run, advancing the clock
 // and discarding stale wakes of finished processes along the way. It returns
-// nil when control belongs to the engine goroutine instead: queue drained,
-// run limit reached, or Stop called. Both the engine loop and blocking
-// processes dispatch through advance, so the executed event order is the
-// same regardless of which goroutine runs it.
+// nil when the run is over for now: queue drained, run limit reached, or Stop
+// called. The driver and blocking processes both dispatch through advance,
+// so the executed event order does not depend on which of them runs it.
 func (e *Engine) advance() *Process {
-	for !e.stopped {
-		head, ok := e.qMin()
-		if !ok {
-			break
-		}
-		if e.limit >= 0 && head.at > e.limit {
+	for !e.stopped && len(e.events.ev) > 0 {
+		if e.limit >= 0 && e.events.ev[0].at > e.limit {
 			return nil
 		}
-		ev := e.qPop()
+		ev := e.events.pop()
 		if ev.p.done {
 			// Stale event for a finished process. Now that it has left the
 			// queue nothing references the process, so it can be reused.
@@ -347,17 +283,6 @@ func (e *Engine) advance() *Process {
 	return nil
 }
 
-// dispatch hands control to next, or back to the engine goroutine when next
-// is nil. Called by a process that is about to stop running (blocking or
-// finishing); the caller must not touch engine state afterwards.
-func (e *Engine) dispatch(next *Process) {
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		e.wake <- struct{}{}
-	}
-}
-
 // unregister removes a finished process from the live-process list
 // (swap-remove; the list is unordered and only read by the deadlock
 // diagnostic, which sorts on the failure path).
@@ -369,10 +294,10 @@ func (e *Engine) unregister(p *Process) {
 	e.procs = e.procs[:last]
 }
 
-// recycle returns a finished process's struct and channels to the spawn free
-// list. A process with a wake still pending has a stale event in the queue
-// referencing it; it is recycled when that event pops instead, so a reused
-// struct can never be resumed by a dead process's event.
+// recycle returns a finished process's struct and parked coroutine to the
+// spawn free list. A process with a wake still pending has a stale event in
+// the queue referencing it; it is recycled when that event pops instead, so
+// a reused struct can never be resumed by a dead process's event.
 func (e *Engine) recycle(p *Process) {
 	if p.pendingWake {
 		return
@@ -380,32 +305,48 @@ func (e *Engine) recycle(p *Process) {
 	e.free = append(e.free, p)
 }
 
+// release stops every coroutine parked on the free list, so its goroutine
+// exits. A later Spawn on the engine simply starts fresh coroutines.
+func (e *Engine) release() {
+	for i, p := range e.free {
+		p.stop()
+		e.free[i] = nil
+	}
+	e.free = e.free[:0]
+}
+
 // Run executes events until the event queue drains or Stop is called. It
 // returns an error if processes remain blocked with no pending events
-// (deadlock) or if a process panicked with a simulation fault.
+// (deadlock). A panic in a process is re-raised in the caller, naming the
+// process and carrying its stack.
 func (e *Engine) Run() error {
 	return e.RunUntil(-1)
 }
 
 // RunUntil executes events with timestamps <= limit (limit < 0 means no
 // limit). Events beyond the limit stay queued, so the simulation can be
-// resumed with a later call.
+// resumed with a later call. The calling goroutine is the driver: it resumes
+// one process at a time, and each yields back the successor it popped.
 func (e *Engine) RunUntil(limit Time) error {
 	e.limit = limit
-	// Hand control to the first runnable process; it and its successors pass
-	// control among themselves directly (see Process.block), and the engine
-	// goroutine sleeps until a process finds nothing left to run.
-	if next := e.advance(); next != nil {
-		next.resume <- struct{}{}
-		<-e.wake
+	for p := e.advance(); p != nil; p = e.handoff {
+		e.handoff = nil
+		p.resume()
 	}
 	e.limit = -1
-	if e.stopped {
+	if e.external {
+		// A fabric-owned engine's window is not the end of its run: parked
+		// coroutines stay for later mail, and Fabric.Run releases them. The
+		// fabric also makes the deadlock verdict, since processes may be
+		// parked awaiting mail that another shard will deliver.
 		return nil
 	}
-	if e.living > 0 && e.qLen() == 0 && !e.external {
-		// A fabric-owned engine defers this verdict: its processes may be
-		// parked awaiting cross-shard mail that another shard will deliver.
+	drained := len(e.events.ev) == 0
+	if e.stopped || drained {
+		// The run is over: end the coroutines parked for reuse.
+		e.release()
+	}
+	if !e.stopped && drained && e.living > 0 {
 		return e.deadlockError()
 	}
 	return nil
@@ -426,8 +367,10 @@ func (e *Engine) clampLimit() {
 // when the queue is empty. The fabric's horizon reduction reads this between
 // windows; it must not be called while events are being executed.
 func (e *Engine) NextEventAt() (Time, bool) {
-	ev, ok := e.qMin()
-	return ev.at, ok
+	if len(e.events.ev) == 0 {
+		return 0, false
+	}
+	return e.events.ev[0].at, true
 }
 
 // SetExternal marks the engine as owned by a conservative-parallel fabric

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestClockAdvancesWithSleep(t *testing.T) {
@@ -513,5 +515,111 @@ func TestDeadlockDiagnosticListing(t *testing.T) {
 	}
 	if !strings.Contains(msg, "... (3 more)") {
 		t.Fatalf("diagnostic missing truncation suffix: %v", msg)
+	}
+}
+
+// explode is a named frame the panic test looks for in the process stack.
+func explode() { panic("boom") }
+
+// TestProcessPanicNamesProcess checks that a process panic reaches the
+// driver carrying the process name and the process's own stack, which the
+// coroutine handoff would otherwise drop.
+func TestProcessPanicNamesProcess(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("faulty", func(p *Process) {
+		p.Sleep(Second)
+		explode()
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = e.Run()
+	}()
+	msg, _ := got.(string)
+	for _, want := range []string{`process "faulty"`, "boom", "sim.explode"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic value missing %q: %v", want, got)
+		}
+	}
+}
+
+// TestProcessGoexitRetires checks runtime.Goexit in a process (t.Fatal in a
+// test process): the process retires, the driver goroutine exits with it,
+// the dead process is never reissued, and a later Run resumes the rest.
+func TestProcessGoexitRetires(t *testing.T) {
+	e := NewEngine()
+	var quitter *Process
+	quitter = e.Spawn("quitter", func(p *Process) {
+		p.Sleep(Second)
+		runtime.Goexit()
+	})
+	finished := false
+	e.Spawn("worker", func(p *Process) {
+		p.Sleep(2 * Second)
+		finished = true
+	})
+	returned := false
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		_ = e.Run()
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Fatal("Run returned; want the driver to exit with the process")
+	}
+	if e.Living() != 1 || e.Now() != Second {
+		t.Fatalf("after Goexit: living=%d now=%v, want 1 at 1s", e.Living(), e.Now())
+	}
+	if p := e.Spawn("next", func(*Process) {}); p == quitter {
+		t.Fatal("Spawn reissued the Goexit-ed process")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !finished || e.Living() != 0 {
+		t.Fatalf("second Run: finished=%v living=%d", finished, e.Living())
+	}
+}
+
+// waitGoroutines polls until the goroutine count is back at most at want: a
+// goroutine that has signalled completion may still be on its way out, and
+// one an earlier test left exiting may finish after want was taken.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d, want at most %d", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunLeavesNoGoroutines checks that a completed run ends every process
+// coroutine, including those parked on the free list for reuse.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	r := NewResource(e, "disk", 1)
+	for j := 0; j < 8; j++ {
+		e.Spawn(fmt.Sprintf("u%d", j), func(p *Process) {
+			for k := 0; k < 10; k++ {
+				r.Use(p, Microsecond)
+				e.Spawn("child", func(c *Process) { c.Sleep(Microsecond) })
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+	for _, workers := range []int{1, 2} {
+		if got := fabricWorkload(t, 3, workers, 7); got == "" {
+			t.Fatal("empty fabric trace")
+		}
+		waitGoroutines(t, base)
 	}
 }

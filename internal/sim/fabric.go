@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -277,7 +278,7 @@ func (s *Shard) quiescent() bool {
 	if s.eng.Stopped() {
 		return true
 	}
-	return s.eng.qLen() == 0 && len(s.inbox) == 0
+	return s.eng.events.len() == 0 && len(s.inbox) == 0
 }
 
 // nextAt is the earliest time the shard could still execute an event — the
@@ -333,11 +334,21 @@ func (s *Shard) deliver() {
 	s.inbox = s.inbox[:0]
 }
 
+// errDriverExited reports a shard window whose driver goroutine exited inside
+// RunUntil: a process called runtime.Goexit (t.Fatal in a test process).
+var errDriverExited = errors.New("sim: shard driver exited mid-window (runtime.Goexit in a process)")
+
 // Run executes the fabric to completion: windows of concurrent shard
 // execution separated by global horizon reductions and mail exchanges. It
 // returns the first (lowest shard index) error, or a global deadlock error
-// when processes remain parked with no mail in flight anywhere.
+// when processes remain parked with no mail in flight anywhere. On return it
+// ends the process coroutines every shard parked for reuse.
 func (f *Fabric) Run() error {
+	defer func() {
+		for _, s := range f.shards {
+			s.eng.release()
+		}
+	}()
 	n := len(f.shards)
 	nexts := make([]Time, n)
 	haveNext := make([]bool, n)
@@ -471,9 +482,15 @@ func (f *Fabric) Run() error {
 				}
 				go func(i int, s *Shard) {
 					sem <- struct{}{}
+					// Deferred, and errs preset, so that a runtime.Goexit in a
+					// process, which the coroutine passes on to this driver
+					// goroutine, still frees the slot and reports the shard.
+					defer func() {
+						<-sem
+						done <- i
+					}()
+					errs[i] = errDriverExited
 					errs[i] = s.eng.RunUntil(limits[i])
-					<-sem
-					done <- i
 				}(i, s)
 			}
 			for k := 0; k < launched; k++ {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -167,6 +168,29 @@ func TestFabricStoppedShard(t *testing.T) {
 	}
 	if got := b.Engine().Now(); got != 10*Microsecond {
 		t.Fatalf("shard b halted at %v, want 10µs", got)
+	}
+}
+
+// TestFabricShardGoexitReportsShard checks runtime.Goexit in a process on a
+// concurrently run shard (t.Fatal in a test process): the shard's driver
+// goroutine exits with it, and Run must return an error naming the shard
+// rather than wait forever for the window to finish.
+func TestFabricShardGoexitReportsShard(t *testing.T) {
+	f := NewFabric(2)
+	a := f.AddShard("a", 1)
+	b := f.AddShard("b", 1)
+	f.Connect(a, b, 5*Microsecond)
+	f.Connect(b, a, 5*Microsecond)
+	a.Engine().Spawn("sleeper", func(p *Process) {
+		p.Sleep(Microsecond)
+	})
+	b.Engine().Spawn("quitter", func(p *Process) {
+		p.Sleep(Microsecond)
+		runtime.Goexit()
+	})
+	err := f.Run()
+	if err == nil || !strings.Contains(err.Error(), "fabric shard b") {
+		t.Fatalf("got %v, want an error naming shard b", err)
 	}
 }
 

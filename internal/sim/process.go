@@ -1,23 +1,28 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // Process is a single thread of simulated activity — in this reproduction, a
 // compute node's program, an I/O node server, or a background policy daemon.
-// A Process must only be used from its own goroutine (inside the fn passed to
-// Spawn); the lock-step scheduler guarantees no two processes ever run
-// concurrently.
+// A Process must only be used from its own coroutine (inside the fn passed to
+// Spawn); the driver resumes one process at a time, so no two processes ever
+// run concurrently.
 //
-// The struct and its handoff channels outlive the process: when a process
-// finishes, the engine parks them on a free list and reissues them to a
-// later Spawn, so process churn costs one goroutine, not a goroutine plus
-// three heap objects.
+// The struct and its coroutine outlive the process: when a process finishes,
+// its coroutine parks on the engine's free list and a later Spawn reissues
+// both, so process churn costs neither a goroutine nor a closure.
 type Process struct {
 	eng  *Engine
 	id   int
 	name string
 
-	resume chan struct{}
+	fn     func(p *Process)        // body the coroutine runs next; nil once started
+	resume func() (struct{}, bool) // runs the coroutine until it yields
+	stop   func()                  // ends a coroutine parked on the free list
+	yield  func(struct{}) bool     // suspends the coroutine back to the driver
 
 	procIdx     int // index in the engine's live-process list
 	done        bool
@@ -25,26 +30,39 @@ type Process struct {
 	blockedOn   string // diagnostic: what primitive the process is parked in
 }
 
-// top is the body of a process goroutine: wait to be started, run fn, and
-// terminate cleanly.
-func (p *Process) top(fn func(p *Process)) {
-	<-p.resume // wait for the scheduler to start us
+// loop is the body of a process's coroutine. It runs the current fn, then
+// parks on the free list — handing the driver the next due process — until
+// a later Spawn reissues the process (yield returns true) or the run
+// completes and the engine stops the coroutine (yield returns false).
+func (p *Process) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for {
+		p.run()
+		e := p.eng
+		e.recycle(p)
+		e.handoff = e.advance()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the process's fn and retires the process. iter.Pull re-raises
+// a process panic in the driver without the process's stack, so the panic is
+// re-raised here first with the process name and that stack. runtime.Goexit
+// (t.Fatal in a test process) retires the process too, but its coroutine dies
+// with it, so loop never recycles it; iter.Pull then Goexits the driver.
+func (p *Process) run() {
 	defer func() {
 		if r := recover(); r != nil {
-			// A real fault: crash loudly rather than dispatching, so the
-			// runtime reports the panic with this goroutine's stack.
-			panic(r)
+			panic(fmt.Sprintf("sim: process %q panicked: %v\n\nprocess stack:\n%s", p.name, r, debug.Stack()))
 		}
-		// Normal return, or runtime.Goexit (e.g. t.Fatal inside a process
-		// during tests): retire the process and hand control to whoever is
-		// due next so the simulation keeps running.
 		p.done = true
-		e := p.eng
-		e.living--
-		e.unregister(p)
-		e.recycle(p)
-		e.dispatch(e.advance())
+		p.eng.living--
+		p.eng.unregister(p)
 	}()
+	fn := p.fn
+	p.fn = nil
 	fn(p)
 }
 
@@ -61,21 +79,18 @@ func (p *Process) Engine() *Engine { return p.eng }
 func (p *Process) Now() Time { return p.eng.now }
 
 // block suspends the process until its next wake event pops. The blocking
-// process dispatches its successor itself: it runs the engine's advance loop
-// and resumes the next due process with a single direct channel handoff —
-// the engine goroutine stays asleep. When the next due event is the caller's
-// own wake-up, block returns without any handoff at all.
+// process runs the engine's dispatch step itself: when its own wake-up is the
+// next event, block returns without any switch at all; otherwise it leaves
+// the popped successor (nil when nothing is runnable) for the driver and
+// yields. The engine stops only coroutines parked on the free list, so the
+// yield here always returns true.
 func (p *Process) block(why string) {
 	p.blockedOn = why
 	e := p.eng
-	next := e.advance()
-	if next == p {
-		// Our own wake-up is the next event; keep running in place.
-		p.blockedOn = ""
-		return
+	if next := e.advance(); next != p {
+		e.handoff = next
+		p.yield(struct{}{})
 	}
-	e.dispatch(next)
-	<-p.resume
 	p.blockedOn = ""
 }
 
@@ -86,7 +101,7 @@ func (p *Process) block(why string) {
 // Fast path: when this process's own wake-up is the head of the queue
 // (nothing else is due at or before it) and lies within the engine's run
 // horizon, the process pops its event, advances the clock, and keeps running
-// — no dispatch loop, no handoff. The popped event is exactly the one
+// — no dispatch step, no switch. The popped event is exactly the one
 // advance would have popped, so scheduling order, tie-breaking, and the
 // clock are bit-identical to the general path.
 func (p *Process) Sleep(d Time) {
@@ -97,11 +112,11 @@ func (p *Process) Sleep(d Time) {
 	at := e.now + d
 	e.schedule(p, at)
 	if !e.stopped && (e.limit < 0 || at <= e.limit) {
-		if head, ok := e.qMin(); ok && head.p == p {
+		if e.events.ev[0].p == p {
 			// A process has at most one pending event (double wakes panic),
 			// so the queue head being ours means our fresh wake is the
 			// strict minimum.
-			e.qPop()
+			e.events.pop()
 			p.pendingWake = false
 			e.now = at
 			return
