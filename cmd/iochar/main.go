@@ -278,21 +278,25 @@ func run(args []string, out io.Writer) error {
 		if err := os.MkdirAll(*figures, 0o755); err != nil {
 			return err
 		}
-		for _, fig := range report.Figures() {
+		figs := report.Figures()
+		for _, fig := range figs {
 			f, err := os.Create(filepath.Join(*figures, fig.ID+".csv"))
 			if err != nil {
 				return err
 			}
 			if err := analysis.WriteCSV(f, fig.Points); err != nil {
+				f.Close()
 				return err
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				return err
+			}
 			txt := analysis.RenderScatter(fig.Points, analysis.PlotOptions{Title: fig.Title, LogY: fig.LogY})
 			if err := os.WriteFile(filepath.Join(*figures, fig.ID+".txt"), []byte(txt), 0o644); err != nil {
 				return err
 			}
 		}
-		fmt.Fprintf(out, "figures: %d -> %s\n", len(report.Figures()), *figures)
+		fmt.Fprintf(out, "figures: %d -> %s\n", len(figs), *figures)
 	}
 	return nil
 }

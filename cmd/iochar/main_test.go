@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -115,5 +117,37 @@ func TestSmokeCacheNoPrefetch(t *testing.T) {
 				t.Errorf("prefetch disabled but line says %q", strings.TrimSpace(line))
 			}
 		}
+	}
+}
+
+func TestSmokeFiguresWritesCSVAndTextPerFigure(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := run([]string{"-app", "htf", "-small", "-figures", dir}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "figures: 9 -> "+dir) {
+		t.Fatalf("figure count line missing:\n%s", buf.String())
+	}
+	for _, ext := range []string{".csv", ".txt"} {
+		files, err := filepath.Glob(filepath.Join(dir, "figure-*"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 9 {
+			t.Fatalf("%d %s files, want 9: %v", len(files), ext, files)
+		}
+		for _, f := range files {
+			if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+				t.Fatalf("%s empty or missing: %v", f, err)
+			}
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 18 {
+		t.Fatalf("%d files in the figure directory, want 18", len(entries))
 	}
 }

@@ -186,6 +186,31 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.Contains(got, "1.500000,42,3,7,Write") {
 		t.Fatalf("csv row: %q", got)
 	}
+
+	buf.Reset()
+	if err := WriteCSV(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "time_s,y,node,file,op\n" {
+		t.Fatalf("empty csv: %q", got)
+	}
+
+	buf.Reset()
+	pts = []Point{
+		{T: 0, Y: 0, Node: 0, File: 0, Op: iotrace.OpRead},
+		{T: 1, Y: 1 << 20, Node: 12, File: 3, Op: iotrace.OpAsyncRead},
+		{T: 3600*sim.Second + 999_999, Y: -1, Node: 511, File: 42, Op: iotrace.OpIOWait},
+	}
+	if err := WriteCSV(&buf, pts); err != nil {
+		t.Fatal(err)
+	}
+	want := "time_s,y,node,file,op\n" +
+		"0.000000,0,0,0,Read\n" +
+		"0.000001,1048576,12,3,AsynchRead\n" +
+		"3600.999999,-1,511,42,I/O Wait\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("multi-row csv:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestBurstsClusterByGap(t *testing.T) {

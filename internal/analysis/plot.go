@@ -71,10 +71,10 @@ func RenderScatter(pts []Point, opts PlotOptions) string {
 		tMax = tMin + 1
 	}
 
+	lo := math.Log10(math.Max(1, float64(yMin)))
+	hi := math.Log10(math.Max(1, float64(yMax)))
 	yPos := func(y int64) int {
 		if opts.LogY {
-			lo := math.Log10(math.Max(1, float64(yMin)))
-			hi := math.Log10(math.Max(1, float64(yMax)))
 			if hi == lo {
 				return 0
 			}
@@ -108,8 +108,6 @@ func RenderScatter(pts []Point, opts PlotOptions) string {
 		frac := float64(opts.Height-1-row) / math.Max(1, float64(opts.Height-1))
 		var v float64
 		if opts.LogY {
-			lo := math.Log10(math.Max(1, float64(yMin)))
-			hi := math.Log10(math.Max(1, float64(yMax)))
 			v = math.Pow(10, lo+frac*(hi-lo))
 		} else {
 			v = float64(yMin) + frac*float64(yMax-yMin)

@@ -1,10 +1,10 @@
 package analysis
 
 import (
-	"encoding/csv"
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/iotrace"
 	"repro/internal/sim"
@@ -21,23 +21,59 @@ type Point struct {
 	Op   iotrace.Op
 }
 
+// opMask is a set of operation classes. Every defined class fits in one
+// 64-bit word; values outside [0, 64) are never members.
+type opMask uint64
+
+func maskOf(ops []iotrace.Op) opMask {
+	var m opMask
+	for _, op := range ops {
+		if uint(op) < 64 {
+			m |= 1 << uint(op)
+		}
+	}
+	return m
+}
+
+func (m opMask) has(op iotrace.Op) bool { return uint(op) < 64 && m&(1<<uint(op)) != 0 }
+
+// fileMask is the classes FileTimeline plots.
+var fileMask = maskOf([]iotrace.Op{iotrace.OpRead, iotrace.OpAsyncRead, iotrace.OpWrite})
+
+// timeline collects the events whose class is in want as points, sorted
+// stably by start time. Y is the request size, or the file id when fileY is
+// set. It counts first so the result is allocated exactly once.
+func timeline(events []iotrace.Event, want opMask, fileY bool) []Point {
+	n := 0
+	for i := range events {
+		if want.has(events[i].Op) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	pts := make([]Point, 0, n)
+	for i := range events {
+		e := &events[i]
+		if !want.has(e.Op) {
+			continue
+		}
+		y := e.Bytes
+		if fileY {
+			y = int64(e.File)
+		}
+		pts = append(pts, Point{T: e.Start, Y: y, Node: e.Node, File: e.File, Op: e.Op})
+	}
+	slices.SortStableFunc(pts, func(a, b Point) int { return cmp.Compare(a.T, b.T) })
+	return pts
+}
+
 // OpTimeline extracts the (time, request size) scatter for the given
 // operation classes — the shape of Figures 2-4, 6-7 and 9-14. Points are
 // returned in time order.
 func OpTimeline(events []iotrace.Event, ops ...iotrace.Op) []Point {
-	want := map[iotrace.Op]bool{}
-	for _, op := range ops {
-		want[op] = true
-	}
-	var pts []Point
-	for _, e := range events {
-		if !want[e.Op] {
-			continue
-		}
-		pts = append(pts, Point{T: e.Start, Y: e.Bytes, Node: e.Node, File: e.File, Op: e.Op})
-	}
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
-	return pts
+	return timeline(events, maskOf(ops), false)
 }
 
 // ReadTimeline returns the read-operation timeline (synchronous plus
@@ -55,75 +91,123 @@ func WriteTimeline(events []iotrace.Event) []Point {
 // activity — the shape of Figures 5, 8 and 15-17, where "crosses denote
 // writes and diamonds denote reads".
 func FileTimeline(events []iotrace.Event) []Point {
-	var pts []Point
-	for _, e := range events {
-		switch e.Op {
-		case iotrace.OpRead, iotrace.OpAsyncRead, iotrace.OpWrite:
-			pts = append(pts, Point{T: e.Start, Y: int64(e.File), Node: e.Node, File: e.File, Op: e.Op})
+	return timeline(events, fileMask, true)
+}
+
+// filter copies the events keep accepts into one exactly sized slice.
+func filter(events []iotrace.Event, keep func(*iotrace.Event) bool) []iotrace.Event {
+	n := 0
+	for i := range events {
+		if keep(&events[i]) {
+			n++
 		}
 	}
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
-	return pts
+	if n == 0 {
+		return nil
+	}
+	out := make([]iotrace.Event, 0, n)
+	for i := range events {
+		if keep(&events[i]) {
+			out = append(out, events[i])
+		}
+	}
+	return out
 }
 
 // FilterPhase keeps only events captured during the named application phase.
 func FilterPhase(events []iotrace.Event, phase string) []iotrace.Event {
-	var out []iotrace.Event
-	for _, e := range events {
-		if e.Phase == phase {
-			out = append(out, e)
-		}
-	}
-	return out
+	return filter(events, func(e *iotrace.Event) bool { return e.Phase == phase })
 }
 
 // FilterTime keeps events that start within [from, to).
 func FilterTime(events []iotrace.Event, from, to sim.Time) []iotrace.Event {
-	var out []iotrace.Event
-	for _, e := range events {
-		if e.Start >= from && e.Start < to {
-			out = append(out, e)
-		}
-	}
-	return out
+	return filter(events, func(e *iotrace.Event) bool { return e.Start >= from && e.Start < to })
 }
 
 // FilterOps keeps events of the given operation classes.
 func FilterOps(events []iotrace.Event, ops ...iotrace.Op) []iotrace.Event {
-	want := map[iotrace.Op]bool{}
-	for _, op := range ops {
-		want[op] = true
-	}
-	var out []iotrace.Event
-	for _, e := range events {
-		if want[e.Op] {
-			out = append(out, e)
-		}
-	}
-	return out
+	want := maskOf(ops)
+	return filter(events, func(e *iotrace.Event) bool { return want.has(e.Op) })
 }
 
+// csvHeader is the first line WriteCSV emits.
+const csvHeader = "time_s,y,node,file,op\n"
+
 // WriteCSV emits a timeline as CSV with header, one row per point:
-// time_s, y, node, file, op.
+// time_s, y, node, file, op. The whole document is formatted into one
+// buffer and handed to w in a single Write. No field ever needs quoting:
+// numbers carry no separators and no operation name holds a comma, quote or
+// line break.
 func WriteCSV(w io.Writer, pts []Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "y", "node", "file", "op"}); err != nil {
-		return err
+	b := make([]byte, 0, csvSize(pts))
+	b = append(b, csvHeader...)
+	for i := range pts {
+		p := &pts[i]
+		b = appendSeconds6(b, p.T)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, p.Y, 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.Node), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.File), 10)
+		b = append(b, ',')
+		b = append(b, p.Op.String()...)
+		b = append(b, '\n')
 	}
-	for _, p := range pts {
-		err := cw.Write([]string{
-			fmt.Sprintf("%.6f", p.T.Seconds()),
-			fmt.Sprintf("%d", p.Y),
-			fmt.Sprintf("%d", p.Node),
-			fmt.Sprintf("%d", p.File),
-			p.Op.String(),
-		})
-		if err != nil {
-			return err
-		}
+	_, err := w.Write(b)
+	return err
+}
+
+// csvSize bounds WriteCSV's output length from the widest value of each
+// column, so the buffer is sized once.
+func csvSize(pts []Point) int {
+	var t sim.Time
+	var y, node, file int64
+	for i := range pts {
+		p := &pts[i]
+		t = max(t, p.T, -p.T)
+		y = max(y, p.Y, -p.Y)
+		node = max(node, int64(p.Node), -int64(p.Node))
+		file = max(file, int64(p.File), -int64(p.File))
 	}
-	cw.Flush()
-	return cw.Error()
+	// Per row: sign and ".dddddd" of the time, a sign for each integer,
+	// four commas, the longest operation name and the newline.
+	row := 8 + decimalWidth(int64(t/sim.Second)) + 3 + decimalWidth(y) +
+		decimalWidth(node) + decimalWidth(file) + 4 + len("AsynchRead") + 1
+	return len(csvHeader) + len(pts)*row
+}
+
+// decimalWidth is the number of decimal digits of v >= 0.
+func decimalWidth(v int64) int {
+	n := 1
+	for v >= 10 {
+		v /= 10
+		n++
+	}
+	return n
+}
+
+// exactSecondsLimit bounds the times appendSeconds6 formats with integers.
+// Below it float64(t)/1e6 lies within 1.2e-7 of the exact quotient, so
+// rounding it to six decimals always yields the quotient's own digits.
+const exactSecondsLimit = sim.Time(1) << 50
+
+// appendSeconds6 appends t in seconds with six decimals, byte for byte what
+// fmt's "%.6f" prints for t.Seconds(). sim.Time counts microseconds, so the
+// text is just t/1e6, a point, and t%1e6 zero-padded to six digits.
+func appendSeconds6(b []byte, t sim.Time) []byte {
+	if t < 0 || t >= exactSecondsLimit {
+		return strconv.AppendFloat(b, t.Seconds(), 'f', 6, 64)
+	}
+	b = strconv.AppendInt(b, int64(t/sim.Second), 10)
+	frac := int64(t % sim.Second)
+	var d [7]byte
+	d[0] = '.'
+	for i := 6; i > 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return append(b, d[:]...)
 }
 
 // Burst is one cluster of temporally adjacent operations — e.g. one of

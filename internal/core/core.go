@@ -171,6 +171,9 @@ type Report struct {
 	// PhysRequests counts the physical array requests the I/O nodes served —
 	// the quantity collective aggregation collapses.
 	PhysRequests int64
+
+	// phases partitions Events by phase on first use; see phaseEvents.
+	phases phaseIndex
 }
 
 // appErr lets Run surface failures collected inside node programs.
@@ -526,12 +529,12 @@ func buildApp(s Study) (workload.App, error) {
 // PhaseSummary computes the operation summary for one application phase
 // (HTF's per-program tables are phase summaries).
 func (r *Report) PhaseSummary(phase string) analysis.OpSummary {
-	return analysis.Summarize(analysis.FilterPhase(r.Events, phase))
+	return analysis.Summarize(r.phaseEvents(phase))
 }
 
 // PhaseSizes computes the size-bucket table for one phase.
 func (r *Report) PhaseSizes(phase string) analysis.SizeTable {
-	return analysis.Sizes(analysis.FilterPhase(r.Events, phase))
+	return analysis.Sizes(r.phaseEvents(phase))
 }
 
 // Purposes classifies every file of the run into the §2 taxonomy

@@ -28,7 +28,7 @@ func (r *Report) Figures() []Figure {
 	ev := r.Events
 	switch r.App {
 	case ESCAT:
-		initEv := analysis.FilterPhase(ev, escat.PhaseInit)
+		initEv := r.phaseEvents(escat.PhaseInit)
 		figs = []Figure{
 			{ID: "figure-02", Title: "Read operation timeline (ESCAT)", Points: analysis.ReadTimeline(ev), LogY: true},
 			{ID: "figure-03", Title: "Read operation detail (ESCAT)", Points: analysis.ReadTimeline(initEv), LogY: true},
@@ -52,7 +52,7 @@ func (r *Report) Figures() []Figure {
 			{htf.PhasePscf, 13, 14, 17},
 		}
 		for _, ph := range phases {
-			phEv := analysis.FilterPhase(ev, ph.name)
+			phEv := r.phaseEvents(ph.name)
 			figs = append(figs,
 				Figure{ID: fmt.Sprintf("figure-%02d", ph.rfig),
 					Title:  fmt.Sprintf("Read operation timeline (HTF %s)", ph.name),
@@ -115,7 +115,7 @@ func (r *Report) Tables() []string {
 // pass a value below the inter-cycle compute time (30 s suits the
 // paper-scale run).
 func (r *Report) WriteBurstTrend(gap sim.Time) (early, late sim.Time, bursts int) {
-	writes := analysis.WriteTimeline(analysis.FilterPhase(r.Events, escat.PhaseQuadrature))
+	writes := analysis.WriteTimeline(r.phaseEvents(escat.PhaseQuadrature))
 	bs := analysis.Bursts(writes, gap)
 	sp := analysis.BurstSpacings(bs)
 	if len(sp) == 0 {
@@ -127,7 +127,7 @@ func (r *Report) WriteBurstTrend(gap sim.Time) (early, late sim.Time, bursts int
 // InitReadThroughput returns the sustained read rate of RENDER's
 // initialization phase in bytes/second (§6.2 quotes ~9.5 MB/s).
 func (r *Report) InitReadThroughput() float64 {
-	init := analysis.FilterPhase(r.Events, render.PhaseInit)
+	init := r.phaseEvents(render.PhaseInit)
 	reads := analysis.OpTimeline(init, iotrace.OpAsyncRead)
 	if len(reads) == 0 {
 		return 0
