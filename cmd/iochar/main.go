@@ -60,7 +60,6 @@ func run(args []string, out io.Writer) error {
 	burstFlags := cliflags.AddBurst(fs)
 	scenarioFlag := cliflags.AddScenario(fs, "scenario")
 	shardFlags := cliflags.AddShards(fs)
-	shardFlags.AddIOShards(fs)
 	mtbf := fs.Float64("mtbf", 0, "inject I/O-node outages with this exponential mean time between failures in seconds (0 = none)")
 	outage := fs.Float64("outage", 5, "duration in seconds of each injected outage")
 	chaosWindow := fs.Float64("chaos-window", 600, "stop injecting faults after this many simulated seconds")
@@ -78,7 +77,6 @@ func run(args []string, out io.Writer) error {
 
 	var study core.Study
 	var fleetOpts *core.FleetOptions
-	ioShards := shardFlags.IOShardCount()
 	if sc, ok, err := scenarioFlag.Load(); err != nil {
 		return err
 	} else if ok {
@@ -102,8 +100,6 @@ func run(args []string, out io.Writer) error {
 		}
 		if fo, isFleet := sc.FleetOptions(shardFlags.Count()); isFleet {
 			fleetOpts = &fo
-		} else if sc.IOShards() > 0 {
-			ioShards = sc.IOShards()
 		}
 	} else {
 		if *small {
@@ -178,19 +174,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, scenario.RenderFleetRun(fr))
 		report = fr.Cells[0]
-	} else if ioShards > 0 {
-		// Intra-machine partitioned run: the compute partition on a frontend
-		// shard, the I/O nodes split across -ioshards server shards. Results
-		// match at any -shards worker bound.
-		sr, err := core.RunSharded(study, core.ShardedOptions{
-			IOShards: ioShards, Workers: shardFlags.Count(), Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "Partitioned machine: %d fabric shards (%d workers), %d cross-shard mails\n",
-			sr.Fabric.Shards, sr.Fabric.Workers, sr.Fabric.Mail)
-		report = sr.Report
 	} else {
 		var err error
 		report, err = core.Run(study)

@@ -247,42 +247,23 @@ func (c *Collective) Apply(cfg *pfs.Config) error {
 	return nil
 }
 
-// Shards bundles the sharded-engine flags every binary that can run on the
-// conservative fabric shares. Results are byte-identical at any -shards
-// setting — the flag only bounds how many shards execute concurrently.
+// Shards bundles the sharded-engine flag every binary that can run a
+// multi-cell fleet shares. Results are byte-identical at any setting — the
+// flag only bounds how many cells execute concurrently.
 type Shards struct {
-	N        *int
-	IOShards *int // nil unless AddIOShards was called
+	N *int
 }
 
 // AddShards registers -shards on fs.
 func AddShards(fs *flag.FlagSet) *Shards {
 	return &Shards{
-		N: fs.Int("shards", 0, "fabric shards executing concurrently: 0 = GOMAXPROCS, 1 = the serial oracle (results identical at any setting)"),
+		N: fs.Int("shards", 0, "fleet cells executing concurrently on the sharded engine: 0 = GOMAXPROCS, 1 = the serial oracle (results identical at any setting)"),
 	}
-}
-
-// AddIOShards additionally registers -ioshards, the intra-machine partition
-// degree: a single-machine run splits its I/O nodes round-robin across this
-// many fabric shards, with the compute partition on a frontend shard and all
-// client↔I/O traffic crossing as lookahead-bounded mail. For a fixed
-// -ioshards value, results are byte-identical at every -shards bound.
-func (s *Shards) AddIOShards(fs *flag.FlagSet) {
-	s.IOShards = fs.Int("ioshards", 0, "split the machine's I/O nodes across this many fabric shards (0 = single-engine run; results identical at any -shards for a fixed -ioshards)")
 }
 
 // Count returns the raw flag value (0 = auto), the form core.FleetOptions
 // takes.
 func (s *Shards) Count() int { return *s.N }
-
-// IOShardCount returns the -ioshards value; 0 when the flag was not
-// registered or not set.
-func (s *Shards) IOShardCount() int {
-	if s.IOShards == nil {
-		return 0
-	}
-	return *s.IOShards
-}
 
 // Resolve returns the effective worker count: GOMAXPROCS when the flag is 0
 // or negative.

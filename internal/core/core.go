@@ -221,27 +221,6 @@ func prepareOn(s Study, eng *sim.Engine) (Study, *runtime, error) {
 	if err != nil {
 		return s, nil, err
 	}
-	return prepareMachine(s, m)
-}
-
-// preparePartitioned is prepare for an intra-machine sharded run: the
-// machine's I/O nodes are split across the srv shards per assign, with every
-// client-side layer (tracers, PPFS, burst tier, the application itself) on
-// fe's engine. s must already have defaults merged (the caller needs the I/O
-// node count to build assign).
-func preparePartitioned(s Study, fe *sim.Shard, srv []*sim.Shard, assign []int) (Study, *runtime, error) {
-	m, err := workload.NewPartitionedMachine(fe, srv, assign, s.Machine)
-	if err != nil {
-		return s, nil, err
-	}
-	return prepareMachine(s, m)
-}
-
-// prepareMachine builds the runtime stack above an already-constructed
-// machine — the tail shared by the serial, fleet-cell, and intra-machine
-// partitioned preparations.
-func prepareMachine(s Study, m *workload.Machine) (Study, *runtime, error) {
-	var err error
 	if s.WindowWidth <= 0 {
 		s.WindowWidth = 10 * sim.Second
 	}
@@ -314,40 +293,6 @@ func (rt *runtime) inject(s Study, events []fault.Event) *fault.Injector {
 		hooks.OnOutageEnd = rt.m.PFS.NoteOutageEnd
 	}
 	return fault.Inject(rt.m.Eng, rt.m.PFS.IONodes(), events, hooks)
-}
-
-// injectPartitioned arms the fault plan on a partitioned machine: each
-// discrete event's driver runs on the owning engine of the node it targets,
-// bit-rot drivers likewise, and outage windows are mirrored on the frontend
-// for the repair planner. Two schedule shapes are rejected up front rather
-// than mis-simulated: NodeLoss (halting every shard mid-run is unsupported —
-// fault.InjectPartitioned reports it) and DiskFailure combined with
-// replication repair (the repair planner would need cross-shard reads of
-// array state; the frontend mirror only tracks outages).
-func (rt *runtime) injectPartitioned(s Study, events []fault.Event) (*fault.Injector, error) {
-	fs := rt.m.PFS
-	if !s.Faults.Corruption.Empty() {
-		fault.ArmCorruptionPartitioned(fs.OwnerEngine, fs.IONodes(), s.Faults.Corruption, s.FaultSeed)
-	}
-	if len(events) == 0 {
-		return nil, nil
-	}
-	if fs.RepairEnabled() {
-		for _, ev := range events {
-			if ev.Kind == fault.DiskFailure {
-				return nil, fmt.Errorf("core: DiskFailure events cannot combine with replication repair on a partitioned machine (the repair planner would read array state across shards); run serially or drop one of the two")
-			}
-		}
-	}
-	hooks := fault.NodeLossHooks{Nodes: rt.m.Nodes, Halt: rt.m.Eng.Stop}
-	if rt.burst != nil {
-		hooks.Undrained = rt.burst.UndrainedNode
-	}
-	if fs.RepairEnabled() {
-		hooks.OnOutageStart = fs.NoteOutageStart
-		hooks.OnOutageEnd = fs.NoteOutageEnd
-	}
-	return fault.InjectPartitioned(rt.m.Eng, fs.OwnerEngine, fs.IONodes(), events, hooks)
 }
 
 // clockPadded reports whether background processes (bit-rot drivers, the

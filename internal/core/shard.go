@@ -40,12 +40,6 @@ type FleetOptions struct {
 	// 1 = the serial oracle.
 	Shards int
 
-	// IOShards, when positive, additionally partitions each cell's machine
-	// internally: the cell shard keeps the compute partition and IOShards
-	// extra shards per cell host its I/O nodes (see RunSharded). Zero keeps
-	// whole cells on single shards.
-	IOShards int
-
 	// Seed derives each shard's RNG substream and, for cells past the
 	// first, their fault-plan seeds (cell 0 keeps the study's own
 	// FaultSeed, so a one-cell fleet realizes the exact serial timeline).
@@ -107,18 +101,7 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 			cs.FaultSeed = cellSeeds.Uint64()
 		}
 		shard := fab.AddShard(fmt.Sprintf("cell%d", i), opts.Seed)
-		var rt *runtime
-		var err error
-		if opts.IOShards > 0 {
-			if cs.Machine.ComputeNodes == 0 {
-				cs = mergeDefaults(cs)
-			}
-			srv, assign := partitionIONodes(fab, fmt.Sprintf("cell%d.", i),
-				cs.Machine.PFS.IONodes, opts.IOShards, opts.Seed)
-			cs, rt, err = preparePartitioned(cs, shard, srv, assign)
-		} else {
-			cs, rt, err = prepareOn(cs, shard.Engine())
-		}
+		cs, rt, err := prepareOn(cs, shard.Engine())
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
@@ -135,19 +118,10 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 				events[j].At += start
 			}
 		}
-		var inj *fault.Injector
-		if opts.IOShards > 0 {
-			inj, err = rt.injectPartitioned(cs, events)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
-			}
-		} else {
-			inj = rt.inject(cs, events)
-		}
 		cells[i] = &fleetCell{
 			study: cs,
 			rt:    rt,
-			inj:   inj,
+			inj:   rt.inject(cs, events),
 			shard: shard,
 			start: start,
 		}

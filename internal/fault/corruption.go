@@ -76,21 +76,6 @@ func ParseCorruptionClasses(spec string, window sim.Time) (CorruptionPlan, error
 // nodes have the layer on). No-op when the plan is empty or the integrity
 // layer is disabled.
 func ArmCorruption(eng *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
-	armCorruption(func(*ionode.Node) *sim.Engine { return eng }, nodes, cp, seed)
-}
-
-// ArmCorruptionPartitioned is ArmCorruption for a machine whose I/O nodes
-// live on fabric shards: each node's bit-rot driver spawns on the node's
-// owning engine (the checksum store must only ever be touched from there).
-// The RNG stream derivation is identical to the serial form — splits happen
-// per node in node order, before any engine placement — so a given seed rots
-// the same blocks at the same instants regardless of how the nodes are
-// sharded.
-func ArmCorruptionPartitioned(owner func(node int) *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
-	armCorruption(func(n *ionode.Node) *sim.Engine { return owner(n.ID()) }, nodes, cp, seed)
-}
-
-func armCorruption(engFor func(*ionode.Node) *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
 	if cp.Empty() {
 		return
 	}
@@ -111,7 +96,7 @@ func armCorruption(engFor func(*ionode.Node) *sim.Engine, nodes []*ionode.Node, 
 			continue
 		}
 		node := n
-		engFor(n).SpawnAt(fmt.Sprintf("fault:bit-rot@ion%d", node.ID()), cp.Start,
+		eng.SpawnAt(fmt.Sprintf("fault:bit-rot@ion%d", node.ID()), cp.Start,
 			func(p *sim.Process) { runBitRot(p, node, cp.BitRotPerGBHour, end, rotRNG) })
 	}
 }

@@ -58,7 +58,6 @@ type Injector struct {
 	downCount []int // overlapping-outage refcount per node
 	hooks     NodeLossHooks
 	losses    []NodeLossEvent
-	subs      []*Injector // per-engine actuators on a partitioned machine
 }
 
 // Inject arms every event in the schedule: each fault gets a driver process
@@ -92,81 +91,6 @@ func Inject(eng *sim.Engine, nodes []*ionode.Node, events []Event, hooks NodeLos
 		}
 	}
 	return inj
-}
-
-// InjectPartitioned arms a schedule against a machine whose I/O nodes live on
-// fabric shards. Faults that touch a node's service state (outages, storms,
-// disk failures) must run on the node's owning engine, so each event's driver
-// is spawned there, grouped into per-engine sub-injectors whose incident
-// timelines merge into the returned root. Outage start/end hooks observe
-// frontend-resident state (the repair planner's availability windows), so a
-// separate observer driver mirrors each outage window on the frontend engine:
-// both drivers sleep the same simulated interval from the same start instant,
-// so the observer fires at the exact simulated times the actuator takes the
-// node down and brings it back.
-//
-// NodeLoss events are rejected with an error: a compute-node loss halts the
-// whole simulation, and there is no way to freeze every shard of a fabric
-// mid-window deterministically. Use the serial engine (or model the loss as a
-// fleet-level cell failure) for those schedules.
-func InjectPartitioned(frontend *sim.Engine, owner func(node int) *sim.Engine,
-	nodes []*ionode.Node, events []Event, hooks NodeLossHooks) (*Injector, error) {
-	root := &Injector{nodes: nodes, downCount: make([]int, len(nodes)), hooks: hooks}
-	byEngine := make(map[*sim.Engine]*Injector)
-	subFor := func(eng *sim.Engine) *Injector {
-		sub := byEngine[eng]
-		if sub == nil {
-			sub = &Injector{nodes: nodes, downCount: make([]int, len(nodes))}
-			byEngine[eng] = sub
-			root.subs = append(root.subs, sub)
-		}
-		return sub
-	}
-	for _, ev := range events {
-		ev := ev
-		if ev.Kind == NodeLoss {
-			if ev.Node < 0 || ev.Node >= hooks.Nodes {
-				continue
-			}
-			return nil, fmt.Errorf("fault: NodeLoss at node %d cannot be injected on a partitioned machine (halting all shards mid-run is unsupported); run serially or model it as a fleet cell failure", ev.Node)
-		}
-		if ev.Node < 0 || ev.Node >= len(nodes) {
-			continue
-		}
-		eng := owner(ev.Node)
-		sub := subFor(eng)
-		name := fmt.Sprintf("fault:%v@ion%d", ev.Kind, ev.Node)
-		switch ev.Kind {
-		case IONodeOutage:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { sub.runOutage(p, ev) })
-			if hooks.OnOutageStart != nil || hooks.OnOutageEnd != nil {
-				frontend.SpawnAt(name+":observer", ev.At,
-					func(p *sim.Process) { root.runOutageObserver(p, ev) })
-			}
-		case LatencyStorm:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { sub.runStorm(p, ev) })
-		case DiskFailure:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { sub.runDiskFailure(p, ev) })
-		}
-	}
-	return root, nil
-}
-
-// runOutageObserver mirrors one outage window on the frontend: the root
-// injector's downCount refcounts overlapping windows per node, Start fires
-// per event and End when the last overlap releases the node — the same
-// notification contract runOutage delivers on a serial machine. The sub-
-// injectors' hooks are zero, so the actuators never call back across shards.
-func (inj *Injector) runOutageObserver(p *sim.Process, ev Event) {
-	inj.downCount[ev.Node]++
-	if inj.hooks.OnOutageStart != nil {
-		inj.hooks.OnOutageStart(ev.Node, p.Now())
-	}
-	p.Sleep(ev.Duration)
-	inj.downCount[ev.Node]--
-	if inj.downCount[ev.Node] == 0 && inj.hooks.OnOutageEnd != nil {
-		inj.hooks.OnOutageEnd(ev.Node, p.Now())
-	}
 }
 
 // runNodeLoss kills a compute node: it snapshots the node's volatile
@@ -356,14 +280,8 @@ func (inj *Injector) runDiskFailure(p *sim.Process, ev Event) {
 // by node then kind). Incidents still in effect when the run ended have Open
 // set and End zero; CloseOpen stamps them instead.
 func (inj *Injector) Incidents() []Incident {
-	out := make([]Incident, 0, len(inj.incidents))
-	out = append(out, inj.incidents...)
-	// A partitioned node's events all land on one sub-injector (the node→
-	// engine assignment is fixed), so cross-sub ties never share a node and
-	// the (Start, Node, Kind) sort yields one canonical merged timeline.
-	for _, sub := range inj.subs {
-		out = append(out, sub.incidents...)
-	}
+	out := make([]Incident, len(inj.incidents))
+	copy(out, inj.incidents)
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -384,8 +302,5 @@ func (inj *Injector) CloseOpen(at sim.Time) {
 		if inj.incidents[i].Open {
 			inj.incidents[i].End = at
 		}
-	}
-	for _, sub := range inj.subs {
-		sub.CloseOpen(at)
 	}
 }

@@ -100,21 +100,12 @@ func (m *Mesh) Cost(src, dst int, bytes int64) sim.Time {
 	return m.cfg.SWLatency + sim.Time(m.Hops(src, dst))*m.cfg.HopLatency + ser
 }
 
-// Count records the traffic of one message from src to dst and returns its
-// modeled cost without charging any simulated time. It is the accounting half
-// of Transfer, used by the partitioned PFS where the latency is realized as a
-// cross-shard mail delay rather than a client-side sleep.
-func (m *Mesh) Count(src, dst int, bytes int64) sim.Time {
-	c := m.Cost(src, dst, bytes)
-	m.messages++
-	m.bytes += bytes
-	return c
-}
-
 // Transfer charges the calling process the cost of sending bytes from src to
 // dst and records the traffic. It returns the charged time.
 func (m *Mesh) Transfer(p *sim.Process, src, dst int, bytes int64) sim.Time {
-	c := m.Count(src, dst, bytes)
+	c := m.Cost(src, dst, bytes)
+	m.messages++
+	m.bytes += bytes
 	p.Sleep(c)
 	return c
 }

@@ -363,7 +363,7 @@ func (h *Handle) Lsize(p *sim.Process) (int64, error) {
 	start := p.Now()
 	p.Sleep(fs.cfg.Cost.ClientOverhead)
 	ion := f.stripeIONode(0, len(fs.ion))
-	if err := fs.syncIO(p, h.node, ion, fs.cfg.Cost.LsizeService); err != nil {
+	if err := fs.syncIO(p, ion, fs.cfg.Cost.LsizeService); err != nil {
 		return 0, fmt.Errorf("lsize %q: %w", f.name, err)
 	}
 	fs.record(h.node, iotrace.OpLsize, f, 0, 0, start, h.mode)
@@ -384,10 +384,10 @@ func (h *Handle) Flush(p *sim.Process) error {
 	if err := h.drainWriteBuffer(p); err != nil {
 		return err
 	}
-	fs.drainCache(p, h.node, f)
+	fs.drainCache(p, f)
 	stripe := h.offset / fs.cfg.StripeUnit
 	ion := f.stripeIONode(stripe, len(fs.ion))
-	if err := fs.syncIO(p, h.node, ion, fs.cfg.Cost.FlushService); err != nil {
+	if err := fs.syncIO(p, ion, fs.cfg.Cost.FlushService); err != nil {
 		return fmt.Errorf("flush %q: %w", f.name, err)
 	}
 	fs.record(h.node, iotrace.OpFlush, f, h.offset, 0, start, h.mode)

@@ -61,20 +61,6 @@ type FileSystem struct {
 	rf         int          // effective replication factor (1 = no replication)
 	readPolicy string       // how replicated reads pick a copy
 	rep        *repairState // nil when the repair control plane is off
-
-	part *partition // nil on a serial instance
-}
-
-// partition wires a FileSystem split across a conservative fabric: clients,
-// the metadata server, and every policy daemon live on the frontend shard,
-// while each I/O node's state (queue, cache, integrity store, disk array,
-// scrubber) lives on its owning shard. All client↔ionode traffic crosses the
-// seam as fabric mail: requests ride the positive-lookahead edge delayed by
-// the modeled mesh cost, completions ride the zero-lookahead reply edge.
-type partition struct {
-	fe    *sim.Shard
-	owner []*sim.Shard // owning shard per I/O node
-	down  []int        // frontend mirror of each node's outage state (repair only)
 }
 
 // FailoverStats counts the failover machinery's activity under injected
@@ -92,51 +78,6 @@ type FailoverStats struct {
 // placed at the highest mesh coordinates (as on the CCSF machine, where
 // service and I/O nodes occupied dedicated columns).
 func New(eng *sim.Engine, msh *mesh.Mesh, cfg Config) (*FileSystem, error) {
-	return newFS(eng, msh, cfg, nil)
-}
-
-// NewPartitioned creates a PFS split across fabric shards: the client side on
-// frontend shard fe, and I/O node i's state on shard srv[assign[i]]. It
-// declares the fabric edges itself — a positive-lookahead request edge and a
-// zero-lookahead reply edge per I/O shard — so results are a pure function of
-// the (fe, srv, assign) topology, independent of the fabric's worker count.
-func NewPartitioned(fe *sim.Shard, srv []*sim.Shard, assign []int, msh *mesh.Mesh, cfg Config) (*FileSystem, error) {
-	if la := msh.Lookahead(); la <= 0 {
-		return nil, fmt.Errorf("pfs: partitioned file system needs a positive mesh lookahead, got %v (SWLatency+HopLatency == 0 would deadlock the fabric's bounded-horizon loop)", la)
-	}
-	if len(srv) == 0 {
-		return nil, fmt.Errorf("pfs: partitioned file system needs at least one I/O shard")
-	}
-	if len(assign) != cfg.IONodes {
-		return nil, fmt.Errorf("pfs: partition assignment covers %d of %d I/O nodes", len(assign), cfg.IONodes)
-	}
-	part := &partition{
-		fe:    fe,
-		owner: make([]*sim.Shard, cfg.IONodes),
-		down:  make([]int, cfg.IONodes),
-	}
-	used := make([]bool, len(srv))
-	for i, g := range assign {
-		if g < 0 || g >= len(srv) {
-			return nil, fmt.Errorf("pfs: I/O node %d assigned to shard %d of %d", i, g, len(srv))
-		}
-		part.owner[i] = srv[g]
-		used[g] = true
-	}
-	fab := fe.Fabric()
-	for g, u := range used {
-		if !u {
-			continue
-		}
-		fab.Connect(fe, srv[g], msh.Lookahead())
-		fab.ConnectReply(srv[g], fe)
-	}
-	return newFS(fe.Engine(), msh, cfg, part)
-}
-
-// newFS is the shared constructor: eng is the client-side engine, and part
-// (when non-nil) reroutes each I/O node's state onto its owning shard.
-func newFS(eng *sim.Engine, msh *mesh.Mesh, cfg Config, part *partition) (*FileSystem, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -162,20 +103,15 @@ func newFS(eng *sim.Engine, msh *mesh.Mesh, cfg Config, part *partition) (*FileS
 	if fs.cfg.Replication.Repair.Enabled && fs.rf > 1 {
 		fs.rep = newRepairState(fs.cfg.Replication.Repair)
 	}
-	fs.part = part
 	total := msh.Nodes()
 	for i := 0; i < cfg.IONodes; i++ {
-		neng := eng
-		if part != nil {
-			neng = part.owner[i].Engine()
-		}
-		n := ionode.New(neng, i, cfg.nodeDisk(i))
+		n := ionode.New(eng, i, cfg.nodeDisk(i))
 		if cfg.Cache.Enabled {
-			n.EnableCache(neng, cfg.nodeCache(i))
+			n.EnableCache(eng, cfg.nodeCache(i))
 		}
 		if cfg.Integrity.Enabled {
 			n.EnableIntegrity(cfg.Integrity.Normalized(cfg.StripeUnit))
-			n.StartScrubber(neng)
+			n.StartScrubber(eng)
 		}
 		if cfg.Sched.Policy != "" {
 			sc := cfg.Sched
@@ -412,23 +348,13 @@ func (fs *FileSystem) CacheStats() []cache.Stats {
 
 // drainCache synchronously flushes a file's write-behind residue on every
 // I/O node, in node order. Down nodes are skipped: their dirty blocks were
-// already disposed of by the outage policy. node is the requesting compute
-// node, which the partitioned path charges the control message from.
-func (fs *FileSystem) drainCache(p *sim.Process, node int, f *File) {
+// already disposed of by the outage policy.
+func (fs *FileSystem) drainCache(p *sim.Process, f *File) {
 	if !fs.cfg.Cache.Enabled {
 		return
 	}
-	if fs.part == nil {
-		for _, n := range fs.ion {
-			_ = n.Drain(p, int64(f.id))
-		}
-		return
-	}
-	fid := int64(f.id)
-	for i := range fs.ion {
-		_ = fs.ionRPC(p, node, i, 0, "pfs-drain", func(sp *sim.Process, n *ionode.Node) error {
-			return n.Drain(sp, fid)
-		})
+	for _, n := range fs.ion {
+		_ = n.Drain(p, int64(f.id))
 	}
 }
 
@@ -466,83 +392,12 @@ func (fs *FileSystem) transfer(p *sim.Process, node int, f *File, off, n int64, 
 	return nil
 }
 
-// Partitioned reports whether the file system is split across fabric shards.
-func (fs *FileSystem) Partitioned() bool { return fs.part != nil }
-
-// OwnerEngine returns the engine owning I/O node ion's state: the owning
-// shard's engine when partitioned, else the file system's own engine. Fault
-// injectors use it to run outage and disk-failure actuators where the state
-// lives.
-func (fs *FileSystem) OwnerEngine(ion int) *sim.Engine {
-	if fs.part != nil {
-		return fs.part.owner[ion].Engine()
-	}
-	return fs.eng
-}
-
-// FrontendEngine returns the client-side engine (the frontend shard's engine
-// when partitioned).
-func (fs *FileSystem) FrontendEngine() *sim.Engine { return fs.eng }
-
-// nodeDown reports whether an I/O node is in an outage window. Partitioned
-// instances consult the frontend's outage mirror (maintained by the
-// NoteOutage hooks) instead of touching the node's own state cross-shard.
-func (fs *FileSystem) nodeDown(ion int) bool {
-	if fs.part != nil {
-		return fs.part.down[ion] > 0
-	}
-	return fs.ion[ion].Down()
-}
-
-// arrayDead reports whether an I/O node's disk array has failed terminally.
-// Partitioned runs reject disk-failure plans combined with repair (the only
-// reader), so the mirror is trivially false there.
-func (fs *FileSystem) arrayDead(ion int) bool {
-	if fs.part != nil {
-		return false
-	}
-	return fs.ion[ion].Array().Dead()
-}
-
-// ionRPC ships one request from a frontend process to I/O node ion's owning
-// shard and parks the caller until the reply: the request mail is delayed by
-// the modeled mesh cost (never below the fabric lookahead — a zero-hop
-// request still pays one link), op runs in a proxy process on the owning
-// engine with the node's full acquire/sleep behaviour, and a zero-lookahead
-// reply wakes the caller the instant op completes, with its error staged by
-// the delivery sort's canonical (time, shard, sequence) order.
-func (fs *FileSystem) ionRPC(p *sim.Process, node, ion int, bytes int64, name string,
-	op func(sp *sim.Process, n *ionode.Node) error) error {
-	pt := fs.part
-	delay := fs.msh.Count(node, fs.ionHome[ion], bytes)
-	if la := fs.msh.Lookahead(); delay < la {
-		delay = la
-	}
-	n := fs.ion[ion]
-	own := pt.owner[ion]
-	var err error
-	pt.fe.Send(p, own, delay, name, func(sp *sim.Process) {
-		e := op(sp, n)
-		own.SendWake(sp, pt.fe, 0, name, p, func() { err = e })
-	})
-	p.Park("pfs: awaiting " + name)
-	return err
-}
-
 // tryNode issues one chunk to a specific I/O node, charging the mesh hop and
-// the node's queueing + service time. The serial path stays a direct call;
-// the partitioned path realizes the same latency as cross-shard request and
-// reply mail.
+// the node's queueing + service time.
 func (fs *FileSystem) tryNode(p *sim.Process, node, ion int, stream, addr, chunk int64, read bool) error {
-	if fs.part == nil {
-		fs.msh.Transfer(p, node, fs.ionHome[ion], chunk)
-		_, err := fs.ion[ion].Do(p, stream, addr, chunk, read)
-		return err
-	}
-	return fs.ionRPC(p, node, ion, chunk, "pfs-io", func(sp *sim.Process, n *ionode.Node) error {
-		_, err := n.Do(sp, stream, addr, chunk, read)
-		return err
-	})
+	fs.msh.Transfer(p, node, fs.ionHome[ion], chunk)
+	_, err := fs.ion[ion].Do(p, stream, addr, chunk, read)
+	return err
 }
 
 // chunkIO services one stripe chunk with failover and the reliability
@@ -721,20 +576,11 @@ func (fs *FileSystem) quorumRead(p *sim.Process, node int, f *File, ion, badCopy
 // and restores a valid checksum, closing the corruption event.
 func (fs *FileSystem) healCopy(node int, f *File, ion, badCopy int, addr, chunk int64) {
 	target := fs.placer().target(ion, badCopy)
-	stream := replicaStream(int64(f.id), badCopy)
-	taddr := replicaAddr(addr, badCopy)
 	fs.hseq++
 	fs.eng.Spawn(fmt.Sprintf("pfs-heal%d-ion%d", fs.hseq, target), func(hp *sim.Process) {
-		var err error
-		if fs.part == nil {
-			fs.msh.Transfer(hp, node, fs.ionHome[target], chunk)
-			err = fs.ion[target].BlockIO(hp, stream, taddr, chunk, false)
-		} else {
-			err = fs.ionRPC(hp, node, target, chunk, "pfs-heal", func(sp *sim.Process, n *ionode.Node) error {
-				return n.BlockIO(sp, stream, taddr, chunk, false)
-			})
-		}
-		if err == nil {
+		fs.msh.Transfer(hp, node, fs.ionHome[target], chunk)
+		if err := fs.ion[target].BlockIO(hp, replicaStream(int64(f.id), badCopy),
+			replicaAddr(addr, badCopy), chunk, false); err == nil {
 			fs.rel.RepairWrites++
 		}
 	})
@@ -841,10 +687,9 @@ func rw(read bool) string {
 
 // syncIO charges a control round-trip (flush, lsize) at an I/O node, falling
 // over to the neighbouring node after the detection timeout when the primary
-// is down and failover is enabled. node is the requesting compute node, which
-// the partitioned path charges the control message from.
-func (fs *FileSystem) syncIO(p *sim.Process, node, ion int, cost sim.Time) error {
-	if err := fs.ionSync(p, node, ion, cost); err == nil {
+// is down and failover is enabled.
+func (fs *FileSystem) syncIO(p *sim.Process, ion int, cost sim.Time) error {
+	if _, err := fs.ion[ion].Sync(p, cost); err == nil {
 		return nil
 	}
 	fo := fs.cfg.Failover
@@ -856,25 +701,12 @@ func (fs *FileSystem) syncIO(p *sim.Process, node, ion int, cost sim.Time) error
 	fs.fo.BackoffTime += fo.DetectTimeout
 	p.Sleep(fo.DetectTimeout)
 	fs.fo.Retries++
-	if err := fs.ionSync(p, node, fs.placer().target(ion, 1), cost); err != nil {
+	if _, err := fs.ion[fs.placer().target(ion, 1)].Sync(p, cost); err != nil {
 		fs.fo.Failed++
 		return ErrIONodeDown
 	}
 	fs.fo.Reroutes++
 	return nil
-}
-
-// ionSync issues one control round (Sync) to an I/O node: direct on a serial
-// instance, as a zero-byte RPC on a partitioned one.
-func (fs *FileSystem) ionSync(p *sim.Process, node, ion int, cost sim.Time) error {
-	if fs.part == nil {
-		_, err := fs.ion[ion].Sync(p, cost)
-		return err
-	}
-	return fs.ionRPC(p, node, ion, 0, "pfs-sync", func(sp *sim.Process, n *ionode.Node) error {
-		_, err := n.Sync(sp, cost)
-		return err
-	})
 }
 
 // DiskConfig is re-exported for callers needing the array model defaults.

@@ -110,6 +110,7 @@ func TestParseErrors(t *testing.T) {
 		{"empty", "", "empty scenario"},
 		{"unknown field", "workload:\n  app: escat\nbogus: 1\n", "unknown field"},
 		{"unknown nested field", "workload:\n  app: escat\n  turbo: true\n", "unknown field"},
+		{"removed shard_layout", "workload:\n  app: escat\nfleet_gen:\n  shard_layout: \"split:2\"\n", "unknown field"},
 		{"bad app", "workload:\n  app: doom\n", "workload.app"},
 		{"bad policy", "workload:\n  app: escat\n  policy: magic\n", "workload.policy"},
 		{"bad expected", "workload:\n  app: escat\nassertions:\n  expected: maybe\n", "assertions.expected"},

@@ -46,9 +46,6 @@ func (r *Scenario) Execute() (*Result, error) {
 	if fo, ok := r.FleetOptions(r.Shards); ok {
 		return r.executeFleet(rs, fleet, fo)
 	}
-	if k := r.ioShards(); k > 0 {
-		return r.executeSharded(rs, fleet, k)
-	}
 	rr, runErr := core.RunResilient(rs)
 	if rr == nil && runErr != nil {
 		// No report at all: the study itself was rejected.
@@ -77,39 +74,11 @@ func (r *Scenario) FleetOptions(shards int) (core.FleetOptions, bool) {
 		stagger = sim.FromSeconds(r.FleetGen.StaggerS)
 	}
 	return core.FleetOptions{
-		Cells:    r.cells(),
-		Stagger:  stagger,
-		Shards:   shards,
-		IOShards: r.ioShards(),
-		Seed:     r.Seed,
+		Cells:   r.cells(),
+		Stagger: stagger,
+		Shards:  shards,
+		Seed:    r.Seed,
 	}, true
-}
-
-// executeSharded runs a single-machine scenario whose machine is split
-// across the fabric (fleet_gen.shard_layout "split:N"): one attempt, no
-// restart loop, with the CLI's -shards value as the fabric's worker bound.
-func (r *Scenario) executeSharded(rs core.ResilientStudy, fleet *Fleet, ioShards int) (*Result, error) {
-	s := rs.Study
-	// The measurement layer reads the run's event trace.
-	s.KeepTrace = true
-	sr, err := core.RunSharded(s, core.ShardedOptions{IOShards: ioShards, Workers: r.Shards, Seed: r.Seed})
-	if err != nil {
-		return nil, r.fail(err)
-	}
-	rr := &core.ResilientReport{
-		Final:     sr.Report,
-		Attempts:  []core.Attempt{{End: sr.Wall}},
-		Incidents: sr.Incidents,
-		Wall:      sr.Wall,
-	}
-	m := Measure(rr, nil)
-	return &Result{
-		Scenario: r,
-		Fleet:    fleet,
-		Report:   rr,
-		M:        m,
-		Checks:   r.Assertions.Evaluate(m),
-	}, nil
 }
 
 // executeFleet runs a multi-cell scenario on the sharded engine: one attempt

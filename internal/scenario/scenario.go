@@ -89,15 +89,6 @@ type FleetGen struct {
 	// StaggerS is the launch delay between consecutive cells, modeling a
 	// fleet scheduler dispatching jobs in sequence (with cells > 1).
 	StaggerS float64 `json:"stagger_s,omitempty"`
-
-	// ShardLayout partitions each machine internally across the
-	// conservative fabric: "single" (the default) keeps a machine on one
-	// engine; "split:N" places its I/O nodes round-robin on N server shards
-	// with the compute partition on a frontend shard, every client↔I/O
-	// request crossing shards as lookahead-bounded mail. Results are
-	// byte-identical at every -shards worker bound for a fixed layout.
-	// Split machines run a single attempt (no checkpoint/restart loop).
-	ShardLayout string `json:"shard_layout,omitempty"`
 }
 
 // Template is one weighted node flavor. Disk and cache fields shape the I/O

@@ -27,19 +27,15 @@ import (
 // can produce mail for X before that bound. Shards with no in-edges have an
 // infinite horizon and free-run to completion.
 //
-// Two kinds of edge exist. Connect declares a strictly-positive lookahead —
-// the physical request latency. ConnectReply declares a zero-lookahead reply
-// edge for RPC-style topologies (a server completing a request at time t may
-// wake the client at exactly t, because the request already paid the full
-// round-trip latency on the way in). Zero edges mean nextAt(src) alone is no
-// longer a safe bound: a shard with no events of its own can still be woken
-// by mail and reply instantly. The horizon reduction therefore relaxes a
-// send-time lower bound B over the whole graph (B(i) = min(nextAt(i),
-// min over in-edges B(src)+L) to fixpoint, Bellman-Ford style) and uses
-// B(src)+L per in-edge as the horizon. Every cycle must contain a
-// positive-lookahead edge (ConnectReply rejects zero-edge cycles), so the
-// shard holding the globally minimal next event is always runnable and the
-// protocol cannot stall.
+// nextAt(src) alone is not quite enough, though: a shard with nothing queued
+// can still be woken by mail and forward it onward, so a chain A->B->C whose
+// middle shard is quiescent must bound C by A's next event plus both
+// lookaheads. The reduction therefore relaxes a send-time lower bound B over
+// the whole graph (B(i) = min(nextAt(i), min over in-edges B(src)+L) to
+// fixpoint, Bellman-Ford style) and uses B(src)+L per in-edge as the horizon.
+// Every lookahead is strictly positive, so every cycle has positive weight,
+// the relaxation converges, and the shard holding the globally minimal next
+// event is always runnable: the protocol cannot stall.
 //
 // Windows are exclusive at the top: a shard runs events with timestamps
 // strictly below its horizon, so mail timestamped exactly at the horizon is
@@ -68,8 +64,7 @@ type Shard struct {
 	rng  *RNG
 
 	inEdges []inEdge
-	outL    []Time   // lookahead to each destination shard
-	outSet  []bool   // whether an edge to each destination exists
+	outL    []Time   // lookahead to each destination shard; 0 = not connected
 	outbox  [][]mail // per-destination mail buffered during the current window
 	inbox   []mail
 	sendSeq uint64
@@ -80,19 +75,15 @@ type inEdge struct {
 	lookahead Time
 }
 
-// mail is a cross-shard message delivered on the destination engine at an
-// absolute simulated time: either a closure to run in a fresh process (fn),
-// or a direct wake of an already-parked process (target, with an optional
-// apply closure staging the result before the wake). The (at, src, seq)
-// triple is its delivery sort key.
+// mail is a cross-shard message: a closure to run on the destination engine
+// at an absolute simulated time. The (at, src, seq) triple is its delivery
+// sort key.
 type mail struct {
-	at     Time
-	src    int
-	seq    uint64
-	name   string
-	fn     func(p *Process)
-	target *Process
-	apply  func()
+	at   Time
+	src  int
+	seq  uint64
+	name string
+	fn   func(p *Process)
 }
 
 // NewFabric creates an empty fabric. workers bounds how many shards execute
@@ -129,10 +120,6 @@ func (f *Fabric) AddShard(name string, seed uint64) *Shard {
 // primitives are created against it exactly as against a standalone engine.
 func (s *Shard) Engine() *Engine { return s.eng }
 
-// Fabric returns the fabric the shard belongs to, so subsystems handed only
-// shards (e.g. a partitioned file system) can declare their own edges.
-func (s *Shard) Fabric() *Fabric { return s.fab }
-
 // RNG returns the shard's private random stream.
 func (s *Shard) RNG() *RNG { return s.rng }
 
@@ -150,50 +137,6 @@ func (f *Fabric) Connect(src, dst *Shard, lookahead Time) {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: fabric edge %s->%s lookahead %v must be positive", src.name, dst.name, lookahead))
 	}
-	f.addEdge(src, dst, lookahead)
-}
-
-// ConnectReply declares a zero-lookahead reply edge: src may send mail to dst
-// that arrives at src's current instant. This is only sound for RPC reply
-// paths — the request edge in the other direction carried the full latency —
-// and only while every edge cycle retains at least one positive lookahead, so
-// ConnectReply rejects a reply edge that would close a zero-lookahead cycle.
-func (f *Fabric) ConnectReply(src, dst *Shard) {
-	if f.zeroPath(dst, src) {
-		panic(fmt.Sprintf("sim: fabric reply edge %s->%s closes a zero-lookahead cycle", src.name, dst.name))
-	}
-	f.addEdge(src, dst, 0)
-}
-
-// zeroPath reports whether dst is reachable from src over zero-lookahead
-// edges only (including src == dst).
-func (f *Fabric) zeroPath(src, dst *Shard) bool {
-	if src == dst {
-		return true
-	}
-	seen := make([]bool, len(f.shards))
-	stack := []int{src.idx}
-	seen[src.idx] = true
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range f.shards {
-			for _, e := range s.inEdges {
-				if e.src != cur || e.lookahead != 0 || seen[s.idx] {
-					continue
-				}
-				if s.idx == dst.idx {
-					return true
-				}
-				seen[s.idx] = true
-				stack = append(stack, s.idx)
-			}
-		}
-	}
-	return false
-}
-
-func (f *Fabric) addEdge(src, dst *Shard, lookahead Time) {
 	if src == dst {
 		panic(fmt.Sprintf("sim: fabric self-edge on %s (local sends need no edge)", src.name))
 	}
@@ -209,11 +152,9 @@ func (f *Fabric) addEdge(src, dst *Shard, lookahead Time) {
 	dst.inEdges = append(dst.inEdges, inEdge{src: src.idx, lookahead: lookahead})
 	for len(src.outL) <= dst.idx {
 		src.outL = append(src.outL, 0)
-		src.outSet = append(src.outSet, false)
 		src.outbox = append(src.outbox, nil)
 	}
 	src.outL[dst.idx] = lookahead
-	src.outSet[dst.idx] = true
 }
 
 // Send queues mail from the running process p (which must belong to this
@@ -222,7 +163,15 @@ func (f *Fabric) addEdge(src, dst *Shard, lookahead Time) {
 // edge's lookahead — sending faster than the declared link latency would
 // break the conservative horizon.
 func (s *Shard) Send(p *Process, dst *Shard, delay Time, name string, fn func(p *Process)) {
-	s.checkSend(p, dst, delay)
+	if p.eng != s.eng {
+		panic(fmt.Sprintf("sim: Send on shard %s from a process of another engine", s.name))
+	}
+	if dst.idx >= len(s.outL) || s.outL[dst.idx] == 0 {
+		panic(fmt.Sprintf("sim: Send %s->%s without a Connect edge", s.name, dst.name))
+	}
+	if delay < s.outL[dst.idx] {
+		panic(fmt.Sprintf("sim: Send %s->%s delay %v below edge lookahead %v", s.name, dst.name, delay, s.outL[dst.idx]))
+	}
 	s.sendSeq++
 	s.outbox[dst.idx] = append(s.outbox[dst.idx], mail{
 		at:   p.Now() + delay,
@@ -231,54 +180,6 @@ func (s *Shard) Send(p *Process, dst *Shard, delay Time, name string, fn func(p 
 		name: name,
 		fn:   fn,
 	})
-}
-
-// SendWake queues reply mail that wakes an already-parked process on shard
-// dst instead of spawning a fresh one: at delivery, apply (if non-nil) runs
-// first to stage the result, then target resumes at the mail's timestamp.
-// The target must be parked with no pending wake of its own — this is the
-// RPC reply primitive, and the requester parks awaiting exactly one reply.
-func (s *Shard) SendWake(p *Process, dst *Shard, delay Time, name string, target *Process, apply func()) {
-	s.checkSend(p, dst, delay)
-	if target.eng != dst.eng {
-		panic(fmt.Sprintf("sim: SendWake %s->%s target belongs to another engine", s.name, dst.name))
-	}
-	s.sendSeq++
-	s.outbox[dst.idx] = append(s.outbox[dst.idx], mail{
-		at:     p.Now() + delay,
-		src:    s.idx,
-		seq:    s.sendSeq,
-		name:   name,
-		target: target,
-		apply:  apply,
-	})
-}
-
-func (s *Shard) checkSend(p *Process, dst *Shard, delay Time) {
-	if p.eng != s.eng {
-		panic(fmt.Sprintf("sim: Send on shard %s from a process of another engine", s.name))
-	}
-	if dst.idx >= len(s.outSet) || !s.outSet[dst.idx] {
-		panic(fmt.Sprintf("sim: Send %s->%s without a Connect edge", s.name, dst.name))
-	}
-	if delay < s.outL[dst.idx] {
-		panic(fmt.Sprintf("sim: Send %s->%s delay %v below edge lookahead %v", s.name, dst.name, delay, s.outL[dst.idx]))
-	}
-	if s.eng.stopOnMail {
-		// Solo free-run window: the first send ends it. Clamp the run limit
-		// to the current instant so the shard yields back to the fabric once
-		// this instant's events finish.
-		s.eng.clampLimit()
-	}
-}
-
-// quiescent reports whether the shard can execute nothing further: engine
-// stopped, or no queued events and no undelivered inbox mail.
-func (s *Shard) quiescent() bool {
-	if s.eng.Stopped() {
-		return true
-	}
-	return s.eng.events.len() == 0 && len(s.inbox) == 0
 }
 
 // nextAt is the earliest time the shard could still execute an event — the
@@ -318,16 +219,6 @@ func (s *Shard) deliver() {
 			// check anyway so a lookahead bug fails loudly, not silently.
 			panic(fmt.Sprintf("sim: shard %s received mail for the past (%v < %v)", s.name, m.at, now))
 		}
-		if m.target != nil {
-			// Reply mail: stage the result, then wake the parked requester
-			// at the mail's instant. Runs at a synchronization point, so
-			// the apply closure touches requester state race-free.
-			if m.apply != nil {
-				m.apply()
-			}
-			s.eng.schedule(m.target, m.at)
-			continue
-		}
 		s.eng.SpawnAt(m.name, m.at-now, m.fn)
 	}
 	s.fab.mail += int64(len(s.inbox))
@@ -366,39 +257,13 @@ func (f *Fabric) Run() error {
 		for _, s := range f.shards {
 			s.deliver()
 		}
-		active, solo := 0, -1
+		active := false
 		for i, s := range f.shards {
 			nexts[i], haveNext[i] = s.nextAt()
-			if haveNext[i] {
-				active++
-				solo = i
-			}
+			active = active || haveNext[i]
 		}
-		if active == 0 {
+		if !active {
 			return f.deadlockCheck()
-		}
-
-		// Solo free-run: when exactly one shard has queued events, every
-		// other shard is quiescent (inboxes were just delivered, outboxes are
-		// empty) and can only act after the solo shard sends it mail. The
-		// solo shard therefore needs no horizon at all — it runs until its
-		// first cross-shard send (checkSend clamps the limit to that instant)
-		// or until it drains. This collapses the lookahead-stepped windows a
-		// lone compute phase would otherwise pay into one, and is a pure
-		// function of simulation state, so the window structure — and with it
-		// every delivery batch and tie-break — is identical at any worker
-		// count.
-		if active == 1 {
-			s := f.shards[solo]
-			f.windows++
-			s.eng.stopOnMail = true
-			err := s.eng.RunUntil(-1)
-			s.eng.stopOnMail = false
-			if err != nil {
-				return fmt.Errorf("fabric shard %s: %w", s.name, err)
-			}
-			f.exchange()
-			continue
 		}
 
 		// Send-bound relaxation: B(i) starts at the shard's own next event
@@ -406,9 +271,10 @@ func (f *Fabric) Run() error {
 		// acts again after mail wakes it) and is relaxed over in-edges to
 		// B(i) = min(B(i), B(src)+L) until fixpoint. The relaxed bound
 		// accounts for wake-and-forward chains through quiescent shards,
-		// which nextAt alone misses once zero-lookahead reply edges exist.
-		// Edge weights are non-negative and every cycle has positive total
-		// lookahead, so Bellman-Ford converges within n passes.
+		// which nextAt alone misses: mail into a quiescent shard can be
+		// forwarded at once, so its own empty queue bounds nothing. Every
+		// edge weight is positive, so every cycle is too, and Bellman-Ford
+		// converges within n passes.
 		copy(bounds, nexts)
 		copy(haveB, haveNext)
 		for pass := 0; pass < n; pass++ {
@@ -558,31 +424,4 @@ func (f *Fabric) Stats() FabricStats {
 		Windows: f.windows,
 		Mail:    f.mail,
 	}
-}
-
-// Partition deterministically assigns n items (nodes, cells, mesh regions)
-// to groups shards: a seeded Fisher-Yates shuffle dealt round-robin, so
-// every item maps to exactly one shard, shard sizes differ by at most one,
-// and the mapping is a pure function of (n, groups, seed).
-func Partition(n, groups int, seed uint64) []int {
-	if n < 0 {
-		panic("sim: Partition with negative n")
-	}
-	if groups < 1 {
-		panic("sim: Partition with groups < 1")
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	rng := NewRNG(seed)
-	for i := n - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		order[i], order[j] = order[j], order[i]
-	}
-	assign := make([]int, n)
-	for pos, item := range order {
-		assign[item] = pos % groups
-	}
-	return assign
 }
