@@ -412,3 +412,83 @@ func TestAggregateSums(t *testing.T) {
 		t.Fatalf("coalescing %f", tot.Coalescing())
 	}
 }
+
+// checkLRU reports any disagreement between the LRU list and the block map:
+// every list entry must be the map's entry for its index, the links must be
+// consistent, and the list must hold exactly the map's blocks, within
+// capacity.
+func checkLRU(c *Cache) error {
+	n := 0
+	var prev *block
+	for b := c.head; b != nil; prev, b = b, b.next {
+		if c.blocks[b.idx] != b {
+			return fmt.Errorf("LRU entry for block %d is not the map's entry", b.idx)
+		}
+		if b.prev != prev {
+			return fmt.Errorf("block %d has a broken back link", b.idx)
+		}
+		n++
+	}
+	if c.tail != prev {
+		return errors.New("tail is not the last LRU entry")
+	}
+	if n != c.Len() {
+		return fmt.Errorf("LRU list holds %d blocks, map %d", n, c.Len())
+	}
+	if int64(n) > c.capBlocks {
+		return fmt.Errorf("%d resident blocks exceed capacity %d", n, c.capBlocks)
+	}
+	return nil
+}
+
+// checkDirtyConservation reports a dirty install that was neither flushed,
+// lost nor left resident.
+func checkDirtyConservation(c *Cache) error {
+	s := c.Stats()
+	if s.DirtyInstalls != s.FlushedBlocks+s.LostDirtyBlocks+int64(c.DirtyLen()) {
+		return fmt.Errorf("dirty installs %d != flushed %d + lost %d + resident dirty %d",
+			s.DirtyInstalls, s.FlushedBlocks, s.LostDirtyBlocks, c.DirtyLen())
+	}
+	return nil
+}
+
+// TestConcurrentInstallDuringEvictionFlush races four processes' reads and
+// writes over 3 streams and 8 block indices on the 4-block write-behind
+// cache. An install that must evict a dirty victim yields while the victim
+// is written back, and another process often installs the same index in
+// that window. Every run must end with the LRU list and the block map
+// holding the same blocks and every dirty install accounted for.
+func TestConcurrentInstallDuringEvictionFlush(t *testing.T) {
+	for seed := uint64(1); seed <= 100; seed++ {
+		eng, _, c := newTest(testConfig())
+		rng := sim.NewRNG(seed)
+		for w := 0; w < 4; w++ {
+			r := rng.Split()
+			eng.Spawn(fmt.Sprintf("p%d", w), func(p *sim.Process) {
+				for i := 0; i < 12; i++ {
+					stream, addr := r.Int63n(3), r.Int63n(8)*bs
+					var err error
+					if r.Intn(2) == 0 {
+						err = c.Write(p, stream, addr, bs)
+					} else {
+						err = c.Read(p, stream, addr, bs)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					p.Sleep(sim.Time(r.Int63n(3)) * sim.Millisecond)
+				}
+			})
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := checkLRU(c); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := checkDirtyConservation(c); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}

@@ -1,7 +1,11 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // decodeAccesses turns a fuzz byte string into a bounded access trace:
@@ -113,6 +117,200 @@ func FuzzPredictStability(f *testing.F) {
 			if a[i] != b[i] {
 				t.Fatalf("replay prediction differs at %d: %v vs %v", i, a, b)
 			}
+		}
+	})
+}
+
+// checkedBackend is a fakeBackend that runs a check before every array
+// transfer and keeps the first failure. Every flush pick is followed by
+// one, so the check sees the cache right after each pick.
+type checkedBackend struct {
+	fakeBackend
+	check func() error
+	err   error
+}
+
+func (b *checkedBackend) BlockIO(p *sim.Process, stream, addr, bytes int64, read bool) error {
+	if b.err == nil {
+		b.err = b.check()
+	}
+	return b.fakeBackend.BlockIO(p, stream, addr, bytes, read)
+}
+
+// scanFirstDirty is the scan over every resident block that the dirty
+// index replaced, kept as the reference the index must agree with: the
+// smallest dirty block index, optionally restricted to one stream.
+func scanFirstDirty(c *Cache, stream int64, filtered bool) (int64, bool) {
+	var best int64
+	found := false
+	for idx, b := range c.blocks {
+		if !b.dirty || (filtered && b.stream != stream) {
+			continue
+		}
+		if !found || idx < best {
+			best, found = idx, true
+		}
+	}
+	return best, found
+}
+
+// checkDirtyIndex compares the dirty index with a scan of the resident
+// blocks: per stream the same blocks in ascending order, the same total,
+// and the same first dirty block as scanFirstDirty, per stream and overall.
+func checkDirtyIndex(c *Cache) error {
+	want := map[int64][]*block{}
+	n := 0
+	for _, b := range c.blocks {
+		if b.dirty {
+			want[b.stream] = append(want[b.stream], b)
+			n++
+		}
+	}
+	if len(want) != len(c.dirty) {
+		return fmt.Errorf("dirty index has %d streams, scan %d", len(c.dirty), len(want))
+	}
+	for s, l := range want {
+		slices.SortFunc(l, func(a, b *block) int { return byIdx(a, b.idx) })
+		if !slices.Equal(c.dirty[s], l) {
+			return fmt.Errorf("stream %d: dirty index %v, scan %v", s, idxsOf(c.dirty[s]), idxsOf(l))
+		}
+	}
+	if c.DirtyLen() != n {
+		return fmt.Errorf("DirtyLen %d, scan %d", c.DirtyLen(), n)
+	}
+	pick := func(stream int64, filtered bool) error {
+		want, ok := scanFirstDirty(c, stream, filtered)
+		got := c.firstDirty(stream, filtered)
+		if ok != (got != nil) || ok && got.idx != want {
+			return fmt.Errorf("firstDirty(%d, %v) = %v, scan gives %d (found %v)", stream, filtered, got, want, ok)
+		}
+		return nil
+	}
+	for s := int64(0); s < opStreams; s++ {
+		if err := pick(s, true); err != nil {
+			return err
+		}
+	}
+	return pick(0, false)
+}
+
+func idxsOf(l []*block) []int64 {
+	out := make([]int64, len(l))
+	for i, b := range l {
+		out[i] = b.idx
+	}
+	return out
+}
+
+// checkCache runs every structural check on c.
+func checkCache(c *Cache) error {
+	if err := checkLRU(c); err != nil {
+		return err
+	}
+	return checkDirtyIndex(c)
+}
+
+const (
+	opStreams = 3  // streams the decoded operations use
+	opBlocks  = 8  // block indices they touch
+	maxOps    = 64 // bound on decoded operations per input
+)
+
+// runCacheOps decodes data into a concurrent run on a 4-block write-behind,
+// prefetching cache and runs it, checking the cache at every array
+// transfer and after every operation. data[0] sets the process count (low
+// two bits), FlushOnFail (bit 2) and whether an outage happens (bit 3);
+// data[1] sets the outage's start and length. Every following 3 bytes are
+// one operation, dealt to the processes in turn: kind (read, write, drain)
+// and stream; first block; length in blocks and think time after it.
+func runCacheOps(data []byte) (*Cache, error) {
+	if len(data) < 2 {
+		return nil, nil
+	}
+	procs := int(data[0]%4) + 1
+	cfg := testConfig()
+	cfg.PrefetchDepth = 2
+	cfg.FlushOnFail = data[0]&4 != 0
+	eng := sim.NewEngine()
+	be := &checkedBackend{fakeBackend: fakeBackend{cost: 5 * sim.Millisecond}}
+	c := New(eng, "fuzz", cfg, be)
+	be.check = func() error { return checkCache(c) }
+
+	ops := data[2:]
+	if len(ops) > 3*maxOps {
+		ops = ops[:3*maxOps]
+	}
+	for w := 0; w < procs; w++ {
+		eng.Spawn(fmt.Sprintf("p%d", w), func(p *sim.Process) {
+			for i := 3 * w; i+2 < len(ops); i += 3 * procs {
+				stream := int64(ops[i]/3) % opStreams
+				addr := int64(ops[i+1]%opBlocks) * bs
+				n := int64(ops[i+2]%2+1) * bs
+				switch ops[i] % 3 {
+				case 0:
+					_ = c.Read(p, stream, addr, n) // errors: the node is down
+				case 1:
+					_ = c.Write(p, stream, addr, n)
+				case 2:
+					_ = c.Drain(p, stream)
+				}
+				if be.err == nil {
+					be.err = checkCache(c)
+				}
+				p.Sleep(sim.Time(ops[i+2]/2%4) * sim.Millisecond)
+			}
+		})
+	}
+	if data[0]&8 != 0 {
+		start := sim.Time(data[1]%32) * sim.Millisecond
+		length := sim.Time(data[1]/32+1) * 5 * sim.Millisecond
+		eng.SpawnAt("outage", start, func(p *sim.Process) {
+			c.OnFail(p)
+			be.down = true
+			p.Sleep(length)
+			be.down = false
+			c.OnRestore(p)
+		})
+	}
+	if err := eng.Run(); err != nil {
+		return c, err
+	}
+	if be.err != nil {
+		return c, be.err
+	}
+	if err := checkCache(c); err != nil {
+		return c, err
+	}
+	return c, checkDirtyConservation(c)
+}
+
+// raceSeed is four processes with one operation each. A write's install of
+// block 7 evicts a dirty victim and yields while the victim is written
+// back; a read's fetch installs block 7 in that window. Before installBlock
+// looked the index up again after making room, the write then installed a
+// second block 7 and orphaned the first in the LRU list.
+var raceSeed = []byte{23, 233, 114, 39, 120, 232, 65, 51, 31, 133, 103, 193, 191, 149}
+
+// FuzzCacheOps runs decoded concurrent Read/Write/Drain traffic, with an
+// optional outage, and requires the LRU list and block map to agree, the
+// dirty index to match a scan of the resident blocks (including the flush
+// pick of the scan-based reference) throughout, and every dirty install to
+// end flushed, lost or still resident.
+func FuzzCacheOps(f *testing.F) {
+	f.Add(raceSeed)
+	// Two writers on streams 0 and 1, evicting dirty runs, then draining.
+	f.Add([]byte{1, 0, 1, 0, 1, 4, 4, 1, 1, 2, 0, 4, 6, 0, 2, 0, 0, 5, 0, 0})
+	// Two streams writing the same blocks: dirty blocks change streams.
+	f.Add([]byte{1, 0, 1, 0, 1, 4, 1, 1, 7, 0, 0, 3, 0, 0, 8, 0, 0, 5, 0, 0})
+	// One sequential reader, so prefetch runs, with a write in its stream.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 1, 4, 0, 0, 5, 0, 0, 6, 0})
+	// Dirty blocks on two streams when the node fails at 3 ms for 10 ms:
+	// FlushOnFail drains them, then the crash policy discards them.
+	f.Add([]byte{13, 35, 1, 0, 5, 4, 4, 5, 0, 0, 0, 4, 6, 0, 0, 2, 0, 5, 0, 0})
+	f.Add([]byte{9, 35, 1, 0, 5, 4, 4, 5, 0, 0, 0, 4, 6, 0, 0, 2, 0, 5, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := runCacheOps(data); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
