@@ -55,6 +55,24 @@ func cliOutputDigests(t *testing.T) string {
 	}
 	line("paperrepro -no-figures", "paperrepro", "-no-figures")
 	line("iochar -app escat -small -seed 7", "iochar", "-app", "escat", "-small", "-seed", "7")
+	// Flag-driven runs: every feature flag group of both commands, so a
+	// change in how flags become a study shows up as a digest mismatch.
+	for _, argv := range [][]string{
+		{"stress", "-scenario", "outage", "-seed", "7"},
+		{"stress", "-scenario", "disks", "-seed", "7"},
+		{"stress", "-scenario", "storm", "-seed", "7"},
+		{"stress", "-scenario", "mixed", "-seed", "7"},
+		{"stress", "-scenario", "outage", "-failover=false", "-sweep", "0,2"},
+		{"stress", "-scenario", "outage", "-corrupt", "all", "-scrub", "-deadline", "0.5", "-retries", "4", "-seed", "11"},
+		{"stress", "-scenario", "none", "-burst", "-burst-mb", "32", "-compress", "2.0"},
+		{"iochar", "-app", "escat", "-small", "-corrupt", "all", "-scrub", "-seed", "11"},
+		{"iochar", "-app", "render", "-small", "-burst"},
+		{"iochar", "-app", "htf", "-small", "-cache", "-prefetch=false"},
+		{"iochar", "-app", "escat", "-small", "-collective", "-sched", "cscan", "-policy", "ppfs"},
+		{"iochar", "-app", "escat", "-small", "-mtbf", "3", "-rf", "3", "-repair", "-repair-mb-s", "0", "-seed", "5"},
+	} {
+		line(strings.Join(argv, " "), argv...)
+	}
 	corpus, err := filepath.Glob(filepath.Join("..", "scenarios", "*"))
 	if err != nil {
 		t.Fatal(err)
