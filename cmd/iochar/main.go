@@ -13,6 +13,10 @@
 //	       [-mtbf SECONDS -seed N]
 //	       [-corrupt all|bit-rot,torn-write,misdirected-write] [-scrub]
 //	       [-deadline SECONDS] [-retries N]
+//	iochar -scenario FILE [-trace FILE] [-json FILE] [-figures DIR] [-shards N]
+//
+// The flags translate into a scenario (internal/scenario), the same
+// description a -scenario file gives, and the study is built from it.
 package main
 
 import (
@@ -26,14 +30,10 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cliflags"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/iotrace"
-	"repro/internal/pfs"
-	"repro/internal/ppfs"
 	"repro/internal/profiling"
 	"repro/internal/scenario"
 	"repro/internal/sddf"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -46,26 +46,22 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("iochar", flag.ContinueOnError)
-	app := fs.String("app", "escat", "application to run (escat, render, htf)")
-	small := fs.Bool("small", false, "reduced-scale configuration (fast)")
-	policy := fs.String("policy", "none", "file system policy layer: none, ppfs, adaptive")
+	st := cliflags.NewStudy(fs)
+	fs.StringVar(&st.Sc.Workload.App, "app", "escat", "application to run (escat, render, htf)")
+	fs.BoolVar(&st.Small, "small", false, "reduced-scale configuration (fast)")
+	fs.StringVar(&st.Sc.Workload.Policy, "policy", "none", "file system policy layer: none, ppfs, adaptive")
+	fs.Float64Var(&st.Sc.Workload.WindowS, "window", 10, "time-window reduction width in seconds")
+	fs.Float64Var(&st.MTBF, "mtbf", 0, "inject I/O-node outages with this exponential mean time between failures in seconds (0 = none)")
+	fs.Float64Var(&st.Outage, "outage", 5, "duration in seconds of each injected outage")
+	fs.Float64Var(&st.Sc.Chaos.WindowS, "chaos-window", 600, "stop injecting faults after this many simulated seconds")
+	fs.Uint64Var(&st.Sc.Seed, "seed", 0, "seed for the injected-fault schedule")
+	scenarioFile := fs.String("scenario", "", "declarative scenario file (YAML/JSON) describing the whole study; study-shaping flags cannot be combined with it")
 	traceFile := fs.String("trace", "", "write the SDDF event trace to this file")
 	traceASCII := fs.Bool("trace-ascii", false, "write the trace in ASCII SDDF instead of binary")
 	summaryFile := fs.String("summaries", "", "write the Pablo reductions as SDDF records to this file")
 	jsonFile := fs.String("json", "", "write the characterization results as JSON to this file")
-	window := fs.Float64("window", 10, "time-window reduction width in seconds")
 	figures := fs.String("figures", "", "write figure CSV/ASCII files to this directory")
-	cacheFlags := cliflags.AddCache(fs)
-	collFlags := cliflags.AddCollective(fs)
-	burstFlags := cliflags.AddBurst(fs)
-	scenarioFlag := cliflags.AddScenario(fs, "scenario")
-	shardFlags := cliflags.AddShards(fs)
-	mtbf := fs.Float64("mtbf", 0, "inject I/O-node outages with this exponential mean time between failures in seconds (0 = none)")
-	outage := fs.Float64("outage", 5, "duration in seconds of each injected outage")
-	chaosWindow := fs.Float64("chaos-window", 600, "stop injecting faults after this many simulated seconds")
-	seed := fs.Uint64("seed", 0, "seed for the injected-fault schedule")
-	relFlags := cliflags.AddReliability(fs)
-	repFlags := cliflags.AddReplication(fs)
+	shards := cliflags.AddShards(fs)
 	prof := profiling.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,114 +71,47 @@ func run(args []string, out io.Writer) error {
 	}
 	defer prof.Stop()
 
-	var study core.Study
-	var fleetOpts *core.FleetOptions
-	if sc, ok, err := scenarioFlag.Load(); err != nil {
+	sc, err := loadScenario(fs, st, *scenarioFile)
+	if err != nil {
 		return err
-	} else if ok {
-		// A scenario file drives the whole study — app, scale, policy,
-		// features, fleet and chaos — so the flag-driven knobs below are
-		// bypassed. iochar runs a single attempt of it (no restart loop;
-		// use 'stress scenario run' for the resilience semantics).
-		rs, fleet, err := sc.Build()
-		if err != nil {
-			return err
-		}
-		study = rs.Study
-		*app = sc.Workload.App
-		if study.Burst.Enabled {
-			// iochar runs without checkpointing: route the application's
-			// bulk output through the log by name prefix, as with -burst.
-			study.Burst.Prefixes = append(core.OutputPrefixes(core.AppID(*app)), study.Burst.Prefixes...)
-		}
-		if fl := scenario.RenderFleet(fleet); fl != "" {
-			fmt.Fprint(out, fl)
-		}
-		if fo, isFleet := sc.FleetOptions(shardFlags.Count()); isFleet {
-			fleetOpts = &fo
-		}
-	} else {
-		if *small {
-			study = core.SmallStudy(core.AppID(*app))
-		} else {
-			study = core.PaperStudy(core.AppID(*app))
-		}
-		study.WindowWidth = sim.FromSeconds(*window)
-
-		switch *policy {
-		case "none":
-		case "ppfs":
-			pol := ppfs.DefaultPolicy()
-			study.Policy = &pol
-		case "adaptive":
-			pol := ppfs.DefaultPolicy()
-			pol.Adaptive = true
-			study.Policy = &pol
-		default:
-			return fmt.Errorf("unknown policy %q", *policy)
-		}
-
-		cacheFlags.Apply(&study.Machine.PFS)
-		if err := collFlags.Apply(&study.Machine.PFS); err != nil {
-			return err
-		}
-		if bcfg, err := burstFlags.Config(); err != nil {
-			return err
-		} else if bcfg.Enabled {
-			// iochar runs without checkpointing, so route the application's bulk
-			// output files through the log by name prefix — otherwise the tier
-			// would sit idle (no application in the suite uses M_LOG).
-			bcfg.Prefixes = append(core.OutputPrefixes(core.AppID(*app)), bcfg.Prefixes...)
-			study.Burst = bcfg
-		}
-
-		if *mtbf > 0 {
-			// Chaos runs need the failover policy on (with replication) so the
-			// application survives the injected outages.
-			study.Machine.PFS.Failover = pfs.DefaultFailoverConfig()
-			study.Machine.PFS.Failover.Replicate = true
-			study.Faults = fault.Plan{Exps: []fault.Exp{{
-				Kind:        fault.IONodeOutage,
-				MeanBetween: sim.FromSeconds(*mtbf),
-				Start:       0, End: sim.FromSeconds(*chaosWindow),
-				Node:     fault.AnyNode,
-				Duration: sim.FromSeconds(*outage),
-			}}}
-			study.FaultSeed = *seed
-		}
-
-		relFlags.Apply(&study.Machine.PFS, sim.FromSeconds(*chaosWindow))
-		if err := repFlags.Apply(&study.Machine.PFS); err != nil {
-			return err
-		}
-		if cp, ok, err := relFlags.CorruptionPlan(&study.Machine.PFS, sim.FromSeconds(*chaosWindow)); err != nil {
-			return err
-		} else if ok {
-			study.Faults.Corruption = cp
-			study.FaultSeed = *seed
-		}
+	}
+	// iochar runs a single attempt of the study: no restart loop (use
+	// 'stress scenario run' for the resilience semantics).
+	rs, fleet, err := sc.Build()
+	if err != nil {
+		return err
+	}
+	study := rs.Study
+	app := sc.Workload.App
+	if study.Burst.Enabled {
+		// iochar runs without checkpointing, so route the application's bulk
+		// output files through the log by name prefix — otherwise the tier
+		// would sit idle (no application in the suite uses M_LOG).
+		study.Burst.Prefixes = append(core.OutputPrefixes(core.AppID(app)), study.Burst.Prefixes...)
+	}
+	if fl := scenario.RenderFleet(fleet); fl != "" {
+		fmt.Fprint(out, fl)
 	}
 
 	var report *core.Report
-	if fleetOpts != nil {
+	if fo, isFleet := sc.FleetOptions(*shards); isFleet {
 		// Multi-cell scenario: run the fleet on the sharded engine and
 		// characterize the representative cell (cell 0 keeps the study's
 		// own fault timeline).
-		fr, err := core.RunFleet(study, *fleetOpts)
+		fr, err := core.RunFleet(study, fo)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, scenario.RenderFleetRun(fr))
 		report = fr.Cells[0]
 	} else {
-		var err error
 		report, err = core.Run(study)
 		if err != nil {
 			return err
 		}
 	}
 
-	fmt.Fprintf(out, "%s: wall clock %.2f s, %d I/O events\n\n", *app, report.Wall.Seconds(), len(report.Events))
+	fmt.Fprintf(out, "%s: wall clock %.2f s, %d I/O events\n\n", app, report.Wall.Seconds(), len(report.Events))
 	for _, table := range report.Tables() {
 		fmt.Fprintln(out, table)
 	}
@@ -282,6 +211,31 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "figures: %d -> %s\n", len(figs), *figures)
 	}
 	return nil
+}
+
+// outputFlags shape what iochar writes, not the study it runs: the only flags
+// a -scenario file combines with.
+var outputFlags = map[string]bool{
+	"scenario": true, "trace": true, "trace-ascii": true, "summaries": true, "json": true,
+	"figures": true, "shards": true, "cpuprofile": true, "memprofile": true,
+}
+
+// loadScenario returns the study's description: the -scenario file, or the
+// study-shaping flags translated into a scenario.
+func loadScenario(fs *flag.FlagSet, st *cliflags.Study, file string) (*scenario.Scenario, error) {
+	if file == "" {
+		return st.Scenario()
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !outputFlags[f.Name] {
+			err = fmt.Errorf("-%s cannot be combined with -scenario: the scenario file describes the whole study", f.Name)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Load(file)
 }
 
 // printLifetimes shows the Pablo file-lifetime reduction.

@@ -57,6 +57,37 @@ func TestIoshardsFlagUndefined(t *testing.T) {
 	}
 }
 
+// TestFlagErrorsNameTheFlag: flags the scenario would reject, or whose 0 it
+// would read as a default, fail with an error naming the flag instead of
+// running a different study than the one asked for.
+func TestFlagErrorsNameTheFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-app", "bogus", "-small"}, `-app "bogus": want one of escat, render, htf`},
+		{[]string{"-small", "-read-policy", "quorum"}, "-read-policy needs failover"},
+		{[]string{"-small", "-repair"}, "-repair needs failover"},
+		{[]string{"-small", "-mtbf", "3", "-rf", "1", "-repair"}, "-repair needs replication: -rf >= 2"},
+		{[]string{"-small", "-cache", "-cache-mb", "0"}, "-cache-mb 0"},
+		{[]string{"-small", "-burst", "-burst-mb", "0"}, "-burst-mb 0"},
+		{[]string{"-small", "-aggregators", "2"}, "-aggregators needs -collective"},
+		{[]string{"-small", "-rf", "9"}, "-rf 9: want 0 (legacy) or 1..4"},
+		{[]string{"-small", "-burst", "-policy", "ppfs"}, `-burst and -policy "ppfs"`},
+	} {
+		err := run(tc.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+			continue
+		}
+		for _, section := range []string{"workload.", "features.", "chaos.", "run."} {
+			if strings.Contains(err.Error(), section) {
+				t.Errorf("%v: error %q names a scenario field, not a flag", tc.args, err)
+			}
+		}
+	}
+}
+
 // capture runs the CLI with args and returns its full output.
 func capture(t *testing.T, args ...string) string {
 	t.Helper()

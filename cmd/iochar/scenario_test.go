@@ -70,3 +70,23 @@ func TestScenarioFlagBadFile(t *testing.T) {
 		t.Fatal("invalid scenario accepted")
 	}
 }
+
+// TestScenarioFileRejectsStudyFlags: a -scenario file describes the whole
+// study, so a study-shaping flag next to it is an error naming that flag;
+// output flags still combine with it.
+func TestScenarioFileRejectsStudyFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plain.yaml")
+	if err := os.WriteFile(path, []byte("workload:\n  app: escat\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-cache"}, {"-rf", "2"}, {"-mtbf", "3"}, {"-app", "htf"}, {"-small"}} {
+		err := run(append([]string{"-scenario", path}, args...), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), args[0]+" cannot be combined with -scenario") {
+			t.Errorf("-scenario FILE %v: got %v, want an error naming %s", args, err, args[0])
+		}
+	}
+	out := filepath.Join(t.TempDir(), "out.json")
+	if err := run([]string{"-scenario", path, "-json", out, "-shards", "1"}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("output flags rejected next to -scenario: %v", err)
+	}
+}

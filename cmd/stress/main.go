@@ -4,17 +4,18 @@
 // the realized incident timeline, fault exposure, per-fault latency impact,
 // and the checkpoint-overhead-versus-lost-work accounting.
 //
-// Scenarios come from a built-in catalog (-scenario) or a JSON file
-// (-config). Everything is seeded: two runs with the same flags produce
-// byte-identical reports.
+// The flags translate into a scenario (internal/scenario) whose chaos
+// section comes from a built-in catalog (-scenario); 'stress scenario run
+// FILE' runs a scenario file through the same path. Everything is seeded:
+// two runs with the same flags produce byte-identical reports.
 //
 // Usage:
 //
 //	stress -scenario outage -seed 7
 //	stress -scenario disks -sweep 0,1,2,4
-//	stress -config chaos.json -app escat -ckpt-interval 2
 //	stress -scenario none -corrupt all -scrub -deadline 0.5 -retries 4
 //	stress -scenario none -burst -burst-mb 64 -compress 1.8
+//	stress scenario validate|run [-shards N] FILE-OR-DIR...
 package main
 
 import (
@@ -27,14 +28,12 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/ckpt"
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
-	"repro/internal/pfs"
 	"repro/internal/profiling"
-	"repro/internal/sim"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -50,24 +49,19 @@ func run(args []string, out io.Writer) error {
 		return runScenarioCmd(args[1:], out)
 	}
 	fs := flag.NewFlagSet("stress", flag.ContinueOnError)
-	app := fs.String("app", "escat", "application to stress (escat, render, htf)")
-	small := fs.Bool("small", true, "reduced-scale configuration (chaos scenarios are tuned to it)")
-	scenario := fs.String("scenario", "outage", "built-in scenario: outage, disks, storm, mixed, none")
-	config := fs.String("config", "", "chaos file: the scenario DSL's chaos section at top level (deprecated alias; prefer 'stress scenario run FILE')")
-	seed := fs.Uint64("seed", 0, "seed for the fault schedule's random choices")
-	interval := fs.Int("ckpt-interval", 2, "work units between checkpoints (0 = no checkpointing)")
-	ckptBytes := fs.Int64("ckpt-bytes", 4096, "checkpoint bytes written per node")
-	restartCost := fs.Float64("restart-cost", 1.5, "fixed restart charge in seconds")
-	maxAttempts := fs.Int("max-attempts", 8, "give up after this many attempts")
-	failover := fs.Bool("failover", true, "enable PFS request failover (off: any outage kills the attempt)")
-	replicate := fs.Bool("replicate", true, "mirror stripes so reads survive outages")
-	repFlags := cliflags.AddReplication(fs)
-	cacheFlags := cliflags.AddCache(fs)
-	cacheFlags.AddFlushOnFail(fs)
-	collFlags := cliflags.AddCollective(fs)
-	burstFlags := cliflags.AddBurst(fs)
-	relFlags := cliflags.AddReliability(fs)
-	chaosWindow := fs.Float64("chaos-window", 600, "stop injecting corruption (and scrubbing) after this many simulated seconds")
+	st := cliflags.NewStudy(fs)
+	st.AddFlushOnFail()
+	fs.StringVar(&st.Sc.Workload.App, "app", "escat", "application to stress (escat, render, htf)")
+	fs.BoolVar(&st.Small, "small", true, "reduced-scale configuration (chaos scenarios are tuned to it)")
+	name := fs.String("scenario", "outage", "built-in scenario: outage, disks, storm, mixed, none")
+	fs.Uint64Var(&st.Sc.Seed, "seed", 0, "seed for the fault schedule's random choices")
+	st.Sc.Run.CkptInterval = fs.Int("ckpt-interval", 2, "work units between checkpoints (0 = no checkpointing)")
+	fs.Int64Var(&st.Sc.Run.CkptBytes, "ckpt-bytes", 4096, "checkpoint bytes written per node")
+	st.Sc.Run.RestartCostS = fs.Float64("restart-cost", 1.5, "fixed restart charge in seconds")
+	fs.IntVar(&st.Sc.Run.MaxAttempts, "max-attempts", 8, "give up after this many attempts")
+	fs.BoolVar(&st.Failover, "failover", true, "enable PFS request failover (off: any outage kills the attempt)")
+	fs.BoolVar(&st.Replicate, "replicate", true, "mirror stripes so reads survive outages")
+	fs.Float64Var(&st.Sc.Chaos.WindowS, "chaos-window", 600, "stop injecting corruption (and scrubbing) after this many simulated seconds")
 	sweep := fs.String("sweep", "", "comma-separated checkpoint intervals to sweep (e.g. 0,1,2,4)")
 	parallel := fs.Int("parallel", 0, "worker goroutines for -sweep (0 = GOMAXPROCS); results are identical at any setting")
 	prof := profiling.AddFlags(fs)
@@ -80,53 +74,23 @@ func run(args []string, out io.Writer) error {
 	}
 	defer prof.Stop()
 
-	var study core.Study
-	if *small {
-		study = core.SmallStudy(core.AppID(*app))
-	} else {
-		study = core.PaperStudy(core.AppID(*app))
+	chaos, ok := builtinChaos[*name]
+	if !ok {
+		return fmt.Errorf("unknown scenario %q (want outage, disks, storm, mixed, none)", *name)
 	}
-	if *failover {
-		study.Machine.PFS.Failover = pfs.DefaultFailoverConfig()
-		study.Machine.PFS.Failover.Replicate = *replicate
-	}
-	if err := repFlags.Apply(&study.Machine.PFS); err != nil {
-		return err
-	}
-	cacheFlags.Apply(&study.Machine.PFS)
-	if err := collFlags.Apply(&study.Machine.PFS); err != nil {
-		return err
-	}
-	if bcfg, err := burstFlags.Config(); err != nil {
-		return err
-	} else if bcfg.Enabled {
-		study.Burst = bcfg
-	}
-	relFlags.Apply(&study.Machine.PFS, sim.FromSeconds(*chaosWindow))
-
-	plan, err := loadPlan(*scenario, *config)
+	chaos.WindowS = st.Sc.Chaos.WindowS
+	st.Sc.Chaos = chaos
+	sc, err := st.Scenario()
 	if err != nil {
 		return err
-	}
-	if cp, ok, err := relFlags.CorruptionPlan(&study.Machine.PFS, sim.FromSeconds(*chaosWindow)); err != nil {
-		return err
-	} else if ok {
-		plan.Corruption = cp
-	}
-	study.Faults = plan
-	study.FaultSeed = *seed
-
-	rs := core.ResilientStudy{
-		Study:       study,
-		MaxAttempts: *maxAttempts,
-		RestartCost: sim.FromSeconds(*restartCost),
-	}
-	if *interval > 0 {
-		rs.Ckpt = ckpt.Config{Interval: *interval, BytesPerNode: *ckptBytes}
 	}
 
 	if *sweep != "" {
 		intervals, err := parseIntervals(*sweep)
+		if err != nil {
+			return err
+		}
+		rs, _, err := sc.Build()
 		if err != nil {
 			return err
 		}
@@ -138,12 +102,15 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	rr, err := core.RunResilient(rs)
+	// The same execution as 'stress scenario run', printed without the
+	// scenario sections: the flag report is a byte-prefix of the scenario
+	// report.
+	res, err := sc.Execute()
 	if err != nil {
 		return err
 	}
-	printResilientReport(out, rr)
-	return nil
+	printResilientReport(out, res.Report)
+	return res.RunErr
 }
 
 // printResilientReport renders the standard stress report sections; the
@@ -170,50 +137,28 @@ func printResilientReport(out io.Writer, rr *core.ResilientReport) {
 	fmt.Fprint(out, analysis.RenderResilience(rr.Resilience()))
 }
 
-// Built-in scenarios, tuned to the small ESCAT run (~7.5 simulated seconds):
-// the faults land after the first checkpoint commit and across the
-// quadrature writes.
-func builtinPlan(name string) (fault.Plan, error) {
-	disks := []fault.Event{
-		{Kind: fault.DiskFailure, At: 2 * sim.Second, Node: 0},
-		{Kind: fault.DiskFailure, At: 3 * sim.Second, Node: 1},
+// builtinChaos is the -scenario catalog, tuned to the small ESCAT run (~7.5
+// simulated seconds): the faults land after the first checkpoint commit and
+// across the quadrature writes.
+var builtinChaos = func() map[string]scenario.Chaos {
+	disks := []scenario.ChaosEvent{
+		{Kind: "disk-failure", AtS: 2, Node: 0},
+		{Kind: "disk-failure", AtS: 3, Node: 1},
 	}
-	outage := fault.Cascade{
-		Kind: fault.IONodeOutage, At: 4200 * sim.Millisecond,
-		Nodes: 16, FirstNode: 0, Duration: 1200 * sim.Millisecond,
+	storm := scenario.ChaosEvent{
+		Kind: "latency-storm", AtS: 2, Node: scenario.NodeRef(fault.AnyNode), DurationS: 4, Factor: 4,
 	}
-	storm := fault.Event{
-		Kind: fault.LatencyStorm, At: 2 * sim.Second, Node: fault.AnyNode,
-		Duration: 4 * sim.Second, Factor: 4,
+	outage := []scenario.ChaosCascade{
+		{Kind: "ionode-outage", AtS: 4.2, Nodes: 16, FirstNode: 0, DurationS: 1.2},
 	}
-	switch name {
-	case "none":
-		return fault.Plan{}, nil
-	case "outage":
-		return fault.Plan{Cascades: []fault.Cascade{outage}}, nil
-	case "disks":
-		return fault.Plan{Events: disks}, nil
-	case "storm":
-		return fault.Plan{Events: []fault.Event{storm}}, nil
-	case "mixed":
-		return fault.Plan{
-			Events:   append(append([]fault.Event{}, disks...), storm),
-			Cascades: []fault.Cascade{outage},
-		}, nil
+	return map[string]scenario.Chaos{
+		"none":   {},
+		"outage": {Cascades: outage},
+		"disks":  {Events: disks},
+		"storm":  {Events: []scenario.ChaosEvent{storm}},
+		"mixed":  {Events: []scenario.ChaosEvent{disks[0], disks[1], storm}, Cascades: outage},
 	}
-	return fault.Plan{}, fmt.Errorf("unknown scenario %q (want outage, disks, storm, mixed, none)", name)
-}
-
-// loadPlan resolves the fault plan: a builtin scenario by name, or — the
-// deprecated -config alias — a standalone chaos file parsed by the scenario
-// DSL loader (the legacy JSON format is exactly the DSL's chaos section at
-// top level, so old files keep working).
-func loadPlan(scenario, path string) (fault.Plan, error) {
-	if path == "" {
-		return builtinPlan(scenario)
-	}
-	return cliflags.LoadChaosPlan(path)
-}
+}()
 
 func parseIntervals(s string) ([]int, error) {
 	var out []int

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,15 +61,50 @@ func TestSmokeTradeoffSweep(t *testing.T) {
 func TestSmokeJSONScenario(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chaos.json")
 	cfg := `{
-		"events":   [{"kind": "latency-storm", "at_s": 2, "node": -1, "duration_s": 1, "factor": 3}],
-		"cascades": [{"kind": "ionode-outage", "at_s": 4.2, "nodes": 2, "first_node": 0, "duration_s": 0.4}]
+		"name": "json-chaos",
+		"seed": 3,
+		"workload": {"app": "escat"},
+		"chaos": {
+			"events":   [{"kind": "latency-storm", "at_s": 2, "node": -1, "duration_s": 1, "factor": 3}],
+			"cascades": [{"kind": "ionode-outage", "at_s": 4.2, "nodes": 2, "first_node": 0, "duration_s": 0.4}]
+		}
 	}`
 	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := capture(t, "-config", path, "-seed", "3")
+	out := capture(t, "scenario", "run", path)
 	if !strings.Contains(out, "latency-storm") || !strings.Contains(out, "ionode-outage") {
 		t.Errorf("JSON scenario incidents missing:\n%.600s", out)
+	}
+}
+
+// TestConfigFlagUndefined checks that the removed chaos-file alias is
+// rejected by the flag parser rather than silently ignored.
+func TestConfigFlagUndefined(t *testing.T) {
+	err := run([]string{"-config", "chaos.json"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -config") {
+		t.Fatalf("got %v, want an undefined-flag error for -config", err)
+	}
+}
+
+// TestFlagErrorsNameTheFlag: flags the scenario would reject, or whose 0
+// it would read as a default, fail with an error naming the flag.
+func TestFlagErrorsNameTheFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-app", "bogus"}, `-app "bogus": want one of escat, render, htf`},
+		{[]string{"-failover=false", "-read-policy", "quorum"}, "-read-policy needs -failover"},
+		{[]string{"-rf", "1", "-repair"}, "-repair needs replication"},
+		{[]string{"-cache", "-cache-mb", "0"}, "-cache-mb 0"},
+		{[]string{"-burst", "-burst-mb", "0"}, "-burst-mb 0"},
+		{[]string{"-ckpt-bytes", "0"}, "-ckpt-bytes 0"},
+	} {
+		err := run(tc.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }
 

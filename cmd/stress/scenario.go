@@ -102,7 +102,7 @@ func scenarioValidate(args []string, out io.Writer) error {
 // equivalent flag-driven invocation, with the scenario sections appended.
 func scenarioRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stress scenario run", flag.ContinueOnError)
-	shardFlags := cliflags.AddShards(fs)
+	shards := cliflags.AddShards(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -116,7 +116,7 @@ func scenarioRun(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sc.Shards = shardFlags.Count()
+		sc.Shards = *shards
 		if len(files) > 1 {
 			if i > 0 {
 				fmt.Fprintln(out)

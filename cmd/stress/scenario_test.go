@@ -134,26 +134,6 @@ func TestScenarioSubcommandErrors(t *testing.T) {
 	}
 }
 
-func TestLegacyConfigStillWorksViaScenarioLoader(t *testing.T) {
-	// A legacy chaos JSON and a scenario embedding the same chaos section
-	// must produce the same incidents.
-	chaos := `{"cascades": [{"kind": "ionode-outage", "at_s": 4.2, "nodes": 4, "first_node": 0, "duration_s": 0.4}]}`
-	path := filepath.Join(t.TempDir(), "chaos.json")
-	if err := os.WriteFile(path, []byte(chaos), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := capture(t, "-config", path, "-seed", "3")
-	if !strings.Contains(out, "ionode-outage") {
-		t.Fatalf("legacy config incidents missing:\n%.600s", out)
-	}
-	// Strict parsing: a scenario-shaped file through -config is a clear error.
-	full := filepath.Join(t.TempDir(), "full.yaml")
-	os.WriteFile(full, []byte("workload:\n  app: escat\n"), 0o644)
-	if err := run([]string{"-config", full}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-config accepted a full scenario file")
-	}
-}
-
 func TestScenarioHeterogeneousFleetSections(t *testing.T) {
 	path := writeScenario(t, "hetero.yaml", `
 name: hetero

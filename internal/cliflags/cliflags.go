@@ -1,313 +1,209 @@
-// Package cliflags defines the PFS-configuration flag groups shared by the
-// iochar and stress commands — the cache, data-integrity/reliability, and
-// collective-I/O knobs — so both binaries register identical flags with
-// identical help text and wire them into a pfs.Config the same way.
+// Package cliflags translates the command-line flags iochar and stress share
+// into a scenario.Scenario. The flags register here with their names,
+// defaults and help text; Study.Scenario folds the parsed values into the
+// scenario's workload, features, chaos and run sections and validates it.
+// What a feature means is decided in one place, scenario.Build, so this
+// package imports no PFS, cache, burst, integrity, collective or I/O-node
+// package.
 package cliflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"runtime"
+	"strings"
 
-	"repro/internal/burst"
-	"repro/internal/cache"
-	"repro/internal/collective"
 	"repro/internal/fault"
-	"repro/internal/integrity"
-	"repro/internal/ionode"
-	"repro/internal/pfs"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
-// Cache bundles the I/O-node block-cache flags.
-type Cache struct {
-	On          *bool
-	MB          *float64
-	Prefetch    *bool
-	FlushOnFail *bool // nil unless AddFlushOnFail was called
+// Study holds one command's study-shaping flags. Each command binds its own
+// flags (their help text differs between the commands) straight into Sc or
+// into the exported fields; NewStudy registers the feature flags both share.
+type Study struct {
+	// Sc receives the flags that map one-to-one onto a scenario field.
+	Sc scenario.Scenario
+
+	// Small selects the reduced-scale configuration (-small).
+	Small bool
+
+	// Failover and Replicate are stress's -failover and -replicate. iochar
+	// has neither: outages, replication and corruption imply failover there.
+	Failover, Replicate bool
+
+	// MTBF and Outage are iochar's Poisson I/O-node outage process (-mtbf,
+	// -outage).
+	MTBF, Outage float64
+
+	fs *flag.FlagSet
+
+	cache, prefetch, flushOnFail bool
+	cacheMB                      float64
+
+	collective  bool
+	aggregators int
+	sched       string
+
+	burst                         bool
+	burstMB, burstDrain, compress float64
+
+	corrupt  string
+	scrub    bool
+	deadline float64
+	retries  int
+
+	rf                      int
+	placementSeed           uint64
+	readPolicy              string
+	repair                  bool
+	repairMBs, repairGiveUp float64
 }
 
-// AddCache registers -cache, -cache-mb and -prefetch on fs.
-func AddCache(fs *flag.FlagSet) *Cache {
-	return &Cache{
-		On:       fs.Bool("cache", false, "attach a block cache with pattern-driven prefetch to every I/O node"),
-		MB:       fs.Float64("cache-mb", 8, "per-node cache capacity in MB (with -cache)"),
-		Prefetch: fs.Bool("prefetch", true, "enable pattern-driven prefetch (with -cache)"),
-	}
+// NewStudy registers the cache, collective, burst, reliability and
+// replication flags on fs.
+func NewStudy(fs *flag.FlagSet) *Study {
+	s := &Study{fs: fs}
+	fs.BoolVar(&s.cache, "cache", false, "attach a block cache with pattern-driven prefetch to every I/O node")
+	fs.Float64Var(&s.cacheMB, "cache-mb", 8, "per-node cache capacity in MB (with -cache)")
+	fs.BoolVar(&s.prefetch, "prefetch", true, "enable pattern-driven prefetch (with -cache)")
+
+	fs.BoolVar(&s.collective, "collective", false, "aggregate each M_RECORD/M_SYNC round's requests into stripe-aligned bulk transfers (two-phase collective I/O)")
+	fs.IntVar(&s.aggregators, "aggregators", 0, "aggregator nodes per collective round (0 = one per I/O node; with -collective)")
+	fs.StringVar(&s.sched, "sched", "", "I/O-node disk scheduling policy: fcfs, cscan, sstf, random (empty = legacy FIFO queue)")
+
+	fs.BoolVar(&s.burst, "burst", false, "absorb checkpoint and M_LOG writes into per-compute-node burst logs, drained to the PFS asynchronously")
+	fs.Float64Var(&s.burstMB, "burst-mb", 64, "per-node burst-log capacity in MB (with -burst)")
+	fs.Float64Var(&s.burstDrain, "burst-drain", 0, "per-node drain bandwidth cap in MB/s, 0 = PFS-limited (with -burst)")
+	fs.Float64Var(&s.compress, "compress", 1.8, "drain-stage compression ratio, logical/wire; 1 disables the stage (with -burst)")
+
+	fs.StringVar(&s.corrupt, "corrupt", "", "inject silent data corruption: comma-separated classes (bit-rot, torn-write, misdirected-write) or 'all'; enables the checksum layer")
+	fs.BoolVar(&s.scrub, "scrub", false, "run the background scrubber on every I/O node (enables the checksum layer)")
+	fs.Float64Var(&s.deadline, "deadline", 0, "per-request deadline in seconds (enables the client reliability layer)")
+	fs.IntVar(&s.retries, "retries", 0, "max client retries after a corrupt read, >= 1 (0 uses the reliability layer's default)")
+
+	fs.IntVar(&s.rf, "rf", 0, "replication factor 1..4, zone-aware placement (0 defers to -replicate; needs failover)")
+	fs.Uint64Var(&s.placementSeed, "placement-seed", 0, "seed perturbing the replica ring's within-zone node order (0 = index order)")
+	fs.StringVar(&s.readPolicy, "read-policy", "", "replicated read policy: primary-first (default), any-replica, quorum")
+	fs.BoolVar(&s.repair, "repair", false, "run the background repair daemon restoring redundancy after outages (needs replication)")
+	fs.Float64Var(&s.repairMBs, "repair-mb-s", 32, "repair daemon bandwidth throttle in MB/s, 0 = unthrottled (with -repair)")
+	fs.Float64Var(&s.repairGiveUp, "repair-give-up", 0, "abandon a repair entry still queued after this many seconds, 0 = never (with -repair)")
+	return s
 }
 
 // AddFlushOnFail additionally registers -flush-on-fail (the stress command's
 // outage-drain knob).
-func (c *Cache) AddFlushOnFail(fs *flag.FlagSet) {
-	c.FlushOnFail = fs.Bool("flush-on-fail", false, "drain dirty cache blocks synchronously when a node fails instead of losing them")
+func (s *Study) AddFlushOnFail() {
+	s.fs.BoolVar(&s.flushOnFail, "flush-on-fail", false, "drain dirty cache blocks synchronously when a node fails instead of losing them")
 }
 
-// Apply wires the parsed cache flags into cfg.
-func (c *Cache) Apply(cfg *pfs.Config) {
-	if !*c.On {
-		return
-	}
-	ccfg := cache.DefaultConfig()
-	ccfg.CapacityBytes = int64(*c.MB * float64(1<<20))
-	ccfg.Prefetch = *c.Prefetch
-	if c.FlushOnFail != nil {
-		ccfg.FlushOnFail = *c.FlushOnFail
-	}
-	cfg.Cache = ccfg
+// AddShards registers -shards on fs and returns its value: how many fleet
+// cells execute concurrently (0 = GOMAXPROCS). Results are byte-identical at
+// any setting.
+func AddShards(fs *flag.FlagSet) *int {
+	return fs.Int("shards", 0, "fleet cells executing concurrently on the sharded engine: 0 = GOMAXPROCS, 1 = the serial oracle (results identical at any setting)")
 }
 
-// Reliability bundles the corruption-injection, checksum-layer, and client
-// reliability flags.
-type Reliability struct {
-	Corrupt  *string
-	Scrub    *bool
-	Deadline *float64
-	Retries  *int
-}
-
-// AddReliability registers -corrupt, -scrub, -deadline and -retries on fs.
-func AddReliability(fs *flag.FlagSet) *Reliability {
-	return &Reliability{
-		Corrupt:  fs.String("corrupt", "", "inject silent data corruption: comma-separated classes (bit-rot, torn-write, misdirected-write) or 'all'; enables the checksum layer"),
-		Scrub:    fs.Bool("scrub", false, "run the background scrubber on every I/O node (enables the checksum layer)"),
-		Deadline: fs.Float64("deadline", 0, "per-request deadline in seconds (enables the client reliability layer)"),
-		Retries:  fs.Int("retries", 0, "max client retries after a corrupt read, >= 1 (0 uses the reliability layer's default)"),
-	}
-}
-
-// Apply wires the checksum layer (when corruption or scrubbing is requested)
-// and the client reliability layer (when corruption, a deadline, or retries
-// are requested) into cfg. window bounds the scrubber.
-func (r *Reliability) Apply(cfg *pfs.Config, window sim.Time) {
-	if *r.Corrupt != "" || *r.Scrub {
-		icfg := integrity.DefaultConfig()
-		if *r.Scrub {
-			icfg.Scrub = integrity.DefaultScrubConfig()
-			icfg.Scrub.Window = window
-		}
-		cfg.Integrity = icfg
-	}
-	if *r.Corrupt != "" || *r.Deadline > 0 || *r.Retries > 0 {
-		rel := pfs.DefaultReliabilityConfig()
-		if *r.Deadline > 0 {
-			rel.Deadline = sim.FromSeconds(*r.Deadline)
-		}
-		if *r.Retries > 0 {
-			rel.MaxRetries = *r.Retries
-		}
-		cfg.Reliability = rel
-	}
-}
-
-// CorruptionPlan parses -corrupt into a fault plan bounded by window and
-// arms the replica path in cfg (unrepairable classes need reroute-on-read so
-// corrupt reads don't kill the run). ok is false when -corrupt was not given.
-func (r *Reliability) CorruptionPlan(cfg *pfs.Config, window sim.Time) (cp fault.CorruptionPlan, ok bool, err error) {
-	if *r.Corrupt == "" {
-		return fault.CorruptionPlan{}, false, nil
-	}
-	cp, err = fault.ParseCorruptionClasses(*r.Corrupt, window)
-	if err != nil {
-		return fault.CorruptionPlan{}, false, err
-	}
-	if !cfg.Failover.Enabled {
-		cfg.Failover = pfs.DefaultFailoverConfig()
-	}
-	cfg.Failover.Replicate = true
-	return cp, true, nil
-}
-
-// Replication bundles the N-way replication and repair-daemon flags.
-type Replication struct {
-	Factor        *int
-	PlacementSeed *uint64
-	ReadPolicy    *string
-	Repair        *bool
-	RepairMBs     *float64
-	RepairGiveUp  *float64
-}
-
-// AddReplication registers -rf, -placement-seed, -read-policy, -repair,
-// -repair-mb-s and -repair-give-up on fs.
-func AddReplication(fs *flag.FlagSet) *Replication {
-	return &Replication{
-		Factor:        fs.Int("rf", 0, "replication factor 1..4, zone-aware placement (0 defers to -replicate; needs failover)"),
-		PlacementSeed: fs.Uint64("placement-seed", 0, "seed perturbing the replica ring's within-zone node order (0 = index order)"),
-		ReadPolicy:    fs.String("read-policy", "", "replicated read policy: primary-first (default), any-replica, quorum"),
-		Repair:        fs.Bool("repair", false, "run the background repair daemon restoring redundancy after outages (needs replication)"),
-		RepairMBs:     fs.Float64("repair-mb-s", 32, "repair daemon bandwidth throttle in MB/s, 0 = unthrottled (with -repair)"),
-		RepairGiveUp:  fs.Float64("repair-give-up", 0, "abandon a repair entry still queued after this many seconds, 0 = never (with -repair)"),
-	}
-}
-
-// Apply wires the parsed replication flags into cfg.
-func (r *Replication) Apply(cfg *pfs.Config) error {
-	if *r.Factor < 0 || *r.Factor > pfs.MaxReplicationFactor {
-		return fmt.Errorf("-rf %d: want 0 (legacy) or 1..%d", *r.Factor, pfs.MaxReplicationFactor)
-	}
-	switch *r.ReadPolicy {
-	case "", pfs.ReadPrimaryFirst, pfs.ReadAnyReplica, pfs.ReadQuorum:
-	default:
-		return fmt.Errorf("-read-policy %q: want %s, %s or %s",
-			*r.ReadPolicy, pfs.ReadPrimaryFirst, pfs.ReadAnyReplica, pfs.ReadQuorum)
-	}
-	cfg.Replication.Factor = *r.Factor
-	cfg.Replication.Seed = *r.PlacementSeed
-	cfg.Replication.ReadPolicy = *r.ReadPolicy
-	if *r.Repair {
-		if *r.RepairMBs < 0 {
-			return fmt.Errorf("-repair-mb-s %g is negative", *r.RepairMBs)
-		}
-		if *r.RepairGiveUp < 0 {
-			return fmt.Errorf("-repair-give-up %g is negative", *r.RepairGiveUp)
-		}
-		cfg.Replication.Repair = pfs.RepairConfig{
-			Enabled:            true,
-			BandwidthBytesPerS: *r.RepairMBs * float64(1<<20),
-			GiveUp:             sim.FromSeconds(*r.RepairGiveUp),
+// Scenario folds the parsed flags into a scenario and validates it. Errors
+// name the flag, not the scenario field.
+func (s *Study) Scenario() (*scenario.Scenario, error) {
+	// The scenario reads 0 in these fields as "use the default"; on the
+	// command line a 0 would silently become that default.
+	for _, name := range []string{"cache-mb", "burst-mb", "chaos-window", "ckpt-bytes"} {
+		if f := s.fs.Lookup(name); f != nil && f.Value.String() == "0" {
+			return nil, fmt.Errorf("-%s 0: want > 0", name)
 		}
 	}
-	if *r.Factor > 1 && !cfg.Failover.Enabled {
-		cfg.Failover = pfs.DefaultFailoverConfig()
+
+	sc := s.Sc
+	sc.Name = s.fs.Name()
+	sc.Workload.Scale = "paper"
+	if s.Small {
+		sc.Workload.Scale = "small"
 	}
-	return nil
+
+	if s.MTBF != 0 {
+		sc.Chaos.Exps = append(sc.Chaos.Exps, scenario.ChaosExp{
+			Kind: "ionode-outage", MeanBetweenS: s.MTBF, EndS: sc.Chaos.WindowS,
+			Node: scenario.NodeRef(fault.AnyNode), DurationS: s.Outage,
+		})
+	}
+	if s.corrupt != "" {
+		sc.Chaos.Corrupt = &scenario.Corrupt{Classes: s.corrupt}
+	}
+
+	f := &sc.Features
+	if s.cache {
+		f.Cache = &scenario.CacheFeature{Enabled: true, MB: s.cacheMB, Prefetch: &s.prefetch, FlushOnFail: s.flushOnFail}
+	}
+	if s.collective || s.aggregators != 0 {
+		f.Collective = &scenario.CollectiveFeature{Enabled: s.collective, Aggregators: s.aggregators}
+	}
+	f.Sched = s.sched
+	if s.burst {
+		// Any ratio up to 1 disables the compression stage.
+		f.Burst = &scenario.BurstFeature{Enabled: true, MB: s.burstMB, DrainMBs: s.burstDrain, Compress: max(s.compress, 1)}
+	}
+	if s.scrub {
+		f.Integrity = &scenario.IntegrityFeature{Enabled: true, Scrub: true}
+	}
+	if s.deadline != 0 || s.retries != 0 {
+		f.Reliability = &scenario.ReliabilityFeature{Enabled: true, DeadlineS: s.deadline, Retries: s.retries}
+	}
+	// Outages and corruption need reroute-to-replica to be survivable, and
+	// a replication factor above 1 needs failover to mean anything.
+	chaos := s.MTBF > 0 || s.corrupt != ""
+	f.Failover = &scenario.FailoverFeature{
+		Enabled:       s.Failover || chaos || s.rf > 1,
+		Replicate:     (s.Failover && s.Replicate) || chaos,
+		Factor:        s.rf,
+		PlacementSeed: s.placementSeed,
+		ReadPolicy:    s.readPolicy,
+	}
+	if s.repair {
+		f.Failover.Repair = &scenario.RepairFeature{Enabled: true, BandwidthMBs: &s.repairMBs, GiveUpS: s.repairGiveUp}
+	}
+
+	if err := sc.Validate(); err != nil {
+		return nil, errors.New(s.flagNames().Replace(err.Error()))
+	}
+	return &sc, nil
 }
 
-// Burst bundles the host-side burst-log flags.
-type Burst struct {
-	On       *bool
-	MB       *float64
-	DrainMBs *float64
-	Compress *float64
-}
-
-// AddBurst registers -burst, -burst-mb, -burst-drain and -compress on fs.
-func AddBurst(fs *flag.FlagSet) *Burst {
-	return &Burst{
-		On:       fs.Bool("burst", false, "absorb checkpoint and M_LOG writes into per-compute-node burst logs, drained to the PFS asynchronously"),
-		MB:       fs.Float64("burst-mb", 64, "per-node burst-log capacity in MB (with -burst)"),
-		DrainMBs: fs.Float64("burst-drain", 0, "per-node drain bandwidth cap in MB/s, 0 = PFS-limited (with -burst)"),
-		Compress: fs.Float64("compress", 1.8, "drain-stage compression ratio, logical/wire; 1 disables the stage (with -burst)"),
+// flagNames rewrites the scenario fields in a validation error into the
+// flags that set them. A field precedes the section that contains it, so the
+// longer match wins.
+func (s *Study) flagNames() *strings.Replacer {
+	failover, replicate := "-failover", "-replicate"
+	if s.fs.Lookup("failover") == nil {
+		failover, replicate = "failover (on with -rf >= 2, -mtbf or -corrupt)", "-mtbf or -corrupt"
 	}
-}
-
-// Config builds the burst tier configuration the parsed flags describe; the
-// zero (disabled) Config when -burst was not given.
-func (b *Burst) Config() (burst.Config, error) {
-	if !*b.On {
-		return burst.Config{}, nil
-	}
-	cfg := burst.DefaultConfig()
-	cfg.CapacityBytes = int64(*b.MB * float64(1<<20))
-	cfg.DrainBWBytesPerS = *b.DrainMBs * float64(1<<20)
-	if *b.Compress <= 1 {
-		cfg.Compress = burst.CompressConfig{}
-	} else {
-		cfg.Compress.Ratio = *b.Compress
-	}
-	if err := cfg.Validate(); err != nil {
-		return burst.Config{}, err
-	}
-	return cfg, nil
-}
-
-// Collective bundles the two-phase aggregation and disk-scheduling flags.
-type Collective struct {
-	On          *bool
-	Aggregators *int
-	Sched       *string
-}
-
-// AddCollective registers -collective, -aggregators and -sched on fs.
-func AddCollective(fs *flag.FlagSet) *Collective {
-	return &Collective{
-		On:          fs.Bool("collective", false, "aggregate each M_RECORD/M_SYNC round's requests into stripe-aligned bulk transfers (two-phase collective I/O)"),
-		Aggregators: fs.Int("aggregators", 0, "aggregator nodes per collective round (0 = one per I/O node; with -collective)"),
-		Sched:       fs.String("sched", "", "I/O-node disk scheduling policy: fcfs, cscan, sstf, random (empty = legacy FIFO queue)"),
-	}
-}
-
-// Apply wires the parsed collective and scheduling flags into cfg.
-func (c *Collective) Apply(cfg *pfs.Config) error {
-	if *c.On {
-		cfg.Collective = collective.Config{
-			Enabled:     true,
-			Aggregators: *c.Aggregators,
-		}
-	} else if *c.Aggregators != 0 {
-		return fmt.Errorf("-aggregators needs -collective")
-	}
-	if *c.Sched != "" {
-		cfg.Sched = ionode.SchedConfig{Policy: *c.Sched, Window: ionode.DefaultWindow}
-		if err := cfg.Sched.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Shards bundles the sharded-engine flag every binary that can run a
-// multi-cell fleet shares. Results are byte-identical at any setting — the
-// flag only bounds how many cells execute concurrently.
-type Shards struct {
-	N *int
-}
-
-// AddShards registers -shards on fs.
-func AddShards(fs *flag.FlagSet) *Shards {
-	return &Shards{
-		N: fs.Int("shards", 0, "fleet cells executing concurrently on the sharded engine: 0 = GOMAXPROCS, 1 = the serial oracle (results identical at any setting)"),
-	}
-}
-
-// Count returns the raw flag value (0 = auto), the form core.FleetOptions
-// takes.
-func (s *Shards) Count() int { return *s.N }
-
-// Resolve returns the effective worker count: GOMAXPROCS when the flag is 0
-// or negative.
-func (s *Shards) Resolve() int {
-	if *s.N < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return *s.N
-}
-
-// Scenario bundles the declarative scenario-file flag: both commands load
-// scenario files through internal/scenario the same way, and the stress
-// command's legacy -config chaos files ride the same loader.
-type Scenario struct {
-	File *string
-}
-
-// AddScenario registers a scenario-file flag under the given name (iochar
-// uses -scenario; a file there overrides the app/feature flags).
-func AddScenario(fs *flag.FlagSet, name string) *Scenario {
-	return &Scenario{
-		File: fs.String(name, "", "declarative scenario file (YAML/JSON; overrides app, feature and chaos flags)"),
-	}
-}
-
-// Load parses the scenario file. ok is false when the flag was not given.
-func (s *Scenario) Load() (sc *scenario.Scenario, ok bool, err error) {
-	if *s.File == "" {
-		return nil, false, nil
-	}
-	sc, err = scenario.Load(*s.File)
-	if err != nil {
-		return nil, false, err
-	}
-	return sc, true, nil
-}
-
-// LoadChaosPlan loads a legacy chaos-only file (the stress command's
-// deprecated -config format — the scenario DSL's chaos section at top level)
-// and converts it to a fault plan.
-func LoadChaosPlan(path string) (fault.Plan, error) {
-	c, err := scenario.LoadChaos(path)
-	if err != nil {
-		return fault.Plan{}, err
-	}
-	return c.Plan(nil)
+	return strings.NewReplacer(
+		"workload.app", "-app",
+		"workload.policy", "-policy",
+		"workload.window_s", "-window",
+		"features.cache.mb", "-cache-mb",
+		"features.collective.enabled", "-collective",
+		"features.collective.aggregators", "-aggregators",
+		"features.sched", "-sched",
+		"features.burst.mb", "-burst-mb",
+		"features.burst.drain_mb_s", "-burst-drain",
+		"features.burst", "-burst",
+		"features.reliability.deadline_s", "-deadline",
+		"features.reliability.retries", "-retries",
+		"features.failover.enabled", failover,
+		"features.failover.replicate", replicate,
+		"features.failover.factor", "-rf",
+		"features.failover.placement_seed", "-placement-seed",
+		"features.failover.read_policy", "-read-policy",
+		"features.failover.repair.bandwidth_mb_s", "-repair-mb-s",
+		"features.failover.repair.give_up_s", "-repair-give-up",
+		"features.failover.repair", "-repair",
+		"chaos.window_s", "-chaos-window",
+		"chaos.exps[0]: mean_between_s", "-mtbf",
+		"chaos.corrupt", "-corrupt",
+		"run.ckpt_interval", "-ckpt-interval",
+		"run.ckpt_bytes", "-ckpt-bytes",
+		"run.restart_cost_s", "-restart-cost",
+		"run.max_attempts", "-max-attempts",
+	)
 }

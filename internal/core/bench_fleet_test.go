@@ -2,30 +2,14 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/sim"
 )
 
 // fleetShardCounts is the scaling-curve sweep: powers of two from the serial
-// oracle up to the host's configured parallelism. benchjson exports its
-// -shards setting as REPRO_SHARDS; unset, the sweep covers the standard
-// 1-to-8 curve.
-func fleetShardCounts() []int {
-	limit := 8
-	if v := os.Getenv("REPRO_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			limit = n
-		}
-	}
-	counts := []int{1}
-	for n := 2; n <= limit; n *= 2 {
-		counts = append(counts, n)
-	}
-	return counts
-}
+// oracle up to 8 shards.
+func fleetShardCounts() []int { return []int{1, 2, 4, 8} }
 
 // benchFleet runs one fleet configuration per iteration. Results are
 // byte-identical across shard counts (the determinism oracle holds them to

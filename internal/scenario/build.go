@@ -23,9 +23,9 @@ import (
 const chaosWindowDefault = 600
 
 // Build expands the scenario into the resilient study the core driver runs,
-// plus the realized fleet (for reporting). The mapping is deliberately
-// identical to the stress command's flag wiring, so the default-shape
-// scenario reproduces the flag-driven run byte for byte.
+// plus the realized fleet (for reporting). It is the only code that maps
+// features and chaos onto the PFS, burst and fault configurations: the CLI
+// flags translate into a Scenario and come through here too.
 func (s *Scenario) Build() (core.ResilientStudy, *Fleet, error) {
 	var rs core.ResilientStudy
 	study, err := s.baseStudy()
@@ -49,8 +49,7 @@ func (s *Scenario) Build() (core.ResilientStudy, *Fleet, error) {
 	}
 	if !plan.Corruption.Empty() {
 		// Unrepairable corruption classes need reroute-on-read so corrupt
-		// reads heal from the mirror instead of killing the run — the same
-		// forcing the -corrupt flag applies.
+		// reads heal from the mirror instead of killing the run.
 		if !study.Machine.PFS.Failover.Enabled {
 			study.Machine.PFS.Failover = pfs.DefaultFailoverConfig()
 		}
@@ -171,7 +170,7 @@ func (s *Scenario) applyFleet(study *core.Study, f *Fleet) error {
 	return nil
 }
 
-// applyFeatures mirrors the cliflags groups onto the PFS/burst configs.
+// applyFeatures maps the features section onto the PFS and burst configs.
 func (s *Scenario) applyFeatures(study *core.Study, f *Fleet) error {
 	cfg := &study.Machine.PFS
 
@@ -190,8 +189,8 @@ func (s *Scenario) applyFeatures(study *core.Study, f *Fleet) error {
 		}
 		if rp := fo.Repair; rp != nil && rp.Enabled {
 			rc := pfs.DefaultRepairConfig()
-			if rp.BandwidthMBs > 0 {
-				rc.BandwidthBytesPerS = rp.BandwidthMBs * float64(1<<20)
+			if rp.BandwidthMBs != nil {
+				rc.BandwidthBytesPerS = *rp.BandwidthMBs * float64(1<<20)
 			}
 			if rp.GiveUpS > 0 {
 				rc.GiveUp = sim.FromSeconds(rp.GiveUpS)
@@ -267,21 +266,11 @@ func (s *Scenario) chaosWindow() sim.Time {
 	return sim.FromSeconds(chaosWindowDefault)
 }
 
-// buildPlan converts the chaos section (plus the fleet's startup schedule)
-// into a fault plan.
+// buildPlan converts the chaos section, plus the fleet's startup schedule,
+// into the fault machinery's plan. Zone outages expand over the fleet's
+// outage domains.
 func (s *Scenario) buildPlan(f *Fleet) (fault.Plan, error) {
-	plan, err := s.Chaos.Plan(f.Zones())
-	if err != nil {
-		return plan, err
-	}
-	plan.Events = append(plan.Events, f.Startup...)
-	return plan, nil
-}
-
-// Plan converts a chaos section into the fault machinery's plan. zones maps
-// I/O node index to outage domain for zone_outages expansion (nil treats the
-// fleet as one zone-0 domain).
-func (c Chaos) Plan(zones []int) (fault.Plan, error) {
+	c := s.Chaos
 	var plan fault.Plan
 	for i, e := range c.Events {
 		k, err := fault.ParseKind(e.Kind)
@@ -316,7 +305,7 @@ func (c Chaos) Plan(zones []int) (fault.Plan, error) {
 		})
 	}
 	for i, z := range c.ZoneOutages {
-		members := zoneMembers(zones, z.Zone)
+		members := zoneMembers(f.Zones(), z.Zone)
 		if len(members) == 0 {
 			return plan, fmt.Errorf("chaos.zone_outages[%d]: zone %d has no member I/O nodes (define zones on fleet_gen templates)", i, z.Zone)
 		}
@@ -330,16 +319,13 @@ func (c Chaos) Plan(zones []int) (fault.Plan, error) {
 		}
 	}
 	if c.Corrupt != nil {
-		window := sim.FromSeconds(c.WindowS)
-		if c.WindowS <= 0 {
-			window = sim.FromSeconds(chaosWindowDefault)
-		}
-		cp, err := fault.ParseCorruptionClasses(c.Corrupt.Classes, window)
+		cp, err := fault.ParseCorruptionClasses(c.Corrupt.Classes, s.chaosWindow())
 		if err != nil {
 			return plan, fmt.Errorf("chaos.corrupt: %v", err)
 		}
 		plan.Corruption = cp
 	}
+	plan.Events = append(plan.Events, f.Startup...)
 	return plan, nil
 }
 

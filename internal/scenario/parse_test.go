@@ -126,6 +126,7 @@ func TestParseErrors(t *testing.T) {
 		{"stagger without cells", "workload:\n  app: escat\nfleet_gen:\n  stagger_s: 0.5\n", "cells > 1"},
 		{"fleet with ckpt", "workload:\n  app: escat\nfleet_gen:\n  cells: 4\nrun:\n  ckpt_interval: 2\n", "single attempt"},
 		{"fleet with attempts", "workload:\n  app: escat\nfleet_gen:\n  cells: 4\nrun:\n  max_attempts: 3\n", "single attempt"},
+		{"placement seed without failover", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: false\n    placement_seed: 3\n", "features.failover.placement_seed needs features.failover.enabled"},
 		{"bad node ref", "workload:\n  app: escat\nchaos:\n  events:\n    - kind: disk-failure\n      at_s: 1\n      node: some\n", "node"},
 	}
 	for _, tc := range cases {
@@ -141,29 +142,28 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestLegacyChaosLoad(t *testing.T) {
-	c, err := LoadChaos(filepath.Join("testdata", "chaos_legacy.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Events) != 1 || len(c.Cascades) != 1 {
-		t.Fatalf("legacy chaos: %+v", c)
-	}
-	plan, err := c.Plan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Events) != 1 || len(plan.Cascades) != 1 {
-		t.Fatalf("plan: %+v", plan)
-	}
-	if plan.Cascades[0].Nodes != 16 {
-		t.Fatalf("cascade nodes: %d", plan.Cascades[0].Nodes)
-	}
-}
-
-func TestLegacyChaosRejectsScenarioSections(t *testing.T) {
-	_, err := ParseChaos([]byte(`{"workload": {"app": "escat"}}`), "")
-	if err == nil || !strings.Contains(err.Error(), "unknown field") {
-		t.Fatalf("want unknown-field error for scenario-shaped chaos file, got %v", err)
+// TestRepairBandwidthZeroIsUnthrottled: an unset repair bandwidth takes the
+// 32 MB/s default, and an explicit 0 leaves repair unthrottled.
+func TestRepairBandwidthZeroIsUnthrottled(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		want  float64
+	}{
+		{"", 32 << 20},
+		{"\n      bandwidth_mb_s: 0", 0},
+		{"\n      bandwidth_mb_s: 2", 2 << 20},
+	} {
+		src := "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: true\n    factor: 2\n    repair:\n      enabled: true" + tc.field + "\n"
+		s, err := Parse([]byte(src), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, _, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rs.Study.Machine.PFS.Replication.Repair.BandwidthBytesPerS; got != tc.want {
+			t.Errorf("bandwidth_mb_s %q: repair bandwidth %g B/s, want %g", tc.field, got, tc.want)
+		}
 	}
 }

@@ -118,7 +118,8 @@ type Startup struct {
 	JitterFrac float64 `json:"jitter_frac,omitempty"` // seeded per-node jitter, fraction of over_s
 }
 
-// Features toggles the optional subsystems, mirroring the CLI flag groups.
+// Features toggles the optional subsystems. The CLIs' feature flags translate
+// into this section (see internal/cliflags).
 type Features struct {
 	Cache       *CacheFeature       `json:"cache,omitempty"`
 	Collective  *CollectiveFeature  `json:"collective,omitempty"`
@@ -187,14 +188,15 @@ type FailoverFeature struct {
 
 // RepairFeature configures the replication repair daemon.
 type RepairFeature struct {
-	Enabled      bool    `json:"enabled"`
-	BandwidthMBs float64 `json:"bandwidth_mb_s,omitempty"` // 0 = 32 MB/s default
-	GiveUpS      float64 `json:"give_up_s,omitempty"`      // 0 = never give up
+	Enabled bool `json:"enabled"`
+
+	// BandwidthMBs throttles repair traffic. Unset takes the 32 MB/s
+	// default; an explicit 0 leaves repair unthrottled.
+	BandwidthMBs *float64 `json:"bandwidth_mb_s,omitempty"`
+	GiveUpS      float64  `json:"give_up_s,omitempty"` // 0 = never give up
 }
 
-// Chaos binds the existing fault machinery. Field names match the legacy
-// cmd/stress -config JSON schema, so a legacy chaos file is exactly this
-// section at top level.
+// Chaos binds the existing fault machinery.
 type Chaos struct {
 	WindowS     float64        `json:"window_s,omitempty"` // corruption/scrub window (default 600)
 	Events      []ChaosEvent   `json:"events,omitempty"`

@@ -153,7 +153,7 @@ func (s *Scenario) validateFeatures() error {
 	}
 	if co := f.Collective; co != nil {
 		if !co.Enabled && co.Aggregators != 0 {
-			return fmt.Errorf("features.collective.aggregators needs enabled: true")
+			return fmt.Errorf("features.collective.aggregators needs features.collective.enabled")
 		}
 		if co.Aggregators < 0 {
 			return fmt.Errorf("features.collective.aggregators %d is negative", co.Aggregators)
@@ -166,8 +166,11 @@ func (s *Scenario) validateFeatures() error {
 		}
 	}
 	if b := f.Burst; b != nil && b.Enabled {
-		if b.MB < 0 || b.DrainMBs < 0 {
-			return fmt.Errorf("features.burst: mb and drain_mb_s must be >= 0")
+		if b.MB < 0 {
+			return fmt.Errorf("features.burst.mb %g is negative", b.MB)
+		}
+		if b.DrainMBs < 0 {
+			return fmt.Errorf("features.burst.drain_mb_s %g is negative", b.DrainMBs)
 		}
 		if s.policy() != "none" {
 			return fmt.Errorf("features.burst and workload.policy %q are mutually exclusive (both are client-side layers over the same seam)", s.policy())
@@ -182,9 +185,6 @@ func (s *Scenario) validateFeatures() error {
 		}
 	}
 	if fo := f.Failover; fo != nil {
-		if !fo.Enabled && (fo.Factor != 0 || fo.ReadPolicy != "" || fo.Repair != nil) {
-			return fmt.Errorf("features.failover: factor, read_policy and repair need enabled: true")
-		}
 		if fo.Factor < 0 || fo.Factor > pfs.MaxReplicationFactor {
 			return fmt.Errorf("features.failover.factor %d: want 0 (legacy) or 1..%d", fo.Factor, pfs.MaxReplicationFactor)
 		}
@@ -194,21 +194,34 @@ func (s *Scenario) validateFeatures() error {
 			return fmt.Errorf("features.failover.read_policy %q: want %s, %s or %s",
 				fo.ReadPolicy, pfs.ReadPrimaryFirst, pfs.ReadAnyReplica, pfs.ReadQuorum)
 		}
+		if !fo.Enabled {
+			field := ""
+			switch {
+			case fo.Factor != 0:
+				field = "factor"
+			case fo.PlacementSeed != 0:
+				field = "placement_seed"
+			case fo.ReadPolicy != "":
+				field = "read_policy"
+			case fo.Repair != nil:
+				field = "repair"
+			}
+			if field != "" {
+				return fmt.Errorf("features.failover.%s needs features.failover.enabled", field)
+			}
+		}
 		if rp := fo.Repair; rp != nil {
-			if !rp.Enabled && (rp.BandwidthMBs != 0 || rp.GiveUpS != 0) {
+			if !rp.Enabled && (rp.BandwidthMBs != nil || rp.GiveUpS != 0) {
 				return fmt.Errorf("features.failover.repair: bandwidth_mb_s and give_up_s need enabled: true")
 			}
-			if rp.BandwidthMBs < 0 {
-				return fmt.Errorf("features.failover.repair.bandwidth_mb_s %g is negative", rp.BandwidthMBs)
+			if rp.BandwidthMBs != nil && *rp.BandwidthMBs < 0 {
+				return fmt.Errorf("features.failover.repair.bandwidth_mb_s %g is negative", *rp.BandwidthMBs)
 			}
 			if rp.GiveUpS < 0 {
 				return fmt.Errorf("features.failover.repair.give_up_s %g is negative", rp.GiveUpS)
 			}
-			if rp.Enabled && fo.Factor == 1 {
-				return fmt.Errorf("features.failover.repair needs replication (factor >= 2, or factor 0 with replicate: true)")
-			}
-			if rp.Enabled && fo.Factor == 0 && !fo.Replicate {
-				return fmt.Errorf("features.failover.repair needs replication (set factor or replicate: true)")
+			if rp.Enabled && (fo.Factor == 1 || (fo.Factor == 0 && !fo.Replicate)) {
+				return fmt.Errorf("features.failover.repair needs replication: features.failover.factor >= 2, or features.failover.factor 0 with features.failover.replicate")
 			}
 		}
 	}
@@ -274,7 +287,7 @@ func (s *Scenario) validateRun() error {
 		return fmt.Errorf("run.ckpt_interval %d is negative", *r.CkptInterval)
 	}
 	if s.Workload.App == "render" && s.ckptInterval() > 0 {
-		return fmt.Errorf("run.ckpt_interval: render does not support checkpointing (set ckpt_interval: 0)")
+		return fmt.Errorf("run.ckpt_interval: render does not support checkpointing (set it to 0)")
 	}
 	if s.cells() > 1 {
 		// A multi-cell fleet runs one attempt per cell on the sharded
