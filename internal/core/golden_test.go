@@ -14,7 +14,7 @@ import (
 	"repro/internal/analysis"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/paper_output.golden from the current code")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
 const paperGolden = "testdata/paper_output.golden"
 

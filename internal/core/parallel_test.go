@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"testing"
 
 	"repro/internal/analysis"
@@ -27,6 +30,10 @@ func renderAllSweeps(t *testing.T) string {
 		t.Fatalf("ModeCacheSweep: %v", err)
 	}
 	out += analysis.RenderCacheSweep("Mode cache sweep:", modeRows)
+
+	out += renderCollectiveSweeps(t)
+	burstOut, _ := renderBurstSweep(t)
+	out += burstOut
 
 	corrRows, err := CorruptionSweep(true, 11)
 	if err != nil {
@@ -57,11 +64,18 @@ func renderAllSweeps(t *testing.T) string {
 	return out
 }
 
+const sweepsGolden = "testdata/sweeps.golden"
+
 // Every sweep must render byte-identically at any worker count: results are
 // delivered by submission index and each run builds all of its own state, so
 // -parallel only changes wall-clock time, never output. This is the
 // executor's core guarantee; run the suite with -race to also prove the
-// concurrent runs share no mutable state.
+// concurrent runs share no mutable state. The rendered bytes are also locked
+// by a SHA-256 in testdata/sweeps.golden; regenerate with
+//
+//	go test ./internal/core -run TestSweepsByteIdenticalAcrossWorkerCounts -update
+//
+// and only when an output change is intended and explained.
 func TestSweepsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	defer exec.SetWorkers(0)
 
@@ -76,5 +90,21 @@ func TestSweepsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	if len(sequential) == 0 {
 		t.Fatal("sweeps rendered nothing")
+	}
+
+	sum := sha256.Sum256([]byte(sequential))
+	got := hex.EncodeToString(sum[:]) + "\n"
+	if *update {
+		if err := os.WriteFile(sweepsGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(sweepsGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("sweep output digest %s differs from %s (%s):\n%s", got, sweepsGolden, want, sequential)
 	}
 }
