@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/iotrace"
-	"repro/internal/pablo"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -57,81 +56,67 @@ func compare(name, op string, base, cached *Report, labels ...string) analysis.C
 func CacheSweep(small bool, ccfg cache.Config) ([]analysis.CacheComparison, error) {
 	ccfg.Enabled = true
 	apps := Apps()
-	// One job per run — [app0 base, app0 cached, app1 base, ...] — so every
-	// simulation fans out on the executor; rows pair up afterwards.
-	type job struct {
-		app    AppID
-		cached bool
+	pairs, err := runPairs("cache sweep", [2]string{"base", "cached"}, apps,
+		func(app AppID, cached bool) (*Report, error) {
+			study := sweepStudy(app, small)
+			if cached {
+				study.Machine.PFS.Cache = ccfg
+			}
+			return Run(study)
+		})
+	if err != nil {
+		return nil, err
 	}
-	jobs := make([]job, 0, 2*len(apps))
-	for _, app := range apps {
-		jobs = append(jobs, job{app, false}, job{app, true})
+	rows := make([]analysis.CacheComparison, 0, len(apps))
+	for i, app := range apps {
+		rows = append(rows, compare(string(app), "Read", pairs[i][0], pairs[i][1], "Read", "AsynchRead"))
 	}
-	reports, err := exec.Map(jobs, func(_ int, j job) (*Report, error) {
-		study := PaperStudy(j.app)
-		if small {
-			study = SmallStudy(j.app)
-		}
-		kind := "base"
-		if j.cached {
-			study.Machine.PFS.Cache = ccfg
-			kind = "cached"
-		}
-		r, err := Run(study)
+	return rows, nil
+}
+
+// sweepStudy returns the study an application sweep runs for app: the
+// paper-scale one, or the reduced one when small.
+func sweepStudy(app AppID, small bool) Study {
+	if small {
+		return SmallStudy(app)
+	}
+	return PaperStudy(app)
+}
+
+// runPairs runs every cell twice — the base configuration, then the
+// alternative — fanning all the runs out on the executor as [cell0 base,
+// cell0 alt, cell1 base, ...], and returns the results paired by cell. sweep
+// names the caller and kinds the two runs for error messages; a cell prints
+// with %v.
+func runPairs[C, R any](sweep string, kinds [2]string, cells []C,
+	run func(cell C, alt bool) (R, error)) ([][2]R, error) {
+	results, err := exec.Map(make([]struct{}, 2*len(cells)), func(j int, _ struct{}) (R, error) {
+		cell, alt := cells[j/2], j%2 == 1
+		r, err := run(cell, alt)
 		if err != nil {
-			return nil, fmt.Errorf("cache sweep: %s %s: %w", j.app, kind, err)
+			return r, fmt.Errorf("%s: %v %s: %w", sweep, cell, kinds[j%2], err)
 		}
 		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]analysis.CacheComparison, 0, len(apps))
-	for i, app := range apps {
-		rows = append(rows, compare(string(app), "Read", reports[2*i], reports[2*i+1], "Read", "AsynchRead"))
+	pairs := make([][2]R, len(cells))
+	for i := range pairs {
+		pairs[i] = [2]R{results[2*i], results[2*i+1]}
 	}
-	return rows, nil
+	return pairs, nil
 }
 
-// syntheticReport runs one synthetic workload on a fresh machine and
-// assembles the subset of a Report the sweep compares.
-func syntheticReport(scfg workload.SyntheticConfig, pcfg pfs.Config) (*Report, error) {
-	m, err := workload.NewMachine(workload.MachineConfig{
-		ComputeNodes: scfg.Nodes,
-		PFS:          pcfg,
-	})
-	if err != nil {
-		return nil, err
+// syntheticStudy returns the study that runs one synthetic workload on a
+// machine sized to it under pcfg.
+func syntheticStudy(scfg workload.SyntheticConfig, pcfg pfs.Config) Study {
+	return Study{
+		App:       "synthetic",
+		Machine:   workload.MachineConfig{ComputeNodes: scfg.Nodes, PFS: pcfg},
+		KeepTrace: true,
+		synthetic: &scfg,
 	}
-	tr := pablo.NewTracer(true)
-	m.PFS.SetRecorder(tr)
-	app, err := workload.NewSynthetic(scfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := workload.Run(m, workload.WrapPFS(m.PFS), app); err != nil {
-		return nil, err
-	}
-	if err := app.Err(); err != nil {
-		return nil, err
-	}
-	r := &Report{
-		Wall:         m.Eng.Now(),
-		Events:       tr.Events(),
-		Summary:      analysis.Summarize(tr.Events()),
-		Cache:        analysis.BuildCacheReport(m.PFS.CacheStats()),
-		Sched:        m.PFS.SchedStats(),
-		PhysRequests: m.PFS.PhysRequests(),
-	}
-	if st, ok := m.PFS.CollectiveStats(); ok {
-		r.Collective = &st
-		// Straggler timers outlive the application by up to one window; the
-		// run's wall clock is the application's own finish.
-		if end := lastEventEnd(r.Events); end > 0 {
-			r.Wall = end
-		}
-	}
-	return r, nil
 }
 
 // modeCell is one row of a mode-by-mode comparison sweep: the workload plus
@@ -171,38 +156,19 @@ func modeCells() []modeCell {
 	return cells
 }
 
-// runModePairs fans one syntheticReport job per (cell, config) out on the
-// executor — [cell0 base, cell0 alt, cell1 base, ...] — and returns the
-// reports paired by cell. sweep names the caller for error messages; altName
-// labels the second config ("cached", "verified").
-func runModePairs(sweep, altName string, cells []modeCell, base, alt pfs.Config) ([][2]*Report, error) {
-	type job struct {
-		cell modeCell
-		alt  bool
-	}
-	jobs := make([]job, 0, 2*len(cells))
-	for _, cell := range cells {
-		jobs = append(jobs, job{cell, false}, job{cell, true})
-	}
-	reports, err := exec.Map(jobs, func(_ int, j job) (*Report, error) {
-		pcfg, kind := base, "base"
-		if j.alt {
-			pcfg, kind = alt, altName
+// String names the cell in sweep error messages.
+func (c modeCell) String() string { return c.name }
+
+// runModes returns the runPairs function for a mode sweep: each cell's
+// synthetic workload under base, then under alt.
+func runModes(base, alt pfs.Config) func(modeCell, bool) (*Report, error) {
+	return func(cell modeCell, isAlt bool) (*Report, error) {
+		pcfg := base
+		if isAlt {
+			pcfg = alt
 		}
-		r, err := syntheticReport(j.cell.scfg, pcfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %s %s: %w", sweep, j.cell.name, kind, err)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
+		return Run(syntheticStudy(cell.scfg, pcfg))
 	}
-	pairs := make([][2]*Report, len(cells))
-	for i := range cells {
-		pairs[i] = [2]*Report{reports[2*i], reports[2*i+1]}
-	}
-	return pairs, nil
 }
 
 // ModeCacheSweep compares cached against uncached runs of one synthetic
@@ -237,7 +203,7 @@ func ModeCacheSweep(ccfg cache.Config) ([]analysis.CacheComparison, error) {
 		},
 	})
 
-	pairs, err := runModePairs("mode sweep", "cached", cells, base, cachedCfg)
+	pairs, err := runPairs("mode sweep", [2]string{"base", "cached"}, cells, runModes(base, cachedCfg))
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/collective"
-	"repro/internal/exec"
 	"repro/internal/ionode"
 	"repro/internal/pfs"
 )
@@ -35,37 +32,21 @@ func collCompare(name string, sched ionode.SchedConfig, base, coll *Report) anal
 func CollectiveSweep(small bool, ccfg collective.Config, sched ionode.SchedConfig) ([]analysis.CollectiveComparison, error) {
 	ccfg.Enabled = true
 	apps := Apps()
-	type job struct {
-		app  AppID
-		coll bool
-	}
-	jobs := make([]job, 0, 2*len(apps))
-	for _, app := range apps {
-		jobs = append(jobs, job{app, false}, job{app, true})
-	}
-	reports, err := exec.Map(jobs, func(_ int, j job) (*Report, error) {
-		study := PaperStudy(j.app)
-		if small {
-			study = SmallStudy(j.app)
-		}
-		kind := "base"
-		if j.coll {
-			study.Machine.PFS.Collective = ccfg
-			study.Machine.PFS.Sched = sched
-			kind = "collective"
-		}
-		r, err := Run(study)
-		if err != nil {
-			return nil, fmt.Errorf("collective sweep: %s %s: %w", j.app, kind, err)
-		}
-		return r, nil
-	})
+	pairs, err := runPairs("collective sweep", [2]string{"base", "collective"}, apps,
+		func(app AppID, coll bool) (*Report, error) {
+			study := sweepStudy(app, small)
+			if coll {
+				study.Machine.PFS.Collective = ccfg
+				study.Machine.PFS.Sched = sched
+			}
+			return Run(study)
+		})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.CollectiveComparison, 0, len(apps))
 	for i, app := range apps {
-		rows = append(rows, collCompare(string(app), sched, reports[2*i], reports[2*i+1]))
+		rows = append(rows, collCompare(string(app), sched, pairs[i][0], pairs[i][1]))
 	}
 	return rows, nil
 }
@@ -89,7 +70,7 @@ func ModeCollectiveSweep(ccfg collective.Config, sched ionode.SchedConfig) ([]an
 		// the PFS configuration.
 		cells[i].scfg.Barrier = true
 	}
-	pairs, err := runModePairs("collective mode sweep", "collective", cells, base, collCfg)
+	pairs, err := runPairs("collective mode sweep", [2]string{"base", "collective"}, cells, runModes(base, collCfg))
 	if err != nil {
 		return nil, err
 	}

@@ -56,11 +56,11 @@ func appImage(t *testing.T, app AppID, coll collective.Config, sch ionode.SchedC
 	study.Machine.PFS.Integrity = integrity.Config{Enabled: true}
 	study.Machine.PFS.Collective = coll
 	study.Machine.PFS.Sched = sch
-	_, rt, err := prepare(study)
+	_, rt, err := prepare(study, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
-	if err := workload.Run(rt.m, rt.fs, rt.app); err != nil {
+	if err := rt.run(); err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
 	if ae, ok := rt.app.(appErr); ok {

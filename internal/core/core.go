@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/apps/escat"
@@ -79,6 +78,10 @@ type Study struct {
 	ESCATConfig  *escat.Config
 	RENDERConfig *render.Config
 	HTFConfig    *htf.Config
+
+	// synthetic, when set, runs the parameterized synthetic workload in
+	// place of App (the mode sweeps; see syntheticStudy).
+	synthetic *workload.SyntheticConfig
 }
 
 // PaperStudy returns the study reproducing the paper's traced run of app.
@@ -176,262 +179,24 @@ type Report struct {
 	phases phaseIndex
 }
 
-// appErr lets Run surface failures collected inside node programs.
-type appErr interface{ Err() error }
-
-// traceReserve is the initial keep-trace buffer capacity (events). Large
-// enough to skip the first ten append doublings, small enough (~90 KB of
-// Events) not to burden the many short runs inside a sweep.
-const traceReserve = 1024
-
-// runtime bundles everything one simulation attempt needs: the machine, the
-// instrumented file system stack, and the application.
-type runtime struct {
-	m          *workload.Machine
-	fs         workload.FS
-	tracer     *pablo.Tracer
-	physTracer *pablo.Tracer
-	lifetime   *pablo.LifetimeReducer
-	windows    *pablo.WindowReducer
-	layer      *ppfs.FileSystem
-	burst      *burst.Tier
-	app        workload.App
-}
-
-// prepare builds a fresh runtime for one attempt of the study. The returned
-// study has defaults merged in.
-func prepare(s Study) (Study, *runtime, error) {
-	return prepareOn(s, nil)
-}
-
-// prepareOn is prepare with an engine supplied by the caller — the sharded
-// fleet driver builds each cell's machine on its own fabric shard engine. A
-// nil engine builds a fresh one (the serial path).
-func prepareOn(s Study, eng *sim.Engine) (Study, *runtime, error) {
-	if s.Machine.ComputeNodes == 0 {
-		s = mergeDefaults(s)
-	}
-	var m *workload.Machine
-	var err error
-	if eng != nil {
-		m, err = workload.NewMachineOn(eng, s.Machine)
-	} else {
-		m, err = workload.NewMachine(s.Machine)
-	}
-	if err != nil {
-		return s, nil, err
-	}
-	if s.WindowWidth <= 0 {
-		s.WindowWidth = 10 * sim.Second
-	}
-	reserve := traceReserve
-	if s.TraceReserve > 0 {
-		reserve = s.TraceReserve
-	}
-	rt := &runtime{
-		m:        m,
-		tracer:   pablo.NewTracer(s.KeepTrace),
-		lifetime: pablo.NewLifetimeReducer(),
-		windows:  pablo.NewWindowReducer(s.WindowWidth),
-	}
-	// Even the small studies capture thousands of events; seeding the buffer
-	// skips the early growth reallocations on the per-event capture path.
-	rt.tracer.Reserve(reserve)
-	rt.tracer.Attach(rt.lifetime)
-	rt.tracer.Attach(rt.windows)
-
-	if s.Policy != nil {
-		rt.physTracer = pablo.NewTracer(s.KeepTrace)
-		rt.physTracer.Reserve(reserve)
-		m.PFS.SetRecorder(rt.physTracer)
-		rt.layer, err = ppfs.New(m.Eng, m.PFS, *s.Policy)
-		if err != nil {
-			return s, nil, err
-		}
-		rt.layer.SetRecorder(rt.tracer)
-		rt.fs = rt.layer
-	} else {
-		m.PFS.SetRecorder(rt.tracer)
-		rt.fs = workload.WrapPFS(m.PFS)
-	}
-	if s.Burst.Enabled {
-		if s.Policy != nil {
-			return s, nil, fmt.Errorf("core: the burst tier and a PPFS policy layer are mutually exclusive")
-		}
-		rt.burst, err = burst.New(m.Eng, m.PFS, m.Nodes, s.Burst)
-		if err != nil {
-			return s, nil, err
-		}
-		rt.fs = rt.burst
-	}
-
-	rt.app, err = buildApp(s)
-	if err != nil {
-		return s, nil, err
-	}
-	return s, rt, nil
-}
-
-// inject arms the study's fault plan against the runtime's machine: discrete
-// events via the injector, corruption via the checksum stores' write-path
-// policies and bit-rot drivers. It returns nil when no discrete events are
-// scheduled (no injector processes are spawned, so the healthy path is
-// untouched; corruption may still be armed).
-func (rt *runtime) inject(s Study, events []fault.Event) *fault.Injector {
-	if !s.Faults.Corruption.Empty() {
-		fault.ArmCorruption(rt.m.Eng, rt.m.PFS.IONodes(), s.Faults.Corruption, s.FaultSeed)
-	}
-	if len(events) == 0 {
-		return nil
-	}
-	hooks := fault.NodeLossHooks{Nodes: rt.m.Nodes, Halt: rt.m.Eng.Stop}
-	if rt.burst != nil {
-		hooks.Undrained = rt.burst.UndrainedNode
-	}
-	if rt.m.PFS.RepairEnabled() {
-		hooks.OnOutageStart = rt.m.PFS.NoteOutageStart
-		hooks.OnOutageEnd = rt.m.PFS.NoteOutageEnd
-	}
-	return fault.Inject(rt.m.Eng, rt.m.PFS.IONodes(), events, hooks)
-}
-
-// clockPadded reports whether background processes (bit-rot drivers, the
-// scrubber, collective straggler timers) keep the engine clock running past
-// the application's finish, so the run's wall clock must come from the trace.
-func (rt *runtime) clockPadded(s Study) bool {
-	return !s.Faults.Corruption.Empty() || rt.m.PFS.ScrubWindowEnd() > 0 ||
-		rt.m.PFS.CollectiveEnabled() || rt.m.PFS.RepairEnabled() || rt.burst != nil
-}
-
-// report assembles the study's report after a completed run.
-func (rt *runtime) report(s Study) *Report {
-	r := &Report{
-		App:      s.App,
-		Wall:     rt.m.Eng.Now(),
-		Events:   rt.tracer.Events(),
-		Summary:  analysis.Summarize(rt.tracer.Events()),
-		Sizes:    analysis.Sizes(rt.tracer.Events()),
-		Lifetime: rt.lifetime,
-		Windows:  rt.windows,
-		Failover: rt.m.PFS.FailoverStats(),
-		Repair:   rt.m.PFS.RepairStats(),
-	}
-	r.ReplicationFactor = rt.m.PFS.ReplicationFactor()
-	r.repairOn = rt.m.PFS.RepairEnabled()
-	if rt.physTracer != nil {
-		r.Physical = rt.physTracer.Events()
-	} else {
-		r.Physical = r.Events
-	}
-	if rt.layer != nil {
-		st := rt.layer.Stats()
-		r.PolicyStats = &st
-	}
-	r.Cache = analysis.BuildCacheReport(rt.m.PFS.CacheStats())
-	if st, ok := rt.m.PFS.CollectiveStats(); ok {
-		r.Collective = &st
-	}
-	if rt.burst != nil {
-		r.Burst = analysis.BuildBurstReport(rt.burst.Stats(), r.Events)
-	}
-	r.Sched = rt.m.PFS.SchedStats()
-	r.PhysRequests = rt.m.PFS.PhysRequests()
-	if !s.Faults.Corruption.Empty() {
-		// End-of-run audit: sweep every tracked block so latent corruption
-		// is detected (and, where parity allows, repaired) before the report
-		// tallies coverage. Accounting only — no simulated time.
-		rt.m.PFS.AuditIntegrity()
-	}
-	r.Integrity = analysis.BuildIntegrityReport(
-		rt.m.PFS.IntegrityStats(), rt.m.PFS.IntegrityEvents(), rt.m.PFS.ReliabilityStats())
-	return r
-}
-
 // Run executes the study to completion. With a fault plan configured the run
 // is a single attempt: an injected fault the application cannot absorb (via
 // PFS failover) surfaces as an error, exactly like the real machine's job
 // kill. Use RunResilient for checkpoint/restart semantics.
 func Run(s Study) (*Report, error) {
-	s, rt, err := prepare(s)
+	s, rt, err := prepare(s, nil)
 	if err != nil {
 		return nil, err
 	}
-	var events []fault.Event
-	if !s.Faults.Empty() {
-		events = s.Faults.Materialize(s.FaultSeed, s.Machine.PFS.IONodes, s.Machine.ComputeNodes)
-	}
-	inj := rt.inject(s, events)
-	runErr := workload.Run(rt.m, rt.fs, rt.app)
-	if err := attemptFailure(s, rt, inj); err != nil {
+	rt.arm(s, planEvents(s), 0)
+	runErr := rt.run()
+	if err := rt.jobErr(s.App); err != nil {
 		return nil, err
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
-	return finishReport(s, rt, inj), nil
-}
-
-// attemptFailure surfaces the failures a completed engine run can hide:
-// node-program errors collected inside the application, and a compute-node
-// loss that halted the engine (the job was killed, like the real machine
-// would). Both Run and the sharded fleet driver check these the same way.
-func attemptFailure(s Study, rt *runtime, inj *fault.Injector) error {
-	if ae, ok := rt.app.(appErr); ok {
-		if err := ae.Err(); err != nil {
-			// Node-program failures are the root cause; a deadlock from the
-			// abandoned barrier group is their symptom.
-			return fmt.Errorf("%s: %w", s.App, err)
-		}
-	}
-	if inj != nil {
-		if nl, ok := inj.FirstNodeLoss(); ok {
-			return fmt.Errorf("%s: compute node %d lost at %v (%d undrained burst-log bytes)",
-				s.App, nl.Node, nl.At, nl.UndrainedBytes)
-		}
-	}
-	return nil
-}
-
-// finishReport assembles a successful attempt's report: the trace-derived
-// tables, the wall-clock correction for runs whose background daemons
-// outlive the application, and the realized incident timeline.
-func finishReport(s Study, rt *runtime, inj *fault.Injector) *Report {
-	r := rt.report(s)
-	if inj != nil || rt.clockPadded(s) {
-		// Injector drivers (a background rebuild, a not-yet-due storm) and
-		// integrity daemons (scrubber, bit-rot arrivals) can outlive the
-		// application; the run's wall clock is the application's own finish.
-		// Without a kept trace the engine clock stands in.
-		if end := lastEventEnd(r.Events); end > 0 {
-			r.Wall = end
-		}
-	}
-	if inj != nil {
-		inj.CloseOpen(rt.m.Eng.Now())
-		incs := inj.Incidents()
-		if end := lastEventEnd(r.Events); end > 0 {
-			// The incident timeline ends with the application too: faults
-			// realized after its last operation affected nothing.
-			incs = capIncidents(incs, end)
-		}
-		r.Incidents = incs
-	}
-	if r.Integrity != nil && len(r.Integrity.Events) > 0 {
-		// Corruption incidents are not capped at the application's finish:
-		// the scrubber legitimately detects and repairs latent errors after
-		// the last application operation, and the report should say so.
-		r.Incidents = mergeIncidents(r.Incidents, fault.CorruptionIncidents(r.Integrity.Events))
-	}
-	return r
-}
-
-// mergeIncidents interleaves two incident timelines by start time.
-func mergeIncidents(a, b []fault.Incident) []fault.Incident {
-	out := make([]fault.Incident, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	return finishReport(s, rt), nil
 }
 
 func mergeDefaults(s Study) Study {
@@ -447,6 +212,9 @@ func mergeDefaults(s Study) Study {
 }
 
 func buildApp(s Study) (workload.App, error) {
+	if s.synthetic != nil {
+		return workload.NewSynthetic(*s.synthetic)
+	}
 	switch s.App {
 	case ESCAT:
 		cfg := escat.DefaultConfig()

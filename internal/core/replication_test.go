@@ -55,11 +55,11 @@ func replicatedStudy(app AppID, rf int) Study {
 func appImageAtRF(t *testing.T, app AppID, rf int) string {
 	t.Helper()
 	study := replicatedStudy(app, rf)
-	_, rt, err := prepare(study)
+	_, rt, err := prepare(study, nil)
 	if err != nil {
 		t.Fatalf("%s rf=%d: %v", app, rf, err)
 	}
-	if err := workload.Run(rt.m, rt.fs, rt.app); err != nil {
+	if err := rt.run(); err != nil {
 		t.Fatalf("%s rf=%d: %v", app, rf, err)
 	}
 	if ae, ok := rt.app.(appErr); ok {
@@ -176,16 +176,12 @@ func TestZoneOutageRF3PaperScale(t *testing.T) {
 	}
 
 	run := func(study Study) (*Report, string) {
-		s, rt, err := prepare(study)
+		s, rt, err := prepare(study, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var events []fault.Event
-		if !s.Faults.Empty() {
-			events = s.Faults.Materialize(s.FaultSeed, s.Machine.PFS.IONodes, s.Machine.ComputeNodes)
-		}
-		rt.inject(s, events)
-		if err := workload.Run(rt.m, rt.fs, rt.app); err != nil {
+		rt.arm(s, planEvents(s), 0)
+		if err := rt.run(); err != nil {
 			t.Fatalf("app died despite RF=3: %v", err)
 		}
 		if ae, ok := rt.app.(appErr); ok {

@@ -60,49 +60,26 @@ func repairSummary(s pfs.RepairStats, incs []fault.Incident, enabled bool) analy
 }
 
 // Resilience reduces the resilient run to the analysis-layer summary. The
-// per-fault latency impact covers the successful attempt (the one whose full
-// trace survives); exposure spans the whole timeline.
+// per-fault latency impact, failover and repair figures cover the successful
+// attempt (the one whose full trace survives, with its own incident
+// timeline); exposure spans the whole timeline.
 func (rr *ResilientReport) Resilience() analysis.ResilienceReport {
-	out := analysis.ResilienceReport{
-		Wall:         rr.Wall,
-		Attempts:     len(rr.Attempts),
-		LostWork:     rr.LostWork,
-		Checkpoints:  rr.Ckpt.Checkpoints,
-		CkptOverhead: rr.Ckpt.Overhead,
-		Restores:     rr.Ckpt.Restores,
-		RestoreTime:  rr.Ckpt.RestoreTime,
-		Exposure:     analysis.Exposures(rr.Incidents),
+	var out analysis.ResilienceReport
+	if rr.Final != nil {
+		out = rr.Final.Resilience()
 	}
+	out.Wall = rr.Wall
+	out.Attempts = len(rr.Attempts)
+	out.LostWork = rr.LostWork
+	out.Checkpoints = rr.Ckpt.Checkpoints
+	out.CkptOverhead = rr.Ckpt.Overhead
+	out.Restores = rr.Ckpt.Restores
+	out.RestoreTime = rr.Ckpt.RestoreTime
+	out.Exposure = analysis.Exposures(rr.Incidents)
 	for _, a := range rr.Attempts {
 		if a.Failed {
 			out.Failures++
 		}
-	}
-	if rr.Final != nil && len(rr.Attempts) > 0 {
-		// Rebase the final attempt's incidents onto its local clock so they
-		// line up with the surviving trace.
-		start := rr.Attempts[len(rr.Attempts)-1].Start
-		var local []fault.Incident
-		for _, inc := range rr.Incidents {
-			if inc.End <= start {
-				continue
-			}
-			inc.Start -= start
-			if inc.Start < 0 {
-				inc.Start = 0
-			}
-			inc.End -= start
-			local = append(local, inc)
-		}
-		out.Impacts = analysis.FaultImpacts(rr.Final.Events, local)
-		out.Timeouts = rr.Final.Failover.Timeouts
-		out.Retries = rr.Final.Failover.Retries
-		out.Reroutes = rr.Final.Failover.Reroutes
-		out.MirrorWrites = rr.Final.Failover.MirrorWrites
-		out.FailedOps = rr.Final.Failover.Failed
-		out.BackoffTime = rr.Final.Failover.BackoffTime
-		out.ReplicationFactor = rr.Final.ReplicationFactor
-		out.Repair = repairSummary(rr.Final.Repair.Capped(rr.Final.Wall), rr.Final.Incidents, rr.Final.RepairEnabled())
 	}
 	return out
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/ckpt"
+	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 func TestResilienceSummaryFromResilientRun(t *testing.T) {
@@ -79,5 +82,46 @@ func TestTradeoffSweepIndependentRuns(t *testing.T) {
 	if pts[0].Wall != solo.Wall || pts[0].LostWork != solo.LostWork {
 		t.Errorf("sweep point %+v differs from direct run wall=%v lost=%v",
 			pts[0], solo.Wall, solo.LostWork)
+	}
+}
+
+// Run and a one-attempt RunResilient go through the same attempt step, so a
+// run that finishes in one attempt must report the same thing either way:
+// wall clock, trace, incident timeline and repair summary.
+func TestRunAndRunResilientAgree(t *testing.T) {
+	s := replicatedStudy(ESCAT, 2)
+	s.Faults = fault.Plan{Events: []fault.Event{{
+		Kind: fault.IONodeOutage, At: 500 * sim.Millisecond, Node: 1, Duration: sim.Second,
+	}}}
+	s.FaultSeed = 3
+
+	r, err := Run(s)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rr, err := RunResilient(ResilientStudy{Study: s, MaxAttempts: 1})
+	if err != nil {
+		t.Fatalf("RunResilient: %v", err)
+	}
+	f := rr.Final
+	if r.Wall != f.Wall {
+		t.Errorf("wall: Run %v, RunResilient %v", r.Wall, f.Wall)
+	}
+	if len(r.Events) != len(f.Events) || traceDigest(r.Events) != traceDigest(f.Events) {
+		t.Errorf("traces differ: Run %d events %016x, RunResilient %d events %016x",
+			len(r.Events), traceDigest(r.Events), len(f.Events), traceDigest(f.Events))
+	}
+	if len(r.Incidents) == 0 || r.Failover.Reroutes == 0 {
+		t.Fatalf("the outage never bit: incidents %+v, failover %+v", r.Incidents, r.Failover)
+	}
+	if !reflect.DeepEqual(r.Incidents, f.Incidents) {
+		t.Errorf("incidents:\n Run          %+v\n RunResilient %+v", r.Incidents, f.Incidents)
+	}
+	want, got := r.Resilience().Repair, rr.Resilience().Repair
+	if want.Outages == 0 {
+		t.Errorf("Run's repair summary counts no outages: %+v", want)
+	}
+	if want != got {
+		t.Errorf("repair summary:\n Run          %+v\n RunResilient %+v", want, got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps/htf"
 	"repro/internal/ckpt"
 	"repro/internal/fault"
-	"repro/internal/iotrace"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -113,23 +112,6 @@ func appNodes(s Study) int {
 	return s.Machine.ComputeNodes
 }
 
-// lastEventEnd returns the completion instant of the latest traced operation
-// — the application's effective finish, excluding injector processes (a
-// background RAID rebuild, say) and burst-tier drain writes that keep the
-// simulated clock running after the application is done.
-func lastEventEnd(events []iotrace.Event) sim.Time {
-	var end sim.Time
-	for _, e := range events {
-		if e.Phase == pfs.PhaseBurstDrain {
-			continue
-		}
-		if e.End > end {
-			end = e.End
-		}
-	}
-	return end
-}
-
 // RunResilient executes the study under its fault plan with restart-from-
 // checkpoint semantics. Determinism: the fault schedule is materialized once
 // from (Faults, FaultSeed) and each attempt replays its still-relevant
@@ -157,10 +139,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 		}
 	}
 
-	var events []fault.Event
-	if !s.Faults.Empty() {
-		events = s.Faults.Materialize(s.FaultSeed, s.Machine.PFS.IONodes, s.Machine.ComputeNodes)
-	}
+	events := planEvents(s)
 
 	rr := &ResilientReport{}
 	base := sim.Time(0)
@@ -169,7 +148,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	// restarted, so it is re-injected into the fresh instance.
 	var carried []pfs.CorruptRange
 	for attempt := 0; attempt < rs.MaxAttempts; attempt++ {
-		s, rt, err := prepare(s)
+		s, rt, err := prepare(s, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -196,23 +175,13 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 		if coord != nil {
 			resume = coord.ResumeUnit()
 		}
-		inj := rt.inject(s, fault.ShiftForRestart(events, base))
-		runErr := workload.Run(rt.m, rt.fs, rt.app)
-
-		var nodeErr error
-		if ae, ok := rt.app.(appErr); ok {
-			nodeErr = ae.Err()
-		}
-		var nodeLoss *fault.NodeLossEvent
-		if inj != nil {
-			if nl, ok := inj.FirstNodeLoss(); ok {
-				nodeLoss = &nl
-				if nodeErr == nil {
-					// The loss froze the engine before any node program
-					// could observe an error; the attempt is dead anyway.
-					nodeErr = fmt.Errorf("compute node %d lost at %v", nl.Node, nl.At)
-				}
-			}
+		rt.arm(s, fault.ShiftForRestart(events, base), 0)
+		runErr := rt.run()
+		nodeLoss, nodeErr := rt.failure()
+		if nodeErr == nil && nodeLoss != nil {
+			// The loss froze the engine before any node program could
+			// observe an error; the attempt is dead anyway.
+			nodeErr = fmt.Errorf("compute node %d lost at %v", nodeLoss.Node, nodeLoss.At)
 		}
 		if nodeErr == nil && runErr != nil {
 			// Not an application death from a fault: a real failure.
@@ -220,13 +189,12 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 		}
 
 		if nodeErr == nil {
-			r := rt.report(s)
+			r := finishReport(s, rt)
+			// The attempt's clock is the application's own finish even
+			// without background daemons: restarts are measured from it.
 			r.Wall = lastEventEnd(r.Events)
-			if inj != nil {
-				inj.CloseOpen(r.Wall)
-				rr.addIncidents(capIncidents(inj.Incidents(), r.Wall), base)
-			}
 			rr.Final = r
+			rr.addIncidents(r.Incidents, base)
 			rr.Attempts = append(rr.Attempts, Attempt{
 				Start: base, End: base + r.Wall, ResumeUnit: resume,
 			})
@@ -237,9 +205,6 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 					r.Integrity.CkptVerifyRejects = rr.Ckpt.VerifyRejects
 					r.Integrity.CkptFallbacks = rr.Ckpt.Fallbacks
 				}
-			}
-			if r.Integrity != nil {
-				rr.addIncidents(fault.CorruptionIncidents(r.Integrity.Events), base)
 			}
 			rr.sortIncidents()
 			return rr, nil
@@ -254,12 +219,12 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 				failedAt = nodeLoss.At
 			}
 		}
-		if inj != nil {
-			inj.CloseOpen(failedAt)
+		if rt.inj != nil {
+			rt.inj.CloseOpen(failedAt)
 			// The attempt was abandoned at failedAt: anything the injector
 			// timeline says happened after that (a rebuild completing in the
 			// dead machine's engine) didn't.
-			rr.addIncidents(capIncidents(inj.Incidents(), failedAt), base)
+			rr.addIncidents(capIncidents(rt.inj.Incidents(), failedAt), base)
 		}
 		rr.addIncidents(fault.CorruptionIncidents(rt.m.PFS.IntegrityEvents()), base)
 		// Harvest the dying storage's corruption ledger for the next attempt.
@@ -316,23 +281,4 @@ func (rr *ResilientReport) addIncidents(incs []fault.Incident, base sim.Time) {
 		inc.End += base
 		rr.Incidents = append(rr.Incidents, inc)
 	}
-}
-
-// capIncidents truncates an attempt's incident timeline at the instant the
-// application stopped mattering — the failure on an abandoned attempt, the
-// last traced operation on a successful one. Incidents starting later are
-// dropped, ones spanning the cut are left open-ended there.
-func capIncidents(incs []fault.Incident, cut sim.Time) []fault.Incident {
-	var out []fault.Incident
-	for _, inc := range incs {
-		if inc.Start > cut {
-			continue
-		}
-		if inc.End > cut {
-			inc.End = cut
-			inc.Open = true
-		}
-		out = append(out, inc)
-	}
-	return out
 }

@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -64,7 +63,6 @@ type FleetReport struct {
 type fleetCell struct {
 	study     Study
 	rt        *runtime
-	inj       *fault.Injector
 	shard     *sim.Shard
 	start     sim.Time
 	launchErr error
@@ -101,30 +99,17 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 			cs.FaultSeed = cellSeeds.Uint64()
 		}
 		shard := fab.AddShard(fmt.Sprintf("cell%d", i), opts.Seed)
-		cs, rt, err := prepareOn(cs, shard.Engine())
+		cs, rt, err := prepare(cs, shard.Engine())
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
 		lookahead := rt.m.Mesh.Lookahead()
 		fab.Connect(coord, shard, lookahead)
 		start := lookahead + opts.Stagger*sim.Time(i)
-
-		var events []fault.Event
-		if !cs.Faults.Empty() {
-			events = cs.Faults.Materialize(cs.FaultSeed, cs.Machine.PFS.IONodes, cs.Machine.ComputeNodes)
-			// The plan's instants are relative to the job, not the fleet:
-			// shift them past the cell's launch.
-			for j := range events {
-				events[j].At += start
-			}
-		}
-		cells[i] = &fleetCell{
-			study: cs,
-			rt:    rt,
-			inj:   rt.inject(cs, events),
-			shard: shard,
-			start: start,
-		}
+		// The plan's instants are relative to the job, not the fleet: they
+		// are armed past the cell's launch.
+		rt.arm(cs, planEvents(cs), start)
+		cells[i] = &fleetCell{study: cs, rt: rt, shard: shard, start: start}
 	}
 
 	coord.Engine().Spawn("launcher", func(p *sim.Process) {
@@ -152,10 +137,10 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 		if c.launchErr != nil {
 			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, c.launchErr)
 		}
-		if err := attemptFailure(c.study, c.rt, c.inj); err != nil {
+		if err := c.rt.jobErr(c.study.App); err != nil {
 			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
-		r := finishReport(c.study, c.rt, c.inj)
+		r := finishReport(c.study, c.rt)
 		fr.Cells[i] = r
 		fr.Starts[i] = c.start
 		if r.Wall > fr.Makespan {

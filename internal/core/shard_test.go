@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/integrity"
 	"repro/internal/iotrace"
-	"repro/internal/pablo"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -83,67 +82,20 @@ func TestFleetByteIdenticalAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// syntheticFleetImage builds a fleet of synthetic-workload machines by hand
-// on a fabric — the same coordinator-launch topology RunFleet uses, but with
-// the mode-parameterized workload the Study API does not carry — and
-// fingerprints the merged result.
+// syntheticFleetImage runs a fleet of phase-aligned synthetic-workload cells
+// under one access mode and fingerprints it.
 func syntheticFleetImage(t *testing.T, mode iotrace.AccessMode, cells, workers int) string {
 	t.Helper()
-	type cell struct {
-		m         *workload.Machine
-		app       workload.App
-		shard     *sim.Shard
-		launchErr error
-	}
-	fab := sim.NewFabric(workers)
-	coord := fab.AddShard("coord", 7)
-	cs := make([]*cell, cells)
-	for i := range cs {
-		shard := fab.AddShard(fmt.Sprintf("cell%d", i), 7)
-		pcfg := pfs.DefaultConfig()
-		pcfg.Integrity = integrity.Config{Enabled: true}
-		m, err := workload.NewMachineOn(shard.Engine(), workload.MachineConfig{ComputeNodes: 8, PFS: pcfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.PFS.SetRecorder(pablo.NewTracer(false))
-		app, err := workload.NewSynthetic(workload.SyntheticConfig{
-			Nodes:       8,
-			Mode:        mode,
-			RecordBytes: 4096,
-			Records:     16,
-			Barrier:     true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fab.Connect(coord, shard, m.Mesh.Lookahead())
-		cs[i] = &cell{m: m, app: app, shard: shard}
-	}
-	coord.Engine().Spawn("launcher", func(p *sim.Process) {
-		for i, c := range cs {
-			c := c
-			delay := c.m.Mesh.Lookahead() + sim.Time(i)*20*sim.Millisecond
-			coord.Send(p, c.shard, delay, "launch", func(lp *sim.Process) {
-				if err := c.app.Launch(c.m, workload.WrapPFS(c.m.PFS)); err != nil {
-					c.launchErr = err
-					lp.Engine().Stop()
-				}
-			})
-		}
-	})
-	if err := fab.Run(); err != nil {
-		t.Fatalf("mode %v (workers=%d): %v", mode, workers, err)
-	}
-	var b strings.Builder
-	for i, c := range cs {
-		if c.launchErr != nil {
-			t.Fatalf("mode %v cell %d: %v", mode, i, c.launchErr)
-		}
-		fmt.Fprintf(&b, "== cell %d end=%d\n", i, c.m.Eng.Now())
-		b.WriteString(fingerprint(c.m.PFS))
-	}
-	return b.String()
+	pcfg := pfs.DefaultConfig()
+	pcfg.Integrity = integrity.Config{Enabled: true}
+	s := syntheticStudy(workload.SyntheticConfig{
+		Nodes:       8,
+		Mode:        mode,
+		RecordBytes: 4096,
+		Records:     16,
+		Barrier:     true,
+	}, pcfg)
+	return fleetImage(t, s, FleetOptions{Cells: cells, Stagger: 20 * sim.Millisecond, Shards: workers, Seed: 7})
 }
 
 // TestFleetModeByteIdenticalAcrossShardCounts extends the oracle across all

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -106,5 +108,40 @@ func TestFleetTraceReserveSizing(t *testing.T) {
 	}
 	if want := 64 * (64 + 32); rs.Study.TraceReserve != want {
 		t.Fatalf("TraceReserve %d, want %d", rs.Study.TraceReserve, want)
+	}
+}
+
+// A fleet's resilience summary scores the representative cell's trace
+// against that cell's own incidents, even when a later cell's storm is the
+// last thing on the fleet clock.
+func TestFleetImpactsNameOnlyCellZeroIncidents(t *testing.T) {
+	s := core.SmallStudy(core.ESCAT)
+	s.Faults = fault.Plan{Events: []fault.Event{{
+		Kind: fault.LatencyStorm, At: sim.Second, Node: 0, Duration: 2 * sim.Second, Factor: 4,
+	}}}
+	solo, err := core.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cell 1 launches after cell 0 has finished.
+	fr, err := core.RunFleet(s, core.FleetOptions{Cells: 2, Stagger: solo.Wall + sim.Second, Shards: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := fr.Cells[0].Incidents
+	if len(own) == 0 || len(fr.Cells[1].Incidents) == 0 {
+		t.Fatalf("storm not realized in both cells: %+v / %+v", own, fr.Cells[1].Incidents)
+	}
+	impacts := FleetResilientReport(fr).Resilience().Impacts
+	if len(impacts) != len(own) {
+		t.Fatalf("%d impacts for cell 0's %d incidents: %+v", len(impacts), len(own), impacts)
+	}
+	for i, imp := range impacts {
+		if imp.Incident != own[i] {
+			t.Errorf("impact %d scores %+v, want cell 0's %+v", i, imp.Incident, own[i])
+		}
+		if imp.Ops == 0 {
+			t.Errorf("impact %d overlaps none of cell 0's operations", i)
+		}
 	}
 }
