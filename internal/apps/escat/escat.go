@@ -176,6 +176,44 @@ func (a *App) inputBytes() int64 {
 // every-10th-cycle rule reproduces that ratio.
 func pointerCached(it int) bool { return it > 0 && it%10 == 0 }
 
+// outputFiles are the linear-system output files node 0 writes last.
+var outputFiles = []string{"escat.sys0", "escat.sys1", "escat.sys2"}
+
+// TraceEvents implements workload.App. Node 0's initialization opens, reads
+// and closes each input file and rewinds files 2 and 3 once; every node then
+// opens each staging file, seeks to its region, writes one record per cycle
+// with a repositioning seek before each uncached next cycle, rereads the
+// region and closes; node 0 ends with the output files. A resumed run skips
+// initialization and the completed cycles.
+func (a *App) TraceEvents() int {
+	cfg := a.cfg
+	resume, ckpt := 0, 0
+	if cfg.Ckpt != nil {
+		resume = cfg.Ckpt.ResumeUnit()
+		ckpt = cfg.Ckpt.TraceEvents(cfg.Iterations)
+	}
+	n := 0
+	if resume == 0 {
+		for i, runs := range a.inputProfiles() {
+			n += 2 // open, close
+			for _, r := range runs {
+				n += r.count
+			}
+			if i > 0 {
+				n++ // header rewind
+			}
+		}
+	}
+	perFile := 4 + cfg.Iterations - resume // open, region seek, writes, reload read, close
+	for next := resume + 1; next < cfg.Iterations; next++ {
+		if !pointerCached(next) {
+			perFile++
+		}
+	}
+	n += cfg.Nodes * (cfg.OutcomeFiles*perFile + ckpt)
+	return n + len(outputFiles)*(2+cfg.OutputWrites)
+}
+
 // Launch implements workload.App.
 func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	cfg := a.cfg
@@ -203,8 +241,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	// are the standard streams, outputs land on 3-5, id 6 is the job
 	// control stream, staging on 7-8, inputs on 9-11.
 	fs.ReserveIDs(2)
-	outNames := []string{"escat.sys0", "escat.sys1", "escat.sys2"}
-	for _, n := range outNames {
+	for _, n := range outputFiles {
 		if _, err := fs.Preload(n, 0); err != nil {
 			return fmt.Errorf("escat: %w", err)
 		}
@@ -269,7 +306,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 			reload.Wait(p)
 			if node == 0 {
 				fs.SetPhase(PhaseOutput)
-				if err := a.runOutput(p, m, fs, outNames); err != nil {
+				if err := a.runOutput(p, m, fs, outputFiles); err != nil {
 					errs.Addf("node 0 output: %v", err)
 				}
 			}

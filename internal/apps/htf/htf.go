@@ -214,6 +214,66 @@ const (
 	pscfLargeBytes      = 100000
 )
 
+// TraceEvents implements workload.App: psetup and pargos, then the SCF
+// passes. A resumed run skips the first two programs and the completed
+// passes.
+func (a *App) TraceEvents() int {
+	cfg := a.cfg
+	resume, ckpt := 0, 0
+	if cfg.Ckpt != nil {
+		resume = cfg.Ckpt.ResumeUnit()
+		ckpt = cfg.Ckpt.TraceEvents(cfg.SCFPasses)
+	}
+	n := cfg.Nodes * ckpt
+	if resume == 0 {
+		n += psetupEvents() + a.pargosEvents()
+	}
+	return n + a.pscfEvents(resume)
+}
+
+// psetupEvents counts node 0's psetup: four opens, every profiled read and
+// write, a correction seek and write per output file, and three closes.
+func psetupEvents() int {
+	n := 4 + 3
+	for _, profile := range []map[string][]readRun{psetupReads, psetupWrites} {
+		for _, runs := range profile {
+			for _, r := range runs {
+				n += r.count
+			}
+		}
+	}
+	return n + 2*len(psetupWrites)
+}
+
+// pargosEvents counts pargos: node 0's setup consultation (two opens and
+// rewinds, 145 reads, a close) and header records (three writes, three
+// flushes); every node's create, rewind, LSIZE and close; a write and flush
+// per integral record; and the residual flushes.
+func (a *App) pargosEvents() int {
+	node0 := 2 + 2 + 143 + 2 + 1 + 3 + 3
+	return node0 + 4*a.cfg.Nodes + 2*a.cfg.IntegralRecords + residualFlushNodes(a.cfg.Nodes)
+}
+
+// pscfEvents counts pscf from pass resume: every node opens and closes its
+// integral file and per pass rewinds and (unless recomputing) rereads it;
+// node 0 opens its five side files (closing four), seeds the iteration, does
+// its per-pass side work, and ends with the partial convergence pass.
+func (a *App) pscfEvents(resume int) int {
+	cfg := a.cfg
+	perPass := cfg.Nodes + pscfPassScratch*2 + pscfPassSeeks +
+		pscfPassSmallReads + pscfPassMidReads +
+		pscfPassSmallWrites + pscfPassMidWrites + pscfPassLargeWrites
+	if !cfg.RecomputeIntegrals {
+		perPass += cfg.IntegralRecords
+	}
+	extra := cfg.ExtraSCFRecords
+	if records := a.RecordsForNode(0); extra > records {
+		extra = records
+	}
+	node0 := 5 + 4 + 2 + 4 + 3 + 1 + extra
+	return 2*cfg.Nodes + node0 + (cfg.SCFPasses-resume)*perPass
+}
+
 // Launch implements workload.App.
 func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	cfg := a.cfg

@@ -174,6 +174,23 @@ func (a *App) TerrainBytes() int64 {
 	return total
 }
 
+// TraceEvents implements workload.App. The gateway opens and closes the
+// run-control file; opens and rewinds each terrain file and issues and waits
+// on every asynchronous read; opens the view file and reads its header and
+// one view per frame; and, unless frames stream to the HiPPi buffer, creates,
+// writes (header, image, trailer) and closes one output file per frame.
+func (a *App) TraceEvents() int {
+	cfg := a.cfg
+	n := 2 + 1 + cfg.HeaderReads + cfg.Frames
+	for _, tf := range cfg.Terrain {
+		n += 2 + 2*tf.Reads
+	}
+	if !cfg.HiPPiOutput {
+		n += 5 * cfg.Frames
+	}
+	return n
+}
+
 // Launch implements workload.App.
 func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	cfg := a.cfg

@@ -307,6 +307,24 @@ func (c *Coordinator) AfterUnit(p *sim.Process, fs workload.FS, node, unit int) 
 	return nil
 }
 
+// TraceEvents implements workload.Checkpointer: a restore reads the node's
+// slice (open, seek, read, close) and each checkpoint writes it (open, seek,
+// write, flush, close). Without a slice to move neither touches a file.
+func (c *Coordinator) TraceEvents(units int) int {
+	if c.cfg.BytesPerNode == 0 {
+		return 0
+	}
+	from, n := c.ResumeUnit(), 0
+	if from > 0 {
+		n += 4
+	}
+	if c.cfg.Interval > 0 && units > from {
+		// Checkpoint units u in [from, units) satisfy (u+1)%Interval == 0.
+		n += 5 * (units/c.cfg.Interval - from/c.cfg.Interval)
+	}
+	return n
+}
+
 // Have reports whether a checkpoint has committed (and survived
 // verification).
 func (c *Coordinator) Have() bool { return c.slots[c.cur].have }

@@ -29,11 +29,6 @@ import (
 // programs.
 type appErr interface{ Err() error }
 
-// traceReserve is the initial keep-trace buffer capacity (events). Large
-// enough to skip the first ten append doublings, small enough (~90 KB of
-// Events) not to burden the many short runs inside a sweep.
-const traceReserve = 1024
-
 // runtime bundles everything one simulation attempt needs: the machine, the
 // instrumented file system stack, the application, and the armed fault
 // injector (nil when no discrete fault events are scheduled).
@@ -70,25 +65,31 @@ func prepare(s Study, eng *sim.Engine) (Study, *runtime, error) {
 	if s.WindowWidth <= 0 {
 		s.WindowWidth = 10 * sim.Second
 	}
-	reserve := traceReserve
-	if s.TraceReserve > 0 {
-		reserve = s.TraceReserve
+	app, err := buildApp(s)
+	if err != nil {
+		return s, nil, err
 	}
 	rt := &runtime{
 		m:        m,
+		app:      app,
 		tracer:   pablo.NewTracer(s.KeepTrace),
 		lifetime: pablo.NewLifetimeReducer(),
 		windows:  pablo.NewWindowReducer(s.WindowWidth),
 	}
-	// Even the small studies capture thousands of events; seeding the buffer
-	// skips the early growth reallocations on the per-event capture path.
-	rt.tracer.Reserve(reserve)
+	// The app knows exactly how many events its run records (the paper's
+	// operation counts), so capture appends into one buffer and never
+	// regrows. A restart that falls back to an older checkpoint generation
+	// after this point records more and grows once.
+	events := app.TraceEvents()
+	rt.tracer.Reserve(events)
 	rt.tracer.Attach(rt.lifetime)
 	rt.tracer.Attach(rt.windows)
 
 	if s.Policy != nil {
+		// The physical stream differs from the logical one only by what the
+		// policies merge or add; the logical count is its size hint.
 		rt.physTracer = pablo.NewTracer(s.KeepTrace)
-		rt.physTracer.Reserve(reserve)
+		rt.physTracer.Reserve(events)
 		m.PFS.SetRecorder(rt.physTracer)
 		rt.layer, err = ppfs.New(m.Eng, m.PFS, *s.Policy)
 		if err != nil {
@@ -109,11 +110,6 @@ func prepare(s Study, eng *sim.Engine) (Study, *runtime, error) {
 			return s, nil, err
 		}
 		rt.fs = rt.burst
-	}
-
-	rt.app, err = buildApp(s)
-	if err != nil {
-		return s, nil, err
 	}
 	return s, rt, nil
 }

@@ -57,12 +57,6 @@ type Study struct {
 	// false only real-time reductions run (Pablo's low-perturbation mode).
 	KeepTrace bool
 
-	// TraceReserve pre-sizes the trace capture buffers (events). Zero uses
-	// a small default suitable for paper-scale runs; scenario-generated
-	// fleets set it from their expected event volume so capture never
-	// reallocates mid-run.
-	TraceReserve int
-
 	// WindowWidth sets the time-window reduction granularity (default 10s).
 	WindowWidth sim.Time
 

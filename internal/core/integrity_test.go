@@ -268,3 +268,51 @@ func TestResilientCkptFallbackOnCorruptCheckpoint(t *testing.T) {
 		t.Error("same-seed corrupted runs differ")
 	}
 }
+
+// A failed attempt's storage is abandoned at its failure: bit-rot the dead
+// engine's drivers realize afterwards, and the scrubber's repairs of it,
+// never happened to the run. No incident of a failed attempt may start (or
+// run) past that attempt's end. The long restart cost leaves the dead
+// attempt's post-failure minute in the gap before the next attempt, where
+// nothing can legitimately start.
+func TestFailedAttemptIncidentsEndAtFailure(t *testing.T) {
+	rs := chaosStudy()
+	rs.RestartCost = 1000 * sim.Second
+	rs.Study.Machine.PFS.Integrity = integrity.Config{
+		Enabled: true,
+		Scrub:   integrity.ScrubConfig{Enabled: true, RateBytesPerS: 16 << 20, Window: 60 * sim.Second},
+	}
+	rs.Study.Faults.Corruption = fault.CorruptionPlan{BitRotPerGBHour: 5e7, End: 60 * sim.Second}
+	rr, err := RunResilient(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(rr.Attempts) - 1
+	if last < 1 || !rr.Attempts[0].Failed {
+		t.Fatalf("attempts %+v, want a failure then a restart", rr.Attempts)
+	}
+	corruption := 0
+	for _, inc := range rr.Incidents {
+		if inc.Start >= rr.Attempts[last].Start {
+			continue // the final attempt's own timeline
+		}
+		if inc.Kind == fault.BitRot {
+			corruption++
+		}
+		owned := false
+		for _, a := range rr.Attempts[:last] {
+			if inc.Start >= a.Start && inc.Start <= a.End {
+				owned = true
+				if inc.End > a.End {
+					t.Errorf("%s incident %v–%v runs past its attempt's failure at %v", inc.Kind, inc.Start, inc.End, a.End)
+				}
+			}
+		}
+		if !owned {
+			t.Errorf("%s incident at %v (%s) starts after its failed attempt ended", inc.Kind, inc.Start, inc.Note)
+		}
+	}
+	if corruption == 0 {
+		t.Error("the failed attempt realized no bit-rot before it died; the check saw nothing")
+	}
+}

@@ -226,9 +226,12 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 			// dead machine's engine) didn't.
 			rr.addIncidents(capIncidents(rt.inj.Incidents(), failedAt), base)
 		}
-		rr.addIncidents(fault.CorruptionIncidents(rt.m.PFS.IntegrityEvents()), base)
+		// The dead engine ran on until idle — bit-rot drivers and the
+		// scrubber included — but the attempt's storage is what it was at
+		// failedAt: later corruption and repairs never happened to it.
+		rr.addIncidents(fault.AbandonedCorruptionIncidents(rt.m.PFS.IntegrityEvents(), failedAt), base)
 		// Harvest the dying storage's corruption ledger for the next attempt.
-		carried = rt.m.PFS.HarvestCorruption()
+		carried = rt.m.PFS.HarvestCorruption(failedAt)
 		if rt.burst != nil {
 			// Undrained log content dies with the attempt: it was committed
 			// to volatile node memory, never to the PFS. Checkpoint

@@ -137,39 +137,75 @@ func runBitRot(p *sim.Process, n *ionode.Node, perGBHour float64, end sim.Time, 
 func CorruptionIncidents(events []integrity.Event) []Incident {
 	var out []Incident
 	for _, ev := range events {
-		var kind Kind
-		switch ev.Class {
-		case integrity.BitRot:
-			kind = BitRot
-		case integrity.TornWrite:
-			kind = TornWrite
-		case integrity.Misdirected:
-			kind = MisdirectedWrite
-		default:
-			continue
+		if inc, ok := corruptionIncident(ev, false); ok {
+			out = append(out, inc)
 		}
-		inc := Incident{Kind: kind, Node: ev.Node, Start: ev.InjectedAt}
-		note := fmt.Sprintf("block %d", ev.Block)
-		if ev.Carried {
-			note += " (carried from previous attempt)"
-		}
-		switch {
-		case ev.Resolution != integrity.ResOpen:
-			inc.End = ev.ResolvedAt
-			note += ": " + ev.Resolution.String()
-			if ev.Detected {
-				note += fmt.Sprintf(", detected by %s", ev.DetectedBy)
-			}
-		case ev.Detected:
-			inc.Open = true
-			inc.End = ev.DetectedAt
-			note += fmt.Sprintf(": detected by %s, unrepairable", ev.DetectedBy)
-		default:
-			inc.Open = true
-			note += ": latent, undetected"
-		}
-		inc.Note = note
-		out = append(out, inc)
 	}
 	return out
+}
+
+// AbandonedCorruptionIncidents is CorruptionIncidents for an attempt
+// abandoned at cut: corruption injected after cut never happened to it, and
+// corruption still unresolved at cut ends there, open — whatever the dead
+// machine's scrubber did to it afterwards.
+func AbandonedCorruptionIncidents(events []integrity.Event, cut sim.Time) []Incident {
+	var out []Incident
+	for _, ev := range events {
+		ev, ok := ev.At(cut)
+		if !ok {
+			continue
+		}
+		if inc, ok := corruptionIncident(ev, true); ok {
+			if inc.Open {
+				inc.End = cut
+			}
+			out = append(out, inc)
+		}
+	}
+	return out
+}
+
+// corruptionIncident converts one corruption event; abandoned marks an
+// unresolved event as cut short by its attempt's failure rather than
+// finished latent or unrepairable.
+func corruptionIncident(ev integrity.Event, abandoned bool) (Incident, bool) {
+	var kind Kind
+	switch ev.Class {
+	case integrity.BitRot:
+		kind = BitRot
+	case integrity.TornWrite:
+		kind = TornWrite
+	case integrity.Misdirected:
+		kind = MisdirectedWrite
+	default:
+		return Incident{}, false
+	}
+	inc := Incident{Kind: kind, Node: ev.Node, Start: ev.InjectedAt}
+	note := fmt.Sprintf("block %d", ev.Block)
+	if ev.Carried {
+		note += " (carried from previous attempt)"
+	}
+	switch {
+	case ev.Resolution != integrity.ResOpen:
+		inc.End = ev.ResolvedAt
+		note += ": " + ev.Resolution.String()
+		if ev.Detected {
+			note += fmt.Sprintf(", detected by %s", ev.DetectedBy)
+		}
+	case abandoned:
+		inc.Open = true
+		note += ": unresolved when the attempt failed"
+		if ev.Detected {
+			note += fmt.Sprintf(", detected by %s", ev.DetectedBy)
+		}
+	case ev.Detected:
+		inc.Open = true
+		inc.End = ev.DetectedAt
+		note += fmt.Sprintf(": detected by %s, unrepairable", ev.DetectedBy)
+	default:
+		inc.Open = true
+		note += ": latent, undetected"
+	}
+	inc.Note = note
+	return inc, true
 }

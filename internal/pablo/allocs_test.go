@@ -21,10 +21,15 @@ func TestRecordAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestNewTracerSized checks that the sized constructor pre-reserves and that
-// Reserve preserves already-captured events.
-func TestNewTracerSized(t *testing.T) {
-	tr := NewTracerSized(128)
+// TestReserveKeepsEvents checks that Reserve sizes the buffer, that growing
+// it again preserves already-captured events, and that a reduction-only
+// tracer stays unbuffered.
+func TestReserveKeepsEvents(t *testing.T) {
+	tr := NewTracer(true)
+	tr.Reserve(128)
+	if got := cap(tr.Events()); got != 128 {
+		t.Fatalf("cap after Reserve(128) = %d, want 128", got)
+	}
 	for i := 0; i < 100; i++ {
 		tr.Record(iotrace.Event{Op: iotrace.OpRead, Bytes: int64(i)})
 	}

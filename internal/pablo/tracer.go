@@ -38,17 +38,6 @@ func NewTracer(keepTrace bool) *Tracer {
 	return &Tracer{keep: keepTrace}
 }
 
-// NewTracerSized creates a keep-trace tracer with capacity for hint events,
-// so steady-state capture appends without growth reallocations. A hint <= 0
-// is the plain NewTracer(true).
-func NewTracerSized(hint int) *Tracer {
-	t := &Tracer{keep: true}
-	if hint > 0 {
-		t.events = make([]iotrace.Event, 0, hint)
-	}
-	return t
-}
-
 // Reserve grows the event buffer's capacity to at least n total events. It
 // does nothing in reduction-only mode or when the buffer is already large
 // enough.

@@ -88,7 +88,10 @@ func Run(events []iotrace.Event, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every replayed record yields at most one event (seeks and waits
+	// yield none), so the capture buffer never regrows.
 	tracer := pablo.NewTracer(true)
+	tracer.Reserve(len(events))
 	m.PFS.SetRecorder(tracer)
 
 	// Preload every file at its maximum observed extent so recorded reads

@@ -211,3 +211,25 @@ func TestReplayAsyncReadsComplete(t *testing.T) {
 		t.Fatalf("replayed reads %+v", reads)
 	}
 }
+
+// TestReplayTraceNeverRegrows checks the replayed trace is captured into the
+// buffer reserved from the input's length: every record yields at most one
+// event, so capture never reallocates. RENDER exercises the asynchronous
+// reads and their waits.
+func TestReplayTraceNeverRegrows(t *testing.T) {
+	for _, app := range []core.AppID{core.ESCAT, core.RENDER} {
+		s := core.SmallStudy(app)
+		r, err := core.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(r.Events, Options{Machine: s.Machine, PreserveThinkTime: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Events) == 0 || cap(res.Events) != len(r.Events) {
+			t.Errorf("%s: replayed %d events into cap %d, want the reserved %d",
+				app, len(res.Events), cap(res.Events), len(r.Events))
+		}
+	}
+}

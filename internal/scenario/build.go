@@ -66,14 +66,6 @@ func (s *Scenario) Build() (core.ResilientStudy, *Fleet, error) {
 	if s.Workload.WindowS > 0 {
 		study.WindowWidth = sim.FromSeconds(s.Workload.WindowS)
 	}
-	if s.FleetGen != nil {
-		// Size the trace-capture arenas from the generated machine shape —
-		// event volume scales with node count, and a generated fleet can be
-		// far past the serial default's paper shape.
-		if n := 64 * (study.Machine.ComputeNodes + study.Machine.PFS.IONodes); n > 1024 {
-			study.TraceReserve = n
-		}
-	}
 
 	rs = core.ResilientStudy{
 		Study:       study,

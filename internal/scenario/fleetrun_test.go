@@ -95,22 +95,6 @@ func TestFleetOptionsMapping(t *testing.T) {
 	}
 }
 
-// TestFleetTraceReserveSizing checks Build sizes the trace arenas from the
-// generated fleet shape instead of the serial default.
-func TestFleetTraceReserveSizing(t *testing.T) {
-	sc, err := Parse([]byte("workload:\n  app: escat\nfleet_gen:\n  compute_nodes: 64\n  io_nodes: 32\n"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, _, err := sc.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 64 * (64 + 32); rs.Study.TraceReserve != want {
-		t.Fatalf("TraceReserve %d, want %d", rs.Study.TraceReserve, want)
-	}
-}
-
 // A fleet's resilience summary scores the representative cell's trace
 // against that cell's own incidents, even when a later cell's storm is the
 // last thing on the fleet clock.

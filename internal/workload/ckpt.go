@@ -29,4 +29,9 @@ type Checkpointer interface {
 	// rendezvous inside it and write their state slices; the checkpoint
 	// commits only after every node's write finished.
 	AfterUnit(p *sim.Process, fs FS, node, unit int) error
+
+	// TraceEvents returns the trace events checkpoint traffic adds to one
+	// node's run of the work units from ResumeUnit() up to units: the
+	// restore read on a restart plus the node's share of every checkpoint.
+	TraceEvents(units int) int
 }

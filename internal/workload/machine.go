@@ -84,6 +84,10 @@ type App interface {
 	Name() string
 	// Launch spawns the application's node programs against fs.
 	Launch(m *Machine, fs FS) error
+	// TraceEvents returns the exact number of trace events a full run of
+	// the app's configuration records, checkpoint traffic included, so the
+	// capture buffer can be sized once before the run.
+	TraceEvents() int
 }
 
 // Run launches the app and executes the simulation to completion.

@@ -86,6 +86,31 @@ func (s *Synthetic) reads() bool {
 	return s.cfg.Read || s.cfg.Mode == iotrace.ModeGlobal
 }
 
+// independent reports whether each node moves its own file pointer.
+func (s *Synthetic) independent() bool {
+	return s.cfg.Mode == iotrace.ModeUnix || s.cfg.Mode == iotrace.ModeAsync
+}
+
+// randomSeeks reports whether every record is preceded by a seek to a random
+// record slot.
+func (s *Synthetic) randomSeeks() bool {
+	return s.cfg.Random && s.independent() && s.fileSize()/s.cfg.RecordBytes > 0
+}
+
+// TraceEvents implements App: per node an open, a close and one access per
+// record, plus the partition seek of a sequential independent-pointer run or
+// the per-record seek of a random one.
+func (s *Synthetic) TraceEvents() int {
+	per := 2 + s.cfg.Records
+	switch {
+	case s.randomSeeks():
+		per += s.cfg.Records
+	case s.independent() && !s.cfg.Random:
+		per++
+	}
+	return s.cfg.Nodes * per
+}
+
 // fileSize returns the preloaded extent.
 func (s *Synthetic) fileSize() int64 {
 	if !s.reads() {
@@ -137,8 +162,7 @@ func (s *Synthetic) runNode(p *sim.Process, fs FS, node int, bar *sim.Barrier) e
 	if err != nil {
 		return err
 	}
-	independent := cfg.Mode == iotrace.ModeUnix || cfg.Mode == iotrace.ModeAsync
-	if independent && !cfg.Random {
+	if s.independent() && !cfg.Random {
 		// Each node owns a disjoint sequential partition.
 		off := int64(node) * int64(cfg.Records) * cfg.RecordBytes
 		if _, err := h.Seek(p, off, pfs.SeekStart); err != nil {
@@ -146,7 +170,7 @@ func (s *Synthetic) runNode(p *sim.Process, fs FS, node int, bar *sim.Barrier) e
 		}
 	}
 	var rng *sim.RNG
-	if cfg.Random && independent {
+	if s.randomSeeks() {
 		// Split hashes the seed through the generator, so per-node streams
 		// are decorrelated (adjacent raw seeds would overlap: splitmix64
 		// advances its state by a fixed increment per draw).
@@ -157,7 +181,7 @@ func (s *Synthetic) runNode(p *sim.Process, fs FS, node int, bar *sim.Barrier) e
 	}
 	slots := s.fileSize() / cfg.RecordBytes
 	for r := 0; r < cfg.Records; r++ {
-		if rng != nil && slots > 0 {
+		if rng != nil {
 			off := rng.Int63n(slots) * cfg.RecordBytes
 			if _, err := h.Seek(p, off, pfs.SeekStart); err != nil {
 				return err

@@ -52,6 +52,8 @@ type testApp struct {
 
 func (a *testApp) Name() string { return "testapp" }
 
+func (a *testApp) TraceEvents() int { return 2 }
+
 func (a *testApp) Launch(m *Machine, fs FS) error {
 	if a.fail {
 		return errors.New("boom")
