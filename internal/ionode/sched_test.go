@@ -216,3 +216,35 @@ func TestRandomPolicySeeded(t *testing.T) {
 		t.Logf("different seeds coincided (possible but suspicious): %v", a)
 	}
 }
+
+// TestDeadlockListingNamesDispatcher pins the deadlock listing's entry for a
+// request queued at a busy dispatcher whose holder never releases it.
+func TestDeadlockListingNamesDispatcher(t *testing.T) {
+	eng := sim.NewEngine()
+	d, err := newDispatcher("ion3", SchedConfig{Policy: "fcfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := sim.NewBarrier(eng, "hold", 2)
+	eng.Spawn("holder", func(p *sim.Process) {
+		if err := d.Acquire(p, 0, 1); err != nil {
+			t.Error(err)
+		}
+		hold.Wait(p)
+	})
+	eng.Spawn("waiter", func(p *sim.Process) {
+		p.Sleep(sim.Microsecond)
+		if err := d.Acquire(p, 0, 1); err != nil {
+			t.Error(err)
+		}
+	})
+	err = eng.Run()
+	if err == nil {
+		t.Fatal("want a deadlock error, got nil")
+	}
+	const want = "sim: deadlock at 0.000001s: 2 processes blocked forever: " +
+		"holder(id=1,barrier:hold), waiter(id=2,ionode-sched:ion3)"
+	if got := err.Error(); got != want {
+		t.Fatalf("deadlock listing:\n got %s\nwant %s", got, want)
+	}
+}
