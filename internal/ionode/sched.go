@@ -196,7 +196,7 @@ func (d *dispatcher) Acquire(p *sim.Process, addr, span int64) error {
 	w := &schedWaiter{p: p, addr: addr, span: span}
 	if d.busy {
 		d.push(w)
-		p.Park("ionode-sched:" + d.name)
+		p.Park("ionode-sched", d.name)
 		if w.ejected {
 			return sim.ErrBroken
 		}
@@ -225,7 +225,7 @@ func (d *dispatcher) Acquire(p *sim.Process, addr, span int64) error {
 			return nil
 		}
 		p.Wake(next.p)
-		p.Park("ionode-sched:" + d.name)
+		p.Park("ionode-sched", d.name)
 		if w.ejected {
 			return sim.ErrBroken
 		}

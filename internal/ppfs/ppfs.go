@@ -261,11 +261,13 @@ func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 		fs.stats.FlushedBytes += n
 	}
 	fb.flushing = false
-	waiters := fb.waiters
-	fb.waiters = nil
-	for _, w := range waiters {
+	// Waking only schedules, so no waiter can join while the list is walked,
+	// and the buffer keeps its array for the next drain.
+	for _, w := range fb.waiters {
 		p.Wake(w)
 	}
+	clear(fb.waiters)
+	fb.waiters = fb.waiters[:0]
 }
 
 // drain synchronously empties fb's buffer (reads, closes, lsize, and direct
@@ -281,7 +283,7 @@ func (fs *FileSystem) drain(p *sim.Process, fb *fileBuffer) {
 			fs.eng.Spawn("ppfs-drain:"+fb.name, func(fp *sim.Process) { fs.runFlush(fp, fb) })
 		}
 		fb.waiters = append(fb.waiters, p)
-		p.Park("ppfs-drain:" + fb.name)
+		p.Park("ppfs-drain", fb.name)
 	}
 }
 

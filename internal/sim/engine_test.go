@@ -78,11 +78,14 @@ func TestDeterministicTieBreaking(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("stuck", func(p *Process) {
-		p.Park("nothing")
+		p.Park("nothing", "")
 	})
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "stuck(id=1,nothing)") {
+		t.Fatalf("deadlock error missing the unnamed wait: %v", err)
 	}
 }
 
@@ -478,7 +481,7 @@ func TestDeadlockDiagnosticListing(t *testing.T) {
 	for _, name := range names {
 		name := name
 		e.Spawn(name, func(p *Process) {
-			p.Park("waiting-" + name)
+			p.Park("waiting", name)
 		})
 	}
 	err := e.Run()
@@ -510,7 +513,7 @@ func TestDeadlockDiagnosticListing(t *testing.T) {
 			t.Fatalf("diagnostic shows truncated process %q: %v", name, msg)
 		}
 	}
-	if !strings.Contains(msg, "waiting-a") {
+	if !strings.Contains(msg, "a(id=5,waiting:a)") {
 		t.Fatalf("diagnostic missing wait reason: %v", msg)
 	}
 	if !strings.Contains(msg, "... (3 more)") {

@@ -172,13 +172,13 @@ func TestFabricDeadlock(t *testing.T) {
 	b := f.AddShard("b", 1)
 	f.Connect(a, b, Microsecond)
 	b.Engine().Spawn("stuck", func(p *Process) {
-		p.Park("waiting for mail that never comes")
+		p.Park("mail", "never-sent")
 	})
 	err := f.Run()
 	if err == nil {
 		t.Fatal("expected a fabric deadlock error")
 	}
-	if !strings.Contains(err.Error(), "fabric deadlock") || !strings.Contains(err.Error(), "stuck") {
+	if !strings.Contains(err.Error(), "fabric deadlock") || !strings.Contains(err.Error(), "stuck(id=1,mail:never-sent)") {
 		t.Fatalf("deadlock error missing detail: %v", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestFabricStoppedShard(t *testing.T) {
 	a.Engine().Spawn("halter", func(p *Process) {
 		p.Sleep(5 * Microsecond)
 		p.Engine().Stop()
-		p.Park("abandoned by Stop")
+		p.Park("abandoned-by-stop", "")
 	})
 	b.Engine().Spawn("worker", func(p *Process) {
 		p.Sleep(10 * Microsecond)

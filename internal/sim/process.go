@@ -27,7 +27,29 @@ type Process struct {
 	procIdx     int // index in the engine's live-process list
 	done        bool
 	pendingWake bool
-	blockedOn   string // diagnostic: what primitive the process is parked in
+	granted     bool   // a Resource handed this waiter a unit; see AcquireWait
+	blockedOn   waitOn // diagnostic: what primitive the process is parked in
+}
+
+// waitOn names what a parked process waits on, for the deadlock listing. It
+// keeps the parts, not the text, so parking costs no string building; the
+// listing formats them only when a deadlock is reported.
+type waitOn struct {
+	kind, name string // e.g. "resource", "pfs-meta"; kind is "" while running
+	turn       int    // a sequencer waiter's turn, when hasTurn
+	hasTurn    bool
+}
+
+// String renders the wait as kind:name, kind:name[turn] for a sequencer, or
+// the bare kind when the wait has no name.
+func (w waitOn) String() string {
+	switch {
+	case w.hasTurn:
+		return fmt.Sprintf("%s:%s[%d]", w.kind, w.name, w.turn)
+	case w.name == "":
+		return w.kind
+	}
+	return w.kind + ":" + w.name
 }
 
 // loop is the body of a process's coroutine. It runs the current fn, then
@@ -84,14 +106,14 @@ func (p *Process) Now() Time { return p.eng.now }
 // the popped successor (nil when nothing is runnable) for the driver and
 // yields. The engine stops only coroutines parked on the free list, so the
 // yield here always returns true.
-func (p *Process) block(why string) {
+func (p *Process) block(why waitOn) {
 	p.blockedOn = why
 	e := p.eng
 	if next := e.advance(); next != p {
 		e.handoff = next
 		p.yield(struct{}{})
 	}
-	p.blockedOn = ""
+	p.blockedOn.kind = ""
 }
 
 // Sleep advances this process's local activity by d: it blocks and resumes
@@ -122,14 +144,17 @@ func (p *Process) Sleep(d Time) {
 			return
 		}
 	}
-	p.block("sleep")
+	p.block(waitOn{kind: "sleep"})
 }
 
 // Park blocks the process indefinitely until some other process wakes it via
 // Wake. It is the building block for resources, barriers and queues. Parking
-// with nobody to wake you is a deadlock, which Engine.Run reports.
-func (p *Process) Park(why string) {
-	p.block(why)
+// with nobody to wake you is a deadlock, which Engine.Run reports, listing
+// the process as waiting on kind:name (or kind alone when name is empty).
+// Both are stored as given and formatted only for that report, so a caller
+// passes the primitive's existing name rather than building a string.
+func (p *Process) Park(kind, name string) {
+	p.block(waitOn{kind: kind, name: name})
 }
 
 // Wake schedules a parked process to resume at the current simulated time.

@@ -27,9 +27,8 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*Process
+	waiters  FIFO[*Process]
 	broken   bool
-	granted  map[*Process]bool // waiters woken by a direct unit hand-off
 
 	// statistics
 	lastChange Time
@@ -58,7 +57,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 func (r *Resource) account() {
 	now := r.eng.now
@@ -83,41 +82,38 @@ func (r *Resource) AcquireWait(p *Process) error {
 		return ErrBroken
 	}
 	r.acquires++
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.account()
 		r.inUse++
 		return nil
 	}
 	start := r.eng.now
-	r.waiters = append(r.waiters, p)
-	if len(r.waiters) > r.queuePeak {
-		r.queuePeak = len(r.waiters)
+	r.waiters.Push(p)
+	if n := r.waiters.Len(); n > r.queuePeak {
+		r.queuePeak = n
 	}
-	p.Park("resource:" + r.name)
-	if r.granted[p] {
-		delete(r.granted, p)
-		r.waitTotal += r.eng.now - start
+	p.Park("resource", r.name)
+	r.waitTotal += r.eng.now - start
+	if p.granted {
+		p.granted = false
 		return nil
 	}
 	// Woken without a unit hand-off: ejected by Break.
-	r.waitTotal += r.eng.now - start
 	return ErrBroken
 }
 
 // Release returns one unit. If processes are queued, the unit passes directly
 // to the head of the queue (preserving FIFO order and keeping inUse
-// constant); otherwise the unit becomes free.
+// constant), flagged on the woken process; otherwise the unit becomes free.
+// A process waits on at most one resource at a time, so one flag per process
+// serves every resource.
 func (r *Resource) Release(p *Process) {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		if r.granted == nil {
-			r.granted = make(map[*Process]bool)
-		}
-		r.granted[next] = true
+	if r.waiters.Len() > 0 {
+		next := r.waiters.Pop()
+		next.granted = true
 		p.Wake(next) // unit transfers; inUse unchanged
 		return
 	}
@@ -135,9 +131,9 @@ func (r *Resource) Break(p *Process) {
 	}
 	r.broken = true
 	r.breaks++
-	ejected := r.waiters
-	r.waiters = nil
-	p.eng.scheduleBatch(ejected, p.eng.now)
+	// scheduleBatch copies the waiters, so the queue keeps its array.
+	p.eng.scheduleBatch(r.waiters.All(), p.eng.now)
+	r.waiters.Reset()
 }
 
 // Repair restores a broken resource to service.

@@ -31,15 +31,16 @@ func (b *Barrier) Wait(p *Process) {
 	}
 	if len(b.arrived) == b.n-1 {
 		// Last arrival releases everyone, in arrival order, as one batched
-		// heap insertion.
-		waiting := b.arrived
-		b.arrived = nil
+		// heap insertion. scheduleBatch copies the group, so the barrier
+		// keeps its array for the next round.
 		b.rounds++
-		p.eng.scheduleBatch(waiting, p.eng.now)
+		p.eng.scheduleBatch(b.arrived, p.eng.now)
+		clear(b.arrived)
+		b.arrived = b.arrived[:0]
 		return
 	}
 	b.arrived = append(b.arrived, p)
-	p.Park("barrier:" + b.name)
+	p.Park("barrier", b.name)
 }
 
 // Rounds reports how many times the barrier has completed.
@@ -72,7 +73,7 @@ func (s *Sequencer) WaitTurn(p *Process, turn int) {
 		panic(fmt.Sprintf("sim: sequencer %q turn %d claimed twice", s.name, turn))
 	}
 	s.waiting[turn] = p
-	p.Park(fmt.Sprintf("sequencer:%s[%d]", s.name, turn))
+	p.block(waitOn{kind: "sequencer", name: s.name, turn: turn, hasTurn: true})
 }
 
 // Done completes the current turn and wakes the owner of the next one, if it
@@ -94,8 +95,8 @@ func (s *Sequencer) Next() int { return s.next }
 type Queue[T any] struct {
 	eng     *Engine
 	name    string
-	items   []T
-	waiters []*Process
+	items   FIFO[T]
+	waiters FIFO[*Process]
 }
 
 // NewQueue creates an empty queue.
@@ -104,39 +105,33 @@ func NewQueue[T any](eng *Engine, name string) *Queue[T] {
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Put appends v and wakes one waiting consumer, if any.
 func (q *Queue[T]) Put(p *Process, v T) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		p.Wake(w)
+	q.items.Push(v)
+	if q.waiters.Len() > 0 {
+		p.Wake(q.waiters.Pop())
 	}
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Process) T {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
-		p.Park("queue:" + q.name)
+	for q.items.Len() == 0 {
+		q.waiters.Push(p)
+		p.Park("queue", q.name)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.items.Pop()
 }
 
 // TryGet removes and returns the head item without blocking. The second
 // result reports whether an item was available.
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.Pop(), true
 }
 
 // Completion is a one-shot event that processes can wait on; it models the
@@ -148,11 +143,15 @@ type Completion struct {
 	done    bool
 	at      Time
 	waiters []*Process
+	first   [1]*Process // backs waiters for the usual lone waiter
 }
 
-// NewCompletion creates a pending completion.
+// NewCompletion creates a pending completion. Its waiter list starts in the
+// completion's own storage, so a lone waiter's Await allocates nothing.
 func NewCompletion(name string) *Completion {
-	return &Completion{name: name}
+	c := &Completion{name: name}
+	c.waiters = c.first[:0]
+	return c
 }
 
 // Done reports whether Complete has been called.
@@ -169,6 +168,7 @@ func (c *Completion) Complete(p *Process) {
 	c.done = true
 	c.at = p.Now()
 	p.eng.scheduleBatch(c.waiters, p.eng.now)
+	clear(c.waiters)
 	c.waiters = nil
 }
 
@@ -180,6 +180,6 @@ func (c *Completion) Await(p *Process) Time {
 	}
 	start := p.Now()
 	c.waiters = append(c.waiters, p)
-	p.Park("completion:" + c.name)
+	p.Park("completion", c.name)
 	return p.Now() - start
 }
