@@ -86,10 +86,10 @@ func prepare(s Study, eng *sim.Engine) (Study, *runtime, error) {
 	rt.tracer.Attach(rt.windows)
 
 	if s.Policy != nil {
-		// The physical stream differs from the logical one only by what the
-		// policies merge or add; the logical count is its size hint.
+		// The physical stream has no size hint: its count depends on what
+		// the run's write-behind merges and its cache and prefetch add (see
+		// DESIGN.md §5.1), so no count fixed before the run bounds it.
 		rt.physTracer = pablo.NewTracer(s.KeepTrace)
-		rt.physTracer.Reserve(events)
 		m.PFS.SetRecorder(rt.physTracer)
 		rt.layer, err = ppfs.New(m.Eng, m.PFS, *s.Policy)
 		if err != nil {

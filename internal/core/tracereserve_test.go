@@ -6,6 +6,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/iotrace"
 	"repro/internal/pfs"
+	"repro/internal/ppfs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -40,7 +41,9 @@ func paperCount(app AppID) int {
 
 // TestExactTraceReserve holds every run path to an exact trace reserve: each
 // app at paper and small scale, checkpointed resilient runs (a restart
-// included), a synthetic mode sweep, and the cells of a fleet. At paper
+// included), a synthetic mode sweep, the logical stream of a PPFS run, and
+// the cells of a fleet. A PPFS run's physical stream is checked to be
+// unreserved. At paper
 // scale the count must also equal the paper's Tables 1, 3 and 5 — a second,
 // independent lock on the exact-count contract.
 func TestExactTraceReserve(t *testing.T) {
@@ -88,6 +91,24 @@ func TestExactTraceReserve(t *testing.T) {
 			t.Fatal(err)
 		}
 		exactReserve(t, "synthetic "+cell.name, r.Events)
+	}
+
+	// The PPFS physical stream is the one left unreserved: how much the
+	// policy's write-behind merges and its cache and prefetch add is known
+	// only after the run, so its buffer grows by append alone. Merging leaves
+	// it shorter than the logical stream, and it must not be sized from the
+	// logical count.
+	pol := ppfs.DefaultPolicy()
+	ps := SmallStudy(ESCAT)
+	ps.Policy = &pol
+	pr, err := Run(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactReserve(t, "escat ppfs logical", pr.Events)
+	if n := len(pr.Physical); n == 0 || n >= len(pr.Events) || cap(pr.Physical) >= len(pr.Events) {
+		t.Errorf("escat ppfs physical: %d events in a buffer of %d, logical stream %d; want an unreserved, shorter stream",
+			n, cap(pr.Physical), len(pr.Events))
 	}
 
 	fr, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 2, Shards: 1, Stagger: 20 * sim.Millisecond, Seed: 1})
