@@ -52,10 +52,13 @@ func FuzzClassifier(f *testing.F) {
 
 			st := cl.observe(s, a, ln)
 			ref.observe(s, a, ln)
+			if st != cl.streams[s] {
+				t.Fatalf("stream %d: observe returned a state the stream map does not hold", s)
+			}
 			if st.accesses < classifyMinAccesses && st.pattern() != PatternUnknown {
 				t.Fatalf("verdict %v after only %d accesses", st.pattern(), st.accesses)
 			}
-			pred := cl.predict(st, ln, blockBytes, depth)
+			pred := cl.predict(nil, st, ln, blockBytes, depth)
 			if len(pred) > 0 && st.pattern() == PatternSequential && len(pred) > depth {
 				t.Fatalf("sequential prediction of %d blocks exceeds depth %d", len(pred), depth)
 			}
@@ -105,7 +108,7 @@ func FuzzPredictStability(f *testing.F) {
 			var last []int64
 			for i := range stream {
 				st := cl.observe(stream[i], addr[i], n[i])
-				last = cl.predict(st, n[i], blockBytes, depth)
+				last = cl.predict(last[:0], st, n[i], blockBytes, depth)
 			}
 			return last
 		}

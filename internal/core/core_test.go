@@ -109,6 +109,37 @@ func TestPolicyStudyProducesBothStreams(t *testing.T) {
 	}
 }
 
+// TestPolicyStudyHTFFinishes runs small HTF under the default PPFS policy,
+// whose overlapping integral writes once left the write-behind buffer's
+// byte count above zero forever, so every drain respawned an empty flush at
+// the same simulated instant and the run never returned.
+func TestPolicyStudyHTFFinishes(t *testing.T) {
+	pol := ppfs.DefaultPolicy()
+	s := SmallStudy(HTF)
+	s.Policy = &pol
+	done := make(chan struct{})
+	var r *Report
+	var err error
+	go func() {
+		defer close(done)
+		r, err = Run(s)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("small HTF under the default PPFS policy did not finish within a minute")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Events) != 1413 || r.Wall.Seconds() < 93.5 || r.Wall.Seconds() > 93.6 {
+		t.Fatalf("%d events over %v, want 1413 over 93.54s", len(r.Events), r.Wall)
+	}
+	if r.PolicyStats.BufferedWrites == 0 {
+		t.Fatalf("stats %+v", *r.PolicyStats)
+	}
+}
+
 func TestAblationWriteBehindShrinksAppVisibleWriteTime(t *testing.T) {
 	base, err := Run(SmallStudy(ESCAT))
 	if err != nil {

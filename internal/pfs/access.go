@@ -125,13 +125,8 @@ func (fs *FileSystem) WriteGather(p *sim.Process, node int, name string, extents
 	p.Sleep(fs.cfg.Cost.ClientOverhead)
 
 	// Split extents into stripe chunks and group them per I/O node.
-	type group struct {
-		bytes    int64
-		requests int
-		firstOff int64 // file offset of the group's first chunk
-		addr     int64 // array address of the group's first chunk
-	}
-	groups := make([]group, len(fs.ion))
+	groups := fs.takeGroups()
+	defer fs.putGroups(groups)
 	su := fs.cfg.StripeUnit
 	var total, maxEnd int64
 	for _, e := range extents {
@@ -177,3 +172,26 @@ func (fs *FileSystem) WriteGather(p *sim.Process, node int, name string, extents
 	f.extend(maxEnd)
 	return total, sweeps, nil
 }
+
+// gatherGroup is the part of a WriteGather that goes to one I/O node.
+type gatherGroup struct {
+	bytes    int64
+	requests int
+	firstOff int64 // file offset of the group's first chunk
+	addr     int64 // array address of the group's first chunk
+}
+
+// takeGroups returns a zeroed group per I/O node, reusing a spare array.
+func (fs *FileSystem) takeGroups() []gatherGroup {
+	k := len(fs.spareGroups)
+	if k == 0 {
+		return make([]gatherGroup, len(fs.ion))
+	}
+	g := fs.spareGroups[k-1]
+	fs.spareGroups = fs.spareGroups[:k-1]
+	clear(g)
+	return g
+}
+
+// putGroups keeps a finished WriteGather's group array for the next one.
+func (fs *FileSystem) putGroups(g []gatherGroup) { fs.spareGroups = append(fs.spareGroups, g) }

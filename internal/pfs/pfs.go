@@ -61,6 +61,10 @@ type FileSystem struct {
 	rf         int          // effective replication factor (1 = no replication)
 	readPolicy string       // how replicated reads pick a copy
 	rep        *repairState // nil when the repair control plane is off
+
+	// spareGroups holds WriteGather's per-I/O-node group arrays between
+	// calls. Concurrent gathers each hold their own across the sleeps.
+	spareGroups [][]gatherGroup
 }
 
 // FailoverStats counts the failover machinery's activity under injected

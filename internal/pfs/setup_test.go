@@ -316,3 +316,39 @@ func TestAccessValidation(t *testing.T) {
 		}
 	})
 }
+
+// gatherRounds runs n aggregated flushes of one small extent per I/O node.
+func gatherRounds(t *testing.T, n int) {
+	r := newRig(t, nil)
+	r.fs.SetRecorder(iotrace.Discard)
+	if _, err := r.fs.Preload("g", 0); err != nil {
+		t.Fatal(err)
+	}
+	su := r.fs.Config().StripeUnit
+	extents := make([]Extent, len(r.fs.IONodes()))
+	for i := range extents {
+		extents[i] = Extent{Start: int64(i) * su, End: int64(i)*su + 4096}
+	}
+	r.run(t, func(p *sim.Process) {
+		for i := 0; i < n; i++ {
+			if _, sweeps, err := r.fs.WriteGather(p, 0, "g", extents); err != nil || sweeps != len(extents) {
+				t.Errorf("gather %d: %d sweeps, %v", i, sweeps, err)
+				return
+			}
+		}
+	})
+}
+
+// TestWriteGatherAllocCeiling pins an aggregated flush at zero allocations:
+// doubling the flushes from 100 to 200 must add no allocation.
+func TestWriteGatherAllocCeiling(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() { gatherRounds(t, n) })
+	}
+	short, long := allocs(100), allocs(200)
+	perFlush := (long - short) / 100
+	t.Logf("%.0f allocations at 100 flushes, %.0f at 200: %.3f per flush", short, long, perFlush)
+	if perFlush > 0.01 {
+		t.Fatalf("an aggregated flush allocated %.3f times; want 0", perFlush)
+	}
+}

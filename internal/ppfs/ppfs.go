@@ -25,6 +25,10 @@ type FileSystem struct {
 	phase string
 	seq   int64
 
+	// spareExt holds aggregated flushes' extent lists between flushes.
+	// Concurrent flushers each hold their own across the gather's sleeps.
+	spareExt [][]pfs.Extent
+
 	stats Stats
 }
 
@@ -176,12 +180,21 @@ func (fs *FileSystem) buffer(name string) *fileBuffer {
 // extents coalesce into one; without, each write stays its own extent (still
 // asynchronous, but physically small).
 func (fs *FileSystem) addExtent(fb *fileBuffer, off, n int64, node int) {
-	fb.bytes += n
 	e := extent{start: off, end: off + n, node: node}
 	if !fs.pol.Aggregation {
+		fb.bytes += n
 		fb.extents = append(fb.extents, e)
 		return
 	}
+	// Count only the bytes the write newly covers: a flush takes off its
+	// merged extents' lengths, so an overlap counted twice would keep
+	// fb.bytes above zero forever. The extents are disjoint, so their
+	// overlaps with e are the part it already covers.
+	added := n
+	for _, cur := range fb.extents {
+		added -= max(0, min(cur.end, e.end)-max(cur.start, e.start))
+	}
+	fb.bytes += added
 	// Insert sorted, then merge neighbors.
 	i := sort.Search(len(fb.extents), func(i int) bool { return fb.extents[i].start >= e.start })
 	fb.extents = append(fb.extents, extent{})
@@ -231,17 +244,18 @@ func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 		if fs.pol.Aggregation {
 			batch := fb.extents
 			fb.extents = nil
-			gext := make([]pfs.Extent, len(batch))
+			gext := fs.takeExtents()
 			var n int64
 			var node int
-			for i, e := range batch {
-				gext[i] = pfs.Extent{Start: e.start, End: e.end}
+			for _, e := range batch {
+				gext = append(gext, pfs.Extent{Start: e.start, End: e.end})
 				n += e.end - e.start
 				node = e.node
 			}
 			// fb.bytes stays up until the physical writes land, so drain
 			// waiters cannot observe a flush-in-flight as "done".
 			written, sweeps, err := fs.under.WriteGather(p, node, fb.name, gext)
+			fs.spareExt = append(fs.spareExt, gext[:0])
 			if err != nil {
 				panic(fmt.Sprintf("ppfs: aggregated flush of %q failed: %v", fb.name, err))
 			}
@@ -268,6 +282,18 @@ func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 	}
 	clear(fb.waiters)
 	fb.waiters = fb.waiters[:0]
+}
+
+// takeExtents returns an empty extent list for an aggregated flush, reusing
+// a spare one.
+func (fs *FileSystem) takeExtents() []pfs.Extent {
+	k := len(fs.spareExt)
+	if k == 0 {
+		return nil
+	}
+	l := fs.spareExt[k-1]
+	fs.spareExt = fs.spareExt[:k-1]
+	return l
 }
 
 // drain synchronously empties fb's buffer (reads, closes, lsize, and direct

@@ -3,7 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/iotrace"
@@ -123,16 +123,23 @@ func unrepaired(r *core.Report) int {
 // p95ReadMs computes the 95th-percentile duration of the trace's read-class
 // operations, in milliseconds.
 func p95ReadMs(events []iotrace.Event) float64 {
-	var durs []float64
-	for _, e := range events {
-		if e.Op == iotrace.OpRead || e.Op == iotrace.OpAsyncRead {
-			durs = append(durs, e.Duration().Seconds()*1e3)
+	isRead := func(e *iotrace.Event) bool { return e.Op == iotrace.OpRead || e.Op == iotrace.OpAsyncRead }
+	n := 0
+	for i := range events {
+		if isRead(&events[i]) {
+			n++
 		}
 	}
-	if len(durs) == 0 {
+	if n == 0 {
 		return 0
 	}
-	sort.Float64s(durs)
+	durs := make([]float64, 0, n)
+	for i := range events {
+		if isRead(&events[i]) {
+			durs = append(durs, events[i].Duration().Seconds()*1e3)
+		}
+	}
+	slices.Sort(durs)
 	idx := int(math.Ceil(0.95*float64(len(durs)))) - 1
 	if idx < 0 {
 		idx = 0

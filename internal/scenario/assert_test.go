@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/iotrace"
 	"repro/internal/sim"
 )
 
@@ -182,5 +185,30 @@ assertions:
 	out := RenderChecks(s.Name, res.M, res.Checks)
 	if !strings.Contains(out, "PASS") {
 		t.Fatalf("render:\n%s", out)
+	}
+}
+
+// TestP95ReadMsMatchesSortedReads checks p95ReadMs against the nearest-rank
+// 95th percentile of the read and async-read durations, taken by sorting
+// them, over a trace that mixes reads with other operations.
+func TestP95ReadMsMatchesSortedReads(t *testing.T) {
+	if got := p95ReadMs(nil); got != 0 {
+		t.Fatalf("no reads: %v, want 0", got)
+	}
+	ops := []iotrace.Op{iotrace.OpRead, iotrace.OpWrite, iotrace.OpAsyncRead, iotrace.OpSeek}
+	var events []iotrace.Event
+	var durs []float64
+	for i := 0; i < 97; i++ {
+		op := ops[i%len(ops)]
+		d := sim.Time((i*37)%101+1) * sim.Millisecond
+		events = append(events, iotrace.Event{Op: op, Start: sim.Time(i) * sim.Second, End: sim.Time(i)*sim.Second + d})
+		if op == iotrace.OpRead || op == iotrace.OpAsyncRead {
+			durs = append(durs, d.Seconds()*1e3)
+		}
+	}
+	sort.Float64s(durs)
+	want := durs[int(math.Ceil(0.95*float64(len(durs))))-1]
+	if got := p95ReadMs(events); got != want {
+		t.Fatalf("p95ReadMs = %v, want %v", got, want)
 	}
 }
