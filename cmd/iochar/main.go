@@ -95,7 +95,7 @@ func run(args []string, out io.Writer) error {
 
 	var report *core.Report
 	if fo, isFleet := sc.FleetOptions(*shards); isFleet {
-		// Multi-cell scenario: run the fleet on the sharded engine and
+		// Multi-cell scenario: run the fleet's cells concurrently and
 		// characterize the representative cell (cell 0 keeps the study's
 		// own fault timeline).
 		fr, err := core.RunFleet(study, fo)

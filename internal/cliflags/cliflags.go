@@ -100,7 +100,7 @@ func (s *Study) AddFlushOnFail() {
 // cells execute concurrently (0 = GOMAXPROCS). Results are byte-identical at
 // any setting.
 func AddShards(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 0, "fleet cells executing concurrently on the sharded engine: 0 = GOMAXPROCS, 1 = the serial oracle (results identical at any setting)")
+	return fs.Int("shards", 0, "fleet cells run concurrently: 0 = GOMAXPROCS, 1 = one cell after another (results identical at any setting)")
 }
 
 // Scenario folds the parsed flags into a scenario and validates it. Errors

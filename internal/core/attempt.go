@@ -3,7 +3,7 @@
 // sweeps through Run — builds, arms, fails and reports its run with these
 // functions, so what a run produced is decided in exactly one place:
 //
-//	prepare → arm → run (or the fleet fabric) → failure → finishReport
+//	prepare → arm → run → failure → finishReport
 //
 // This is the only non-test file in the package that builds a machine,
 // injects faults, or runs an engine; CI rejects a private run path elsewhere.
@@ -45,20 +45,13 @@ type runtime struct {
 	inj        *fault.Injector
 }
 
-// prepare builds a fresh runtime for one attempt of the study on eng — the
-// fleet driver builds each cell's machine on its own fabric shard engine; a
-// nil engine builds a fresh one. The returned study has defaults merged in.
-func prepare(s Study, eng *sim.Engine) (Study, *runtime, error) {
+// prepare builds a fresh runtime, on a fresh engine, for one attempt of the
+// study. The returned study has defaults merged in.
+func prepare(s Study) (Study, *runtime, error) {
 	if s.Machine.ComputeNodes == 0 {
 		s = mergeDefaults(s)
 	}
-	var m *workload.Machine
-	var err error
-	if eng != nil {
-		m, err = workload.NewMachineOn(eng, s.Machine)
-	} else {
-		m, err = workload.NewMachine(s.Machine)
-	}
+	m, err := workload.NewMachine(s.Machine)
 	if err != nil {
 		return s, nil, err
 	}
@@ -149,10 +142,28 @@ func (rt *runtime) arm(s Study, events []fault.Event, offset sim.Time) {
 	rt.inj = fault.Inject(rt.m.Eng, rt.m.PFS.IONodes(), events, hooks)
 }
 
-// run launches the application and drives the runtime's engine until it
-// goes idle. The fleet driver runs its cells on the fabric instead.
-func (rt *runtime) run() error {
-	return workload.Run(rt.m, rt.fs, rt.app)
+// run launches the application at start and drives the runtime's engine
+// until it goes idle. At time zero the launch is inline. A later launch (a
+// fleet cell's) is a process spawned at start after arm has spawned the
+// injector's, so a fault armed for the launch instant fires first.
+func (rt *runtime) run(start sim.Time) error {
+	if start == 0 {
+		return workload.Run(rt.m, rt.fs, rt.app)
+	}
+	var launchErr error
+	rt.m.Eng.SpawnAt("launch", start, func(p *sim.Process) {
+		if launchErr = rt.app.Launch(rt.m, rt.fs); launchErr != nil {
+			p.Engine().Stop()
+		}
+	})
+	err := rt.m.Eng.Run()
+	if launchErr != nil {
+		return fmt.Errorf("%s: launch: %w", rt.app.Name(), launchErr)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", rt.app.Name(), err)
+	}
+	return nil
 }
 
 // failure reports what killed the attempt, if anything a completed engine

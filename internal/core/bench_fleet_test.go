@@ -7,14 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
-// fleetShardCounts is the scaling-curve sweep: powers of two from the serial
-// oracle up to 8 shards.
+// fleetShardCounts is the scaling-curve sweep: powers of two from one
+// worker up to 8.
 func fleetShardCounts() []int { return []int{1, 2, 4, 8} }
 
 // benchFleet runs one fleet configuration per iteration. Results are
-// byte-identical across shard counts (the determinism oracle holds them to
-// it), so the sub-benchmarks differ only in wall-clock — the scaling curve
-// BENCH_9.json records.
+// byte-identical across worker counts (the determinism oracle holds them to
+// it), so the sub-benchmarks differ only in wall-clock.
 func benchFleet(b *testing.B, s Study, cells, shards int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -22,7 +21,6 @@ func benchFleet(b *testing.B, s Study, cells, shards int) {
 			Cells:   cells,
 			Stagger: 10 * sim.Millisecond,
 			Shards:  shards,
-			Seed:    3,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -33,7 +31,7 @@ func benchFleet(b *testing.B, s Study, cells, shards int) {
 	}
 }
 
-// BenchmarkFleetSmall8 sweeps the shard count over an 8-cell fleet of small
+// BenchmarkFleetSmall8 sweeps the worker count over an 8-cell fleet of small
 // ESCAT studies — the quick scaling curve the bench-smoke CI step runs.
 func BenchmarkFleetSmall8(b *testing.B) {
 	s := SmallStudy(ESCAT)
@@ -45,7 +43,7 @@ func BenchmarkFleetSmall8(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetPaperScale sweeps the shard count over a 4-cell fleet of
+// BenchmarkFleetPaperScale sweeps the worker count over a 4-cell fleet of
 // full paper-scale ESCAT runs — the acceptance criterion's "paper-scale
 // speedup" measurement.
 func BenchmarkFleetPaperScale(b *testing.B) {

@@ -40,11 +40,11 @@ func burstAppImage(t *testing.T, app AppID, bcfg burst.Config) string {
 	study := SmallStudy(app)
 	study.Machine.PFS.Integrity = integrity.Config{Enabled: true}
 	study.Burst = bcfg
-	_, rt, err := prepare(study, nil)
+	_, rt, err := prepare(study)
 	if err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
-	if err := rt.run(); err != nil {
+	if err := rt.run(0); err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
 	if ae, ok := rt.app.(appErr); ok {

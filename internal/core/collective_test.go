@@ -56,11 +56,11 @@ func appImage(t *testing.T, app AppID, coll collective.Config, sch ionode.SchedC
 	study.Machine.PFS.Integrity = integrity.Config{Enabled: true}
 	study.Machine.PFS.Collective = coll
 	study.Machine.PFS.Sched = sch
-	_, rt, err := prepare(study, nil)
+	_, rt, err := prepare(study)
 	if err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
-	if err := rt.run(); err != nil {
+	if err := rt.run(0); err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
 	if ae, ok := rt.app.(appErr); ok {

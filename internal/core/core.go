@@ -178,12 +178,12 @@ type Report struct {
 // PFS failover) surfaces as an error, exactly like the real machine's job
 // kill. Use RunResilient for checkpoint/restart semantics.
 func Run(s Study) (*Report, error) {
-	s, rt, err := prepare(s, nil)
+	s, rt, err := prepare(s)
 	if err != nil {
 		return nil, err
 	}
 	rt.arm(s, planEvents(s), 0)
-	runErr := rt.run()
+	runErr := rt.run(0)
 	if err := rt.jobErr(s.App); err != nil {
 		return nil, err
 	}

@@ -421,30 +421,38 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRunsLeaveNoGoroutines checks that a small run and a small sharded
-// fleet end every process coroutine and shard goroutine they start.
+// settleGoroutines waits for the goroutine count to return to base. A
+// goroutine that has signalled completion may still be on its way out, and
+// one an earlier test left exiting may finish after base was taken, so it
+// polls briefly for at most base.
+func settleGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %s: %d goroutines, want at most %d", what, goruntime.NumGoroutine(), base)
+		}
+		goruntime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunsLeaveNoGoroutines checks that a small run ends every process
+// coroutine it starts.
 func TestRunsLeaveNoGoroutines(t *testing.T) {
 	base := goruntime.NumGoroutine()
-	settled := func(what string) {
-		t.Helper()
-		// A goroutine that has signalled completion may still be on its
-		// way out, and one an earlier test left exiting may finish after
-		// base was taken, so poll briefly for at most base.
-		deadline := time.Now().Add(5 * time.Second)
-		for goruntime.NumGoroutine() > base {
-			if time.Now().After(deadline) {
-				t.Fatalf("after %s: %d goroutines, want at most %d", what, goruntime.NumGoroutine(), base)
-			}
-			goruntime.Gosched()
-			time.Sleep(time.Millisecond)
-		}
-	}
 	if _, err := Run(SmallStudy(ESCAT)); err != nil {
 		t.Fatal(err)
 	}
-	settled("Run")
-	if _, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 3, Shards: 2, Seed: 1}); err != nil {
+	settleGoroutines(t, base, "Run")
+}
+
+// TestRunFleetLeavesNoGoroutines checks that a small fleet on two workers
+// ends every worker and every cell's process coroutines.
+func TestRunFleetLeavesNoGoroutines(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	if _, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 3, Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	settled("RunFleet")
+	settleGoroutines(t, base, "RunFleet")
 }

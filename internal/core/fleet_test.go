@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/iotrace"
 	"repro/internal/pfs"
@@ -13,24 +14,24 @@ import (
 	"repro/internal/workload"
 )
 
-// shardCounts is the oracle's sweep: shards=1 is the serial reference every
+// workerCounts is the oracle's sweep: one worker is the reference every
 // other count must match byte for byte.
-var shardCounts = []int{1, 2, 4, 8}
+var workerCounts = []int{1, 2, 4, 8}
 
 // fleetFingerprint renders everything the acceptance criteria hold fixed
-// across shard counts: each cell's final file image (with audit verdicts and
-// per-node checksum coverage), its full trace digest, and the headline
+// across worker counts: each cell's final file image (with audit verdicts
+// and per-node checksum coverage), its full trace digest, and the headline
 // report numbers.
-func fleetFingerprint(fr *FleetReport, cells []*fleetCell) string {
+func fleetFingerprint(fr *FleetReport, images []string) string {
 	var b strings.Builder
-	for i, c := range cells {
+	for i, image := range images {
 		r := fr.Cells[i]
 		fmt.Fprintf(&b, "== cell %d start=%d wall=%d events=%d trace=%016x\n",
 			i, fr.Starts[i], r.Wall, len(r.Events), traceDigest(r.Events))
 		fmt.Fprintf(&b, "summary %+v\n", r.Summary)
 		fmt.Fprintf(&b, "incidents %d failover %+v repair %+v\n",
 			len(r.Incidents), r.Failover, r.Repair)
-		b.WriteString(fingerprint(c.rt.m.PFS))
+		b.WriteString(image)
 	}
 	fmt.Fprintf(&b, "makespan %d\n", fr.Makespan)
 	return b.String()
@@ -46,37 +47,41 @@ func traceDigest(events []iotrace.Event) uint64 {
 	return h.Sum64()
 }
 
-// fleetImage runs one fleet configuration and fingerprints it.
+// fleetImage runs one fleet configuration and fingerprints it, each cell's
+// file image taken in its worker.
 func fleetImage(t *testing.T, s Study, opts FleetOptions) string {
 	t.Helper()
-	fr, cells, err := runFleet(s, opts)
+	images := make([]string, opts.Cells)
+	fr, err := runFleet(s, opts, func(i int, m *workload.Machine) {
+		images[i] = fingerprint(m.PFS)
+	})
 	if err != nil {
-		t.Fatalf("fleet (shards=%d): %v", opts.Shards, err)
+		t.Fatalf("fleet (workers=%d): %v", opts.Shards, err)
 	}
 	if want := int64(opts.Cells); fr.Fabric.Mail != want {
-		t.Fatalf("fleet delivered %d launch mails, want %d", fr.Fabric.Mail, want)
+		t.Fatalf("fleet launched %d cells, want %d", fr.Fabric.Mail, want)
 	}
-	return fleetFingerprint(fr, cells)
+	return fleetFingerprint(fr, images)
 }
 
 // TestFleetByteIdenticalAcrossShardCounts is the acceptance oracle for the
 // three applications: a 4-cell staggered fleet must produce byte-identical
-// file images, traces, and reports at shards ∈ {1, 2, 4, 8}, with shards=1
-// (the serial engine driving every cell in turn) as the reference.
+// file images, traces, and reports at workers ∈ {1, 2, 4, 8}, with one
+// worker (every cell in turn on the calling goroutine) as the reference.
 func TestFleetByteIdenticalAcrossShardCounts(t *testing.T) {
 	for _, app := range Apps() {
 		s := SmallStudy(app)
 		s.Machine.PFS.Integrity = integrity.Config{Enabled: true}
-		base := FleetOptions{Cells: 4, Stagger: 50 * sim.Millisecond, Shards: 1, Seed: 99}
+		base := FleetOptions{Cells: 4, Stagger: 50 * sim.Millisecond, Shards: 1}
 		ref := fleetImage(t, s, base)
 		if !strings.Contains(ref, "clean=true") || strings.Contains(ref, "clean=false") {
 			t.Fatalf("%s: fleet baseline audit not clean:\n%.600s", app, ref)
 		}
-		for _, shards := range shardCounts[1:] {
+		for _, workers := range workerCounts[1:] {
 			opts := base
-			opts.Shards = shards
+			opts.Shards = workers
 			if got := fleetImage(t, s, opts); got != ref {
-				t.Errorf("%s: fleet results at shards=%d differ from the serial oracle", app, shards)
+				t.Errorf("%s: fleet results at workers=%d differ from one worker's", app, workers)
 			}
 		}
 	}
@@ -95,7 +100,7 @@ func syntheticFleetImage(t *testing.T, mode iotrace.AccessMode, cells, workers i
 		Records:     16,
 		Barrier:     true,
 	}, pcfg)
-	return fleetImage(t, s, FleetOptions{Cells: cells, Stagger: 20 * sim.Millisecond, Shards: workers, Seed: 7})
+	return fleetImage(t, s, FleetOptions{Cells: cells, Stagger: 20 * sim.Millisecond, Shards: workers})
 }
 
 // TestFleetModeByteIdenticalAcrossShardCounts extends the oracle across all
@@ -110,9 +115,9 @@ func TestFleetModeByteIdenticalAcrossShardCounts(t *testing.T) {
 		if !strings.Contains(ref, "clean=true") || strings.Contains(ref, "clean=false") {
 			t.Fatalf("mode %v: baseline audit not clean:\n%.400s", mode, ref)
 		}
-		for _, shards := range shardCounts[1:] {
-			if got := syntheticFleetImage(t, mode, 4, shards); got != ref {
-				t.Errorf("mode %v: results at shards=%d differ from the serial oracle", mode, shards)
+		for _, workers := range workerCounts[1:] {
+			if got := syntheticFleetImage(t, mode, 4, workers); got != ref {
+				t.Errorf("mode %v: results at workers=%d differ from one worker's", mode, workers)
 			}
 		}
 	}
@@ -120,7 +125,7 @@ func TestFleetModeByteIdenticalAcrossShardCounts(t *testing.T) {
 
 // TestFleetRF3ZoneOutageBurst is the feature-stack oracle: RF=3 zone-aware
 // replication riding out a full zone blackout, with the burst tier draining
-// through the degraded PFS, must stay byte-identical at every shard count —
+// through the degraded PFS, must stay byte-identical at every worker count —
 // and every cell must still audit clean.
 func TestFleetRF3ZoneOutageBurst(t *testing.T) {
 	s := SmallStudy(ESCAT)
@@ -134,7 +139,7 @@ func TestFleetRF3ZoneOutageBurst(t *testing.T) {
 	s.Faults = zoneOutagePlan(s.Machine.PFS.IONodes, 500*sim.Millisecond, sim.Second)
 	s.FaultSeed = 11
 
-	base := FleetOptions{Cells: 3, Stagger: 30 * sim.Millisecond, Shards: 1, Seed: 5}
+	base := FleetOptions{Cells: 3, Stagger: 30 * sim.Millisecond, Shards: 1}
 	ref := fleetImage(t, s, base)
 	if !strings.Contains(ref, "clean=true") || strings.Contains(ref, "clean=false") {
 		t.Fatalf("RF3+outage+burst baseline audit not clean:\n%.600s", ref)
@@ -142,20 +147,21 @@ func TestFleetRF3ZoneOutageBurst(t *testing.T) {
 	if strings.Contains(ref, "incidents 0 ") {
 		t.Fatalf("zone outage was never realized — the oracle is not exercising the fault path:\n%.600s", ref)
 	}
-	for _, shards := range []int{2, 4} {
+	for _, workers := range []int{2, 4} {
 		opts := base
-		opts.Shards = shards
+		opts.Shards = workers
 		if got := fleetImage(t, s, opts); got != ref {
-			t.Errorf("RF3+outage+burst results at shards=%d differ from the serial oracle", shards)
+			t.Errorf("RF3+outage+burst results at workers=%d differ from one worker's", workers)
 		}
 	}
 }
 
 // TestFleetStaggerAndMakespan sanity-checks the fleet-level aggregates: cell
-// starts honor the stagger, and the makespan is the latest cell finish.
+// starts honor the stagger, the makespan is the latest cell finish, and the
+// counters name the worker count and one launch per cell.
 func TestFleetStaggerAndMakespan(t *testing.T) {
 	s := SmallStudy(RENDER)
-	fr, err := RunFleet(s, FleetOptions{Cells: 3, Stagger: sim.Second, Shards: 2, Seed: 1})
+	fr, err := RunFleet(s, FleetOptions{Cells: 3, Stagger: sim.Second, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +179,26 @@ func TestFleetStaggerAndMakespan(t *testing.T) {
 	if fr.Makespan != latest {
 		t.Fatalf("makespan %v != latest cell wall %v", fr.Makespan, latest)
 	}
-	if fr.Fabric.Shards != 4 { // coordinator + 3 cells
-		t.Fatalf("fabric has %d shards, want 4", fr.Fabric.Shards)
+	if fr.Fabric.Workers != 2 || fr.Fabric.Mail != 3 || fr.Fabric.Windows != 0 {
+		t.Fatalf("fleet counters %+v, want 2 workers, 3 launches, 0 windows", fr.Fabric)
+	}
+}
+
+// TestRunFleetReportsLowestFailingCell checks the fleet's error choice: when
+// every cell loses a compute node, the error names cell 0 at any worker
+// count, as a sequential loop over the cells would.
+func TestRunFleetReportsLowestFailingCell(t *testing.T) {
+	s := SmallStudy(ESCAT)
+	s.Faults = fault.Plan{Events: []fault.Event{
+		{Kind: fault.NodeLoss, At: 10 * sim.Millisecond, Node: 1},
+	}}
+	for _, workers := range []int{1, 2, 4} {
+		_, err := RunFleet(s, FleetOptions{Cells: 4, Stagger: 5 * sim.Millisecond, Shards: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: fleet with a node loss in every cell succeeded", workers)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "fleet cell 0:") || !strings.Contains(msg, "compute node 1 lost") {
+			t.Fatalf("workers=%d: error %q, want cell 0's node loss", workers, msg)
+		}
 	}
 }

@@ -55,11 +55,11 @@ func replicatedStudy(app AppID, rf int) Study {
 func appImageAtRF(t *testing.T, app AppID, rf int) string {
 	t.Helper()
 	study := replicatedStudy(app, rf)
-	_, rt, err := prepare(study, nil)
+	_, rt, err := prepare(study)
 	if err != nil {
 		t.Fatalf("%s rf=%d: %v", app, rf, err)
 	}
-	if err := rt.run(); err != nil {
+	if err := rt.run(0); err != nil {
 		t.Fatalf("%s rf=%d: %v", app, rf, err)
 	}
 	if ae, ok := rt.app.(appErr); ok {
@@ -176,12 +176,12 @@ func TestZoneOutageRF3PaperScale(t *testing.T) {
 	}
 
 	run := func(study Study) (*Report, string) {
-		s, rt, err := prepare(study, nil)
+		s, rt, err := prepare(study)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rt.arm(s, planEvents(s), 0)
-		if err := rt.run(); err != nil {
+		if err := rt.run(0); err != nil {
 			t.Fatalf("app died despite RF=3: %v", err)
 		}
 		if ae, ok := rt.app.(appErr); ok {

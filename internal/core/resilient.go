@@ -148,7 +148,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	// restarted, so it is re-injected into the fresh instance.
 	var carried []pfs.CorruptRange
 	for attempt := 0; attempt < rs.MaxAttempts; attempt++ {
-		s, rt, err := prepare(s, nil)
+		s, rt, err := prepare(s)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 			resume = coord.ResumeUnit()
 		}
 		rt.arm(s, fault.ShiftForRestart(events, base), 0)
-		runErr := rt.run()
+		runErr := rt.run(0)
 		nodeLoss, nodeErr := rt.failure()
 		if nodeErr == nil && nodeLoss != nil {
 			// The loss froze the engine before any node program could

@@ -111,7 +111,7 @@ func TestExactTraceReserve(t *testing.T) {
 			n, cap(pr.Physical), len(pr.Events))
 	}
 
-	fr, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 2, Shards: 1, Stagger: 20 * sim.Millisecond, Seed: 1})
+	fr, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 2, Shards: 1, Stagger: 20 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

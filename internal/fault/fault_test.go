@@ -180,7 +180,8 @@ func TestInjectorSecondDiskFailureKills(t *testing.T) {
 		{Kind: DiskFailure, At: sim.Second, Node: 0},
 		{Kind: DiskFailure, At: 2 * sim.Second, Node: 0},
 	}, NodeLossHooks{})
-	if err := eng.RunUntil(10 * sim.Second); err != nil {
+	eng.SpawnAt("stop", 10*sim.Second, func(p *sim.Process) { eng.Stop() })
+	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !nodes[0].Array().Dead() {

@@ -53,7 +53,7 @@ func fleetResultImage(t *testing.T, shards int) string {
 }
 
 // TestExecuteFleetByteIdenticalAcrossShards is the DSL-level face of the
-// shard-count oracle: a multi-cell scenario's full result must not depend on
+// worker-count oracle: a multi-cell scenario's full result must not depend on
 // the -shards setting.
 func TestExecuteFleetByteIdenticalAcrossShards(t *testing.T) {
 	ref := fleetResultImage(t, 1)
@@ -62,7 +62,7 @@ func TestExecuteFleetByteIdenticalAcrossShards(t *testing.T) {
 	}
 	for _, shards := range []int{2, 4} {
 		if got := fleetResultImage(t, shards); got != ref {
-			t.Errorf("fleet scenario result at shards=%d differs from the serial oracle:\n-- shards=1:\n%s\n-- shards=%d:\n%s",
+			t.Errorf("fleet scenario result at shards=%d differs from the one-worker run:\n-- shards=1:\n%s\n-- shards=%d:\n%s",
 				shards, ref, shards, got)
 		}
 	}
@@ -79,8 +79,8 @@ func TestFleetOptionsMapping(t *testing.T) {
 	if !ok {
 		t.Fatal("cells=3 scenario reported no fleet options")
 	}
-	if fo.Cells != 3 || fo.Shards != 4 || fo.Seed != 9 {
-		t.Fatalf("fleet options %+v: want cells=3 shards=4 seed=9", fo)
+	if fo.Cells != 3 || fo.Shards != 4 {
+		t.Fatalf("fleet options %+v: want cells=3 shards=4", fo)
 	}
 	if fo.Stagger != 50*sim.Millisecond {
 		t.Fatalf("stagger %v, want 50ms", fo.Stagger)
@@ -108,7 +108,7 @@ func TestFleetImpactsNameOnlyCellZeroIncidents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cell 1 launches after cell 0 has finished.
-	fr, err := core.RunFleet(s, core.FleetOptions{Cells: 2, Stagger: solo.Wall + sim.Second, Shards: 1, Seed: 1})
+	fr, err := core.RunFleet(s, core.FleetOptions{Cells: 2, Stagger: solo.Wall + sim.Second, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ type Result struct {
 	Report *core.ResilientReport
 	RunErr error
 
-	// FleetRun is the sharded-fleet report for scenarios with
+	// FleetRun is the fleet report for scenarios with
 	// fleet_gen.cells > 1; nil for single-machine runs.
 	FleetRun *core.FleetReport
 
@@ -62,9 +62,9 @@ func (r *Scenario) Execute() (*Result, error) {
 	}, nil
 }
 
-// FleetOptions returns the sharded-fleet options a multi-cell scenario runs
-// under; ok is false for the default single-machine shape. shards is the
-// CLI's -shards value (0 = GOMAXPROCS, 1 = the serial oracle).
+// FleetOptions returns the fleet options a multi-cell scenario runs under;
+// ok is false for the default single-machine shape. shards is the CLI's
+// -shards value: how many cells run at once (0 = GOMAXPROCS).
 func (r *Scenario) FleetOptions(shards int) (core.FleetOptions, bool) {
 	if r.cells() <= 1 {
 		return core.FleetOptions{}, false
@@ -77,12 +77,11 @@ func (r *Scenario) FleetOptions(shards int) (core.FleetOptions, bool) {
 		Cells:   r.cells(),
 		Stagger: stagger,
 		Shards:  shards,
-		Seed:    r.Seed,
 	}, true
 }
 
-// executeFleet runs a multi-cell scenario on the sharded engine: one attempt
-// of the study per cell, no restart loop. A fleet error is a configuration
+// executeFleet runs a multi-cell scenario as a fleet: one attempt of the
+// study per cell, no restart loop. A fleet error is a configuration
 // or launch failure, not an assertable outcome, so it fails Execute.
 func (r *Scenario) executeFleet(rs core.ResilientStudy, fleet *Fleet, fo core.FleetOptions) (*Result, error) {
 	s := rs.Study
@@ -123,8 +122,8 @@ func FleetResilientReport(fr *core.FleetReport) *core.ResilientReport {
 // RenderFleetRun formats the fleet-level outcome of a multi-cell scenario.
 func RenderFleetRun(fr *core.FleetReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fleet run: %d cells on %d shards (%d workers), %d launch mails, makespan %.3fs\n",
-		len(fr.Cells), fr.Fabric.Shards, fr.Fabric.Workers, fr.Fabric.Mail, fr.Makespan.Seconds())
+	fmt.Fprintf(&b, "Fleet run: %d cells (%d workers), makespan %.3fs\n",
+		len(fr.Cells), fr.Fabric.Workers, fr.Makespan.Seconds())
 	return b.String()
 }
 

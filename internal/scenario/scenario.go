@@ -55,9 +55,9 @@ type Scenario struct {
 	Path string `json:"-"`
 
 	// Shards is an execution parameter, not part of the file schema: the
-	// CLI's -shards value bounding how many fleet cells run concurrently on
-	// the sharded engine (0 = GOMAXPROCS, 1 = the serial oracle). Results
-	// are byte-identical at every setting.
+	// CLI's -shards value bounding how many fleet cells run concurrently
+	// (0 = GOMAXPROCS, 1 = one cell after another). Results are
+	// byte-identical at every setting.
 	Shards int `json:"-"`
 }
 
@@ -79,9 +79,9 @@ type FleetGen struct {
 	Startup      *Startup   `json:"startup,omitempty"`
 
 	// Cells replicates the generated machine: a fleet of this many
-	// independent cells, each a complete mesh + PFS + application instance,
-	// run concurrently on the sharded conservative-parallel engine. 0 or 1
-	// keeps the single-machine shape. Multi-cell scenarios run a single
+	// independent cells, each a complete mesh + PFS + application instance
+	// on its own engine, run concurrently. 0 or 1 keeps the single-machine
+	// shape. Multi-cell scenarios run a single
 	// attempt per cell (no checkpoint/restart loop), so ckpt_interval must
 	// stay 0.
 	Cells int `json:"cells,omitempty"`

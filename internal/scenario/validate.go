@@ -290,8 +290,8 @@ func (s *Scenario) validateRun() error {
 		return fmt.Errorf("run.ckpt_interval: render does not support checkpointing (set it to 0)")
 	}
 	if s.cells() > 1 {
-		// A multi-cell fleet runs one attempt per cell on the sharded
-		// engine; the checkpoint/restart loop is a single-machine driver.
+		// A multi-cell fleet runs one attempt per cell; the
+		// checkpoint/restart loop is a single-machine driver.
 		if r.CkptInterval != nil && *r.CkptInterval > 0 {
 			return fmt.Errorf("run.ckpt_interval: fleet_gen.cells > 1 runs a single attempt per cell (set ckpt_interval: 0)")
 		}

@@ -93,47 +93,6 @@ func TestSpawnReuseAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestShardedEventLoopAllocCeiling guards the fabric's hot path: once shard
-// engines, mailboxes, and outbox slices have grown, a window's execution must
-// not allocate per event — only the per-window goroutines and per-mail
-// closures remain, a small multiple of the message count, never of the event
-// count.
-func TestShardedEventLoopAllocCeiling(t *testing.T) {
-	const shards, procs, rounds = 4, 8, 100
-	avg := testing.AllocsPerRun(5, func() {
-		f := NewFabric(2)
-		sh := make([]*Shard, shards)
-		for s := range sh {
-			sh[s] = f.AddShard(fmt.Sprintf("s%d", s), 5)
-		}
-		for s := range sh {
-			f.Connect(sh[s], sh[(s+1)%shards], 5*Microsecond)
-		}
-		for s := range sh {
-			src, dst := sh[s], sh[(s+1)%shards]
-			for j := 0; j < procs; j++ {
-				src.Engine().Spawn(fmt.Sprintf("w%d", j), func(p *Process) {
-					for k := 0; k < rounds; k++ {
-						p.Sleep(20 * Microsecond)
-						src.Send(p, dst, 5*Microsecond, "m", func(*Process) {})
-					}
-				})
-			}
-		}
-		if err := f.Run(); err != nil {
-			t.Error(err)
-		}
-	})
-	// 3200 mail messages each cost a closure, a mail-process spawn (goroutine
-	// + free-list miss at the margin), and their share of window bookkeeping;
-	// 6400 events on top must contribute nothing. Measured ~4.5 allocs/mail;
-	// the ceiling leaves headroom without letting a per-event regression hide.
-	const ceiling = 26000
-	if avg > ceiling {
-		t.Fatalf("sharded event loop allocated %.0f times per run; ceiling %d", avg, ceiling)
-	}
-}
-
 // extraAllocsPerWait measures what one more wait costs in steady state: it
 // runs sim at n and at 2n waits, after a warm-up each, and returns the extra
 // allocations per extra wait. Setup costs — the engine, process structs and

@@ -94,42 +94,6 @@ func BenchmarkEngineContendedResource(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*procs*uses), "ns/use")
 }
 
-// BenchmarkEngineShardedFabric measures the conservative-parallel protocol:
-// 4 ring-connected shards of sleeping/sending processes, windows bounded by
-// a 5µs lookahead. ns/event includes horizon reductions and mail exchange,
-// so it is the honest per-event cost of sharding, not just queue ops.
-func BenchmarkEngineShardedFabric(b *testing.B) {
-	b.ReportAllocs()
-	const shards, procs, rounds = 4, 16, 100
-	for i := 0; i < b.N; i++ {
-		f := NewFabric(0)
-		sh := make([]*Shard, shards)
-		for s := range sh {
-			sh[s] = f.AddShard(fmt.Sprintf("s%d", s), 9)
-		}
-		for s := range sh {
-			f.Connect(sh[s], sh[(s+1)%shards], 5*Microsecond)
-		}
-		for s := range sh {
-			src, dst := sh[s], sh[(s+1)%shards]
-			rng := src.RNG()
-			for j := 0; j < procs; j++ {
-				src.Engine().Spawn(fmt.Sprintf("w%d", j), func(p *Process) {
-					for k := 0; k < rounds; k++ {
-						p.Sleep(rng.Uniform(Microsecond, 40*Microsecond))
-						src.Send(p, dst, 5*Microsecond, "m", func(*Process) {})
-					}
-				})
-			}
-		}
-		if err := f.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Two events per round per process: the sleep wake and the mail delivery.
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shards*procs*rounds*2), "ns/event")
-}
-
 // BenchmarkEngineBarrierRelease measures the batched barrier-release path: a
 // wide group arriving at a barrier repeatedly, so scheduleBatch's single
 // heapify (rather than per-waiter sift-ups) dominates.

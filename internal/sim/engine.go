@@ -6,15 +6,13 @@
 // application skeletons all run as sim processes against one virtual clock.
 //
 // Concurrency model: every process is a coroutine (iter.Pull), and the
-// goroutine that calls Engine.RunUntil is its engine's driver. Exactly one of
+// goroutine that calls Engine.Run is its engine's driver. Exactly one of
 // them runs at any instant. The driver pops the next event from a stable
 // priority queue (ordered by time, then by schedule sequence number) and
 // resumes that event's process; the process runs until it blocks on a
 // simulation primitive (Sleep, Park, Resource.Acquire, Barrier.Wait, ...) and
 // then yields back. Because scheduling order is a pure function of the event
 // queue contents, identical inputs produce identical traces, bit for bit.
-// Each fabric shard's engine has its own driver — whichever goroutine runs
-// that shard's window.
 //
 // Hot-path design: the event queue is an inlined 4-ary min-heap specialized
 // to the event struct — no interface boxing, no per-event allocation once the
@@ -47,22 +45,16 @@ type Engine struct {
 
 	living  int
 	stopped bool
-	limit   Time       // active RunUntil horizon (< 0: none); gates in-place resumes
 	handoff *Process   // successor a yielding process popped for the driver; nil ends the run
 	procs   []*Process // live processes, for deadlock diagnostics
 	free    []*Process // finished processes whose parked coroutines are reusable
-
-	// external marks an engine owned by a Fabric shard: processes may park
-	// waiting for cross-shard mail, so a drained queue with living processes
-	// is not a deadlock — the fabric decides that globally.
-	external bool
 
 	batch []event // scratch for scheduleBatch
 }
 
 // NewEngine returns an engine with the clock at time zero and no processes.
 func NewEngine() *Engine {
-	return &Engine{limit: -1}
+	return &Engine{}
 }
 
 // Now reports the current simulated time.
@@ -252,14 +244,11 @@ func (e *Engine) SpawnAt(name string, delay Time, fn func(p *Process)) *Process 
 
 // advance pops events until it finds a process to run, advancing the clock
 // and discarding stale wakes of finished processes along the way. It returns
-// nil when the run is over for now: queue drained, run limit reached, or Stop
-// called. The driver and blocking processes both dispatch through advance,
-// so the executed event order does not depend on which of them runs it.
+// nil when the run is over: queue drained or Stop called. The driver and
+// blocking processes both dispatch through advance, so the executed event
+// order does not depend on which of them runs it.
 func (e *Engine) advance() *Process {
 	for !e.stopped && len(e.events.ev) > 0 {
-		if e.limit >= 0 && e.events.ev[0].at > e.limit {
-			return nil
-		}
 		ev := e.events.pop()
 		if ev.p.done {
 			// Stale event for a finished process. Now that it has left the
@@ -310,55 +299,20 @@ func (e *Engine) release() {
 // Run executes events until the event queue drains or Stop is called. It
 // returns an error if processes remain blocked with no pending events
 // (deadlock). A panic in a process is re-raised in the caller, naming the
-// process and carrying its stack.
+// process and carrying its stack. The calling goroutine is the driver: it
+// resumes one process at a time, and each yields back the successor it
+// popped.
 func (e *Engine) Run() error {
-	return e.RunUntil(-1)
-}
-
-// RunUntil executes events with timestamps <= limit (limit < 0 means no
-// limit). Events beyond the limit stay queued, so the simulation can be
-// resumed with a later call. The calling goroutine is the driver: it resumes
-// one process at a time, and each yields back the successor it popped.
-func (e *Engine) RunUntil(limit Time) error {
-	e.limit = limit
 	for p := e.advance(); p != nil; p = e.handoff {
 		e.handoff = nil
 		p.resume()
 	}
-	e.limit = -1
-	if e.external {
-		// A fabric-owned engine's window is not the end of its run: parked
-		// coroutines stay for later mail, and Fabric.Run releases them. The
-		// fabric also makes the deadlock verdict, since processes may be
-		// parked awaiting mail that another shard will deliver.
-		return nil
-	}
-	drained := len(e.events.ev) == 0
-	if e.stopped || drained {
-		// The run is over: end the coroutines parked for reuse.
-		e.release()
-	}
-	if !e.stopped && drained && e.living > 0 {
+	e.release()
+	if !e.stopped && e.living > 0 {
 		return e.deadlockError()
 	}
 	return nil
 }
-
-// NextEventAt reports the timestamp of the earliest queued event. ok is false
-// when the queue is empty. The fabric's horizon reduction reads this between
-// windows; it must not be called while events are being executed.
-func (e *Engine) NextEventAt() (Time, bool) {
-	if len(e.events.ev) == 0 {
-		return 0, false
-	}
-	return e.events.ev[0].at, true
-}
-
-// SetExternal marks the engine as owned by a conservative-parallel fabric
-// shard: a drained queue with living processes is no longer reported as a
-// deadlock by RunUntil, because those processes may be waiting on cross-shard
-// mail. The fabric makes the global deadlock determination instead.
-func (e *Engine) SetExternal() { e.external = true }
 
 // Stop halts Run after the currently running event completes. Blocked
 // processes are abandoned in place; Stop is intended for "simulate this many

@@ -106,29 +106,6 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
-func TestRunUntilPausesAndResumes(t *testing.T) {
-	e := NewEngine()
-	var hits []Time
-	e.Spawn("ticker", func(p *Process) {
-		for i := 0; i < 4; i++ {
-			p.Sleep(10 * Second)
-			hits = append(hits, p.Now())
-		}
-	})
-	if err := e.RunUntil(25 * Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Fatalf("got %d hits before limit, want 2", len(hits))
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 4 || hits[3] != 40*Second {
-		t.Fatalf("resume failed: %v", hits)
-	}
-}
-
 func TestResourceFIFOAndMutualExclusion(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "disk", 1)
@@ -619,10 +596,4 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, base)
-	for _, workers := range []int{1, 2} {
-		if got := fabricWorkload(t, 3, workers, 7); got == "" {
-			t.Fatal("empty fabric trace")
-		}
-		waitGoroutines(t, base)
-	}
 }

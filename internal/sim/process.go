@@ -121,11 +121,10 @@ func (p *Process) block(why waitOn) {
 // to other processes scheduled at the same instant.
 //
 // Fast path: when this process's own wake-up is the head of the queue
-// (nothing else is due at or before it) and lies within the engine's run
-// horizon, the process pops its event, advances the clock, and keeps running
-// — no dispatch step, no switch. The popped event is exactly the one
-// advance would have popped, so scheduling order, tie-breaking, and the
-// clock are bit-identical to the general path.
+// (nothing else is due at or before it), the process pops its event,
+// advances the clock, and keeps running — no dispatch step, no switch. The
+// popped event is exactly the one advance would have popped, so scheduling
+// order, tie-breaking, and the clock are bit-identical to the general path.
 func (p *Process) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %q", d, p.name))
@@ -133,16 +132,14 @@ func (p *Process) Sleep(d Time) {
 	e := p.eng
 	at := e.now + d
 	e.schedule(p, at)
-	if !e.stopped && (e.limit < 0 || at <= e.limit) {
-		if e.events.ev[0].p == p {
-			// A process has at most one pending event (double wakes panic),
-			// so the queue head being ours means our fresh wake is the
-			// strict minimum.
-			e.events.pop()
-			p.pendingWake = false
-			e.now = at
-			return
-		}
+	if !e.stopped && e.events.ev[0].p == p {
+		// A process has at most one pending event (double wakes panic), so
+		// the queue head being ours means our fresh wake is the strict
+		// minimum.
+		e.events.pop()
+		p.pendingWake = false
+		e.now = at
+		return
 	}
 	p.block(waitOn{kind: "sleep"})
 }

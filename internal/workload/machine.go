@@ -58,16 +58,10 @@ func (cfg MachineConfig) Validate() error {
 // NewMachine builds a machine: an engine, a mesh sized for compute plus I/O
 // nodes, and a PFS instance whose I/O nodes sit at the top of the mesh.
 func NewMachine(cfg MachineConfig) (*Machine, error) {
-	return NewMachineOn(sim.NewEngine(), cfg)
-}
-
-// NewMachineOn builds a machine against an existing engine — the hook the
-// sharded fleet driver uses to place each machine cell on its own fabric
-// shard. The engine must not have run yet.
-func NewMachineOn(eng *sim.Engine, cfg MachineConfig) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	eng := sim.NewEngine()
 	msh := mesh.New(mesh.DefaultConfig(cfg.ComputeNodes + cfg.PFS.IONodes))
 	cfg.PFS.ComputeNodes = cfg.ComputeNodes
 	fs, err := pfs.New(eng, msh, cfg.PFS)
