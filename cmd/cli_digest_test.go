@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -37,10 +38,46 @@ func buildCLIs(t *testing.T, names ...string) string {
 	return dir
 }
 
+// readInputs reads what the commands' output depends on: every non-test Go
+// file of the module and the scenario corpus. The CLIs are built and run in
+// subprocesses the test cache cannot see, but it keys on the files and
+// directories the test itself reads, so an edit to any of these reruns the
+// test instead of reporting a cached ok.
+func readInputs(t *testing.T) {
+	t.Helper()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path == ".." {
+				return nil
+			}
+			if strings.HasPrefix(name, ".") || name == "testdata" || name == "out" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // another module
+			}
+			return nil
+		}
+		source := strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+		if source || name == "go.mod" || filepath.Base(filepath.Dir(path)) == "scenarios" {
+			_, err = os.ReadFile(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // cliOutputDigests runs every locked command line and returns one
 // "name sha256" line per stdout.
 func cliOutputDigests(t *testing.T) string {
 	t.Helper()
+	readInputs(t)
 	bin := buildCLIs(t, "paperrepro", "iochar", "stress")
 	var b strings.Builder
 	line := func(name string, argv ...string) {
