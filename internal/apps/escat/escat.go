@@ -266,8 +266,8 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 		}
 	}
 
-	var errs workload.NodeErrors
-	errs.Attach(m.Eng)
+	errs := workload.NewNodeErrors(m.Eng)
+	a.errs = errs
 	initDone := sim.NewCompletion("escat-init")
 	cycle := sim.NewBarrier(m.Eng, "escat-cycle", cfg.Nodes)
 	reload := sim.NewBarrier(m.Eng, "escat-reload", cfg.Nodes)
@@ -310,10 +310,8 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 					errs.Addf("node 0 output: %v", err)
 				}
 			}
-			_ = errs // final check is in Err below
 		})
 	}
-	a.errs = &errs
 	return nil
 }
 
@@ -452,18 +450,4 @@ func (a *App) runOutput(p *sim.Process, m *workload.Machine, fs workload.FS, out
 }
 
 // Err reports failures recorded by node programs during the run.
-func (a *App) Err() error {
-	if a.errs == nil {
-		return nil
-	}
-	return a.errs.Err()
-}
-
-// FailedAt returns the simulated instant of the run's first node failure, if
-// any — the fault-injection driver's lost-work anchor.
-func (a *App) FailedAt() (sim.Time, bool) {
-	if a.errs == nil {
-		return 0, false
-	}
-	return a.errs.FirstAt()
-}
+func (a *App) Err() error { return a.errs.Err() }

@@ -338,9 +338,8 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 		}
 	}
 
-	var errs workload.NodeErrors
-	errs.Attach(m.Eng)
-	a.errs = &errs
+	errs := workload.NewNodeErrors(m.Eng)
+	a.errs = errs
 	pargosStart := sim.NewBarrier(m.Eng, "htf-pargos-start", cfg.Nodes)
 	pscfStart := sim.NewBarrier(m.Eng, "htf-pscf-start", cfg.Nodes)
 	passBarrier := sim.NewBarrier(m.Eng, "htf-pass", cfg.Nodes)
@@ -744,18 +743,4 @@ func (a *App) pscfSideWork(p *sim.Process, fs workload.FS, side []workload.Handl
 }
 
 // Err reports failures recorded during the run.
-func (a *App) Err() error {
-	if a.errs == nil {
-		return nil
-	}
-	return a.errs.Err()
-}
-
-// FailedAt returns the simulated instant of the run's first node failure, if
-// any — the fault-injection driver's lost-work anchor.
-func (a *App) FailedAt() (sim.Time, bool) {
-	if a.errs == nil {
-		return 0, false
-	}
-	return a.errs.FirstAt()
-}
+func (a *App) Err() error { return a.errs.Err() }

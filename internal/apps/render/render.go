@@ -218,8 +218,8 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 		return fmt.Errorf("render: %w", err)
 	}
 
-	var errs workload.NodeErrors
-	a.errs = &errs
+	errs := workload.NewNodeErrors(m.Eng)
+	a.errs = errs
 	frameStart := sim.NewBarrier(m.Eng, "render-frame-start", cfg.RenderNodes+1)
 	frameDone := sim.NewBarrier(m.Eng, "render-frame-done", cfg.RenderNodes+1)
 	rng := sim.NewRNG(cfg.Seed)
@@ -361,9 +361,4 @@ func (a *App) runRenderer(p *sim.Process, rng *sim.RNG, frameStart, frameDone *s
 }
 
 // Err reports failures recorded during the run.
-func (a *App) Err() error {
-	if a.errs == nil {
-		return nil
-	}
-	return a.errs.Err()
-}
+func (a *App) Err() error { return a.errs.Err() }

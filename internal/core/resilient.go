@@ -65,11 +65,6 @@ type ResilientReport struct {
 	BurstLostBytes int64
 }
 
-// failedAtter lets the driver read the simulated instant an app first died.
-type failedAtter interface {
-	FailedAt() (sim.Time, bool)
-}
-
 // attachCkpt wires a checkpointer into the study's application config and
 // reports whether the application supports one.
 func attachCkpt(s *Study, c workload.Checkpointer) bool {
@@ -210,28 +205,22 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 			return rr, nil
 		}
 
-		// The attempt died. Its end is the first node failure; everything
-		// after the last committed checkpoint is lost work.
-		failedAt, ok := failAt(rt.app)
-		if !ok {
-			failedAt = rt.m.Eng.Now()
-			if nodeLoss != nil {
-				failedAt = nodeLoss.At
-			}
+		// The attempt died, and the failure halted its engine (see
+		// workload.NodeErrors and fault.NodeLossHooks): the clock is the
+		// failure instant, and the injector's timeline and the integrity
+		// ledger stand as they were then. Everything after the last
+		// committed checkpoint is lost work.
+		if !rt.m.Eng.Stopped() {
+			return nil, fmt.Errorf("core: %s failed without halting its engine: %w", s.App, nodeErr)
 		}
+		failedAt := rt.m.Eng.Now()
 		if rt.inj != nil {
 			rt.inj.CloseOpen(failedAt)
-			// The attempt was abandoned at failedAt: anything the injector
-			// timeline says happened after that (a rebuild completing in the
-			// dead machine's engine) didn't.
-			rr.addIncidents(capIncidents(rt.inj.Incidents(), failedAt), base)
+			rr.addIncidents(rt.inj.Incidents(), base)
 		}
-		// The dead engine ran on until idle — bit-rot drivers and the
-		// scrubber included — but the attempt's storage is what it was at
-		// failedAt: later corruption and repairs never happened to it.
 		rr.addIncidents(fault.AbandonedCorruptionIncidents(rt.m.PFS.IntegrityEvents(), failedAt), base)
 		// Harvest the dying storage's corruption ledger for the next attempt.
-		carried = rt.m.PFS.HarvestCorruption(failedAt)
+		carried = rt.m.PFS.HarvestCorruption()
 		if rt.burst != nil {
 			// Undrained log content dies with the attempt: it was committed
 			// to volatile node memory, never to the PFS. Checkpoint
@@ -268,13 +257,6 @@ func (rr *ResilientReport) sortIncidents() {
 	sort.SliceStable(rr.Incidents, func(i, j int) bool {
 		return rr.Incidents[i].Start < rr.Incidents[j].Start
 	})
-}
-
-func failAt(app workload.App) (sim.Time, bool) {
-	if f, ok := app.(failedAtter); ok {
-		return f.FailedAt()
-	}
-	return 0, false
 }
 
 // addIncidents rebases one attempt's incident timeline to absolute time.

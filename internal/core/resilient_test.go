@@ -132,3 +132,40 @@ func TestResilientNoCheckpointLosesMore(t *testing.T) {
 		t.Errorf("ckpt stats on uncheckpointed run: %+v", without.Ckpt)
 	}
 }
+
+// RENDER's gateway dies on the first read to a downed I/O node. The failed
+// attempt ends there, not when its dead engine would have gone idle (at the
+// outage's end, 5.4 s), and without checkpoints the whole attempt is lost.
+func TestResilientRenderAttemptEndsAtFailure(t *testing.T) {
+	rs := chaosStudy()
+	faults := rs.Study.Faults
+	rs.Study = SmallStudy(RENDER)
+	rs.Study.Faults, rs.Study.FaultSeed = faults, 7
+	rs.Ckpt = ckpt.Config{}
+	rr, err := RunResilient(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Attempts) != 2 {
+		t.Fatalf("attempts %+v, want one failure and one success", rr.Attempts)
+	}
+	fail, next := rr.Attempts[0], rr.Attempts[1]
+	if !fail.Failed || !strings.HasPrefix(fail.Err, "gateway: ") || !strings.Contains(fail.Err, "I/O node down") {
+		t.Errorf("first attempt %+v, want the gateway's I/O-node-down failure", fail)
+	}
+	if want := 5152765 * sim.Microsecond; fail.End != want {
+		t.Errorf("failed attempt ends at %v, want the gateway's failure at %v", fail.End, want)
+	}
+	if rr.LostWork != fail.End {
+		t.Errorf("lost work %v, want the whole failed attempt %v", rr.LostWork, fail.End)
+	}
+	if next.Start != fail.End+rs.RestartCost {
+		t.Errorf("restart at %v, want failure %v + restart cost", next.Start, fail.End)
+	}
+	for _, inc := range rr.Incidents {
+		if inc.Start < next.Start && (inc.End > fail.End || !inc.Open) {
+			t.Errorf("failed attempt's %s incident %v–%v (open %v) not cut at the failure %v",
+				inc.Kind, inc.Start, inc.End, inc.Open, fail.End)
+		}
+	}
+}

@@ -144,20 +144,14 @@ func CorruptionIncidents(events []integrity.Event) []Incident {
 	return out
 }
 
-// AbandonedCorruptionIncidents is CorruptionIncidents for an attempt
-// abandoned at cut: corruption injected after cut never happened to it, and
-// corruption still unresolved at cut ends there, open — whatever the dead
-// machine's scrubber did to it afterwards.
-func AbandonedCorruptionIncidents(events []integrity.Event, cut sim.Time) []Incident {
+// AbandonedCorruptionIncidents is CorruptionIncidents for an attempt that
+// failed at failedAt: corruption still unresolved then ends there, open.
+func AbandonedCorruptionIncidents(events []integrity.Event, failedAt sim.Time) []Incident {
 	var out []Incident
 	for _, ev := range events {
-		ev, ok := ev.At(cut)
-		if !ok {
-			continue
-		}
 		if inc, ok := corruptionIncident(ev, true); ok {
 			if inc.Open {
-				inc.End = cut
+				inc.End = failedAt
 			}
 			out = append(out, inc)
 		}

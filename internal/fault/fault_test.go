@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/disk"
 	"repro/internal/ionode"
 	"repro/internal/sim"
@@ -214,5 +215,40 @@ func TestInjectorStorm(t *testing.T) {
 	}
 	if f := nodes[0].LatencyFactor(); f != 1 {
 		t.Errorf("factor after storm = %v, want 1", f)
+	}
+}
+
+// A job's failure halts the engine mid-incident; the incidents it cuts short
+// keep the notes known when they began: the storm's factor and the dirty
+// cache blocks the outage lost.
+func TestInjectorNotesSurviveHalt(t *testing.T) {
+	eng := sim.NewEngine()
+	nodes := testNodes(eng, 2, disk.DefaultArrayConfig())
+	ccfg := cache.DefaultConfig()
+	ccfg.FlushDelay = sim.Hour
+	nodes[1].EnableCache(eng, ccfg)
+	inj := Inject(eng, nodes, []Event{
+		{Kind: LatencyStorm, At: sim.Second, Node: 0, Duration: 2 * sim.Second, Factor: 4},
+		{Kind: IONodeOutage, At: sim.Second, Node: 1, Duration: 2 * sim.Second},
+	}, NodeLossHooks{})
+	eng.Spawn("writer", func(p *sim.Process) {
+		if _, err := nodes[1].Do(p, 1, 0, 2*ccfg.BlockBytes, false); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.SpawnAt("failure", 1500*sim.Millisecond, func(p *sim.Process) { eng.Stop() })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	inj.CloseOpen(eng.Now())
+	want := map[Kind]string{LatencyStorm: "factor 4", IONodeOutage: "2 dirty cache blocks lost (blocks 0-1)"}
+	incs := inj.Incidents()
+	if len(incs) != len(want) {
+		t.Fatalf("incidents %+v", incs)
+	}
+	for _, inc := range incs {
+		if !inc.Open || inc.End != 1500*sim.Millisecond || inc.Note != want[inc.Kind] {
+			t.Errorf("%s incident %+v, want open at the halt with note %q", inc.Kind, inc, want[inc.Kind])
+		}
 	}
 }

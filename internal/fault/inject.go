@@ -163,7 +163,9 @@ func (inj *Injector) runOutage(p *sim.Process, ev Event) {
 	if inj.hooks.OnOutageStart != nil {
 		inj.hooks.OnOutageStart(ev.Node, p.Now())
 	}
-	note := cacheOutageNote(n, lost0, drains0, ranges0)
+	// Notes are written when known, not at close: an incident the job's
+	// failure cuts short keeps its note.
+	inj.incidents[i].Note = cacheOutageNote(n, lost0, drains0, ranges0)
 	p.Sleep(ev.Duration)
 	inj.downCount[ev.Node]--
 	if inj.downCount[ev.Node] == 0 {
@@ -172,7 +174,7 @@ func (inj *Injector) runOutage(p *sim.Process, ev Event) {
 			inj.hooks.OnOutageEnd(ev.Node, p.Now())
 		}
 	}
-	inj.close(i, p.Now(), note)
+	inj.close(i, p.Now(), "")
 }
 
 // cacheOutageCounters snapshots the node cache's outage counters (zero
@@ -222,10 +224,11 @@ func (inj *Injector) runStorm(p *sim.Process, ev Event) {
 	if f <= 0 {
 		f = 1
 	}
+	inj.incidents[i].Note = fmt.Sprintf("factor %.2g", f)
 	n.SetLatencyFactor(f)
 	p.Sleep(ev.Duration)
 	n.SetLatencyFactor(1)
-	inj.close(i, p.Now(), fmt.Sprintf("factor %.2g", f))
+	inj.close(i, p.Now(), "")
 }
 
 // runDiskFailure fails one drive and then runs the background rebuild: each

@@ -113,21 +113,6 @@ type Event struct {
 	Carried    bool // re-injected from a previous attempt (restart ledger)
 }
 
-// At returns the event as it stood at instant cut, with any later detection
-// or resolution undone; ok is false when it was injected after cut.
-func (ev Event) At(cut sim.Time) (at Event, ok bool) {
-	if ev.InjectedAt > cut {
-		return ev, false
-	}
-	if ev.Detected && ev.DetectedAt > cut {
-		ev.Detected, ev.DetectedAt, ev.DetectedBy = false, 0, ""
-	}
-	if ev.Resolution != ResOpen && ev.ResolvedAt > cut {
-		ev.Resolution, ev.ResolvedAt = ResOpen, 0
-	}
-	return ev, true
-}
-
 // Detection is one corrupt block found by a read, reported to the I/O node so
 // it can charge the repair or fail the request.
 type Detection struct {
@@ -556,17 +541,15 @@ type CorruptBlock struct {
 	Class Class
 }
 
-// CorruptBlocks returns the blocks that held latent corruption at instant
-// cut, in ascending order. A block carries at most one open event at a time,
-// so the events open at cut name each such block once.
-func (st *Store) CorruptBlocks(cut sim.Time) []CorruptBlock {
+// CorruptBlocks returns the blocks still holding latent corruption, in
+// ascending order.
+func (st *Store) CorruptBlocks() []CorruptBlock {
 	var out []CorruptBlock
-	for _, ev := range st.events {
-		if ev, ok := ev.At(cut); ok && ev.Resolution == ResOpen {
-			out = append(out, CorruptBlock{Block: ev.Block, Class: ev.Class})
+	for _, idx := range st.sortedWritten() {
+		if b := st.blocks[idx]; b.corrupt() {
+			out = append(out, CorruptBlock{Block: idx, Class: b.class})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
 	return out
 }
 

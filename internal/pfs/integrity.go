@@ -121,13 +121,13 @@ func (fs *FileSystem) fileOffset(f *File, node int, localByte int64, replica int
 	return stripe*su + within
 }
 
-// HarvestCorruption collects every block that held latent corruption at
-// instant cut, mapped back to file coordinates, sorted by (file, offset,
-// replica). A resilient restart harvests the dying instance's ledger as it
-// stood when the attempt failed and re-injects it into the fresh one —
-// corruption on disk does not go away because the application restarted,
-// and what the dead machine's daemons did after the failure never happened.
-func (fs *FileSystem) HarvestCorruption(cut sim.Time) []CorruptRange {
+// HarvestCorruption collects every block still holding latent corruption,
+// mapped back to file coordinates, sorted by (file, offset, replica). A
+// resilient restart harvests the dying instance's ledger, which its halted
+// engine left as it stood at the failure, and re-injects it into the fresh
+// one — corruption on disk does not go away because the application
+// restarted.
+func (fs *FileSystem) HarvestCorruption() []CorruptRange {
 	if !fs.cfg.Integrity.Enabled {
 		return nil
 	}
@@ -143,7 +143,7 @@ func (fs *FileSystem) HarvestCorruption(cut sim.Time) []CorruptRange {
 			continue
 		}
 		bs := st.BlockBytes()
-		for _, cb := range st.CorruptBlocks(cut) {
+		for _, cb := range st.CorruptBlocks() {
 			base, replica := splitReplicaAddr(cb.Block * bs)
 			local := base & localAddrMask
 			f := byID[iotrace.FileID(base>>34)]

@@ -95,42 +95,34 @@ func Run(m *Machine, fs FS, app App) error {
 	return nil
 }
 
-// NodeErrors collects per-node failures from application processes; apps use
-// it so a failure inside a spawned node program surfaces from Run instead of
-// being lost (or deadlocking the barrier group).
+// NodeErrors records the first failure of an application's node programs
+// and halts the run's engine there, as a compute-node loss does: the parallel
+// job is dead, so nothing after the failure happens to it. The engine's
+// clock is then the failure instant, and everything the run built (trace,
+// incident timeline, integrity ledger) stands as it was at the failure.
 type NodeErrors struct {
-	eng     *sim.Engine
-	errs    []error
-	firstAt sim.Time
+	eng *sim.Engine
+	err error
 }
 
-// Attach binds the collector to the run's engine so failures are stamped with
-// the simulated time they occurred — the fault-injection driver uses the
-// first failure's instant for lost-work accounting.
-func (n *NodeErrors) Attach(eng *sim.Engine) { n.eng = eng }
+// NewNodeErrors returns a collector that halts eng at the first failure.
+func NewNodeErrors(eng *sim.Engine) *NodeErrors { return &NodeErrors{eng: eng} }
 
-// Addf records a failure.
+// Addf records a failure. Only the first counts: the process that recorded
+// it may record more before it next blocks, but no other process runs again.
 func (n *NodeErrors) Addf(format string, args ...any) {
-	if len(n.errs) == 0 && n.eng != nil {
-		n.firstAt = n.eng.Now()
+	if n.err != nil {
+		return
 	}
-	n.errs = append(n.errs, fmt.Errorf(format, args...))
+	n.err = fmt.Errorf(format, args...)
+	n.eng.Stop()
 }
 
-// FirstAt returns the simulated instant of the first failure, if any was
-// recorded on an engine-attached collector.
-func (n *NodeErrors) FirstAt() (sim.Time, bool) {
-	if len(n.errs) == 0 || n.eng == nil {
-		return 0, false
-	}
-	return n.firstAt, true
-}
-
-// Err returns the first recorded failure annotated with the total count, or
-// nil.
+// Err returns the first recorded failure, or nil (also for the nil
+// collector of an app that never launched).
 func (n *NodeErrors) Err() error {
-	if len(n.errs) == 0 {
+	if n == nil {
 		return nil
 	}
-	return fmt.Errorf("%d node failures, first: %w", len(n.errs), n.errs[0])
+	return n.err
 }

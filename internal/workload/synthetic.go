@@ -61,7 +61,7 @@ func (c SyntheticConfig) Validate() error {
 // Synthetic is the configurable one-shared-file workload.
 type Synthetic struct {
 	cfg  SyntheticConfig
-	errs NodeErrors
+	errs *NodeErrors
 }
 
 // NewSynthetic builds the workload.
@@ -130,7 +130,7 @@ func (s *Synthetic) fileSize() int64 {
 // Launch implements App: it preloads the shared file and spawns one process
 // per node.
 func (s *Synthetic) Launch(m *Machine, fs FS) error {
-	s.errs.Attach(m.Eng)
+	s.errs = NewNodeErrors(m.Eng)
 	cfg := s.cfg
 	if _, err := fs.Preload(cfg.Name, s.fileSize()); err != nil {
 		return err

@@ -100,19 +100,19 @@ func TestRunSurfacesLaunchFailure(t *testing.T) {
 }
 
 func TestNodeErrorsAggregation(t *testing.T) {
-	var ne NodeErrors
+	var unlaunched *NodeErrors
+	if unlaunched.Err() != nil {
+		t.Fatal("nil collector reports a failure")
+	}
+	ne := NewNodeErrors(sim.NewEngine())
 	if ne.Err() != nil {
 		t.Fatal("empty NodeErrors not nil")
 	}
+	// Only the first failure counts: the job died with it.
 	ne.Addf("first %d", 1)
 	ne.Addf("second")
-	err := ne.Err()
-	if err == nil {
-		t.Fatal("nil after Addf")
-	}
-	want := "2 node failures, first: first 1"
-	if err.Error() != want {
-		t.Fatalf("err %q, want %q", err.Error(), want)
+	if err := ne.Err(); err == nil || err.Error() != "first 1" {
+		t.Fatalf("err %v, want %q", err, "first 1")
 	}
 }
 
@@ -204,5 +204,30 @@ func TestMachineValidateActionableMessages(t *testing.T) {
 	good := DefaultMachineConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+}
+
+// The first node-program failure halts the engine: the job is dead, so a
+// process due later never runs and the clock stays at the failure.
+func TestNodeErrorsHaltEngineAtFirstFailure(t *testing.T) {
+	eng := sim.NewEngine()
+	errs := NewNodeErrors(eng)
+	eng.Spawn("node0", func(p *sim.Process) {
+		p.Sleep(1 * sim.Second)
+		errs.Addf("node 0: read failed")
+	})
+	ran := false
+	eng.SpawnAt("node1", 5*sim.Second, func(p *sim.Process) { ran = true })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Error("a process due after the failure ran")
+	}
+	if eng.Now() != 1*sim.Second {
+		t.Errorf("engine clock %v after the halt, want the failure at 1s", eng.Now())
+	}
+	if err := errs.Err(); err == nil || err.Error() != "node 0: read failed" {
+		t.Errorf("Err() = %v, want the failure", err)
 	}
 }
