@@ -96,6 +96,7 @@ func cliOutputDigests(t *testing.T) string {
 	// change in how flags become a study shows up as a digest mismatch.
 	for _, argv := range [][]string{
 		{"stress", "-scenario", "outage", "-seed", "7"},
+		{"stress", "-scenario", "outage", "-seed", "7", "-rf", "1"},
 		{"stress", "-scenario", "disks", "-seed", "7"},
 		{"stress", "-scenario", "storm", "-seed", "7"},
 		{"stress", "-scenario", "mixed", "-seed", "7"},
