@@ -72,7 +72,7 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 		{[]string{"-small", "-cache", "-cache-mb", "0"}, "-cache-mb 0"},
 		{[]string{"-small", "-burst", "-burst-mb", "0"}, "-burst-mb 0"},
 		{[]string{"-small", "-aggregators", "2"}, "-aggregators needs -collective"},
-		{[]string{"-small", "-rf", "9"}, "-rf 9: want 0 (legacy) or 1..4"},
+		{[]string{"-small", "-rf", "9"}, "-rf 9: want 1..4"},
 		{[]string{"-small", "-burst", "-policy", "ppfs"}, `-burst and -policy "ppfs"`},
 	} {
 		err := run(tc.args, io.Discard)

@@ -60,7 +60,6 @@ func run(args []string, out io.Writer) error {
 	st.Sc.Run.RestartCostS = fs.Float64("restart-cost", 1.5, "fixed restart charge in seconds")
 	fs.IntVar(&st.Sc.Run.MaxAttempts, "max-attempts", 8, "give up after this many attempts")
 	fs.BoolVar(&st.Failover, "failover", true, "enable PFS request failover (off: any outage kills the attempt)")
-	fs.BoolVar(&st.Replicate, "replicate", true, "mirror stripes so reads survive outages")
 	fs.Float64Var(&st.Sc.Chaos.WindowS, "chaos-window", 600, "stop injecting corruption (and scrubbing) after this many simulated seconds")
 	sweep := fs.String("sweep", "", "comma-separated checkpoint intervals to sweep (e.g. 0,1,2,4)")
 	parallel := fs.Int("parallel", 0, "worker goroutines for -sweep (0 = GOMAXPROCS); results are identical at any setting")

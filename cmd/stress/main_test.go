@@ -87,6 +87,15 @@ func TestConfigFlagUndefined(t *testing.T) {
 	}
 }
 
+// TestReplicateFlagUndefined checks that the removed mirror switch is
+// rejected by the flag parser; -rf 1 is the way to turn the mirror off.
+func TestReplicateFlagUndefined(t *testing.T) {
+	err := run([]string{"-replicate=false"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -replicate") {
+		t.Fatalf("got %v, want an undefined-flag error for -replicate", err)
+	}
+}
+
 // TestFlagErrorsNameTheFlag: flags the scenario would reject, or whose 0
 // it would read as a default, fail with an error naming the flag.
 func TestFlagErrorsNameTheFlag(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // IntegrityReport is the end-to-end data-integrity section of a run report:
 // the checksum stores' per-node counters plus their aggregate, the full
-// corruption event log, the PFS client reliability layer's retry/hedge
+// corruption event log, the PFS client reliability layer's retry
 // counters, and (for resilient runs) the checkpoint restart-verification
 // outcome. Together they answer the robustness questions the healthy-path
 // tables cannot: what corruption landed, what detected it, what repaired it,
@@ -21,7 +21,7 @@ type IntegrityReport struct {
 	Total   integrity.Stats
 	Events  []integrity.Event
 
-	// Reliability carries the client-side deadline/retry/hedge counters.
+	// Reliability carries the client-side deadline/retry counters.
 	Reliability pfs.ReliabilityStats
 
 	// CkptVerifyRejects and CkptFallbacks mirror the checkpoint
@@ -121,10 +121,6 @@ func RenderIntegrityReport(r *IntegrityReport) string {
 			rel.Requests, rel.Retries, fmtT(rel.RetryBackoffTime), rel.DeadlineExceeded)
 		fmt.Fprintf(&b, "  corrupt path    %d retried, %d rerouted to replica, %d repair writes, %d failed\n",
 			rel.CorruptRetries, rel.CorruptReroutes, rel.RepairWrites, rel.CorruptFailed)
-		if rel.HedgesIssued > 0 {
-			fmt.Fprintf(&b, "  hedged reads    %d issued (%d B extra), %d won, %d lost\n",
-				rel.HedgesIssued, rel.HedgeExtraBytes, rel.HedgeWins, rel.HedgeLosses)
-		}
 	}
 	if r.CkptVerifyRejects > 0 || r.CkptFallbacks > 0 {
 		fmt.Fprintf(&b, "  ckpt verify     %d generations rejected, %d fallbacks to older checkpoint\n",

@@ -17,22 +17,16 @@ import (
 	"repro/internal/sim"
 )
 
-// CompressConfig models the drain pipeline's compression stage. Ratios are
-// logical-bytes / wire-bytes (2.0 halves the drained volume); classes are
-// application phase labels, so checkpoint data can compress differently from
-// log records.
+// CompressConfig models the drain pipeline's compression stage. The ratio is
+// logical-bytes / wire-bytes (2.0 halves the drained volume).
 type CompressConfig struct {
 	// Enabled turns the stage on. Off, wire bytes equal logical bytes and
 	// no CPU cost is charged.
 	Enabled bool
 
-	// Ratio is the default compression ratio for classes without an entry
-	// in ClassRatio. Values <= 1 drain uncompressed.
+	// Ratio is the compression ratio of every drained record. Values <= 1
+	// drain uncompressed.
 	Ratio float64
-
-	// ClassRatio overrides Ratio per workload class (the phase label the
-	// record was committed under, e.g. "checkpoint").
-	ClassRatio map[string]float64
 
 	// CPUBytesPerS is the compressor's throughput; each drained record
 	// charges logical-bytes / CPUBytesPerS of daemon time.
@@ -182,25 +176,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ratioFor returns the compression ratio applied to a record of the given
-// class, clamped to >= 1 (compression never inflates in this model).
-func (c Config) ratioFor(class string) float64 {
-	if !c.Compress.Enabled {
+// ratio returns the compression ratio applied to a drained record, clamped
+// to >= 1 (compression never inflates in this model).
+func (c Config) ratio() float64 {
+	if !c.Compress.Enabled || c.Compress.Ratio < 1 {
 		return 1
 	}
-	r := c.Compress.Ratio
-	if cr, ok := c.Compress.ClassRatio[class]; ok {
-		r = cr
-	}
-	if r < 1 {
-		return 1
-	}
-	return r
+	return c.Compress.Ratio
 }
 
 // wireBytes returns the drained (post-compression) size of a logical extent.
-func (c Config) wireBytes(class string, logical int64) int64 {
-	r := c.ratioFor(class)
+func (c Config) wireBytes(logical int64) int64 {
+	r := c.ratio()
 	if r <= 1 {
 		return logical
 	}

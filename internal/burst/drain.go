@@ -55,8 +55,8 @@ func (t *Tier) drainOne(p *sim.Process, rec *Record) {
 		t.st.VerifyFails++
 		return
 	}
-	wire := t.cfg.wireBytes(rec.Class, rec.Bytes)
-	if t.cfg.Compress.Enabled && t.cfg.ratioFor(rec.Class) > 1 {
+	wire := t.cfg.wireBytes(rec.Bytes)
+	if t.cfg.ratio() > 1 {
 		d := bwTime(float64(rec.Bytes), t.cfg.Compress.CPUBytesPerS)
 		t.st.CompressTime += d
 		p.Sleep(d)

@@ -27,9 +27,9 @@ type Study struct {
 	// Small selects the reduced-scale configuration (-small).
 	Small bool
 
-	// Failover and Replicate are stress's -failover and -replicate. iochar
-	// has neither: outages, replication and corruption imply failover there.
-	Failover, Replicate bool
+	// Failover is stress's -failover. iochar has none: outages, replication
+	// and corruption imply failover there.
+	Failover bool
 
 	// MTBF and Outage are iochar's Poisson I/O-node outage process (-mtbf,
 	// -outage).
@@ -81,7 +81,7 @@ func NewStudy(fs *flag.FlagSet) *Study {
 	fs.Float64Var(&s.deadline, "deadline", 0, "per-request deadline in seconds (enables the client reliability layer)")
 	fs.IntVar(&s.retries, "retries", 0, "max client retries after a corrupt read, >= 1 (0 uses the reliability layer's default)")
 
-	fs.IntVar(&s.rf, "rf", 0, "replication factor 1..4, zone-aware placement (0 defers to -replicate; needs failover)")
+	fs.IntVar(&s.rf, "rf", 0, "replication factor 1..4 with zone-aware placement: 0 keeps the default mirror (2) when failover is on, 1 turns it off")
 	fs.Uint64Var(&s.placementSeed, "placement-seed", 0, "seed perturbing the replica ring's within-zone node order (0 = index order)")
 	fs.StringVar(&s.readPolicy, "read-policy", "", "replicated read policy: primary-first (default), any-replica, quorum")
 	fs.BoolVar(&s.repair, "repair", false, "run the background repair daemon restoring redundancy after outages (needs replication)")
@@ -150,12 +150,17 @@ func (s *Study) Scenario() (*scenario.Scenario, error) {
 		f.Reliability = &scenario.ReliabilityFeature{Enabled: true, DeadlineS: s.deadline, Retries: s.retries}
 	}
 	// Outages and corruption need reroute-to-replica to be survivable, and
-	// a replication factor above 1 needs failover to mean anything.
+	// a replication factor above 1 needs failover to mean anything. With
+	// failover on, an unset -rf keeps the default mirror.
 	chaos := s.MTBF > 0 || s.corrupt != ""
+	enabled := s.Failover || chaos || s.rf > 1
+	factor := s.rf
+	if factor == 0 && enabled {
+		factor = 2
+	}
 	f.Failover = &scenario.FailoverFeature{
-		Enabled:       s.Failover || chaos || s.rf > 1,
-		Replicate:     (s.Failover && s.Replicate) || chaos,
-		Factor:        s.rf,
+		Enabled:       enabled,
+		Factor:        factor,
 		PlacementSeed: s.placementSeed,
 		ReadPolicy:    s.readPolicy,
 	}
@@ -173,9 +178,9 @@ func (s *Study) Scenario() (*scenario.Scenario, error) {
 // flags that set them. A field precedes the section that contains it, so the
 // longer match wins.
 func (s *Study) flagNames() *strings.Replacer {
-	failover, replicate := "-failover", "-replicate"
+	failover := "-failover"
 	if s.fs.Lookup("failover") == nil {
-		failover, replicate = "failover (on with -rf >= 2, -mtbf or -corrupt)", "-mtbf or -corrupt"
+		failover = "failover (on with -rf >= 2, -mtbf or -corrupt)"
 	}
 	return strings.NewReplacer(
 		"workload.app", "-app",
@@ -191,7 +196,6 @@ func (s *Study) flagNames() *strings.Replacer {
 		"features.reliability.deadline_s", "-deadline",
 		"features.reliability.retries", "-retries",
 		"features.failover.enabled", failover,
-		"features.failover.replicate", replicate,
 		"features.failover.factor", "-rf",
 		"features.failover.placement_seed", "-placement-seed",
 		"features.failover.read_policy", "-read-policy",

@@ -40,7 +40,7 @@ func TestScenarioTranslatesFlags(t *testing.T) {
 		t.Errorf("outage process %+v", x)
 	}
 	fo := sc.Features.Failover
-	if !fo.Enabled || !fo.Replicate || fo.Factor != 3 {
+	if !fo.Enabled || fo.Factor != 3 {
 		t.Errorf("failover %+v: -mtbf implies failover with replication", fo)
 	}
 	if fo.Repair == nil || fo.Repair.BandwidthMBs == nil || *fo.Repair.BandwidthMBs != 0 {
@@ -72,5 +72,41 @@ func TestScenarioWithoutChaosKeepsFailoverOff(t *testing.T) {
 	}
 	if sc.Workload.Scale != "paper" || !sc.Chaos.Empty() {
 		t.Errorf("default flags grew a study: %+v", sc)
+	}
+}
+
+// TestScenarioReplicationFactor: an unset -rf keeps the default mirror
+// (factor 2) whenever failover is on, and -rf 1 turns it off.
+func TestScenarioReplicationFactor(t *testing.T) {
+	for _, tc := range []struct {
+		stress  bool // register stress's -failover (default on)
+		args    []string
+		enabled bool
+		factor  int
+	}{
+		{false, nil, false, 0},
+		{false, []string{"-mtbf", "3"}, true, 2},
+		{false, []string{"-corrupt", "all"}, true, 2},
+		{false, []string{"-mtbf", "3", "-rf", "1"}, true, 1},
+		{false, []string{"-rf", "3"}, true, 3},
+		{true, nil, true, 2},
+		{true, []string{"-rf", "1"}, true, 1},
+		{true, []string{"-failover=false"}, false, 0},
+	} {
+		fs, st := iocharStudy()
+		if tc.stress {
+			fs.BoolVar(&st.Failover, "failover", true, "")
+		}
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := st.Scenario()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if fo := sc.Features.Failover; fo.Enabled != tc.enabled || fo.Factor != tc.factor {
+			t.Errorf("stress=%v %v: failover %+v, want enabled %v factor %d",
+				tc.stress, tc.args, fo, tc.enabled, tc.factor)
+		}
 	}
 }

@@ -37,11 +37,10 @@ type Config struct {
 	// redundancy across I/O nodes).
 	Failover FailoverConfig
 
-	// Replication generalizes Failover.Replicate to a configurable N-way
-	// policy: replication factor 1..4, failure-domain-aware placement over
-	// the zones in Nodes, read policies, and the background repair control
-	// plane. The zero value defers to Failover.Replicate (factor 2 when set)
-	// and places replicas exactly where earlier revisions did.
+	// Replication is the failover layer's N-way policy: replication factor
+	// 1..4, failure-domain-aware placement over the zones in Nodes, read
+	// policies, and the background repair control plane. The zero value
+	// keeps one copy of every chunk.
 	Replication ReplicationConfig
 
 	// Cache attaches a block cache to every I/O node (the §8 what-if: the
@@ -57,9 +56,9 @@ type Config struct {
 	// block size defaults to the stripe unit.
 	Integrity integrity.Config
 
-	// Reliability layers per-request deadlines, corrupt-read retries with
-	// seeded backoff + jitter, and hedged reads over the transfer path. The
-	// zero value disables it.
+	// Reliability layers per-request deadlines and corrupt-read retries with
+	// seeded backoff + jitter over the transfer path. The zero value
+	// disables it.
 	Reliability ReliabilityConfig
 
 	// Collective enables two-phase aggregation for the round-structured
@@ -93,12 +92,6 @@ type NodeConfig struct {
 	// shape an existing cache tier, they do not switch it on.
 	CacheBytes int64
 
-	// BurstBytes, when positive, is the per-node burst-log capacity hint
-	// recorded by fleet generation. The PFS itself ignores it (the burst
-	// tier lives client-side), but it rides along so one NodeConfig slice
-	// describes the whole template expansion.
-	BurstBytes int64
-
 	// Zone is the node's outage domain (rack, power feed). Zone-scoped
 	// chaos targets every node sharing a zone; zero is the default domain.
 	Zone int
@@ -111,21 +104,20 @@ type NodeConfig struct {
 // FailoverConfig describes the request failover policy used under injected
 // I/O-node outages. With Enabled, a request that finds (or is ejected from)
 // a dead node charges DetectTimeout, then retries up to MaxRetries times
-// with exponential backoff. With Replicate, every stripe additionally keeps
-// a replica on the next I/O node: writes are mirrored to it, and retries
-// re-route to it instead of hammering the dead primary — so reads survive an
-// outage at the cost of doubled write traffic.
+// with exponential backoff. With Config.Replication.Factor >= 2, every
+// stripe additionally keeps copies on other I/O nodes: writes are mirrored
+// to them, and retries re-route to them instead of hammering the dead
+// primary — so reads survive an outage at the cost of extra write traffic.
 type FailoverConfig struct {
 	Enabled       bool
 	DetectTimeout sim.Time // cost to conclude the primary is dead
 	Backoff       sim.Time // first retry delay; doubles per retry
 	MaxRetries    int
-	Replicate     bool
 }
 
 // DefaultFailoverConfig returns a failover policy with a 50 ms detection
 // timeout, 100 ms initial backoff, and 4 retries. Replication is off;
-// callers wanting reroute-to-replica set Replicate.
+// callers wanting reroute-to-replica set Config.Replication.Factor.
 func DefaultFailoverConfig() FailoverConfig {
 	return FailoverConfig{
 		Enabled:       true,

@@ -38,7 +38,7 @@ func TestFailoverDisabledFailsFast(t *testing.T) {
 func TestFailoverReroutesToReplica(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.Failover = DefaultFailoverConfig()
-		c.Failover.Replicate = true
+		c.Replication.Factor = 2
 	})
 	if _, err := r.fs.Preload("f", failoverFile); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestFailoverRetriesPrimaryUntilRestored(t *testing.T) {
 func TestReplicatedWritesMirror(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.Failover = DefaultFailoverConfig()
-		c.Failover.Replicate = true
+		c.Replication.Factor = 2
 	})
 	r.run(t, func(p *sim.Process) {
 		if _, err := r.fs.Access(p, 0, "f", iotrace.OpWrite, 0, failoverFile); err == nil {

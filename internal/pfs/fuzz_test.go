@@ -8,11 +8,16 @@ import (
 )
 
 // fuzzFS builds the minimal FileSystem skeleton the striping math reads:
-// a stripe unit and an I/O-node count. The nodes themselves are never
-// touched — only len(fs.ion) matters to the mapping (the placement ring is
-// built lazily as the identity ring, matching a homogeneous unseeded fleet).
+// a stripe unit, an I/O-node count and the placement ring. The nodes
+// themselves are never touched — only len(fs.ion) matters to the mapping.
+// The ring is the identity ring New builds for a homogeneous unseeded fleet.
 func fuzzFS(nion int, su int64) *FileSystem {
-	return &FileSystem{cfg: Config{StripeUnit: su}, ion: make([]*ionode.Node, nion)}
+	return &FileSystem{
+		cfg: Config{StripeUnit: su},
+		ion: make([]*ionode.Node, nion),
+		plc: newPlacer(make([]int, nion), 0),
+		rf:  1,
+	}
 }
 
 // FuzzStripeRoundtrip checks that fileOffset is the exact inverse of the
@@ -50,7 +55,7 @@ func FuzzStripeRoundtrip(f *testing.F) {
 		}
 
 		for r := 0; r < MaxReplicationFactor; r++ {
-			copyNode := fs.placer().target(node, r)
+			copyNode := fs.plc.target(node, r)
 			if got := fs.fileOffset(file, copyNode, local, r); got != off {
 				t.Fatalf("copy %d roundtrip: offset %d -> node %d local %d -> %d",
 					r, off, copyNode, local, got)
@@ -59,7 +64,7 @@ func FuzzStripeRoundtrip(f *testing.F) {
 
 		// The identity ring reproduces the legacy neighbour placement: copy 1
 		// of node i lives on (i+1) mod N.
-		if got := fs.placer().target(node, 1); got != (node+1)%nion {
+		if got := fs.plc.target(node, 1); got != (node+1)%nion {
 			t.Fatalf("identity ring places copy 1 of %d on %d, want %d", node, got, (node+1)%nion)
 		}
 
@@ -118,7 +123,7 @@ func FuzzFileOffsetForward(f *testing.F) {
 		}
 		stripe := off / su
 		primary := file.stripeIONode(stripe, nion)
-		if wantNode := fs.placer().target(primary, replica); wantNode != node {
+		if wantNode := fs.plc.target(primary, replica); wantNode != node {
 			t.Fatalf("offset %d (stripe %d) places copy %d on node %d, came from node %d",
 				off, stripe, replica, wantNode, node)
 		}

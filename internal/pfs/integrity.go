@@ -113,7 +113,7 @@ type CorruptRange struct {
 func (fs *FileSystem) fileOffset(f *File, node int, localByte int64, replica int) int64 {
 	nion := len(fs.ion)
 	su := fs.cfg.StripeUnit
-	primary := fs.placer().primaryOf(node, replica)
+	primary := fs.plc.primaryOf(node, replica)
 	localChunk := localByte / su
 	within := localByte % su
 	slot := (primary - f.firstIONode + nion) % nion
@@ -198,7 +198,7 @@ func (fs *FileSystem) InjectCorruption(recs []CorruptRange) int {
 		ionIdx := f.stripeIONode(stripe, nion)
 		addr := f.arrayAddr(stripe, within, nion, su)
 		if r.Replica > 0 {
-			ionIdx = fs.placer().target(ionIdx, r.Replica)
+			ionIdx = fs.plc.target(ionIdx, r.Replica)
 			addr = replicaAddr(addr, r.Replica)
 		}
 		st := fs.ion[ionIdx].Integrity()

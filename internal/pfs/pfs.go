@@ -52,8 +52,7 @@ type FileSystem struct {
 
 	rel    ReliabilityStats
 	relRNG *sim.RNG // jitter stream; nil when the reliability layer is off
-	lat    latencyTracker
-	hseq   int64 // hedge process name sequence
+	hseq   int64    // heal process name sequence
 
 	coll *collState // nil when collective I/O is disabled
 
@@ -73,7 +72,7 @@ type FailoverStats struct {
 	Timeouts     int64    // requests that found their primary I/O node dead
 	Retries      int64    // retry attempts issued
 	Reroutes     int64    // chunks completed on a replica node
-	MirrorWrites int64    // replica write chunks issued (Replicate only)
+	MirrorWrites int64    // replica write chunks issued (replication factor > 1)
 	Failed       int64    // chunks abandoned with ErrIONodeDown
 	BackoffTime  sim.Time // total time spent in detection + backoff delays
 }
@@ -101,9 +100,6 @@ func New(eng *sim.Engine, msh *mesh.Mesh, cfg Config) (*FileSystem, error) {
 	fs.rf = fs.cfg.Replication.Factor
 	fs.readPolicy = fs.cfg.Replication.ReadPolicy
 	fs.plc = newPlacer(cfg.Zones(), fs.cfg.Replication.Seed)
-	// Keep the legacy Replicate flag in sync with the effective factor so the
-	// paths that gate on it (hedged reads, the CLI reports) see one truth.
-	fs.cfg.Failover.Replicate = fs.rf > 1
 	if fs.cfg.Replication.Repair.Enabled && fs.rf > 1 {
 		fs.rep = newRepairState(fs.cfg.Replication.Repair)
 	}
@@ -405,24 +401,15 @@ func (fs *FileSystem) tryNode(p *sim.Process, node, ion int, stream, addr, chunk
 }
 
 // chunkIO services one stripe chunk with failover and the reliability
-// layer's corrupt-read retries, deadlines, and hedged reads. The healthy
-// fast path (reliability off) is a single tryNode call, identical in cost to
-// the pre-failover data path.
+// layer's corrupt-read retries and deadlines. The healthy fast path
+// (reliability off) is a single tryNode call, identical in cost to the
+// pre-failover data path.
 func (fs *FileSystem) chunkIO(p *sim.Process, node int, f *File, ion int, addr, chunk int64, read bool, dl sim.Time) error {
 	rel := fs.cfg.Reliability
 	fo := fs.cfg.Failover
-	var err error
-	if read && fs.hedgeEligible() {
-		err = fs.hedgedRead(p, node, f, ion, addr, chunk)
-	} else {
-		r0 := fs.readCopy(addr, read)
-		start := p.Now()
-		err = fs.tryNode(p, node, fs.placer().target(ion, r0),
-			replicaStream(int64(f.id), r0), replicaAddr(addr, r0), chunk, read)
-		if err == nil && read && rel.Enabled && rel.Hedge {
-			fs.lat.record(p.Now() - start)
-		}
-	}
+	r0 := fs.readCopy(addr, read)
+	err := fs.tryNode(p, node, fs.plc.target(ion, r0),
+		replicaStream(int64(f.id), r0), replicaAddr(addr, r0), chunk, read)
 	if err == nil {
 		if !read && fs.rf > 1 {
 			fs.mirrorWrite(p, node, f, ion, addr, chunk)
@@ -437,7 +424,7 @@ func (fs *FileSystem) chunkIO(p *sim.Process, node int, f *File, ion int, addr, 
 			fs.fo.Failed++
 			return fmt.Errorf("pfs: %s chunk at ionode %d: %w", rw(read), ion, err)
 		}
-		return fs.corruptRetry(p, node, f, ion, fs.readCopy(addr, read), addr, chunk, dl)
+		return fs.corruptRetry(p, node, f, ion, r0, addr, chunk, dl)
 	}
 	if !fo.Enabled {
 		fs.fo.Failed++
@@ -452,7 +439,6 @@ func (fs *FileSystem) chunkIO(p *sim.Process, node int, f *File, ion int, addr, 
 	fs.fo.BackoffTime += fo.DetectTimeout
 	p.Sleep(fo.DetectTimeout)
 	backoff := fo.Backoff
-	r0 := fs.readCopy(addr, read)
 	for attempt := 0; attempt < fo.MaxRetries; attempt++ {
 		if rel.Enabled && dl > 0 && p.Now() >= dl {
 			fs.rel.DeadlineExceeded++
@@ -472,7 +458,7 @@ func (fs *FileSystem) chunkIO(p *sim.Process, node int, f *File, ion int, addr, 
 		if fs.rf > 1 {
 			r = (r0 + 1 + attempt%(fs.rf-1)) % fs.rf
 		}
-		target := fs.placer().target(ion, r)
+		target := fs.plc.target(ion, r)
 		err := fs.tryNode(p, node, target,
 			replicaStream(int64(f.id), r), replicaAddr(addr, r), chunk, read)
 		if err == nil {
@@ -532,7 +518,7 @@ func (fs *FileSystem) corruptRetry(p *sim.Process, node int, f *File, ion, badCo
 		if fo.Enabled && fs.rf > 1 {
 			r = (badCopy + 1 + attempt%(fs.rf-1)) % fs.rf
 		}
-		target := fs.placer().target(ion, r)
+		target := fs.plc.target(ion, r)
 		err := fs.tryNode(p, node, target,
 			replicaStream(int64(f.id), r), replicaAddr(addr, r), chunk, true)
 		if err == nil {
@@ -568,7 +554,7 @@ func (fs *FileSystem) quorumRead(p *sim.Process, node int, f *File, ion, badCopy
 			continue
 		}
 		fs.rel.QuorumReads++
-		if err := fs.tryNode(p, node, fs.placer().target(ion, r),
+		if err := fs.tryNode(p, node, fs.plc.target(ion, r),
 			replicaStream(int64(f.id), r), replicaAddr(addr, r), chunk, true); err == nil {
 			have++
 		}
@@ -579,7 +565,7 @@ func (fs *FileSystem) quorumRead(p *sim.Process, node int, f *File, ion, badCopy
 // was recovered from another replica: the rewrite bumps the block version
 // and restores a valid checksum, closing the corruption event.
 func (fs *FileSystem) healCopy(node int, f *File, ion, badCopy int, addr, chunk int64) {
-	target := fs.placer().target(ion, badCopy)
+	target := fs.plc.target(ion, badCopy)
 	fs.hseq++
 	fs.eng.Spawn(fmt.Sprintf("pfs-heal%d-ion%d", fs.hseq, target), func(hp *sim.Process) {
 		fs.msh.Transfer(hp, node, fs.ionHome[target], chunk)
@@ -590,90 +576,13 @@ func (fs *FileSystem) healCopy(node int, f *File, ion, badCopy int, addr, chunk 
 	})
 }
 
-// hedgeEligible reports whether hedged reads can engage: layer + hedging on,
-// replicas exist, and enough latency samples have been observed.
-func (fs *FileSystem) hedgeEligible() bool {
-	rel := fs.cfg.Reliability
-	fo := fs.cfg.Failover
-	return rel.Enabled && rel.Hedge && fo.Enabled && fo.Replicate &&
-		len(fs.ion) > 1 && fs.lat.ready(rel.HedgeMinSamples)
-}
-
-// hedgedRead races the primary chunk read against a delayed replica read:
-// the hedge timer fires at the observed HedgeQuantile of recent chunk-read
-// latencies, and the first completion wins (the loser's I/O still occupies
-// its node — hedging trades extra load for tail latency). Both attempts
-// failing returns the primary's error; corrupt-read recovery is then the
-// caller's corruptRetry path.
-func (fs *FileSystem) hedgedRead(p *sim.Process, node int, f *File, ion int, addr, chunk int64) error {
-	rel := fs.cfg.Reliability
-	threshold := fs.lat.quantile(rel.HedgeQuantile)
-	fs.hseq++
-	comp := sim.NewCompletion(fmt.Sprintf("pfs-hedge%d", fs.hseq))
-	var (
-		settled               bool
-		result                error
-		pDone, hIssued, hDone bool
-		pErr                  error
-	)
-	settle := func(sp *sim.Process, err error) {
-		if settled {
-			return
-		}
-		settled = true
-		result = err
-		comp.Complete(sp)
-	}
-	fs.eng.Spawn(fmt.Sprintf("pfs-hedge%d-primary", fs.hseq), func(pp *sim.Process) {
-		start := pp.Now()
-		err := fs.tryNode(pp, node, ion, int64(f.id), addr, chunk, true)
-		pDone, pErr = true, err
-		if err == nil {
-			fs.lat.record(pp.Now() - start)
-			settle(pp, nil)
-			return
-		}
-		// Primary failed: settle now unless a hedge is still in flight and
-		// might yet deliver the data.
-		if !hIssued || hDone {
-			settle(pp, err)
-		}
-	})
-	fs.eng.Spawn(fmt.Sprintf("pfs-hedge%d-timer", fs.hseq), func(hp *sim.Process) {
-		hp.Sleep(threshold)
-		if settled || pDone {
-			return
-		}
-		hIssued = true
-		fs.rel.HedgesIssued++
-		fs.rel.HedgeExtraBytes += chunk
-		target := fs.placer().target(ion, 1)
-		err := fs.tryNode(hp, node, target, replicaStream(int64(f.id), 1), replicaAddr(addr, 1), chunk, true)
-		hDone = true
-		if err == nil {
-			if !settled {
-				fs.rel.HedgeWins++
-				settle(hp, nil)
-			} else {
-				fs.rel.HedgeLosses++
-			}
-			return
-		}
-		if pDone && !settled {
-			settle(hp, pErr) // both attempts failed: report the primary's error
-		}
-	})
-	comp.Await(p)
-	return result
-}
-
 // mirrorWrite pushes a chunk's copies 1..rf-1 to their placement targets. A
 // failed mirror is not fatal — the primary holds the data — but is counted,
 // and with the repair control plane on, the missed copy enters the
 // under-replication index for the daemon to restore.
 func (fs *FileSystem) mirrorWrite(p *sim.Process, node int, f *File, ion int, addr, chunk int64) {
 	for r := 1; r < fs.rf; r++ {
-		target := fs.placer().target(ion, r)
+		target := fs.plc.target(ion, r)
 		fs.fo.MirrorWrites++
 		err := fs.tryNode(p, node, target, replicaStream(int64(f.id), r), replicaAddr(addr, r), chunk, false)
 		if err != nil {
@@ -705,7 +614,7 @@ func (fs *FileSystem) syncIO(p *sim.Process, ion int, cost sim.Time) error {
 	fs.fo.BackoffTime += fo.DetectTimeout
 	p.Sleep(fo.DetectTimeout)
 	fs.fo.Retries++
-	if _, err := fs.ion[fs.placer().target(ion, 1)].Sync(p, cost); err != nil {
+	if _, err := fs.ion[fs.plc.target(ion, 1)].Sync(p, cost); err != nil {
 		fs.fo.Failed++
 		return ErrIONodeDown
 	}

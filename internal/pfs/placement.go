@@ -34,16 +34,14 @@ const (
 	ReadQuorum = "quorum"
 )
 
-// ReplicationConfig generalizes the failover layer's single hardcoded mirror
-// to an N-way replication policy. The zero value defers to the legacy
-// FailoverConfig.Replicate flag: Replicate=true behaves exactly as before
-// (factor 2 on the zone-interleaved ring, which over a homogeneous fleet is
-// the old (i+1) mod N rule, bit for bit).
+// ReplicationConfig is the failover layer's N-way replication policy. Factor
+// 2 on the zone-interleaved ring is, over a homogeneous fleet, the classic
+// single mirror on the next I/O node, (i+1) mod N, bit for bit. The zero
+// value keeps one copy.
 type ReplicationConfig struct {
 	// Factor is the number of copies of every stripe chunk, primary
-	// included. 0 derives the factor from Failover.Replicate (2 when set,
-	// else 1); 1 disables replication explicitly. Clamped to the I/O-node
-	// count. Replication is inert without Failover.Enabled.
+	// included; 0 and 1 both mean one copy. Clamped to the I/O-node count.
+	// Replication is inert without Failover.Enabled.
 	Factor int
 
 	// Seed perturbs the within-zone node order of the replica ring. 0 keeps
@@ -66,7 +64,7 @@ const MaxReplicationFactor = 4
 // validate checks the replication section of a Config.
 func (c ReplicationConfig) validate() error {
 	if c.Factor < 0 || c.Factor > MaxReplicationFactor {
-		return fmt.Errorf("pfs: replication factor %d: want 0 (legacy) or 1..%d", c.Factor, MaxReplicationFactor)
+		return fmt.Errorf("pfs: replication factor %d: want 1..%d", c.Factor, MaxReplicationFactor)
 	}
 	switch c.ReadPolicy {
 	case "", ReadPrimaryFirst, ReadAnyReplica, ReadQuorum:
@@ -78,17 +76,11 @@ func (c ReplicationConfig) validate() error {
 }
 
 // normalized resolves the effective policy against the failover config and
-// fleet size: the legacy Replicate flag maps to factor 2, replication without
-// failover (no reroute machinery to reach the copies) collapses to factor 1,
-// and the factor is clamped to the node population.
+// fleet size: factor 0 means one copy, replication without failover (no
+// reroute machinery to reach the copies) collapses to factor 1, and the
+// factor is clamped to the node population.
 func (c ReplicationConfig) normalized(fo FailoverConfig, nion int) ReplicationConfig {
-	if c.Factor == 0 {
-		c.Factor = 1
-		if fo.Replicate {
-			c.Factor = 2
-		}
-	}
-	if !fo.Enabled {
+	if c.Factor == 0 || !fo.Enabled {
 		c.Factor = 1
 	}
 	if c.Factor > nion {
@@ -193,24 +185,9 @@ func (pl *placer) group(primary, rf int) []int {
 	return out
 }
 
-// place returns the file system's placer, building the identity (single
-// zone, unseeded) ring on demand for skeleton instances tests assemble by
-// hand.
-func (fs *FileSystem) placer() *placer {
-	if fs.plc == nil {
-		fs.plc = newPlacer(make([]int, len(fs.ion)), 0)
-	}
-	return fs.plc
-}
-
 // ReplicationFactor returns the effective copy count per chunk (1 = no
 // replication).
-func (fs *FileSystem) ReplicationFactor() int {
-	if fs.rf < 1 {
-		return 1
-	}
-	return fs.rf
-}
+func (fs *FileSystem) ReplicationFactor() int { return fs.rf }
 
 // shuffle is a seeded Fisher-Yates over a node list.
 func shuffle(nodes []int, seed uint64) {

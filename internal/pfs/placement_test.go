@@ -185,7 +185,7 @@ func TestPlacementFromConfig(t *testing.T) {
 	if got := r.fs.ReplicationFactor(); got != 3 {
 		t.Fatalf("ReplicationFactor = %d, want 3", got)
 	}
-	pl := r.fs.placer()
+	pl := r.fs.plc
 	zones := []int{0, 0, 1, 1}
 	for p := range zones {
 		g := pl.group(p, 2)

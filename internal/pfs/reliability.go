@@ -1,15 +1,10 @@
 package pfs
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // ReliabilityConfig governs the client-side reliability layer layered over
 // the transfer path: per-request deadlines, bounded retries with seeded
-// exponential backoff + jitter for corrupt reads, and hedged reads against
-// the mirror path of a slow (degraded) I/O node. The zero value disables the
+// exponential backoff + jitter for corrupt reads. The zero value disables the
 // layer entirely and leaves the data path bit-identical to the pre-existing
 // failover behaviour.
 type ReliabilityConfig struct {
@@ -35,33 +30,17 @@ type ReliabilityConfig struct {
 
 	// Seed drives the jitter stream; same seed, same timeline.
 	Seed uint64
-
-	// Hedge enables hedged reads: once enough latency samples exist, a read
-	// still outstanding at the observed HedgeQuantile latency issues a second
-	// attempt to the chunk's replica, and the first completion wins. Requires
-	// failover replication.
-	Hedge bool
-
-	// HedgeQuantile is the latency quantile that arms the hedge timer
-	// (default 0.95).
-	HedgeQuantile float64
-
-	// HedgeMinSamples is how many chunk-read latencies must be observed
-	// before hedging engages (default 32).
-	HedgeMinSamples int
 }
 
 // DefaultReliabilityConfig returns the enabled default policy: no deadline,
-// 3 corrupt retries starting at a 10 ms backoff with 20% jitter, hedging off.
+// 3 corrupt retries starting at a 10 ms backoff with 20% jitter.
 func DefaultReliabilityConfig() ReliabilityConfig {
 	return ReliabilityConfig{
-		Enabled:         true,
-		MaxRetries:      3,
-		Backoff:         10 * sim.Millisecond,
-		JitterFrac:      0.2,
-		Seed:            0x524c4941, // "RLIA"
-		HedgeQuantile:   0.95,
-		HedgeMinSamples: 32,
+		Enabled:    true,
+		MaxRetries: 3,
+		Backoff:    10 * sim.Millisecond,
+		JitterFrac: 0.2,
+		Seed:       0x524c4941, // "RLIA"
 	}
 }
 
@@ -80,12 +59,6 @@ func (c ReliabilityConfig) Normalized() ReliabilityConfig {
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = d.HedgeQuantile
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = d.HedgeMinSamples
-	}
 	return c
 }
 
@@ -101,42 +74,4 @@ type ReliabilityStats struct {
 	CorruptFailed    int64    // chunks abandoned still corrupt
 	RepairWrites     int64    // background heal writes to corrupt primaries
 	QuorumReads      int64    // extra replica reads issued by the quorum policy
-	HedgesIssued     int64    // hedge attempts that actually issued I/O
-	HedgeWins        int64    // hedges that completed before the primary
-	HedgeLosses      int64    // hedges that lost the race (wasted I/O)
-	HedgeExtraBytes  int64    // replica bytes moved by hedges
-}
-
-// latRingSize is the hedge latency window: quantiles are computed over the
-// most recent latRingSize successful primary chunk-read latencies.
-const latRingSize = 256
-
-// latencyTracker is a fixed ring of recent chunk-read latencies feeding the
-// hedge threshold.
-type latencyTracker struct {
-	samples [latRingSize]sim.Time
-	n       int64 // total recorded (ring holds min(n, latRingSize))
-}
-
-func (t *latencyTracker) record(d sim.Time) {
-	t.samples[t.n%latRingSize] = d
-	t.n++
-}
-
-func (t *latencyTracker) ready(min int) bool { return t.n >= int64(min) }
-
-// quantile returns the q-quantile of the recorded window (nearest-rank).
-func (t *latencyTracker) quantile(q float64) sim.Time {
-	n := t.n
-	if n > latRingSize {
-		n = latRingSize
-	}
-	if n == 0 {
-		return 0
-	}
-	buf := make([]sim.Time, n)
-	copy(buf, t.samples[:n])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	k := int(q * float64(n-1))
-	return buf[k]
 }

@@ -220,7 +220,7 @@ func (fs *FileSystem) noteMirrorMiss(f *File, primary, r int, addr, chunk int64)
 // writes to the same chunk, and makes sure a daemon is draining.
 func (fs *FileSystem) enqueueRepair(f *File, primary, copy, src int, addr, chunk int64) {
 	rp := fs.rep
-	target := fs.placer().target(primary, copy)
+	target := fs.plc.target(primary, copy)
 	if fs.ion[target].Array().Dead() {
 		return // nothing will ever accept this copy again
 	}
@@ -268,7 +268,7 @@ func (fs *FileSystem) repairSweep(p *sim.Process) {
 	stalled := 0
 	for rp.queue.Len() > 0 {
 		e := rp.queue.Pop()
-		key := repairKey{target: fs.placer().target(e.primary, e.copy), addr: replicaAddr(e.addr, e.copy)}
+		key := repairKey{target: fs.plc.target(e.primary, e.copy), addr: replicaAddr(e.addr, e.copy)}
 		if rp.cfg.GiveUp > 0 && p.Now()-e.enq > rp.cfg.GiveUp {
 			fs.resolveRepair(key, false)
 			continue
@@ -322,7 +322,7 @@ const (
 // and write it to the target, both through tryNode so the mesh hop, node
 // queueing, cache, integrity verification and disk scheduling all apply.
 func (fs *FileSystem) repairChunk(p *sim.Process, e repairEntry) repairOutcome {
-	pl := fs.placer()
+	pl := fs.plc
 	srcIon := pl.target(e.primary, e.src)
 	dstIon := pl.target(e.primary, e.copy)
 	if fs.ion[dstIon].Array().Dead() {

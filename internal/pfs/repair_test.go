@@ -256,7 +256,7 @@ func TestRepairStatsCapped(t *testing.T) {
 func TestRepairDisabledIsInert(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.Failover = DefaultFailoverConfig()
-		c.Failover.Replicate = true
+		c.Replication.Factor = 2
 	})
 	if r.fs.RepairEnabled() {
 		t.Fatal("repair enabled without being configured")

@@ -53,7 +53,9 @@ func (s *Scenario) Build() (core.ResilientStudy, *Fleet, error) {
 		if !study.Machine.PFS.Failover.Enabled {
 			study.Machine.PFS.Failover = pfs.DefaultFailoverConfig()
 		}
-		study.Machine.PFS.Failover.Replicate = true
+		if study.Machine.PFS.Replication.Factor == 0 {
+			study.Machine.PFS.Replication.Factor = 2
+		}
 		if !study.Machine.PFS.Reliability.Enabled {
 			study.Machine.PFS.Reliability = pfs.DefaultReliabilityConfig()
 		}
@@ -170,10 +172,9 @@ func (s *Scenario) applyFeatures(study *core.Study, f *Fleet) error {
 	fo := s.Features.Failover
 	if fo == nil {
 		cfg.Failover = pfs.DefaultFailoverConfig()
-		cfg.Failover.Replicate = true
+		cfg.Replication.Factor = 2
 	} else if fo.Enabled {
 		cfg.Failover = pfs.DefaultFailoverConfig()
-		cfg.Failover.Replicate = fo.Replicate
 		cfg.Replication = pfs.ReplicationConfig{
 			Factor:     fo.Factor,
 			Seed:       fo.PlacementSeed,

@@ -121,9 +121,6 @@ func nodeFromTemplate(t Template, baseDisk disk.ArrayConfig) pfs.NodeConfig {
 	if t.CacheMB > 0 {
 		n.CacheBytes = int64(t.CacheMB * float64(1<<20))
 	}
-	if t.BurstMB > 0 {
-		n.BurstBytes = int64(t.BurstMB * float64(1<<20))
-	}
 	return n
 }
 

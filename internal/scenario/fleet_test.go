@@ -69,13 +69,24 @@ func TestFleetExpansionShape(t *testing.T) {
 				t.Fatalf("fast node %d: %+v", i, n)
 			}
 		case "slow":
-			if n.Disk == nil || n.Disk.BWBytesPerS != 2e6 || n.BurstBytes != 4<<20 || n.Zone != 1 {
+			if n.Disk == nil || n.Disk.BWBytesPerS != 2e6 || n.Zone != 1 {
 				t.Fatalf("slow node %d: %+v", i, n)
 			}
 		}
 	}
 	if len(f.BurstPerNode) != 32 {
 		t.Fatalf("burst per node: %d entries", len(f.BurstPerNode))
+	}
+	// Burst logs draw from the templates: fast has none, slow 4 MB.
+	slow := false
+	for i, b := range f.BurstPerNode {
+		if b != 0 && b != 4<<20 {
+			t.Fatalf("compute node %d burst log %d bytes, want 0 or the slow template's 4 MB", i, b)
+		}
+		slow = slow || b == 4<<20
+	}
+	if !slow {
+		t.Fatal("no compute node drew the slow template's 4 MB burst log")
 	}
 }
 

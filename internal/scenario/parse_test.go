@@ -50,7 +50,7 @@ func TestParseFullGolden(t *testing.T) {
 		t.Fatalf("burst feature: %+v", f.Burst)
 	}
 	if f.Integrity == nil || !f.Integrity.Scrub || f.Reliability == nil ||
-		f.Reliability.DeadlineS != 0.5 || f.Failover == nil || !f.Failover.Replicate {
+		f.Reliability.DeadlineS != 0.5 || f.Failover == nil || f.Failover.Factor != 2 {
 		t.Fatalf("integrity/reliability/failover: %+v %+v %+v",
 			f.Integrity, f.Reliability, f.Failover)
 	}
@@ -126,6 +126,7 @@ func TestParseErrors(t *testing.T) {
 		{"stagger without cells", "workload:\n  app: escat\nfleet_gen:\n  stagger_s: 0.5\n", "cells > 1"},
 		{"fleet with ckpt", "workload:\n  app: escat\nfleet_gen:\n  cells: 4\nrun:\n  ckpt_interval: 2\n", "single attempt"},
 		{"fleet with attempts", "workload:\n  app: escat\nfleet_gen:\n  cells: 4\nrun:\n  max_attempts: 3\n", "single attempt"},
+		{"removed replicate", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: true\n    replicate: true\n", "unknown field"},
 		{"placement seed without failover", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: false\n    placement_seed: 3\n", "features.failover.placement_seed needs features.failover.enabled"},
 		{"bad node ref", "workload:\n  app: escat\nchaos:\n  events:\n    - kind: disk-failure\n      at_s: 1\n      node: some\n", "node"},
 	}

@@ -165,14 +165,14 @@ type ReliabilityFeature struct {
 	Retries   int     `json:"retries,omitempty"`
 }
 
-// FailoverFeature mirrors -failover/-replicate plus the N-way replication
-// controls (-rf/-placement-seed/-read-policy and the repair daemon flags).
+// FailoverFeature mirrors -failover plus the N-way replication controls
+// (-rf/-placement-seed/-read-policy and the repair daemon flags). A scenario
+// without the section gets failover with factor 2.
 type FailoverFeature struct {
-	Enabled   bool `json:"enabled"`
-	Replicate bool `json:"replicate,omitempty"`
+	Enabled bool `json:"enabled"`
 
-	// Factor is the replication factor, 1..4 (0 defers to Replicate: 2 when
-	// set, else 1). Replicas spread across the fleet templates' zones.
+	// Factor is the replication factor, 1..4; 0 and 1 both mean one copy.
+	// Replicas spread across the fleet templates' zones.
 	Factor int `json:"factor,omitempty"`
 
 	// PlacementSeed perturbs the within-zone order of the replica ring; 0

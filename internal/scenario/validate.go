@@ -186,7 +186,7 @@ func (s *Scenario) validateFeatures() error {
 	}
 	if fo := f.Failover; fo != nil {
 		if fo.Factor < 0 || fo.Factor > pfs.MaxReplicationFactor {
-			return fmt.Errorf("features.failover.factor %d: want 0 (legacy) or 1..%d", fo.Factor, pfs.MaxReplicationFactor)
+			return fmt.Errorf("features.failover.factor %d: want 1..%d", fo.Factor, pfs.MaxReplicationFactor)
 		}
 		switch fo.ReadPolicy {
 		case "", pfs.ReadPrimaryFirst, pfs.ReadAnyReplica, pfs.ReadQuorum:
@@ -220,8 +220,8 @@ func (s *Scenario) validateFeatures() error {
 			if rp.GiveUpS < 0 {
 				return fmt.Errorf("features.failover.repair.give_up_s %g is negative", rp.GiveUpS)
 			}
-			if rp.Enabled && (fo.Factor == 1 || (fo.Factor == 0 && !fo.Replicate)) {
-				return fmt.Errorf("features.failover.repair needs replication: features.failover.factor >= 2, or features.failover.factor 0 with features.failover.replicate")
+			if rp.Enabled && fo.Factor < 2 {
+				return fmt.Errorf("features.failover.repair needs replication: features.failover.factor >= 2")
 			}
 		}
 	}

@@ -203,9 +203,9 @@ type (
 	ScrubConfig     = integrity.ScrubConfig
 )
 
-// ReliabilityConfig layers per-request deadlines, bounded corrupt-read
-// retries with seeded jittered backoff, and hedged reads onto the PFS client
-// (set as Study.Machine.PFS.Reliability).
+// ReliabilityConfig layers per-request deadlines and bounded corrupt-read
+// retries with seeded jittered backoff onto the PFS client (set as
+// Study.Machine.PFS.Reliability).
 type ReliabilityConfig = pfs.ReliabilityConfig
 
 // IntegrityReport is a run's end-to-end data-integrity section; Report.
@@ -228,8 +228,7 @@ func DefaultIntegrityConfig() IntegrityConfig { return integrity.DefaultConfig()
 func DefaultScrubConfig() ScrubConfig { return integrity.DefaultScrubConfig() }
 
 // DefaultReliabilityConfig returns the enabled client reliability policy:
-// 3 retries, 10 ms initial backoff with 20% seeded jitter, hedged reads at
-// the 95th latency percentile.
+// 3 retries, 10 ms initial backoff with 20% seeded jitter.
 func DefaultReliabilityConfig() ReliabilityConfig { return pfs.DefaultReliabilityConfig() }
 
 // CorruptionSweep runs every application under every corruption class with
