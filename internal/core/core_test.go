@@ -456,3 +456,18 @@ func TestRunFleetLeavesNoGoroutines(t *testing.T) {
 	}
 	settleGoroutines(t, base, "RunFleet")
 }
+
+// TestFailedAttemptLeavesNoGoroutines checks that a resilient run whose
+// first attempt fails ends every coroutine of that attempt too: the halted
+// engine unwinds the processes it left blocked.
+func TestFailedAttemptLeavesNoGoroutines(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	rr, err := RunResilient(chaosStudy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Attempts) < 2 || !rr.Attempts[0].Failed {
+		t.Fatalf("attempts %+v, want a failed first attempt", rr.Attempts)
+	}
+	settleGoroutines(t, base, "RunResilient")
+}

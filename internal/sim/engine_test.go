@@ -579,7 +579,9 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestRunLeavesNoGoroutines checks that a completed run ends every process
-// coroutine, including those parked on the free list for reuse.
+// coroutine, including those parked on the free list for reuse, and that a
+// stopped run ends those of the processes it left blocked, unwinding each
+// through its deferred calls.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
@@ -594,6 +596,41 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+
+	// A halted run: processes blocked on a resource, a completion and a
+	// sleep, one reissued from the free list and one not yet started.
+	e = NewEngine()
+	r = NewResource(e, "disk", 1)
+	io := NewCompletion("io")
+	unwound := 0
+	e.Spawn("short", func(p *Process) {})
+	for j := 0; j < 4; j++ {
+		e.Spawn(fmt.Sprintf("user%d", j), func(p *Process) {
+			defer func() { unwound++ }()
+			r.Use(p, Second)
+		})
+	}
+	e.Spawn("awaiter", func(p *Process) {
+		defer func() { unwound++ }()
+		io.Await(p)
+	})
+	e.Spawn("sleeper", func(p *Process) {
+		defer func() { unwound++ }()
+		p.Sleep(Hour)
+	})
+	e.Spawn("stopper", func(p *Process) {
+		p.Sleep(Millisecond)
+		p.Engine().Spawn("reissued", func(*Process) { t.Error("reissued process ran") })
+		p.Engine().SpawnAt("late", Second, func(*Process) { t.Error("late process ran") })
+		p.Engine().Stop()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if unwound != 6 || e.Living() != 0 {
+		t.Fatalf("after Stop: %d processes unwound, %d living; want 6 and 0", unwound, e.Living())
 	}
 	waitGoroutines(t, base)
 }
