@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/iotrace"
+	"repro/internal/race"
 	"repro/internal/sim"
 )
 
@@ -194,9 +195,11 @@ func randomEvents(n int, seed int64) []iotrace.Event {
 // allocations whatever the figure's size: the output (or the point slice)
 // is sized once, not grown per point. A per-point allocation would cost a
 // thousand at 1k points. RenderSVG's ceiling covers its per-figure frame,
-// tick and legend lines, which still go through fmt (the race detector's
-// pool eviction can add a few more).
+// tick and legend lines, which still go through fmt.
 func TestRenderAllocsConstant(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
 	cases := []struct {
 		name    string
 		ceiling float64

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/sim"
 )
 
@@ -60,6 +61,9 @@ func TestCacheFetchAllocCeiling(t *testing.T) {
 	if misses < long-short || prefetches < (long-short)*9/10 || evictions < 2*(long-short)*9/10 {
 		t.Fatalf("the extra cycles made %d misses, %d prefetches and %d evictions; want about %d, %d and %d",
 			misses, prefetches, evictions, long-short, long-short, 2*(long-short))
+	}
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
 	}
 	allocs := func(n int) float64 {
 		return testing.AllocsPerRun(3, func() { fetchCycles(t, n) })

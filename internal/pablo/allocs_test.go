@@ -4,11 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/iotrace"
+	"repro/internal/race"
 )
 
 // TestRecordAllocCeiling guards the keep-trace append path: once the event
 // buffer has been Reserved, Record must append without allocating.
 func TestRecordAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
 	const runs = 4096
 	tr := NewTracer(true)
 	tr.Reserve(runs + 1)

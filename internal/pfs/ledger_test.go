@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/iotrace"
+	"repro/internal/race"
 	"repro/internal/sim"
 )
 
@@ -119,6 +120,9 @@ func TestRepairLedgerOrderAcrossLongOutage(t *testing.T) {
 // cycling every blocked entry through the ledger once, and must add no
 // allocation.
 func TestRepairLedgerAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
 	allocs := func(long sim.Time) float64 {
 		return testing.AllocsPerRun(3, func() { ledgerOutage(t, long, nil) })
 	}

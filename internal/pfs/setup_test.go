@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/iotrace"
+	"repro/internal/race"
 	"repro/internal/sim"
 )
 
@@ -342,6 +343,9 @@ func gatherRounds(t *testing.T, n int) {
 // TestWriteGatherAllocCeiling pins an aggregated flush at zero allocations:
 // doubling the flushes from 100 to 200 must add no allocation.
 func TestWriteGatherAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
 	allocs := func(n int) float64 {
 		return testing.AllocsPerRun(3, func() { gatherRounds(t, n) })
 	}

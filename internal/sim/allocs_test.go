@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // TestEventLoopAllocCeiling guards the hot-path optimizations: the
@@ -12,6 +14,9 @@ import (
 // per-process setup (struct and coroutine), so the ceiling is a small
 // multiple of the process count, not the event count.
 func TestEventLoopAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
 	const procs, sleeps = 64, 200 // 12800 events per run
 	names := make([]string, procs)
 	for j := range names {
@@ -44,6 +49,9 @@ func TestEventLoopAllocCeiling(t *testing.T) {
 // process sleeping when its own wake is the next event — at effectively zero
 // allocations per event.
 func TestSequentialChainAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
 	const sleeps = 10000
 	avg := testing.AllocsPerRun(5, func() {
 		e := NewEngine()
@@ -69,6 +77,9 @@ func TestSequentialChainAllocCeiling(t *testing.T) {
 // costs no goroutine and no closure, and a run's allocations stay a small
 // constant however many processes it spawns.
 func TestSpawnReuseAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
 	const children = 10000
 	avg := testing.AllocsPerRun(5, func() {
 		e := NewEngine()
@@ -100,6 +111,9 @@ func TestSpawnReuseAllocCeiling(t *testing.T) {
 // both runs and cancel.
 func extraAllocsPerWait(t *testing.T, n int, sim func(waits int)) float64 {
 	t.Helper()
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
 	small := testing.AllocsPerRun(5, func() { sim(n) })
 	large := testing.AllocsPerRun(5, func() { sim(2 * n) })
 	return (large - small) / float64(n)
