@@ -177,7 +177,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := sddf.WriteSummaries(f, *traceASCII, report.Lifetime, report.Windows, nil, report.Wall); err != nil {
+		if err := sddf.WriteSummaries(f, *traceASCII, report.Lifetime, report.Windows, report.Wall); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {

@@ -74,6 +74,8 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 		{[]string{"-small", "-aggregators", "2"}, "-aggregators needs -collective"},
 		{[]string{"-small", "-rf", "9"}, "-rf 9: want 1..4"},
 		{[]string{"-small", "-burst", "-policy", "ppfs"}, `-burst and -policy "ppfs"`},
+		{[]string{"-small", "-mtbf", "10", "-outage", "-1"}, "-outage -1: want >= 0"},
+		{[]string{"-small", "-burst", "-compress", "-2"}, "-compress -2: want >= 0"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

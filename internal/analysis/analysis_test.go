@@ -165,9 +165,6 @@ func TestFilters(t *testing.T) {
 	if got := FilterPhase(events, "b"); len(got) != 2 {
 		t.Fatalf("phase filter %v", got)
 	}
-	if got := FilterTime(events, 2*sim.Second, 9*sim.Second); len(got) != 1 {
-		t.Fatalf("time filter %v", got)
-	}
 	if got := FilterOps(events, iotrace.OpRead); len(got) != 2 {
 		t.Fatalf("op filter %v", got)
 	}
@@ -305,34 +302,6 @@ func TestHumanBytes(t *testing.T) {
 		if got := HumanBytes(in); got != want {
 			t.Errorf("HumanBytes(%d) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestMakespan(t *testing.T) {
-	events := []iotrace.Event{
-		ev(iotrace.OpRead, 1, 0, 5*sim.Second, 7*sim.Second),
-		ev(iotrace.OpRead, 1, 0, 2*sim.Second, 3*sim.Second),
-	}
-	if got := Makespan(events); got != 5*sim.Second {
-		t.Fatalf("makespan %v", got)
-	}
-	if Makespan(nil) != 0 {
-		t.Fatal("empty makespan")
-	}
-}
-
-func TestRequestStats(t *testing.T) {
-	events := []iotrace.Event{
-		ev(iotrace.OpRead, 1, 100, 0, sim.Second),
-		ev(iotrace.OpRead, 1, 300, 0, 3*sim.Second),
-		ev(iotrace.OpWrite, 1, 999, 0, sim.Second),
-	}
-	size, dur := RequestStats(events, iotrace.OpRead)
-	if size.N() != 2 || size.Mean() != 200 {
-		t.Fatalf("size stats %+v", size)
-	}
-	if dur.Mean() != 2 {
-		t.Fatalf("duration mean %f", dur.Mean())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/iotrace"
-	"repro/internal/sim"
 )
 
 // PlotOptions configures the ASCII scatter renderer.
@@ -153,21 +152,3 @@ func humanBytes(v float64) string {
 
 // HumanBytes formats an integer byte count for reports.
 func HumanBytes(n int64) string { return humanBytes(float64(n)) }
-
-// Makespan returns the span from the first event start to the last event end
-// (the run's I/O-visible duration).
-func Makespan(events []iotrace.Event) sim.Time {
-	if len(events) == 0 {
-		return 0
-	}
-	first, last := events[0].Start, events[0].End
-	for _, e := range events {
-		if e.Start < first {
-			first = e.Start
-		}
-		if e.End > last {
-			last = e.End
-		}
-	}
-	return last - first
-}

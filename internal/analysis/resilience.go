@@ -165,10 +165,6 @@ type RepairSummary struct {
 	WindowOfVulnerability sim.Time // first outage -> redundancy restored
 }
 
-// UnrestoredReplicas counts chunk copies that will never be re-replicated —
-// the durability deficit a scenario's min_redundancy assertion checks.
-func (s RepairSummary) UnrestoredReplicas() int64 { return s.Abandoned + s.Backlog }
-
 // RenderResilience formats the report as a text section.
 func RenderResilience(r ResilienceReport) string {
 	var b strings.Builder

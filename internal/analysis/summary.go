@@ -165,17 +165,3 @@ func (t SizeTable) Render(title string) string {
 	row("Write", t.Write)
 	return b.String()
 }
-
-// RequestStats returns descriptive statistics of request sizes and durations
-// for one operation class — the paper's "general input/output statistics
-// computed off-line from event traces" (§3.1).
-func RequestStats(events []iotrace.Event, op iotrace.Op) (size, duration stats.Summary) {
-	for _, e := range events {
-		if e.Op != op {
-			continue
-		}
-		size.Add(float64(e.Bytes))
-		duration.Add(e.Duration().Seconds())
-	}
-	return size, duration
-}

@@ -119,11 +119,6 @@ func FilterPhase(events []iotrace.Event, phase string) []iotrace.Event {
 	return filter(events, func(e *iotrace.Event) bool { return e.Phase == phase })
 }
 
-// FilterTime keeps events that start within [from, to).
-func FilterTime(events []iotrace.Event, from, to sim.Time) []iotrace.Event {
-	return filter(events, func(e *iotrace.Event) bool { return e.Start >= from && e.Start < to })
-}
-
 // FilterOps keeps events of the given operation classes.
 func FilterOps(events []iotrace.Event, ops ...iotrace.Op) []iotrace.Event {
 	want := maskOf(ops)

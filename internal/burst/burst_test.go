@@ -253,19 +253,14 @@ func prefixRun(t *testing.T, cfg Config) (Stats, sim.Time) {
 }
 
 func TestPrefixInterceptionAndDeterminism(t *testing.T) {
-	cfg := Config{Seed: 11, JitterFrac: 0.2}
-	a, endA := prefixRun(t, cfg)
-	b, endB := prefixRun(t, cfg)
+	a, endA := prefixRun(t, Config{})
+	b, endB := prefixRun(t, Config{})
 	if a != b || endA != endB {
-		t.Errorf("same seed diverged:\n%+v\n%+v", a, b)
+		t.Errorf("same configuration diverged:\n%+v\n%+v", a, b)
 	}
 	if a.Committed != 16 || a.CommittedBytes != 4<<20 {
 		t.Errorf("prefix interception absorbed %d records %d bytes, want 16 / %d",
 			a.Committed, a.CommittedBytes, 4<<20)
-	}
-	c, _ := prefixRun(t, Config{Seed: 12, JitterFrac: 0.2})
-	if a.DrainTime == c.DrainTime {
-		t.Logf("note: different jitter seeds drained in identical time")
 	}
 }
 
@@ -273,8 +268,6 @@ func TestValidateRejectsNonsense(t *testing.T) {
 	bad := []Config{
 		{Enabled: true, CapacityBytes: -1, CommitBWBytesPerS: 1e6, MaxDrainRetries: 1},
 		{Enabled: true, CapacityBytes: 1 << 20, CommitBWBytesPerS: -1, MaxDrainRetries: 1},
-		{Enabled: true, CapacityBytes: 1 << 20, CommitBWBytesPerS: 1e6,
-			MaxDrainRetries: 1, JitterFrac: 1.5},
 		{Enabled: true, CapacityBytes: 1 << 20, CommitBWBytesPerS: 1e6,
 			MaxDrainRetries: 1, DrainBWBytesPerS: -2},
 	}
@@ -302,21 +295,9 @@ func TestRecordSealVerifyRoundtrip(t *testing.T) {
 	if tampered.Verify() {
 		t.Error("offset-shifted record still verifies")
 	}
-	enc := r.Encode()
-	dec, n, err := DecodeRecord(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if n != len(enc) {
-		t.Errorf("decode consumed %d of %d bytes", n, len(enc))
-	}
-	if dec.Seq != r.Seq || dec.Node != r.Node || dec.File != r.File ||
-		dec.Offset != r.Offset || dec.Bytes != r.Bytes || dec.Class != r.Class ||
-		dec.Sum != r.Sum {
-		t.Errorf("roundtrip mismatch: %+v vs %+v", dec, r)
-	}
-	enc[4] ^= 0xff // corrupt Seq: the embedded checksum must catch it
-	if _, _, err := DecodeRecord(enc); err == nil {
-		t.Error("decode accepted a corrupted record")
+	tampered = r
+	tampered.Seq++
+	if tampered.Verify() {
+		t.Error("sequence-shifted record still verifies")
 	}
 }

@@ -1,14 +1,14 @@
 // Package burst models a per-compute-node burst buffer: a host-side logging
 // tier between the application and the PFS, after the design of ParaLog/iFast.
 // Checkpoint writes and M_LOG traffic commit to the node-local log at memory/
-// NVM bandwidth and return immediately; a seeded, deterministic drain daemon
+// NVM bandwidth and return immediately; a deterministic drain daemon
 // flushes committed entries to the PFS in the background, through a modeled
 // compression stage, with backpressure when the log fills.
 //
 // The tier is a performance model like the PFS underneath it: records carry
 // offsets, sizes and checksums but no payload. Determinism follows from the
-// simulation engine — the same configuration and seed drain in the same order
-// at the same instants.
+// simulation engine — the same configuration drains in the same order at the
+// same instants.
 package burst
 
 import (
@@ -50,8 +50,7 @@ type Config struct {
 	CommitOverhead    sim.Time
 
 	// DrainDelay is how long a newly woken drain daemon lingers before
-	// flushing, modeling the daemon's wakeup latency (jittered by
-	// JitterFrac from the per-node seeded stream).
+	// flushing, modeling the daemon's wakeup latency.
 	DrainDelay sim.Time
 
 	// DrainBWBytesPerS caps the host-side drain injection rate; zero
@@ -65,14 +64,6 @@ type Config struct {
 
 	// Compress is the drain pipeline's compression stage.
 	Compress CompressConfig
-
-	// Seed feeds the per-node jitter streams.
-	Seed uint64
-
-	// JitterFrac spreads DrainDelay by ±frac so the node daemons do not
-	// wake in lockstep. Zero disables jitter (and draws nothing from the
-	// RNG, keeping un-jittered runs on the legacy stream).
-	JitterFrac float64
 
 	// MaxDrainRetries bounds per-record drain attempts against a PFS that
 	// keeps failing (an outage outlasting failover); an exhausted record
@@ -166,9 +157,6 @@ func (c Config) Validate() error {
 	if c.Compress.Enabled && c.Compress.CPUBytesPerS <= 0 {
 		return fmt.Errorf("burst: compression enabled with %g B/s CPU rate",
 			c.Compress.CPUBytesPerS)
-	}
-	if c.JitterFrac < 0 || c.JitterFrac >= 1 {
-		return fmt.Errorf("burst: jitter fraction %g", c.JitterFrac)
 	}
 	if c.MaxDrainRetries < 1 {
 		return fmt.Errorf("burst: %d drain retries", c.MaxDrainRetries)

@@ -28,9 +28,6 @@ func (t *Tier) ensureDrainer(node int) {
 // blocked committers and readers.
 func (t *Tier) runDrain(p *sim.Process, lg *nodeLog) {
 	if d := t.cfg.DrainDelay; d > 0 {
-		if t.cfg.JitterFrac > 0 {
-			d = lg.rng.Jitter(d, t.cfg.JitterFrac)
-		}
 		p.Sleep(d)
 	}
 	for len(lg.queue) > 0 {

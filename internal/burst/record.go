@@ -1,9 +1,6 @@
 package burst
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"repro/internal/integrity"
 	"repro/internal/sim"
 )
@@ -42,112 +39,4 @@ func (r Record) Seal() Record {
 // Verify recomputes the identity-bound checksum and compares it to Sum.
 func (r Record) Verify() bool {
 	return r.Sum == checksum(r.Seq, r.Node, r.Offset)
-}
-
-// recordMagic versions the on-wire record layout.
-const recordMagic = uint32(0xb5f1_0601)
-
-// maxStringLen bounds the decoded File/Class fields; real names are short and
-// the limit keeps a corrupt length prefix from demanding gigabytes.
-const maxStringLen = 4096
-
-// Encode serializes the record in the log's fixed little-endian layout.
-func (r Record) Encode() []byte {
-	buf := make([]byte, 0, 64+len(r.File)+len(r.Class))
-	buf = binary.LittleEndian.AppendUint32(buf, recordMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(r.Node)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Offset))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Bytes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.File)))
-	buf = append(buf, r.File...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Class)))
-	buf = append(buf, r.Class...)
-	buf = binary.LittleEndian.AppendUint64(buf, r.Sum)
-	return buf
-}
-
-// DecodeRecord parses one encoded record, verifying the layout magic, the
-// bounds of every field, and the embedded checksum against the record's
-// identity. It returns the decoded record and the bytes consumed.
-func DecodeRecord(buf []byte) (Record, int, error) {
-	var r Record
-	pos := 0
-	u32 := func() (uint32, error) {
-		if pos+4 > len(buf) {
-			return 0, fmt.Errorf("burst: truncated record at byte %d", pos)
-		}
-		v := binary.LittleEndian.Uint32(buf[pos:])
-		pos += 4
-		return v, nil
-	}
-	u64 := func() (uint64, error) {
-		if pos+8 > len(buf) {
-			return 0, fmt.Errorf("burst: truncated record at byte %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
-		return v, nil
-	}
-	str := func() (string, error) {
-		n, err := u32()
-		if err != nil {
-			return "", err
-		}
-		if n > maxStringLen {
-			return "", fmt.Errorf("burst: string length %d exceeds limit", n)
-		}
-		if pos+int(n) > len(buf) {
-			return "", fmt.Errorf("burst: truncated string at byte %d", pos)
-		}
-		s := string(buf[pos : pos+int(n)])
-		pos += int(n)
-		return s, nil
-	}
-
-	magic, err := u32()
-	if err != nil {
-		return r, 0, err
-	}
-	if magic != recordMagic {
-		return r, 0, fmt.Errorf("burst: bad record magic %#x", magic)
-	}
-	if r.Seq, err = u64(); err != nil {
-		return r, 0, err
-	}
-	node, err := u64()
-	if err != nil {
-		return r, 0, err
-	}
-	r.Node = int(int64(node))
-	if r.Node < 0 {
-		return r, 0, fmt.Errorf("burst: negative node %d", r.Node)
-	}
-	off, err := u64()
-	if err != nil {
-		return r, 0, err
-	}
-	r.Offset = int64(off)
-	n, err := u64()
-	if err != nil {
-		return r, 0, err
-	}
-	r.Bytes = int64(n)
-	if r.Offset < 0 || r.Bytes < 0 {
-		return r, 0, fmt.Errorf("burst: negative extent %d+%d", r.Offset, r.Bytes)
-	}
-	if r.File, err = str(); err != nil {
-		return r, 0, err
-	}
-	if r.Class, err = str(); err != nil {
-		return r, 0, err
-	}
-	if r.Sum, err = u64(); err != nil {
-		return r, 0, err
-	}
-	if want := checksum(r.Seq, r.Node, r.Offset); r.Sum != want {
-		return r, 0, fmt.Errorf("burst: record %d checksum %#x, want %#x",
-			r.Seq, r.Sum, want)
-	}
-	return r, pos, nil
 }

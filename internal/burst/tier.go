@@ -40,11 +40,10 @@ type Tier struct {
 // nodeLog is one compute node's local log.
 type nodeLog struct {
 	node  int
-	cap   int64     // this node's log capacity
-	used  int64     // committed, undrained bytes
-	queue []*Record // FIFO drain order
-	live  bool      // drain daemon running
-	rng   *sim.RNG
+	cap   int64             // this node's log capacity
+	used  int64             // committed, undrained bytes
+	queue []*Record         // FIFO drain order
+	live  bool              // drain daemon running
 	space []*sim.Completion // commits blocked on a full log
 }
 
@@ -92,9 +91,6 @@ func (t *Tier) InterceptPrefix(prefix string) {
 	t.prefixes = append(t.prefixes, prefix)
 }
 
-// Config returns the tier's (normalized) configuration.
-func (t *Tier) Config() Config { return t.cfg }
-
 // log returns (creating on first use) a node's local log.
 func (t *Tier) log(node int) *nodeLog {
 	for node >= len(t.logs) {
@@ -104,7 +100,6 @@ func (t *Tier) log(node int) *nodeLog {
 		t.logs[node] = &nodeLog{
 			node: node,
 			cap:  t.nodeCapacity(node),
-			rng:  sim.NewRNG(t.cfg.Seed + uint64(node)).Split(),
 		}
 	}
 	return t.logs[node]

@@ -113,6 +113,13 @@ func (s *Study) Scenario() (*scenario.Scenario, error) {
 			return nil, fmt.Errorf("-%s 0: want > 0", name)
 		}
 	}
+	// The translation below would clamp or pass these on unchecked.
+	if s.Outage < 0 {
+		return nil, fmt.Errorf("-outage %g: want >= 0", s.Outage)
+	}
+	if s.compress < 0 {
+		return nil, fmt.Errorf("-compress %g: want >= 0", s.compress)
+	}
 
 	sc := s.Sc
 	sc.Name = s.fs.Name()

@@ -18,7 +18,6 @@ type CrossoverModel struct {
 	FlopsPerIntegral float64 // recomputation cost (paper: ~500)
 	NodeFlopRate     float64 // FLOP/s per node (Paragon i860: ~50e6 sustained)
 	BytesPerIntegral float64 // storage per integral (~56 B for the 16-atom set)
-	IntegralsPerFock float64 // optional scale factor for totals (0 = per-integral only)
 }
 
 // DefaultCrossoverModel returns the paper-calibrated parameters.

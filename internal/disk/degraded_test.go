@@ -61,30 +61,13 @@ func TestDegradedServiceGolden(t *testing.T) {
 	}
 }
 
-// The explicit ReconstructOverhead knob overrides the half-overhead default.
-func TestReconstructOverheadKnob(t *testing.T) {
-	cfg := testArrayConfig()
-	cfg.ReconstructOverhead = 7 * sim.Millisecond
-	a := NewArray(cfg)
-	base := NewArray(cfg)
-	baseT := base.Service(0, 0, 1000, true)
-	a.FailDisk(0)
-	got := a.Service(0, 0, 1000, true)
-	transfer := 1000 * sim.Microsecond
-	want := baseT + 7*sim.Millisecond + sim.Time(float64(transfer)*a.DegradedReadFactor()) - transfer
-	if got != want {
-		t.Fatalf("degraded read with knob = %v, want %v", got, want)
-	}
-}
-
 // Rebuild proceeds in fixed-size slices charged at the rebuild bandwidth, and
 // completing the last slice repairs the array and closes the degraded
 // interval in the stats.
 func TestRebuildSlicesAndCompletion(t *testing.T) {
 	cfg := testArrayConfig()
-	cfg.DiskCapacity = 10 << 20 // 10 MB drive for a quick rebuild
-	cfg.RebuildSliceBytes = 4 << 20
-	cfg.RebuildBWBytesPerS = 1 << 20 // 1 MB/s: 4 s per full slice
+	cfg.DiskCapacity = 10 << 20       // 10 MB drive for a quick rebuild
+	cfg.BWBytesPerS = 2.5 * (1 << 20) // rebuild at 40%: 1 MB/s, 4 s per 4 MB slice
 	a := NewArray(cfg)
 
 	if _, done := a.RebuildSlice(0); !done {

@@ -37,24 +37,20 @@ type ArrayConfig struct {
 	// active files per array than buffers, every request pays positioning —
 	// the regime the Hartree-Fock per-node files produce.
 	StreamCache int
-
-	// ReconstructOverhead is the extra controller cost a degraded-mode read
-	// pays per request to XOR the surviving drives' lanes back into the
-	// failed drive's data. Zero selects a default of half the request
-	// overhead.
-	ReconstructOverhead sim.Time
-
-	// RebuildBWBytesPerS is the sustained rate at which a background rebuild
-	// scans the surviving drives onto the replacement. Zero selects a
-	// default of 40% of the array data bandwidth.
-	RebuildBWBytesPerS float64
-
-	// RebuildSliceBytes is the rebuild work quantum: the rebuild process
-	// occupies the array for one slice at a time, so foreground requests
-	// interleave with (and are delayed by) rebuild passes. Zero selects a
-	// 4 MB default.
-	RebuildSliceBytes int64
 }
+
+// Degraded-mode and rebuild constants of the array model.
+const (
+	// rebuildBWFraction is the share of the array data bandwidth a
+	// background rebuild sustains while scanning the surviving drives onto
+	// the replacement.
+	rebuildBWFraction = 0.4
+
+	// rebuildSliceBytes is the rebuild work quantum: the rebuild process
+	// occupies the array for one slice at a time, so foreground requests
+	// interleave with (and are delayed by) rebuild passes.
+	rebuildSliceBytes = 4 << 20
+)
 
 // DefaultArrayConfig returns parameters representative of the CCSF Paragon's
 // RAID-3 arrays: 5 x 1.2 GB drives, ~15 ms positioning, ~10 MB/s streaming,
@@ -120,21 +116,9 @@ func NewArray(cfg ArrayConfig) *Array {
 	return &Array{cfg: cfg}
 }
 
-// Config returns the array configuration.
-func (a *Array) Config() ArrayConfig { return a.cfg }
-
 // Capacity returns the usable data capacity (all drives minus parity).
 func (a *Array) Capacity() int64 {
 	return int64(a.cfg.Disks-1) * a.cfg.DiskCapacity
-}
-
-// ServiceTime computes the time to service a write-path request on the given
-// stream (callers use the file identity) at the given array byte address, and
-// advances that stream's modeled position. A request that continues its
-// stream sequentially — and whose stream is still buffered — skips
-// positioning. It is equivalent to Service with read=false.
-func (a *Array) ServiceTime(streamKey, addr, bytes int64) sim.Time {
-	return a.Service(streamKey, addr, bytes, false)
 }
 
 // Service computes the time to service a request, distinguishing reads from
@@ -187,12 +171,10 @@ func (a *Array) DegradedReadFactor() float64 {
 	return float64(d-1) / float64(d-2)
 }
 
-func (a *Array) reconstructOverhead() sim.Time {
-	if a.cfg.ReconstructOverhead > 0 {
-		return a.cfg.ReconstructOverhead
-	}
-	return a.cfg.Overhead / 2
-}
+// reconstructOverhead is the extra controller cost a degraded-mode read pays
+// per request to XOR the surviving drives' lanes back into the failed drive's
+// data: half the request overhead.
+func (a *Array) reconstructOverhead() sim.Time { return a.cfg.Overhead / 2 }
 
 // RepairService is the time for an in-place parity reconstruction of a
 // corrupt block: the controller reads the surviving drives' lanes (paying the
@@ -317,18 +299,12 @@ func (a *Array) RebuildSlice(now sim.Time) (slice sim.Time, done bool) {
 	if a.failedDisks != 1 {
 		return 0, true
 	}
-	quantum := a.cfg.RebuildSliceBytes
-	if quantum <= 0 {
-		quantum = 4 << 20
-	}
+	quantum := int64(rebuildSliceBytes)
 	remaining := a.cfg.DiskCapacity - a.rebuiltBytes
 	if quantum > remaining {
 		quantum = remaining
 	}
-	bw := a.cfg.RebuildBWBytesPerS
-	if bw <= 0 {
-		bw = a.cfg.BWBytesPerS * 0.4
-	}
+	bw := a.cfg.BWBytesPerS * rebuildBWFraction
 	slice = sim.Time(float64(quantum) / bw * float64(sim.Second))
 	a.rebuiltBytes += quantum
 	a.busy += slice
@@ -355,15 +331,6 @@ func (a *Array) RebuildProgress() float64 {
 	return float64(a.rebuiltBytes) / float64(a.cfg.DiskCapacity)
 }
 
-// DegradedSince returns the instant the current failure began, if the array
-// is not healthy.
-func (a *Array) DegradedSince() (sim.Time, bool) {
-	if a.failedDisks == 0 {
-		return 0, false
-	}
-	return a.failedAt, true
-}
-
 // Stats summarizes array activity.
 type Stats struct {
 	Requests   int64    // total requests serviced
@@ -382,8 +349,7 @@ type Stats struct {
 }
 
 // Stats returns accumulated activity counters. DegradedTime covers completed
-// failure intervals only; an interval still open at the end of a run is
-// reported via DegradedSince.
+// failure intervals only.
 func (a *Array) Stats() Stats {
 	return Stats{
 		Requests: a.requests, Sequential: a.seqRequests, Bytes: a.bytes, Busy: a.busy,

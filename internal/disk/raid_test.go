@@ -19,7 +19,7 @@ func testArrayConfig() ArrayConfig {
 
 func TestFirstRequestPaysPositioning(t *testing.T) {
 	a := NewArray(testArrayConfig())
-	got := a.ServiceTime(0, 0, 1000)
+	got := a.Service(0, 0, 1000, false)
 	want := 10*sim.Millisecond + 1*sim.Millisecond + 1000*sim.Microsecond
 	if got != want {
 		t.Fatalf("first request %v, want %v", got, want)
@@ -28,8 +28,8 @@ func TestFirstRequestPaysPositioning(t *testing.T) {
 
 func TestSequentialSkipsPositioning(t *testing.T) {
 	a := NewArray(testArrayConfig())
-	a.ServiceTime(0, 0, 1000)
-	got := a.ServiceTime(0, 1000, 500) // continues where previous ended
+	a.Service(0, 0, 1000, false)
+	got := a.Service(0, 1000, 500, false) // continues where previous ended
 	want := 1*sim.Millisecond + 500*sim.Microsecond
 	if got != want {
 		t.Fatalf("sequential request %v, want %v", got, want)
@@ -42,14 +42,14 @@ func TestSequentialSkipsPositioning(t *testing.T) {
 
 func TestNonSequentialPaysPositioning(t *testing.T) {
 	a := NewArray(testArrayConfig())
-	a.ServiceTime(0, 0, 1000)
-	got := a.ServiceTime(0, 5000, 500) // gap
+	a.Service(0, 0, 1000, false)
+	got := a.Service(0, 5000, 500, false) // gap
 	want := 10*sim.Millisecond + 1*sim.Millisecond + 500*sim.Microsecond
 	if got != want {
 		t.Fatalf("random request %v, want %v", got, want)
 	}
 	// Backwards also pays.
-	got = a.ServiceTime(0, 0, 100)
+	got = a.Service(0, 0, 100, false)
 	want = 10*sim.Millisecond + 1*sim.Millisecond + 100*sim.Microsecond
 	if got != want {
 		t.Fatalf("backward request %v, want %v", got, want)
@@ -64,7 +64,7 @@ func TestLargeSequentialApproachesBandwidth(t *testing.T) {
 	var total sim.Time
 	addr := int64(0)
 	for i := 0; i < 100; i++ {
-		total += a.ServiceTime(0, addr, chunk)
+		total += a.Service(0, addr, chunk, false)
 		addr += chunk
 	}
 	bytes := float64(100 * chunk)
@@ -78,7 +78,7 @@ func TestLargeSequentialApproachesBandwidth(t *testing.T) {
 
 func TestSmallRandomDominatedByPositioning(t *testing.T) {
 	a := NewArray(testArrayConfig())
-	svc := a.ServiceTime(0, 1<<20, 2048)
+	svc := a.Service(0, 1<<20, 2048, false)
 	transfer := 2048 * sim.Microsecond
 	if svc < 5*transfer {
 		t.Fatalf("small random request should be positioning-dominated: svc=%v transfer=%v", svc, transfer)
@@ -94,8 +94,8 @@ func TestCapacityExcludesParity(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	a := NewArray(testArrayConfig())
-	a.ServiceTime(0, 0, 100)
-	a.ServiceTime(0, 100, 200)
+	a.Service(0, 0, 100, false)
+	a.Service(0, 100, 200, false)
 	st := a.Stats()
 	if st.Requests != 2 || st.Bytes != 300 {
 		t.Fatalf("stats %+v", st)
@@ -117,7 +117,7 @@ func TestServiceTimeLowerBoundProperty(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			addr, size := int64(addrs[i]), int64(sizes[i])
-			svc := a.ServiceTime(0, addr, size)
+			svc := a.Service(0, addr, size, false)
 			min := cfg.Overhead + sim.Time(size)*sim.Microsecond
 			if svc < min {
 				return false
@@ -156,14 +156,14 @@ func TestNegativeRequestPanics(t *testing.T) {
 			t.Error("negative request did not panic")
 		}
 	}()
-	a.ServiceTime(0, -1, 10)
+	a.Service(0, -1, 10, false)
 }
 
 func TestStreamCacheKeepsConcurrentStreamsSequential(t *testing.T) {
 	cfg := testArrayConfig() // StreamCache defaults to min 1; set explicitly
 	cfg.StreamCache = 2
 	a := NewArray(cfg)
-	seq := func(stream, addr int64, n int64) sim.Time { return a.ServiceTime(stream, addr, n) }
+	seq := func(stream, addr int64, n int64) sim.Time { return a.Service(stream, addr, n, false) }
 	// Two interleaved streams both stay sequential with a 2-entry cache.
 	seq(1, 0, 100)
 	seq(2, 1<<20, 100)
@@ -179,17 +179,17 @@ func TestStreamCacheEvictionForcesPositioning(t *testing.T) {
 	cfg := testArrayConfig()
 	cfg.StreamCache = 2
 	a := NewArray(cfg)
-	a.ServiceTime(1, 0, 100)
-	a.ServiceTime(2, 1<<20, 100)
-	a.ServiceTime(3, 2<<20, 100) // evicts stream 1 (LRU)
+	a.Service(1, 0, 100, false)
+	a.Service(2, 1<<20, 100, false)
+	a.Service(3, 2<<20, 100, false) // evicts stream 1 (LRU)
 	// Stream 1 continues at its old end but was evicted: pays positioning.
-	got := a.ServiceTime(1, 100, 100)
+	got := a.Service(1, 100, 100, false)
 	want := 10*sim.Millisecond + 1*sim.Millisecond + 100*sim.Microsecond
 	if got != want {
 		t.Fatalf("evicted stream serviced at %v, want %v", got, want)
 	}
 	// Stream 3 (recently used) is still sequential.
-	got = a.ServiceTime(3, 2<<20+100, 100)
+	got = a.Service(3, 2<<20+100, 100, false)
 	if got != 1*sim.Millisecond+100*sim.Microsecond {
 		t.Fatalf("stream 3 lost sequentiality: %v", got)
 	}
@@ -199,11 +199,11 @@ func TestStreamCacheLRUOrder(t *testing.T) {
 	cfg := testArrayConfig()
 	cfg.StreamCache = 2
 	a := NewArray(cfg)
-	a.ServiceTime(1, 0, 100)
-	a.ServiceTime(2, 1<<20, 100)
-	a.ServiceTime(1, 100, 100)   // touch stream 1: now MRU
-	a.ServiceTime(3, 2<<20, 100) // evicts stream 2, not 1
-	got := a.ServiceTime(1, 200, 100)
+	a.Service(1, 0, 100, false)
+	a.Service(2, 1<<20, 100, false)
+	a.Service(1, 100, 100, false)   // touch stream 1: now MRU
+	a.Service(3, 2<<20, 100, false) // evicts stream 2, not 1
+	got := a.Service(1, 200, 100, false)
 	if got != 1*sim.Millisecond+100*sim.Microsecond {
 		t.Fatalf("MRU stream evicted: %v", got)
 	}
@@ -223,7 +223,7 @@ func TestSweepServiceTimeAmortizesPositioning(t *testing.T) {
 	b := NewArray(cfg)
 	var individual sim.Time
 	for i := int64(0); i < 8; i++ {
-		individual += b.ServiceTime(1, i*1<<20, 2048)
+		individual += b.Service(1, i*1<<20, 2048, false)
 	}
 	if got*2 > individual {
 		t.Fatalf("sweep %v not clearly cheaper than %v individually", got, individual)

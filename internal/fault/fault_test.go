@@ -143,8 +143,7 @@ func TestInjectorDiskFailureRebuilds(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := disk.DefaultArrayConfig()
 	cfg.DiskCapacity = 8 << 20 // small drive: rebuild finishes quickly
-	cfg.RebuildSliceBytes = 1 << 20
-	cfg.RebuildBWBytesPerS = 4 << 20
+	cfg.BWBytesPerS = 10 << 20 // rebuild at 40%: 4 MB/s
 	nodes := testNodes(eng, 1, cfg)
 	inj := Inject(eng, nodes, []Event{{Kind: DiskFailure, At: sim.Second, Node: 0}}, NodeLossHooks{})
 	var during bool

@@ -127,13 +127,6 @@ func (inj *Injector) FirstNodeLoss() (NodeLossEvent, bool) {
 	return inj.losses[0], true
 }
 
-// NodeLosses returns all realized compute-node losses.
-func (inj *Injector) NodeLosses() []NodeLossEvent {
-	out := make([]NodeLossEvent, len(inj.losses))
-	copy(out, inj.losses)
-	return out
-}
-
 // begin opens an incident and returns its index.
 func (inj *Injector) begin(ev Event, at sim.Time) int {
 	inj.incidents = append(inj.incidents, Incident{

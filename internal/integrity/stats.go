@@ -52,11 +52,6 @@ func (s Stats) Detected() int64 {
 	return s.DetectedRead + s.DetectedScrub + s.DetectedRestart + s.DetectedAudit
 }
 
-// Resolved is the total corruptions no longer present.
-func (s Stats) Resolved() int64 {
-	return s.RepairedParity + s.HealedByRewrite + s.ClearedUndetected
-}
-
 // Silent is the corruptions nothing caught while the run was live: first
 // found by the end-of-run audit.
 func (s Stats) Silent() int64 { return s.DetectedAudit }

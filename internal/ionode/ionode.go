@@ -63,12 +63,6 @@ func (n *Node) ID() int { return n.id }
 // injection).
 func (n *Node) Array() *disk.Array { return n.array }
 
-// Queue exposes the node's request queue (for rebuild processes that must
-// contend with foreground requests). With a scheduling policy installed, the
-// queue is bypassed — such callers use AcquireService/ReleaseService, which
-// route through whichever server is active.
-func (n *Node) Queue() *sim.Resource { return n.queue }
-
 // EnableSched installs a disk-scheduling policy in front of the array,
 // replacing the strict-FIFO resource queue. Call before the simulation
 // starts issuing requests. An empty policy name is a no-op (legacy FIFO).
@@ -465,24 +459,7 @@ type FaultStats struct {
 }
 
 // FaultStats returns the node's fault counters. DownTime covers completed
-// outages; an outage still open is reported via DownSince.
+// outages only.
 func (n *Node) FaultStats() FaultStats {
 	return FaultStats{Failures: n.failures, Rejected: n.rejected, DownTime: n.downTime}
-}
-
-// DownSince returns the start of the current outage, if the node is down.
-func (n *Node) DownSince() (sim.Time, bool) {
-	if !n.down {
-		return 0, false
-	}
-	return n.downSince, true
-}
-
-// Utilization reports the fraction of time the array server was busy up to
-// the given instant.
-func (n *Node) Utilization(at sim.Time) float64 {
-	if n.sched != nil {
-		return n.sched.Utilization(at)
-	}
-	return n.queue.StatsAt(at).Utilization
 }

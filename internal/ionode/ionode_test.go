@@ -93,22 +93,6 @@ func TestSyncChargesCost(t *testing.T) {
 	}
 }
 
-func TestUtilizationReflectsBusyFraction(t *testing.T) {
-	eng := sim.NewEngine()
-	n := New(eng, 0, cfg())
-	eng.Spawn("c", func(p *sim.Process) {
-		n.Do(p, 0, 0, 1000, false) // ~11 ms busy
-		p.Sleep(89 * sim.Millisecond)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	u := n.Utilization(eng.Now())
-	if u < 0.08 || u > 0.15 {
-		t.Fatalf("utilization %f, want ~0.11", u)
-	}
-}
-
 func TestDoSweepCheaperThanIndividualRequests(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, 0, cfg())

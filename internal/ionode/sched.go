@@ -157,9 +157,7 @@ type dispatcher struct {
 	waiters []*schedWaiter
 	scratch []int64
 
-	stats     SchedStats
-	busySince sim.Time
-	busyTime  sim.Time
+	stats SchedStats
 }
 
 // SchedStats counts a dispatcher's decisions.
@@ -203,7 +201,6 @@ func (d *dispatcher) Acquire(p *sim.Process, addr, span int64) error {
 		return nil
 	}
 	d.busy = true
-	d.busySince = p.Now()
 	if d.window > 0 && addr >= 0 {
 		// Anticipation: hold the idle server briefly so requests arriving
 		// just behind this one are scheduled as a batch.
@@ -212,7 +209,7 @@ func (d *dispatcher) Acquire(p *sim.Process, addr, span int64) error {
 		p.Sleep(d.window)
 		w.anticipating = false
 		if w.ejected {
-			d.idle(p.Now())
+			d.busy = false
 			return sim.ErrBroken
 		}
 		if len(d.waiters) > 1 {
@@ -242,7 +239,7 @@ func (d *dispatcher) Release(p *sim.Process) {
 		panic(fmt.Sprintf("ionode: release of idle dispatcher %q", d.name))
 	}
 	if len(d.waiters) == 0 {
-		d.idle(p.Now())
+		d.busy = false
 		return
 	}
 	i := d.pick()
@@ -271,18 +268,6 @@ func (d *dispatcher) Break(p *sim.Process) {
 
 // Repair restores service after Break.
 func (d *dispatcher) Repair() { d.broken = false }
-
-// Utilization reports the fraction of time the server was busy up to `at`.
-func (d *dispatcher) Utilization(at sim.Time) float64 {
-	if at <= 0 {
-		return 0
-	}
-	busy := d.busyTime
-	if d.busy {
-		busy += at - d.busySince
-	}
-	return float64(busy) / float64(at)
-}
 
 func (d *dispatcher) push(w *schedWaiter) {
 	d.waiters = append(d.waiters, w)
@@ -327,9 +312,4 @@ func (d *dispatcher) grant(w *schedWaiter, picked int) {
 		}
 		d.head = w.addr + w.span
 	}
-}
-
-func (d *dispatcher) idle(now sim.Time) {
-	d.busy = false
-	d.busyTime += now - d.busySince
 }

@@ -35,14 +35,6 @@ func TestTracerReductionOnlyMode(t *testing.T) {
 	}
 }
 
-func TestTracerPerturbation(t *testing.T) {
-	tr := NewTracer(false)
-	tr.SetPerEventOverhead(50 * sim.Microsecond)
-	if got := tr.Perturbation(1000); got != 50*sim.Millisecond {
-		t.Fatalf("perturbation %v", got)
-	}
-}
-
 func TestLifetimeOpenTimeBracketsSessions(t *testing.T) {
 	lt := NewLifetimeReducer()
 	// Open at 10s (ends 11s), close at 20s (ends 21s): open for 10s.
@@ -139,56 +131,6 @@ func TestWindowConservationProperty(t *testing.T) {
 	}
 }
 
-func TestRegionReducerSplitsSpanningAccesses(t *testing.T) {
-	r := NewRegionReducer(1000)
-	// 2500-byte write starting at 500 touches regions 0,1,2,3.
-	r.Reduce(ev(iotrace.OpWrite, 1, 500, 2500, 0, 1))
-	regions := r.Regions()
-	if len(regions) != 3 {
-		t.Fatalf("regions %d, want 3 (offsets 500-2999)", len(regions))
-	}
-	if r.Region(1, 0).Bytes != 500 || r.Region(1, 1).Bytes != 1000 || r.Region(1, 2).Bytes != 1000 {
-		t.Fatalf("region bytes: %+v %+v %+v", r.Region(1, 0), r.Region(1, 1), r.Region(1, 2))
-	}
-	for _, reg := range regions {
-		if reg.Writes != 1 || reg.Reads != 0 {
-			t.Fatalf("region counts %+v", reg)
-		}
-	}
-}
-
-func TestRegionReducerIgnoresNonDataOps(t *testing.T) {
-	r := NewRegionReducer(1000)
-	r.Reduce(ev(iotrace.OpSeek, 1, 0, 500, 0, 1))
-	r.Reduce(ev(iotrace.OpOpen, 1, 0, 0, 0, 1))
-	if len(r.Regions()) != 0 {
-		t.Fatal("non-data ops created regions")
-	}
-}
-
-// Property: bytes across regions equal bytes of all accesses.
-func TestRegionConservationProperty(t *testing.T) {
-	prop := func(accesses []struct {
-		Off   uint16
-		Bytes uint16
-	}) bool {
-		r := NewRegionReducer(777)
-		var want int64
-		for _, a := range accesses {
-			want += int64(a.Bytes)
-			r.Reduce(ev(iotrace.OpRead, 2, int64(a.Off), int64(a.Bytes), 0, 1))
-		}
-		var got int64
-		for _, reg := range r.Regions() {
-			got += reg.Bytes
-		}
-		return got == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReducerNames(t *testing.T) {
 	if NewLifetimeReducer().Name() != "file-lifetime" {
 		t.Fail()
@@ -196,15 +138,11 @@ func TestReducerNames(t *testing.T) {
 	if NewWindowReducer(sim.Second).Name() != "time-window" {
 		t.Fail()
 	}
-	if NewRegionReducer(1).Name() != "file-region" {
-		t.Fail()
-	}
 }
 
 func TestBadReducerConfigsPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"window": func() { NewWindowReducer(0) },
-		"region": func() { NewRegionReducer(0) },
 	} {
 		func() {
 			defer func() {

@@ -2,15 +2,12 @@
 // Pablo performance environment as used in the paper (§3.1): invocations of
 // I/O routines are bracketed with capture code that records the parameters
 // and duration of each call. The captured stream can be kept as a full event
-// trace for off-line analysis, reduced in real time into file-lifetime,
-// time-window and file-region summaries — the paper's three reduction kinds —
-// or both.
+// trace for off-line analysis, reduced in real time into file-lifetime and
+// time-window summaries, or both. (The paper's third reduction kind, file-region
+// summaries, feeds none of its tables or figures and is not modeled.)
 package pablo
 
-import (
-	"repro/internal/iotrace"
-	"repro/internal/sim"
-)
+import "repro/internal/iotrace"
 
 // Tracer is an iotrace.Recorder that buffers the full event trace and feeds
 // any number of attached real-time reducers.
@@ -18,8 +15,6 @@ type Tracer struct {
 	keep     bool
 	events   []iotrace.Event
 	reducers []Reducer
-
-	perEvent sim.Time // modeled capture overhead per event (perturbation)
 }
 
 // Reducer consumes events in capture order and maintains a running summary;
@@ -53,10 +48,6 @@ func (t *Tracer) Reserve(n int) {
 // Attach adds a reducer that will see every subsequently captured event.
 func (t *Tracer) Attach(r Reducer) { t.reducers = append(t.reducers, r) }
 
-// SetPerEventOverhead sets the modeled instrumentation cost per captured
-// event, used by Perturbation.
-func (t *Tracer) SetPerEventOverhead(d sim.Time) { t.perEvent = d }
-
 // Record implements iotrace.Recorder.
 func (t *Tracer) Record(e iotrace.Event) {
 	if t.keep {
@@ -73,10 +64,3 @@ func (t *Tracer) Events() []iotrace.Event { return t.events }
 
 // Len returns the number of buffered events.
 func (t *Tracer) Len() int { return len(t.events) }
-
-// Perturbation estimates total instrumentation overhead: captured events
-// times the per-event cost. The paper reports this overhead is modest and
-// largely independent of whether data is reduced on line or traced.
-func (t *Tracer) Perturbation(captured int64) sim.Time {
-	return sim.Time(captured) * t.perEvent
-}

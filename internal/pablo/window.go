@@ -67,91 +67,3 @@ func (w *WindowReducer) Windows() []*WindowSummary {
 
 // Window returns the summary for window idx (nil if empty).
 func (w *WindowReducer) Window(idx int64) *WindowSummary { return w.windows[idx] }
-
-// RegionSummary aggregates accesses to one fixed-size region of one file —
-// "file region summaries are the spatial analog of time window summaries"
-// (§3.1).
-type RegionSummary struct {
-	File   iotrace.FileID
-	Index  int64 // region number: bytes [Index*R, (Index+1)*R)
-	Reads  int64
-	Writes int64
-	Bytes  int64
-}
-
-// RegionReducer buckets data-moving events by file region. An access that
-// spans several regions counts once in each region it touches, with its
-// bytes split by region.
-type RegionReducer struct {
-	size    int64
-	regions map[regionKey]*RegionSummary
-}
-
-type regionKey struct {
-	file iotrace.FileID
-	idx  int64
-}
-
-// NewRegionReducer creates a reducer with the given region size in bytes.
-func NewRegionReducer(size int64) *RegionReducer {
-	if size <= 0 {
-		panic(fmt.Sprintf("pablo: region size %d <= 0", size))
-	}
-	return &RegionReducer{size: size, regions: make(map[regionKey]*RegionSummary)}
-}
-
-// Name implements Reducer.
-func (r *RegionReducer) Name() string { return "file-region" }
-
-// Size returns the region size.
-func (r *RegionReducer) Size() int64 { return r.size }
-
-// Reduce implements Reducer.
-func (r *RegionReducer) Reduce(e iotrace.Event) {
-	if !e.Op.Moves() || e.Bytes == 0 {
-		return
-	}
-	cur := e.Offset
-	end := e.Offset + e.Bytes
-	for cur < end {
-		idx := cur / r.size
-		regionEnd := (idx + 1) * r.size
-		if regionEnd > end {
-			regionEnd = end
-		}
-		key := regionKey{e.File, idx}
-		s := r.regions[key]
-		if s == nil {
-			s = &RegionSummary{File: e.File, Index: idx}
-			r.regions[key] = s
-		}
-		switch e.Op {
-		case iotrace.OpRead, iotrace.OpAsyncRead:
-			s.Reads++
-		case iotrace.OpWrite:
-			s.Writes++
-		}
-		s.Bytes += regionEnd - cur
-		cur = regionEnd
-	}
-}
-
-// Regions returns all touched regions ordered by (file, region index).
-func (r *RegionReducer) Regions() []*RegionSummary {
-	out := make([]*RegionSummary, 0, len(r.regions))
-	for _, s := range r.regions {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
-}
-
-// Region returns the summary for one (file, region) pair, or nil.
-func (r *RegionReducer) Region(file iotrace.FileID, idx int64) *RegionSummary {
-	return r.regions[regionKey{file, idx}]
-}

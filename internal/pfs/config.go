@@ -221,16 +221,6 @@ func (c Config) Zones() []int {
 	return zones
 }
 
-// Heterogeneous reports whether any node overrides the fleet-wide defaults.
-func (c Config) Heterogeneous() bool {
-	for _, n := range c.Nodes {
-		if n.Disk != nil || n.CacheBytes > 0 || n.Zone != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // CostModel collects the software-path service times of the file system.
 // The defaults are calibrated so that the three application skeletons
 // reproduce the time columns of the paper's Tables 1, 3 and 5 in shape and

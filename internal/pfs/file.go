@@ -55,14 +55,8 @@ func newFile(fs *FileSystem, id iotrace.FileID, name string) *File {
 	}
 }
 
-// ID returns the file's trace identifier.
-func (f *File) ID() iotrace.FileID { return f.id }
-
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
-
-// Size returns the current extent.
-func (f *File) Size() int64 { return f.size }
 
 // stripeIONode maps a file-relative stripe index to an I/O node.
 func (f *File) stripeIONode(stripe int64, nion int) int {

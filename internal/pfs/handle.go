@@ -80,14 +80,8 @@ func (h *Handle) bufferedWrite(p *sim.Process, n int64) (bool, error) {
 	return true, nil
 }
 
-// Node returns the compute node that owns the handle.
-func (h *Handle) Node() int { return h.node }
-
 // Mode returns the access mode the handle was opened with.
 func (h *Handle) Mode() iotrace.AccessMode { return h.mode }
-
-// File returns the underlying file.
-func (h *Handle) File() *File { return h.file }
 
 // Offset returns the handle's independent file pointer (meaningful for
 // M_UNIX, M_RECORD and M_ASYNC handles).

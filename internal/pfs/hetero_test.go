@@ -129,18 +129,12 @@ func TestConfigValidateNodeMismatch(t *testing.T) {
 
 func TestZonesAndHeterogeneous(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Heterogeneous() {
-		t.Fatal("default config reported heterogeneous")
-	}
 	if got := cfg.Zones(); len(got) != 16 || got[0] != 0 {
 		t.Fatalf("zones %v", got)
 	}
 	cfg.Nodes = make([]NodeConfig, cfg.IONodes)
 	for i := range cfg.Nodes {
 		cfg.Nodes[i].Zone = i / 4
-	}
-	if !cfg.Heterogeneous() {
-		t.Fatal("zoned config not reported heterogeneous")
 	}
 	z := cfg.Zones()
 	if z[0] != 0 || z[15] != 3 {

@@ -109,9 +109,9 @@ func TestRepairLedgerOrderAcrossLongOutage(t *testing.T) {
 	if st.RedundancyRestoredAt != 31029617*sim.Microsecond {
 		t.Errorf("RedundancyRestoredAt = %v, want 31.029617s", st.RedundancyRestoredAt)
 	}
-	if st.Sweeps != 1 || st.LedgerDrains != st.LedgerPuts || r.fs.RepairBacklog() != 0 {
+	if st.Sweeps != 1 || st.LedgerDrains != st.LedgerPuts || repairBacklog(r.fs) != 0 {
 		t.Errorf("sweeps=%d puts=%d drains=%d backlog=%d, want one sweep that drains the ledger",
-			st.Sweeps, st.LedgerPuts, st.LedgerDrains, r.fs.RepairBacklog())
+			st.Sweeps, st.LedgerPuts, st.LedgerDrains, repairBacklog(r.fs))
 	}
 }
 

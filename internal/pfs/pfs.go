@@ -280,12 +280,6 @@ func (fs *FileSystem) OpenRecord(p *sim.Process, node int, name string, recordLe
 	return h, nil
 }
 
-// Exists reports whether a file has been created.
-func (fs *FileSystem) Exists(name string) bool {
-	_, ok := fs.files[name]
-	return ok
-}
-
 // FileInfo describes a file's identity and extent.
 type FileInfo struct {
 	ID   iotrace.FileID

@@ -77,8 +77,8 @@ func TestCreateOpenAndErrors(t *testing.T) {
 		if _, err := r.fs.Create(p, 0, "f", iotrace.ModeUnix); !errors.Is(err, ErrExist) {
 			t.Errorf("re-create: %v", err)
 		}
-		if !r.fs.Exists("f") {
-			t.Error("Exists(f) = false")
+		if _, ok := r.fs.Stat("f"); !ok {
+			t.Error("Stat(f) found no file")
 		}
 		if err := h.Close(p); err != nil {
 			t.Errorf("close: %v", err)

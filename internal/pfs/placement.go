@@ -175,16 +175,6 @@ func (pl *placer) primaryOf(node, r int) int {
 	return pl.ring[((pl.pos[node]-r)%n+n)%n]
 }
 
-// group returns the nodes holding copies 0..rf-1 of a chunk with the given
-// primary, in copy order.
-func (pl *placer) group(primary, rf int) []int {
-	out := make([]int, rf)
-	for r := 0; r < rf; r++ {
-		out[r] = pl.target(primary, r)
-	}
-	return out
-}
-
 // ReplicationFactor returns the effective copy count per chunk (1 = no
 // replication).
 func (fs *FileSystem) ReplicationFactor() int { return fs.rf }

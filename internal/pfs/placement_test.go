@@ -4,6 +4,16 @@ import (
 	"testing"
 )
 
+// group returns the nodes holding copies 0..rf-1 of a chunk with the given
+// primary, in copy order.
+func (pl *placer) group(primary, rf int) []int {
+	out := make([]int, rf)
+	for r := 0; r < rf; r++ {
+		out[r] = pl.target(primary, r)
+	}
+	return out
+}
+
 // zonesOf labels n nodes round-robin-free: counts[z] nodes carry zone z, in
 // index order (node 0..counts[0]-1 in zone 0, and so on) — the layout the
 // scenario fleet templates generate.

@@ -161,14 +161,6 @@ func (fs *FileSystem) RepairStats() RepairStats {
 	return fs.rep.stats
 }
 
-// RepairBacklog returns the current redirect-ledger depth.
-func (fs *FileSystem) RepairBacklog() int {
-	if fs.rep == nil {
-		return 0
-	}
-	return fs.rep.queue.Len()
-}
-
 // NoteOutageStart records an I/O-node outage opening — the fault injector's
 // feed into the under-replication index. No-op with repair disabled.
 func (fs *FileSystem) NoteOutageStart(node int, at sim.Time) {

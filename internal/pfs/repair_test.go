@@ -19,6 +19,14 @@ func repairRig(t *testing.T, rf int, mut func(*Config)) *testRig {
 	})
 }
 
+// repairBacklog returns the redirect-ledger depth (0 with repair disabled).
+func repairBacklog(fs *FileSystem) int {
+	if fs.rep == nil {
+		return 0
+	}
+	return fs.rep.queue.Len()
+}
+
 // A mirror write that cannot reach its down target enters the redirect
 // ledger, and once the node returns the daemon re-replicates the chunk and
 // drains the ledger to empty.
@@ -47,9 +55,9 @@ func TestRepairDrainsMirrorMiss(t *testing.T) {
 	if st.ChunksRepaired != 1 || st.BytesRepaired != 64<<10 {
 		t.Errorf("repaired %d chunks / %d bytes, want 1 / %d", st.ChunksRepaired, st.BytesRepaired, 64<<10)
 	}
-	if st.LedgerPuts != st.LedgerDrains || r.fs.RepairBacklog() != 0 {
+	if st.LedgerPuts != st.LedgerDrains || repairBacklog(r.fs) != 0 {
 		t.Errorf("ledger not drained: puts=%d drains=%d backlog=%d",
-			st.LedgerPuts, st.LedgerDrains, r.fs.RepairBacklog())
+			st.LedgerPuts, st.LedgerDrains, repairBacklog(r.fs))
 	}
 	if st.Abandoned != 0 {
 		t.Errorf("Abandoned = %d, want 0", st.Abandoned)
@@ -99,8 +107,8 @@ func TestRepairRestoresSloppyWrite(t *testing.T) {
 	if st.ChunksRepaired != 1 {
 		t.Errorf("ChunksRepaired = %d, want 1 (the stale primary copy)", st.ChunksRepaired)
 	}
-	if r.fs.RepairBacklog() != 0 {
-		t.Errorf("backlog %d after drain", r.fs.RepairBacklog())
+	if repairBacklog(r.fs) != 0 {
+		t.Errorf("backlog %d after drain", repairBacklog(r.fs))
 	}
 	// After repair the primary copy answers reads again.
 	r.eng.Spawn("probe", func(p *sim.Process) {
@@ -143,8 +151,8 @@ func TestRepairAtRF3(t *testing.T) {
 	if st.LedgerPuts != 4 || st.ChunksRepaired != 4 {
 		t.Errorf("puts=%d repaired=%d, want 4 and 4", st.LedgerPuts, st.ChunksRepaired)
 	}
-	if r.fs.RepairBacklog() != 0 || st.Abandoned != 0 {
-		t.Errorf("backlog=%d abandoned=%d after drain", r.fs.RepairBacklog(), st.Abandoned)
+	if repairBacklog(r.fs) != 0 || st.Abandoned != 0 {
+		t.Errorf("backlog=%d abandoned=%d after drain", repairBacklog(r.fs), st.Abandoned)
 	}
 }
 
@@ -216,8 +224,8 @@ func TestRepairGiveUpAbandons(t *testing.T) {
 	if st.ChunksRepaired != 0 {
 		t.Errorf("ChunksRepaired = %d, want 0", st.ChunksRepaired)
 	}
-	if r.fs.RepairBacklog() != 0 {
-		t.Errorf("backlog %d, want empty after abandoning", r.fs.RepairBacklog())
+	if repairBacklog(r.fs) != 0 {
+		t.Errorf("backlog %d, want empty after abandoning", repairBacklog(r.fs))
 	}
 }
 

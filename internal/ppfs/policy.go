@@ -83,10 +83,6 @@ func DefaultPolicy() Policy {
 	}
 }
 
-// PassthroughPolicy returns a policy with every optimization disabled —
-// PPFS reduces to bookkeeping over the native file system.
-func PassthroughPolicy() Policy { return Policy{} }
-
 // withDefaults fills zero values.
 func (p Policy) withDefaults(stripe int64) Policy {
 	if p.FlushHighWater == 0 {

@@ -19,7 +19,6 @@ type FileSystem struct {
 	cache   *blockCache
 	class   *Classifier
 	buffers map[string]*fileBuffer
-	advice  map[string]Advice
 
 	rec   iotrace.Recorder
 	phase string
@@ -52,18 +51,12 @@ func New(eng *sim.Engine, under *pfs.FileSystem, pol Policy) (*FileSystem, error
 	return fs, nil
 }
 
-// Policy returns the effective (defaulted) policy.
-func (fs *FileSystem) Policy() Policy { return fs.pol }
-
 // Under exposes the physical file system (e.g. to attach a physical-level
 // tracer).
 func (fs *FileSystem) Under() *pfs.FileSystem { return fs.under }
 
 // Stats returns policy-layer counters.
 func (fs *FileSystem) Stats() Stats { return fs.stats }
-
-// Classifier exposes the access-pattern classifier.
-func (fs *FileSystem) Classifier() *Classifier { return fs.class }
 
 // SetRecorder installs the application-level trace recorder.
 func (fs *FileSystem) SetRecorder(r iotrace.Recorder) {

@@ -543,8 +543,8 @@ func TestPolicyValidation(t *testing.T) {
 	if err := DefaultPolicy().Validate(); err != nil {
 		t.Errorf("default policy invalid: %v", err)
 	}
-	if err := PassthroughPolicy().Validate(); err != nil {
-		t.Errorf("passthrough policy invalid: %v", err)
+	if err := (Policy{}).Validate(); err != nil {
+		t.Errorf("zero (passthrough) policy invalid: %v", err)
 	}
 }
 
@@ -639,103 +639,6 @@ func TestAggregationCombinesDisjointWritesIntoSweeps(t *testing.T) {
 		if e.Bytes < 4096 {
 			t.Fatalf("physical write of %d bytes escaped aggregation", e.Bytes)
 		}
-	}
-}
-
-func TestAdviseSequentialEnablesPrefetchOnAdaptive(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.Adaptive = true
-	pol.WriteBehind = false
-	pol.Aggregation = false
-	r := newRig(t, pol)
-	if err := r.fs.Advise("f", Advice{Pattern: PatternSequential}); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, func(p *sim.Process) {
-		r.fs.Preload("f", 4<<20)
-		h, _ := r.fs.Open(p, 0, "f", iotrace.ModeUnix)
-		// Even before the classifier has seen enough accesses, advice
-		// triggers readahead.
-		h.Read(p, 64*1024)
-		h.Read(p, 64*1024)
-	})
-	if got := r.fs.Stats().Prefetches; got == 0 {
-		t.Fatal("advice did not enable prefetch")
-	}
-}
-
-func TestAdviseRandomSuppressesPrefetch(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.WriteBehind = false
-	pol.Aggregation = false
-	r := newRig(t, pol)
-	if err := r.fs.Advise("f", Advice{Pattern: PatternRandom}); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, func(p *sim.Process) {
-		r.fs.Preload("f", 4<<20)
-		h, _ := r.fs.Open(p, 0, "f", iotrace.ModeUnix)
-		for i := 0; i < 8; i++ {
-			h.Read(p, 64*1024) // sequential stream, but advice says random
-		}
-	})
-	if got := r.fs.Stats().Prefetches; got != 0 {
-		t.Fatalf("advice random still prefetched %d blocks", got)
-	}
-}
-
-func TestAdvisePrefetchDepthOverride(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.WriteBehind = false
-	pol.Aggregation = false
-	pol.Prefetch = 1
-	r := newRig(t, pol)
-	if err := r.fs.Advise("f", Advice{Prefetch: 4}); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, func(p *sim.Process) {
-		r.fs.Preload("f", 8<<20)
-		h, _ := r.fs.Open(p, 0, "f", iotrace.ModeUnix)
-		h.Read(p, 64*1024)
-	})
-	if got := r.fs.Stats().Prefetches; got != 4 {
-		t.Fatalf("prefetches %d, want 4 (advised depth)", got)
-	}
-}
-
-func TestAdviseForcedWriteBehind(t *testing.T) {
-	r := newRig(t, DefaultPolicy())
-	if err := r.fs.Advise("f", Advice{WriteBehind: true}); err != nil {
-		t.Fatal(err)
-	}
-	r.run(t, func(p *sim.Process) {
-		h, _ := r.fs.Create(p, 0, "f", iotrace.ModeUnix)
-		// A write at/above DirectWriteBytes would normally bypass; advice
-		// forces buffering.
-		if _, err := h.Write(p, 128*1024); err != nil {
-			t.Fatal(err)
-		}
-		h.Close(p)
-	})
-	st := r.fs.Stats()
-	if st.BufferedWrites != 1 || st.DirectWrites != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestAdviseValidationAndLookup(t *testing.T) {
-	r := newRig(t, DefaultPolicy())
-	if err := r.fs.Advise("f", Advice{Pattern: Pattern(99)}); err == nil {
-		t.Fatal("invalid pattern accepted")
-	}
-	if _, ok := r.fs.AdviceFor("f"); ok {
-		t.Fatal("invalid advice registered")
-	}
-	if err := r.fs.Advise("f", Advice{Pattern: PatternSequential, Prefetch: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if a, ok := r.fs.AdviceFor("f"); !ok || a.Prefetch != 3 {
-		t.Fatalf("advice %+v %v", a, ok)
 	}
 }
 

@@ -119,6 +119,9 @@ func TestParseErrors(t *testing.T) {
 		{"counts exceed fleet", "workload:\n  app: escat\nfleet_gen:\n  io_nodes: 4\n  templates:\n    - name: t\n      count: 5\n", "pin 5 nodes"},
 		{"bad chaos kind", "workload:\n  app: escat\nchaos:\n  events:\n    - kind: meteor\n      at_s: 1\n", "chaos.events[0]"},
 		{"exp bad window", "workload:\n  app: escat\nchaos:\n  exps:\n    - kind: ionode-outage\n      mean_between_s: 5\n      start_s: 9\n      end_s: 3\n", "end_s"},
+		{"exp negative duration", "workload:\n  app: escat\nchaos:\n  exps:\n    - kind: ionode-outage\n      mean_between_s: 10\n      end_s: 100\n      duration_s: -1\n", "chaos.exps[0]: times must be >= 0"},
+		{"exp negative start", "workload:\n  app: escat\nchaos:\n  exps:\n    - kind: ionode-outage\n      mean_between_s: 10\n      start_s: -5\n      end_s: 100\n", "chaos.exps[0]: times must be >= 0"},
+		{"negative compress", "workload:\n  app: escat\nfeatures:\n  burst:\n    enabled: true\n    compress: -2\n", "features.burst.compress -2 is negative"},
 		{"waves without wave", "workload:\n  app: escat\nfleet_gen:\n  startup:\n    pattern: linear\n    waves: 3\n", "pattern: wave"},
 		{"burst with policy", "workload:\n  app: escat\n  policy: ppfs\nfeatures:\n  burst:\n    enabled: true\n", "mutually exclusive"},
 		{"render with ckpt", "workload:\n  app: render\nrun:\n  ckpt_interval: 2\n", "render"},

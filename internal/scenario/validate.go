@@ -172,6 +172,9 @@ func (s *Scenario) validateFeatures() error {
 		if b.DrainMBs < 0 {
 			return fmt.Errorf("features.burst.drain_mb_s %g is negative", b.DrainMBs)
 		}
+		if b.Compress < 0 {
+			return fmt.Errorf("features.burst.compress %g is negative", b.Compress)
+		}
 		if s.policy() != "none" {
 			return fmt.Errorf("features.burst and workload.policy %q are mutually exclusive (both are client-side layers over the same seam)", s.policy())
 		}
@@ -246,6 +249,9 @@ func (c Chaos) validate() error {
 		}
 		if x.MeanBetweenS <= 0 {
 			return fmt.Errorf("chaos.exps[%d]: mean_between_s must be > 0", i)
+		}
+		if x.StartS < 0 || x.DurationS < 0 {
+			return fmt.Errorf("chaos.exps[%d]: times must be >= 0", i)
 		}
 		if x.EndS <= x.StartS {
 			return fmt.Errorf("chaos.exps[%d]: end_s %g must be after start_s %g", i, x.EndS, x.StartS)

@@ -116,9 +116,6 @@ func (ar *ASCIIReader) Next() (any, error) {
 	return nil, io.EOF
 }
 
-// Descriptors returns the descriptors seen so far, keyed by tag.
-func (ar *ASCIIReader) Descriptors() map[int]Descriptor { return ar.descs }
-
 func (ar *ASCIIReader) errf(format string, args ...any) error {
 	return fmt.Errorf("%w: line %d: %s", ErrBadFormat, ar.line, fmt.Sprintf(format, args...))
 }

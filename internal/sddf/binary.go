@@ -145,9 +145,6 @@ func (br *BinaryReader) Next() (any, error) {
 	}
 }
 
-// Descriptors returns the descriptors seen so far, keyed by tag.
-func (br *BinaryReader) Descriptors() map[int]Descriptor { return br.descs }
-
 type byteCursor struct {
 	buf []byte
 	pos int

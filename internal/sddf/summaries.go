@@ -1,7 +1,6 @@
 package sddf
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/iotrace"
@@ -14,7 +13,6 @@ import (
 const (
 	LifetimeTag = 2
 	WindowTag   = 3
-	RegionTag   = 4
 )
 
 // LifetimeDescriptor returns the SDDF layout of a file-lifetime summary
@@ -75,34 +73,11 @@ func WindowRecord(w *pablo.WindowSummary, width sim.Time) Record {
 	return Record{Tag: WindowTag, Values: values}
 }
 
-// RegionDescriptor returns the SDDF layout of a file-region summary record.
-func RegionDescriptor() Descriptor {
-	return Descriptor{
-		Tag: RegionTag, Name: "file-region-summary",
-		Fields: []Field{
-			{Name: "file", Type: TInt32},
-			{Name: "region", Type: TInt64},
-			{Name: "size", Type: TInt64},
-			{Name: "reads", Type: TInt64},
-			{Name: "writes", Type: TInt64},
-			{Name: "bytes", Type: TInt64},
-		},
-	}
-}
-
-// RegionRecord converts one region summary to a record.
-func RegionRecord(r *pablo.RegionSummary, size int64) Record {
-	return Record{Tag: RegionTag, Values: []any{
-		int32(r.File), r.Index, size, r.Reads, r.Writes, r.Bytes,
-	}}
-}
-
 // WriteSummaries encodes any combination of Pablo reductions (nil arguments
 // are skipped) into one SDDF stream. end stamps open times of still-open
 // files.
 func WriteSummaries(w io.Writer, ascii bool,
-	lt *pablo.LifetimeReducer, win *pablo.WindowReducer, reg *pablo.RegionReducer,
-	end sim.Time) error {
+	lt *pablo.LifetimeReducer, win *pablo.WindowReducer, end sim.Time) error {
 	var tw traceWriter
 	var err error
 	if ascii {
@@ -133,65 +108,5 @@ func WriteSummaries(w io.Writer, ascii bool,
 			}
 		}
 	}
-	if reg != nil {
-		if err := tw.WriteDescriptor(RegionDescriptor()); err != nil {
-			return err
-		}
-		for _, s := range reg.Regions() {
-			if err := tw.WriteRecord(RegionRecord(s, reg.Size())); err != nil {
-				return err
-			}
-		}
-	}
 	return tw.Flush()
-}
-
-// SummaryCounts tallies the records of each summary kind in a stream
-// written by WriteSummaries.
-type SummaryCounts struct {
-	Lifetimes int
-	Windows   int
-	Regions   int
-}
-
-// CountSummaries decodes a summary stream and tallies it (validating every
-// record against its descriptor on the way).
-func CountSummaries(r io.Reader) (SummaryCounts, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		return SummaryCounts{}, fmt.Errorf("%w: empty stream", ErrBadFormat)
-	}
-	combined := io.MultiReader(byteReader(first[0]), r)
-	var tr traceReader
-	var err error
-	if first[0] == '#' {
-		tr, err = NewASCIIReader(combined)
-	} else {
-		tr, err = NewBinaryReader(combined)
-	}
-	if err != nil {
-		return SummaryCounts{}, err
-	}
-	var c SummaryCounts
-	for {
-		item, err := tr.Next()
-		if err == io.EOF {
-			return c, nil
-		}
-		if err != nil {
-			return c, err
-		}
-		rec, ok := item.(Record)
-		if !ok {
-			continue
-		}
-		switch rec.Tag {
-		case LifetimeTag:
-			c.Lifetimes++
-		case WindowTag:
-			c.Windows++
-		case RegionTag:
-			c.Regions++
-		}
-	}
 }

@@ -2,6 +2,7 @@ package sddf
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/iotrace"
@@ -9,11 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// buildReductions feeds a small synthetic trace through all three reducers.
-func buildReductions() (*pablo.LifetimeReducer, *pablo.WindowReducer, *pablo.RegionReducer) {
+// buildReductions feeds a small synthetic trace through both reducers.
+func buildReductions() (*pablo.LifetimeReducer, *pablo.WindowReducer) {
 	lt := pablo.NewLifetimeReducer()
 	win := pablo.NewWindowReducer(10 * sim.Second)
-	reg := pablo.NewRegionReducer(4096)
 	events := []iotrace.Event{
 		{Op: iotrace.OpOpen, File: 1, Start: 0, End: sim.Second},
 		{Op: iotrace.OpWrite, File: 1, Offset: 0, Bytes: 6000, Start: 2 * sim.Second, End: 3 * sim.Second},
@@ -24,62 +24,77 @@ func buildReductions() (*pablo.LifetimeReducer, *pablo.WindowReducer, *pablo.Reg
 	for _, e := range events {
 		lt.Reduce(e)
 		win.Reduce(e)
-		reg.Reduce(e)
 	}
-	return lt, win, reg
+	return lt, win
+}
+
+// countSummaries decodes a summary stream and tallies its records by tag,
+// validating every record against its descriptor on the way.
+func countSummaries(t *testing.T, data []byte, ascii bool) map[int]int {
+	t.Helper()
+	var tr traceReader
+	var err error
+	if ascii {
+		tr, err = NewASCIIReader(bytes.NewReader(data))
+	} else {
+		tr, err = NewBinaryReader(bytes.NewReader(data))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[int]int{}
+	for {
+		item, err := tr.Next()
+		if err == io.EOF {
+			return counts
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, ok := item.(Record); ok {
+			counts[rec.Tag]++
+		}
+	}
 }
 
 func TestWriteSummariesRoundTripBothEncodings(t *testing.T) {
-	lt, win, reg := buildReductions()
+	lt, win := buildReductions()
 	for _, ascii := range []bool{false, true} {
 		var buf bytes.Buffer
-		if err := WriteSummaries(&buf, ascii, lt, win, reg, 30*sim.Second); err != nil {
+		if err := WriteSummaries(&buf, ascii, lt, win, 30*sim.Second); err != nil {
 			t.Fatalf("ascii=%v: %v", ascii, err)
 		}
-		c, err := CountSummaries(&buf)
-		if err != nil {
-			t.Fatalf("ascii=%v: %v", ascii, err)
+		c := countSummaries(t, buf.Bytes(), ascii)
+		// 2 files; 3 windows (0s, 10s, 20s starts).
+		if c[LifetimeTag] != 2 {
+			t.Errorf("ascii=%v lifetimes %d, want 2", ascii, c[LifetimeTag])
 		}
-		// 2 files; 3 windows (0s, 10s, 20s starts); regions: file1 blocks
-		// 0+1 (write spans 6000) + block 0 read (same region) and file2
-		// block 2 => 3 distinct regions.
-		if c.Lifetimes != 2 {
-			t.Errorf("ascii=%v lifetimes %d, want 2", ascii, c.Lifetimes)
-		}
-		if c.Windows != 3 {
-			t.Errorf("ascii=%v windows %d, want 3", ascii, c.Windows)
-		}
-		if c.Regions != 3 {
-			t.Errorf("ascii=%v regions %d, want 3", ascii, c.Regions)
+		if c[WindowTag] != 3 {
+			t.Errorf("ascii=%v windows %d, want 3", ascii, c[WindowTag])
 		}
 	}
 }
 
 func TestWriteSummariesNilReducersSkipped(t *testing.T) {
-	lt, _, _ := buildReductions()
+	lt, _ := buildReductions()
 	var buf bytes.Buffer
-	if err := WriteSummaries(&buf, false, lt, nil, nil, sim.Second); err != nil {
+	if err := WriteSummaries(&buf, false, lt, nil, sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	c, err := CountSummaries(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Lifetimes != 2 || c.Windows != 0 || c.Regions != 0 {
-		t.Fatalf("counts %+v", c)
+	if c := countSummaries(t, buf.Bytes(), false); c[LifetimeTag] != 2 || c[WindowTag] != 0 {
+		t.Fatalf("counts %v", c)
 	}
 }
 
 func TestSummaryRecordFieldsValidate(t *testing.T) {
 	// Every record constructor must match its descriptor.
-	lt, win, reg := buildReductions()
+	lt, win := buildReductions()
 	cases := []struct {
 		d Descriptor
 		r Record
 	}{
 		{LifetimeDescriptor(), LifetimeRecord(lt.Files()[0], sim.Second)},
 		{WindowDescriptor(), WindowRecord(win.Windows()[0], win.Width())},
-		{RegionDescriptor(), RegionRecord(reg.Regions()[0], reg.Size())},
 	}
 	for _, c := range cases {
 		if err := validate(c.d, c.r); err != nil {
@@ -89,7 +104,7 @@ func TestSummaryRecordFieldsValidate(t *testing.T) {
 }
 
 func TestLifetimeRecordContent(t *testing.T) {
-	lt, _, _ := buildReductions()
+	lt, _ := buildReductions()
 	f := lt.File(1)
 	rec := LifetimeRecord(f, 30*sim.Second)
 	// First value is the file id.
@@ -103,11 +118,5 @@ func TestLifetimeRecordContent(t *testing.T) {
 	}
 	if rec.Values[n-1].(int64) != int64(20*sim.Second) {
 		t.Fatalf("open time %v", rec.Values[n-1])
-	}
-}
-
-func TestCountSummariesEmptyStream(t *testing.T) {
-	if _, err := CountSummaries(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
 	}
 }

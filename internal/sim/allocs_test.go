@@ -141,15 +141,18 @@ func TestResourceHandoffAllocCeiling(t *testing.T) {
 		for _, name := range []string{"a", "b"} {
 			e.Spawn(name, func(p *Process) {
 				for k := 0; k < waits/2; k++ {
-					r.Use(p, Microsecond)
+					r.Acquire(p)
+					p.Sleep(Microsecond)
+					r.Release(p)
 				}
 			})
 		}
 		if err := e.Run(); err != nil {
 			t.Error(err)
 		}
-		if got := r.StatsAt(e.Now()).TotalWait; got == 0 {
-			t.Error("resource never contended")
+		// Uncontended, the two would overlap and finish in half the time.
+		if got, want := e.Now(), Time(waits/2*2)*Microsecond; got != want {
+			t.Errorf("finished at %v, want %v (every use serialized)", got, want)
 		}
 	})
 	checkZeroPerWait(t, "contended Resource hand-off", perWait)
@@ -175,34 +178,6 @@ func TestBarrierRoundAllocCeiling(t *testing.T) {
 		}
 	})
 	checkZeroPerWait(t, "Barrier round", perWait)
-}
-
-// TestQueuePutGetAllocCeiling pins the mailbox: a consumer blocks on every
-// Get while a producer puts bursts of three, so both the item and the waiter
-// FIFOs cycle through their backing arrays.
-func TestQueuePutGetAllocCeiling(t *testing.T) {
-	perWait := extraAllocsPerWait(t, 999, func(waits int) {
-		e := NewEngine()
-		q := NewQueue[int](e, "mbox")
-		e.Spawn("consumer", func(p *Process) {
-			for k := 0; k < waits; k++ {
-				q.Get(p)
-				p.Sleep(Microsecond)
-			}
-		})
-		e.Spawn("producer", func(p *Process) {
-			for k := 0; k < waits; k += 3 {
-				p.Sleep(5 * Microsecond)
-				q.Put(p, k)
-				q.Put(p, k+1)
-				q.Put(p, k+2)
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Error(err)
-		}
-	})
-	checkZeroPerWait(t, "Queue Put/Get", perWait)
 }
 
 // TestCompletionAwaitAllocCeiling pins Completion.Await: a process awaits a

@@ -83,7 +83,9 @@ func BenchmarkEngineContendedResource(b *testing.B) {
 		for j := 0; j < procs; j++ {
 			e.Spawn(fmt.Sprintf("u%d", j), func(p *Process) {
 				for k := 0; k < uses; k++ {
-					r.Use(p, Microsecond)
+					r.Acquire(p)
+					p.Sleep(Microsecond)
+					r.Release(p)
 				}
 			})
 		}

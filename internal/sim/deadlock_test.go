@@ -10,7 +10,6 @@ func TestDeadlockListingNamesEachPrimitive(t *testing.T) {
 	disk := NewResource(e, "disk", 1)
 	sync := NewBarrier(e, "sync", 3)
 	seq := NewSequencer(e, "order")
-	mbox := NewQueue[int](e, "mbox")
 	io := NewCompletion("io")
 
 	// The holder keeps the disk and then waits at a barrier nobody else
@@ -24,17 +23,15 @@ func TestDeadlockListingNamesEachPrimitive(t *testing.T) {
 		disk.Acquire(p)
 	})
 	e.Spawn("turn", func(p *Process) { seq.WaitTurn(p, 3) })
-	e.Spawn("getter", func(p *Process) { mbox.Get(p) })
 	e.Spawn("awaiter", func(p *Process) { io.Await(p) })
 
 	err := e.Run()
 	if err == nil {
 		t.Fatal("want a deadlock error, got nil")
 	}
-	const want = "sim: deadlock at 0.000001s: 5 processes blocked forever: " +
-		"acquirer(id=2,resource:disk), awaiter(id=5,completion:io), " +
-		"getter(id=4,queue:mbox), holder(id=1,barrier:sync), " +
-		"turn(id=3,sequencer:order[3])"
+	const want = "sim: deadlock at 0.000001s: 4 processes blocked forever: " +
+		"acquirer(id=2,resource:disk), awaiter(id=4,completion:io), " +
+		"holder(id=1,barrier:sync), turn(id=3,sequencer:order[3])"
 	if got := err.Error(); got != want {
 		t.Fatalf("deadlock listing:\n got %s\nwant %s", got, want)
 	}

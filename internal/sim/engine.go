@@ -85,8 +85,6 @@ type eventQueue struct {
 	ev []event
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
-
 // push inserts ev, sifting the hole up toward the root.
 func (q *eventQueue) push(ev event) {
 	q.ev = append(q.ev, ev)

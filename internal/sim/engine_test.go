@@ -138,7 +138,9 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	r := NewResource(e, "array", 2)
 	for i := 0; i < 4; i++ {
 		e.Spawn(fmt.Sprintf("u%d", i), func(p *Process) {
-			r.Use(p, 10*Millisecond)
+			r.Acquire(p)
+			p.Sleep(10 * Millisecond)
+			r.Release(p)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -147,27 +149,6 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	// 4 jobs, 2 at a time: 20 ms total.
 	if e.Now() != 20*Millisecond {
 		t.Fatalf("end time %v, want 20ms", e.Now())
-	}
-}
-
-func TestResourceStats(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "dev", 1)
-	for i := 0; i < 2; i++ {
-		e.Spawn("u", func(p *Process) { r.Use(p, 10*Millisecond) })
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := r.StatsAt(e.Now())
-	if st.Acquires != 2 {
-		t.Fatalf("acquires = %d, want 2", st.Acquires)
-	}
-	if st.Utilization < 0.99 || st.Utilization > 1.01 {
-		t.Fatalf("utilization = %f, want ~1", st.Utilization)
-	}
-	if st.TotalWait != 10*Millisecond {
-		t.Fatalf("total wait = %v, want 10ms", st.TotalWait)
 	}
 }
 
@@ -227,45 +208,6 @@ func TestSequencerEnforcesOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("sequencer order violated: %v", order)
 		}
-	}
-}
-
-func TestQueueBlocksAndDelivers(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "mail")
-	var got []int
-	e.Spawn("consumer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	e.Spawn("producer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(1 * Second)
-			q.Put(p, i)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[string](e, "m")
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	e.Spawn("p", func(p *Process) { q.Put(p, "x") })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := q.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q,%v", v, ok)
 	}
 }
 
@@ -336,9 +278,6 @@ func TestTimeConversions(t *testing.T) {
 	if FromSeconds(1.5) != 1500*Millisecond {
 		t.Fatalf("FromSeconds(1.5) = %v", FromSeconds(1.5))
 	}
-	if FromMilliseconds(2.5) != 2500*Microsecond {
-		t.Fatalf("FromMilliseconds(2.5) = %v", FromMilliseconds(2.5))
-	}
 	if got := (90 * Second).Seconds(); got != 90 {
 		t.Fatalf("Seconds = %f", got)
 	}
@@ -389,7 +328,11 @@ func TestResourceSerializationProperty(t *testing.T) {
 		for i, v := range raw {
 			d := Time(v) * Microsecond
 			sum += d
-			e.Spawn(fmt.Sprintf("u%d", i), func(p *Process) { r.Use(p, d) })
+			e.Spawn(fmt.Sprintf("u%d", i), func(p *Process) {
+				r.Acquire(p)
+				p.Sleep(d)
+				r.Release(p)
+			})
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -589,7 +532,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	for j := 0; j < 8; j++ {
 		e.Spawn(fmt.Sprintf("u%d", j), func(p *Process) {
 			for k := 0; k < 10; k++ {
-				r.Use(p, Microsecond)
+				r.Acquire(p)
+				p.Sleep(Microsecond)
+				r.Release(p)
 				e.Spawn("child", func(c *Process) { c.Sleep(Microsecond) })
 			}
 		})
@@ -609,7 +554,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	for j := 0; j < 4; j++ {
 		e.Spawn(fmt.Sprintf("user%d", j), func(p *Process) {
 			defer func() { unwound++ }()
-			r.Use(p, Second)
+			r.Acquire(p)
+			p.Sleep(Second)
+			r.Release(p)
 		})
 	}
 	e.Spawn("awaiter", func(p *Process) {

@@ -6,9 +6,9 @@ package sim
 // of it is spent, so a queue whose length stays bounded stops allocating
 // once its array has grown to twice that bound.
 //
-// It is the storage behind the engine's wait primitives (Resource and Queue
-// waiters, Queue items) and serves any other simulation queue that cycles
-// entries, such as the PFS repair ledger. The zero value is an empty queue.
+// It holds the engine's Resource waiters and serves any other simulation
+// queue that cycles entries, such as the PFS repair ledger. The zero value is
+// an empty queue.
 type FIFO[T any] struct {
 	buf  []T
 	head int

@@ -97,9 +97,6 @@ func (p *Process) run() (finished bool) {
 // Name returns the process name given at Spawn.
 func (p *Process) Name() string { return p.name }
 
-// ID returns the process's unique id (assigned in spawn order).
-func (p *Process) ID() int { return p.id }
-
 // Engine returns the engine this process runs on.
 func (p *Process) Engine() *Engine { return p.eng }
 
@@ -154,7 +151,7 @@ func (p *Process) Sleep(d Time) {
 }
 
 // Park blocks the process indefinitely until some other process wakes it via
-// Wake. It is the building block for resources, barriers and queues. Parking
+// Wake. It is the building block for resources and barriers. Parking
 // with nobody to wake you is a deadlock, which Engine.Run reports, listing
 // the process as waiting on kind:name (or kind alone when name is empty).
 // Both are stored as given and formatted only for that report, so a caller
@@ -170,9 +167,4 @@ func (p *Process) Park(kind, name string) {
 // parked process.
 func (p *Process) Wake(target *Process) {
 	p.eng.schedule(target, p.eng.now)
-}
-
-// WakeAt schedules a parked process to resume at the given absolute time.
-func (p *Process) WakeAt(target *Process, at Time) {
-	p.eng.schedule(target, at)
 }

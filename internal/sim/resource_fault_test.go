@@ -50,8 +50,8 @@ func TestBreakEjectsQueuedWaiters(t *testing.T) {
 	if holderDone != 10*Millisecond {
 		t.Errorf("holder finished at %v, want 10ms (in-flight service completes)", holderDone)
 	}
-	if st := r.StatsAt(e.Now()); st.Breaks != 1 {
-		t.Errorf("Breaks = %d, want 1", st.Breaks)
+	if !r.Broken() {
+		t.Error("resource repaired without Repair")
 	}
 }
 

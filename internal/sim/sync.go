@@ -89,51 +89,6 @@ func (s *Sequencer) Done(p *Process) {
 // Next reports the turn number that will run next.
 func (s *Sequencer) Next() int { return s.next }
 
-// Queue is an unbounded FIFO mailbox carrying values of type T between
-// processes. Get blocks while the queue is empty. It is the engine's
-// message-passing primitive; the mesh model layers latency on top of it.
-type Queue[T any] struct {
-	eng     *Engine
-	name    string
-	items   FIFO[T]
-	waiters FIFO[*Process]
-}
-
-// NewQueue creates an empty queue.
-func NewQueue[T any](eng *Engine, name string) *Queue[T] {
-	return &Queue[T]{eng: eng, name: name}
-}
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return q.items.Len() }
-
-// Put appends v and wakes one waiting consumer, if any.
-func (q *Queue[T]) Put(p *Process, v T) {
-	q.items.Push(v)
-	if q.waiters.Len() > 0 {
-		p.Wake(q.waiters.Pop())
-	}
-}
-
-// Get removes and returns the head item, blocking while the queue is empty.
-func (q *Queue[T]) Get(p *Process) T {
-	for q.items.Len() == 0 {
-		q.waiters.Push(p)
-		p.Park("queue", q.name)
-	}
-	return q.items.Pop()
-}
-
-// TryGet removes and returns the head item without blocking. The second
-// result reports whether an item was available.
-func (q *Queue[T]) TryGet() (T, bool) {
-	if q.items.Len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items.Pop(), true
-}
-
 // Completion is a one-shot event that processes can wait on; it models the
 // completion side of asynchronous I/O. Multiple processes may wait; all are
 // released when Complete fires. Waiting on an already-completed Completion

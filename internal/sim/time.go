@@ -29,6 +29,3 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // FromSeconds converts floating-point seconds into simulated Time, rounding
 // to the nearest microsecond.
 func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
-
-// FromMilliseconds converts floating-point milliseconds into simulated Time.
-func FromMilliseconds(ms float64) Time { return Time(ms*float64(Millisecond) + 0.5) }

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds running descriptive statistics over a stream of float64
@@ -77,30 +76,6 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the population standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Merge folds another summary into s, as if all its observations had been
-// added here (used to combine per-node statistics).
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-	s.sum += o.sum
-}
-
 // PaperBuckets are the request-size bucket upper bounds of Tables 2, 4 and 6:
 // <4 KB, <64 KB, <256 KB, and >=256 KB (the final open bucket).
 var PaperBuckets = []int64{4 * 1024, 64 * 1024, 256 * 1024}
@@ -160,43 +135,3 @@ func (h *Histogram) Total() int64 { return h.total }
 
 // NumBuckets returns the number of buckets (bounds + 1).
 func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
-// Merge adds another histogram's counts; the bucket bounds must match.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.bounds) != len(o.bounds) {
-		panic("stats: merging histograms with different bounds")
-	}
-	for i, b := range o.bounds {
-		if h.bounds[i] != b {
-			panic("stats: merging histograms with different bounds")
-		}
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-}
-
-// Percentile returns the p-th percentile (0..100) of a sample, by sorting a
-// copy. It returns 0 for an empty sample.
-func Percentile(sample []float64, p float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(sample))
-	copy(sorted, sample)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}

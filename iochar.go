@@ -77,6 +77,18 @@ func DefaultPolicy() Policy { return ppfs.DefaultPolicy() }
 // DefaultCrossoverModel returns the paper-calibrated §7.2 parameters.
 func DefaultCrossoverModel() CrossoverModel { return core.DefaultCrossoverModel() }
 
+// ScalingPoint is one row of an ESCAT node-scaling sweep.
+type ScalingPoint = core.ScalingPoint
+
+// ESCATScaling runs ESCAT across compute-partition sizes with the per-node
+// work held constant: how the shared-file small-write pattern scales.
+func ESCATScaling(nodeCounts []int, iterations int) ([]ScalingPoint, error) {
+	return core.ESCATScaling(nodeCounts, iterations)
+}
+
+// RenderScaling formats a node-scaling sweep.
+func RenderScaling(pts []ScalingPoint) string { return core.RenderScaling(pts) }
+
 // Fault injection & resilience (the chaos side of the machine model).
 
 // Time is the simulated clock's type; Seconds converts wall seconds into it.
