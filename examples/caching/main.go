@@ -26,8 +26,8 @@ func main() {
 	log.SetFlags(0)
 
 	ccfg := iochar.DefaultCacheConfig()
-	fmt.Printf("Per-node cache: %d MB, %d KB blocks, write-behind, prefetch depth %d\n\n",
-		ccfg.CapacityBytes>>20, ccfg.BlockBytes>>10, ccfg.PrefetchDepth)
+	fmt.Printf("Per-node cache: %d MB, stripe-unit blocks, write-behind, prefetch depth 4\n\n",
+		ccfg.CapacityBytes>>20)
 
 	rows, err := iochar.CacheSweep(true, ccfg)
 	if err != nil {

@@ -13,8 +13,7 @@ import (
 // StreamPattern summarizes one access stream (one node's accesses to one
 // file) with the metrics the characterization literature the paper builds on
 // uses (Miller & Katz; Kotz & Nieuwejaar; §9-§10): sequentiality and
-// consecutiveness fractions, request-size regularity, and interarrival
-// structure.
+// request-size regularity.
 type StreamPattern struct {
 	File iotrace.FileID
 	Node int
@@ -23,18 +22,13 @@ type StreamPattern struct {
 	Bytes    int64
 
 	// Sequential counts accesses that start exactly where the previous
-	// one ended; Consecutive additionally includes accesses that start
-	// where a previous access started (overwrite/reread in place).
-	Sequential  int64
-	Consecutive int64
+	// one ended.
+	Sequential int64
 
 	// FixedSize reports whether all accesses share one size, and Size is
 	// that size (the most common size otherwise).
 	FixedSize bool
 	Size      int64
-
-	// Interarrival summarizes the time between consecutive access starts.
-	Interarrival stats.Summary
 }
 
 // SequentialFraction is the fraction of transitions that were strictly
@@ -54,12 +48,10 @@ func Patterns(events []iotrace.Event) []StreamPattern {
 		node int
 	}
 	type state struct {
-		p         *StreamPattern
-		lastEnd   int64
-		lastStart int64
-		lastTime  sim.Time
-		started   bool
-		sizes     map[int64]int64
+		p       *StreamPattern
+		lastEnd int64
+		started bool
+		sizes   map[int64]int64
 	}
 	streams := map[key]*state{}
 	for _, e := range events {
@@ -79,19 +71,11 @@ func Patterns(events []iotrace.Event) []StreamPattern {
 		p.Accesses++
 		p.Bytes += e.Bytes
 		st.sizes[e.Bytes]++
-		if st.started {
-			if e.Offset == st.lastEnd {
-				p.Sequential++
-				p.Consecutive++
-			} else if e.Offset == st.lastStart {
-				p.Consecutive++
-			}
-			p.Interarrival.Add((e.Start - st.lastTime).Seconds())
+		if st.started && e.Offset == st.lastEnd {
+			p.Sequential++
 		}
 		st.started = true
-		st.lastStart = e.Offset
 		st.lastEnd = e.Offset + e.Bytes
-		st.lastTime = e.Start
 	}
 
 	out := make([]StreamPattern, 0, len(streams))

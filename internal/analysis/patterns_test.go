@@ -40,20 +40,16 @@ func TestPatternsSequentialStream(t *testing.T) {
 	if !p.FixedSize || p.Size != 100 {
 		t.Fatalf("size detection %+v", p)
 	}
-	// Interarrival is a steady 1 s.
-	if p.Interarrival.Mean() != 1 || p.Interarrival.StdDev() != 0 {
-		t.Fatalf("interarrival %+v", p.Interarrival)
-	}
 }
 
 func TestPatternsConsecutiveRewrite(t *testing.T) {
-	// Repeated in-place overwrites: consecutive but not sequential.
+	// Repeated in-place overwrites: not sequential.
 	var events []iotrace.Event
 	for i := 0; i < 5; i++ {
 		events = append(events, mkEvent(iotrace.OpWrite, 2, 1, 0, 512, sim.Time(i)*sim.Second))
 	}
 	p := findStream(t, Patterns(events), 2, 1)
-	if p.Sequential != 0 || p.Consecutive != 4 {
+	if p.Accesses != 5 || p.Sequential != 0 {
 		t.Fatalf("pattern %+v", p)
 	}
 }
@@ -83,7 +79,7 @@ func TestPatternsIgnoreNonDataOps(t *testing.T) {
 	}
 }
 
-// Property: Sequential <= Consecutive <= Accesses-1 for every stream.
+// Property: Sequential <= Accesses-1 for every stream.
 func TestPatternsOrderingProperty(t *testing.T) {
 	prop := func(offs []uint16) bool {
 		var events []iotrace.Event
@@ -94,7 +90,7 @@ func TestPatternsOrderingProperty(t *testing.T) {
 			if p.Accesses <= 1 {
 				continue
 			}
-			if p.Sequential > p.Consecutive || p.Consecutive > p.Accesses-1 {
+			if p.Sequential > p.Accesses-1 {
 				return false
 			}
 		}
@@ -239,15 +235,15 @@ func TestPatternsCacheRegimeInterleavedRecordWrites(t *testing.T) {
 }
 
 func TestPatternsCacheRegimeRandomAccess(t *testing.T) {
-	// Random offsets with no adjacency: nothing sequential, nothing
-	// consecutive — the regime where a cache must not prefetch.
+	// Random offsets with no adjacency: nothing sequential — the regime
+	// where a cache must not prefetch.
 	offs := []int64{9000, 100, 77700, 3100, 51000, 12, 64000, 8200}
 	var events []iotrace.Event
 	for i, off := range offs {
 		events = append(events, mkEvent(iotrace.OpRead, 1, 0, off, 64, sim.Time(i)*sim.Millisecond))
 	}
 	p := findStream(t, Patterns(events), 1, 0)
-	if p.Sequential != 0 || p.Consecutive != 0 {
+	if p.Sequential != 0 {
 		t.Fatalf("random stream classified with locality: %+v", p)
 	}
 	s := SummarizePatterns(Patterns(events))

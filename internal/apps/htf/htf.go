@@ -28,6 +28,15 @@ import (
 	"repro/internal/workload"
 )
 
+// The §7.2 recompute cost model: recomputing one integral takes ~500
+// floating-point operations on a node sustaining ~50 MFLOP/s (the Paragon's
+// i860), and the traced 16-atom data set stores ~56 bytes per integral.
+const (
+	FlopsPerIntegral = 500
+	NodeFlopRate     = 50e6 // FLOP/s per node
+	BytesPerIntegral = 56
+)
+
 // Config parameterizes the skeleton.
 type Config struct {
 	Nodes           int   // compute nodes (paper: 128)
@@ -42,14 +51,10 @@ type Config struct {
 
 	// RecomputeIntegrals selects the §7.2 alternative the HTF group
 	// actually ships: instead of rereading stored integral records in
-	// every SCF pass, recompute them (~500 FLOPs per integral). The traced
+	// every SCF pass, recompute them (FlopsPerIntegral each). The traced
 	// run — and the default — is the reread variant the developers would
 	// *like* to use.
 	RecomputeIntegrals bool
-	// BytesPerIntegral and NodeFlopRate parameterize the recomputation
-	// cost (defaults: 56 B/integral, 50 MFLOP/s).
-	BytesPerIntegral int64
-	NodeFlopRate     float64
 
 	Seed uint64
 
@@ -64,16 +69,8 @@ type Config struct {
 // RecomputeTimePerRecord returns the time to recompute one integral
 // record's worth of integrals instead of reading it.
 func (c Config) RecomputeTimePerRecord() sim.Time {
-	bpi := c.BytesPerIntegral
-	if bpi <= 0 {
-		bpi = 56
-	}
-	rate := c.NodeFlopRate
-	if rate <= 0 {
-		rate = 50e6
-	}
-	integrals := float64(c.RecordBytes) / float64(bpi)
-	return sim.Time(integrals * 500 / rate * float64(sim.Second))
+	integrals := float64(c.RecordBytes) / BytesPerIntegral
+	return sim.Time(integrals * FlopsPerIntegral / NodeFlopRate * float64(sim.Second))
 }
 
 // DefaultConfig returns the paper-scale configuration (16 atoms, 128 nodes).

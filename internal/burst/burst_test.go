@@ -142,7 +142,7 @@ func TestOversizedRecordBypasses(t *testing.T) {
 }
 
 func TestReadWaitsForDrain(t *testing.T) {
-	m, tier := harness(t, 1, Config{DrainDelay: 50 * sim.Millisecond})
+	m, tier := harness(t, 1, Config{})
 	var readBytes int64
 	m.Eng.Spawn("writer-reader", func(p *sim.Process) {
 		h, err := tier.Create(p, 0, "wr.dat", iotrace.ModeLog)
@@ -180,7 +180,7 @@ func TestReadWaitsForDrain(t *testing.T) {
 
 func TestCompressionShrinksWire(t *testing.T) {
 	m, tier := harness(t, 1, Config{
-		Compress: CompressConfig{Enabled: true, Ratio: 2, CPUBytesPerS: 1e9},
+		Compress: CompressConfig{Enabled: true, Ratio: 2},
 	})
 	m.Eng.Spawn("writer", func(p *sim.Process) {
 		h, err := tier.Create(p, 0, "c.dat", iotrace.ModeLog)
@@ -266,10 +266,8 @@ func TestPrefixInterceptionAndDeterminism(t *testing.T) {
 
 func TestValidateRejectsNonsense(t *testing.T) {
 	bad := []Config{
-		{Enabled: true, CapacityBytes: -1, CommitBWBytesPerS: 1e6, MaxDrainRetries: 1},
-		{Enabled: true, CapacityBytes: 1 << 20, CommitBWBytesPerS: -1, MaxDrainRetries: 1},
-		{Enabled: true, CapacityBytes: 1 << 20, CommitBWBytesPerS: 1e6,
-			MaxDrainRetries: 1, DrainBWBytesPerS: -2},
+		{Enabled: true, CapacityBytes: -1},
+		{Enabled: true, CapacityBytes: 1 << 20, DrainBWBytesPerS: -2},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -17,6 +17,34 @@ import (
 	"repro/internal/sim"
 )
 
+// The tier's fixed rates and retry policy.
+const (
+	// commitBWBytesPerS is the local commit bandwidth (conservative
+	// NVM-class write speed); commitOverhead is the fixed per-record commit
+	// cost.
+	commitBWBytesPerS = 400e6
+	commitOverhead    = 20 * sim.Microsecond
+
+	// drainDelay is how long a newly woken drain daemon lingers before
+	// flushing, modeling the daemon's wakeup latency.
+	drainDelay = sim.Millisecond
+
+	// verifyBWBytesPerS is the checksum-verification scan rate the drain
+	// daemon pays before handing a record to the PFS.
+	verifyBWBytesPerS = 2e9
+
+	// compressCPUBytesPerS is the compressor's throughput; each compressed
+	// record charges logical-bytes / compressCPUBytesPerS of daemon time.
+	compressCPUBytesPerS = 500e6
+
+	// maxDrainRetries bounds per-record drain attempts against a PFS that
+	// keeps failing (an outage outlasting failover); an exhausted record
+	// is dropped and counted in Stats.DrainFails so the queue always
+	// empties. retryDelay is the pause between attempts.
+	maxDrainRetries = 64
+	retryDelay      = 250 * sim.Millisecond
+)
+
 // CompressConfig models the drain pipeline's compression stage. The ratio is
 // logical-bytes / wire-bytes (2.0 halves the drained volume).
 type CompressConfig struct {
@@ -27,10 +55,6 @@ type CompressConfig struct {
 	// Ratio is the compression ratio of every drained record. Values <= 1
 	// drain uncompressed.
 	Ratio float64
-
-	// CPUBytesPerS is the compressor's throughput; each drained record
-	// charges logical-bytes / CPUBytesPerS of daemon time.
-	CPUBytesPerS float64
 }
 
 // Config parameterizes one burst tier instance.
@@ -44,33 +68,12 @@ type Config struct {
 	// records larger than the whole log bypass straight to the PFS.
 	CapacityBytes int64
 
-	// CommitBWBytesPerS is the local commit bandwidth (memory or NVM
-	// write speed); CommitOverhead is the fixed per-record commit cost.
-	CommitBWBytesPerS float64
-	CommitOverhead    sim.Time
-
-	// DrainDelay is how long a newly woken drain daemon lingers before
-	// flushing, modeling the daemon's wakeup latency.
-	DrainDelay sim.Time
-
 	// DrainBWBytesPerS caps the host-side drain injection rate; zero
 	// drains as fast as the PFS accepts.
 	DrainBWBytesPerS float64
 
-	// VerifyBWBytesPerS is the checksum-verification scan rate the drain
-	// daemon pays before handing a record to the PFS; zero skips the
-	// charge (the verification itself always runs).
-	VerifyBWBytesPerS float64
-
 	// Compress is the drain pipeline's compression stage.
 	Compress CompressConfig
-
-	// MaxDrainRetries bounds per-record drain attempts against a PFS that
-	// keeps failing (an outage outlasting failover); an exhausted record
-	// is dropped and counted in Stats.DrainFailures so the queue always
-	// empties. RetryDelay is the pause between attempts.
-	MaxDrainRetries int
-	RetryDelay      sim.Time
 
 	// Prefixes routes writes to files whose names start with any of these
 	// prefixes through the log regardless of I/O mode (M_LOG traffic is
@@ -85,23 +88,13 @@ type Config struct {
 	PerNodeCapacity []int64
 }
 
-// DefaultConfig returns a 64 MB node log committing at 400 MB/s (conservative
-// NVM-class write bandwidth) with 1.8x compression of checkpoint-class data.
+// DefaultConfig returns a 64 MB node log committing at 400 MB/s with 1.8x
+// compression of checkpoint-class data.
 func DefaultConfig() Config {
 	return Config{
-		Enabled:           true,
-		CapacityBytes:     64 << 20,
-		CommitBWBytesPerS: 400e6,
-		CommitOverhead:    20 * sim.Microsecond,
-		DrainDelay:        sim.Millisecond,
-		VerifyBWBytesPerS: 2e9,
-		Compress: CompressConfig{
-			Enabled:      true,
-			Ratio:        1.8,
-			CPUBytesPerS: 500e6,
-		},
-		MaxDrainRetries: 64,
-		RetryDelay:      250 * sim.Millisecond,
+		Enabled:       true,
+		CapacityBytes: 64 << 20,
+		Compress:      CompressConfig{Enabled: true, Ratio: 1.8},
 	}
 }
 
@@ -111,31 +104,8 @@ func (c Config) Normalized() Config {
 	if c.CapacityBytes == 0 {
 		c.CapacityBytes = d.CapacityBytes
 	}
-	if c.CommitBWBytesPerS == 0 {
-		c.CommitBWBytesPerS = d.CommitBWBytesPerS
-	}
-	if c.CommitOverhead == 0 {
-		c.CommitOverhead = d.CommitOverhead
-	}
-	if c.DrainDelay == 0 {
-		c.DrainDelay = d.DrainDelay
-	}
-	if c.VerifyBWBytesPerS == 0 {
-		c.VerifyBWBytesPerS = d.VerifyBWBytesPerS
-	}
-	if c.MaxDrainRetries == 0 {
-		c.MaxDrainRetries = d.MaxDrainRetries
-	}
-	if c.RetryDelay == 0 {
-		c.RetryDelay = d.RetryDelay
-	}
-	if c.Compress.Enabled {
-		if c.Compress.Ratio == 0 {
-			c.Compress.Ratio = d.Compress.Ratio
-		}
-		if c.Compress.CPUBytesPerS == 0 {
-			c.Compress.CPUBytesPerS = d.Compress.CPUBytesPerS
-		}
+	if c.Compress.Enabled && c.Compress.Ratio == 0 {
+		c.Compress.Ratio = d.Compress.Ratio
 	}
 	return c
 }
@@ -148,18 +118,8 @@ func (c Config) Validate() error {
 	if c.CapacityBytes < 1 {
 		return fmt.Errorf("burst: capacity %d bytes", c.CapacityBytes)
 	}
-	if c.CommitBWBytesPerS <= 0 {
-		return fmt.Errorf("burst: commit bandwidth %g B/s", c.CommitBWBytesPerS)
-	}
-	if c.DrainBWBytesPerS < 0 || c.VerifyBWBytesPerS < 0 {
-		return fmt.Errorf("burst: negative drain/verify bandwidth")
-	}
-	if c.Compress.Enabled && c.Compress.CPUBytesPerS <= 0 {
-		return fmt.Errorf("burst: compression enabled with %g B/s CPU rate",
-			c.Compress.CPUBytesPerS)
-	}
-	if c.MaxDrainRetries < 1 {
-		return fmt.Errorf("burst: %d drain retries", c.MaxDrainRetries)
+	if c.DrainBWBytesPerS < 0 {
+		return fmt.Errorf("burst: negative drain bandwidth")
 	}
 	return nil
 }

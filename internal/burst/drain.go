@@ -27,9 +27,7 @@ func (t *Tier) ensureDrainer(node int) {
 // PFS write with bounded retries. Every dequeue frees log space and wakes
 // blocked committers and readers.
 func (t *Tier) runDrain(p *sim.Process, lg *nodeLog) {
-	if d := t.cfg.DrainDelay; d > 0 {
-		p.Sleep(d)
-	}
+	p.Sleep(drainDelay)
 	for len(lg.queue) > 0 {
 		rec := lg.queue[0]
 		start := p.Now()
@@ -43,28 +41,26 @@ func (t *Tier) runDrain(p *sim.Process, lg *nodeLog) {
 // checksum fails or the PFS refuses past the retry budget — dropping keeps
 // the queue draining under a dead file system).
 func (t *Tier) drainOne(p *sim.Process, rec *Record) {
-	if v := t.cfg.VerifyBWBytesPerS; v > 0 {
-		d := bwTime(float64(rec.Bytes), v)
-		t.st.VerifyTime += d
-		p.Sleep(d)
-	}
+	verify := bwTime(float64(rec.Bytes), verifyBWBytesPerS)
+	t.st.VerifyTime += verify
+	p.Sleep(verify)
 	if !rec.Verify() {
 		t.st.VerifyFails++
 		return
 	}
 	wire := t.cfg.wireBytes(rec.Bytes)
 	if t.cfg.ratio() > 1 {
-		d := bwTime(float64(rec.Bytes), t.cfg.Compress.CPUBytesPerS)
+		d := bwTime(float64(rec.Bytes), compressCPUBytesPerS)
 		t.st.CompressTime += d
 		p.Sleep(d)
 	}
 	if bw := t.cfg.DrainBWBytesPerS; bw > 0 {
 		p.Sleep(bwTime(float64(wire), bw))
 	}
-	for attempt := 0; attempt < t.cfg.MaxDrainRetries; attempt++ {
+	for attempt := 0; attempt < maxDrainRetries; attempt++ {
 		if attempt > 0 {
 			t.st.DrainRetries++
-			p.Sleep(t.cfg.RetryDelay)
+			p.Sleep(retryDelay)
 		}
 		if err := t.phys.DrainWrite(p, rec.Node, rec.File, rec.Offset, rec.Bytes, wire); err == nil {
 			t.st.Drained++

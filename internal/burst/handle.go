@@ -144,8 +144,5 @@ func (h *handle) Offset() int64 {
 	return h.in.Offset()
 }
 
-// Mode returns the handle's access mode.
-func (h *handle) Mode() iotrace.AccessMode { return h.mode }
-
 // Interface-satisfaction check.
 var _ workload.Handle = (*handle)(nil)

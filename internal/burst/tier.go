@@ -230,7 +230,7 @@ func (t *Tier) commit(p *sim.Process, node int, name string, off, n int64, mode 
 		w.Await(p)
 		t.st.BackpressureStall += p.Now() - s0
 	}
-	p.Sleep(t.cfg.CommitOverhead + bwTime(float64(n), t.cfg.CommitBWBytesPerS))
+	p.Sleep(commitOverhead + bwTime(float64(n), commitBWBytesPerS))
 	t.seq++
 	rec := Record{
 		Seq: t.seq, Node: node, File: name, Offset: off, Bytes: n,

@@ -124,7 +124,7 @@ func TestDeadlockListingNamesCacheFetches(t *testing.T) {
 	eng := sim.NewEngine()
 	be := &stallBackend{fakeBackend: fakeBackend{cost: 5 * sim.Millisecond},
 		stallAt: 4 * bs, hang: sim.NewBarrier(eng, "array", 10)}
-	c := New(eng, "ion3", cfg, be)
+	c := New(eng, "ion3", cfg, bs, be)
 	// Four sequential reads queue prefetches of blocks 4-6; the fifth read
 	// waits on the prefetch of block 4, which stalls in the array.
 	eng.Spawn("seq", func(p *sim.Process) {

@@ -25,7 +25,7 @@ func fetchCycles(t *testing.T, n int) Stats {
 	cfg := testConfig()
 	cfg.CapacityBytes = 8 * bs
 	eng := sim.NewEngine()
-	c := New(eng, "alloc", cfg, costBackend{cost: 5 * sim.Millisecond})
+	c := New(eng, "alloc", cfg, bs, costBackend{cost: 5 * sim.Millisecond})
 	read := func(p *sim.Process, stream, idx int64) {
 		if err := c.Read(p, stream, idx*bs, bs); err != nil {
 			t.Error(err)

@@ -43,7 +43,7 @@ type Backend interface {
 }
 
 // block is one entry of the block map, keyed by block index (array
-// address / BlockBytes); the synthetic array address space already makes
+// address / block size); the synthetic array address space already makes
 // indices unique per file. A resident entry holds data and sits in the LRU
 // list. An entry with a fetch set is in flight: readers of it wait on the
 // fetch. An entry can be both, when a write-behind install lands while its
@@ -95,9 +95,10 @@ func (f *fetch) fire(p *sim.Process) {
 
 // Cache is one I/O node's block cache.
 type Cache struct {
-	eng *sim.Engine
-	cfg Config
-	be  Backend
+	eng        *sim.Engine
+	cfg        Config
+	blockBytes int64
+	be         Backend
 
 	capBlocks int64
 	blocks    map[int64]*block // resident and in-flight entries
@@ -134,17 +135,18 @@ type Cache struct {
 	s Stats
 }
 
-// New creates a cache in front of backend be. The config is normalized
-// (zero fields take defaults).
-func New(eng *sim.Engine, name string, cfg Config, be Backend) *Cache {
-	cfg = cfg.Normalized(0)
-	capBlocks := cfg.CapacityBytes / cfg.BlockBytes
+// New creates a cache of blockBytes blocks in front of backend be. The
+// config is normalized (zero fields take defaults).
+func New(eng *sim.Engine, name string, cfg Config, blockBytes int64, be Backend) *Cache {
+	cfg = cfg.Normalized()
+	capBlocks := cfg.CapacityBytes / blockBytes
 	if capBlocks < 1 {
 		capBlocks = 1
 	}
 	c := &Cache{
 		eng:          eng,
 		cfg:          cfg,
+		blockBytes:   blockBytes,
 		be:           be,
 		capBlocks:    capBlocks,
 		blocks:       make(map[int64]*block),
@@ -179,12 +181,12 @@ func (c *Cache) Stats() Stats {
 
 // memTime charges node memory bandwidth for moving bytes to/from the cache.
 func (c *Cache) memTime(bytes int64) sim.Time {
-	return sim.Time(float64(bytes) / c.cfg.MemBWBytesPerS * float64(sim.Second))
+	return sim.Time(float64(bytes) / memBWBytesPerS * float64(sim.Second))
 }
 
 // overlap returns how many bytes of request [addr, addr+n) fall in block idx.
 func (c *Cache) overlap(idx, addr, n int64) int64 {
-	bs := c.cfg.BlockBytes
+	bs := c.blockBytes
 	lo, hi := idx*bs, (idx+1)*bs
 	if addr > lo {
 		lo = addr
@@ -204,7 +206,7 @@ func (c *Cache) Read(p *sim.Process, stream, addr, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	bs := c.cfg.BlockBytes
+	bs := c.blockBytes
 	last := (addr + n - 1) / bs
 	idx := addr / bs
 	for idx <= last {
@@ -233,7 +235,7 @@ func (c *Cache) Read(p *sim.Process, stream, addr, n int64) error {
 // by last) in one array request, installs them, and returns the next block
 // index to examine. b is idx's entry, or nil.
 func (c *Cache) fetchRun(p *sim.Process, b *block, stream, idx, last, addr, n int64) (int64, error) {
-	bs := c.cfg.BlockBytes
+	bs := c.blockBytes
 	f := c.newFetch(c.fetchName, stream)
 	c.claim(f, b, idx)
 	for j := idx + 1; j <= last; j++ {
@@ -350,7 +352,7 @@ func (c *Cache) Write(p *sim.Process, stream, addr, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	bs := c.cfg.BlockBytes
+	bs := c.blockBytes
 	first, last := addr/bs, (addr+n-1)/bs
 	if !c.cfg.WriteBehind {
 		if err := c.be.BlockIO(p, stream, addr, n, false); err != nil {
@@ -363,7 +365,7 @@ func (c *Cache) Write(p *sim.Process, stream, addr, n int64) error {
 		c.observe(p, stream, addr, n, false)
 		return nil
 	}
-	p.Sleep(c.cfg.HitOverhead + c.memTime(n))
+	p.Sleep(hitOverhead + c.memTime(n))
 	for idx := first; idx <= last; idx++ {
 		c.installBlock(p, stream, idx, true, false)
 	}
@@ -431,7 +433,7 @@ func (c *Cache) hit(p *sim.Process, b *block, segBytes int64) {
 		c.s.PrefetchUsed++
 	}
 	c.moveFront(b)
-	p.Sleep(c.cfg.HitOverhead + c.memTime(segBytes))
+	p.Sleep(hitOverhead + c.memTime(segBytes))
 }
 
 // installBlock makes room and makes idx's entry resident; a dirty install
@@ -600,7 +602,7 @@ func (c *Cache) markClean(s int64, i, j int) {
 // writeRun writes blocks [lo, hi] (already marked clean) back as one array
 // request; on failure they are counted lost (the node died under us).
 func (c *Cache) writeRun(p *sim.Process, stream, lo, hi int64) error {
-	bs := c.cfg.BlockBytes
+	bs := c.blockBytes
 	nb := hi - lo + 1
 	if err := c.be.BlockIO(p, stream, lo*bs, nb*bs, false); err != nil {
 		c.s.LostDirtyBlocks += nb
@@ -639,7 +641,7 @@ func (c *Cache) discardDirty() {
 			c.recycle(b)
 		}
 		c.s.LostDirtyBlocks++
-		c.s.LostDirtyBytes += c.cfg.BlockBytes
+		c.s.LostDirtyBytes += c.blockBytes
 	}
 }
 
@@ -669,7 +671,7 @@ func (c *Cache) ensureFlusher() {
 func (c *Cache) flushLoop(p *sim.Process) {
 	defer func() { c.flLive = false }()
 	for {
-		p.Sleep(c.cfg.FlushDelay)
+		p.Sleep(flushDelay)
 		if c.down {
 			return
 		}
@@ -689,7 +691,7 @@ func (c *Cache) observe(p *sim.Process, stream, addr, n int64, read bool) {
 	if !read || !c.cfg.Prefetch || c.down {
 		return
 	}
-	c.pred = c.cls.predict(c.pred[:0], st, n, c.cfg.BlockBytes, c.cfg.PrefetchDepth)
+	c.pred = c.cls.predict(c.pred[:0], st, n, c.blockBytes, prefetchDepth)
 	for _, idx := range c.pred {
 		if idx < 0 {
 			continue
@@ -738,7 +740,7 @@ func (c *Cache) prefetch(p *sim.Process, f *fetch) {
 		f.fire(p)
 		return
 	}
-	err := c.be.BlockIO(p, f.stream, idx*c.cfg.BlockBytes, c.cfg.BlockBytes, true)
+	err := c.be.BlockIO(p, f.stream, idx*c.blockBytes, c.blockBytes, true)
 	if f.done {
 		return // an outage aborted the prefetch while we slept
 	}

@@ -38,18 +38,15 @@ func testConfig() Config {
 	return Config{
 		Enabled:       true,
 		CapacityBytes: 4 * bs,
-		BlockBytes:    bs,
 		WriteBehind:   true,
-		FlushDelay:    10 * sim.Millisecond,
 		Prefetch:      true,
-		PrefetchDepth: 4,
 	}
 }
 
 func newTest(cfg Config) (*sim.Engine, *fakeBackend, *Cache) {
 	eng := sim.NewEngine()
 	be := &fakeBackend{cost: 5 * sim.Millisecond}
-	return eng, be, New(eng, "test", cfg, be)
+	return eng, be, New(eng, "test", cfg, bs, be)
 }
 
 func TestReadMissFetchesWholeBlockThenHits(t *testing.T) {
@@ -194,8 +191,7 @@ func TestWriteBehindAbsorbsAndFlushesCoalesced(t *testing.T) {
 }
 
 func TestDirtyEvictionFlushesContiguousRunAscending(t *testing.T) {
-	cfg := testConfig()       // capacity 4 blocks
-	cfg.FlushDelay = sim.Hour // keep the daemon out of the way
+	cfg := testConfig() // capacity 4 blocks
 	eng, be, c := newTest(cfg)
 	eng.Spawn("w", func(p *sim.Process) {
 		for i := int64(0); i < 5; i++ { // fifth write evicts block 0
@@ -224,7 +220,6 @@ func TestDirtyEvictionFlushesContiguousRunAscending(t *testing.T) {
 
 func TestOutageDiscardsDirtyAndCountsLost(t *testing.T) {
 	cfg := testConfig()
-	cfg.FlushDelay = sim.Hour
 	eng, be, c := newTest(cfg)
 	eng.Spawn("w", func(p *sim.Process) {
 		for i := int64(0); i < 3; i++ {
@@ -253,7 +248,6 @@ func TestOutageDiscardsDirtyAndCountsLost(t *testing.T) {
 
 func TestFlushOnFailDrainsBeforeOutage(t *testing.T) {
 	cfg := testConfig()
-	cfg.FlushDelay = sim.Hour
 	cfg.FlushOnFail = true
 	eng, be, c := newTest(cfg)
 	eng.Spawn("w", func(p *sim.Process) {

@@ -2,9 +2,29 @@ package cache
 
 import "repro/internal/sim"
 
+// The cache's fixed costs and daemon pacing.
+const (
+	// hitOverhead is the I/O-node software cost charged per cache hit
+	// (lookup plus buffer management); hits bypass the array queue.
+	hitOverhead = 200 * sim.Microsecond
+
+	// memBWBytesPerS is the node memory bandwidth used to charge hit and
+	// write-behind data movement.
+	memBWBytesPerS = 200e6
+
+	// flushDelay is the write-behind daemon's pause between flush passes.
+	flushDelay = 50 * sim.Millisecond
+
+	// prefetchDepth is how many blocks ahead a sequential stream's
+	// readahead ramps up to.
+	prefetchDepth = 4
+)
+
 // Config describes one I/O node's block cache. The zero value disables
 // caching entirely; DefaultConfig returns the enabled policy the cache
-// sweeps and CLI flags use.
+// sweeps and CLI flags use. Blocks are one PFS stripe unit: they are fetched
+// and flushed whole and block-aligned, so a block fetch is one contiguous
+// array request.
 type Config struct {
 	// Enabled turns the cache on. All other fields are ignored when false.
 	Enabled bool
@@ -14,32 +34,15 @@ type Config struct {
 	// assume (a small fraction of the node's 32 MB).
 	CapacityBytes int64
 
-	// BlockBytes is the cache block size. Blocks are fetched and flushed
-	// whole and block-aligned, so a block fetch is one contiguous array
-	// request. PFS sets this to its stripe unit when left zero.
-	BlockBytes int64
-
-	// HitOverhead is the I/O-node software cost charged per cache hit
-	// (lookup plus buffer management); hits bypass the array queue.
-	HitOverhead sim.Time
-
-	// MemBWBytesPerS is the node memory bandwidth used to charge hit and
-	// write-behind data movement.
-	MemBWBytesPerS float64
-
 	// WriteBehind installs dirty blocks and lets a flush daemon write them
 	// back later (coalescing contiguous runs). When false, writes go
 	// through synchronously and install clean.
 	WriteBehind bool
 
-	// FlushDelay is the write-behind daemon's pause between flush passes.
-	FlushDelay sim.Time
-
 	// Prefetch enables pattern-driven readahead: sequential streams ramp
-	// up to PrefetchDepth blocks ahead, strided streams fetch the one
+	// up to prefetchDepth blocks ahead, strided streams fetch the one
 	// predicted next block, random streams fetch nothing.
-	Prefetch      bool
-	PrefetchDepth int
+	Prefetch bool
 
 	// FlushOnFail selects the outage policy for dirty blocks: true drains
 	// them synchronously to the array before the node goes down (graceful
@@ -49,47 +52,21 @@ type Config struct {
 	FlushOnFail bool
 }
 
-// DefaultConfig returns the enabled default policy: 8 MB capacity, 64 KB
-// blocks, write-behind with a 50 ms flush delay, prefetch depth 4.
+// DefaultConfig returns the enabled default policy: 8 MB capacity,
+// write-behind with a 50 ms flush delay, prefetch depth 4.
 func DefaultConfig() Config {
 	return Config{
-		Enabled:        true,
-		CapacityBytes:  8 << 20,
-		BlockBytes:     64 << 10,
-		HitOverhead:    200 * sim.Microsecond,
-		MemBWBytesPerS: 200e6,
-		WriteBehind:    true,
-		FlushDelay:     50 * sim.Millisecond,
-		Prefetch:       true,
-		PrefetchDepth:  4,
+		Enabled:       true,
+		CapacityBytes: 8 << 20,
+		WriteBehind:   true,
+		Prefetch:      true,
 	}
 }
 
-// Normalized fills zero fields with defaults; blockDefault overrides the
-// default block size (PFS passes its stripe unit).
-func (c Config) Normalized(blockDefault int64) Config {
-	d := DefaultConfig()
+// Normalized fills a zero capacity with the default.
+func (c Config) Normalized() Config {
 	if c.CapacityBytes <= 0 {
-		c.CapacityBytes = d.CapacityBytes
-	}
-	if c.BlockBytes <= 0 {
-		if blockDefault > 0 {
-			c.BlockBytes = blockDefault
-		} else {
-			c.BlockBytes = d.BlockBytes
-		}
-	}
-	if c.HitOverhead <= 0 {
-		c.HitOverhead = d.HitOverhead
-	}
-	if c.MemBWBytesPerS <= 0 {
-		c.MemBWBytesPerS = d.MemBWBytesPerS
-	}
-	if c.FlushDelay <= 0 {
-		c.FlushDelay = d.FlushDelay
-	}
-	if c.PrefetchDepth <= 0 {
-		c.PrefetchDepth = d.PrefetchDepth
+		c.CapacityBytes = DefaultConfig().CapacityBytes
 	}
 	return c
 }

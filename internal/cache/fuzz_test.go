@@ -232,11 +232,10 @@ func runCacheOps(data []byte) (*Cache, error) {
 	}
 	procs := int(data[0]%4) + 1
 	cfg := testConfig()
-	cfg.PrefetchDepth = 2
 	cfg.FlushOnFail = data[0]&4 != 0
 	eng := sim.NewEngine()
 	be := &checkedBackend{fakeBackend: fakeBackend{cost: 5 * sim.Millisecond}}
-	c := New(eng, "fuzz", cfg, be)
+	c := New(eng, "fuzz", cfg, bs, be)
 	be.check = func() error { return checkCache(c) }
 
 	ops := data[2:]

@@ -6,11 +6,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultWindow is the straggler window a partially filled round waits
-// before its flusher runs with the members that have arrived. It exists so
-// workloads where not every compute node participates in a round (a node
-// past EOF, an irregular access count) cannot stall the barrier forever.
-const DefaultWindow = 2 * sim.Millisecond
+// Window is the straggler window a partially filled round waits before its
+// flusher runs with the members that have arrived. It exists so workloads
+// where not every compute node participates in a round (a node past EOF, an
+// irregular access count) cannot stall the barrier forever.
+const Window = 2 * sim.Millisecond
 
 // Config enables and parameterizes two-phase collective I/O for the
 // round-structured access modes (M_RECORD, M_SYNC). The zero value leaves
@@ -24,12 +24,6 @@ type Config struct {
 	// I/O nodes congruent to a modulo Aggregators). <= 0 selects the
 	// default of one aggregator per I/O node.
 	Aggregators int
-
-	// Window bounds how long a partially filled round waits for stragglers
-	// before flushing with the members present. 0 selects DefaultWindow;
-	// negative disables the timer entirely (rounds then flush only when the
-	// whole compute group has arrived).
-	Window sim.Time
 }
 
 // Normalized resolves defaults against the I/O-node population.
@@ -39,12 +33,6 @@ func (c Config) Normalized(ionodes int) Config {
 	}
 	if c.Aggregators > ionodes {
 		c.Aggregators = ionodes
-	}
-	if c.Window == 0 {
-		c.Window = DefaultWindow
-	}
-	if c.Window < 0 {
-		c.Window = 0
 	}
 	return c
 }

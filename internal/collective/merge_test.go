@@ -167,11 +167,11 @@ func TestStatsReduction(t *testing.T) {
 
 func TestConfigNormalized(t *testing.T) {
 	c := Config{Enabled: true}.Normalized(16)
-	if c.Aggregators != 16 || c.Window != DefaultWindow {
+	if c.Aggregators != 16 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
-	c = Config{Enabled: true, Aggregators: 99, Window: -1}.Normalized(16)
-	if c.Aggregators != 16 || c.Window != 0 {
+	c = Config{Enabled: true, Aggregators: 99}.Normalized(16)
+	if c.Aggregators != 16 {
 		t.Fatalf("clamps not applied: %+v", c)
 	}
 }

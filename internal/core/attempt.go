@@ -49,7 +49,7 @@ type runtime struct {
 // study. The returned study has defaults merged in.
 func prepare(s Study) (Study, *runtime, error) {
 	if s.Machine.ComputeNodes == 0 {
-		s = mergeDefaults(s)
+		s.Machine = PaperStudy(s.App).Machine
 	}
 	m, err := workload.NewMachine(s.Machine)
 	if err != nil {
@@ -84,10 +84,7 @@ func prepare(s Study) (Study, *runtime, error) {
 		// DESIGN.md §5.1), so no count fixed before the run bounds it.
 		rt.physTracer = pablo.NewTracer(s.KeepTrace)
 		m.PFS.SetRecorder(rt.physTracer)
-		rt.layer, err = ppfs.New(m.Eng, m.PFS, *s.Policy)
-		if err != nil {
-			return s, nil, err
-		}
+		rt.layer = ppfs.New(m.Eng, m.PFS, *s.Policy)
 		rt.layer.SetRecorder(rt.tracer)
 		rt.fs = rt.layer
 	} else {

@@ -225,8 +225,8 @@ func TestNodeLossLostWorkDeterministic(t *testing.T) {
 	}
 }
 
-// TestNodeLossRejectsUndrainedCheckpoint: with a drain daemon too slow to
-// ever flush (30s wakeup against a ~9s run), every checkpoint generation's
+// TestNodeLossRejectsUndrainedCheckpoint: with a drain too slow to ever
+// finish a record (1 B/s against a ~9s run), every checkpoint generation's
 // newest records die in the volatile log — the restart must reject those
 // generations instead of restoring from data that never reached the PFS, and
 // the lost log content must be accounted.
@@ -234,7 +234,7 @@ func TestNodeLossRejectsUndrainedCheckpoint(t *testing.T) {
 	bcfg := burst.DefaultConfig()
 	bcfg.Compress = burst.CompressConfig{}
 	bcfg.CapacityBytes = 1 << 30 // never backpressure: records only accumulate
-	bcfg.DrainDelay = 30 * sim.Second
+	bcfg.DrainBWBytesPerS = 1
 	rr := runNodeLoss(t, bcfg)
 
 	if rr.Ckpt.DrainRejects == 0 {

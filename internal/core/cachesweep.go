@@ -186,7 +186,7 @@ func ModeCacheSweep(ccfg cache.Config) ([]analysis.CacheComparison, error) {
 	// Control: uniform random 64 KB reads over a working set two orders of
 	// magnitude beyond the per-node cache — every access misses, so the
 	// cached and uncached runs should be indistinguishable.
-	capBytes := ccfg.Normalized(base.StripeUnit).CapacityBytes
+	capBytes := ccfg.Normalized().CapacityBytes
 	cells = append(cells, modeCell{
 		name:   "random-read",
 		op:     "Read",

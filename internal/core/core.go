@@ -193,18 +193,6 @@ func Run(s Study) (*Report, error) {
 	return finishReport(s, rt), nil
 }
 
-func mergeDefaults(s Study) Study {
-	d := PaperStudy(s.App)
-	d.Policy = s.Policy
-	d.Burst = s.Burst
-	d.KeepTrace = s.KeepTrace
-	if s.WindowWidth > 0 {
-		d.WindowWidth = s.WindowWidth
-	}
-	d.ESCATConfig, d.RENDERConfig, d.HTFConfig = s.ESCATConfig, s.RENDERConfig, s.HTFConfig
-	return d
-}
-
 func buildApp(s Study) (workload.App, error) {
 	if s.synthetic != nil {
 		return workload.NewSynthetic(*s.synthetic)

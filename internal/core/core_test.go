@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/apps/escat"
+	"repro/internal/fault"
 	"repro/internal/ppfs"
 	"repro/internal/sim"
 )
@@ -52,6 +53,25 @@ func TestZeroMachineTakesDefaults(t *testing.T) {
 	}
 	if len(r.Events) == 0 {
 		t.Fatal("no events")
+	}
+}
+
+// TestZeroMachineKeepsFaultPlan: a study that leaves Machine zero takes the
+// paper machine and nothing else from the defaults, so its fault plan still
+// runs and shows on the report's incident timeline.
+func TestZeroMachineKeepsFaultPlan(t *testing.T) {
+	cfg := escat.SmallConfig()
+	s := Study{App: ESCAT, ESCATConfig: &cfg, FaultSeed: 3}
+	s.Faults = fault.Plan{Events: []fault.Event{{
+		Kind: fault.IONodeOutage, At: 10 * sim.Millisecond, Node: 3,
+		Duration: 100 * sim.Millisecond,
+	}}}
+	r, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Incidents) != 1 || r.Incidents[0].Kind != fault.IONodeOutage {
+		t.Fatalf("incidents %+v, want the one I/O-node outage", r.Incidents)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/apps/htf"
 	"repro/internal/exec"
 )
 
@@ -20,12 +21,13 @@ type CrossoverModel struct {
 	BytesPerIntegral float64 // storage per integral (~56 B for the 16-atom set)
 }
 
-// DefaultCrossoverModel returns the paper-calibrated parameters.
+// DefaultCrossoverModel returns the paper-calibrated parameters, the ones
+// the HTF skeleton's recompute variant charges.
 func DefaultCrossoverModel() CrossoverModel {
 	return CrossoverModel{
-		FlopsPerIntegral: 500,
-		NodeFlopRate:     50e6,
-		BytesPerIntegral: 56,
+		FlopsPerIntegral: htf.FlopsPerIntegral,
+		NodeFlopRate:     htf.NodeFlopRate,
+		BytesPerIntegral: htf.BytesPerIntegral,
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	goruntime "runtime"
 
 	"repro/internal/exec"
+	"repro/internal/mesh"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -105,7 +106,7 @@ func runFleet(s Study, opts FleetOptions, inspect func(i int, m *workload.Machin
 		if err != nil {
 			return fleetCell{}, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
-		start := rt.m.Mesh.Lookahead() + opts.Stagger*sim.Time(i)
+		start := mesh.Lookahead + opts.Stagger*sim.Time(i)
 		// The plan's instants are relative to the job, not the fleet: they
 		// are armed past the cell's launch.
 		rt.arm(cs, planEvents(cs), start)

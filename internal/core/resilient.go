@@ -114,7 +114,7 @@ func appNodes(s Study) int {
 func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	s := rs.Study
 	if s.Machine.ComputeNodes == 0 {
-		s = mergeDefaults(s)
+		s.Machine = PaperStudy(s.App).Machine
 	}
 	// The driver measures attempt completion from the trace.
 	s.KeepTrace = true

@@ -23,9 +23,12 @@ import (
 	"repro/internal/sim"
 )
 
-// ArrayConfig describes a RAID-3 array.
+// drives is the number of drives in every array, parity included: the
+// Paragon's five.
+const drives = 5
+
+// ArrayConfig describes a RAID-3 array of five drives.
 type ArrayConfig struct {
-	Disks        int      // total drives, including parity (paper: 5)
 	DiskCapacity int64    // bytes per drive (paper: 1.2 GB)
 	Position     sim.Time // average positioning (seek + rotation) time
 	Overhead     sim.Time // fixed controller/firmware cost per request
@@ -57,7 +60,6 @@ const (
 // and buffers for 4 concurrent streams.
 func DefaultArrayConfig() ArrayConfig {
 	return ArrayConfig{
-		Disks:        5,
 		DiskCapacity: 1_200_000_000,
 		Position:     15 * sim.Millisecond,
 		Overhead:     2 * sim.Millisecond,
@@ -104,9 +106,6 @@ type Array struct {
 // NewArray creates an array with no tracked streams (the first request of
 // every stream pays positioning).
 func NewArray(cfg ArrayConfig) *Array {
-	if cfg.Disks < 2 {
-		panic(fmt.Sprintf("disk: RAID-3 needs >= 2 drives, got %d", cfg.Disks))
-	}
 	if cfg.BWBytesPerS <= 0 {
 		panic("disk: non-positive bandwidth")
 	}
@@ -118,7 +117,7 @@ func NewArray(cfg ArrayConfig) *Array {
 
 // Capacity returns the usable data capacity (all drives minus parity).
 func (a *Array) Capacity() int64 {
-	return int64(a.cfg.Disks-1) * a.cfg.DiskCapacity
+	return int64(drives-1) * a.cfg.DiskCapacity
 }
 
 // Service computes the time to service a request, distinguishing reads from
@@ -161,14 +160,9 @@ func (a *Array) Service(streamKey, addr, bytes int64, read bool) sim.Time {
 // DegradedReadFactor is the multiplier a degraded read's transfer time pays
 // for parity reconstruction: with D drives (one of them parity), losing one
 // data drive leaves D-2 of the D-1 data lanes, so the effective data rate
-// drops to (D-2)/(D-1) of healthy. Arrays too small for that ratio to be
-// meaningful (fewer than 4 drives) pay a factor of 2.
+// drops to (D-2)/(D-1) of healthy.
 func (a *Array) DegradedReadFactor() float64 {
-	d := a.cfg.Disks
-	if d < 4 {
-		return 2
-	}
-	return float64(d-1) / float64(d-2)
+	return float64(drives-1) / float64(drives-2)
 }
 
 // reconstructOverhead is the extra controller cost a degraded-mode read pays

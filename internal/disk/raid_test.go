@@ -9,7 +9,6 @@ import (
 
 func testArrayConfig() ArrayConfig {
 	return ArrayConfig{
-		Disks:        5,
 		DiskCapacity: 1_200_000_000,
 		Position:     10 * sim.Millisecond,
 		Overhead:     1 * sim.Millisecond,
@@ -135,8 +134,7 @@ func TestServiceTimeLowerBoundProperty(t *testing.T) {
 
 func TestInvalidArrayPanics(t *testing.T) {
 	for name, cfg := range map[string]ArrayConfig{
-		"one-disk": {Disks: 1, BWBytesPerS: 1},
-		"zero-bw":  {Disks: 5, BWBytesPerS: 0},
+		"zero-bw": {BWBytesPerS: 0},
 	} {
 		func() {
 			defer func() {

@@ -223,15 +223,16 @@ func TestInjectorStorm(t *testing.T) {
 func TestInjectorNotesSurviveHalt(t *testing.T) {
 	eng := sim.NewEngine()
 	nodes := testNodes(eng, 2, disk.DefaultArrayConfig())
-	ccfg := cache.DefaultConfig()
-	ccfg.FlushDelay = sim.Hour
-	nodes[1].EnableCache(eng, ccfg)
+	const block = 64 << 10
+	nodes[1].EnableCache(eng, cache.DefaultConfig(), block)
 	inj := Inject(eng, nodes, []Event{
 		{Kind: LatencyStorm, At: sim.Second, Node: 0, Duration: 2 * sim.Second, Factor: 4},
 		{Kind: IONodeOutage, At: sim.Second, Node: 1, Duration: 2 * sim.Second},
 	}, NodeLossHooks{})
-	eng.Spawn("writer", func(p *sim.Process) {
-		if _, err := nodes[1].Do(p, 1, 0, 2*ccfg.BlockBytes, false); err != nil {
+	// The write lands just before the outage, inside the cache's flush
+	// delay, so both blocks are still dirty when the node goes down.
+	eng.SpawnAt("writer", sim.Second-sim.Millisecond, func(p *sim.Process) {
+		if _, err := nodes[1].Do(p, 1, 0, 2*block, false); err != nil {
 			t.Error(err)
 		}
 	})

@@ -2,25 +2,25 @@ package integrity
 
 import "repro/internal/sim"
 
+// The checksum layer's costs: every request pays a fixed node cost for
+// checksum bookkeeping (on writes: computing sums; on reads: verifying them)
+// plus its bytes at the checksum-compute bandwidth.
+const (
+	verifyOverhead    = 50 * sim.Microsecond
+	verifyBWBytesPerS = 400e6
+)
+
+// ScrubSliceBytes is the scrubber's work quantum per queue acquisition, so
+// scrub traffic interleaves with (and is delayed by) foreground requests.
+const ScrubSliceBytes = 512 << 10
+
 // Config describes one I/O node's integrity layer. The zero value disables
 // it entirely: no checksum state, no verify cost, data path bit-identical to
-// a build without the package.
+// a build without the package. One stored sum covers one checksum block, the
+// PFS stripe unit, so one stripe chunk verifies as one unit.
 type Config struct {
-	// Enabled turns the layer on. All other fields are ignored when false.
+	// Enabled turns the layer on. Scrub is ignored when false.
 	Enabled bool
-
-	// BlockBytes is the checksum granule: one stored sum covers one block.
-	// PFS sets this to its stripe unit when left zero, so one stripe chunk
-	// verifies as one unit.
-	BlockBytes int64
-
-	// VerifyOverhead is the fixed node cost per request for checksum
-	// bookkeeping (on writes: computing sums; on reads: verifying them).
-	VerifyOverhead sim.Time
-
-	// VerifyBWBytesPerS is the checksum-compute bandwidth; every read and
-	// write additionally pays bytes/rate on the I/O node.
-	VerifyBWBytesPerS float64
 
 	// Scrub configures the background scrubber.
 	Scrub ScrubConfig
@@ -37,25 +37,16 @@ type ScrubConfig struct {
 	// idle pause average out to this rate. Default 4 MB/s.
 	RateBytesPerS float64
 
-	// SliceBytes is the work quantum per queue acquisition, so scrub traffic
-	// interleaves with (and is delayed by) foreground requests. Default 512 KB.
-	SliceBytes int64
-
 	// Window is the simulated instant the scrubber stands down (it must
 	// terminate for the run to drain). Default 600 s, matching the chaos
 	// window convention of the fault plans.
 	Window sim.Time
 }
 
-// DefaultConfig returns the enabled default policy: stripe-unit blocks (once
-// normalized by PFS), 50 µs verify overhead, 400 MB/s checksum bandwidth,
-// scrubbing off.
+// DefaultConfig returns the enabled default policy: 50 µs verify overhead,
+// 400 MB/s checksum bandwidth, scrubbing off.
 func DefaultConfig() Config {
-	return Config{
-		Enabled:           true,
-		VerifyOverhead:    50 * sim.Microsecond,
-		VerifyBWBytesPerS: 400e6,
-	}
+	return Config{Enabled: true}
 }
 
 // DefaultScrubConfig returns the enabled default scrub policy.
@@ -63,35 +54,16 @@ func DefaultScrubConfig() ScrubConfig {
 	return ScrubConfig{
 		Enabled:       true,
 		RateBytesPerS: 4 << 20,
-		SliceBytes:    512 << 10,
 		Window:        600 * sim.Second,
 	}
 }
 
-// Normalized fills zero fields with defaults; blockDefault overrides the
-// default block size (PFS passes its stripe unit).
-func (c Config) Normalized(blockDefault int64) Config {
-	d := DefaultConfig()
-	if c.BlockBytes <= 0 {
-		if blockDefault > 0 {
-			c.BlockBytes = blockDefault
-		} else {
-			c.BlockBytes = 64 << 10
-		}
-	}
-	if c.VerifyOverhead <= 0 {
-		c.VerifyOverhead = d.VerifyOverhead
-	}
-	if c.VerifyBWBytesPerS <= 0 {
-		c.VerifyBWBytesPerS = d.VerifyBWBytesPerS
-	}
+// Normalized fills an enabled scrubber's zero fields with defaults.
+func (c Config) Normalized() Config {
 	if c.Scrub.Enabled {
 		sd := DefaultScrubConfig()
 		if c.Scrub.RateBytesPerS <= 0 {
 			c.Scrub.RateBytesPerS = sd.RateBytesPerS
-		}
-		if c.Scrub.SliceBytes <= 0 {
-			c.Scrub.SliceBytes = sd.SliceBytes
 		}
 		if c.Scrub.Window <= 0 {
 			c.Scrub.Window = sd.Window

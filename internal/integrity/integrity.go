@@ -142,8 +142,9 @@ type injection struct {
 // Store is one I/O node's checksum store: per-block write versions and stored
 // sums for every block ever written through the node.
 type Store struct {
-	node int
-	cfg  Config
+	node       int
+	cfg        Config
+	blockBytes int64 // checksum granule
 
 	blocks map[int64]*blockSum
 	inj    *injection
@@ -164,34 +165,34 @@ type Store struct {
 }
 
 // NewStore creates the checksum store for I/O node `node` with a normalized
-// config.
-func NewStore(node int, cfg Config) *Store {
-	return &Store{node: node, cfg: cfg, blocks: make(map[int64]*blockSum)}
+// config, one sum per blockBytes.
+func NewStore(node int, cfg Config, blockBytes int64) *Store {
+	return &Store{node: node, cfg: cfg, blockBytes: blockBytes, blocks: make(map[int64]*blockSum)}
 }
 
 // Config returns the store's (normalized) configuration.
 func (st *Store) Config() Config { return st.cfg }
 
 // BlockBytes returns the checksum granule size.
-func (st *Store) BlockBytes() int64 { return st.cfg.BlockBytes }
+func (st *Store) BlockBytes() int64 { return st.blockBytes }
 
 // ResidentBytes returns the bytes of tracked (ever-written) data — the
 // exposure base for the bit-rot arrival process.
 func (st *Store) ResidentBytes() int64 {
-	return int64(len(st.blocks)) * st.cfg.BlockBytes
+	return int64(len(st.blocks)) * st.blockBytes
 }
 
 // VerifyCost is the node time to checksum (on write) or verify (on read)
 // `bytes` of data: a fixed per-request overhead plus the data at the
 // configured checksum-compute bandwidth.
 func (st *Store) VerifyCost(bytes int64) sim.Time {
-	return st.cfg.VerifyOverhead +
-		sim.Time(float64(bytes)/st.cfg.VerifyBWBytesPerS*float64(sim.Second))
+	return verifyOverhead +
+		sim.Time(float64(bytes)/verifyBWBytesPerS*float64(sim.Second))
 }
 
 // span returns the inclusive block-index range overlapped by [addr, addr+n).
 func (st *Store) span(addr, n int64) (first, last int64) {
-	bs := st.cfg.BlockBytes
+	bs := st.blockBytes
 	return addr / bs, (addr + n - 1) / bs
 }
 
@@ -476,7 +477,7 @@ func (st *Store) ScrubCheck(now sim.Time, idx int64) (Class, bool) {
 		return ClassNone, false
 	}
 	st.s.VerifiedBlocks++
-	st.s.VerifiedBytes += st.cfg.BlockBytes
+	st.s.VerifiedBytes += st.blockBytes
 	if b.sum == Checksum(idx, b.version) {
 		return ClassNone, false
 	}

@@ -120,8 +120,8 @@ func (n *Node) ReleaseService(p *sim.Process) { n.release(p) }
 // EnableCache attaches a block cache between the node's queue and its
 // array: demand hits bypass the queue entirely, misses and write-backs go
 // through BlockIO. Call before the simulation starts issuing requests.
-func (n *Node) EnableCache(eng *sim.Engine, cfg cache.Config) {
-	n.cache = cache.New(eng, fmt.Sprintf("ion%d-cache", n.id), cfg, n)
+func (n *Node) EnableCache(eng *sim.Engine, cfg cache.Config, blockBytes int64) {
+	n.cache = cache.New(eng, fmt.Sprintf("ion%d-cache", n.id), cfg, blockBytes, n)
 }
 
 // Cache returns the node's cache, or nil when caching is disabled.
@@ -131,10 +131,10 @@ func (n *Node) Cache() *cache.Cache { return n.cache }
 // checksummed and reads verified (both charged the store's verify cost while
 // the request holds the queue), parity-repairable mismatches are
 // reconstructed in place, and unrepairable ones fail the read with
-// integrity.ErrCorrupt. Pass a normalized config; call before the simulation
-// starts issuing requests.
-func (n *Node) EnableIntegrity(cfg integrity.Config) {
-	n.integ = integrity.NewStore(n.id, cfg)
+// integrity.ErrCorrupt. Pass a normalized config and the checksum block
+// size; call before the simulation starts issuing requests.
+func (n *Node) EnableIntegrity(cfg integrity.Config, blockBytes int64) {
+	n.integ = integrity.NewStore(n.id, cfg, blockBytes)
 }
 
 // Integrity returns the node's checksum store, or nil when the integrity
@@ -170,11 +170,11 @@ func (n *Node) StartScrubber(eng *sim.Engine) {
 // (the process must terminate for the engine to drain).
 func (n *Node) scrubLoop(p *sim.Process, cfg integrity.ScrubConfig) {
 	bs := n.integ.BlockBytes()
-	maxBlocks := int(cfg.SliceBytes / bs)
+	maxBlocks := int(integrity.ScrubSliceBytes / bs)
 	if maxBlocks < 1 {
 		maxBlocks = 1
 	}
-	period := sim.Time(float64(cfg.SliceBytes) / cfg.RateBytesPerS * float64(sim.Second))
+	period := sim.Time(float64(integrity.ScrubSliceBytes) / cfg.RateBytesPerS * float64(sim.Second))
 	if period < sim.Millisecond {
 		period = sim.Millisecond
 	}

@@ -10,7 +10,6 @@ import (
 
 func cfg() disk.ArrayConfig {
 	return disk.ArrayConfig{
-		Disks:        5,
 		DiskCapacity: 1 << 30,
 		Position:     10 * sim.Millisecond,
 		Overhead:     0,

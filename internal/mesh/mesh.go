@@ -13,73 +13,48 @@ import (
 	"repro/internal/sim"
 )
 
-// Config describes the mesh geometry and link performance.
-type Config struct {
-	Cols int // mesh width; nodes are numbered row-major
-	Rows int // mesh height
+// Link performance of the Paragon XP/S: ~70 µs one-way software latency,
+// sub-microsecond hop delay, and ~90 MB/s links (of which applications
+// typically sustained far less; the cost model's software latency dominates
+// small messages as it did in practice).
+const (
+	swLatency   = 70 * sim.Microsecond // per-message software overhead (send+receive)
+	hopLatency  = 1 * sim.Microsecond  // per-hop routing delay
+	bwBytesPerS = 90e6                 // point-to-point link bandwidth, bytes/second
+)
 
-	SWLatency   sim.Time // per-message software overhead (send+receive)
-	HopLatency  sim.Time // per-hop routing delay
-	BWBytesPerS float64  // point-to-point link bandwidth, bytes/second
-}
-
-// DefaultConfig returns parameters representative of the Paragon XP/S: ~70 µs
-// one-way software latency, sub-microsecond hop delay, and ~90 MB/s links
-// (of which applications typically sustained far less; the cost model's
-// software latency dominates small messages as it did in practice).
-func DefaultConfig(nodes int) Config {
-	cols := int(math.Ceil(math.Sqrt(float64(nodes))))
-	rows := (nodes + cols - 1) / cols
-	return Config{
-		Cols:        cols,
-		Rows:        rows,
-		SWLatency:   70 * sim.Microsecond,
-		HopLatency:  1 * sim.Microsecond,
-		BWBytesPerS: 90e6,
-	}
-}
+// Lookahead is the minimum latency of any message crossing the mesh: the
+// per-message software overhead plus one hop of routing delay. A fleet
+// launches each cell's job this long after the fleet starts.
+const Lookahead = swLatency + hopLatency
 
 // Mesh is the interconnect model shared by all nodes of a simulated machine.
 type Mesh struct {
-	cfg Config
+	cols int // mesh width; nodes are numbered row-major
+	rows int // mesh height
 
 	// statistics
 	messages int64
 	bytes    int64
 }
 
-// New creates a mesh. The configuration must describe at least one node.
-func New(cfg Config) *Mesh {
-	if cfg.Cols < 1 || cfg.Rows < 1 {
-		panic(fmt.Sprintf("mesh: invalid geometry %dx%d", cfg.Cols, cfg.Rows))
+// New creates the smallest near-square mesh that holds the given number of
+// nodes, which must be at least one.
+func New(nodes int) *Mesh {
+	if nodes < 1 {
+		panic(fmt.Sprintf("mesh: invalid node count %d", nodes))
 	}
-	if cfg.BWBytesPerS <= 0 {
-		panic("mesh: non-positive bandwidth")
-	}
-	return &Mesh{cfg: cfg}
+	cols := int(math.Ceil(math.Sqrt(float64(nodes))))
+	return &Mesh{cols: cols, rows: (nodes + cols - 1) / cols}
 }
 
-// Lookahead returns the guaranteed minimum latency of any message crossing
-// the mesh: the per-message software overhead plus one hop of routing delay.
-// No transfer, broadcast, or gather can complete faster, which makes this
-// the conservative-parallel engine's safe horizon bound — a shard whose
-// clock reads t cannot affect another shard before t+Lookahead.
-func (c Config) Lookahead() sim.Time { return c.SWLatency + c.HopLatency }
-
-// Config returns the mesh configuration.
-func (m *Mesh) Config() Config { return m.cfg }
-
-// Lookahead returns the mesh's minimum cross-node message latency (see
-// Config.Lookahead).
-func (m *Mesh) Lookahead() sim.Time { return m.cfg.Lookahead() }
-
 // Nodes returns the number of node positions in the mesh.
-func (m *Mesh) Nodes() int { return m.cfg.Cols * m.cfg.Rows }
+func (m *Mesh) Nodes() int { return m.cols * m.rows }
 
 // Hops returns the Manhattan distance between two node numbers.
 func (m *Mesh) Hops(src, dst int) int {
-	sx, sy := src%m.cfg.Cols, src/m.cfg.Cols
-	dx, dy := dst%m.cfg.Cols, dst/m.cfg.Cols
+	sx, sy := src%m.cols, src/m.cols
+	dx, dy := dst%m.cols, dst/m.cols
 	return abs(sx-dx) + abs(sy-dy)
 }
 
@@ -96,8 +71,8 @@ func (m *Mesh) Cost(src, dst int, bytes int64) sim.Time {
 	if bytes < 0 {
 		panic("mesh: negative message size")
 	}
-	ser := sim.Time(float64(bytes) / m.cfg.BWBytesPerS * float64(sim.Second))
-	return m.cfg.SWLatency + sim.Time(m.Hops(src, dst))*m.cfg.HopLatency + ser
+	ser := sim.Time(float64(bytes) / bwBytesPerS * float64(sim.Second))
+	return swLatency + sim.Time(m.Hops(src, dst))*hopLatency + ser
 }
 
 // Transfer charges the calling process the cost of sending bytes from src to
@@ -119,9 +94,9 @@ func (m *Mesh) BroadcastCost(root int, participants int, bytes int64) sim.Time {
 		return 0
 	}
 	stages := bitsLen(participants - 1)
-	worst := m.cfg.SWLatency +
-		sim.Time(m.cfg.Cols+m.cfg.Rows)*m.cfg.HopLatency +
-		sim.Time(float64(bytes)/m.cfg.BWBytesPerS*float64(sim.Second))
+	worst := swLatency +
+		sim.Time(m.cols+m.rows)*hopLatency +
+		sim.Time(float64(bytes)/bwBytesPerS*float64(sim.Second))
 	return sim.Time(stages) * worst
 }
 
@@ -141,9 +116,9 @@ func (m *Mesh) GatherCost(root, participants int, bytesEach int64) sim.Time {
 	if participants <= 1 {
 		return 0
 	}
-	per := m.cfg.SWLatency +
-		sim.Time(m.cfg.Cols+m.cfg.Rows)*m.cfg.HopLatency +
-		sim.Time(float64(bytesEach)/m.cfg.BWBytesPerS*float64(sim.Second))
+	per := swLatency +
+		sim.Time(m.cols+m.rows)*hopLatency +
+		sim.Time(float64(bytesEach)/bwBytesPerS*float64(sim.Second))
 	return sim.Time(participants-1) * per
 }
 

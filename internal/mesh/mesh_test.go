@@ -7,18 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-func testConfig() Config {
-	return Config{
-		Cols:        4,
-		Rows:        4,
-		SWLatency:   100 * sim.Microsecond,
-		HopLatency:  1 * sim.Microsecond,
-		BWBytesPerS: 1e6, // 1 MB/s: 1 byte = 1 µs, easy arithmetic
-	}
-}
-
 func TestHopsManhattan(t *testing.T) {
-	m := New(testConfig())
+	m := New(16) // 4x4
 	cases := []struct{ src, dst, want int }{
 		{0, 0, 0},
 		{0, 1, 1},
@@ -35,7 +25,7 @@ func TestHopsManhattan(t *testing.T) {
 }
 
 func TestHopsSymmetric(t *testing.T) {
-	m := New(testConfig())
+	m := New(16) // 4x4
 	prop := func(a, b uint8) bool {
 		s, d := int(a)%16, int(b)%16
 		return m.Hops(s, d) == m.Hops(d, s)
@@ -46,17 +36,17 @@ func TestHopsSymmetric(t *testing.T) {
 }
 
 func TestCostComponents(t *testing.T) {
-	m := New(testConfig())
-	// 0 -> 5: 2 hops; 1000 bytes at 1 MB/s = 1000 µs.
-	got := m.Cost(0, 5, 1000)
-	want := 100*sim.Microsecond + 2*sim.Microsecond + 1000*sim.Microsecond
+	m := New(16) // 4x4
+	// 0 -> 5: 2 hops; 900 bytes at 90 MB/s = 10 µs.
+	got := m.Cost(0, 5, 900)
+	want := 70*sim.Microsecond + 2*sim.Microsecond + 10*sim.Microsecond
 	if got != want {
 		t.Fatalf("Cost = %v, want %v", got, want)
 	}
 }
 
 func TestCostMonotoneInSize(t *testing.T) {
-	m := New(testConfig())
+	m := New(16) // 4x4
 	prop := func(a, b uint16) bool {
 		lo, hi := int64(a), int64(b)
 		if lo > hi {
@@ -71,7 +61,7 @@ func TestCostMonotoneInSize(t *testing.T) {
 
 func TestTransferChargesSender(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(testConfig())
+	m := New(16) // 4x4
 	var charged sim.Time
 	eng.Spawn("tx", func(p *sim.Process) {
 		charged = m.Transfer(p, 0, 3, 500)
@@ -91,7 +81,7 @@ func TestTransferChargesSender(t *testing.T) {
 }
 
 func TestBroadcastLogStages(t *testing.T) {
-	m := New(testConfig())
+	m := New(16) // 4x4
 	// 16 participants -> ceil(log2 16) = 4 stages.
 	c16 := m.BroadcastCost(0, 16, 0)
 	c2 := m.BroadcastCost(0, 2, 0)
@@ -104,7 +94,7 @@ func TestBroadcastLogStages(t *testing.T) {
 }
 
 func TestGatherLinearInParticipants(t *testing.T) {
-	m := New(testConfig())
+	m := New(16) // 4x4
 	c3 := m.GatherCost(0, 3, 100)
 	c5 := m.GatherCost(0, 5, 100)
 	per := c3 / 2
@@ -113,34 +103,34 @@ func TestGatherLinearInParticipants(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigCoversNodes(t *testing.T) {
+func TestNewCoversNodes(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 128, 512, 513} {
-		cfg := DefaultConfig(n)
-		if cfg.Cols*cfg.Rows < n {
-			t.Errorf("DefaultConfig(%d): %dx%d too small", n, cfg.Cols, cfg.Rows)
+		m := New(n)
+		if m.Nodes() < n || m.Nodes() >= n+m.cols {
+			t.Errorf("New(%d): %dx%d does not fit", n, m.cols, m.rows)
 		}
+	}
+	if m := New(16); m.Nodes() != 16 {
+		t.Fatalf("New(16) has %d nodes", m.Nodes())
 	}
 }
 
 func TestInvalidConfigsPanic(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"zero-cols": {Cols: 0, Rows: 4, BWBytesPerS: 1},
-		"zero-bw":   {Cols: 2, Rows: 2, BWBytesPerS: 0},
-	} {
+	for _, n := range []int{0, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: New did not panic", name)
+					t.Errorf("New(%d) did not panic", n)
 				}
 			}()
-			New(cfg)
+			New(n)
 		}()
 	}
 }
 
 func TestBroadcastAndGatherChargeCaller(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(testConfig())
+	m := New(16) // 4x4
 	var bcast, gather sim.Time
 	eng.Spawn("root", func(p *sim.Process) {
 		t0 := p.Now()
@@ -168,18 +158,8 @@ func TestBroadcastAndGatherChargeCaller(t *testing.T) {
 	}
 }
 
-func TestConfigAndNodesAccessors(t *testing.T) {
-	m := New(testConfig())
-	if m.Nodes() != 16 {
-		t.Fatalf("nodes %d", m.Nodes())
-	}
-	if m.Config().Cols != 4 || m.Config().BWBytesPerS != 1e6 {
-		t.Fatalf("config %+v", m.Config())
-	}
-}
-
 func TestNegativeMessagePanics(t *testing.T) {
-	m := New(testConfig())
+	m := New(16) // 4x4
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative size did not panic")

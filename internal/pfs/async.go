@@ -90,9 +90,3 @@ func (ar *AsyncRead) Wait(p *sim.Process) (int64, error) {
 	fs.record(ar.h.node, iotrace.OpIOWait, f, ar.offset, 0, start, ar.h.mode)
 	return ar.bytes, ar.err
 }
-
-// Done reports whether the transfer has completed (without blocking).
-func (ar *AsyncRead) Done() bool { return ar.comp.Done() }
-
-// Bytes returns the transfer size decided at issue time.
-func (ar *AsyncRead) Bytes() int64 { return ar.bytes }

@@ -126,11 +126,11 @@ func (c *collState) join(p *sim.Process, h *Handle, key collKey, m *collMember) 
 	c.stats.In.Add(m.n)
 	if len(r.members) >= r.group {
 		c.flush(p, r, true)
-	} else if c.cfg.Window > 0 && !r.timerArmed {
+	} else if !r.timerArmed {
 		r.timerArmed = true
 		c.seq++
 		c.fs.eng.Spawn(fmt.Sprintf("pfs-coll-timer%d", c.seq), func(tp *sim.Process) {
-			tp.Sleep(c.cfg.Window)
+			tp.Sleep(collective.Window)
 			if !r.flushed {
 				c.flush(tp, r, false)
 			}

@@ -103,28 +103,28 @@ type NodeConfig struct {
 
 // FailoverConfig describes the request failover policy used under injected
 // I/O-node outages. With Enabled, a request that finds (or is ejected from)
-// a dead node charges DetectTimeout, then retries up to MaxRetries times
-// with exponential backoff. With Config.Replication.Factor >= 2, every
-// stripe additionally keeps copies on other I/O nodes: writes are mirrored
-// to them, and retries re-route to them instead of hammering the dead
-// primary — so reads survive an outage at the cost of extra write traffic.
+// a dead node charges failoverDetectTimeout, then retries up to
+// failoverRetries times with exponential backoff. With
+// Config.Replication.Factor >= 2, every stripe additionally keeps copies on
+// other I/O nodes: writes are mirrored to them, and retries re-route to them
+// instead of hammering the dead primary — so reads survive an outage at the
+// cost of extra write traffic.
 type FailoverConfig struct {
-	Enabled       bool
-	DetectTimeout sim.Time // cost to conclude the primary is dead
-	Backoff       sim.Time // first retry delay; doubles per retry
-	MaxRetries    int
+	Enabled bool
 }
 
-// DefaultFailoverConfig returns a failover policy with a 50 ms detection
-// timeout, 100 ms initial backoff, and 4 retries. Replication is off;
-// callers wanting reroute-to-replica set Config.Replication.Factor.
+// The failover policy: a 50 ms detection timeout, then 4 retries starting at
+// a 100 ms backoff that doubles per retry.
+const (
+	failoverDetectTimeout = 50 * sim.Millisecond // cost to conclude the primary is dead
+	failoverBackoff       = 100 * sim.Millisecond
+	failoverRetries       = 4
+)
+
+// DefaultFailoverConfig returns the enabled failover policy. Replication is
+// off; callers wanting reroute-to-replica set Config.Replication.Factor.
 func DefaultFailoverConfig() FailoverConfig {
-	return FailoverConfig{
-		Enabled:       true,
-		DetectTimeout: 50 * sim.Millisecond,
-		Backoff:       100 * sim.Millisecond,
-		MaxRetries:    4,
-	}
+	return FailoverConfig{Enabled: true}
 }
 
 // DefaultConfig returns the CCSF Paragon configuration from §3.2: 16 I/O
@@ -152,10 +152,6 @@ func (c Config) Validate() error {
 	}
 	for i, n := range c.Nodes {
 		if n.Disk != nil {
-			if n.Disk.Disks < 2 {
-				return fmt.Errorf("pfs: node %d (%s): RAID-3 needs >= 2 drives, got %d",
-					i, templateLabel(n), n.Disk.Disks)
-			}
 			if n.Disk.BWBytesPerS <= 0 {
 				return fmt.Errorf("pfs: node %d (%s): non-positive disk bandwidth %g B/s",
 					i, templateLabel(n), n.Disk.BWBytesPerS)
@@ -196,8 +192,8 @@ func (c Config) nodeDisk(i int) disk.ArrayConfig {
 	return c.Disk
 }
 
-// nodeCache resolves node i's cache configuration (normalized against the
-// stripe unit); Enabled is false when the cache tier is off.
+// nodeCache resolves node i's normalized cache configuration; Enabled is
+// false when the cache tier is off.
 func (c Config) nodeCache(i int) cache.Config {
 	if !c.Cache.Enabled {
 		return cache.Config{}
@@ -206,7 +202,7 @@ func (c Config) nodeCache(i int) cache.Config {
 	if i < len(c.Nodes) && c.Nodes[i].CacheBytes > 0 {
 		cc.CapacityBytes = c.Nodes[i].CacheBytes
 	}
-	return cc.Normalized(c.StripeUnit)
+	return cc.Normalized()
 }
 
 // Zones returns each I/O node's outage domain, all zeros for homogeneous

@@ -60,7 +60,7 @@ func TestFailoverReroutesToReplica(t *testing.T) {
 	if fo.Timeouts == 0 || fo.Reroutes == 0 {
 		t.Errorf("stats %+v: want timeouts and reroutes", fo)
 	}
-	if fo.BackoffTime < r.fs.cfg.Failover.DetectTimeout {
+	if fo.BackoffTime < failoverDetectTimeout {
 		t.Errorf("BackoffTime %v below detection timeout", fo.BackoffTime)
 	}
 	if down := r.fs.IONodes()[1].FaultStats(); down.Failures != 1 || down.Rejected == 0 {

@@ -119,11 +119,11 @@ func TestConfigValidateNodeMismatch(t *testing.T) {
 
 	cfg = DefaultConfig()
 	cfg.Nodes = make([]NodeConfig, cfg.IONodes)
-	bad := disk.ArrayConfig{Disks: 1, BWBytesPerS: 1e6}
+	bad := disk.ArrayConfig{BWBytesPerS: 0}
 	cfg.Nodes[4] = NodeConfig{Disk: &bad, Template: "tiny"}
 	err = cfg.Validate()
 	if err == nil || !strings.Contains(err.Error(), "node 4 (template tiny)") {
-		t.Fatalf("want per-node drive error, got %v", err)
+		t.Fatalf("want per-node bandwidth error, got %v", err)
 	}
 }
 

@@ -222,5 +222,5 @@ func (fs *FileSystem) ScrubWindowEnd() sim.Time {
 	if !fs.cfg.Integrity.Enabled || !fs.cfg.Integrity.Scrub.Enabled {
 		return 0
 	}
-	return fs.cfg.Integrity.Normalized(fs.cfg.StripeUnit).Scrub.Window
+	return fs.cfg.Integrity.Normalized().Scrub.Window
 }

@@ -87,27 +87,27 @@ func TestRepairLedgerOrderAcrossLongOutage(t *testing.T) {
 	r := ledgerOutage(t, 30*sim.Second, watch)
 	want := []string{
 		// Node 1 returns at 2 s: its entries drain while node 3's cycle.
-		"n1/c0@262145", "n1/c1@262146", "n1/c1@262144", "n1/c0@262147",
-		"n1/c1@262145", "n1/c1@262147", "n1/c0@262144", "n1/c0@262148",
-		"n1/c0@262146", "n1/c1@262148",
+		"n1/c1@262146", "n1/c0@262147", "n1/c1@262147", "n1/c1@262145",
+		"n1/c1@262144", "n1/c0@262148", "n1/c0@262144", "n1/c1@262148",
+		"n1/c0@262146", "n1/c0@262149", "n1/c0@262145",
 		// Node 3 returns at 30 s, after ~280 stalled polls.
-		"n3/c0@262151", "n3/c0@262146", "n3/c0@262144", "n3/c0@262149",
-		"n3/c1@262147", "n3/c0@262145", "n3/c0@262147", "n3/c1@262150",
-		"n3/c0@262150", "n3/c1@262144", "n3/c1@262148", "n3/c0@262148",
-		"n3/c1@262146", "n3/c1@262149", "n3/c1@262151", "n3/c1@262145",
+		"n3/c0@262149", "n3/c1@262144", "n3/c1@262147", "n3/c0@262144",
+		"n3/c0@262145", "n3/c0@262147", "n3/c1@262150", "n3/c1@262148",
+		"n3/c0@262150", "n3/c0@262148", "n3/c1@262151", "n3/c1@262146",
+		"n3/c1@262149", "n3/c0@262146", "n3/c0@262151", "n3/c1@262145",
 	}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("repair order\n got %q\nwant %q", order, want)
 	}
 	st := r.fs.RepairStats()
-	if st.LedgerPeak != 21 || st.ChunksRepaired != 26 {
-		t.Errorf("LedgerPeak=%d ChunksRepaired=%d, want 21 and 26", st.LedgerPeak, st.ChunksRepaired)
+	if st.LedgerPeak != 22 || st.ChunksRepaired != 27 {
+		t.Errorf("LedgerPeak=%d ChunksRepaired=%d, want 22 and 27", st.LedgerPeak, st.ChunksRepaired)
 	}
-	if st.ThrottleTime != 50778*sim.Microsecond {
-		t.Errorf("ThrottleTime = %v, want 0.050778s", st.ThrottleTime)
+	if st.ThrottleTime != 52731*sim.Microsecond {
+		t.Errorf("ThrottleTime = %v, want 0.052731s", st.ThrottleTime)
 	}
-	if st.RedundancyRestoredAt != 31029617*sim.Microsecond {
-		t.Errorf("RedundancyRestoredAt = %v, want 31.029617s", st.RedundancyRestoredAt)
+	if st.RedundancyRestoredAt != 30848474*sim.Microsecond {
+		t.Errorf("RedundancyRestoredAt = %v, want 30.848474s", st.RedundancyRestoredAt)
 	}
 	if st.Sweeps != 1 || st.LedgerDrains != st.LedgerPuts || repairBacklog(r.fs) != 0 {
 		t.Errorf("sweeps=%d puts=%d drains=%d backlog=%d, want one sweep that drains the ledger",

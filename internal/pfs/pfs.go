@@ -94,7 +94,7 @@ func New(eng *sim.Engine, msh *mesh.Mesh, cfg Config) (*FileSystem, error) {
 	}
 	fs.cfg.Reliability = cfg.Reliability.Normalized()
 	if fs.cfg.Reliability.Enabled {
-		fs.relRNG = sim.NewRNG(fs.cfg.Reliability.Seed)
+		fs.relRNG = sim.NewRNG(relSeed)
 	}
 	fs.cfg.Replication = cfg.Replication.normalized(cfg.Failover, cfg.IONodes)
 	fs.rf = fs.cfg.Replication.Factor
@@ -107,10 +107,10 @@ func New(eng *sim.Engine, msh *mesh.Mesh, cfg Config) (*FileSystem, error) {
 	for i := 0; i < cfg.IONodes; i++ {
 		n := ionode.New(eng, i, cfg.nodeDisk(i))
 		if cfg.Cache.Enabled {
-			n.EnableCache(eng, cfg.nodeCache(i))
+			n.EnableCache(eng, cfg.nodeCache(i), cfg.StripeUnit)
 		}
 		if cfg.Integrity.Enabled {
-			n.EnableIntegrity(cfg.Integrity.Normalized(cfg.StripeUnit))
+			n.EnableIntegrity(cfg.Integrity.Normalized(), cfg.StripeUnit)
 			n.StartScrubber(eng)
 		}
 		if cfg.Sched.Policy != "" {
@@ -430,23 +430,21 @@ func (fs *FileSystem) chunkIO(p *sim.Process, node int, f *File, ion int, addr, 
 	// when replicas exist, else against the primary in the hope the outage
 	// ends first.
 	fs.fo.Timeouts++
-	fs.fo.BackoffTime += fo.DetectTimeout
-	p.Sleep(fo.DetectTimeout)
-	backoff := fo.Backoff
-	for attempt := 0; attempt < fo.MaxRetries; attempt++ {
+	fs.fo.BackoffTime += failoverDetectTimeout
+	p.Sleep(failoverDetectTimeout)
+	backoff := failoverBackoff
+	for attempt := 0; attempt < failoverRetries; attempt++ {
 		if rel.Enabled && dl > 0 && p.Now() >= dl {
 			fs.rel.DeadlineExceeded++
 			return fmt.Errorf("pfs: %s chunk at ionode %d: %w", rw(read), ion, ErrDeadline)
 		}
-		if backoff > 0 {
-			d := backoff
-			if fs.relRNG != nil && rel.JitterFrac > 0 {
-				d = fs.relRNG.Jitter(backoff, rel.JitterFrac)
-			}
-			fs.fo.BackoffTime += d
-			p.Sleep(d)
-			backoff *= 2
+		d := backoff
+		if fs.relRNG != nil {
+			d = fs.relRNG.Jitter(backoff, relJitter)
 		}
+		fs.fo.BackoffTime += d
+		p.Sleep(d)
+		backoff *= 2
 		fs.fo.Retries++
 		r := 0
 		if fs.rf > 1 {
@@ -494,19 +492,17 @@ func (fs *FileSystem) corruptRetry(p *sim.Process, node int, f *File, ion, badCo
 	rel := fs.cfg.Reliability
 	fo := fs.cfg.Failover
 	fs.rel.CorruptRetries++
-	backoff := rel.Backoff
+	backoff := relBackoff
 	var lastErr error = integrity.ErrCorrupt
 	for attempt := 0; attempt < rel.MaxRetries; attempt++ {
 		if dl > 0 && p.Now() >= dl {
 			fs.rel.DeadlineExceeded++
 			return fmt.Errorf("pfs: read chunk at ionode %d: %w", ion, ErrDeadline)
 		}
-		if backoff > 0 {
-			d := fs.relRNG.Jitter(backoff, rel.JitterFrac)
-			fs.rel.RetryBackoffTime += d
-			p.Sleep(d)
-			backoff *= 2
-		}
+		d := fs.relRNG.Jitter(backoff, relJitter)
+		fs.rel.RetryBackoffTime += d
+		p.Sleep(d)
+		backoff *= 2
 		fs.rel.Retries++
 		r := badCopy
 		if fo.Enabled && fs.rf > 1 {
@@ -605,8 +601,8 @@ func (fs *FileSystem) syncIO(p *sim.Process, ion int, cost sim.Time) error {
 		return ErrIONodeDown
 	}
 	fs.fo.Timeouts++
-	fs.fo.BackoffTime += fo.DetectTimeout
-	p.Sleep(fo.DetectTimeout)
+	fs.fo.BackoffTime += failoverDetectTimeout
+	p.Sleep(failoverDetectTimeout)
 	fs.fo.Retries++
 	if _, err := fs.ion[fs.plc.target(ion, 1)].Sync(p, cost); err != nil {
 		fs.fo.Failed++

@@ -36,11 +36,7 @@ func (r *sliceRecorder) count(op iotrace.Op) int {
 func newRig(t *testing.T, mut func(*Config)) *testRig {
 	t.Helper()
 	eng := sim.NewEngine()
-	m := mesh.New(mesh.Config{
-		Cols: 6, Rows: 6,
-		SWLatency: 100 * sim.Microsecond, HopLatency: 1 * sim.Microsecond,
-		BWBytesPerS: 10e6,
-	})
+	m := mesh.New(36)
 	cfg := DefaultConfig()
 	cfg.IONodes = 4
 	if mut != nil {
@@ -445,7 +441,7 @@ func TestAsyncReadOverlapsWithCompute(t *testing.T) {
 	// Issue a large async read, compute for its duration, then wait: total
 	// time should be close to max(compute, read), not the sum.
 	var syncTime, asyncTime sim.Time
-	const size = 4 << 20
+	const size = 8 << 20
 	const compute = 2 * sim.Second
 
 	{
@@ -673,7 +669,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("0 stripe accepted")
 	}
 	eng := sim.NewEngine()
-	m := mesh.New(mesh.DefaultConfig(16))
+	m := mesh.New(16)
 	if _, err := New(eng, m, bad); err == nil {
 		t.Fatal("New accepted invalid config")
 	}

@@ -19,45 +19,30 @@ type ReliabilityConfig struct {
 	// MaxRetries bounds the corrupt-read retry loop (distinct from the
 	// failover retry budget, which covers dead nodes).
 	MaxRetries int
-
-	// Backoff is the first corrupt-retry delay; it doubles per attempt.
-	Backoff sim.Time
-
-	// JitterFrac perturbs every reliability-layer backoff (including the
-	// failover path's, when the layer is enabled) by a seeded uniform factor
-	// in [1-f, 1+f], decorrelating retry storms across clients.
-	JitterFrac float64
-
-	// Seed drives the jitter stream; same seed, same timeline.
-	Seed uint64
 }
+
+// The reliability layer's retry timing: the first corrupt-retry delay is
+// 10 ms and doubles per attempt, and every reliability-layer backoff
+// (including the failover path's, when the layer is enabled) is perturbed by
+// a seeded uniform factor in [0.8, 1.2], decorrelating retry storms across
+// clients. The seed fixes the jitter stream: same run, same timeline.
+const (
+	relBackoff = 10 * sim.Millisecond
+	relJitter  = 0.2
+	relSeed    = 0x524c4941 // "RLIA"
+)
 
 // DefaultReliabilityConfig returns the enabled default policy: no deadline,
-// 3 corrupt retries starting at a 10 ms backoff with 20% jitter.
+// 3 corrupt retries.
 func DefaultReliabilityConfig() ReliabilityConfig {
-	return ReliabilityConfig{
-		Enabled:    true,
-		MaxRetries: 3,
-		Backoff:    10 * sim.Millisecond,
-		JitterFrac: 0.2,
-		Seed:       0x524c4941, // "RLIA"
-	}
+	return ReliabilityConfig{Enabled: true, MaxRetries: 3}
 }
 
-// Normalized fills zero fields with defaults (only meaningful when Enabled).
+// Normalized fills a zero retry budget with the default (only meaningful
+// when Enabled).
 func (c ReliabilityConfig) Normalized() ReliabilityConfig {
-	if !c.Enabled {
-		return c
-	}
-	d := DefaultReliabilityConfig()
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = d.MaxRetries
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = d.Backoff
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
+	if c.Enabled && c.MaxRetries <= 0 {
+		c.MaxRetries = DefaultReliabilityConfig().MaxRetries
 	}
 	return c
 }

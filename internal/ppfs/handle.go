@@ -9,10 +9,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Handle is one node's PPFS descriptor. For M_UNIX and M_ASYNC files with
-// policies enabled it manages its own file pointer and routes data through
-// the policy layer; the shared-pointer and record modes delegate to the
-// native handle.
+// Handle is one node's PPFS descriptor. For M_UNIX and M_ASYNC files it
+// manages its own file pointer and routes data through the policy layer; the
+// shared-pointer and record modes delegate to the native handle.
 type Handle struct {
 	fs    *FileSystem
 	under *pfs.Handle
@@ -25,9 +24,6 @@ type Handle struct {
 	closed bool
 }
 
-// Mode returns the handle's access mode.
-func (h *Handle) Mode() iotrace.AccessMode { return h.mode }
-
 // Offset returns the policy layer's file pointer (cached modes) or the
 // native pointer (delegated modes).
 func (h *Handle) Offset() int64 {
@@ -39,10 +35,7 @@ func (h *Handle) Offset() int64 {
 
 // cached reports whether the policy layer mediates this handle's data path.
 func (h *Handle) cached() bool {
-	if h.mode != iotrace.ModeUnix && h.mode != iotrace.ModeAsync {
-		return false
-	}
-	return h.fs.pol.WriteBehind || h.fs.cache != nil
+	return h.mode == iotrace.ModeUnix || h.mode == iotrace.ModeAsync
 }
 
 // size returns the file's logical size: the physical extent plus anything
@@ -81,8 +74,8 @@ func (h *Handle) Write(p *sim.Process, n int64) (int64, error) {
 	fs.class.Observe(h.file, h.node, iotrace.OpWrite, off, n)
 	h.invalidate(off, n)
 
-	// The adaptive classifier and the policy defaults decide whether this
-	// write is buffered.
+	// The write's size and the adaptive classifier decide whether this write
+	// is buffered.
 	writeBehind := h.wantWriteBehind(n)
 	fb := fs.buffer(h.name)
 	if writeBehind {
@@ -147,7 +140,7 @@ func (h *Handle) readAt(p *sim.Process, off, n int64) (int64, error) {
 		return 0, nil
 	}
 
-	if fs.cache == nil || n >= fs.pol.BypassBytes {
+	if n >= bypassBytes {
 		// Stream directly; no cache pollution.
 		if _, err := fs.under.Access(p, h.node, h.name, iotrace.OpRead, off, n); err != nil {
 			return 0, err
@@ -156,7 +149,7 @@ func (h *Handle) readAt(p *sim.Process, off, n int64) (int64, error) {
 		return n, nil
 	}
 
-	bs := fs.pol.BlockSize
+	bs := blockSize
 	for b := off / bs; b*bs < off+n; b++ {
 		if err := h.ensureBlock(p, b, info.Size); err != nil {
 			return 0, err
@@ -183,7 +176,7 @@ func (h *Handle) ensureBlock(p *sim.Process, b int64, fileSize int64) error {
 	fs.stats.CacheMisses++
 	comp := sim.NewCompletion(fmt.Sprintf("ppfs-fetch:%s:%d", h.name, b))
 	blk := fs.cache.insert(key, blockPending, comp)
-	bs := fs.pol.BlockSize
+	bs := blockSize
 	size := bs
 	if b*bs+size > fileSize {
 		size = fileSize - b*bs
@@ -195,40 +188,39 @@ func (h *Handle) ensureBlock(p *sim.Process, b int64, fileSize int64) error {
 }
 
 // prefetchDepth resolves the effective readahead depth for a handle: the
-// adaptive classifier turns prefetch off for a non-sequential stream,
-// otherwise the policy decides.
+// adaptive classifier turns prefetch off for a non-sequential stream.
 func (h *Handle) prefetchDepth() int {
 	fs := h.fs
 	if fs.pol.Adaptive && fs.class.Classify(h.file, h.node).Pattern != PatternSequential {
 		return 0
 	}
-	return fs.pol.Prefetch
+	return prefetch
 }
 
 // wantWriteBehind resolves whether a write of n bytes should be buffered.
 func (h *Handle) wantWriteBehind(n int64) bool {
 	fs := h.fs
-	if !fs.pol.WriteBehind || n >= fs.pol.DirectWriteBytes {
+	if n >= fs.directWrite {
 		return false
 	}
 	if fs.pol.Adaptive {
 		cl := fs.class.Classify(h.file, h.node)
-		if cl.Pattern == PatternSequential && cl.MeanBytes >= fs.pol.DirectWriteBytes {
+		if cl.Pattern == PatternSequential && cl.MeanBytes >= fs.directWrite {
 			return false
 		}
 	}
 	return true
 }
 
-// maybePrefetch issues asynchronous readahead when the adaptive classifier
-// or the unconditional policy calls for it.
+// maybePrefetch issues asynchronous readahead unless the adaptive classifier
+// turns it off.
 func (h *Handle) maybePrefetch(p *sim.Process, from, fileSize int64) {
 	fs := h.fs
 	depth := h.prefetchDepth()
-	if depth == 0 || fs.cache == nil {
+	if depth == 0 {
 		return
 	}
-	bs := fs.pol.BlockSize
+	bs := blockSize
 	next := from / bs
 	for k := 0; k < depth; k++ {
 		b := next + int64(k)
@@ -257,10 +249,10 @@ func (h *Handle) maybePrefetch(p *sim.Process, from, fileSize int64) {
 
 // invalidate drops cached blocks overlapping a written range.
 func (h *Handle) invalidate(off, n int64) {
-	if h.fs.cache == nil || n == 0 {
+	if n == 0 {
 		return
 	}
-	bs := h.fs.pol.BlockSize
+	bs := blockSize
 	for b := off / bs; b*bs < off+n; b++ {
 		h.fs.cache.drop(blockKey{h.file, b})
 	}
@@ -372,12 +364,6 @@ func (a *ppfsAsync) Wait(p *sim.Process) (int64, error) {
 	a.h.fs.record(a.h.node, iotrace.OpIOWait, a.h.file, a.offset, 0, start, a.h.mode)
 	return a.bytes, a.err
 }
-
-// Done implements workload.AsyncRead.
-func (a *ppfsAsync) Done() bool { return a.comp.Done() }
-
-// Bytes implements workload.AsyncRead.
-func (a *ppfsAsync) Bytes() int64 { return a.bytes }
 
 // Lsize implements workload.Handle.
 func (h *Handle) Lsize(p *sim.Process) (int64, error) {

@@ -16,6 +16,9 @@ type FileSystem struct {
 	under *pfs.FileSystem
 	pol   Policy
 
+	directWrite int64 // writes at least this large bypass the buffer
+	highWater   int64 // buffered bytes that start a background flush
+
 	cache   *blockCache
 	class   *Classifier
 	buffers map[string]*fileBuffer
@@ -32,23 +35,19 @@ type FileSystem struct {
 }
 
 // New layers a PPFS policy instance over a PFS.
-func New(eng *sim.Engine, under *pfs.FileSystem, pol Policy) (*FileSystem, error) {
-	if err := pol.Validate(); err != nil {
-		return nil, err
+func New(eng *sim.Engine, under *pfs.FileSystem, pol Policy) *FileSystem {
+	stripe := under.Config().StripeUnit
+	return &FileSystem{
+		eng:         eng,
+		under:       under,
+		pol:         pol,
+		directWrite: stripe,
+		highWater:   4 * stripe,
+		cache:       newBlockCache(cacheBlocks),
+		class:       NewClassifier(),
+		buffers:     make(map[string]*fileBuffer),
+		rec:         iotrace.Discard,
 	}
-	pol = pol.withDefaults(under.Config().StripeUnit)
-	fs := &FileSystem{
-		eng:     eng,
-		under:   under,
-		pol:     pol,
-		class:   NewClassifier(),
-		buffers: make(map[string]*fileBuffer),
-		rec:     iotrace.Discard,
-	}
-	if pol.CacheBlocks > 0 {
-		fs.cache = newBlockCache(pol.CacheBlocks)
-	}
-	return fs, nil
 }
 
 // Under exposes the physical file system (e.g. to attach a physical-level
@@ -99,7 +98,7 @@ func (fs *FileSystem) record(node int, op iotrace.Op, file iotrace.FileID,
 
 // copyCost charges the client memory-copy time for n bytes.
 func (fs *FileSystem) copyCost(p *sim.Process, n int64) {
-	p.Sleep(sim.Time(float64(n) / fs.pol.CopyBytesPerS * float64(sim.Second)))
+	p.Sleep(sim.Time(float64(n) / copyBytesPerS * float64(sim.Second)))
 }
 
 // Create implements workload.FS.
@@ -169,16 +168,10 @@ func (fs *FileSystem) buffer(name string) *fileBuffer {
 	return fb
 }
 
-// addExtent buffers a write. With aggregation, overlapping or adjacent
-// extents coalesce into one; without, each write stays its own extent (still
-// asynchronous, but physically small).
+// addExtent buffers a write, coalescing overlapping or adjacent extents into
+// one.
 func (fs *FileSystem) addExtent(fb *fileBuffer, off, n int64, node int) {
 	e := extent{start: off, end: off + n, node: node}
-	if !fs.pol.Aggregation {
-		fb.bytes += n
-		fb.extents = append(fb.extents, e)
-		return
-	}
 	// Count only the bytes the write newly covers: a flush takes off its
 	// merged extents' lengths, so an overlap counted twice would keep
 	// fb.bytes above zero forever. The extents are disjoint, so their
@@ -208,7 +201,7 @@ func (fs *FileSystem) addExtent(fb *fileBuffer, off, n int64, node int) {
 
 // scheduleFlush starts a background flusher or arms the linger timer.
 func (fs *FileSystem) scheduleFlush(fb *fileBuffer) {
-	if fb.bytes >= fs.pol.FlushHighWater {
+	if fb.bytes >= fs.highWater {
 		if !fb.flushing {
 			fb.flushing = true
 			fs.eng.Spawn("ppfs-flush:"+fb.name, func(p *sim.Process) { fs.runFlush(p, fb) })
@@ -217,7 +210,7 @@ func (fs *FileSystem) scheduleFlush(fb *fileBuffer) {
 	}
 	if !fb.timerArmed {
 		fb.timerArmed = true
-		fs.eng.SpawnAt("ppfs-timer:"+fb.name, fs.pol.FlushInterval, func(p *sim.Process) {
+		fs.eng.SpawnAt("ppfs-timer:"+fb.name, flushInterval, func(p *sim.Process) {
 			fb.timerArmed = false
 			if fb.bytes > 0 && !fb.flushing {
 				fb.flushing = true
@@ -228,44 +221,31 @@ func (fs *FileSystem) scheduleFlush(fb *fileBuffer) {
 }
 
 // runFlush pushes every buffered extent of fb to the file system, then wakes
-// drain waiters. It runs with fb.flushing held. With aggregation, the whole
-// pending batch goes out as scatter-gather sweeps (one per I/O node) — the
-// global request aggregation of §5.2; without, each extent is written
-// individually (still asynchronous, but physically small).
+// drain waiters. It runs with fb.flushing held. Each pending batch goes out
+// as scatter-gather sweeps (one per I/O node) — the global request
+// aggregation of §5.2.
 func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 	for len(fb.extents) > 0 {
-		if fs.pol.Aggregation {
-			batch := fb.extents
-			fb.extents = nil
-			gext := fs.takeExtents()
-			var n int64
-			var node int
-			for _, e := range batch {
-				gext = append(gext, pfs.Extent{Start: e.start, End: e.end})
-				n += e.end - e.start
-				node = e.node
-			}
-			// fb.bytes stays up until the physical writes land, so drain
-			// waiters cannot observe a flush-in-flight as "done".
-			written, sweeps, err := fs.under.WriteGather(p, node, fb.name, gext)
-			fs.spareExt = append(fs.spareExt, gext[:0])
-			if err != nil {
-				panic(fmt.Sprintf("ppfs: aggregated flush of %q failed: %v", fb.name, err))
-			}
-			fb.bytes -= n
-			fs.stats.Flushes += int64(sweeps)
-			fs.stats.FlushedBytes += written
-			continue
+		batch := fb.extents
+		fb.extents = nil
+		gext := fs.takeExtents()
+		var n int64
+		var node int
+		for _, e := range batch {
+			gext = append(gext, pfs.Extent{Start: e.start, End: e.end})
+			n += e.end - e.start
+			node = e.node
 		}
-		e := fb.extents[0]
-		fb.extents = fb.extents[1:]
-		n := e.end - e.start
-		if _, err := fs.under.Access(p, e.node, fb.name, iotrace.OpWrite, e.start, n); err != nil {
-			panic(fmt.Sprintf("ppfs: flush of %q failed: %v", fb.name, err))
+		// fb.bytes stays up until the physical writes land, so drain
+		// waiters cannot observe a flush-in-flight as "done".
+		written, sweeps, err := fs.under.WriteGather(p, node, fb.name, gext)
+		fs.spareExt = append(fs.spareExt, gext[:0])
+		if err != nil {
+			panic(fmt.Sprintf("ppfs: aggregated flush of %q failed: %v", fb.name, err))
 		}
 		fb.bytes -= n
-		fs.stats.Flushes++
-		fs.stats.FlushedBytes += n
+		fs.stats.Flushes += int64(sweeps)
+		fs.stats.FlushedBytes += written
 	}
 	fb.flushing = false
 	// Waking only schedules, so no waiter can join while the list is walked,

@@ -109,9 +109,6 @@ func NewCompletion(name string) *Completion {
 	return c
 }
 
-// Done reports whether Complete has been called.
-func (c *Completion) Done() bool { return c.done }
-
 // CompletedAt returns the simulated time Complete fired (zero if pending).
 func (c *Completion) CompletedAt() Time { return c.at }
 

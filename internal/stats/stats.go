@@ -5,17 +5,14 @@
 // requests at 4 KB, 64 KB and 256 KB boundaries.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Summary holds running descriptive statistics over a stream of float64
-// observations (Welford's algorithm, numerically stable).
+// observations: count, sum, minimum, maximum, and a running mean updated
+// incrementally (numerically stable, as in Welford's algorithm).
 type Summary struct {
 	n    int64
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 	sum  float64
@@ -37,7 +34,6 @@ func (s *Summary) Add(x float64) {
 	s.sum += x
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
 }
 
 // N returns the observation count.
@@ -64,17 +60,6 @@ func (s *Summary) Max() float64 {
 	}
 	return s.max
 }
-
-// Variance returns the population variance (0 with fewer than 2 samples).
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // PaperBuckets are the request-size bucket upper bounds of Tables 2, 4 and 6:
 // <4 KB, <64 KB, <256 KB, and >=256 KB (the final open bucket).

@@ -42,14 +42,11 @@ type Handle interface {
 	Flush(p *sim.Process) error
 	SetIOMode(p *sim.Process, mode iotrace.AccessMode, recordLen int64) error
 	Offset() int64
-	Mode() iotrace.AccessMode
 }
 
 // AsyncRead is an in-flight asynchronous read.
 type AsyncRead interface {
 	Wait(p *sim.Process) (int64, error)
-	Done() bool
-	Bytes() int64
 }
 
 // PFS adapts a *pfs.FileSystem to the FS interface.

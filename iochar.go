@@ -52,7 +52,9 @@ type Report = core.Report
 // Figure is one reproduced paper figure.
 type Figure = core.Figure
 
-// Policy selects PPFS client-side behaviors for policy studies.
+// Policy selects PPFS client-side behaviors for policy studies: every PPFS
+// run uses the §5.2 configuration, and Policy.Adaptive lets the access-pattern
+// classifier turn prefetching and write-behind off per stream.
 type Policy = ppfs.Policy
 
 // CrossoverModel is the §7.2 recompute-vs-reread analysis.
@@ -163,9 +165,9 @@ func RenderResilience(r ResilienceReport) string { return analysis.RenderResilie
 // I/O-node caching (the §8 what-if: PFS had no cache between the request
 // queue and the arrays).
 
-// CacheConfig configures the per-I/O-node block cache: capacity, block size,
-// write-behind, pattern-driven prefetch, and the outage policy for dirty
-// blocks. Set it as Study.Machine.PFS.Cache.
+// CacheConfig configures the per-I/O-node block cache: capacity, write-behind,
+// pattern-driven prefetch, and the outage policy for dirty blocks. Blocks are
+// one stripe unit. Set it as Study.Machine.PFS.Cache.
 type CacheConfig = cache.Config
 
 // CacheStats is one cache's (or the aggregate's) counter set.
@@ -216,8 +218,8 @@ type (
 )
 
 // ReliabilityConfig layers per-request deadlines and bounded corrupt-read
-// retries with seeded jittered backoff onto the PFS client (set as
-// Study.Machine.PFS.Reliability).
+// retries onto the PFS client (set as Study.Machine.PFS.Reliability). Retries
+// back off from 10 ms, doubling, with 20% seeded jitter.
 type ReliabilityConfig = pfs.ReliabilityConfig
 
 // IntegrityReport is a run's end-to-end data-integrity section; Report.
@@ -235,12 +237,12 @@ type (
 // verify costs (scrubbing off; enable via the Scrub field).
 func DefaultIntegrityConfig() IntegrityConfig { return integrity.DefaultConfig() }
 
-// DefaultScrubConfig returns the default background-scrub policy (4 MB/s,
-// 512 KB slices, 600 s window).
+// DefaultScrubConfig returns the default background-scrub policy (4 MB/s
+// in 512 KB slices, 600 s window).
 func DefaultScrubConfig() ScrubConfig { return integrity.DefaultScrubConfig() }
 
 // DefaultReliabilityConfig returns the enabled client reliability policy:
-// 3 retries, 10 ms initial backoff with 20% seeded jitter.
+// no deadline, 3 retries.
 func DefaultReliabilityConfig() ReliabilityConfig { return pfs.DefaultReliabilityConfig() }
 
 // CorruptionSweep runs every application under every corruption class with
@@ -277,7 +279,7 @@ func RenderIntegrityOverhead(rows []IntegrityOverheadRow) string {
 
 // BurstConfig parameterizes the burst tier (set as Study.Burst; mutually
 // exclusive with a PPFS Policy — both are client-side layers over the same
-// seam). BurstCompressConfig is its drain-stage compression model.
+// seam). BurstCompressConfig is its drain-stage compression ratio.
 type (
 	BurstConfig         = burst.Config
 	BurstCompressConfig = burst.CompressConfig

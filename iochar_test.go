@@ -44,9 +44,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadePolicyRun(t *testing.T) {
 	pol := iochar.DefaultPolicy()
-	if err := pol.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	s := iochar.SmallStudy(iochar.ESCAT)
 	s.Policy = &pol
 	report, err := iochar.Run(s)

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,10 +38,11 @@ var wellKnown = map[string]bool{
 // that does not exist, fails the test too.
 func TestNoCodeOnlyTestsReach(t *testing.T) {
 	const module = "repro"
-	fset, pkgs, err := loadModule(module)
+	m, err := loadRepro()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fset, pkgs := m.fset, m.pkgs
 
 	nodes := map[*types.Func]*funcNode{}
 	byName := map[string][]*types.Func{} // methods, for interface dispatch
@@ -153,6 +155,18 @@ type loadedPkg struct {
 	files []*ast.File
 }
 
+// loadedModule is a type-checked module.
+type loadedModule struct {
+	fset *token.FileSet
+	pkgs map[string]*loadedPkg
+}
+
+// loadRepro type-checks this module once for both guards.
+var loadRepro = sync.OnceValues(func() (loadedModule, error) {
+	fset, pkgs, err := loadModule("repro")
+	return loadedModule{fset, pkgs}, err
+})
+
 // loadModule type-checks the non-test files of every package of the module
 // rooted at the working directory, skipping testdata and nested modules.
 // Standard-library imports are type-checked from source.
@@ -177,8 +191,9 @@ func loadModule(module string) (*token.FileSet, map[string]*loadedPkg, error) {
 			return nil, err
 		}
 		p := &loadedPkg{info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
 		}}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -232,4 +247,135 @@ func readAllowList(name string) (map[string]bool, error) {
 		}
 	}
 	return keys, nil
+}
+
+// TestNoSettingOnlyTestsSet fails on any field of a settings struct (a type
+// named *Config, or Policy, under internal/) that no program sets: a field
+// only its own package's defaulting functions (Default*, Normalized,
+// normalized, withDefaults) write is a constant that tests and readers must
+// still reason about. internal/apps (the paper's workload parameters) and
+// internal/scenario (set by JSON decoding) are out of scope.
+// testdata/setting_allow.txt lists the fields kept on purpose; a listed field
+// that is set, or that does not exist, fails the test too.
+func TestNoSettingOnlyTestsSet(t *testing.T) {
+	const module = "repro"
+	m, err := loadRepro()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, pkgs := m.fset, m.pkgs
+
+	type setting struct {
+		key string
+		pos token.Position
+		pkg string
+	}
+	settings := map[*types.Var]setting{}
+	for _, p := range pkgs {
+		path := p.pkg.Path()
+		if !strings.HasPrefix(path, module+"/internal/") ||
+			strings.HasPrefix(path, module+"/internal/apps") || path == module+"/internal/scenario" {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !strings.HasSuffix(name, "Config") && name != "Policy" {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				settings[f] = setting{key: path + "." + name + "." + f.Name(), pos: fset.Position(f.Pos()), pkg: path}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				defaulting := false
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					n := fd.Name.Name
+					defaulting = strings.HasPrefix(n, "Default") || n == "Normalized" || n == "normalized" || n == "withDefaults"
+				}
+				mark := func(v *types.Var) {
+					if s, ok := settings[v.Origin()]; ok && !(defaulting && s.pkg == p.pkg.Path()) {
+						written[v.Origin()] = true
+					}
+				}
+				// lvalue marks every field on the selector path of x: a
+				// write to x.A.B writes both A and B.
+				var lvalue func(x ast.Expr)
+				lvalue = func(x ast.Expr) {
+					switch e := x.(type) {
+					case *ast.SelectorExpr:
+						if v, ok := p.info.Uses[e.Sel].(*types.Var); ok && v.IsField() {
+							mark(v)
+						}
+						lvalue(e.X)
+					case *ast.IndexExpr:
+						lvalue(e.X)
+					case *ast.ParenExpr:
+						lvalue(e.X)
+					case *ast.StarExpr:
+						lvalue(e.X)
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch s := n.(type) {
+					case *ast.AssignStmt:
+						for _, x := range s.Lhs {
+							lvalue(x)
+						}
+					case *ast.IncDecStmt:
+						lvalue(s.X)
+					case *ast.UnaryExpr:
+						if s.Op == token.AND {
+							lvalue(s.X)
+						}
+					case *ast.CompositeLit:
+						for i, elt := range s.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+										mark(v)
+									}
+								}
+							} else if st, ok := p.info.Types[s].Type.Underlying().(*types.Struct); ok {
+								mark(st.Field(i)) // an unkeyed struct literal sets every field
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	allowed, err := readAllowList("testdata/setting_allow.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unset []string
+	for v, s := range settings {
+		switch {
+		case written[v]:
+		case allowed[s.key]:
+			delete(allowed, s.key)
+		default:
+			unset = append(unset, s.pos.String()+": "+s.key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("only tests set %s", u)
+	}
+	for key := range allowed {
+		t.Errorf("testdata/setting_allow.txt lists %s, which is not a setting only tests set", key)
+	}
 }
