@@ -171,9 +171,9 @@ func BenchmarkRENDERInitThroughput(b *testing.B) {
 
 func BenchmarkTable5HTFOps(b *testing.B) {
 	r := runPaper(b, iochar.HTF, nil)
-	for _, ph := range []string{htf.PhasePsetup, htf.PhasePargos, htf.PhasePscf} {
+	for _, ph := range []iotrace.Phase{htf.PhasePsetup, htf.PhasePargos, htf.PhasePscf} {
 		s := r.PhaseSummary(ph)
-		b.ReportMetric(float64(s.Total.Count), ph+"-ops")
+		b.ReportMetric(float64(s.Total.Count), ph.String()+"-ops")
 	}
 	b.ReportMetric(r.PhaseSummary(htf.PhasePargos).Row("Open").Pct, "pargos-open-pct")
 	b.ReportMetric(r.PhaseSummary(htf.PhasePscf).Row("Read").Pct, "pscf-read-pct")
@@ -333,7 +333,7 @@ func BenchmarkAdaptiveClassifier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := ppfs.NewClassifier()
 		for _, e := range events {
-			c.Observe(e.File, e.Node, e.Op, e.Offset, e.Bytes)
+			c.Observe(e.File, int(e.Node), e.Op, e.Offset, e.Bytes)
 		}
 		seq, other = 0, 0
 		for node := 0; node < 128; node++ {

@@ -56,8 +56,8 @@ func run(args []string, out io.Writer) error {
 	}
 	maxNode := 0
 	for _, e := range trace {
-		if e.Node > maxNode {
-			maxNode = e.Node
+		if n := int(e.Node); n > maxNode {
+			maxNode = n
 		}
 	}
 	compute := *nodes

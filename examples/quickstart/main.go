@@ -34,9 +34,9 @@ func phaseList(r *iochar.Report) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, e := range r.Events {
-		if !seen[e.Phase] {
-			seen[e.Phase] = true
-			out = append(out, e.Phase)
+		if p := e.Phase.String(); !seen[p] {
+			seen[p] = true
+			out = append(out, p)
 		}
 	}
 	return out

@@ -158,11 +158,11 @@ func TestFileTimelineUsesFileAsY(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	events := []iotrace.Event{
-		{Op: iotrace.OpRead, Phase: "a", Start: 1 * sim.Second},
-		{Op: iotrace.OpWrite, Phase: "b", Start: 5 * sim.Second},
-		{Op: iotrace.OpRead, Phase: "b", Start: 9 * sim.Second},
+		{Op: iotrace.OpRead, Phase: iotrace.PhasePsetup, Start: 1 * sim.Second},
+		{Op: iotrace.OpWrite, Phase: iotrace.PhasePscf, Start: 5 * sim.Second},
+		{Op: iotrace.OpRead, Phase: iotrace.PhasePscf, Start: 9 * sim.Second},
 	}
-	if got := FilterPhase(events, "b"); len(got) != 2 {
+	if got := FilterPhase(events, iotrace.PhasePscf); len(got) != 2 {
 		t.Fatalf("phase filter %v", got)
 	}
 	if got := FilterOps(events, iotrace.OpRead); len(got) != 2 {

@@ -58,11 +58,11 @@ func Patterns(events []iotrace.Event) []StreamPattern {
 		if !e.Op.Moves() {
 			continue
 		}
-		k := key{e.File, e.Node}
+		k := key{e.File, int(e.Node)}
 		st := streams[k]
 		if st == nil {
 			st = &state{
-				p:     &StreamPattern{File: e.File, Node: e.Node},
+				p:     &StreamPattern{File: e.File, Node: int(e.Node)},
 				sizes: map[int64]int64{},
 			}
 			streams[k] = st

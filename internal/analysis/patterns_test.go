@@ -10,7 +10,7 @@ import (
 )
 
 func mkEvent(op iotrace.Op, file iotrace.FileID, node int, off, n int64, at sim.Time) iotrace.Event {
-	return iotrace.Event{Op: op, File: file, Node: node, Offset: off, Bytes: n, Start: at, End: at + 1}
+	return iotrace.Event{Op: op, File: file, Node: int32(node), Offset: off, Bytes: n, Start: at, End: at + 1}
 }
 
 func findStream(t *testing.T, ps []StreamPattern, file iotrace.FileID, node int) StreamPattern {

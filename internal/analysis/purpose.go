@@ -82,12 +82,13 @@ func ClassifyPurposes(events []iotrace.Event) []FilePurpose {
 		return s
 	}
 	for _, e := range events {
+		node := int(e.Node)
 		switch e.Op {
 		case iotrace.OpWrite:
 			s := get(e.File)
 			s.bytesWritten += e.Bytes
-			s.writers[e.Node] = true
-			r, ok := s.writeRanges[e.Node]
+			s.writers[node] = true
+			r, ok := s.writeRanges[node]
 			if !ok {
 				r = [2]int64{e.Offset, e.Offset + e.Bytes}
 			} else {
@@ -98,15 +99,15 @@ func ClassifyPurposes(events []iotrace.Event) []FilePurpose {
 					r[1] = e.Offset + e.Bytes
 				}
 			}
-			s.writeRanges[e.Node] = r
+			s.writeRanges[node] = r
 		case iotrace.OpRead, iotrace.OpAsyncRead:
 			s := get(e.File)
 			s.bytesRead += e.Bytes
-			s.readers[e.Node] = true
-			s.readsPerNode[e.Node]++
+			s.readers[node] = true
+			s.readsPerNode[node]++
 			if len(s.writers) > 0 {
 				s.wroteThenRead = true
-				if r, ok := s.writeRanges[e.Node]; ok &&
+				if r, ok := s.writeRanges[node]; ok &&
 					e.Offset >= r[0] && e.Offset+e.Bytes <= r[1] {
 					// reread of own region
 				} else {

@@ -8,11 +8,11 @@ import (
 )
 
 func rd(file iotrace.FileID, node int, off, n int64) iotrace.Event {
-	return iotrace.Event{Op: iotrace.OpRead, File: file, Node: node, Offset: off, Bytes: n}
+	return iotrace.Event{Op: iotrace.OpRead, File: file, Node: int32(node), Offset: off, Bytes: n}
 }
 
 func wr(file iotrace.FileID, node int, off, n int64) iotrace.Event {
-	return iotrace.Event{Op: iotrace.OpWrite, File: file, Node: node, Offset: off, Bytes: n}
+	return iotrace.Event{Op: iotrace.OpWrite, File: file, Node: int32(node), Offset: off, Bytes: n}
 }
 
 func classOf(t *testing.T, fps []FilePurpose, id iotrace.FileID) FilePurpose {

@@ -7,11 +7,13 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/iotrace"
 	"repro/internal/race"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // fixedCases are the %.1f inputs the differential tests and the fuzz seed
@@ -104,7 +106,8 @@ func FuzzFixedFormat(f *testing.F) {
 // every operation name, defined or not, passes through a csv.Writer
 // unchanged.
 func TestOpNamesNeedNoCSVQuoting(t *testing.T) {
-	for op := iotrace.Op(-1); op <= iotrace.Op(iotrace.NumOps); op++ {
+	for i := 0; i < 256; i++ {
+		op := iotrace.Op(i)
 		var buf bytes.Buffer
 		w := csv.NewWriter(&buf)
 		if err := w.Write([]string{op.String()}); err != nil {
@@ -145,7 +148,7 @@ func TestWriteCSVMatchesReference(t *testing.T) {
 	for i, s := range secondsCases() {
 		pts = append(pts, Point{T: s, Y: int64(s) / 3, Node: -i, File: iotrace.FileID(i), Op: iotrace.Op(i%(iotrace.NumOps+2) - 1)})
 	}
-	pts = append(pts, Point{T: math.MaxInt64, Y: math.MinInt64, Node: math.MinInt, File: math.MaxInt, Op: iotrace.OpFlush})
+	pts = append(pts, Point{T: math.MaxInt64, Y: math.MinInt64, Node: math.MinInt, File: math.MaxInt32, Op: iotrace.OpFlush})
 	var got, want bytes.Buffer
 	if err := WriteCSV(&got, pts); err != nil {
 		t.Fatal(err)
@@ -183,7 +186,7 @@ func randomEvents(n int, seed int64) []iotrace.Event {
 	for i := range events {
 		start := sim.Time(rng.Int63n(int64(40000 * sim.Second)))
 		events[i] = iotrace.Event{
-			Seq: int64(i), Node: rng.Intn(512), Op: iotrace.Op(rng.Intn(iotrace.NumOps)),
+			Seq: int64(i), Node: int32(rng.Intn(512)), Op: iotrace.Op(rng.Intn(iotrace.NumOps)),
 			File: iotrace.FileID(rng.Intn(300)), Bytes: rng.Int63n(1 << 22),
 			Start: start, End: start + sim.Time(rng.Int63n(int64(sim.Second))),
 		}
@@ -258,7 +261,7 @@ func TestTimelinesMatchStableSort(t *testing.T) {
 	j := 0
 	for _, e := range events {
 		if e.Op == iotrace.OpRead || e.Op == iotrace.OpAsyncRead || e.Op == iotrace.OpWrite {
-			if pts[j].File != e.File || pts[j].Node != e.Node || pts[j].Op != e.Op {
+			if pts[j].File != e.File || pts[j].Node != int(e.Node) || pts[j].Op != e.Op {
 				t.Fatalf("point %d not in capture order", j)
 			}
 			j++
@@ -266,5 +269,71 @@ func TestTimelinesMatchStableSort(t *testing.T) {
 	}
 	if j != len(pts) {
 		t.Fatalf("%d points, want %d", len(pts), j)
+	}
+}
+
+// renderOpSummaryReference and renderSizeTableReference are the fmt
+// formulations OpSummary.Render and SizeTable.Render must reproduce byte for
+// byte.
+func renderOpSummaryReference(s OpSummary, title string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", title)
+	fmt.Fprintf(&b, "%-12s %12s %16s %14s %10s\n", "Operation", "Count", "Volume (Bytes)", "Time (s)", "% I/O Time")
+	for _, r := range append([]OpRow{s.Total}, s.Rows...) {
+		vol := "-"
+		if r.HasVolume {
+			vol = fmt.Sprintf("%d", r.Volume)
+		}
+		fmt.Fprintf(&b, "%-12s %12d %16s %14.2f %10.2f\n",
+			r.Label, r.Count, vol, r.NodeTime.Seconds(), r.Pct)
+	}
+	return b.String()
+}
+
+func renderSizeTableReference(t SizeTable, title string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", title)
+	fmt.Fprintf(&b, "%-10s", "Operation")
+	for _, l := range stats.PaperBucketLabels {
+		fmt.Fprintf(&b, " %10s", l)
+	}
+	b.WriteByte('\n')
+	for _, r := range []struct {
+		name string
+		h    *stats.Histogram
+	}{{"Read", t.Read}, {"Write", t.Write}} {
+		fmt.Fprintf(&b, "%-10s", r.name)
+		for _, c := range r.h.Buckets() {
+			fmt.Fprintf(&b, " %10d", c)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestTableRenderMatchesFmt holds the table renderers to their fmt
+// formulation on real summaries, on cells wider than their columns, and on
+// negative, rounding-tie and non-finite values.
+func TestTableRenderMatchesFmt(t *testing.T) {
+	events := randomEvents(3000, 5)
+	sums := []OpSummary{Summarize(events), Summarize(nil), {
+		Total: OpRow{Label: "All I/O", Count: math.MinInt64, Volume: math.MaxInt64, HasVolume: true,
+			NodeTime: math.MaxInt64, Pct: math.Inf(1)},
+		Rows: []OpRow{
+			{Label: "Reäd-wider-than-twelve", Count: -7, NodeTime: -sim.Time(5000), Pct: math.NaN()},
+			{Label: "Wait", Count: 1, Volume: -1, HasVolume: true, NodeTime: 1_005_000, Pct: math.Inf(-1)},
+			{Label: "Seek", NodeTime: 125, Pct: -0.005},
+			{Label: "", Pct: 0.125},
+		},
+	}}
+	for i, s := range sums {
+		if got, want := s.Render("Table τ"), renderOpSummaryReference(s, "Table τ"); got != want {
+			t.Errorf("summary %d:\n got %q\nwant %q", i, got, want)
+		}
+	}
+	sz := Sizes(events)
+	sz.Write.Add(math.MaxInt64)
+	if got, want := sz.Render("Sizes"), renderSizeTableReference(sz, "Sizes"); got != want {
+		t.Errorf("size table:\n got %q\nwant %q", got, want)
 	}
 }

@@ -6,8 +6,9 @@
 package analysis
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/iotrace"
 	"repro/internal/sim"
@@ -58,18 +59,22 @@ func Summarize(events []iotrace.Event) OpSummary {
 			volume[e.Op] += e.Bytes
 		}
 	}
-	var s OpSummary
 	var totalTime sim.Time
 	var totalCount, totalVol int64
+	rows := 0
 	for _, op := range paperRowOrder {
 		totalTime += dur[op]
 		totalCount += count[op]
+		if count[op] > 0 {
+			rows++
+		}
 		if op.Moves() {
 			// The paper's "All I/O" volume sums data moved; seek rows list
 			// distance but it does not contribute to the total.
 			totalVol += volume[op]
 		}
 	}
+	s := OpSummary{Rows: make([]OpRow, 0, rows)}
 	for _, op := range paperRowOrder {
 		if count[op] == 0 {
 			continue
@@ -104,18 +109,30 @@ func (s OpSummary) Row(label string) *OpRow {
 	return nil
 }
 
+// opLineBytes is the width of one line of a rendered OpSummary, newline
+// included, when no value overflows its column.
+const opLineBytes = 12 + 13 + 17 + 15 + 11 + 1
+
 // Render formats the summary in the paper's table layout.
 func (s OpSummary) Render(title string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-12s %12s %16s %14s %10s\n", "Operation", "Count", "Volume (Bytes)", "Time (s)", "% I/O Time")
+	b.Grow(len(title) + 1 + opLineBytes*(len(s.Rows)+2))
+	b.WriteString(title)
+	b.WriteByte('\n')
+	b.WriteString("Operation           Count   Volume (Bytes)       Time (s) % I/O Time\n")
+	// Each row is "%-12s %12d %16s %14.2f %10.2f\n", built on the stack.
 	writeRow := func(r OpRow) {
-		vol := "-"
+		var buf [2 * opLineBytes]byte
+		line := cellLeft(buf[:0], r.Label, 12)
+		line = cellInt(append(line, ' '), r.Count, 12)
 		if r.HasVolume {
-			vol = fmt.Sprintf("%d", r.Volume)
+			line = cellInt(append(line, ' '), r.Volume, 16)
+		} else {
+			line = cellRight(append(line, ' '), "-", 16)
 		}
-		fmt.Fprintf(&b, "%-12s %12d %16s %14.2f %10.2f\n",
-			r.Label, r.Count, vol, r.NodeTime.Seconds(), r.Pct)
+		line = cellFixed2(append(line, ' '), r.NodeTime.Seconds(), 14)
+		line = cellFixed2(append(line, ' '), r.Pct, 10)
+		b.Write(append(line, '\n'))
 	}
 	writeRow(s.Total)
 	for _, r := range s.Rows {
@@ -148,20 +165,56 @@ func Sizes(events []iotrace.Event) SizeTable {
 // Render formats the size table in the paper's layout.
 func (t SizeTable) Render(title string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-10s", "Operation")
-	for _, l := range stats.PaperBucketLabels {
-		fmt.Fprintf(&b, " %10s", l)
-	}
+	b.Grow(len(title) + 1 + 3*(10+11*len(stats.PaperBucketLabels)+1))
+	b.WriteString(title)
 	b.WriteByte('\n')
+	// Each line is "%-10s" then " %10s" or " %10d" per bucket, built on
+	// the stack.
+	var buf [128]byte
+	line := cellLeft(buf[:0], "Operation", 10)
+	for _, l := range stats.PaperBucketLabels {
+		line = cellRight(append(line, ' '), l, 10)
+	}
+	b.Write(append(line, '\n'))
 	row := func(name string, h *stats.Histogram) {
-		fmt.Fprintf(&b, "%-10s", name)
+		line := cellLeft(buf[:0], name, 10)
 		for _, c := range h.Buckets() {
-			fmt.Fprintf(&b, " %10d", c)
+			line = cellInt(append(line, ' '), c, 10)
 		}
-		b.WriteByte('\n')
+		b.Write(append(line, '\n'))
 	}
 	row("Read", t.Read)
 	row("Write", t.Write)
 	return b.String()
+}
+
+// The cell helpers append one table cell padded as fmt pads its width
+// verbs: %-Ns (cellLeft), %Ns (cellRight), %Nd (cellInt) and %N.2f
+// (cellFixed2). Width counts runes, as fmt counts them.
+
+func cellLeft(b []byte, s string, width int) []byte {
+	return appendSpaces(append(b, s...), width-utf8.RuneCountInString(s))
+}
+
+func cellRight(b []byte, s string, width int) []byte {
+	return append(appendSpaces(b, width-utf8.RuneCountInString(s)), s...)
+}
+
+func cellInt(b []byte, v int64, width int) []byte {
+	var buf [20]byte
+	num := strconv.AppendInt(buf[:0], v, 10)
+	return append(appendSpaces(b, width-len(num)), num...)
+}
+
+func cellFixed2(b []byte, v float64, width int) []byte {
+	var buf [32]byte
+	num := strconv.AppendFloat(buf[:0], v, 'f', 2, 64)
+	return append(appendSpaces(b, width-len(num)), num...)
+}
+
+func appendSpaces(b []byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, ' ')
+	}
+	return b
 }

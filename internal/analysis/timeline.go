@@ -63,7 +63,7 @@ func timeline(events []iotrace.Event, want opMask, fileY bool) []Point {
 		if fileY {
 			y = int64(e.File)
 		}
-		pts = append(pts, Point{T: e.Start, Y: y, Node: e.Node, File: e.File, Op: e.Op})
+		pts = append(pts, Point{T: e.Start, Y: y, Node: int(e.Node), File: e.File, Op: e.Op})
 	}
 	slices.SortStableFunc(pts, func(a, b Point) int { return cmp.Compare(a.T, b.T) })
 	return pts
@@ -114,8 +114,8 @@ func filter(events []iotrace.Event, keep func(*iotrace.Event) bool) []iotrace.Ev
 	return out
 }
 
-// FilterPhase keeps only events captured during the named application phase.
-func FilterPhase(events []iotrace.Event, phase string) []iotrace.Event {
+// FilterPhase keeps only events captured during one application phase.
+func FilterPhase(events []iotrace.Event, phase iotrace.Phase) []iotrace.Event {
 	return filter(events, func(e *iotrace.Event) bool { return e.Phase == phase })
 }
 

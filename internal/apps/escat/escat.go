@@ -102,12 +102,12 @@ func MachineConfig() workload.MachineConfig {
 	return mc
 }
 
-// Phase labels attached to trace events.
+// Phases attached to trace events.
 const (
-	PhaseInit       = "initialization"
-	PhaseQuadrature = "quadrature"
-	PhaseReload     = "reload"
-	PhaseOutput     = "output"
+	PhaseInit       = iotrace.PhaseInitialization
+	PhaseQuadrature = iotrace.PhaseQuadrature
+	PhaseReload     = iotrace.PhaseReload
+	PhaseOutput     = iotrace.PhaseOutput
 )
 
 // App is the runnable skeleton.

@@ -135,11 +135,11 @@ func MachineConfig() workload.MachineConfig {
 	return mc
 }
 
-// Phase labels attached to trace events — the paper's three program names.
+// Phases attached to trace events — the paper's three program names.
 const (
-	PhasePsetup = "psetup"
-	PhasePargos = "pargos"
-	PhasePscf   = "pscf"
+	PhasePsetup = iotrace.PhasePsetup
+	PhasePargos = iotrace.PhasePargos
+	PhasePscf   = iotrace.PhasePscf
 )
 
 // App is the runnable skeleton.

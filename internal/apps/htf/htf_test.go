@@ -45,8 +45,8 @@ func paperRun(t testing.TB) []iotrace.Event {
 	return paperTrace
 }
 
-func phase(t testing.TB, name string) []iotrace.Event {
-	return analysis.FilterPhase(paperRun(t), name)
+func phase(t testing.TB, ph iotrace.Phase) []iotrace.Event {
+	return analysis.FilterPhase(paperRun(t), ph)
 }
 
 func TestPsetupCounts(t *testing.T) {
@@ -181,8 +181,8 @@ func TestTimeShapes(t *testing.T) {
 
 func TestProgramWallClocks(t *testing.T) {
 	events := paperRun(t)
-	bounds := func(name string) (sim.Time, sim.Time) {
-		ph := analysis.FilterPhase(events, name)
+	bounds := func(phase iotrace.Phase) (sim.Time, sim.Time) {
+		ph := analysis.FilterPhase(events, phase)
 		first, last := ph[0].Start, ph[0].End
 		for _, e := range ph {
 			if e.Start < first {
@@ -213,7 +213,7 @@ func TestProgramWallClocks(t *testing.T) {
 func TestEveryNodeHasOwnIntegralFile(t *testing.T) {
 	// Figures 15-17: each node writes the integral data to a separate file
 	// and rereads that same file.
-	writers := map[iotrace.FileID]int{}
+	writers := map[iotrace.FileID]int32{}
 	for _, e := range phase(t, PhasePargos) {
 		if e.Op == iotrace.OpWrite && e.Bytes == DefaultConfig().RecordBytes {
 			if prev, seen := writers[e.File]; seen && prev != e.Node {
@@ -271,7 +271,7 @@ func TestSmallConfigDeterministic(t *testing.T) {
 
 func TestSmallConfigPhases(t *testing.T) {
 	events, _ := runHTF(t, SmallConfig())
-	for _, name := range []string{PhasePsetup, PhasePargos, PhasePscf} {
+	for _, name := range []iotrace.Phase{PhasePsetup, PhasePargos, PhasePscf} {
 		if len(analysis.FilterPhase(events, name)) == 0 {
 			t.Errorf("no events in phase %s", name)
 		}

@@ -133,10 +133,10 @@ func MachineConfig() workload.MachineConfig {
 	return mc
 }
 
-// Phase labels attached to trace events.
+// Phases attached to trace events.
 const (
-	PhaseInit   = "initialization"
-	PhaseRender = "rendering"
+	PhaseInit   = iotrace.PhaseInitialization
+	PhaseRender = iotrace.PhaseRendering
 )
 
 // App is the runnable skeleton. The gateway is node 0; renderers are nodes

@@ -284,7 +284,7 @@ func TestValidateRejectsNonsense(t *testing.T) {
 
 func TestRecordSealVerifyRoundtrip(t *testing.T) {
 	r := Record{Seq: 42, Node: 3, File: "app.ckpt.1", Offset: 81920, Bytes: 65536,
-		Class: "checkpoint"}.Seal()
+		Class: iotrace.PhaseCheckpoint}.Seal()
 	if !r.Verify() {
 		t.Fatal("sealed record does not verify")
 	}

@@ -2,6 +2,7 @@ package burst
 
 import (
 	"repro/internal/integrity"
+	"repro/internal/iotrace"
 	"repro/internal/sim"
 )
 
@@ -11,13 +12,13 @@ import (
 // inside the end-to-end integrity domain, so a record that rots in the buffer
 // is caught before it reaches storage.
 type Record struct {
-	Seq    uint64 // tier-wide commit sequence number
-	Node   int    // committing compute node
-	File   string // target PFS file
-	Offset int64  // target file offset
-	Bytes  int64  // logical length
-	Class  string // workload class (application phase at commit time)
-	Sum    uint64 // commit-time checksum
+	Seq    uint64        // tier-wide commit sequence number
+	Node   int           // committing compute node
+	File   string        // target PFS file
+	Offset int64         // target file offset
+	Bytes  int64         // logical length
+	Class  iotrace.Phase // workload class (application phase at commit time)
+	Sum    uint64        // commit-time checksum
 
 	commitAt sim.Time
 }

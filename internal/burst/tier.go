@@ -28,7 +28,7 @@ type Tier struct {
 	inner workload.FS
 	cfg   Config
 
-	phase    string
+	phase    iotrace.Phase
 	logs     []*nodeLog
 	files    map[string]*fileState
 	prefixes []string
@@ -186,14 +186,14 @@ func (t *Tier) ReserveIDs(n int) { t.inner.ReserveIDs(n) }
 
 // SetPhase implements workload.FS; the tier shadows the label so committed
 // records carry their workload class.
-func (t *Tier) SetPhase(name string) {
-	t.phase = name
-	t.inner.SetPhase(name)
+func (t *Tier) SetPhase(p iotrace.Phase) {
+	t.phase = p
+	t.inner.SetPhase(p)
 }
 
-// Phase returns the current phase label (the checkpoint coordinator's
+// Phase returns the current phase (the checkpoint coordinator's
 // phase-setter handshake).
-func (t *Tier) Phase() string { return t.phase }
+func (t *Tier) Phase() iotrace.Phase { return t.phase }
 
 // Stat implements workload.FS, reporting the logical extent — committed but
 // undrained bytes count.

@@ -24,7 +24,7 @@ import (
 
 // PhaseCheckpoint labels trace events issued inside checkpoint rounds, so the
 // analysis side can separate defensive I/O from the application's own.
-const PhaseCheckpoint = "checkpoint"
+const PhaseCheckpoint = iotrace.PhaseCheckpoint
 
 // Config parameterizes the checkpoint policy.
 type Config struct {
@@ -81,15 +81,15 @@ type Coordinator struct {
 	base      sim.Time // absolute start of the current attempt
 	barrier   *sim.Barrier
 	phase     phaseSetter
-	prevPhase string  // label to restore after a checkpoint round
-	created   [2]bool // generation files installed on this attempt's machine
+	prevPhase iotrace.Phase // phase to restore after a checkpoint round
+	created   [2]bool       // generation files installed on this attempt's machine
 
 	st Stats
 }
 
 type phaseSetter interface {
-	SetPhase(string)
-	Phase() string
+	SetPhase(iotrace.Phase)
+	Phase() iotrace.Phase
 }
 
 // New builds a coordinator for an application running on nodes compute nodes.

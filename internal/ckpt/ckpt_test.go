@@ -3,6 +3,7 @@ package ckpt
 import (
 	"testing"
 
+	"repro/internal/iotrace"
 	"repro/internal/pablo"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -196,7 +197,7 @@ func TestCheckpointPhaseLabel(t *testing.T) {
 	if err := c.Prepare(m, fs, 0); err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	fs.SetPhase("compute")
+	fs.SetPhase(iotrace.PhasePscf)
 	m.Eng.Spawn("app", func(p *sim.Process) {
 		if err := c.AfterUnit(p, fs, 0, 0); err != nil {
 			t.Errorf("AfterUnit: %v", err)
@@ -205,8 +206,8 @@ func TestCheckpointPhaseLabel(t *testing.T) {
 	if err := m.Eng.Run(); err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	if got := fs.Phase(); got != "compute" {
-		t.Fatalf("phase after checkpoint round = %q, want restored %q", got, "compute")
+	if got := fs.Phase(); got != iotrace.PhasePscf {
+		t.Fatalf("phase after checkpoint round = %q, want restored %q", got, iotrace.PhasePscf)
 	}
 	var tagged int
 	for _, e := range tr.Events() {

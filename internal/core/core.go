@@ -223,12 +223,12 @@ func buildApp(s Study) (workload.App, error) {
 
 // PhaseSummary computes the operation summary for one application phase
 // (HTF's per-program tables are phase summaries).
-func (r *Report) PhaseSummary(phase string) analysis.OpSummary {
+func (r *Report) PhaseSummary(phase iotrace.Phase) analysis.OpSummary {
 	return analysis.Summarize(r.phaseEvents(phase))
 }
 
 // PhaseSizes computes the size-bucket table for one phase.
-func (r *Report) PhaseSizes(phase string) analysis.SizeTable {
+func (r *Report) PhaseSizes(phase iotrace.Phase) analysis.SizeTable {
 	return analysis.Sizes(r.phaseEvents(phase))
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/apps/htf"
+	"repro/internal/iotrace"
 )
 
 // PaperRow is one row of a paper table: the published values this
@@ -21,7 +23,7 @@ type PaperRow struct {
 type PaperTable struct {
 	Name  string // e.g. "Table 1 (ESCAT)"
 	App   AppID
-	Phase string // empty = whole run; HTF uses per-program phases
+	Phase iotrace.Phase // PhaseNone = whole run; HTF uses per-program phases
 	Rows  []PaperRow
 }
 
@@ -54,7 +56,7 @@ func PaperTables() []PaperTable {
 			},
 		},
 		{
-			Name: "Table 5 (HTF initialization)", App: HTF, Phase: "psetup",
+			Name: "Table 5 (HTF initialization)", App: HTF, Phase: htf.PhasePsetup,
 			Rows: []PaperRow{
 				{"All I/O", 832, 7267422, 55.23, 100},
 				{"Read", 371, 3522497, 15.34, 27.77},
@@ -65,7 +67,7 @@ func PaperTables() []PaperTable {
 			},
 		},
 		{
-			Name: "Table 5 (HTF integral calculation)", App: HTF, Phase: "pargos",
+			Name: "Table 5 (HTF integral calculation)", App: HTF, Phase: htf.PhasePargos,
 			Rows: []PaperRow{
 				{"All I/O", 17854, 698992502, 6398.03, 100},
 				{"Read", 145, 34393, 0.47, 0.00},
@@ -78,7 +80,7 @@ func PaperTables() []PaperTable {
 			},
 		},
 		{
-			Name: "Table 5 (HTF self-consistent field)", App: HTF, Phase: "pscf",
+			Name: "Table 5 (HTF self-consistent field)", App: HTF, Phase: htf.PhasePscf,
 			Rows: []PaperRow{
 				{"All I/O", 52832, 4205483650, 32800.99, 100},
 				{"Read", 51499, 4201634304, 32263.20, 98.36},
@@ -95,7 +97,7 @@ func PaperTables() []PaperTable {
 type PaperSizeTable struct {
 	Name  string
 	App   AppID
-	Phase string
+	Phase iotrace.Phase
 	Read  [4]int64 // <4K, <64K, <256K, >=256K
 	Write [4]int64
 }
@@ -107,27 +109,32 @@ func PaperSizeTables() []PaperSizeTable {
 			Read: [4]int64{297, 3, 260, 0}, Write: [4]int64{13330, 0, 0, 0}},
 		{Name: "Table 4 (RENDER)", App: RENDER,
 			Read: [4]int64{121, 0, 0, 436}, Write: [4]int64{200, 0, 0, 100}},
-		{Name: "Table 6 (HTF initialization)", App: HTF, Phase: "psetup",
+		{Name: "Table 6 (HTF initialization)", App: HTF, Phase: htf.PhasePsetup,
 			Read: [4]int64{151, 220, 0, 0}, Write: [4]int64{218, 234, 0, 0}},
-		{Name: "Table 6 (HTF integral calculation)", App: HTF, Phase: "pargos",
+		{Name: "Table 6 (HTF integral calculation)", App: HTF, Phase: htf.PhasePargos,
 			Read: [4]int64{143, 2, 0, 0}, Write: [4]int64{2, 1, 8532, 0}},
-		{Name: "Table 6 (HTF self-consistent field)", App: HTF, Phase: "pscf",
+		{Name: "Table 6 (HTF self-consistent field)", App: HTF, Phase: htf.PhasePscf,
 			Read: [4]int64{165, 109, 51225, 0}, Write: [4]int64{43, 158, 6, 0}},
 	}
 }
 
 // summaryFor picks the measured summary matching a paper table.
-func summaryFor(r *Report, phase string) analysis.OpSummary {
-	if phase == "" {
+func summaryFor(r *Report, phase iotrace.Phase) analysis.OpSummary {
+	if phase == iotrace.PhaseNone {
 		return r.Summary
 	}
 	return r.PhaseSummary(phase)
 }
 
+// compareLineBytes is the width of one line of a rendered CompareTable,
+// newline included, when no value overflows its column.
+const compareLineBytes = 12 + 13 + 13 + 15 + 15 + 9 + 9 + 1
+
 // CompareTable renders a paper-vs-measured view of one operation table.
 func CompareTable(pt PaperTable, r *Report) string {
 	s := summaryFor(r, pt.Phase)
 	var b strings.Builder
+	b.Grow(len(pt.Name) + 30 + compareLineBytes*(len(pt.Rows)+1))
 	fmt.Fprintf(&b, "%s — paper vs measured\n", pt.Name)
 	fmt.Fprintf(&b, "%-12s %12s %12s %14s %14s %8s %8s\n",
 		"Operation", "count(P)", "count(M)", "time s(P)", "time s(M)", "%(P)", "%(M)")
@@ -152,12 +159,13 @@ func CompareTable(pt PaperTable, r *Report) string {
 // CompareSizeTable renders a paper-vs-measured view of one size table.
 func CompareSizeTable(pt PaperSizeTable, r *Report) string {
 	var sz analysis.SizeTable
-	if pt.Phase == "" {
+	if pt.Phase == iotrace.PhaseNone {
 		sz = r.Sizes
 	} else {
 		sz = r.PhaseSizes(pt.Phase)
 	}
 	var b strings.Builder
+	b.Grow(len(pt.Name) + 256)
 	fmt.Fprintf(&b, "%s — paper vs measured (buckets <4K / <64K / <256K / >=256K)\n", pt.Name)
 	rb, wb := sz.Read.Buckets(), sz.Write.Buckets()
 	fmt.Fprintf(&b, "Read  paper %v measured %v\n", pt.Read, rb)

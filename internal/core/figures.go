@@ -43,7 +43,7 @@ func (r *Report) Figures() []Figure {
 		}
 	case HTF:
 		phases := []struct {
-			name       string
+			name       iotrace.Phase
 			rfig, wfig int
 			ffig       int
 		}{
@@ -98,7 +98,7 @@ func (r *Report) Tables() []string {
 		}
 	case HTF:
 		var out []string
-		for _, ph := range []string{htf.PhasePsetup, htf.PhasePargos, htf.PhasePscf} {
+		for _, ph := range []iotrace.Phase{htf.PhasePsetup, htf.PhasePargos, htf.PhasePscf} {
 			out = append(out,
 				r.PhaseSummary(ph).Render(fmt.Sprintf("Table 5: I/O operations (HTF %s)", ph)),
 				r.PhaseSizes(ph).Render(fmt.Sprintf("Table 6: Read/write sizes (HTF %s)", ph)),

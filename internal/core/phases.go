@@ -6,42 +6,44 @@ import (
 	"repro/internal/iotrace"
 )
 
-// phaseIndex is a report's events grouped by phase label. It is built on
-// the first per-phase query and then shared, read-only, by every figure,
-// table and phase summary of the report, so concurrent readers of one
-// Report all see the one partition.
+// phaseIndex is a report's events grouped by phase. It is built on the
+// first per-phase query and then shared, read-only, by every figure, table
+// and phase summary of the report, so concurrent readers of one Report all
+// see the one partition.
 type phaseIndex struct {
 	once    sync.Once
-	byPhase map[string][]iotrace.Event
+	byPhase [iotrace.NumPhases][]iotrace.Event
 }
 
 // phaseEvents returns the events captured during phase, in capture order.
 // The slice aliases the report's partition: callers must not modify it.
 // r.Events must not change after the first call.
-func (r *Report) phaseEvents(phase string) []iotrace.Event {
+func (r *Report) phaseEvents(phase iotrace.Phase) []iotrace.Event {
 	r.phases.once.Do(func() { r.phases.byPhase = partitionPhases(r.Events) })
+	if !phase.Valid() {
+		return nil
+	}
 	return r.phases.byPhase[phase]
 }
 
-// partitionPhases groups events by phase label, keeping capture order within
-// each phase. Applications run their phases one after another, so each
-// phase is usually one contiguous run of the trace and its group is a
-// sub-slice of events; only when phases interleave (nodes crossing a phase
-// boundary at different times) are the events copied, into one backing
-// array sized exactly.
-func partitionPhases(events []iotrace.Event) map[string][]iotrace.Event {
-	counts := map[string]int{}
+// partitionPhases groups events by phase, keeping capture order within each
+// phase. Applications run their phases one after another, so each phase is
+// usually one contiguous run of the trace and its group is a sub-slice of
+// events; only when phases interleave (nodes crossing a phase boundary at
+// different times) are the events copied, into one backing array sized
+// exactly. Every event's phase must be valid.
+func partitionPhases(events []iotrace.Event) (out [iotrace.NumPhases][]iotrace.Event) {
+	var counts [iotrace.NumPhases]int
 	contiguous := true
 	for i := 0; i < len(events); {
 		j := runEnd(events, i)
 		p := events[i].Phase
-		if _, seen := counts[p]; seen {
+		if counts[p] > 0 {
 			contiguous = false
 		}
 		counts[p] += j - i
 		i = j
 	}
-	out := make(map[string][]iotrace.Event, len(counts))
 	if contiguous {
 		for i := 0; i < len(events); {
 			j := runEnd(events, i)
@@ -53,8 +55,10 @@ func partitionPhases(events []iotrace.Event) map[string][]iotrace.Event {
 	buf := make([]iotrace.Event, len(events))
 	off := 0
 	for p, n := range counts {
-		out[p] = buf[off : off : off+n]
-		off += n
+		if n > 0 {
+			out[p] = buf[off : off : off+n]
+			off += n
+		}
 	}
 	for i := 0; i < len(events); {
 		j := runEnd(events, i)

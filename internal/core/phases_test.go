@@ -42,7 +42,7 @@ func TestHTFFiguresAndTablesPartitionOnce(t *testing.T) {
 	if len(figs) != 9 || len(tables) != 12 {
 		t.Fatalf("%d figures and %d tables, want 9 and 12", len(figs), len(tables))
 	}
-	for _, ph := range []string{htf.PhasePsetup, htf.PhasePargos, htf.PhasePscf} {
+	for _, ph := range []iotrace.Phase{htf.PhasePsetup, htf.PhasePargos, htf.PhasePscf} {
 		if evs := r.phaseEvents(ph); len(evs) == 0 || !aliases(evs, r.Events) {
 			t.Fatalf("phase %s is not a sub-slice of the trace", ph)
 		}
@@ -65,18 +65,15 @@ func aliases(sub, all []iotrace.Event) bool {
 }
 
 // TestPhaseEventsMatchFilterPhase checks the partition against the plain
-// filter for every phase of every app, and for a phase no event carries.
+// filter for every phase of every app, including phases no event carries,
+// and for a value outside the phase set.
 func TestPhaseEventsMatchFilterPhase(t *testing.T) {
 	for _, app := range Apps() {
 		r, err := Run(SmallStudy(app))
 		if err != nil {
 			t.Fatal(err)
 		}
-		phases := map[string]bool{"no-such-phase": true}
-		for _, e := range r.Events {
-			phases[e.Phase] = true
-		}
-		for ph := range phases {
+		for ph := iotrace.Phase(0); ph <= iotrace.Phase(iotrace.NumPhases); ph++ {
 			got, want := r.phaseEvents(ph), analysis.FilterPhase(r.Events, ph)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("%s phase %q: partition has %d events, filter %d", app, ph, len(got), len(want))
@@ -86,12 +83,13 @@ func TestPhaseEventsMatchFilterPhase(t *testing.T) {
 }
 
 func TestPartitionPhasesInterleaved(t *testing.T) {
+	a, b := iotrace.PhaseQuadrature, iotrace.PhaseReload
 	events := []iotrace.Event{
-		{Seq: 0, Phase: "a"}, {Seq: 1, Phase: "a"}, {Seq: 2, Phase: "b"},
-		{Seq: 3, Phase: "a"}, {Seq: 4, Phase: ""}, {Seq: 5, Phase: "b"},
+		{Seq: 0, Phase: a}, {Seq: 1, Phase: a}, {Seq: 2, Phase: b},
+		{Seq: 3, Phase: a}, {Seq: 4, Phase: iotrace.PhaseNone}, {Seq: 5, Phase: b},
 	}
 	byPhase := partitionPhases(events)
-	for _, ph := range []string{"a", "b", "", "c"} {
+	for _, ph := range []iotrace.Phase{a, b, iotrace.PhaseNone, iotrace.PhaseOutput} {
 		if got, want := byPhase[ph], analysis.FilterPhase(events, ph); !reflect.DeepEqual(got, want) {
 			t.Fatalf("phase %q: %v, want %v", ph, got, want)
 		}
@@ -99,9 +97,9 @@ func TestPartitionPhasesInterleaved(t *testing.T) {
 	// Contiguous phases alias the trace, capped so an append cannot
 	// overwrite the next phase.
 	contiguous := events[:3]
-	a := partitionPhases(contiguous)["a"]
-	if &a[0] != &contiguous[0] || cap(a) != 2 {
-		t.Fatalf("contiguous phase copied or uncapped: cap %d", cap(a))
+	first := partitionPhases(contiguous)[a]
+	if &first[0] != &contiguous[0] || cap(first) != 2 {
+		t.Fatalf("contiguous phase copied or uncapped: cap %d", cap(first))
 	}
 }
 

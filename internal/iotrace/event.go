@@ -16,7 +16,7 @@ import (
 )
 
 // Op identifies an I/O operation class.
-type Op int
+type Op uint8
 
 // Operation classes, matching the rows of the paper's Tables 1, 3 and 5.
 const (
@@ -49,14 +49,14 @@ var opNames = [...]string{
 
 // String returns the paper's name for the operation class.
 func (o Op) String() string {
-	if o < 0 || int(o) >= len(opNames) {
+	if int(o) >= len(opNames) {
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
 	return opNames[o]
 }
 
 // Valid reports whether o is a defined operation class.
-func (o Op) Valid() bool { return o >= 0 && o < numOps }
+func (o Op) Valid() bool { return o < numOps }
 
 // Moves reports whether the operation transfers data bytes (reads, writes,
 // and asynchronous reads; seeks "move" the pointer but transfer nothing).
@@ -66,23 +66,27 @@ func (o Op) Moves() bool {
 
 // FileID identifies a file within one traced run, mirroring the small
 // integer file identifiers on the y-axis of the paper's file-access
-// timelines (Figures 5, 8, 15–17).
-type FileID int
+// timelines (Figures 5, 8, 15–17). SDDF stores it as an int32.
+type FileID int32
 
 // Event is one captured I/O operation: who, what, where, how much, and when.
 // Start/End are simulated times; End-Start is the operation's duration as it
 // would be measured by instrumentation bracketing the call.
+//
+// The record is 56 bytes and holds no pointers, so a trace buffer is one
+// allocation the garbage collector never scans (TestEventLayout pins both).
+// The narrow fields come last so they share one padded word.
 type Event struct {
 	Seq    int64      // capture sequence number, unique per trace
-	Node   int        // compute node performing the operation
-	Op     Op         // operation class
+	Node   int32      // compute node performing the operation
 	File   FileID     // file operated on (0 = none, e.g. a failed open)
 	Offset int64      // file offset of the access (or seek target)
 	Bytes  int64      // bytes transferred (seek: distance moved; others: 0)
 	Start  sim.Time   // operation begin
 	End    sim.Time   // operation end (return to application)
+	Op     Op         // operation class
 	Mode   AccessMode // file access mode of the handle used
-	Phase  string     // application phase label active at capture time
+	Phase  Phase      // application phase active at capture time
 }
 
 // Duration returns the operation's elapsed time.
@@ -91,7 +95,7 @@ func (e Event) Duration() sim.Time { return e.End - e.Start }
 // AccessMode mirrors Intel PFS's six parallel file access modes (§3.2 of the
 // paper). It lives here (rather than in the pfs package) so trace records and
 // analyses can name modes without importing the file system.
-type AccessMode int
+type AccessMode uint8
 
 // The six PFS access modes, plus ModeNone for events with no file context.
 const (
@@ -116,14 +120,74 @@ var modeNames = [...]string{
 
 // String returns Intel's name for the mode.
 func (m AccessMode) String() string {
-	if m < 0 || int(m) >= len(modeNames) {
+	if int(m) >= len(modeNames) {
 		return fmt.Sprintf("AccessMode(%d)", int(m))
 	}
 	return modeNames[m]
 }
 
 // Valid reports whether m is a defined access mode (including ModeNone).
-func (m AccessMode) Valid() bool { return m >= 0 && m <= ModeAsync }
+func (m AccessMode) Valid() bool { return m <= ModeAsync }
+
+// Phase is the application phase a trace event was captured in. The set is
+// closed: the phases of the paper's three applications (ESCAT, RENDER, HTF)
+// plus the labels the checkpoint library and the burst tier's drain put on
+// their own traffic. PhaseNone is an event captured outside any phase.
+type Phase uint8
+
+// The phases, in the order their labels are listed.
+const (
+	PhaseNone           Phase = iota
+	PhaseInitialization       // ESCAT and RENDER start-up reads
+	PhaseQuadrature           // ESCAT's quadrature-data writes
+	PhaseReload               // ESCAT's quadrature-data re-reads
+	PhaseOutput               // ESCAT's result writes
+	PhaseRendering            // RENDER's per-frame loop
+	PhasePsetup               // HTF's setup program
+	PhasePargos               // HTF's integral program
+	PhasePscf                 // HTF's self-consistent-field program
+	PhaseCheckpoint           // a checkpoint library round
+	PhaseBurstDrain           // a burst tier draining to PFS
+	numPhases
+)
+
+// NumPhases is the number of distinct phases, PhaseNone included.
+const NumPhases = int(numPhases)
+
+var phaseNames = [...]string{
+	PhaseNone:           "",
+	PhaseInitialization: "initialization",
+	PhaseQuadrature:     "quadrature",
+	PhaseReload:         "reload",
+	PhaseOutput:         "output",
+	PhaseRendering:      "rendering",
+	PhasePsetup:         "psetup",
+	PhasePargos:         "pargos",
+	PhasePscf:           "pscf",
+	PhaseCheckpoint:     "checkpoint",
+	PhaseBurstDrain:     "burst-drain",
+}
+
+// String returns the phase's label ("" for PhaseNone).
+func (p Phase) String() string {
+	if int(p) >= len(phaseNames) {
+		return fmt.Sprintf("Phase(%d)", int(p))
+	}
+	return phaseNames[p]
+}
+
+// Valid reports whether p is a defined phase (including PhaseNone).
+func (p Phase) Valid() bool { return p < numPhases }
+
+// ParsePhase returns the phase whose label is s.
+func ParsePhase(s string) (Phase, bool) {
+	for p, name := range phaseNames {
+		if name == s {
+			return Phase(p), true
+		}
+	}
+	return 0, false
+}
 
 // Recorder receives events as they are captured. The Pablo tracer implements
 // Recorder; the file-system layers emit into one.

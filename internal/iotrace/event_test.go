@@ -1,7 +1,9 @@
 package iotrace
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -29,7 +31,7 @@ func TestOpNames(t *testing.T) {
 			t.Errorf("%v not valid", op)
 		}
 	}
-	if Op(99).Valid() || Op(-1).Valid() {
+	if Op(99).Valid() || Op(255).Valid() {
 		t.Error("out-of-range op valid")
 	}
 	if Op(99).String() != "Op(99)" {
@@ -86,4 +88,58 @@ func TestEventDuration(t *testing.T) {
 func TestDiscardAcceptsAnything(t *testing.T) {
 	Discard.Record(Event{Op: OpRead})
 	Discard.Record(Event{}) // no panic, no state
+}
+
+func TestPhaseNames(t *testing.T) {
+	want := []string{"", "initialization", "quadrature", "reload", "output",
+		"rendering", "psetup", "pargos", "pscf", "checkpoint", "burst-drain"}
+	if len(want) != NumPhases {
+		t.Fatalf("test covers %d phases, NumPhases=%d", len(want), NumPhases)
+	}
+	for i, label := range want {
+		p := Phase(i)
+		if p.String() != label || !p.Valid() {
+			t.Errorf("phase %d: %q valid=%v, want %q", i, p.String(), p.Valid(), label)
+		}
+		if back, ok := ParsePhase(label); !ok || back != p {
+			t.Errorf("ParsePhase(%q) = %d %v, want %d", label, back, ok, i)
+		}
+	}
+	if Phase(NumPhases).Valid() || Phase(255).Valid() {
+		t.Error("out-of-range phase valid")
+	}
+	if got := Phase(200).String(); got != "Phase(200)" {
+		t.Errorf("out-of-range name %q", got)
+	}
+	if _, ok := ParsePhase("bogus"); ok {
+		t.Error("unknown label parsed")
+	}
+}
+
+// TestEventLayout pins the trace record's size and keeps it pointer-free:
+// every trace buffer is a slice of Events, so a wider field grows every
+// buffer, and a pointer, string, slice or map makes the garbage collector
+// scan them all.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 56 {
+		t.Errorf("Event is %d bytes, want 56", got)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		default:
+			t.Errorf("%s is a %v: Event must hold no pointers", path, typ.Kind())
+		}
+	}
+	walk("Event", reflect.TypeOf(Event{}))
 }

@@ -52,7 +52,7 @@ func (fs *FileSystem) Access(p *sim.Process, node int, name string, op iotrace.O
 // PhaseBurstDrain labels trace events issued by the burst tier's drain
 // daemons, so analyses (and the run's wall-clock accounting) can separate
 // background drain traffic from the application's own.
-const PhaseBurstDrain = "burst-drain"
+const PhaseBurstDrain = iotrace.PhaseBurstDrain
 
 // DrainWrite is the burst tier's drain entry point: it transfers wire bytes
 // (the post-compression volume) through the normal chunk path at [off,

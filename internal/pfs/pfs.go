@@ -40,7 +40,7 @@ type FileSystem struct {
 	nextID iotrace.FileID
 
 	rec      iotrace.Recorder
-	phase    string
+	phase    iotrace.Phase
 	seq      int64
 	coldOpen bool // first open of this instance already happened
 
@@ -170,12 +170,12 @@ func (fs *FileSystem) SetRecorder(r iotrace.Recorder) {
 	fs.rec = r
 }
 
-// SetPhase labels subsequently captured events with an application phase
-// name; the analysis tools use it to separate the paper's per-phase figures.
-func (fs *FileSystem) SetPhase(name string) { fs.phase = name }
+// SetPhase labels subsequently captured events with an application phase;
+// the analysis tools use it to separate the paper's per-phase figures.
+func (fs *FileSystem) SetPhase(p iotrace.Phase) { fs.phase = p }
 
-// Phase returns the current phase label.
-func (fs *FileSystem) Phase() string { return fs.phase }
+// Phase returns the current phase.
+func (fs *FileSystem) Phase() iotrace.Phase { return fs.phase }
 
 // IONodes exposes the I/O-node population (read-only use intended).
 func (fs *FileSystem) IONodes() []*ionode.Node { return fs.ion }
@@ -186,11 +186,11 @@ func (fs *FileSystem) record(node int, op iotrace.Op, f *File, offset, bytes int
 	fs.recordPhase(node, op, f, offset, bytes, start, mode, fs.phase)
 }
 
-// recordPhase is record with an explicit phase label, for operations that are
+// recordPhase is record with an explicit phase, for operations that are
 // not the application's own (the burst tier's drain writes carry their phase
 // regardless of what the application is doing at drain time).
 func (fs *FileSystem) recordPhase(node int, op iotrace.Op, f *File, offset, bytes int64,
-	start sim.Time, mode iotrace.AccessMode, phase string) {
+	start sim.Time, mode iotrace.AccessMode, phase iotrace.Phase) {
 	fs.seq++
 	var id iotrace.FileID
 	if f != nil {
@@ -198,7 +198,7 @@ func (fs *FileSystem) recordPhase(node int, op iotrace.Op, f *File, offset, byte
 	}
 	end := fs.eng.Now()
 	fs.rec.Record(iotrace.Event{
-		Seq: fs.seq, Node: node, Op: op, File: id,
+		Seq: fs.seq, Node: int32(node), Op: op, File: id,
 		Offset: offset, Bytes: bytes, Start: start, End: end,
 		Mode: mode, Phase: phase,
 	})

@@ -616,12 +616,12 @@ func TestOpCountersMatchRecorder(t *testing.T) {
 func TestPhaseLabelsCaptured(t *testing.T) {
 	r := newRig(t, nil)
 	r.run(t, func(p *sim.Process) {
-		r.fs.SetPhase("init")
+		r.fs.SetPhase(iotrace.PhaseInitialization)
 		h, _ := r.fs.Create(p, 0, "f", iotrace.ModeUnix)
-		r.fs.SetPhase("main")
+		r.fs.SetPhase(iotrace.PhaseOutput)
 		h.Write(p, 100)
 	})
-	if r.rec.events[0].Phase != "init" || r.rec.events[1].Phase != "main" {
+	if r.rec.events[0].Phase != iotrace.PhaseInitialization || r.rec.events[1].Phase != iotrace.PhaseOutput {
 		t.Fatalf("phases: %q %q", r.rec.events[0].Phase, r.rec.events[1].Phase)
 	}
 }

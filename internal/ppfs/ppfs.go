@@ -24,7 +24,7 @@ type FileSystem struct {
 	buffers map[string]*fileBuffer
 
 	rec   iotrace.Recorder
-	phase string
+	phase iotrace.Phase
 	seq   int64
 
 	// spareExt holds aggregated flushes' extent lists between flushes.
@@ -66,13 +66,13 @@ func (fs *FileSystem) SetRecorder(r iotrace.Recorder) {
 }
 
 // SetPhase labels application-level and physical-level events.
-func (fs *FileSystem) SetPhase(name string) {
-	fs.phase = name
-	fs.under.SetPhase(name)
+func (fs *FileSystem) SetPhase(p iotrace.Phase) {
+	fs.phase = p
+	fs.under.SetPhase(p)
 }
 
-// Phase returns the current phase label.
-func (fs *FileSystem) Phase() string { return fs.phase }
+// Phase returns the current phase.
+func (fs *FileSystem) Phase() iotrace.Phase { return fs.phase }
 
 // Preload implements workload.FS.
 func (fs *FileSystem) Preload(name string, size int64) (pfs.FileInfo, error) {
@@ -90,7 +90,7 @@ func (fs *FileSystem) record(node int, op iotrace.Op, file iotrace.FileID,
 	off, bytes int64, start sim.Time, mode iotrace.AccessMode) {
 	fs.seq++
 	fs.rec.Record(iotrace.Event{
-		Seq: fs.seq, Node: node, Op: op, File: file,
+		Seq: fs.seq, Node: int32(node), Op: op, File: file,
 		Offset: off, Bytes: bytes, Start: start, End: fs.eng.Now(),
 		Mode: mode, Phase: fs.phase,
 	})

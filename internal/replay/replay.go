@@ -76,8 +76,8 @@ func Run(events []iotrace.Event, opt Options) (*Result, error) {
 	// The machine must span every node appearing in the trace.
 	maxNode := 0
 	for _, e := range events {
-		if e.Node > maxNode {
-			maxNode = e.Node
+		if n := int(e.Node); n > maxNode {
+			maxNode = n
 		}
 	}
 	if opt.Machine.ComputeNodes <= maxNode {
@@ -118,7 +118,7 @@ func Run(events []iotrace.Event, opt Options) (*Result, error) {
 	// Split the trace into per-node streams, preserving order.
 	streams := map[int][]iotrace.Event{}
 	for _, e := range events {
-		streams[e.Node] = append(streams[e.Node], e)
+		streams[int(e.Node)] = append(streams[int(e.Node)], e)
 	}
 
 	// Spawn in node order: each node draws its jitter stream from the
@@ -237,15 +237,15 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 
 // replayMeta charges a metadata operation's cost on the replay machine.
 func replayMeta(p *sim.Process, m *workload.Machine, e iotrace.Event) {
-	cost := m.PFS.Config().Cost
+	cost, node := m.PFS.Config().Cost, int(e.Node)
 	switch e.Op {
 	case iotrace.OpOpen:
-		m.PFS.MetaVisit(p, e.Node, iotrace.OpOpen, cost.OpenService)
+		m.PFS.MetaVisit(p, node, iotrace.OpOpen, cost.OpenService)
 	case iotrace.OpClose:
-		m.PFS.MetaVisit(p, e.Node, iotrace.OpClose, cost.CloseService)
+		m.PFS.MetaVisit(p, node, iotrace.OpClose, cost.CloseService)
 	case iotrace.OpLsize:
-		m.PFS.MetaVisit(p, e.Node, iotrace.OpLsize, cost.LsizeService)
+		m.PFS.MetaVisit(p, node, iotrace.OpLsize, cost.LsizeService)
 	case iotrace.OpFlush:
-		m.PFS.MetaVisit(p, e.Node, iotrace.OpFlush, cost.FlushService)
+		m.PFS.MetaVisit(p, node, iotrace.OpFlush, cost.FlushService)
 	}
 }

@@ -248,6 +248,9 @@ func (br *BinaryReader) decodeRecord(payload []byte) (Record, error) {
 			if err != nil {
 				return Record{}, err
 			}
+			if v != int64(int32(v)) {
+				return Record{}, fmt.Errorf("%w: field %q: %d overflows int32", ErrBadFormat, f.Name, v)
+			}
 			r.Values = append(r.Values, int32(v))
 		case TInt64:
 			v, err := c.varint()

@@ -190,11 +190,13 @@ func TestFieldTypeParse(t *testing.T) {
 
 func sampleEvents() []iotrace.Event {
 	return []iotrace.Event{
-		{Seq: 1, Node: 0, Op: iotrace.OpOpen, File: 9, Start: 0, End: sim.Second, Mode: iotrace.ModeUnix, Phase: "init"},
+		{Seq: 1, Node: 0, Op: iotrace.OpOpen, File: 9, Start: 0, End: sim.Second, Mode: iotrace.ModeUnix,
+			Phase: iotrace.PhaseInitialization},
 		{Seq: 2, Node: 5, Op: iotrace.OpWrite, File: 9, Offset: 2048, Bytes: 2048,
-			Start: 2 * sim.Second, End: 3 * sim.Second, Mode: iotrace.ModeUnix, Phase: "quadrature"},
+			Start: 2 * sim.Second, End: 3 * sim.Second, Mode: iotrace.ModeUnix, Phase: iotrace.PhaseQuadrature},
 		{Seq: 3, Node: 5, Op: iotrace.OpIOWait, File: 3, Start: 4 * sim.Second, End: 5 * sim.Second,
-			Mode: iotrace.ModeAsync, Phase: "render \"x\""},
+			Mode: iotrace.ModeAsync, Phase: iotrace.PhaseBurstDrain},
+		{Seq: 4, Node: 1 << 20, Op: iotrace.OpClose, File: 1<<31 - 1, Start: 6 * sim.Second, End: 6 * sim.Second},
 	}
 }
 
@@ -226,6 +228,11 @@ func TestTraceRoundTripASCII(t *testing.T) {
 	}
 }
 
+// TestReadTraceRejectsInvalidOp checks that the reader refuses every value
+// an event cannot hold: an undefined op, values that would wrap when
+// narrowed to the event's 8-bit op and mode, negative ids, an unknown phase
+// label, and an io-event record whose field types differ. Records the
+// Event type cannot express are written raw.
 func TestReadTraceRejectsInvalidOp(t *testing.T) {
 	bad := sampleEvents()
 	bad[0].Op = iotrace.Op(99)
@@ -236,6 +243,73 @@ func TestReadTraceRejectsInvalidOp(t *testing.T) {
 	if _, err := ReadTrace(&buf); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("invalid op accepted: %v", err)
 	}
+
+	good := EventRecord(sampleEvents()[1])
+	cases := []struct {
+		name  string
+		field int
+		value any
+	}{
+		{"op 256", 2, int32(256)},
+		{"op -1", 2, int32(-1)},
+		{"mode 256", 8, int32(256)},
+		{"mode 7", 8, int32(7)},
+		{"node -1", 1, int32(-1)},
+		{"file -1", 3, int32(-1)},
+		{"phase bogus", 9, "bogus"},
+	}
+	for _, c := range cases {
+		rec := Record{Tag: EventTag, Values: append([]any(nil), good.Values...)}
+		rec.Values[c.field] = c.value
+		if _, err := ReadTrace(bytes.NewReader(rawTrace(t, EventDescriptor(), rec))); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s accepted: %v", c.name, err)
+		}
+	}
+
+	// A binary int32 field whose varint overflows int32: 1<<32 + 2 would
+	// wrap to op 2 (Seek). The record is encoded under a descriptor that
+	// declares op as int64 (the varint bytes are the same) and spliced
+	// after the real io-event descriptor.
+	wide := EventDescriptor()
+	wide.Fields[2].Type = TInt64
+	rec := Record{Tag: EventTag, Values: append([]any(nil), good.Values...)}
+	rec.Values[2] = int64(1<<32 + 2)
+	packet := rawTrace(t, wide, rec)[len(rawTrace(t, wide)):]
+	stream := append(rawTrace(t, EventDescriptor()), packet...)
+	if _, err := ReadTrace(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("op 1<<32+2 accepted: %v", err)
+	}
+
+	// An io-event descriptor whose op field is a string.
+	d := EventDescriptor()
+	d.Fields[2].Type = TString
+	rec = Record{Tag: EventTag, Values: append([]any(nil), good.Values...)}
+	rec.Values[2] = "Read"
+	if _, err := ReadTrace(bytes.NewReader(rawTrace(t, d, rec))); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("string op accepted: %v", err)
+	}
+}
+
+// rawTrace encodes one descriptor and its records in the binary form.
+func rawTrace(t *testing.T, d Descriptor, recs ...Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewBinaryWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteDescriptor(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.WriteRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestReadTraceEmpty(t *testing.T) {
@@ -244,12 +318,12 @@ func TestReadTraceEmpty(t *testing.T) {
 	}
 }
 
-// Property: any event with printable phase text survives binary round trip.
+// Property: any event with a defined op and phase survives binary round trip.
 func TestEventRoundTripProperty(t *testing.T) {
-	prop := func(seq int64, node uint8, op uint8, file uint8, off, n int64, s, e uint32, phase string) bool {
+	prop := func(seq int64, node uint8, op uint8, file uint8, off, n int64, s, e uint32, phase uint8) bool {
 		ev := iotrace.Event{
 			Seq:  seq,
-			Node: int(node),
+			Node: int32(node),
 			Op:   iotrace.Op(int(op) % iotrace.NumOps),
 			File: iotrace.FileID(file),
 			Offset: func() int64 {
@@ -267,7 +341,7 @@ func TestEventRoundTripProperty(t *testing.T) {
 			Start: sim.Time(s),
 			End:   sim.Time(s) + sim.Time(e),
 			Mode:  iotrace.ModeUnix,
-			Phase: phase,
+			Phase: iotrace.Phase(int(phase) % iotrace.NumPhases),
 		}
 		var buf bytes.Buffer
 		if err := WriteTrace(&buf, []iotrace.Event{ev}, false); err != nil {

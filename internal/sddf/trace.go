@@ -3,6 +3,7 @@ package sddf
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/iotrace"
 	"repro/internal/sim"
@@ -36,37 +37,55 @@ func EventRecord(e iotrace.Event) Record {
 	return Record{
 		Tag: EventTag,
 		Values: []any{
-			e.Seq, int32(e.Node), int32(e.Op), int32(e.File),
+			e.Seq, e.Node, int32(e.Op), int32(e.File),
 			e.Offset, e.Bytes, int64(e.Start), int64(e.End),
-			int32(e.Mode), e.Phase,
+			int32(e.Mode), e.Phase.String(),
 		},
 	}
 }
 
-// RecordEvent converts an io-event SDDF record back into an event.
+// eventDesc is EventDescriptor, built once for RecordEvent's type check.
+var eventDesc = EventDescriptor()
+
+// RecordEvent converts an io-event SDDF record back into an event. Every
+// value is checked before it is narrowed into the event: a field of the
+// wrong type, a negative node or file, an undefined op or mode, or an
+// unknown phase label is ErrBadFormat, never a wrapped value.
 func RecordEvent(r Record) (iotrace.Event, error) {
-	if r.Tag != EventTag || len(r.Values) != 10 {
+	if r.Tag != EventTag {
 		return iotrace.Event{}, fmt.Errorf("%w: not an io-event record", ErrBadFormat)
 	}
-	e := iotrace.Event{
+	if err := validate(eventDesc, r); err != nil {
+		return iotrace.Event{}, fmt.Errorf("%w: %w", ErrBadFormat, err)
+	}
+	node, op, file, mode := r.Values[1].(int32), r.Values[2].(int32), r.Values[3].(int32), r.Values[8].(int32)
+	label := r.Values[9].(string)
+	switch {
+	case node < 0:
+		return iotrace.Event{}, fmt.Errorf("%w: invalid node %d", ErrBadFormat, node)
+	case file < 0:
+		return iotrace.Event{}, fmt.Errorf("%w: invalid file %d", ErrBadFormat, file)
+	case op < 0 || op > math.MaxUint8 || !iotrace.Op(op).Valid():
+		return iotrace.Event{}, fmt.Errorf("%w: invalid op %d", ErrBadFormat, op)
+	case mode < 0 || mode > math.MaxUint8 || !iotrace.AccessMode(mode).Valid():
+		return iotrace.Event{}, fmt.Errorf("%w: invalid mode %d", ErrBadFormat, mode)
+	}
+	phase, ok := iotrace.ParsePhase(label)
+	if !ok {
+		return iotrace.Event{}, fmt.Errorf("%w: unknown phase %q", ErrBadFormat, label)
+	}
+	return iotrace.Event{
 		Seq:    r.Values[0].(int64),
-		Node:   int(r.Values[1].(int32)),
-		Op:     iotrace.Op(r.Values[2].(int32)),
-		File:   iotrace.FileID(r.Values[3].(int32)),
+		Node:   node,
+		File:   iotrace.FileID(file),
 		Offset: r.Values[4].(int64),
 		Bytes:  r.Values[5].(int64),
 		Start:  sim.Time(r.Values[6].(int64)),
 		End:    sim.Time(r.Values[7].(int64)),
-		Mode:   iotrace.AccessMode(r.Values[8].(int32)),
-		Phase:  r.Values[9].(string),
-	}
-	if !e.Op.Valid() {
-		return iotrace.Event{}, fmt.Errorf("%w: invalid op %d", ErrBadFormat, int(e.Op))
-	}
-	if !e.Mode.Valid() {
-		return iotrace.Event{}, fmt.Errorf("%w: invalid mode %d", ErrBadFormat, int(e.Mode))
-	}
-	return e, nil
+		Op:     iotrace.Op(op),
+		Mode:   iotrace.AccessMode(mode),
+		Phase:  phase,
+	}, nil
 }
 
 // traceWriter is the common surface of BinaryWriter and ASCIIWriter.

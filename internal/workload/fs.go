@@ -26,7 +26,7 @@ type FS interface {
 	// numbering conventions.
 	ReserveIDs(n int)
 	// SetPhase labels subsequent trace events with an application phase.
-	SetPhase(name string)
+	SetPhase(p iotrace.Phase)
 	// Stat reports a file's identity and extent (bookkeeping; free).
 	Stat(name string) (pfs.FileInfo, bool)
 }

@@ -126,7 +126,7 @@ func TestWrapPFSImplementsFullSurface(t *testing.T) {
 	if _, err := fs.Preload("pre", 100_000); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetPhase("ph")
+	fs.SetPhase(iotrace.PhaseReload)
 	if info, ok := fs.Stat("pre"); !ok || info.ID != 3 {
 		t.Fatalf("stat %+v %v", info, ok)
 	}
