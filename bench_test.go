@@ -8,7 +8,6 @@ package iochar_test
 import (
 	"testing"
 
-	"fmt"
 	iochar "repro"
 	"repro/internal/analysis"
 	"repro/internal/apps/escat"
@@ -349,23 +348,6 @@ func BenchmarkAdaptiveClassifier(b *testing.B) {
 	b.ReportMetric(float64(seq), "sequential-streams")
 	b.ReportMetric(float64(other), "other-streams")
 	_ = analysis.HumanBytes
-}
-
-// BenchmarkScalingESCATNodes sweeps the compute-partition size with per-node
-// work fixed (experiment A5): the superlinear node-time growth of the
-// shared-file small-write pattern.
-func BenchmarkScalingESCATNodes(b *testing.B) {
-	var pts []core.ScalingPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = core.ESCATScaling([]int{16, 32, 64}, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		b.ReportMetric(p.SeekWrite.Seconds(), fmt.Sprintf("nodes%d-seekwrite-s", p.Nodes))
-	}
 }
 
 // BenchmarkRecomputeVsRereadHTF runs the §7.2 decision in simulation: the

@@ -76,6 +76,13 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 		{[]string{"-small", "-burst", "-policy", "ppfs"}, `-burst and -policy "ppfs"`},
 		{[]string{"-small", "-mtbf", "10", "-outage", "-1"}, "-outage -1: want >= 0"},
 		{[]string{"-small", "-burst", "-compress", "-2"}, "-compress -2: want >= 0"},
+		{[]string{"-small", "-cache-mb", "4"}, "-cache-mb needs -cache"},
+		{[]string{"-small", "-prefetch=false"}, "-prefetch needs -cache"},
+		{[]string{"-small", "-burst-mb", "32"}, "-burst-mb needs -burst"},
+		{[]string{"-small", "-burst-drain", "5"}, "-burst-drain needs -burst"},
+		{[]string{"-small", "-compress", "2"}, "-compress needs -burst"},
+		{[]string{"-small", "-repair-mb-s", "5"}, "-repair-mb-s needs -repair"},
+		{[]string{"-small", "-repair-give-up", "3"}, "-repair-give-up needs -repair"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -109,6 +109,7 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 		{[]string{"-cache", "-cache-mb", "0"}, "-cache-mb 0"},
 		{[]string{"-burst", "-burst-mb", "0"}, "-burst-mb 0"},
 		{[]string{"-ckpt-bytes", "0"}, "-ckpt-bytes 0"},
+		{[]string{"-flush-on-fail"}, "-flush-on-fail needs -cache"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

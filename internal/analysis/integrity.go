@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/integrity"
 	"repro/internal/pfs"
-	"repro/internal/sim"
 )
 
 // IntegrityReport is the end-to-end data-integrity section of a run report:
@@ -125,65 +124,6 @@ func RenderIntegrityReport(r *IntegrityReport) string {
 	if r.CkptVerifyRejects > 0 || r.CkptFallbacks > 0 {
 		fmt.Fprintf(&b, "  ckpt verify     %d generations rejected, %d fallbacks to older checkpoint\n",
 			r.CkptVerifyRejects, r.CkptFallbacks)
-	}
-	return b.String()
-}
-
-// IntegrityOverheadRow is one access mode's verify-overhead measurement: the
-// same synthetic workload run with the integrity layer off and on.
-type IntegrityOverheadRow struct {
-	Mode     string
-	Op       string
-	Ops      int64
-	BaseMean sim.Time // mean per-op node time, integrity off
-	Verified sim.Time // mean per-op node time, integrity on
-	BaseWall sim.Time
-	VerWall  sim.Time
-}
-
-// Overhead returns the relative per-op slowdown (0 when no baseline).
-func (r IntegrityOverheadRow) Overhead() float64 {
-	if r.BaseMean <= 0 {
-		return 0
-	}
-	return float64(r.Verified)/float64(r.BaseMean) - 1
-}
-
-// RenderIntegrityOverhead formats a verify-overhead sweep as a table.
-func RenderIntegrityOverhead(rows []IntegrityOverheadRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Checksum verify overhead by access mode:\n")
-	fmt.Fprintf(&b, "  %-10s %-6s %6s %12s %12s %9s %12s %12s\n",
-		"mode", "op", "ops", "base mean", "verified", "overhead", "base wall", "ver wall")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10s %-6s %6d %12s %12s %8.1f%% %12s %12s\n",
-			r.Mode, r.Op, r.Ops, fmtT(r.BaseMean), fmtT(r.Verified),
-			100*r.Overhead(), fmtT(r.BaseWall), fmtT(r.VerWall))
-	}
-	return b.String()
-}
-
-// CorruptionSweepRow is one (application, corruption class) cell of the
-// detection-coverage sweep.
-type CorruptionSweepRow struct {
-	App          string
-	Class        integrity.Class
-	Injected     int
-	Detected     int
-	Repaired     int // parity + rewrite
-	Unrepairable int // detected, reported open on the incident timeline
-	Latent       int // neither detected nor resolved — must be zero
-}
-
-// RenderCorruptionSweep formats the detection-coverage sweep as a table.
-func RenderCorruptionSweep(rows []CorruptionSweepRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Corruption detection sweep:\n")
-	fmt.Fprintf(&b, "  %-8s %-18s %9s %9s %9s %13s %7s\n",
-		"app", "class", "injected", "detected", "repaired", "unrepairable", "latent")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-8s %-18s %9d %9d %9d %13d %7d\n",
-			r.App, r.Class, r.Injected, r.Detected, r.Repaired, r.Unrepairable, r.Latent)
 	}
 	return b.String()
 }

@@ -30,18 +30,24 @@ import (
 	"repro/internal/workload"
 )
 
+// The traced run's fixed I/O shape: every run, whatever its scale, writes
+// these record sizes to this many files.
+const (
+	quadRecordBytes = 2048 // quadrature record size (2 KB)
+	outcomeFiles    = 2    // staging files, one per collision outcome
+	outputWrites    = 6    // small matrix writes per output file
+	outputBytes     = 1500 // size of each output write (~1.5 KB)
+
+	seed = 0x45534341 // "ESCA"
+)
+
 // Config parameterizes the skeleton. The defaults reproduce the paper's
 // traced run; smaller values give fast smoke tests.
 type Config struct {
-	Nodes           int      // compute nodes (paper: 128)
-	Iterations      int      // quadrature compute/write cycles (52)
-	QuadRecordBytes int64    // quadrature record size (2 KB)
-	OutcomeFiles    int      // staging files, one per collision outcome (2)
-	ComputeStart    sim.Time // compute per cycle at phase start (~145 s)
-	ComputeEnd      sim.Time // compute per cycle at phase end (~65 s)
-	OutputWrites    int      // small matrix writes per output file (6)
-	OutputBytes     int64    // size of each output write (~1.5 KB)
-	Seed            uint64
+	Nodes        int      // compute nodes (paper: 128)
+	Iterations   int      // quadrature compute/write cycles (52)
+	ComputeStart sim.Time // compute per cycle at phase start (~145 s)
+	ComputeEnd   sim.Time // compute per cycle at phase end (~65 s)
 
 	// Ckpt, when non-nil, checkpoints the quadrature loop: every node
 	// reports each completed iteration and the coordinator periodically
@@ -54,15 +60,10 @@ type Config struct {
 // DefaultConfig returns the paper-scale configuration.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:           128,
-		Iterations:      52,
-		QuadRecordBytes: 2048,
-		OutcomeFiles:    2,
-		ComputeStart:    145 * sim.Second,
-		ComputeEnd:      65 * sim.Second,
-		OutputWrites:    6,
-		OutputBytes:     1500,
-		Seed:            0x45534341, // "ESCA"
+		Nodes:        128,
+		Iterations:   52,
+		ComputeStart: 145 * sim.Second,
+		ComputeEnd:   65 * sim.Second,
 	}
 }
 
@@ -118,11 +119,8 @@ type App struct {
 
 // New validates the configuration and builds the app.
 func New(cfg Config) (*App, error) {
-	if cfg.Nodes < 1 || cfg.Iterations < 1 || cfg.OutcomeFiles < 1 {
+	if cfg.Nodes < 1 || cfg.Iterations < 1 {
 		return nil, fmt.Errorf("escat: invalid config %+v", cfg)
-	}
-	if cfg.QuadRecordBytes < 1 || cfg.OutputWrites < 0 || cfg.OutputBytes < 0 {
-		return nil, fmt.Errorf("escat: invalid sizes in config %+v", cfg)
 	}
 	return &App{cfg: cfg}, nil
 }
@@ -134,7 +132,7 @@ func (*App) Name() string { return "escat" }
 // staging file (all its iterations' records back to back) — also the
 // M_RECORD record length used for the reload.
 func (a *App) regionBytes() int64 {
-	return int64(a.cfg.Iterations) * a.cfg.QuadRecordBytes
+	return int64(a.cfg.Iterations) * quadRecordBytes
 }
 
 // inputProfile describes node 0's reads of one input file: (count, size)
@@ -210,8 +208,8 @@ func (a *App) TraceEvents() int {
 			perFile++
 		}
 	}
-	n += cfg.Nodes * (cfg.OutcomeFiles*perFile + ckpt)
-	return n + len(outputFiles)*(2+cfg.OutputWrites)
+	n += cfg.Nodes * (outcomeFiles*perFile + ckpt)
+	return n + len(outputFiles)*(2+outputWrites)
 }
 
 // Launch implements workload.App.
@@ -234,7 +232,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	}
 	var quadSize int64
 	if resume > 0 {
-		quadSize = int64(cfg.Nodes-1)*a.regionBytes() + int64(resume)*cfg.QuadRecordBytes
+		quadSize = int64(cfg.Nodes-1)*a.regionBytes() + int64(resume)*quadRecordBytes
 	}
 
 	// File id layout mirrors Figure 5 (descriptor-style numbering): ids 0-2
@@ -247,7 +245,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 		}
 	}
 	fs.ReserveIDs(1)
-	quadNames := make([]string, cfg.OutcomeFiles)
+	quadNames := make([]string, outcomeFiles)
 	for i := range quadNames {
 		quadNames[i] = fmt.Sprintf("escat.quad%d", i)
 		if _, err := fs.Preload(quadNames[i], quadSize); err != nil {
@@ -271,7 +269,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	initDone := sim.NewCompletion("escat-init")
 	cycle := sim.NewBarrier(m.Eng, "escat-cycle", cfg.Nodes)
 	reload := sim.NewBarrier(m.Eng, "escat-reload", cfg.Nodes)
-	rng := sim.NewRNG(cfg.Seed)
+	rng := sim.NewRNG(seed)
 	nodeRNG := make([]*sim.RNG, cfg.Nodes)
 	for i := range nodeRNG {
 		nodeRNG[i] = rng.Split()
@@ -319,7 +317,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 func (a *App) runInit(p *sim.Process, m *workload.Machine, fs workload.FS,
 	profiles [3][]readRun, inNames []string) error {
 	fs.SetPhase(PhaseInit)
-	r := sim.NewRNG(a.cfg.Seed ^ 0x1717)
+	r := sim.NewRNG(seed ^ 0x1717)
 	for i, name := range inNames {
 		h, err := fs.Open(p, 0, name, iotrace.ModeUnix)
 		if err != nil {
@@ -370,7 +368,7 @@ func (a *App) runQuadrature(p *sim.Process, fs workload.FS,
 	// Position each file's pointer at this node's region — at the resumed
 	// iteration's record on a restart — before the first cycle.
 	for _, h := range handles {
-		if _, err := h.Seek(p, int64(node)*region+int64(resume)*a.cfg.QuadRecordBytes, pfs.SeekStart); err != nil {
+		if _, err := h.Seek(p, int64(node)*region+int64(resume)*quadRecordBytes, pfs.SeekStart); err != nil {
 			return err
 		}
 	}
@@ -385,14 +383,14 @@ func (a *App) runQuadrature(p *sim.Process, fs workload.FS,
 		for _, h := range handles {
 			// The pointer was positioned by the initial seek or the
 			// previous cycle's repositioning.
-			if _, err := h.Write(p, a.cfg.QuadRecordBytes); err != nil {
+			if _, err := h.Write(p, quadRecordBytes); err != nil {
 				return err
 			}
 			// Reposition for the next cycle's calculated offset unless the
 			// offset cache already matches (pointerCached).
 			next := it + 1
 			if next < a.cfg.Iterations && !pointerCached(next) {
-				target := int64(node)*region + int64(next)*a.cfg.QuadRecordBytes
+				target := int64(node)*region + int64(next)*quadRecordBytes
 				if _, err := h.Seek(p, target, pfs.SeekStart); err != nil {
 					return err
 				}
@@ -437,8 +435,8 @@ func (a *App) runOutput(p *sim.Process, m *workload.Machine, fs workload.FS, out
 		if err != nil {
 			return err
 		}
-		for k := 0; k < a.cfg.OutputWrites; k++ {
-			if _, err := h.Write(p, a.cfg.OutputBytes); err != nil {
+		for k := 0; k < outputWrites; k++ {
+			if _, err := h.Write(p, outputBytes); err != nil {
 				return err
 			}
 		}

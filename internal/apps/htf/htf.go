@@ -37,13 +37,18 @@ const (
 	BytesPerIntegral = 56
 )
 
+const (
+	recordBytes = 81920 // integral record size, at every scale
+
+	seed = 0x48544600 // "HTF"
+)
+
 // Config parameterizes the skeleton.
 type Config struct {
-	Nodes           int   // compute nodes (paper: 128)
-	IntegralRecords int   // total two-electron integral records (8,532)
-	RecordBytes     int64 // integral record size (81,920)
-	SCFPasses       int   // full rereads of the integral files (6)
-	ExtraSCFRecords int   // node 0's partial convergence pass (33)
+	Nodes           int // compute nodes (paper: 128)
+	IntegralRecords int // total two-electron integral records (8,532)
+	SCFPasses       int // full rereads of the integral files (6)
+	ExtraSCFRecords int // node 0's partial convergence pass (33)
 
 	ComputePerIntegral sim.Time // pargos: integral block computation (~16.5 s)
 	ComputePerSCFRead  sim.Time // pscf: Fock contribution per record (~1.8 s)
@@ -56,8 +61,6 @@ type Config struct {
 	// *like* to use.
 	RecomputeIntegrals bool
 
-	Seed uint64
-
 	// Ckpt, when non-nil, checkpoints the SCF loop: each completed pass is
 	// one work unit. On a restart (ResumeUnit > 0) the skeleton skips
 	// psetup and pargos — their outputs are pre-populated — restores node
@@ -66,10 +69,10 @@ type Config struct {
 	Ckpt workload.Checkpointer
 }
 
-// RecomputeTimePerRecord returns the time to recompute one integral
+// recomputeTimePerRecord returns the time to recompute one integral
 // record's worth of integrals instead of reading it.
-func (c Config) RecomputeTimePerRecord() sim.Time {
-	integrals := float64(c.RecordBytes) / BytesPerIntegral
+func recomputeTimePerRecord() sim.Time {
+	integrals := float64(recordBytes) / BytesPerIntegral
 	return sim.Time(integrals * FlopsPerIntegral / NodeFlopRate * float64(sim.Second))
 }
 
@@ -78,13 +81,11 @@ func DefaultConfig() Config {
 	return Config{
 		Nodes:              128,
 		IntegralRecords:    8532,
-		RecordBytes:        81920,
 		SCFPasses:          6,
 		ExtraSCFRecords:    33,
 		ComputePerIntegral: 16500 * sim.Millisecond,
 		ComputePerSCFRead:  1750 * sim.Millisecond,
 		PsetupCompute:      80 * sim.Millisecond,
-		Seed:               0x48544600, // "HTF"
 	}
 }
 
@@ -150,7 +151,7 @@ type App struct {
 
 // New validates the configuration and builds the app.
 func New(cfg Config) (*App, error) {
-	if cfg.Nodes < 1 || cfg.IntegralRecords < cfg.Nodes || cfg.RecordBytes < 1 {
+	if cfg.Nodes < 1 || cfg.IntegralRecords < cfg.Nodes {
 		return nil, fmt.Errorf("htf: invalid config %+v", cfg)
 	}
 	if cfg.SCFPasses < 1 || cfg.ExtraSCFRecords < 0 {
@@ -300,7 +301,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 			}
 		}
 		for node := 0; node < cfg.Nodes; node++ {
-			size := int64(a.RecordsForNode(node)) * cfg.RecordBytes
+			size := int64(a.RecordsForNode(node)) * recordBytes
 			if node == 0 {
 				size += 2000 + 2000 + 30000 // pargos header records
 			}
@@ -340,7 +341,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	pargosStart := sim.NewBarrier(m.Eng, "htf-pargos-start", cfg.Nodes)
 	pscfStart := sim.NewBarrier(m.Eng, "htf-pscf-start", cfg.Nodes)
 	passBarrier := sim.NewBarrier(m.Eng, "htf-pass", cfg.Nodes)
-	rng := sim.NewRNG(cfg.Seed)
+	rng := sim.NewRNG(seed)
 	nodeRNG := make([]*sim.RNG, cfg.Nodes)
 	for i := range nodeRNG {
 		nodeRNG[i] = rng.Split()
@@ -393,7 +394,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 // it, and writes the setup files.
 func (a *App) runPsetup(p *sim.Process, fs workload.FS) error {
 	fs.SetPhase(PhasePsetup)
-	r := sim.NewRNG(a.cfg.Seed ^ 0x9e7)
+	r := sim.NewRNG(seed ^ 0x9e7)
 
 	inNames := []string{"htf.input", "htf.basis"}
 	outNames := []string{"htf.setup", "htf.setup2"}
@@ -534,7 +535,7 @@ func (a *App) runPargos(p *sim.Process, fs workload.FS, node int, rng *sim.RNG) 
 
 	for rec := 0; rec < a.RecordsForNode(node); rec++ {
 		p.Sleep(rng.Jitter(cfg.ComputePerIntegral, 0.05))
-		if _, err := h.Write(p, cfg.RecordBytes); err != nil {
+		if _, err := h.Write(p, recordBytes); err != nil {
 			return err
 		}
 		if err := h.Flush(p); err != nil {
@@ -633,8 +634,8 @@ func (a *App) runPscf(p *sim.Process, fs workload.FS, node, resume int, rng *sim
 			if cfg.RecomputeIntegrals {
 				// §7.2 recompute variant: ~500 FLOPs per integral instead
 				// of a record read.
-				p.Sleep(cfg.RecomputeTimePerRecord())
-			} else if _, err := h.Read(p, cfg.RecordBytes); err != nil {
+				p.Sleep(recomputeTimePerRecord())
+			} else if _, err := h.Read(p, recordBytes); err != nil {
 				return err
 			}
 			p.Sleep(rng.Jitter(cfg.ComputePerSCFRead, 0.05))
@@ -656,7 +657,7 @@ func (a *App) runPscf(p *sim.Process, fs workload.FS, node, resume int, rng *sim
 			extra = records
 		}
 		for rec := 0; rec < extra; rec++ {
-			if _, err := h.Read(p, cfg.RecordBytes); err != nil {
+			if _, err := h.Read(p, recordBytes); err != nil {
 				return err
 			}
 		}

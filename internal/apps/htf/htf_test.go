@@ -215,7 +215,7 @@ func TestEveryNodeHasOwnIntegralFile(t *testing.T) {
 	// and rereads that same file.
 	writers := map[iotrace.FileID]int32{}
 	for _, e := range phase(t, PhasePargos) {
-		if e.Op == iotrace.OpWrite && e.Bytes == DefaultConfig().RecordBytes {
+		if e.Op == iotrace.OpWrite && e.Bytes == recordBytes {
 			if prev, seen := writers[e.File]; seen && prev != e.Node {
 				t.Fatalf("file %d written by nodes %d and %d", e.File, prev, e.Node)
 			}
@@ -226,7 +226,7 @@ func TestEveryNodeHasOwnIntegralFile(t *testing.T) {
 		t.Fatalf("%d integral files, want 128", len(writers))
 	}
 	for _, e := range phase(t, PhasePscf) {
-		if e.Op == iotrace.OpRead && e.Bytes == DefaultConfig().RecordBytes {
+		if e.Op == iotrace.OpRead && e.Bytes == recordBytes {
 			if owner, ok := writers[e.File]; ok && owner != e.Node {
 				t.Fatalf("node %d read node %d's integral file", e.Node, owner)
 			}
@@ -280,7 +280,7 @@ func TestSmallConfigPhases(t *testing.T) {
 	s := analysis.Summarize(analysis.FilterPhase(events, PhasePscf))
 	var recReads int64
 	for _, e := range analysis.FilterPhase(events, PhasePscf) {
-		if e.Op == iotrace.OpRead && e.Bytes == SmallConfig().RecordBytes {
+		if e.Op == iotrace.OpRead && e.Bytes == recordBytes {
 			recReads++
 		}
 	}
@@ -293,10 +293,9 @@ func TestSmallConfigPhases(t *testing.T) {
 func TestInvalidConfigsRejected(t *testing.T) {
 	bad := []Config{
 		{},
-		{Nodes: 0, IntegralRecords: 10, RecordBytes: 1, SCFPasses: 1},
-		{Nodes: 16, IntegralRecords: 10, RecordBytes: 1, SCFPasses: 1}, // fewer records than nodes
-		{Nodes: 4, IntegralRecords: 10, RecordBytes: 0, SCFPasses: 1},
-		{Nodes: 4, IntegralRecords: 10, RecordBytes: 1, SCFPasses: 0},
+		{Nodes: 0, IntegralRecords: 10, SCFPasses: 1},
+		{Nodes: 16, IntegralRecords: 10, SCFPasses: 1}, // fewer records than nodes
+		{Nodes: 4, IntegralRecords: 10, SCFPasses: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -360,9 +359,8 @@ func TestRereadWinsOnFastIO(t *testing.T) {
 }
 
 func TestRecomputeTimePerRecord(t *testing.T) {
-	cfg := DefaultConfig()
 	// 81,920 B / 56 B-per-integral x 500 FLOP / 50 MFLOP/s = ~14.6 ms.
-	got := cfg.RecomputeTimePerRecord()
+	got := recomputeTimePerRecord()
 	if got < 14*sim.Millisecond || got > 15*sim.Millisecond {
 		t.Fatalf("recompute time %v, want ~14.6ms", got)
 	}

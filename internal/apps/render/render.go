@@ -38,31 +38,26 @@ type TerrainFile struct {
 	ReadBytes int64
 }
 
+// The traced run's fixed request shape, the same at every scale.
+const (
+	prefetchDepth = 2             // async terrain reads kept in flight
+	headerBytes   = 60            // size of each control-file header read (~60 B)
+	viewBytes     = 72            // size of each per-frame view read (~72 B)
+	frameBytes    = 640 * 512 * 3 // image size: 983,040 bytes
+	frameExtra    = 7             // tiny header/trailer writes around each frame
+
+	seed = 0x52454e44 // "REND"
+)
+
 // Config parameterizes the skeleton. Defaults reproduce the paper's traced
 // run (Mars Viking data, 100 frames).
 type Config struct {
-	RenderNodes   int           // renderer group size (paper: 128)
-	Frames        int           // views rendered (100)
-	Terrain       []TerrainFile // input data set layout
-	PrefetchDepth int           // async reads kept in flight (2)
-	HeaderReads   int           // small control-file reads at startup (21)
-	HeaderBytes   int64         // size of each header read (~60 B)
-	ViewBytes     int64         // size of each per-frame view read (~72 B)
-	FrameBytes    int64         // image size: 640*512*3 = 983,040
-	FrameExtra    int64         // tiny header/trailer writes around each frame (7 B)
-	SetupCompute  sim.Time      // renderer subset selection after broadcast
-	FrameCompute  sim.Time      // rendering time per frame (~1.9 s)
-
-	// HiPPiOutput streams frames to the HiPPi frame buffer instead of the
-	// file system — the production configuration of §6.2 ("in actual
-	// production use, all of this output would be directed to a HiPPi
-	// frame buffer"). The traced runs (and the default) write files.
-	HiPPiOutput bool
-	// HiPPiBytesPerS is the frame-buffer channel rate (default 80 MB/s,
-	// a mid-1990s HiPPi link after protocol overhead).
-	HiPPiBytesPerS float64
-
-	Seed uint64
+	RenderNodes  int           // renderer group size (paper: 128)
+	Frames       int           // views rendered (100)
+	Terrain      []TerrainFile // input data set layout
+	HeaderReads  int           // small control-file reads at startup (21)
+	SetupCompute sim.Time      // renderer subset selection after broadcast
+	FrameCompute sim.Time      // rendering time per frame (~1.9 s)
 }
 
 // DefaultConfig returns the paper-scale configuration: 436 asynchronous
@@ -79,15 +74,9 @@ func DefaultConfig() Config {
 			{Reads: 156, ReadBytes: 3 << 19}, // 1.5 MB
 			{Reads: 156, ReadBytes: 3 << 19},
 		},
-		PrefetchDepth: 2,
-		HeaderReads:   21,
-		HeaderBytes:   60,
-		ViewBytes:     72,
-		FrameBytes:    640 * 512 * 3,
-		FrameExtra:    7,
-		SetupCompute:  30 * sim.Second,
-		FrameCompute:  1900 * sim.Millisecond,
-		Seed:          0x52454e44, // "REND"
+		HeaderReads:  21,
+		SetupCompute: 30 * sim.Second,
+		FrameCompute: 1900 * sim.Millisecond,
 	}
 }
 
@@ -151,9 +140,6 @@ func New(cfg Config) (*App, error) {
 	if cfg.RenderNodes < 1 || cfg.Frames < 0 || len(cfg.Terrain) == 0 {
 		return nil, fmt.Errorf("render: invalid config %+v", cfg)
 	}
-	if cfg.PrefetchDepth < 1 {
-		return nil, fmt.Errorf("render: prefetch depth %d", cfg.PrefetchDepth)
-	}
 	for _, tf := range cfg.Terrain {
 		if tf.Reads < 1 || tf.ReadBytes < 1 {
 			return nil, fmt.Errorf("render: invalid terrain file %+v", tf)
@@ -177,16 +163,13 @@ func (a *App) TerrainBytes() int64 {
 // TraceEvents implements workload.App. The gateway opens and closes the
 // run-control file; opens and rewinds each terrain file and issues and waits
 // on every asynchronous read; opens the view file and reads its header and
-// one view per frame; and, unless frames stream to the HiPPi buffer, creates,
-// writes (header, image, trailer) and closes one output file per frame.
+// one view per frame; and creates, writes (header, image, trailer) and closes
+// one output file per frame.
 func (a *App) TraceEvents() int {
 	cfg := a.cfg
-	n := 2 + 1 + cfg.HeaderReads + cfg.Frames
+	n := 2 + 1 + cfg.HeaderReads + 6*cfg.Frames
 	for _, tf := range cfg.Terrain {
 		n += 2 + 2*tf.Reads
-	}
-	if !cfg.HiPPiOutput {
-		n += 5 * cfg.Frames
 	}
 	return n
 }
@@ -213,7 +196,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 			return fmt.Errorf("render: %w", err)
 		}
 	}
-	viewsSize := int64(cfg.HeaderReads)*cfg.HeaderBytes + int64(cfg.Frames)*cfg.ViewBytes
+	viewsSize := int64(cfg.HeaderReads)*headerBytes + int64(cfg.Frames)*viewBytes
 	if _, err := fs.Preload("views", viewsSize); err != nil {
 		return fmt.Errorf("render: %w", err)
 	}
@@ -222,7 +205,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	a.errs = errs
 	frameStart := sim.NewBarrier(m.Eng, "render-frame-start", cfg.RenderNodes+1)
 	frameDone := sim.NewBarrier(m.Eng, "render-frame-done", cfg.RenderNodes+1)
-	rng := sim.NewRNG(cfg.Seed)
+	rng := sim.NewRNG(seed)
 	nodeRNG := make([]*sim.RNG, cfg.RenderNodes+1)
 	for i := range nodeRNG {
 		nodeRNG[i] = rng.Split()
@@ -276,7 +259,7 @@ func (a *App) runGateway(p *sim.Process, m *workload.Machine, fs workload.FS,
 				return err
 			}
 			inflight = append(inflight, ar)
-			if len(inflight) >= cfg.PrefetchDepth {
+			if len(inflight) >= prefetchDepth {
 				if _, err := inflight[0].Wait(p); err != nil {
 					return err
 				}
@@ -301,7 +284,7 @@ func (a *App) runGateway(p *sim.Process, m *workload.Machine, fs workload.FS,
 		return err
 	}
 	for i := 0; i < cfg.HeaderReads; i++ {
-		if _, err := views.Read(p, cfg.HeaderBytes); err != nil {
+		if _, err := views.Read(p, headerBytes); err != nil {
 			return err
 		}
 	}
@@ -309,35 +292,25 @@ func (a *App) runGateway(p *sim.Process, m *workload.Machine, fs workload.FS,
 	fs.SetPhase(PhaseRender)
 	for frame := 0; frame < cfg.Frames; frame++ {
 		// Next view perspective request.
-		if _, err := views.Read(p, cfg.ViewBytes); err != nil {
+		if _, err := views.Read(p, viewBytes); err != nil {
 			return err
 		}
-		m.Mesh.Broadcast(p, 0, cfg.RenderNodes+1, cfg.ViewBytes)
+		m.Mesh.Broadcast(p, 0, cfg.RenderNodes+1, viewBytes)
 		frameStart.Wait(p) // release the renderers
 		frameDone.Wait(p)  // rendering complete
-		m.Mesh.Gather(p, 0, cfg.RenderNodes+1, cfg.FrameBytes/int64(cfg.RenderNodes))
+		m.Mesh.Gather(p, 0, cfg.RenderNodes+1, frameBytes/int64(cfg.RenderNodes))
 
-		if cfg.HiPPiOutput {
-			// Stream the frame to the HiPPi frame buffer: a channel
-			// transfer, no file-system involvement.
-			rate := cfg.HiPPiBytesPerS
-			if rate <= 0 {
-				rate = 80e6
-			}
-			p.Sleep(sim.Time(float64(cfg.FrameBytes+2*cfg.FrameExtra) / rate * float64(sim.Second)))
-			continue
-		}
 		out, err := fs.Create(p, 0, fmt.Sprintf("frame%04d", frame), iotrace.ModeUnix)
 		if err != nil {
 			return err
 		}
-		if _, err := out.Write(p, cfg.FrameExtra); err != nil {
+		if _, err := out.Write(p, frameExtra); err != nil {
 			return err
 		}
-		if _, err := out.Write(p, cfg.FrameBytes); err != nil {
+		if _, err := out.Write(p, frameBytes); err != nil {
 			return err
 		}
-		if _, err := out.Write(p, cfg.FrameExtra); err != nil {
+		if _, err := out.Write(p, frameExtra); err != nil {
 			return err
 		}
 		if err := out.Close(p); err != nil {

@@ -106,6 +106,21 @@ func AddShards(fs *flag.FlagSet) *int {
 // Scenario folds the parsed flags into a scenario and validates it. Errors
 // name the flag, not the scenario field.
 func (s *Study) Scenario() (*scenario.Scenario, error) {
+	// A dependent flag given without its switch would be silently ignored.
+	set := map[string]bool{}
+	s.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, d := range []struct {
+		flag, needs string
+		on          bool
+	}{
+		{"cache-mb", "cache", s.cache}, {"prefetch", "cache", s.cache}, {"flush-on-fail", "cache", s.cache},
+		{"burst-mb", "burst", s.burst}, {"burst-drain", "burst", s.burst}, {"compress", "burst", s.burst},
+		{"repair-mb-s", "repair", s.repair}, {"repair-give-up", "repair", s.repair},
+	} {
+		if set[d.flag] && !d.on {
+			return nil, fmt.Errorf("-%s needs -%s", d.flag, d.needs)
+		}
+	}
 	// The scenario reads 0 in these fields as "use the default"; on the
 	// command line a 0 would silently become that default.
 	for _, name := range []string{"cache-mb", "burst-mb", "chaos-window", "ckpt-bytes"} {

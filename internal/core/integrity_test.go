@@ -3,14 +3,179 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
+
+// sweepCorruptionPlan builds the single-class corruption plan one sweep cell
+// injects. Rates are calibrated for the small studies' resident data.
+func sweepCorruptionPlan(class integrity.Class) fault.CorruptionPlan {
+	switch class {
+	case integrity.BitRot:
+		return fault.CorruptionPlan{BitRotPerGBHour: 2e5, Start: 0, End: 60 * sim.Second}
+	case integrity.TornWrite:
+		return fault.CorruptionPlan{TornWriteProb: 0.05}
+	case integrity.Misdirected:
+		return fault.CorruptionPlan{MisdirectProb: 0.05}
+	}
+	return fault.CorruptionPlan{}
+}
+
+// CorruptionSweep runs each application under each corruption class with the
+// integrity layer (and scrubber) enabled, and tallies detection coverage from
+// the corruption event log. The invariant the robustness work claims — no
+// injected error stays both undetected and unresolved — shows up as a zero
+// Latent column: every corruption is either detected (by a read, the
+// scrubber, or the end-of-run audit) or healed by a later full rewrite of its
+// block. The sweep is deterministic: same seed, same rows.
+func CorruptionSweep(small bool, seed uint64) ([]CorruptionSweepRow, error) {
+	classes := []integrity.Class{integrity.BitRot, integrity.TornWrite, integrity.Misdirected}
+	type cell struct {
+		app   AppID
+		class integrity.Class
+	}
+	var cells []cell
+	for _, app := range Apps() {
+		for _, class := range classes {
+			cells = append(cells, cell{app, class})
+		}
+	}
+	return exec.Map(cells, func(_ int, c cell) (CorruptionSweepRow, error) {
+		study := sweepStudy(c.app, small)
+		study.Machine.PFS.Integrity = integrity.Config{
+			Enabled: true,
+			Scrub: integrity.ScrubConfig{
+				Enabled:       true,
+				RateBytesPerS: 16 << 20,
+				Window:        60 * sim.Second,
+			},
+		}
+		// Unrepairable classes (torn, misdirected) need the replica path
+		// and the client's corrupt-read retries to survive the run.
+		study.Machine.PFS.Failover = pfs.DefaultFailoverConfig()
+		study.Machine.PFS.Replication.Factor = 2
+		study.Machine.PFS.Reliability = pfs.DefaultReliabilityConfig()
+		study.Faults.Corruption = sweepCorruptionPlan(c.class)
+		study.FaultSeed = seed
+		r, err := Run(study)
+		if err != nil {
+			return CorruptionSweepRow{}, fmt.Errorf("corruption sweep: %s/%s: %w", c.app, c.class, err)
+		}
+		row := CorruptionSweepRow{App: string(c.app), Class: c.class}
+		if r.Integrity != nil {
+			for _, cc := range r.Integrity.ByClass() {
+				if cc.Class != c.class {
+					continue
+				}
+				row.Injected = cc.Injected
+				row.Detected = cc.Detected
+				row.Repaired = cc.Repaired + cc.Rewritten
+				row.Unrepairable = cc.Unrepairable
+				row.Latent = cc.Latent
+			}
+		}
+		return row, nil
+	})
+}
+
+// ModeIntegritySweep measures the checksum layer's verify overhead under all
+// six PFS access modes: one synthetic workload per mode, run with the layer
+// off and then on, no corruption injected — the cost of integrity on the
+// healthy path.
+func ModeIntegritySweep(icfg integrity.Config) ([]IntegrityOverheadRow, error) {
+	icfg.Enabled = true
+	base := pfs.DefaultConfig()
+	verCfg := base
+	verCfg.Integrity = icfg
+
+	cells := modeCells()
+	pairs, err := runPairs("integrity sweep", [2]string{"base", "verified"}, cells, runModes(base, verCfg))
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]IntegrityOverheadRow, 0, len(cells))
+	for i, cell := range cells {
+		b, v := pairs[i][0], pairs[i][1]
+		bm, n := meanFor(b.Summary, cell.labels...)
+		vm, _ := meanFor(v.Summary, cell.labels...)
+		rows = append(rows, IntegrityOverheadRow{
+			Mode: cell.name, Op: cell.op, Ops: n,
+			BaseMean: bm, Verified: vm,
+			BaseWall: b.Wall, VerWall: v.Wall,
+		})
+	}
+	return rows, nil
+}
+
+// IntegrityOverheadRow is one access mode's verify-overhead measurement: the
+// same synthetic workload run with the integrity layer off and on.
+type IntegrityOverheadRow struct {
+	Mode     string
+	Op       string
+	Ops      int64
+	BaseMean sim.Time // mean per-op node time, integrity off
+	Verified sim.Time // mean per-op node time, integrity on
+	BaseWall sim.Time
+	VerWall  sim.Time
+}
+
+// Overhead returns the relative per-op slowdown (0 when no baseline).
+func (r IntegrityOverheadRow) Overhead() float64 {
+	if r.BaseMean <= 0 {
+		return 0
+	}
+	return float64(r.Verified)/float64(r.BaseMean) - 1
+}
+
+// RenderIntegrityOverhead formats a verify-overhead sweep as a table.
+func RenderIntegrityOverhead(rows []IntegrityOverheadRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Checksum verify overhead by access mode:\n")
+	fmt.Fprintf(&b, "  %-10s %-6s %6s %12s %12s %9s %12s %12s\n",
+		"mode", "op", "ops", "base mean", "verified", "overhead", "base wall", "ver wall")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %-10s %-6s %6d %12s %12s %8.1f%% %12s %12s\n",
+			r.Mode, r.Op, r.Ops, fmtT(r.BaseMean), fmtT(r.Verified),
+			100*r.Overhead(), fmtT(r.BaseWall), fmtT(r.VerWall))
+	}
+	return b.String()
+}
+
+// CorruptionSweepRow is one (application, corruption class) cell of the
+// detection-coverage sweep.
+type CorruptionSweepRow struct {
+	App          string
+	Class        integrity.Class
+	Injected     int
+	Detected     int
+	Repaired     int // parity + rewrite
+	Unrepairable int // detected, reported open on the incident timeline
+	Latent       int // neither detected nor resolved — must be zero
+}
+
+// RenderCorruptionSweep formats the detection-coverage sweep as a table.
+func RenderCorruptionSweep(rows []CorruptionSweepRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Corruption detection sweep:\n")
+	fmt.Fprintf(&b, "  %-8s %-18s %9s %9s %9s %13s %7s\n",
+		"app", "class", "injected", "detected", "repaired", "unrepairable", "latent")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %-8s %-18s %9d %9d %9d %13d %7d\n",
+			r.App, r.Class, r.Injected, r.Detected, r.Repaired, r.Unrepairable, r.Latent)
+	}
+	return b.String()
+}
+
+// fmtT formats a simulated duration in seconds, as the analysis package's
+// report sections do.
+func fmtT(t sim.Time) string { return fmt.Sprintf("%.3fs", float64(t)/float64(sim.Second)) }
 
 func TestCorruptionSweepDetectsEverything(t *testing.T) {
 	rows, err := CorruptionSweep(true, 11)

@@ -39,13 +39,13 @@ func renderAllSweeps(t *testing.T) string {
 	if err != nil {
 		t.Fatalf("CorruptionSweep: %v", err)
 	}
-	out += analysis.RenderCorruptionSweep(corrRows)
+	out += RenderCorruptionSweep(corrRows)
 
 	integRows, err := ModeIntegritySweep(integrity.DefaultConfig())
 	if err != nil {
 		t.Fatalf("ModeIntegritySweep: %v", err)
 	}
-	out += analysis.RenderIntegrityOverhead(integRows)
+	out += RenderIntegrityOverhead(integRows)
 
 	scalePts, err := ESCATScaling([]int{4, 8}, 4)
 	if err != nil {

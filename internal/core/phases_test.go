@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apps/htf"
 	"repro/internal/iotrace"
+	"repro/internal/race"
 )
 
 // TestHTFFiguresAndTablesPartitionOnce checks that every per-phase view of
@@ -18,7 +19,8 @@ import (
 // its three programs one after another, so the partition aliases the trace
 // and the views allocate only their own output: less than half a copy of
 // the trace beyond the figures' points, where per-call filtering copies the
-// whole trace three times over.
+// whole trace three times over. The allocation bound skips under -race,
+// whose runtime allocates on its own; the aliasing checks still run.
 func TestHTFFiguresAndTablesPartitionOnce(t *testing.T) {
 	r, err := Run(SmallStudy(HTF))
 	if err != nil {
@@ -46,6 +48,9 @@ func TestHTFFiguresAndTablesPartitionOnce(t *testing.T) {
 		if evs := r.phaseEvents(ph); len(evs) == 0 || !aliases(evs, r.Events) {
 			t.Fatalf("phase %s is not a sub-slice of the trace", ph)
 		}
+	}
+	if race.Enabled {
+		return
 	}
 	var points uint64
 	for _, f := range figs {

@@ -25,9 +25,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/integrity"
 	"repro/internal/ionode"
-	"repro/internal/pfs"
 	"repro/internal/ppfs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -49,9 +47,6 @@ type Study = core.Study
 // Report is a completed run's traces, tables and reductions.
 type Report = core.Report
 
-// Figure is one reproduced paper figure.
-type Figure = core.Figure
-
 // Policy selects PPFS client-side behaviors for policy studies: every PPFS
 // run uses the §5.2 configuration, and Policy.Adaptive lets the access-pattern
 // classifier turn prefetching and write-behind off per stream.
@@ -59,9 +54,6 @@ type Policy = ppfs.Policy
 
 // CrossoverModel is the §7.2 recompute-vs-reread analysis.
 type CrossoverModel = core.CrossoverModel
-
-// Apps lists the available applications.
-func Apps() []AppID { return core.Apps() }
 
 // PaperStudy returns the study reproducing the paper's traced run of app.
 func PaperStudy(app AppID) Study { return core.PaperStudy(app) }
@@ -79,18 +71,6 @@ func DefaultPolicy() Policy { return ppfs.DefaultPolicy() }
 // DefaultCrossoverModel returns the paper-calibrated §7.2 parameters.
 func DefaultCrossoverModel() CrossoverModel { return core.DefaultCrossoverModel() }
 
-// ScalingPoint is one row of an ESCAT node-scaling sweep.
-type ScalingPoint = core.ScalingPoint
-
-// ESCATScaling runs ESCAT across compute-partition sizes with the per-node
-// work held constant: how the shared-file small-write pattern scales.
-func ESCATScaling(nodeCounts []int, iterations int) ([]ScalingPoint, error) {
-	return core.ESCATScaling(nodeCounts, iterations)
-}
-
-// RenderScaling formats a node-scaling sweep.
-func RenderScaling(pts []ScalingPoint) string { return core.RenderScaling(pts) }
-
 // Fault injection & resilience (the chaos side of the machine model).
 
 // Time is the simulated clock's type; Seconds converts wall seconds into it.
@@ -102,37 +82,18 @@ func Seconds(s float64) Time { return sim.FromSeconds(s) }
 // FaultPlan is a declarative chaos schedule; the zero plan injects nothing.
 type FaultPlan = fault.Plan
 
-// FaultEvent, FaultExp and FaultCascade are a plan's building blocks: fixed
-// events, Poisson failure processes, and correlated multi-node cascades.
+// FaultEvent and FaultCascade are a plan's building blocks: fixed events and
+// correlated multi-node cascades.
 type (
 	FaultEvent   = fault.Event
-	FaultExp     = fault.Exp
 	FaultCascade = fault.Cascade
 )
 
-// Fault kinds, and the AnyNode random-target selector.
+// Fault kinds.
 const (
 	DiskFailure  = fault.DiskFailure
 	IONodeOutage = fault.IONodeOutage
-	LatencyStorm = fault.LatencyStorm
-	AnyNode      = fault.AnyNode
 )
-
-// Corruption kinds (incident-timeline labels of the silent-data-corruption
-// classes; scheduled via FaultPlan.Corruption, not discrete events).
-const (
-	BitRot           = fault.BitRot
-	TornWrite        = fault.TornWrite
-	MisdirectedWrite = fault.MisdirectedWrite
-)
-
-// CorruptionPlan schedules silent data corruption — bit-rot arrivals plus
-// torn/misdirected write probabilities — as FaultPlan.Corruption. It requires
-// the integrity layer (Study.Machine.PFS.Integrity).
-type CorruptionPlan = fault.CorruptionPlan
-
-// Incident is one realized fault on the timeline.
-type Incident = fault.Incident
 
 // CheckpointConfig is the coordinated checkpoint policy for resilient runs.
 type CheckpointConfig = ckpt.Config
@@ -152,13 +113,6 @@ type ResilienceReport = analysis.ResilienceReport
 // last committed checkpoint after each fatal fault.
 func RunResilient(rs ResilientStudy) (*ResilientReport, error) { return core.RunResilient(rs) }
 
-// TradeoffSweep reruns a resilient study across checkpoint intervals and
-// collects the overhead-versus-lost-work curve; render it with
-// analysis.RenderTradeoff.
-func TradeoffSweep(rs ResilientStudy, intervals []int) ([]analysis.TradeoffPoint, error) {
-	return core.TradeoffSweep(rs, intervals)
-}
-
 // RenderResilience formats a resilience summary as text.
 func RenderResilience(r ResilienceReport) string { return analysis.RenderResilience(r) }
 
@@ -169,13 +123,6 @@ func RenderResilience(r ResilienceReport) string { return analysis.RenderResilie
 // pattern-driven prefetch, and the outage policy for dirty blocks. Blocks are
 // one stripe unit. Set it as Study.Machine.PFS.Cache.
 type CacheConfig = cache.Config
-
-// CacheStats is one cache's (or the aggregate's) counter set.
-type CacheStats = cache.Stats
-
-// CacheReport is a run's cache-effectiveness section; Report.Cache carries it
-// when the study ran with caching enabled.
-type CacheReport = analysis.CacheReport
 
 // CacheComparison is one workload's cached-versus-uncached outcome.
 type CacheComparison = analysis.CacheComparison
@@ -196,80 +143,9 @@ func ModeCacheSweep(ccfg CacheConfig) ([]CacheComparison, error) {
 	return core.ModeCacheSweep(ccfg)
 }
 
-// RenderCacheReport formats a cache-effectiveness report as text.
-func RenderCacheReport(r *CacheReport) string { return analysis.RenderCacheReport(r) }
-
 // RenderCacheSweep formats a cached-versus-uncached comparison table.
 func RenderCacheSweep(title string, rows []CacheComparison) string {
 	return analysis.RenderCacheSweep(title, rows)
-}
-
-// RenderTradeoff formats a tradeoff sweep as text.
-func RenderTradeoff(points []analysis.TradeoffPoint) string { return analysis.RenderTradeoff(points) }
-
-// End-to-end data integrity: checksummed blocks, scrub/repair, corruption
-// injection, and the deadline-aware client reliability layer.
-
-// IntegrityConfig attaches a checksum store to every I/O node (set as
-// Study.Machine.PFS.Integrity); ScrubConfig its background scrubber.
-type (
-	IntegrityConfig = integrity.Config
-	ScrubConfig     = integrity.ScrubConfig
-)
-
-// ReliabilityConfig layers per-request deadlines and bounded corrupt-read
-// retries onto the PFS client (set as Study.Machine.PFS.Reliability). Retries
-// back off from 10 ms, doubling, with 20% seeded jitter.
-type ReliabilityConfig = pfs.ReliabilityConfig
-
-// IntegrityReport is a run's end-to-end data-integrity section; Report.
-// Integrity carries it when the checksum or reliability layer was active.
-type IntegrityReport = analysis.IntegrityReport
-
-// CorruptionSweepRow and IntegrityOverheadRow are the integrity sweeps' row
-// types.
-type (
-	CorruptionSweepRow   = analysis.CorruptionSweepRow
-	IntegrityOverheadRow = analysis.IntegrityOverheadRow
-)
-
-// DefaultIntegrityConfig returns the enabled checksum layer with calibrated
-// verify costs (scrubbing off; enable via the Scrub field).
-func DefaultIntegrityConfig() IntegrityConfig { return integrity.DefaultConfig() }
-
-// DefaultScrubConfig returns the default background-scrub policy (4 MB/s
-// in 512 KB slices, 600 s window).
-func DefaultScrubConfig() ScrubConfig { return integrity.DefaultScrubConfig() }
-
-// DefaultReliabilityConfig returns the enabled client reliability policy:
-// no deadline, 3 retries.
-func DefaultReliabilityConfig() ReliabilityConfig { return pfs.DefaultReliabilityConfig() }
-
-// CorruptionSweep runs every application under every corruption class with
-// the integrity layer, scrubber, replication and client retries enabled, and
-// tallies detection coverage; render with RenderCorruptionSweep.
-func CorruptionSweep(small bool, seed uint64) ([]CorruptionSweepRow, error) {
-	return core.CorruptionSweep(small, seed)
-}
-
-// ModeIntegritySweep measures the checksum layer's healthy-path verify
-// overhead under all six PFS access modes; render with
-// RenderIntegrityOverhead.
-func ModeIntegritySweep(icfg IntegrityConfig) ([]IntegrityOverheadRow, error) {
-	return core.ModeIntegritySweep(icfg)
-}
-
-// RenderIntegrityReport formats a run's integrity section as text.
-func RenderIntegrityReport(r *IntegrityReport) string { return analysis.RenderIntegrityReport(r) }
-
-// RenderCorruptionSweep formats the detection-coverage sweep as a table.
-func RenderCorruptionSweep(rows []CorruptionSweepRow) string {
-	return analysis.RenderCorruptionSweep(rows)
-}
-
-// RenderIntegrityOverhead formats the verify-overhead sweep as a table.
-func RenderIntegrityOverhead(rows []IntegrityOverheadRow) string {
-	return analysis.RenderIntegrityOverhead(rows)
 }
 
 // Host-side burst buffering: a per-compute-node log tier between the
@@ -285,10 +161,6 @@ type (
 	BurstCompressConfig = burst.CompressConfig
 )
 
-// BurstStats is the tier's counter set: commits, drains, bypasses,
-// backpressure, and the undrained residue.
-type BurstStats = burst.Stats
-
 // BurstReport is a run's burst-tier section (Report.Burst carries it when the
 // study ran with the tier); BurstComparison one application's direct-versus-
 // tier outcome.
@@ -300,11 +172,6 @@ type (
 // DefaultBurstConfig returns the default tier: a 64 MB node log committing at
 // 400 MB/s with 1.8x compression on the drain path.
 func DefaultBurstConfig() BurstConfig { return burst.DefaultConfig() }
-
-// BurstOutputPrefixes returns the file-name prefixes of an application's bulk
-// output traffic, for routing ordinary writes through the log (none of the
-// paper's applications use M_LOG).
-func BurstOutputPrefixes(app AppID) []string { return core.OutputPrefixes(app) }
 
 // BurstSweep runs the three applications direct and through the tier under
 // one checkpoint policy and reports the makespan and checkpoint-stall change.
@@ -336,10 +203,6 @@ type CollectiveStats = collective.Stats
 // Study.Machine.PFS.Sched). The zero value keeps the legacy FIFO queue.
 type SchedConfig = ionode.SchedConfig
 
-// SchedStats counts one node dispatcher's grants, reorders and elevator
-// wraps; Report.Sched carries one entry per I/O node.
-type SchedStats = ionode.SchedStats
-
 // CollectiveComparison is one workload's collective-versus-direct outcome.
 type CollectiveComparison = analysis.CollectiveComparison
 
@@ -364,9 +227,6 @@ func ModeCollectiveSweep(ccfg CollectiveConfig, sched SchedConfig) ([]Collective
 // including the logical-versus-physical request-size histogram.
 func RenderCollectiveReport(st *CollectiveStats) string { return analysis.RenderCollectiveReport(st) }
 
-// RenderSchedReport formats the per-node disk-scheduling counters.
-func RenderSchedReport(rows []SchedStats) string { return analysis.RenderSchedReport(rows) }
-
 // RenderCollectiveSweep formats a collective-versus-direct comparison table.
 func RenderCollectiveSweep(title string, rows []CollectiveComparison) string {
 	return analysis.RenderCollectiveSweep(title, rows)
@@ -380,22 +240,8 @@ func RenderCollectiveSweep(title string, rows []CollectiveComparison) string {
 // Scenario is one parsed scenario file.
 type Scenario = scenario.Scenario
 
-// ScenarioResult is one executed scenario: the resilient report, the
-// realized fleet, the measurements, and the assertion verdicts.
-type ScenarioResult = scenario.Result
-
-// ScenarioFleet is the realized machine shape a fleet_gen section expands to.
-type ScenarioFleet = scenario.Fleet
-
 // ParseScenario decodes and validates a scenario from YAML or JSON bytes.
 func ParseScenario(data []byte, path string) (*Scenario, error) { return scenario.Parse(data, path) }
-
-// LoadScenario reads and parses one scenario file.
-func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
-
-// RenderScenarioFleet formats the realized fleet section (empty for the
-// default homogeneous shape).
-func RenderScenarioFleet(f *ScenarioFleet) string { return scenario.RenderFleet(f) }
 
 // RenderScenarioChecks formats the assertion verdict section.
 func RenderScenarioChecks(name string, m scenario.Measurements, checks []scenario.Check) string {

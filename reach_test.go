@@ -31,11 +31,13 @@ var wellKnown = map[string]bool{
 // TestNoCodeOnlyTestsReach fails on any function or method of the module's
 // non-test code (the separate bench module aside) that no program reaches,
 // so that only tests call it. It type-checks every non-test package and walks
-// the call graph from every main and init, the package-level initializers
-// and the exported API of this facade. A call through an interface reaches
-// every method of that name. testdata/reach_allow.txt lists the accessors
-// kept for tests to observe state; a listed function that is reached, or
-// that does not exist, fails the test too.
+// the call graph from every main and init and the package-level
+// initializers; a method with a well-known name counts as reached. The
+// exported API of this facade is no root: a facade function that no example
+// or command calls is as dead as any other. A call through an interface
+// reaches every method of that name. testdata/reach_allow.txt lists the
+// accessors kept for tests to observe state; a listed function that is
+// reached, or that does not exist, fails the test too.
 func TestNoCodeOnlyTestsReach(t *testing.T) {
 	const module = "repro"
 	m, err := loadRepro()
@@ -69,7 +71,6 @@ func TestNoCodeOnlyTestsReach(t *testing.T) {
 				n.references(p.info, fd)
 				nodes[fn] = n
 				if fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && p.pkg.Name() == "main") ||
-					p.pkg.Path() == module && fd.Name.IsExported() ||
 					fd.Recv != nil && wellKnown[fd.Name.Name] {
 					roots = append(roots, fn)
 				}
@@ -253,8 +254,9 @@ func readAllowList(name string) (map[string]bool, error) {
 // named *Config, or Policy, under internal/) that no program sets: a field
 // only its own package's defaulting functions (Default*, Normalized,
 // normalized, withDefaults) write is a constant that tests and readers must
-// still reason about. internal/apps (the paper's workload parameters) and
-// internal/scenario (set by JSON decoding) are out of scope.
+// still reason about. That includes the application skeletons under
+// internal/apps: a fact of the traced run, such as a record size, is a
+// constant there. internal/scenario (set by JSON decoding) is out of scope.
 // testdata/setting_allow.txt lists the fields kept on purpose; a listed field
 // that is set, or that does not exist, fails the test too.
 func TestNoSettingOnlyTestsSet(t *testing.T) {
@@ -273,8 +275,7 @@ func TestNoSettingOnlyTestsSet(t *testing.T) {
 	settings := map[*types.Var]setting{}
 	for _, p := range pkgs {
 		path := p.pkg.Path()
-		if !strings.HasPrefix(path, module+"/internal/") ||
-			strings.HasPrefix(path, module+"/internal/apps") || path == module+"/internal/scenario" {
+		if !strings.HasPrefix(path, module+"/internal/") || path == module+"/internal/scenario" {
 			continue
 		}
 		scope := p.pkg.Scope()
