@@ -236,8 +236,7 @@ func BenchmarkAblationESCATWriteBehind(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(pol *iochar.Policy) *iochar.Report {
 			study := iochar.PaperStudy(iochar.ESCAT)
-			study.ESCATConfig = &cfg
-			study.Machine.ComputeNodes = cfg.Nodes
+			study.App = cfg
 			study.Policy = pol
 			r, err := iochar.Run(study)
 			if err != nil {
@@ -364,8 +363,7 @@ func BenchmarkRecomputeVsRereadHTF(b *testing.B) {
 			cfg.SCFPasses = 3
 			cfg.RecomputeIntegrals = rc
 			study := iochar.PaperStudy(iochar.HTF)
-			study.HTFConfig = &cfg
-			study.Machine.ComputeNodes = cfg.Nodes
+			study.App = cfg
 			r, err := iochar.Run(study)
 			if err != nil {
 				b.Fatal(err)

@@ -103,6 +103,7 @@ func cliOutputDigests(t *testing.T) string {
 		{"stress", "-scenario", "outage", "-failover=false", "-sweep", "0,2"},
 		{"stress", "-scenario", "outage", "-corrupt", "all", "-scrub", "-deadline", "0.5", "-retries", "4", "-seed", "11"},
 		{"stress", "-scenario", "none", "-burst", "-burst-mb", "32", "-compress", "2.0"},
+		{"stress", "-scenario", "none", "-collective", "-scrub"},
 		{"iochar", "-app", "escat", "-small", "-corrupt", "all", "-scrub", "-seed", "11"},
 		{"iochar", "-app", "render", "-small", "-burst"},
 		{"iochar", "-app", "htf", "-small", "-cache", "-prefetch=false"},

@@ -87,7 +87,7 @@ func run(args []string, out io.Writer) error {
 		// iochar runs without checkpointing, so route the application's bulk
 		// output files through the log by name prefix — otherwise the tier
 		// would sit idle (no application in the suite uses M_LOG).
-		study.Burst.Prefixes = append(core.OutputPrefixes(core.AppID(app)), study.Burst.Prefixes...)
+		study.Burst.Prefixes = append(study.App.OutputPrefixes(), study.Burst.Prefixes...)
 	}
 	if fl := scenario.RenderFleet(fleet); fl != "" {
 		fmt.Fprint(out, fl)
@@ -125,21 +125,7 @@ func run(args []string, out io.Writer) error {
 			s.BufferedWrites, s.DirectWrites, s.Flushes,
 			analysis.HumanBytes(s.MeanFlushExtent()), s.Drains, s.Prefetches)
 	}
-	if report.Cache != nil {
-		fmt.Fprintln(out, analysis.RenderCacheReport(report.Cache))
-	}
-	if report.Collective != nil {
-		fmt.Fprintln(out, analysis.RenderCollectiveReport(report.Collective))
-	}
-	if len(report.Sched) > 0 {
-		fmt.Fprintln(out, analysis.RenderSchedReport(report.Sched))
-	}
-	if report.Burst != nil {
-		fmt.Fprintln(out, analysis.RenderBurstReport(report.Burst))
-	}
-	if report.Integrity != nil {
-		fmt.Fprintln(out, analysis.RenderIntegrityReport(report.Integrity))
-	}
+	fmt.Fprint(out, report.RenderSubsystems())
 	if len(report.Incidents) > 0 {
 		fmt.Fprintln(out, analysis.RenderResilience(report.Resilience()))
 	}

@@ -83,6 +83,7 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 		{[]string{"-small", "-compress", "2"}, "-compress needs -burst"},
 		{[]string{"-small", "-repair-mb-s", "5"}, "-repair-mb-s needs -repair"},
 		{[]string{"-small", "-repair-give-up", "3"}, "-repair-give-up needs -repair"},
+		{[]string{"-small", "-window", "1e-7"}, "-window 1e-07 is below the clock's 1 µs resolution"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

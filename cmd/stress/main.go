@@ -118,20 +118,8 @@ func run(args []string, out io.Writer) error {
 func printResilientReport(out io.Writer, rr *core.ResilientReport) {
 	printAttempts(out, rr.Attempts)
 	printIncidents(out, rr.Incidents)
-	if rr.Final != nil && rr.Final.Cache != nil {
-		fmt.Fprintln(out, analysis.RenderCacheReport(rr.Final.Cache))
-	}
-	if rr.Final != nil && rr.Final.Integrity != nil {
-		fmt.Fprintln(out, analysis.RenderIntegrityReport(rr.Final.Integrity))
-	}
-	if rr.Final != nil && rr.Final.Collective != nil {
-		fmt.Fprintln(out, analysis.RenderCollectiveReport(rr.Final.Collective))
-	}
-	if rr.Final != nil && len(rr.Final.Sched) > 0 {
-		fmt.Fprintln(out, analysis.RenderSchedReport(rr.Final.Sched))
-	}
-	if rr.Final != nil && rr.Final.Burst != nil {
-		fmt.Fprintln(out, analysis.RenderBurstReport(rr.Final.Burst))
+	if rr.Final != nil {
+		fmt.Fprint(out, rr.Final.RenderSubsystems())
 	}
 	fmt.Fprint(out, analysis.RenderResilience(rr.Resilience()))
 }

@@ -74,8 +74,7 @@ func main() {
 
 func run(cfg escat.Config, pol *iochar.Policy) *iochar.Report {
 	study := iochar.PaperStudy(iochar.ESCAT)
-	study.ESCATConfig = &cfg
-	study.Machine.ComputeNodes = cfg.Nodes
+	study.App = cfg
 	study.Policy = pol
 	report, err := iochar.Run(study)
 	if err != nil {

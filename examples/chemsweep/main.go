@@ -34,8 +34,7 @@ func main() {
 	cfg.Nodes = 16
 	cfg.IntegralRecords = 96
 	study := iochar.PaperStudy(iochar.HTF)
-	study.HTFConfig = &cfg
-	study.Machine.ComputeNodes = cfg.Nodes
+	study.App = cfg
 	report, err := iochar.Run(study)
 	if err != nil {
 		log.Fatal(err)

@@ -24,7 +24,7 @@ func main() {
 	cfg := render.DefaultConfig()
 	cfg.Frames = 20
 	study := iochar.PaperStudy(iochar.RENDER)
-	study.RENDERConfig = &cfg
+	study.App = cfg
 
 	report, err := iochar.Run(study)
 	if err != nil {

@@ -47,19 +47,25 @@ func (r *BurstReport) CompressRatio() float64 {
 	return float64(r.Stats.DrainedBytes) / float64(r.Stats.WireBytes)
 }
 
+// AppEnd returns the completion instant of the latest traced operation: the
+// application's effective finish, excluding injector processes (a background
+// RAID rebuild, say) and burst-tier drain writes that keep the simulated
+// clock running after the application is done.
+func AppEnd(events []iotrace.Event) sim.Time {
+	var end sim.Time
+	for _, e := range events {
+		if e.Phase != pfs.PhaseBurstDrain && e.End > end {
+			end = e.End
+		}
+	}
+	return end
+}
+
 // BuildBurstReport derives the burst-tier report from the tier's counters and
 // the run's trace (drain writes carry the pfs.PhaseBurstDrain label, so their
 // overlap with the application timeline is read straight off the events).
 func BuildBurstReport(st burst.Stats, events []iotrace.Event) *BurstReport {
-	r := &BurstReport{Stats: st, LastDrainEnd: st.LastDrainEnd}
-	for _, e := range events {
-		if e.Phase == pfs.PhaseBurstDrain {
-			continue
-		}
-		if e.End > r.AppEnd {
-			r.AppEnd = e.End
-		}
-	}
+	r := &BurstReport{Stats: st, LastDrainEnd: st.LastDrainEnd, AppEnd: AppEnd(events)}
 	for _, e := range events {
 		if e.Phase != pfs.PhaseBurstDrain {
 			continue

@@ -117,13 +117,32 @@ type App struct {
 	errs *workload.NodeErrors
 }
 
-// New validates the configuration and builds the app.
-func New(cfg Config) (*App, error) {
-	if cfg.Nodes < 1 || cfg.Iterations < 1 {
-		return nil, fmt.Errorf("escat: invalid config %+v", cfg)
+// New implements workload.AppConfig: it validates the configuration and
+// builds the app.
+func (c Config) New() (workload.App, error) {
+	if c.Nodes < 1 || c.Iterations < 1 {
+		return nil, fmt.Errorf("escat: invalid config %+v", c)
 	}
-	return &App{cfg: cfg}, nil
+	return &App{cfg: c}, nil
 }
+
+// ComputeNodes implements workload.AppConfig.
+func (c Config) ComputeNodes() int { return c.Nodes }
+
+// WithNodes implements workload.AppConfig.
+func (c Config) WithNodes(n int) (workload.AppConfig, error) {
+	c.Nodes = n
+	return c, nil
+}
+
+// WithCkpt implements workload.AppConfig: the quadrature loop checkpoints.
+func (c Config) WithCkpt(ck workload.Checkpointer) (workload.AppConfig, bool) {
+	c.Ckpt = ck
+	return c, true
+}
+
+// OutputPrefixes implements workload.AppConfig: the staging and output files.
+func (Config) OutputPrefixes() []string { return []string{"escat.quad", "escat.sys"} }
 
 // Name implements workload.App.
 func (*App) Name() string { return "escat" }

@@ -22,14 +22,14 @@ func runESCAT(t testing.TB, cfg Config) ([]iotrace.Event, *workload.Machine) {
 	}
 	tr := pablo.NewTracer(true)
 	m.PFS.SetRecorder(tr)
-	app, err := New(cfg)
+	app, err := cfg.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := workload.Run(m, workload.WrapPFS(m.PFS), app); err != nil {
 		t.Fatal(err)
 	}
-	if err := app.Err(); err != nil {
+	if err := app.(*App).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Events(), m
@@ -261,7 +261,7 @@ func TestInvalidConfigsRejected(t *testing.T) {
 		{Nodes: 4, Iterations: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := cfg.New(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
@@ -275,7 +275,7 @@ func TestConfigLargerThanMachineRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, _ := New(cfg)
+	app, _ := cfg.New()
 	if err := app.Launch(m, workload.WrapPFS(m.PFS)); err == nil {
 		t.Fatal("oversized config accepted")
 	}

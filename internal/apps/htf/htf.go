@@ -128,7 +128,6 @@ func CostModel() pfs.CostModel {
 // epoch's I/O system (see EXPERIMENTS.md).
 func MachineConfig() workload.MachineConfig {
 	mc := workload.DefaultMachineConfig()
-	mc.ComputeNodes = DefaultConfig().Nodes
 	mc.PFS.Cost = CostModel()
 	mc.PFS.Disk.Position = 50 * sim.Millisecond
 	mc.PFS.Disk.Overhead = 25 * sim.Millisecond
@@ -149,16 +148,40 @@ type App struct {
 	errs *workload.NodeErrors
 }
 
-// New validates the configuration and builds the app.
-func New(cfg Config) (*App, error) {
-	if cfg.Nodes < 1 || cfg.IntegralRecords < cfg.Nodes {
-		return nil, fmt.Errorf("htf: invalid config %+v", cfg)
+// New implements workload.AppConfig: it validates the configuration and
+// builds the app.
+func (c Config) New() (workload.App, error) {
+	if c.Nodes < 1 || c.IntegralRecords < c.Nodes {
+		return nil, fmt.Errorf("htf: invalid config %+v", c)
 	}
-	if cfg.SCFPasses < 1 || cfg.ExtraSCFRecords < 0 {
-		return nil, fmt.Errorf("htf: invalid passes in config %+v", cfg)
+	if c.SCFPasses < 1 || c.ExtraSCFRecords < 0 {
+		return nil, fmt.Errorf("htf: invalid passes in config %+v", c)
 	}
-	return &App{cfg: cfg}, nil
+	return &App{cfg: c}, nil
 }
+
+// ComputeNodes implements workload.AppConfig.
+func (c Config) ComputeNodes() int { return c.Nodes }
+
+// WithNodes implements workload.AppConfig: every node needs at least one
+// integral record.
+func (c Config) WithNodes(n int) (workload.AppConfig, error) {
+	if c.IntegralRecords < n {
+		return nil, fmt.Errorf("htf needs <= %d (one integral record per node at this scale), got %d", c.IntegralRecords, n)
+	}
+	c.Nodes = n
+	return c, nil
+}
+
+// WithCkpt implements workload.AppConfig: the SCF loop checkpoints.
+func (c Config) WithCkpt(ck workload.Checkpointer) (workload.AppConfig, bool) {
+	c.Ckpt = ck
+	return c, true
+}
+
+// OutputPrefixes implements workload.AppConfig: the integral files, the SCF
+// scratch files and the setup outputs.
+func (Config) OutputPrefixes() []string { return []string{"integrals.", "pscf.scratch", "htf."} }
 
 // Name implements workload.App.
 func (*App) Name() string { return "htf" }

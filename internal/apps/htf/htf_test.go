@@ -20,14 +20,14 @@ func runHTF(t testing.TB, cfg Config) ([]iotrace.Event, *workload.Machine) {
 	}
 	tr := pablo.NewTracer(true)
 	m.PFS.SetRecorder(tr)
-	app, err := New(cfg)
+	app, err := cfg.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := workload.Run(m, workload.WrapPFS(m.PFS), app); err != nil {
 		t.Fatal(err)
 	}
-	if err := app.Err(); err != nil {
+	if err := app.(*App).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Events(), m
@@ -245,10 +245,10 @@ func TestAllIOIsMUnix(t *testing.T) {
 }
 
 func TestRecordsDistribution(t *testing.T) {
-	app, _ := New(DefaultConfig())
+	app, _ := DefaultConfig().New()
 	total := 0
 	for n := 0; n < 128; n++ {
-		r := app.RecordsForNode(n)
+		r := app.(*App).RecordsForNode(n)
 		if r != 66 && r != 67 {
 			t.Fatalf("node %d has %d records", n, r)
 		}
@@ -298,7 +298,7 @@ func TestInvalidConfigsRejected(t *testing.T) {
 		{Nodes: 4, IntegralRecords: 10, SCFPasses: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := cfg.New(); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
@@ -335,14 +335,14 @@ func TestRereadWinsOnFastIO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		app, err := New(cfg)
+		app, err := cfg.New()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := workload.Run(m, workload.WrapPFS(m.PFS), app); err != nil {
 			t.Fatal(err)
 		}
-		if err := app.Err(); err != nil {
+		if err := app.(*App).Err(); err != nil {
 			t.Fatal(err)
 		}
 		return m

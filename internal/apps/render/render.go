@@ -111,11 +111,10 @@ func CostModel() pfs.CostModel {
 	}
 }
 
-// MachineConfig returns the machine configuration for the paper run: the
-// gateway plus 128 renderers.
+// MachineConfig returns the machine configuration for the paper run; the
+// study sizes its compute partition to the gateway plus the renderers.
 func MachineConfig() workload.MachineConfig {
 	mc := workload.DefaultMachineConfig()
-	mc.ComputeNodes = DefaultConfig().RenderNodes + 1
 	mc.PFS.Cost = CostModel()
 	mc.PFS.Disk.Overhead = 1 * sim.Millisecond
 	mc.PFS.Disk.BWBytesPerS = 12e6
@@ -135,18 +134,39 @@ type App struct {
 	errs *workload.NodeErrors
 }
 
-// New validates the configuration and builds the app.
-func New(cfg Config) (*App, error) {
-	if cfg.RenderNodes < 1 || cfg.Frames < 0 || len(cfg.Terrain) == 0 {
-		return nil, fmt.Errorf("render: invalid config %+v", cfg)
+// New implements workload.AppConfig: it validates the configuration and
+// builds the app.
+func (c Config) New() (workload.App, error) {
+	if c.RenderNodes < 1 || c.Frames < 0 || len(c.Terrain) == 0 {
+		return nil, fmt.Errorf("render: invalid config %+v", c)
 	}
-	for _, tf := range cfg.Terrain {
+	for _, tf := range c.Terrain {
 		if tf.Reads < 1 || tf.ReadBytes < 1 {
 			return nil, fmt.Errorf("render: invalid terrain file %+v", tf)
 		}
 	}
-	return &App{cfg: cfg}, nil
+	return &App{cfg: c}, nil
 }
+
+// ComputeNodes implements workload.AppConfig: the gateway plus the renderers.
+func (c Config) ComputeNodes() int { return c.RenderNodes + 1 }
+
+// WithNodes implements workload.AppConfig: one node is the gateway, the rest
+// render.
+func (c Config) WithNodes(n int) (workload.AppConfig, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("render needs >= 2 (1 master + renderers), got %d", n)
+	}
+	c.RenderNodes = n - 1
+	return c, nil
+}
+
+// WithCkpt implements workload.AppConfig: render has no work loop to
+// checkpoint.
+func (c Config) WithCkpt(workload.Checkpointer) (workload.AppConfig, bool) { return c, false }
+
+// OutputPrefixes implements workload.AppConfig: the rendered frames.
+func (Config) OutputPrefixes() []string { return []string{"frame"} }
 
 // Name implements workload.App.
 func (*App) Name() string { return "render" }

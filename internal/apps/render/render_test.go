@@ -20,14 +20,14 @@ func runRENDER(t testing.TB, cfg Config) ([]iotrace.Event, *workload.Machine) {
 	}
 	tr := pablo.NewTracer(true)
 	m.PFS.SetRecorder(tr)
-	app, err := New(cfg)
+	app, err := cfg.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := workload.Run(m, workload.WrapPFS(m.PFS), app); err != nil {
 		t.Fatal(err)
 	}
-	if err := app.Err(); err != nil {
+	if err := app.(*App).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Events(), m
@@ -258,7 +258,7 @@ func TestInvalidConfigsRejected(t *testing.T) {
 		{RenderNodes: 4, Frames: 1, Terrain: []TerrainFile{{0, 1}}},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := cfg.New(); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}

@@ -11,15 +11,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/burst"
 	"repro/internal/fault"
-	"repro/internal/iotrace"
 	"repro/internal/pablo"
-	"repro/internal/pfs"
 	"repro/internal/ppfs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -45,12 +44,17 @@ type runtime struct {
 	inj        *fault.Injector
 }
 
+// errNoApp rejects a study that names no application.
+var errNoApp = errors.New("core: study has no app")
+
 // prepare builds a fresh runtime, on a fresh engine, for one attempt of the
-// study. The returned study has defaults merged in.
+// study. The returned study has defaults merged in and its compute partition
+// sized to the app.
 func prepare(s Study) (Study, *runtime, error) {
-	if s.Machine.ComputeNodes == 0 {
-		s.Machine = PaperStudy(s.App).Machine
+	if s.App == nil {
+		return s, nil, errNoApp
 	}
+	s.Machine.ComputeNodes = s.App.ComputeNodes()
 	m, err := workload.NewMachine(s.Machine)
 	if err != nil {
 		return s, nil, err
@@ -58,7 +62,7 @@ func prepare(s Study) (Study, *runtime, error) {
 	if s.WindowWidth <= 0 {
 		s.WindowWidth = 10 * sim.Second
 	}
-	app, err := buildApp(s)
+	app, err := s.App.New()
 	if err != nil {
 		return s, nil, err
 	}
@@ -110,7 +114,7 @@ func planEvents(s Study) []fault.Event {
 	if s.Faults.Empty() {
 		return nil
 	}
-	return s.Faults.Materialize(s.FaultSeed, s.Machine.PFS.IONodes, s.Machine.ComputeNodes)
+	return s.Faults.Materialize(s.FaultSeed, s.Machine.PFS.IONodes, s.App.ComputeNodes())
 }
 
 // arm arms the study's fault plan against the runtime's machine: corruption
@@ -183,14 +187,14 @@ func (rt *runtime) failure() (*fault.NodeLossEvent, error) {
 
 // jobErr is failure as the error a single-attempt run returns: Run and the
 // fleet driver treat a killed job as a failed run.
-func (rt *runtime) jobErr(app AppID) error {
+func (rt *runtime) jobErr() error {
 	loss, err := rt.failure()
 	if err != nil {
-		return fmt.Errorf("%s: %w", app, err)
+		return fmt.Errorf("%s: %w", rt.app.Name(), err)
 	}
 	if loss != nil {
 		return fmt.Errorf("%s: compute node %d lost at %v (%d undrained burst-log bytes)",
-			app, loss.Node, loss.At, loss.UndrainedBytes)
+			rt.app.Name(), loss.Node, loss.At, loss.UndrainedBytes)
 	}
 	return nil
 }
@@ -206,7 +210,7 @@ func (rt *runtime) clockPadded(s Study) bool {
 // report assembles the study's report after a completed run.
 func (rt *runtime) report(s Study) *Report {
 	r := &Report{
-		App:      s.App,
+		App:      AppID(rt.app.Name()),
 		Wall:     rt.m.Eng.Now(),
 		Events:   rt.tracer.Events(),
 		Summary:  analysis.Summarize(rt.tracer.Events()),
@@ -257,14 +261,14 @@ func finishReport(s Study, rt *runtime) *Report {
 		// integrity daemons (scrubber, bit-rot arrivals) can outlive the
 		// application; the run's wall clock is the application's own finish.
 		// Without a kept trace the engine clock stands in.
-		if end := lastEventEnd(r.Events); end > 0 {
+		if end := analysis.AppEnd(r.Events); end > 0 {
 			r.Wall = end
 		}
 	}
 	if rt.inj != nil {
 		rt.inj.CloseOpen(rt.m.Eng.Now())
 		incs := rt.inj.Incidents()
-		if end := lastEventEnd(r.Events); end > 0 {
+		if end := analysis.AppEnd(r.Events); end > 0 {
 			// The incident timeline ends with the application too: faults
 			// realized after its last operation affected nothing.
 			incs = capIncidents(incs, end)
@@ -287,23 +291,6 @@ func mergeIncidents(a, b []fault.Incident) []fault.Incident {
 	out = append(out, b...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
-}
-
-// lastEventEnd returns the completion instant of the latest traced operation
-// — the application's effective finish, excluding injector processes (a
-// background RAID rebuild, say) and burst-tier drain writes that keep the
-// simulated clock running after the application is done.
-func lastEventEnd(events []iotrace.Event) sim.Time {
-	var end sim.Time
-	for _, e := range events {
-		if e.Phase == pfs.PhaseBurstDrain {
-			continue
-		}
-		if e.End > end {
-			end = e.End
-		}
-	}
-	return end
 }
 
 // capIncidents truncates a successful attempt's incident timeline at the

@@ -107,20 +107,20 @@ func burstModeImage(t *testing.T, mode iotrace.AccessMode, useBurst bool) string
 		}
 		fs = tier
 	}
-	app, err := workload.NewSynthetic(workload.SyntheticConfig{
+	app, err := workload.SyntheticConfig{
 		Nodes:       8,
 		Mode:        mode,
 		RecordBytes: 4096,
 		Records:     16,
 		Barrier:     true,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := workload.Run(m, fs, app); err != nil {
 		t.Fatalf("%s: %v", mode, err)
 	}
-	if err := app.Err(); err != nil {
+	if err := app.(*workload.Synthetic).Err(); err != nil {
 		t.Fatalf("%s: %v", mode, err)
 	}
 	if tier != nil {
@@ -314,7 +314,7 @@ func TestHTFNodeLossRestart(t *testing.T) {
 	if rr.Final == nil || len(rr.Attempts) != 2 {
 		t.Fatalf("attempts %+v, want a failure then success", rr.Attempts)
 	}
-	htfNodes := SmallStudy(HTF).HTFConfig.Nodes
+	htfNodes := SmallStudy(HTF).App.ComputeNodes()
 	if got := rr.Attempts[1].ResumeUnit; got != 2 {
 		t.Errorf("restart resumed at pass %d, want 2 (both passes committed)", got)
 	}

@@ -108,15 +108,10 @@ func runPairs[C, R any](sweep string, kinds [2]string, cells []C,
 	return pairs, nil
 }
 
-// syntheticStudy returns the study that runs one synthetic workload on a
-// machine sized to it under pcfg.
+// syntheticStudy returns the study that runs one synthetic workload under
+// pcfg.
 func syntheticStudy(scfg workload.SyntheticConfig, pcfg pfs.Config) Study {
-	return Study{
-		App:       "synthetic",
-		Machine:   workload.MachineConfig{ComputeNodes: scfg.Nodes, PFS: pcfg},
-		KeepTrace: true,
-		synthetic: &scfg,
-	}
+	return Study{App: scfg, Machine: workload.MachineConfig{PFS: pcfg}, KeepTrace: true}
 }
 
 // modeCell is one row of a mode-by-mode comparison sweep: the workload plus

@@ -107,20 +107,20 @@ func modeImage(t *testing.T, mode iotrace.AccessMode, coll collective.Config, sc
 		t.Fatal(err)
 	}
 	m.PFS.SetRecorder(pablo.NewTracer(false))
-	app, err := workload.NewSynthetic(workload.SyntheticConfig{
+	app, err := workload.SyntheticConfig{
 		Nodes:       8,
 		Mode:        mode,
 		RecordBytes: 4096,
 		Records:     16,
 		Barrier:     true,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := workload.Run(m, workload.WrapPFS(m.PFS), app); err != nil {
 		t.Fatalf("%s: %v", mode, err)
 	}
-	if err := app.Err(); err != nil {
+	if err := app.(*workload.Synthetic).Err(); err != nil {
 		t.Fatalf("%s: %v", mode, err)
 	}
 	return fingerprint(m.PFS)

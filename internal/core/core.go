@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/apps/escat"
@@ -39,7 +40,9 @@ func Apps() []AppID { return []AppID{ESCAT, RENDER, HTF} }
 
 // Study describes one characterization run.
 type Study struct {
-	App     AppID
+	// App is the application and its configuration; it also sizes the
+	// machine's compute partition.
+	App     workload.AppConfig
 	Machine workload.MachineConfig
 
 	// Policy, when non-nil, routes the application through a PPFS layer
@@ -66,28 +69,18 @@ type Study struct {
 	// choices (exponential arrivals, AnyNode targets).
 	Faults    fault.Plan
 	FaultSeed uint64
-
-	// Optional per-application overrides; nil selects the paper-scale
-	// defaults.
-	ESCATConfig  *escat.Config
-	RENDERConfig *render.Config
-	HTFConfig    *htf.Config
-
-	// synthetic, when set, runs the parameterized synthetic workload in
-	// place of App (the mode sweeps; see syntheticStudy).
-	synthetic *workload.SyntheticConfig
 }
 
 // PaperStudy returns the study reproducing the paper's traced run of app.
 func PaperStudy(app AppID) Study {
-	s := Study{App: app, KeepTrace: true, WindowWidth: 10 * sim.Second}
+	s := Study{KeepTrace: true}
 	switch app {
 	case ESCAT:
-		s.Machine = escat.MachineConfig()
+		s.App, s.Machine = escat.DefaultConfig(), escat.MachineConfig()
 	case RENDER:
-		s.Machine = render.MachineConfig()
+		s.App, s.Machine = render.DefaultConfig(), render.MachineConfig()
 	case HTF:
-		s.Machine = htf.MachineConfig()
+		s.App, s.Machine = htf.DefaultConfig(), htf.MachineConfig()
 	}
 	return s
 }
@@ -98,17 +91,11 @@ func SmallStudy(app AppID) Study {
 	s := PaperStudy(app)
 	switch app {
 	case ESCAT:
-		cfg := escat.SmallConfig()
-		s.ESCATConfig = &cfg
-		s.Machine.ComputeNodes = cfg.Nodes
+		s.App = escat.SmallConfig()
 	case RENDER:
-		cfg := render.SmallConfig()
-		s.RENDERConfig = &cfg
-		s.Machine.ComputeNodes = cfg.RenderNodes + 1
+		s.App = render.SmallConfig()
 	case HTF:
-		cfg := htf.SmallConfig()
-		s.HTFConfig = &cfg
-		s.Machine.ComputeNodes = cfg.Nodes
+		s.App = htf.SmallConfig()
 	}
 	return s
 }
@@ -116,7 +103,7 @@ func SmallStudy(app AppID) Study {
 // Report is the outcome of a study: the captured traces plus the derived
 // tables and reductions.
 type Report struct {
-	App  AppID
+	App  AppID // the built app's Name
 	Wall sim.Time
 
 	// Events is the application-visible trace; Physical differs from it
@@ -184,7 +171,7 @@ func Run(s Study) (*Report, error) {
 	}
 	rt.arm(s, planEvents(s), 0)
 	runErr := rt.run(0)
-	if err := rt.jobErr(s.App); err != nil {
+	if err := rt.jobErr(); err != nil {
 		return nil, err
 	}
 	if runErr != nil {
@@ -193,32 +180,27 @@ func Run(s Study) (*Report, error) {
 	return finishReport(s, rt), nil
 }
 
-func buildApp(s Study) (workload.App, error) {
-	if s.synthetic != nil {
-		return workload.NewSynthetic(*s.synthetic)
+// RenderSubsystems formats the sections of the optional subsystems the study
+// ran with, in one fixed order (cache, collective I/O, disk scheduling, burst
+// tier, integrity), each followed by a blank line.
+func (r *Report) RenderSubsystems() string {
+	var b strings.Builder
+	if r.Cache != nil {
+		fmt.Fprintln(&b, analysis.RenderCacheReport(r.Cache))
 	}
-	switch s.App {
-	case ESCAT:
-		cfg := escat.DefaultConfig()
-		if s.ESCATConfig != nil {
-			cfg = *s.ESCATConfig
-		}
-		return escat.New(cfg)
-	case RENDER:
-		cfg := render.DefaultConfig()
-		if s.RENDERConfig != nil {
-			cfg = *s.RENDERConfig
-		}
-		return render.New(cfg)
-	case HTF:
-		cfg := htf.DefaultConfig()
-		if s.HTFConfig != nil {
-			cfg = *s.HTFConfig
-		}
-		return htf.New(cfg)
-	default:
-		return nil, fmt.Errorf("core: unknown app %q", s.App)
+	if r.Collective != nil {
+		fmt.Fprintln(&b, analysis.RenderCollectiveReport(r.Collective))
 	}
+	if len(r.Sched) > 0 {
+		fmt.Fprintln(&b, analysis.RenderSchedReport(r.Sched))
+	}
+	if r.Burst != nil {
+		fmt.Fprintln(&b, analysis.RenderBurstReport(r.Burst))
+	}
+	if r.Integrity != nil {
+		fmt.Fprintln(&b, analysis.RenderIntegrityReport(r.Integrity))
+	}
+	return b.String()
 }
 
 // PhaseSummary computes the operation summary for one application phase

@@ -10,9 +10,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/apps/escat"
-	"repro/internal/fault"
 	"repro/internal/ppfs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestSmallStudiesRunForAllApps(t *testing.T) {
@@ -39,39 +39,28 @@ func TestSmallStudiesRunForAllApps(t *testing.T) {
 	}
 }
 
+// TestUnknownAppRejected: an app ID PaperStudy does not know leaves the
+// study without an app, which Run and RunResilient reject.
 func TestUnknownAppRejected(t *testing.T) {
-	if _, err := Run(Study{App: "bogus", Machine: PaperStudy(ESCAT).Machine}); err == nil {
-		t.Fatal("bogus app accepted")
+	s := PaperStudy("bogus")
+	if _, err := Run(s); err == nil {
+		t.Fatal("Run accepted a study without an app")
+	}
+	if _, err := RunResilient(ResilientStudy{Study: s}); err == nil {
+		t.Fatal("RunResilient accepted a study without an app")
 	}
 }
 
-func TestZeroMachineTakesDefaults(t *testing.T) {
-	cfg := escat.SmallConfig()
-	r, err := Run(Study{App: ESCAT, ESCATConfig: &cfg, KeepTrace: true})
-	if err != nil {
-		t.Fatal(err)
+// TestZeroMachineRejected: a study without a machine is an error; the
+// app sizes only the compute partition, and nothing fills in the rest.
+func TestZeroMachineRejected(t *testing.T) {
+	s := SmallStudy(ESCAT)
+	s.Machine = workload.MachineConfig{}
+	if _, err := Run(s); err == nil {
+		t.Fatal("Run accepted a study without a machine")
 	}
-	if len(r.Events) == 0 {
-		t.Fatal("no events")
-	}
-}
-
-// TestZeroMachineKeepsFaultPlan: a study that leaves Machine zero takes the
-// paper machine and nothing else from the defaults, so its fault plan still
-// runs and shows on the report's incident timeline.
-func TestZeroMachineKeepsFaultPlan(t *testing.T) {
-	cfg := escat.SmallConfig()
-	s := Study{App: ESCAT, ESCATConfig: &cfg, FaultSeed: 3}
-	s.Faults = fault.Plan{Events: []fault.Event{{
-		Kind: fault.IONodeOutage, At: 10 * sim.Millisecond, Node: 3,
-		Duration: 100 * sim.Millisecond,
-	}}}
-	r, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Incidents) != 1 || r.Incidents[0].Kind != fault.IONodeOutage {
-		t.Fatalf("incidents %+v, want the one I/O-node outage", r.Incidents)
+	if _, err := RunResilient(ResilientStudy{Study: s}); err == nil {
+		t.Fatal("RunResilient accepted a study without a machine")
 	}
 }
 

@@ -111,7 +111,7 @@ func runFleet(s Study, opts FleetOptions, inspect func(i int, m *workload.Machin
 		// are armed past the cell's launch.
 		rt.arm(cs, planEvents(cs), start)
 		runErr := rt.run(start)
-		if err := rt.jobErr(cs.App); err != nil {
+		if err := rt.jobErr(); err != nil {
 			return fleetCell{}, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
 		if runErr != nil {

@@ -102,20 +102,20 @@ func modeImageAtRF(t *testing.T, mode iotrace.AccessMode, rf int) string {
 		t.Fatal(err)
 	}
 	m.PFS.SetRecorder(pablo.NewTracer(false))
-	app, err := workload.NewSynthetic(workload.SyntheticConfig{
+	app, err := workload.SyntheticConfig{
 		Nodes:       8,
 		Mode:        mode,
 		RecordBytes: 4096,
 		Records:     16,
 		Barrier:     true,
-	})
+	}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := workload.Run(m, workload.WrapPFS(m.PFS), app); err != nil {
 		t.Fatalf("%s rf=%d: %v", mode, rf, err)
 	}
-	if err := app.Err(); err != nil {
+	if err := app.(*workload.Synthetic).Err(); err != nil {
 		t.Fatalf("%s rf=%d: %v", mode, rf, err)
 	}
 	return fileImage(m.PFS)

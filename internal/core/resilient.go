@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/apps/escat"
-	"repro/internal/apps/htf"
+	"repro/internal/analysis"
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/pfs"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // ResilientStudy describes a chaos run with checkpoint/restart: the study's
@@ -65,56 +63,18 @@ type ResilientReport struct {
 	BurstLostBytes int64
 }
 
-// attachCkpt wires a checkpointer into the study's application config and
-// reports whether the application supports one.
-func attachCkpt(s *Study, c workload.Checkpointer) bool {
-	switch s.App {
-	case ESCAT:
-		cfg := escat.DefaultConfig()
-		if s.ESCATConfig != nil {
-			cfg = *s.ESCATConfig
-		}
-		cfg.Ckpt = c
-		s.ESCATConfig = &cfg
-		return true
-	case HTF:
-		cfg := htf.DefaultConfig()
-		if s.HTFConfig != nil {
-			cfg = *s.HTFConfig
-		}
-		cfg.Ckpt = c
-		s.HTFConfig = &cfg
-		return true
-	}
-	return false
-}
-
-// appNodes returns the application's compute-node count under the study's
-// configuration.
-func appNodes(s Study) int {
-	switch s.App {
-	case ESCAT:
-		if s.ESCATConfig != nil {
-			return s.ESCATConfig.Nodes
-		}
-		return escat.DefaultConfig().Nodes
-	case HTF:
-		if s.HTFConfig != nil {
-			return s.HTFConfig.Nodes
-		}
-		return htf.DefaultConfig().Nodes
-	}
-	return s.Machine.ComputeNodes
-}
-
 // RunResilient executes the study under its fault plan with restart-from-
 // checkpoint semantics. Determinism: the fault schedule is materialized once
 // from (Faults, FaultSeed) and each attempt replays its still-relevant
 // remainder, so the same study and seed produce the same attempt history.
 func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	s := rs.Study
-	if s.Machine.ComputeNodes == 0 {
-		s.Machine = PaperStudy(s.App).Machine
+	if s.App == nil {
+		return nil, errNoApp
+	}
+	app, err := s.App.New()
+	if err != nil {
+		return nil, err
 	}
 	// The driver measures attempt completion from the trace.
 	s.KeepTrace = true
@@ -124,13 +84,13 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 
 	var coord *ckpt.Coordinator
 	if rs.Ckpt.Interval > 0 {
-		var err error
-		coord, err = ckpt.New(rs.Ckpt, appNodes(s))
+		coord, err = ckpt.New(rs.Ckpt, s.App.ComputeNodes())
 		if err != nil {
 			return nil, err
 		}
-		if !attachCkpt(&s, coord) {
-			return nil, fmt.Errorf("core: %s does not support checkpointing", s.App)
+		var ok bool
+		if s.App, ok = s.App.WithCkpt(coord); !ok {
+			return nil, fmt.Errorf("core: %s does not support checkpointing", app.Name())
 		}
 	}
 
@@ -187,7 +147,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 			r := finishReport(s, rt)
 			// The attempt's clock is the application's own finish even
 			// without background daemons: restarts are measured from it.
-			r.Wall = lastEventEnd(r.Events)
+			r.Wall = analysis.AppEnd(r.Events)
 			rr.Final = r
 			rr.addIncidents(r.Incidents, base)
 			rr.Attempts = append(rr.Attempts, Attempt{
@@ -211,7 +171,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 		// ledger stand as they were then. Everything after the last
 		// committed checkpoint is lost work.
 		if !rt.m.Eng.Stopped() {
-			return nil, fmt.Errorf("core: %s failed without halting its engine: %w", s.App, nodeErr)
+			return nil, fmt.Errorf("core: %s failed without halting its engine: %w", app.Name(), nodeErr)
 		}
 		failedAt := rt.m.Eng.Now()
 		if rt.inj != nil {
@@ -249,7 +209,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	}
 	rr.sortIncidents()
 	return rr, fmt.Errorf("core: %s did not complete within %d attempts (%d failures)",
-		s.App, rs.MaxAttempts, len(rr.Attempts))
+		app.Name(), rs.MaxAttempts, len(rr.Attempts))
 }
 
 // sortIncidents restores global start-time order after per-attempt merges.

@@ -32,8 +32,7 @@ func ESCATScaling(nodeCounts []int, iterations int) ([]ScalingPoint, error) {
 		cfg.ComputeStart = 20 * sim.Second
 		cfg.ComputeEnd = 10 * sim.Second
 		study := PaperStudy(ESCAT)
-		study.ESCATConfig = &cfg
-		study.Machine.ComputeNodes = n
+		study.App = cfg
 		r, err := Run(study)
 		if err != nil {
 			return ScalingPoint{}, fmt.Errorf("scaling at %d nodes: %w", n, err)

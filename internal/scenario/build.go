@@ -3,9 +3,6 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/apps/escat"
-	"repro/internal/apps/htf"
-	"repro/internal/apps/render"
 	"repro/internal/burst"
 	"repro/internal/cache"
 	"repro/internal/ckpt"
@@ -33,7 +30,7 @@ func (s *Scenario) Build() (core.ResilientStudy, *Fleet, error) {
 		return rs, nil, err
 	}
 
-	fleet, err := expandFleet(s, study.Machine.ComputeNodes, study.Machine.PFS.IONodes, study.Machine.PFS.Disk)
+	fleet, err := expandFleet(s, study.App.ComputeNodes(), study.Machine.PFS.IONodes, study.Machine.PFS.Disk)
 	if err != nil {
 		return rs, nil, s.fail(err)
 	}
@@ -112,8 +109,8 @@ func (s *Scenario) baseStudy() (core.Study, error) {
 	return study, nil
 }
 
-// applyFleet wires the realized fleet into the machine: node counts, stripe
-// unit, per-node overrides, and the application's own node-count config.
+// applyFleet wires the realized fleet into the machine: stripe unit, I/O
+// node count, per-node overrides, and the application's compute-node count.
 func (s *Scenario) applyFleet(study *core.Study, f *Fleet) error {
 	fg := s.FleetGen
 	if fg == nil {
@@ -129,37 +126,11 @@ func (s *Scenario) applyFleet(study *core.Study, f *Fleet) error {
 		study.Machine.PFS.Nodes = f.Nodes
 	}
 	if fg.ComputeNodes > 0 {
-		n := f.ComputeNodes
-		study.Machine.ComputeNodes = n
-		switch core.AppID(s.Workload.App) {
-		case core.ESCAT:
-			cfg := escat.DefaultConfig()
-			if study.ESCATConfig != nil {
-				cfg = *study.ESCATConfig
-			}
-			cfg.Nodes = n
-			study.ESCATConfig = &cfg
-		case core.RENDER:
-			if n < 2 {
-				return fmt.Errorf("fleet_gen.compute_nodes: render needs >= 2 (1 master + renderers), got %d", n)
-			}
-			cfg := render.DefaultConfig()
-			if study.RENDERConfig != nil {
-				cfg = *study.RENDERConfig
-			}
-			cfg.RenderNodes = n - 1
-			study.RENDERConfig = &cfg
-		case core.HTF:
-			cfg := htf.DefaultConfig()
-			if study.HTFConfig != nil {
-				cfg = *study.HTFConfig
-			}
-			if cfg.IntegralRecords < n {
-				return fmt.Errorf("fleet_gen.compute_nodes %d exceeds htf's %d integral records at this scale (each node needs at least one)", n, cfg.IntegralRecords)
-			}
-			cfg.Nodes = n
-			study.HTFConfig = &cfg
+		app, err := study.App.WithNodes(f.ComputeNodes)
+		if err != nil {
+			return fmt.Errorf("fleet_gen.compute_nodes: %w", err)
 		}
+		study.App = app
 	}
 	return nil
 }

@@ -201,6 +201,29 @@ chaos:
 	}
 }
 
+// TestBuildErrors: scenarios that parse but cannot be built, because the
+// expanded fleet does not fit the application.
+func TestBuildErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"render on one node", "workload:\n  app: render\nfleet_gen:\n  compute_nodes: 1\n",
+			"fleet_gen.compute_nodes: render needs >= 2 (1 master + renderers), got 1"},
+		{"htf past its records", "workload:\n  app: htf\nfleet_gen:\n  compute_nodes: 37\n",
+			"fleet_gen.compute_nodes: htf needs <= 36 (one integral record per node at this scale), got 37"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Parse([]byte(tc.src), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Build(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestZoneOutageExpansion(t *testing.T) {
 	s := loadFull(t)
 	rs, f, err := s.Build()

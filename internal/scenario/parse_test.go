@@ -131,6 +131,9 @@ func TestParseErrors(t *testing.T) {
 		{"fleet with attempts", "workload:\n  app: escat\nfleet_gen:\n  cells: 4\nrun:\n  max_attempts: 3\n", "single attempt"},
 		{"removed replicate", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: true\n    replicate: true\n", "unknown field"},
 		{"placement seed without failover", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: false\n    placement_seed: 3\n", "features.failover.placement_seed needs features.failover.enabled"},
+		{"sub-microsecond window", "workload:\n  app: escat\n  window_s: 0.0000001\n", "workload.window_s 1e-07 is below the clock's 1 µs resolution"},
+		{"sub-microsecond deadline", "workload:\n  app: escat\nfeatures:\n  reliability:\n    enabled: true\n    deadline_s: 0.0000001\n", "features.reliability.deadline_s 1e-07 is below"},
+		{"sub-microsecond give-up", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: true\n    factor: 2\n    repair:\n      enabled: true\n      give_up_s: 0.0000001\n", "features.failover.repair.give_up_s 1e-07 is below"},
 		{"bad node ref", "workload:\n  app: escat\nchaos:\n  events:\n    - kind: disk-failure\n      at_s: 1\n      node: some\n", "node"},
 	}
 	for _, tc := range cases {

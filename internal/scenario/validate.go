@@ -48,6 +48,9 @@ func (s *Scenario) Validate() error {
 	if s.Workload.WindowS < 0 {
 		return fmt.Errorf("workload.window_s %g is negative", s.Workload.WindowS)
 	}
+	if err := belowTick("workload.window_s", s.Workload.WindowS); err != nil {
+		return err
+	}
 	if err := s.validateFleetGen(); err != nil {
 		return err
 	}
@@ -183,6 +186,9 @@ func (s *Scenario) validateFeatures() error {
 		if r.DeadlineS < 0 {
 			return fmt.Errorf("features.reliability.deadline_s %g is negative", r.DeadlineS)
 		}
+		if err := belowTick("features.reliability.deadline_s", r.DeadlineS); err != nil {
+			return err
+		}
 		if r.Retries < 0 {
 			return fmt.Errorf("features.reliability.retries %d is negative", r.Retries)
 		}
@@ -223,10 +229,23 @@ func (s *Scenario) validateFeatures() error {
 			if rp.GiveUpS < 0 {
 				return fmt.Errorf("features.failover.repair.give_up_s %g is negative", rp.GiveUpS)
 			}
+			if err := belowTick("features.failover.repair.give_up_s", rp.GiveUpS); err != nil {
+				return err
+			}
 			if rp.Enabled && fo.Factor < 2 {
 				return fmt.Errorf("features.failover.repair needs replication: features.failover.factor >= 2")
 			}
 		}
+	}
+	return nil
+}
+
+// belowTick rejects a positive seconds value that the simulated clock rounds
+// to 0 µs: the build would read it as the field's 0, which means the default
+// or "off".
+func belowTick(field string, sec float64) error {
+	if sec > 0 && sim.FromSeconds(sec) == 0 {
+		return fmt.Errorf("%s %g is below the clock's 1 µs resolution", field, sec)
 	}
 	return nil
 }

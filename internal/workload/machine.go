@@ -84,6 +84,25 @@ type App interface {
 	TraceEvents() int
 }
 
+// AppConfig is one application's configuration. It holds every fact a
+// driver needs about the app (its size, its checkpoint support, its output
+// files), so no driver switches on which app it runs.
+type AppConfig interface {
+	// New validates the configuration and builds the app.
+	New() (App, error)
+	// ComputeNodes returns the compute partition the app runs on.
+	ComputeNodes() int
+	// WithNodes returns the configuration resized to n compute nodes, or
+	// an error when the app cannot run on n.
+	WithNodes(n int) (AppConfig, error)
+	// WithCkpt returns the configuration checkpointing through c, and false
+	// when the app has no work loop to checkpoint.
+	WithCkpt(c Checkpointer) (AppConfig, bool)
+	// OutputPrefixes returns the file-name prefixes of the app's bulk
+	// write traffic, for routing ordinary output through the burst log.
+	OutputPrefixes() []string
+}
+
 // Run launches the app and executes the simulation to completion.
 func Run(m *Machine, fs FS, app App) error {
 	if err := app.Launch(m, fs); err != nil {

@@ -64,16 +64,33 @@ type Synthetic struct {
 	errs *NodeErrors
 }
 
-// NewSynthetic builds the workload.
-func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
-	if err := cfg.Validate(); err != nil {
+// New implements AppConfig: it validates the configuration and builds the
+// workload.
+func (c SyntheticConfig) New() (App, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Name == "" {
-		cfg.Name = "synthetic-" + cfg.Mode.String()
+	if c.Name == "" {
+		c.Name = "synthetic-" + c.Mode.String()
 	}
-	return &Synthetic{cfg: cfg}, nil
+	return &Synthetic{cfg: c}, nil
 }
+
+// ComputeNodes implements AppConfig.
+func (c SyntheticConfig) ComputeNodes() int { return c.Nodes }
+
+// WithNodes implements AppConfig.
+func (c SyntheticConfig) WithNodes(n int) (AppConfig, error) {
+	c.Nodes = n
+	return c, nil
+}
+
+// WithCkpt implements AppConfig: the record loop is not checkpointed.
+func (c SyntheticConfig) WithCkpt(Checkpointer) (AppConfig, bool) { return c, false }
+
+// OutputPrefixes implements AppConfig: the mode sweeps route nothing through
+// the burst log.
+func (SyntheticConfig) OutputPrefixes() []string { return nil }
 
 // Name implements App.
 func (s *Synthetic) Name() string { return "synthetic" }

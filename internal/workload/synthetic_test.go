@@ -13,14 +13,14 @@ func runSynthetic(t *testing.T, cfg SyntheticConfig) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := NewSynthetic(cfg)
+	app, err := cfg.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Run(m, WrapPFS(m.PFS), app); err != nil {
 		t.Fatal(err)
 	}
-	if err := app.Err(); err != nil {
+	if err := app.(*Synthetic).Err(); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -73,10 +73,10 @@ func TestSyntheticRandomReadsDeterministicAndSpread(t *testing.T) {
 }
 
 func TestSyntheticConfigValidation(t *testing.T) {
-	if _, err := NewSynthetic(SyntheticConfig{Nodes: 0, RecordBytes: 1, Records: 1}); err == nil {
+	if _, err := (SyntheticConfig{Nodes: 0, RecordBytes: 1, Records: 1}).New(); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	if _, err := NewSynthetic(SyntheticConfig{Nodes: 1, RecordBytes: 0, Records: 1}); err == nil {
+	if _, err := (SyntheticConfig{Nodes: 1, RecordBytes: 0, Records: 1}).New(); err == nil {
 		t.Error("zero record size accepted")
 	}
 }

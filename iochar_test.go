@@ -11,11 +11,12 @@ import (
 func TestFacadeAppsAndStudies(t *testing.T) {
 	for _, app := range []iochar.AppID{iochar.ESCAT, iochar.RENDER, iochar.HTF} {
 		s := iochar.PaperStudy(app)
-		if s.App != app || s.Machine.ComputeNodes == 0 {
-			t.Fatalf("paper study %+v", s)
+		built, err := s.App.New()
+		if err != nil || built.Name() != string(app) {
+			t.Fatalf("paper study of %s builds %v, %v", app, built, err)
 		}
 		small := iochar.SmallStudy(app)
-		if small.Machine.ComputeNodes >= s.Machine.ComputeNodes {
+		if small.App.ComputeNodes() >= s.App.ComputeNodes() {
 			t.Fatalf("%s small study not smaller", app)
 		}
 	}
