@@ -13,8 +13,6 @@ import (
 	"repro/internal/apps/escat"
 	"repro/internal/apps/htf"
 	"repro/internal/apps/render"
-
-	"repro/internal/core"
 	"repro/internal/iotrace"
 	"repro/internal/ppfs"
 	"repro/internal/sim"
@@ -79,7 +77,7 @@ func BenchmarkFigure3ESCATReadDetail(b *testing.B) {
 
 func BenchmarkFigure4ESCATWriteTimeline(b *testing.B) {
 	r := runPaper(b, iochar.ESCAT, nil)
-	early, late, bursts := r.WriteBurstTrend(30 * sim.Second)
+	early, late, bursts := escat.WriteBurstTrend(analysis.FilterPhase(r.Events, escat.PhaseQuadrature), 30*sim.Second)
 	b.ReportMetric(float64(bursts), "bursts")
 	b.ReportMetric(early.Seconds(), "early-spacing-s")
 	b.ReportMetric(late.Seconds(), "late-spacing-s")
@@ -163,7 +161,7 @@ func BenchmarkFigure8RENDERFileAccess(b *testing.B) {
 
 func BenchmarkRENDERInitThroughput(b *testing.B) {
 	r := runPaper(b, iochar.RENDER, nil)
-	b.ReportMetric(r.InitReadThroughput()/1e6, "MBps")
+	b.ReportMetric(render.InitReadThroughput(analysis.FilterPhase(r.Events, render.PhaseInit))/1e6, "MBps")
 }
 
 // --- HTF: Tables 5-6, Figures 9-17 (E12-E17) ---
@@ -299,7 +297,7 @@ func BenchmarkCacheESCATReads(b *testing.B) {
 }
 
 func BenchmarkCrossoverHTFRecompute(b *testing.B) {
-	m := core.DefaultCrossoverModel()
+	m := htf.DefaultCrossoverModel()
 	var breakEven float64
 	for i := 0; i < b.N; i++ {
 		rates := make([]float64, 0, 64)

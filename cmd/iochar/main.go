@@ -47,7 +47,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("iochar", flag.ContinueOnError)
 	st := cliflags.NewStudy(fs)
-	fs.StringVar(&st.Sc.Workload.App, "app", "escat", "application to run (escat, render, htf)")
+	fs.StringVar(&st.Sc.Workload.App, "app", "escat", "application to run ("+core.AppNames()+")")
 	fs.BoolVar(&st.Small, "small", false, "reduced-scale configuration (fast)")
 	fs.StringVar(&st.Sc.Workload.Policy, "policy", "none", "file system policy layer: none, ppfs, adaptive")
 	fs.Float64Var(&st.Sc.Workload.WindowS, "window", 10, "time-window reduction width in seconds")

@@ -84,6 +84,7 @@ func TestFlagErrorsNameTheFlag(t *testing.T) {
 		{[]string{"-small", "-repair-mb-s", "5"}, "-repair-mb-s needs -repair"},
 		{[]string{"-small", "-repair-give-up", "3"}, "-repair-give-up needs -repair"},
 		{[]string{"-small", "-window", "1e-7"}, "-window 1e-07 is below the clock's 1 µs resolution"},
+		{[]string{"-small", "-scrub", "-chaos-window", "1e-7"}, "-chaos-window 1e-07 is below the clock's 1 µs resolution"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -32,7 +32,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("paperrepro", flag.ContinueOnError)
-	appFilter := fs.String("app", "", "run only this application (escat, render, htf)")
+	appFilter := fs.String("app", "", "run only this application ("+core.AppNames()+")")
 	outDir := fs.String("out", "out", "directory for figure data and renderings")
 	noFigures := fs.Bool("no-figures", false, "skip writing figure files")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the application runs (0 = GOMAXPROCS); output is identical at any setting")
@@ -40,16 +40,19 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	apps := core.Apps()
+	if *appFilter != "" {
+		app, err := core.ParseApp(*appFilter)
+		if err != nil {
+			return fmt.Errorf("-app %w", err)
+		}
+		apps = []core.AppID{app}
+	}
 	exec.SetWorkers(*parallel)
 	if err := prof.Start(); err != nil {
 		return err
 	}
 	defer prof.Stop()
-
-	apps := core.Apps()
-	if *appFilter != "" {
-		apps = []core.AppID{core.AppID(*appFilter)}
-	}
 
 	// The three paper-scale studies are independent simulations; fan them out
 	// and print in app order.
@@ -79,7 +82,7 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(out, core.CompareSizeTable(st, report))
 			}
 		}
-		printHeadlines(out, app, report)
+		fmt.Fprintf(out, "%s\n\n", report.Headline())
 
 		if !*noFigures {
 			if err := writeFigures(out, *outDir, app, report); err != nil {
@@ -88,23 +91,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// printHeadlines reports the running-text claims each application supports.
-func printHeadlines(out io.Writer, app core.AppID, r *core.Report) {
-	switch app {
-	case core.ESCAT:
-		early, late, bursts := r.WriteBurstTrend(30_000_000) // 30 s in µs
-		fmt.Fprintf(out, "Figure 4 burst structure: %d bursts, spacing %.0f s early -> %.0f s late (paper: ~160 -> ~80)\n\n",
-			bursts, early.Seconds(), late.Seconds())
-	case core.RENDER:
-		fmt.Fprintf(out, "§6.2 initialization read throughput: %.1f MB/s (paper: ~9.5)\n\n",
-			r.InitReadThroughput()/1e6)
-	case core.HTF:
-		m := core.DefaultCrossoverModel()
-		fmt.Fprintf(out, "§7.2 recompute-vs-reread break-even: %.1f MB/s per node (paper: 5-10)\n\n",
-			m.BreakEvenRate()/1e6)
-	}
 }
 
 func writeFigures(out io.Writer, dir string, app core.AppID, r *core.Report) error {

@@ -35,3 +35,19 @@ func TestSmokeFigures(t *testing.T) {
 		t.Errorf("no figure files reported:\n%.400s", buf.String())
 	}
 }
+
+// TestAppFlagChecksTheRegistry: an unknown or wrongly cased -app value fails
+// before any run, naming the valid applications.
+func TestAppFlagChecksTheRegistry(t *testing.T) {
+	for _, app := range []string{"ESCAT", "bogus"} {
+		var buf bytes.Buffer
+		err := run([]string{"-app", app, "-no-figures"}, &buf)
+		want := `-app "` + app + `": want one of escat, render, htf`
+		if err == nil || err.Error() != want {
+			t.Errorf("-app %s: error %v, want %q", app, err, want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-app %s: printed output before failing:\n%s", app, buf.String())
+		}
+	}
+}

@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stress", flag.ContinueOnError)
 	st := cliflags.NewStudy(fs)
 	st.AddFlushOnFail()
-	fs.StringVar(&st.Sc.Workload.App, "app", "escat", "application to stress (escat, render, htf)")
+	fs.StringVar(&st.Sc.Workload.App, "app", "escat", "application to stress ("+core.AppNames()+")")
 	fs.BoolVar(&st.Small, "small", true, "reduced-scale configuration (chaos scenarios are tuned to it)")
 	name := fs.String("scenario", "outage", "built-in scenario: outage, disks, storm, mixed, none")
 	fs.Uint64Var(&st.Sc.Seed, "seed", 0, "seed for the fault schedule's random choices")

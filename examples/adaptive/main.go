@@ -62,7 +62,7 @@ func main() {
 	// Figure 4's synchronized bursts: present on PFS, gone from the
 	// application's critical path on PPFS.
 	gap := 5 * sim.Second
-	_, _, baseBursts := base.WriteBurstTrend(gap)
+	_, _, baseBursts := escat.WriteBurstTrend(analysis.FilterPhase(base.Events, escat.PhaseQuadrature), gap)
 	fmt.Printf("\nFigure 4 burst groups on PFS: %d (the synchronized write clusters)\n", baseBursts)
 	fmt.Printf("On PPFS the same application writes cost ~%.0f ms each instead of seconds,\n",
 		meanWriteMillis(layered))

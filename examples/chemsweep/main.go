@@ -12,21 +12,20 @@ import (
 	iochar "repro"
 	"repro/internal/analysis"
 	"repro/internal/apps/htf"
-	"repro/internal/core"
 	"repro/internal/iotrace"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	model := iochar.DefaultCrossoverModel()
+	model := htf.DefaultCrossoverModel()
 	fmt.Printf("§7.2 crossover model: %.0f FLOPs/integral at %.0f MFLOP/s, %.0f bytes/integral\n",
 		model.FlopsPerIntegral, model.NodeFlopRate/1e6, model.BytesPerIntegral)
 	fmt.Printf("break-even per-node I/O rate: %.1f MB/s (paper: \"approximately 5-10 Mbytes/second per node\")\n\n",
 		model.BreakEvenRate()/1e6)
 
 	rates := []float64{0.5e6, 1e6, 2e6, 4e6, model.BreakEvenRate(), 8e6, 16e6, 32e6}
-	fmt.Println(core.RenderSweep(model.Sweep(rates)))
+	fmt.Println(htf.RenderSweep(model.Sweep(rates)))
 
 	// Measure what the simulated machine actually delivers per node during
 	// the SCF phase, and place it on the sweep.

@@ -37,7 +37,7 @@ func main() {
 		cfg.Frames)
 
 	fmt.Printf("initialization read throughput: %.1f MB/s (paper: ~9.5 MB/s)\n",
-		report.InitReadThroughput()/1e6)
+		render.InitReadThroughput(analysis.FilterPhase(report.Events, render.PhaseInit))/1e6)
 
 	// Frame cadence from the write timeline.
 	renderEvents := analysis.FilterPhase(report.Events, render.PhaseRender)

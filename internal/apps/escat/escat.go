@@ -145,7 +145,7 @@ func (c Config) WithCkpt(ck workload.Checkpointer) (workload.AppConfig, bool) {
 func (Config) OutputPrefixes() []string { return []string{"escat.quad", "escat.sys"} }
 
 // Name implements workload.App.
-func (*App) Name() string { return "escat" }
+func (*App) Name() string { return Name }
 
 // regionBytes is the extent of one node's contiguous quadrature region in a
 // staging file (all its iterations' records back to back) — also the

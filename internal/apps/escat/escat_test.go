@@ -147,21 +147,31 @@ func TestReadsOnlyInInitAndReloadPhases(t *testing.T) {
 }
 
 func TestWriteBurstSpacingShrinks(t *testing.T) {
-	events := paperRun(t)
-	writes := analysis.WriteTimeline(analysis.FilterPhase(events, PhaseQuadrature))
-	bursts := analysis.Bursts(writes, 30*sim.Second)
-	if len(bursts) != 52 {
-		t.Fatalf("quadrature bursts = %d, want 52", len(bursts))
+	early, late, bursts := WriteBurstTrend(analysis.FilterPhase(paperRun(t), PhaseQuadrature), 30*sim.Second)
+	if bursts != 52 {
+		t.Fatalf("quadrature bursts = %d, want 52", bursts)
 	}
-	sp := analysis.BurstSpacings(bursts)
-	early := sp[0].Seconds()
-	late := sp[len(sp)-1].Seconds()
 	// Figure 4: spacing ~160 s early, about half that late.
-	if early < 120 || early > 200 {
-		t.Errorf("early spacing %.0f s, paper ~160 s", early)
+	if early.Seconds() < 120 || early.Seconds() > 200 {
+		t.Errorf("early spacing %.0f s, paper ~160 s", early.Seconds())
 	}
-	if late > 0.65*early {
-		t.Errorf("late spacing %.0f s not roughly half of early %.0f s", late, early)
+	if late.Seconds() > 0.65*early.Seconds() {
+		t.Errorf("late spacing %.0f s not roughly half of early %.0f s", late.Seconds(), early.Seconds())
+	}
+}
+
+func TestWriteBurstTrendSmall(t *testing.T) {
+	events, _ := runESCAT(t, SmallConfig())
+	// At the reduced scale the compute/burst ratio is too tight for exact
+	// burst counting (TestWriteBurstSpacingShrinks counts at paper scale);
+	// here just check the helper clusters and orders sanely.
+	early, late, bursts := WriteBurstTrend(analysis.FilterPhase(events, PhaseQuadrature), 50*sim.Millisecond)
+	iters := SmallConfig().Iterations
+	if bursts < iters || bursts > 3*iters {
+		t.Fatalf("bursts %d, want within [%d, %d]", bursts, iters, 3*iters)
+	}
+	if early <= 0 || late <= 0 {
+		t.Fatalf("spacings %v %v", early, late)
 	}
 }
 

@@ -1,10 +1,9 @@
-package core
+package htf
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/apps/htf"
 	"repro/internal/exec"
 )
 
@@ -22,12 +21,12 @@ type CrossoverModel struct {
 }
 
 // DefaultCrossoverModel returns the paper-calibrated parameters, the ones
-// the HTF skeleton's recompute variant charges.
+// the skeleton's recompute variant charges.
 func DefaultCrossoverModel() CrossoverModel {
 	return CrossoverModel{
-		FlopsPerIntegral: htf.FlopsPerIntegral,
-		NodeFlopRate:     htf.NodeFlopRate,
-		BytesPerIntegral: htf.BytesPerIntegral,
+		FlopsPerIntegral: FlopsPerIntegral,
+		NodeFlopRate:     NodeFlopRate,
+		BytesPerIntegral: BytesPerIntegral,
 	}
 }
 

@@ -184,7 +184,7 @@ func (c Config) WithCkpt(ck workload.Checkpointer) (workload.AppConfig, bool) {
 func (Config) OutputPrefixes() []string { return []string{"integrals.", "pscf.scratch", "htf."} }
 
 // Name implements workload.App.
-func (*App) Name() string { return "htf" }
+func (*App) Name() string { return Name }
 
 // RecordsForNode distributes the integral records across nodes (remainder to
 // the low-numbered nodes): at paper scale, nodes 0-83 hold 67 records and

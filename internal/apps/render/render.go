@@ -169,7 +169,7 @@ func (c Config) WithCkpt(workload.Checkpointer) (workload.AppConfig, bool) { ret
 func (Config) OutputPrefixes() []string { return []string{"frame"} }
 
 // Name implements workload.App.
-func (*App) Name() string { return "render" }
+func (*App) Name() string { return Name }
 
 // TerrainBytes returns the total data-set size.
 func (a *App) TerrainBytes() int64 {

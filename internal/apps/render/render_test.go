@@ -144,18 +144,20 @@ func TestPaperWallClockAndPhaseTransition(t *testing.T) {
 
 func TestInitThroughputNear9MBps(t *testing.T) {
 	// §6.2: the explicit prefetching achieves ~9.5 MB/s read throughput.
-	events := analysis.FilterPhase(paperRun(t), PhaseInit)
-	reads := analysis.OpTimeline(events, iotrace.OpAsyncRead)
-	first := reads[0].T
-	var lastDone sim.Time
-	for _, e := range events {
-		if (e.Op == iotrace.OpIOWait || e.Op == iotrace.OpAsyncRead) && e.End > lastDone {
-			lastDone = e.End
-		}
-	}
-	tput := analysis.Throughput(reads, lastDone-first) / 1e6
+	tput := InitReadThroughput(analysis.FilterPhase(paperRun(t), PhaseInit)) / 1e6
 	if tput < 7 || tput > 13 {
 		t.Errorf("init read throughput %.1f MB/s, paper ~9.5", tput)
+	}
+}
+
+func TestRenderThroughputHelper(t *testing.T) {
+	events, _ := runRENDER(t, SmallConfig())
+	if tput := InitReadThroughput(analysis.FilterPhase(events, PhaseInit)); tput <= 0 {
+		t.Fatalf("throughput %f", tput)
+	}
+	// The helper returns zero for events without an asynchronous read.
+	if tput := InitReadThroughput(analysis.FilterPhase(events, PhaseRender)); tput != 0 {
+		t.Fatalf("rendering phase reported init throughput %f", tput)
 	}
 }
 

@@ -10,9 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/apps/escat"
-	"repro/internal/apps/htf"
-	"repro/internal/apps/render"
 	"repro/internal/burst"
 	"repro/internal/collective"
 	"repro/internal/fault"
@@ -24,19 +21,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// AppID names one of the characterized applications.
-type AppID string
-
-// The three applications of the paper's initial SIO code suite.
-const (
-	ESCAT  AppID = "escat"
-	RENDER AppID = "render"
-	HTF    AppID = "htf"
-)
-
-// Apps lists the available applications.
-func Apps() []AppID { return []AppID{ESCAT, RENDER, HTF} }
 
 // Study describes one characterization run.
 type Study struct {
@@ -71,16 +55,12 @@ type Study struct {
 	FaultSeed uint64
 }
 
-// PaperStudy returns the study reproducing the paper's traced run of app.
+// PaperStudy returns the study reproducing the paper's traced run of app;
+// an unknown app gives a study without an app, which Run rejects.
 func PaperStudy(app AppID) Study {
 	s := Study{KeepTrace: true}
-	switch app {
-	case ESCAT:
-		s.App, s.Machine = escat.DefaultConfig(), escat.MachineConfig()
-	case RENDER:
-		s.App, s.Machine = render.DefaultConfig(), render.MachineConfig()
-	case HTF:
-		s.App, s.Machine = htf.DefaultConfig(), htf.MachineConfig()
+	if p := paperOf(app); p != nil {
+		s.App, s.Machine = p.Config(), p.Machine()
 	}
 	return s
 }
@@ -89,13 +69,8 @@ func PaperStudy(app AppID) Study {
 // quickstart example).
 func SmallStudy(app AppID) Study {
 	s := PaperStudy(app)
-	switch app {
-	case ESCAT:
-		s.App = escat.SmallConfig()
-	case RENDER:
-		s.App = render.SmallConfig()
-	case HTF:
-		s.App = htf.SmallConfig()
+	if p := paperOf(app); p != nil {
+		s.App = p.Small()
 	}
 	return s
 }
@@ -204,14 +179,15 @@ func (r *Report) RenderSubsystems() string {
 }
 
 // PhaseSummary computes the operation summary for one application phase
-// (HTF's per-program tables are phase summaries).
+// (HTF's per-program tables are phase summaries); PhaseNone is the whole run.
 func (r *Report) PhaseSummary(phase iotrace.Phase) analysis.OpSummary {
-	return analysis.Summarize(r.phaseEvents(phase))
+	return phaseOr(r, phase, r.Summary, analysis.Summarize)
 }
 
-// PhaseSizes computes the size-bucket table for one phase.
+// PhaseSizes computes the size-bucket table for one phase; PhaseNone is the
+// whole run.
 func (r *Report) PhaseSizes(phase iotrace.Phase) analysis.SizeTable {
-	return analysis.Sizes(r.phaseEvents(phase))
+	return phaseOr(r, phase, r.Sizes, analysis.Sizes)
 }
 
 // Purposes classifies every file of the run into the §2 taxonomy

@@ -2,14 +2,16 @@ package core
 
 import (
 	"encoding/json"
-	"math"
+	"fmt"
 	goruntime "runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/apps/escat"
+	"repro/internal/iotrace"
 	"repro/internal/ppfs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -211,29 +213,6 @@ func TestWindowReductionCoversWholeRun(t *testing.T) {
 	}
 }
 
-func TestCrossoverModelBreakEven(t *testing.T) {
-	m := DefaultCrossoverModel()
-	be := m.BreakEvenRate()
-	// §7.2: "approximately 5-10 Mbytes/second per node".
-	if be < 5e6 || be > 10e6 {
-		t.Fatalf("break-even %f MB/s, paper 5-10", be/1e6)
-	}
-	pts := m.Sweep([]float64{1e6, 3e6, be * 1.01, 20e6})
-	if pts[0].ReadWins || pts[1].ReadWins {
-		t.Fatal("slow I/O should lose to recomputation")
-	}
-	if !pts[2].ReadWins || !pts[3].ReadWins {
-		t.Fatal("fast I/O should beat recomputation")
-	}
-	out := RenderSweep(pts)
-	if !strings.Contains(out, "recompute") || !strings.Contains(out, "read") {
-		t.Fatalf("sweep render:\n%s", out)
-	}
-	if math.Abs(m.RecomputeTime()-1e-5) > 1e-9 {
-		t.Fatalf("recompute time %g, want 10 us", m.RecomputeTime())
-	}
-}
-
 func TestCompareTablesRender(t *testing.T) {
 	r, err := Run(SmallStudy(ESCAT))
 	if err != nil {
@@ -251,53 +230,72 @@ func TestCompareTablesRender(t *testing.T) {
 	}
 }
 
+// TestPaperExpectationsConsistency checks the registry against the paper:
+// each of Figures 2-17 comes from exactly one app, the app the paper draws it
+// for, and each of Tables 1-6 from at least one; every figure and table reads
+// a phase its app's small run records (PhaseNone is the whole run); the
+// published rows are well-formed; and a small run draws its app's figures in
+// figure-number order.
 func TestPaperExpectationsConsistency(t *testing.T) {
-	// The hard-coded paper tables must at least be self-describing: every
-	// app referenced exists and rows are non-empty.
-	apps := map[AppID]bool{ESCAT: true, RENDER: true, HTF: true}
-	for _, pt := range PaperTables() {
-		if !apps[pt.App] {
-			t.Errorf("%s references unknown app %q", pt.Name, pt.App)
+	figureApps := map[AppID][2]int{ESCAT: {2, 5}, RENDER: {6, 8}, HTF: {9, 17}}
+	figures := map[string]int{}
+	tables := map[string]bool{}
+	for _, p := range papers {
+		app := AppID(p.Name)
+		r, err := Run(SmallStudy(app))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(pt.Rows) == 0 || pt.Rows[0].Op != "All I/O" {
-			t.Errorf("%s rows malformed", pt.Name)
+		recorded := map[iotrace.Phase]bool{iotrace.PhaseNone: true}
+		for _, e := range r.Events {
+			recorded[e.Phase] = true
+		}
+		var want []string
+		for _, f := range p.Figures {
+			figures[f.ID]++
+			want = append(want, f.ID)
+			if !recorded[f.Phase] {
+				t.Errorf("%s %s reads phase %q, which its small run does not record", app, f.ID, f.Phase)
+			}
+		}
+		var got []string
+		for _, f := range r.Figures() {
+			got = append(got, f.ID)
+		}
+		first, last := figureApps[app][0], figureApps[app][1]
+		if len(got) != last-first+1 || got[0] != fmt.Sprintf("figure-%02d", first) ||
+			got[len(got)-1] != fmt.Sprintf("figure-%02d", last) ||
+			!sort.StringsAreSorted(got) || !slices.Equal(got, want) {
+			t.Errorf("%s draws figures %v, want figure-%02d..figure-%02d in order", app, got, first, last)
+		}
+		for _, tb := range p.Tables {
+			for _, title := range []string{tb.Summary, tb.Sizes} {
+				number, _, _ := strings.Cut(title, ":")
+				tables[number] = true
+			}
+			if !recorded[tb.Phase] {
+				t.Errorf("%s %q reads phase %q, which its small run does not record", app, tb.Summary, tb.Phase)
+			}
+			if len(tb.Rows) == 0 || tb.Rows[0].Op != "All I/O" {
+				t.Errorf("%s %q rows malformed", app, tb.Summary)
+			}
 		}
 	}
-	if len(PaperSizeTables()) != 5 {
-		t.Errorf("size tables %d, want 5", len(PaperSizeTables()))
+	for n := 2; n <= 17; n++ {
+		if id := fmt.Sprintf("figure-%02d", n); figures[id] != 1 {
+			t.Errorf("%s appears %d times in the registry, want once", id, figures[id])
+		}
 	}
-}
-
-func TestWriteBurstTrendSmall(t *testing.T) {
-	r, err := Run(SmallStudy(ESCAT))
-	if err != nil {
-		t.Fatal(err)
+	if len(figures) != 16 {
+		t.Errorf("registry lists %d distinct figures, want 16 (2-17)", len(figures))
 	}
-	// At the reduced scale the compute/burst ratio is too tight for exact
-	// burst counting (the paper-scale assertion lives in the escat package
-	// tests); here just check the helper clusters and orders sanely.
-	early, late, bursts := r.WriteBurstTrend(50 * sim.Millisecond)
-	iters := escat.SmallConfig().Iterations
-	if bursts < iters || bursts > 3*iters {
-		t.Fatalf("bursts %d, want within [%d, %d]", bursts, iters, 3*iters)
+	for n := 1; n <= 6; n++ {
+		if !tables[fmt.Sprintf("Table %d", n)] {
+			t.Errorf("no app renders Table %d", n)
+		}
 	}
-	if early <= 0 || late <= 0 {
-		t.Fatalf("spacings %v %v", early, late)
-	}
-}
-
-func TestRenderThroughputHelper(t *testing.T) {
-	r, err := Run(SmallStudy(RENDER))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tput := r.InitReadThroughput(); tput <= 0 {
-		t.Fatalf("throughput %f", tput)
-	}
-	// The helper returns zero for apps without an init read stream.
-	e, _ := Run(SmallStudy(ESCAT))
-	if e.InitReadThroughput() != 0 {
-		t.Fatal("ESCAT reported RENDER throughput")
+	if len(PaperTables()) != 5 || len(PaperSizeTables()) != 5 {
+		t.Errorf("%d operation and %d size tables, want 5 each", len(PaperTables()), len(PaperSizeTables()))
 	}
 }
 

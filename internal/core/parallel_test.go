@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/apps/htf"
 	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/integrity"
@@ -53,7 +54,7 @@ func renderAllSweeps(t *testing.T) string {
 	}
 	out += RenderScaling(scalePts)
 
-	out += RenderSweep(DefaultCrossoverModel().Sweep([]float64{1e6, 3e6, 5.6e6, 10e6}))
+	out += htf.RenderSweep(htf.DefaultCrossoverModel().Sweep([]float64{1e6, 3e6, 5.6e6, 10e6}))
 
 	tradePts, err := TradeoffSweep(chaosStudy(), []int{0, 2})
 	if err != nil {

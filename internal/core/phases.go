@@ -26,6 +26,21 @@ func (r *Report) phaseEvents(phase iotrace.Phase) []iotrace.Event {
 	return r.phases.byPhase[phase]
 }
 
+// phaseOr is the one rule for "a phase, or the whole run": PhaseNone yields
+// whole, which the report already holds for every event, and any other
+// phase yields derive of that phase's events.
+func phaseOr[T any](r *Report, phase iotrace.Phase, whole T, derive func([]iotrace.Event) T) T {
+	if phase == iotrace.PhaseNone {
+		return whole
+	}
+	return derive(r.phaseEvents(phase))
+}
+
+// events returns one phase's events, or every event for PhaseNone.
+func (r *Report) events(phase iotrace.Phase) []iotrace.Event {
+	return phaseOr(r, phase, r.Events, func(ev []iotrace.Event) []iotrace.Event { return ev })
+}
+
 // partitionPhases groups events by phase, keeping capture order within each
 // phase. Applications run their phases one after another, so each phase is
 // usually one contiguous run of the trace and its group is a sub-slice of

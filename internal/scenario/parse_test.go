@@ -124,7 +124,7 @@ func TestParseErrors(t *testing.T) {
 		{"negative compress", "workload:\n  app: escat\nfeatures:\n  burst:\n    enabled: true\n    compress: -2\n", "features.burst.compress -2 is negative"},
 		{"waves without wave", "workload:\n  app: escat\nfleet_gen:\n  startup:\n    pattern: linear\n    waves: 3\n", "pattern: wave"},
 		{"burst with policy", "workload:\n  app: escat\n  policy: ppfs\nfeatures:\n  burst:\n    enabled: true\n", "mutually exclusive"},
-		{"render with ckpt", "workload:\n  app: render\nrun:\n  ckpt_interval: 2\n", "render"},
+		{"render with ckpt", "workload:\n  app: render\nrun:\n  ckpt_interval: 2\n", "run.ckpt_interval: render does not support checkpointing"},
 		{"negative cells", "workload:\n  app: escat\nfleet_gen:\n  cells: -2\n", "fleet_gen.cells"},
 		{"stagger without cells", "workload:\n  app: escat\nfleet_gen:\n  stagger_s: 0.5\n", "cells > 1"},
 		{"fleet with ckpt", "workload:\n  app: escat\nfleet_gen:\n  cells: 4\nrun:\n  ckpt_interval: 2\n", "single attempt"},
@@ -132,6 +132,7 @@ func TestParseErrors(t *testing.T) {
 		{"removed replicate", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: true\n    replicate: true\n", "unknown field"},
 		{"placement seed without failover", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: false\n    placement_seed: 3\n", "features.failover.placement_seed needs features.failover.enabled"},
 		{"sub-microsecond window", "workload:\n  app: escat\n  window_s: 0.0000001\n", "workload.window_s 1e-07 is below the clock's 1 µs resolution"},
+		{"sub-microsecond chaos window", "workload:\n  app: escat\nchaos:\n  window_s: 0.0000001\n", "chaos.window_s 1e-07 is below the clock's 1 µs resolution"},
 		{"sub-microsecond deadline", "workload:\n  app: escat\nfeatures:\n  reliability:\n    enabled: true\n    deadline_s: 0.0000001\n", "features.reliability.deadline_s 1e-07 is below"},
 		{"sub-microsecond give-up", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: true\n    factor: 2\n    repair:\n      enabled: true\n      give_up_s: 0.0000001\n", "features.failover.repair.give_up_s 1e-07 is below"},
 		{"bad node ref", "workload:\n  app: escat\nchaos:\n  events:\n    - kind: disk-failure\n      at_s: 1\n      node: some\n", "node"},

@@ -2,17 +2,17 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ionode"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
-// Apps, scales, policies and patterns the workload/fleet sections accept.
+// Scales, policies and patterns the workload/fleet sections accept; the
+// apps are core's registry.
 var (
-	validApps     = []string{"escat", "render", "htf"}
 	validScales   = []string{"", "small", "paper"}
 	validPolicies = []string{"", "none", "ppfs", "adaptive"}
 	validPatterns = []string{"", "instant", "linear", "exponential", "wave"}
@@ -35,9 +35,8 @@ func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario needs a name")
 	}
-	if !oneOf(s.Workload.App, validApps) {
-		return fmt.Errorf("workload.app %q: want one of %s",
-			s.Workload.App, strings.Join(validApps, ", "))
+	if _, err := core.ParseApp(s.Workload.App); err != nil {
+		return fmt.Errorf("workload.app %w", err)
 	}
 	if !oneOf(s.Workload.Scale, validScales) {
 		return fmt.Errorf("workload.scale %q: want small or paper", s.Workload.Scale)
@@ -254,6 +253,9 @@ func (c Chaos) validate() error {
 	if c.WindowS < 0 {
 		return fmt.Errorf("chaos.window_s %g is negative", c.WindowS)
 	}
+	if err := belowTick("chaos.window_s", c.WindowS); err != nil {
+		return err
+	}
 	for i, e := range c.Events {
 		if _, err := fault.ParseKind(e.Kind); err != nil {
 			return fmt.Errorf("chaos.events[%d]: %v", i, err)
@@ -311,8 +313,8 @@ func (s *Scenario) validateRun() error {
 	if r.CkptInterval != nil && *r.CkptInterval < 0 {
 		return fmt.Errorf("run.ckpt_interval %d is negative", *r.CkptInterval)
 	}
-	if s.Workload.App == "render" && s.ckptInterval() > 0 {
-		return fmt.Errorf("run.ckpt_interval: render does not support checkpointing (set it to 0)")
+	if s.ckptInterval() > 0 && !s.checkpoints() {
+		return fmt.Errorf("run.ckpt_interval: %s does not support checkpointing (set it to 0)", s.Workload.App)
 	}
 	if s.cells() > 1 {
 		// A multi-cell fleet runs one attempt per cell; the
@@ -416,9 +418,9 @@ func (s *Scenario) cells() int {
 }
 
 // ckptInterval returns the checkpoint interval: the stress command's default
-// of 2 when unset, the explicit value (including 0 = off) otherwise. render
-// never checkpoints — it has no checkpointable work loop — and multi-cell
-// fleets run single attempts (validateRun rejects an explicit interval).
+// of 2 when unset, the explicit value (including 0 = off) otherwise. An app
+// without a checkpointable work loop defaults to 0, and multi-cell fleets
+// run single attempts (validateRun rejects an explicit interval).
 func (s *Scenario) ckptInterval() int {
 	if s.cells() > 1 {
 		return 0
@@ -426,8 +428,19 @@ func (s *Scenario) ckptInterval() int {
 	if s.Run.CkptInterval != nil {
 		return *s.Run.CkptInterval
 	}
-	if s.Workload.App == "render" {
+	if !s.checkpoints() {
 		return 0
 	}
 	return 2
+}
+
+// checkpoints reports whether the workload's app has a work loop to
+// checkpoint, asking its configuration.
+func (s *Scenario) checkpoints() bool {
+	app := core.PaperStudy(core.AppID(s.Workload.App)).App
+	if app == nil {
+		return false
+	}
+	_, ok := app.WithCkpt(nil)
+	return ok
 }

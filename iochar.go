@@ -8,6 +8,11 @@
 // instrumentation, and optional PPFS client policies; Run produces a Report
 // from which every table and figure of the paper regenerates.
 //
+// What belongs to one application stays in its package under internal/apps:
+// ESCAT's Figure 4 burst spacing (escat.WriteBurstTrend), RENDER's
+// initialization read throughput (render.InitReadThroughput) and HTF's §7.2
+// recompute-versus-reread crossover model (htf.CrossoverModel).
+//
 // Quick start:
 //
 //	report, err := iochar.Run(iochar.PaperStudy(iochar.ESCAT))
@@ -52,9 +57,6 @@ type Report = core.Report
 // classifier turn prefetching and write-behind off per stream.
 type Policy = ppfs.Policy
 
-// CrossoverModel is the §7.2 recompute-vs-reread analysis.
-type CrossoverModel = core.CrossoverModel
-
 // PaperStudy returns the study reproducing the paper's traced run of app.
 func PaperStudy(app AppID) Study { return core.PaperStudy(app) }
 
@@ -67,9 +69,6 @@ func Run(s Study) (*Report, error) { return core.Run(s) }
 // DefaultPolicy returns the §5.2 experiment's PPFS policies (write-behind,
 // aggregation, caching, sequential prefetch).
 func DefaultPolicy() Policy { return ppfs.DefaultPolicy() }
-
-// DefaultCrossoverModel returns the paper-calibrated §7.2 parameters.
-func DefaultCrossoverModel() CrossoverModel { return core.DefaultCrossoverModel() }
 
 // Fault injection & resilience (the chaos side of the machine model).
 

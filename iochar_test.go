@@ -51,10 +51,3 @@ func TestFacadePolicyRun(t *testing.T) {
 		t.Fatalf("policy stats %+v", report.PolicyStats)
 	}
 }
-
-func TestFacadeCrossover(t *testing.T) {
-	m := iochar.DefaultCrossoverModel()
-	if be := m.BreakEvenRate(); be < 5e6 || be > 10e6 {
-		t.Fatalf("break-even %f", be)
-	}
-}
