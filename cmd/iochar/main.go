@@ -131,42 +131,25 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		if err := sddf.WriteTrace(f, report.Events, *traceASCII); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*traceFile, func(w io.Writer) error {
+			return sddf.WriteTrace(w, report.Events, *traceASCII)
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "trace: %d events -> %s\n", len(report.Events), *traceFile)
 	}
 
 	if *jsonFile != "" {
-		f, err := os.Create(*jsonFile)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteJSON(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*jsonFile, report.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "json -> %s\n", *jsonFile)
 	}
 
 	if *summaryFile != "" {
-		f, err := os.Create(*summaryFile)
-		if err != nil {
-			return err
-		}
-		if err := sddf.WriteSummaries(f, *traceASCII, report.Lifetime, report.Windows, report.Wall); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*summaryFile, func(w io.Writer) error {
+			return sddf.WriteSummaries(w, *traceASCII, report.Lifetime, report.Windows, report.Wall)
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "summaries -> %s\n", *summaryFile)
@@ -178,15 +161,9 @@ func run(args []string, out io.Writer) error {
 		}
 		figs := report.Figures()
 		for _, fig := range figs {
-			f, err := os.Create(filepath.Join(*figures, fig.ID+".csv"))
-			if err != nil {
-				return err
-			}
-			if err := analysis.WriteCSV(f, fig.Points); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(filepath.Join(*figures, fig.ID+".csv"), func(w io.Writer) error {
+				return analysis.WriteCSV(w, fig.Points)
+			}); err != nil {
 				return err
 			}
 			txt := analysis.RenderScatter(fig.Points, analysis.PlotOptions{Title: fig.Title, LogY: fig.LogY})
@@ -197,6 +174,20 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "figures: %d -> %s\n", len(figs), *figures)
 	}
 	return nil
+}
+
+// writeFile creates name and hands it to write, closing it on every path. It
+// returns write's error, else the close's.
+func writeFile(name string, write func(io.Writer) error) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // outputFlags shape what iochar writes, not the study it runs: the only flags

@@ -203,3 +203,15 @@ func TestSmokeFiguresWritesCSVAndTextPerFigure(t *testing.T) {
 		t.Fatalf("%d files in the figure directory, want 18", len(entries))
 	}
 }
+
+// TestJSONWriteErrorFailsTheRun: a -json file that cannot be written fails
+// the command with the write error.
+func TestJSONWriteErrorFailsTheRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	err := run([]string{"-app", "escat", "-small", "-json", "/dev/full"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "no space left on device") {
+		t.Fatalf("got %v, want the write error", err)
+	}
+}

@@ -47,12 +47,11 @@ func main() {
 
 	// Physical request streams: how many writes actually hit the disks,
 	// and how large they were.
-	pw := analysis.FilterOps(base.Physical, iotrace.OpWrite)
-	lw := analysis.FilterOps(layered.Physical, iotrace.OpWrite)
 	row("physical write requests",
-		fmt.Sprintf("%d", len(pw)), fmt.Sprintf("%d", len(lw)))
+		fmt.Sprintf("%d", base.Physical.Count[iotrace.OpWrite]),
+		fmt.Sprintf("%d", layered.Physical.Count[iotrace.OpWrite]))
 	row("mean physical write size",
-		analysis.HumanBytes(meanBytes(pw)), analysis.HumanBytes(meanBytes(lw)))
+		analysis.HumanBytes(meanWriteBytes(base)), analysis.HumanBytes(meanWriteBytes(layered)))
 	if layered.PolicyStats != nil {
 		fmt.Printf("\nPPFS absorbed %d small writes into %d aggregated extents (mean %s).\n",
 			layered.PolicyStats.BufferedWrites, layered.PolicyStats.Flushes,
@@ -83,15 +82,13 @@ func run(cfg escat.Config, pol *iochar.Policy) *iochar.Report {
 	return report
 }
 
-func meanBytes(events []iotrace.Event) int64 {
-	if len(events) == 0 {
+// meanWriteBytes is the mean size of the writes that reached the PFS.
+func meanWriteBytes(r *iochar.Report) int64 {
+	n := r.Physical.Count[iotrace.OpWrite]
+	if n == 0 {
 		return 0
 	}
-	var total int64
-	for _, e := range events {
-		total += e.Bytes
-	}
-	return total / int64(len(events))
+	return r.Physical.Bytes[iotrace.OpWrite] / n
 }
 
 func meanWriteMillis(r *iochar.Report) float64 {

@@ -165,9 +165,6 @@ func TestFilters(t *testing.T) {
 	if got := FilterPhase(events, iotrace.PhasePscf); len(got) != 2 {
 		t.Fatalf("phase filter %v", got)
 	}
-	if got := FilterOps(events, iotrace.OpRead); len(got) != 2 {
-		t.Fatalf("op filter %v", got)
-	}
 }
 
 func TestWriteCSV(t *testing.T) {

@@ -119,12 +119,6 @@ func FilterPhase(events []iotrace.Event, phase iotrace.Phase) []iotrace.Event {
 	return filter(events, func(e *iotrace.Event) bool { return e.Phase == phase })
 }
 
-// FilterOps keeps events of the given operation classes.
-func FilterOps(events []iotrace.Event, ops ...iotrace.Op) []iotrace.Event {
-	want := maskOf(ops)
-	return filter(events, func(e *iotrace.Event) bool { return want.has(e.Op) })
-}
-
 // csvHeader is the first line WriteCSV emits.
 const csvHeader = "time_s,y,node,file,op\n"
 

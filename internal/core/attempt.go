@@ -18,6 +18,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/burst"
 	"repro/internal/fault"
+	"repro/internal/iotrace"
 	"repro/internal/pablo"
 	"repro/internal/ppfs"
 	"repro/internal/sim"
@@ -32,16 +33,15 @@ type appErr interface{ Err() error }
 // instrumented file system stack, the application, and the armed fault
 // injector (nil when no discrete fault events are scheduled).
 type runtime struct {
-	m          *workload.Machine
-	fs         workload.FS
-	tracer     *pablo.Tracer
-	physTracer *pablo.Tracer
-	lifetime   *pablo.LifetimeReducer
-	windows    *pablo.WindowReducer
-	layer      *ppfs.FileSystem
-	burst      *burst.Tier
-	app        workload.App
-	inj        *fault.Injector
+	m        *workload.Machine
+	fs       workload.FS
+	tracer   *pablo.Tracer
+	lifetime *pablo.LifetimeReducer
+	windows  *pablo.WindowReducer
+	layer    *ppfs.FileSystem
+	burst    *burst.Tier
+	app      workload.App
+	inj      *fault.Injector
 }
 
 // errNoApp rejects a study that names no application.
@@ -83,11 +83,8 @@ func prepare(s Study) (Study, *runtime, error) {
 	rt.tracer.Attach(rt.windows)
 
 	if s.Policy != nil {
-		// The physical stream has no size hint: its count depends on what
-		// the run's write-behind merges and its cache and prefetch add (see
-		// DESIGN.md §5.1), so no count fixed before the run bounds it.
-		rt.physTracer = pablo.NewTracer(s.KeepTrace)
-		m.PFS.SetRecorder(rt.physTracer)
+		// The PFS beneath the policy layer records to nothing: its physical
+		// stream is reported through its per-op counters alone.
 		rt.layer = ppfs.New(m.Eng, m.PFS, *s.Policy)
 		rt.layer.SetRecorder(rt.tracer)
 		rt.fs = rt.layer
@@ -222,10 +219,11 @@ func (rt *runtime) report(s Study) *Report {
 	}
 	r.ReplicationFactor = rt.m.PFS.ReplicationFactor()
 	r.repairOn = rt.m.PFS.RepairEnabled()
-	if rt.physTracer != nil {
-		r.Physical = rt.physTracer.Events()
-	} else {
-		r.Physical = r.Events
+	for op := range r.Physical.Count {
+		op := iotrace.Op(op)
+		r.Physical.Count[op] = rt.m.PFS.OpCount(op)
+		r.Physical.Bytes[op] = rt.m.PFS.OpBytes(op)
+		r.Physical.Time[op] = rt.m.PFS.OpTime(op)
 	}
 	if rt.layer != nil {
 		st := rt.layer.Stats()

@@ -81,10 +81,11 @@ type Report struct {
 	App  AppID // the built app's Name
 	Wall sim.Time
 
-	// Events is the application-visible trace; Physical differs from it
-	// only when a PPFS policy layer was interposed.
+	// Events is the application-visible trace. Physical counts the
+	// requests the PFS served: without a PPFS policy layer, the same
+	// operations Events records when the trace is kept.
 	Events   []iotrace.Event
-	Physical []iotrace.Event
+	Physical OpCounts
 
 	Summary analysis.OpSummary
 	Sizes   analysis.SizeTable
@@ -133,6 +134,14 @@ type Report struct {
 
 	// phases partitions Events by phase on first use; see phaseEvents.
 	phases phaseIndex
+}
+
+// OpCounts reduces a request stream per operation class: how many
+// operations, the bytes they moved, and their summed node time.
+type OpCounts struct {
+	Count [iotrace.NumOps]int64
+	Bytes [iotrace.NumOps]int64
+	Time  [iotrace.NumOps]sim.Time
 }
 
 // Run executes the study to completion. With a fault plan configured the run

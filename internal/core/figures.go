@@ -33,22 +33,29 @@ func (r *Report) Figures() []Figure {
 	}
 	figs := make([]Figure, len(p.Figures))
 	for i, f := range p.Figures {
-		figs[i] = Figure{ID: f.ID, Title: f.Title, LogY: f.Timeline != workload.FileTimeline,
-			Points: timelines[f.Timeline](r.events(f.Phase))}
+		figs[i] = r.figure(f)
 	}
 	return figs
 }
 
 // Figure returns one figure by paper number (e.g. 4), or an error if this
-// report's application does not produce it.
+// report's application does not produce it. It extracts that figure alone.
 func (r *Report) Figure(number int) (Figure, error) {
 	id := fmt.Sprintf("figure-%02d", number)
-	for _, f := range r.Figures() {
-		if f.ID == id {
-			return f, nil
+	if p := paperOf(r.App); p != nil {
+		for _, f := range p.Figures {
+			if f.ID == id {
+				return r.figure(f), nil
+			}
 		}
 	}
 	return Figure{}, fmt.Errorf("core: %s has no %s", r.App, id)
+}
+
+// figure draws one figure spec from the report's trace.
+func (r *Report) figure(f workload.FigureSpec) Figure {
+	return Figure{ID: f.ID, Title: f.Title, LogY: f.Timeline != workload.FileTimeline,
+		Points: timelines[f.Timeline](r.events(f.Phase))}
 }
 
 // Tables renders the report's operation-summary and size tables with the

@@ -9,17 +9,22 @@ import (
 // phaseIndex is a report's events grouped by phase. It is built on the
 // first per-phase query and then shared, read-only, by every figure, table
 // and phase summary of the report, so concurrent readers of one Report all
-// see the one partition.
+// see the one partition. The partition sits behind a pointer, so a report
+// nobody queries by phase (most fleet cells) carries one word, not a slice
+// per phase.
 type phaseIndex struct {
 	once    sync.Once
-	byPhase [iotrace.NumPhases][]iotrace.Event
+	byPhase *[iotrace.NumPhases][]iotrace.Event
 }
 
 // phaseEvents returns the events captured during phase, in capture order.
 // The slice aliases the report's partition: callers must not modify it.
 // r.Events must not change after the first call.
 func (r *Report) phaseEvents(phase iotrace.Phase) []iotrace.Event {
-	r.phases.once.Do(func() { r.phases.byPhase = partitionPhases(r.Events) })
+	r.phases.once.Do(func() {
+		byPhase := partitionPhases(r.Events)
+		r.phases.byPhase = &byPhase
+	})
 	if !phase.Valid() {
 		return nil
 	}

@@ -39,13 +39,37 @@ func paperCount(app AppID) int {
 	return n
 }
 
+// eventCounts reduces a trace to the per-op counters a report's Physical
+// field holds.
+func eventCounts(events []iotrace.Event) OpCounts {
+	var c OpCounts
+	for _, e := range events {
+		c.Count[e.Op]++
+		if e.Op.Moves() {
+			c.Bytes[e.Op] += e.Bytes
+		}
+		c.Time[e.Op] += e.End - e.Start
+	}
+	return c
+}
+
+// physicalMatchesEvents fails unless a raw-PFS run's physical counters count
+// exactly its trace: without a policy layer the PFS's requests are the
+// application's own.
+func physicalMatchesEvents(t *testing.T, name string, r *Report) {
+	t.Helper()
+	if want := eventCounts(r.Events); r.Physical != want {
+		t.Errorf("%s: physical counters %+v, the trace counts %+v", name, r.Physical, want)
+	}
+}
+
 // TestExactTraceReserve holds every run path to an exact trace reserve: each
 // app at paper and small scale, checkpointed resilient runs (a restart
 // included), a synthetic mode sweep, the logical stream of a PPFS run, and
-// the cells of a fleet. A PPFS run's physical stream is checked to be
-// unreserved. At paper
-// scale the count must also equal the paper's Tables 1, 3 and 5 — a second,
-// independent lock on the exact-count contract.
+// the cells of a fleet. At paper scale the count must also equal the paper's
+// Tables 1, 3 and 5 — a second, independent lock on the exact-count contract
+// — and the physical counters must count the trace. A PPFS run keeps no
+// physical trace at all, only its counters.
 func TestExactTraceReserve(t *testing.T) {
 	for _, app := range Apps() {
 		paper, err := Run(PaperStudy(app))
@@ -53,6 +77,7 @@ func TestExactTraceReserve(t *testing.T) {
 			t.Fatal(err)
 		}
 		exactReserve(t, string(app)+" paper", paper.Events)
+		physicalMatchesEvents(t, string(app)+" paper", paper)
 		if want := paperCount(app); len(paper.Events) != want {
 			t.Errorf("%s paper: %d events, the paper's tables count %d", app, len(paper.Events), want)
 		}
@@ -93,11 +118,8 @@ func TestExactTraceReserve(t *testing.T) {
 		exactReserve(t, "synthetic "+cell.name, r.Events)
 	}
 
-	// The PPFS physical stream is the one left unreserved: how much the
-	// policy's write-behind merges and its cache and prefetch add is known
-	// only after the run, so its buffer grows by append alone. Merging leaves
-	// it shorter than the logical stream, and it must not be sized from the
-	// logical count.
+	// A PPFS run reserves only its logical stream. Its physical stream is
+	// counted: write-behind merges the writes into fewer PFS requests.
 	pol := ppfs.DefaultPolicy()
 	ps := SmallStudy(ESCAT)
 	ps.Policy = &pol
@@ -106,9 +128,9 @@ func TestExactTraceReserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	exactReserve(t, "escat ppfs logical", pr.Events)
-	if n := len(pr.Physical); n == 0 || n >= len(pr.Events) || cap(pr.Physical) >= len(pr.Events) {
-		t.Errorf("escat ppfs physical: %d events in a buffer of %d, logical stream %d; want an unreserved, shorter stream",
-			n, cap(pr.Physical), len(pr.Events))
+	logical := eventCounts(pr.Events).Count[iotrace.OpWrite]
+	if phys := pr.Physical.Count[iotrace.OpWrite]; phys == 0 || phys >= logical {
+		t.Errorf("escat ppfs: %d physical writes for %d logical ones; want fewer, and some", phys, logical)
 	}
 
 	fr, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 2, Shards: 1, Stagger: 20 * sim.Millisecond})

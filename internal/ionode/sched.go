@@ -155,6 +155,7 @@ type dispatcher struct {
 	broken  bool
 	head    int64 // array address where the previous grant ended
 	waiters []*schedWaiter
+	spare   []*schedWaiter // waiters whose Acquire returned, for reuse
 	scratch []int64
 
 	stats SchedStats
@@ -186,12 +187,37 @@ func newDispatcher(name string, cfg SchedConfig) (*dispatcher, error) {
 
 // Acquire queues p for the service slot; it returns once the policy grants
 // service (the caller then sleeps its service time and calls Release), or
-// sim.ErrBroken if the node fails while the request is pending.
+// sim.ErrBroken if the node fails while the request is pending. A request
+// granted on arrival builds no waiter; a queued one borrows a spare.
 func (d *dispatcher) Acquire(p *sim.Process, addr, span int64) error {
 	if d.broken {
 		return sim.ErrBroken
 	}
-	w := &schedWaiter{p: p, addr: addr, span: span}
+	if !d.busy && (d.window <= 0 || addr < 0) {
+		d.busy = true
+		d.grant(addr, span, 0)
+		return nil
+	}
+	var w *schedWaiter
+	if n := len(d.spare); n > 0 {
+		w = d.spare[n-1]
+		d.spare = d.spare[:n-1]
+	} else {
+		w = new(schedWaiter)
+	}
+	*w = schedWaiter{p: p, addr: addr, span: span}
+	err := d.wait(p, w)
+	// Every path out of wait has taken w off the queue: the grant took it,
+	// or Break dropped it.
+	w.p = nil
+	d.spare = append(d.spare, w)
+	return err
+}
+
+// wait queues w behind the request in service, or holds the idle server for
+// the anticipation window and lets the policy choose among the gathered
+// requests.
+func (d *dispatcher) wait(p *sim.Process, w *schedWaiter) error {
 	if d.busy {
 		d.push(w)
 		p.Park("ionode-sched", d.name)
@@ -201,34 +227,30 @@ func (d *dispatcher) Acquire(p *sim.Process, addr, span int64) error {
 		return nil
 	}
 	d.busy = true
-	if d.window > 0 && addr >= 0 {
-		// Anticipation: hold the idle server briefly so requests arriving
-		// just behind this one are scheduled as a batch.
-		w.anticipating = true
-		d.push(w)
-		p.Sleep(d.window)
-		w.anticipating = false
-		if w.ejected {
-			d.busy = false
-			return sim.ErrBroken
-		}
-		if len(d.waiters) > 1 {
-			d.stats.Anticipated++
-		}
-		i := d.pick()
-		next := d.take(i)
-		d.grant(next, i)
-		if next == w {
-			return nil
-		}
-		p.Wake(next.p)
-		p.Park("ionode-sched", d.name)
-		if w.ejected {
-			return sim.ErrBroken
-		}
+	// Anticipation: hold the idle server briefly so requests arriving just
+	// behind this one are scheduled as a batch.
+	w.anticipating = true
+	d.push(w)
+	p.Sleep(d.window)
+	w.anticipating = false
+	if w.ejected {
+		d.busy = false
+		return sim.ErrBroken
+	}
+	if len(d.waiters) > 1 {
+		d.stats.Anticipated++
+	}
+	i := d.pick()
+	next := d.take(i)
+	d.grant(next.addr, next.span, i)
+	if next == w {
 		return nil
 	}
-	d.grant(w, 0)
+	p.Wake(next.p)
+	p.Park("ionode-sched", d.name)
+	if w.ejected {
+		return sim.ErrBroken
+	}
 	return nil
 }
 
@@ -244,7 +266,7 @@ func (d *dispatcher) Release(p *sim.Process) {
 	}
 	i := d.pick()
 	w := d.take(i)
-	d.grant(w, i)
+	d.grant(w.addr, w.span, i)
 	p.Wake(w.p)
 }
 
@@ -301,15 +323,15 @@ func (d *dispatcher) take(i int) *schedWaiter {
 	return w
 }
 
-func (d *dispatcher) grant(w *schedWaiter, picked int) {
+func (d *dispatcher) grant(addr, span int64, picked int) {
 	d.stats.Grants++
 	if picked != 0 {
 		d.stats.Reorders++
 	}
-	if w.addr >= 0 {
-		if w.addr < d.head {
+	if addr >= 0 {
+		if addr < d.head {
 			d.stats.Wraps++
 		}
-		d.head = w.addr + w.span
+		d.head = addr + span
 	}
 }

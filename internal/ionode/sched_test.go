@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/race"
 	"repro/internal/sim"
 )
 
@@ -243,5 +244,60 @@ func TestDeadlockListingNamesDispatcher(t *testing.T) {
 		"holder(id=1,barrier:hold), waiter(id=2,ionode-sched:ion3)"
 	if got := err.Error(); got != want {
 		t.Fatalf("deadlock listing:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestDispatcherAcquireAllocCeiling pins the dispatcher's request path at
+// zero allocations per extra request: granted on arrival (no waiter at all),
+// queued behind the request in service, and held for the anticipation window
+// (a reused waiter each time).
+func TestDispatcherAcquireAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	cases := []struct {
+		name   string
+		cfg    SchedConfig
+		procs  int
+		queued bool // every request but the first queues behind another
+	}{
+		{"uncontended", SchedConfig{Policy: "fcfs"}, 1, false},
+		{"contended", SchedConfig{Policy: "fcfs"}, 2, true},
+		{"anticipated", SchedConfig{Policy: "cscan", Window: sim.Microsecond}, 1, false},
+	}
+	for _, tc := range cases {
+		run := func(requests int) {
+			eng := sim.NewEngine()
+			d, err := newDispatcher("ion0", tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < tc.procs; j++ {
+				eng.Spawn(fmt.Sprintf("req%d", j), func(p *sim.Process) {
+					for k := 0; k < requests/tc.procs; k++ {
+						if err := d.Acquire(p, int64(k)<<20, 4096); err != nil {
+							t.Error(err)
+						}
+						p.Sleep(sim.Microsecond)
+						d.Release(p)
+					}
+				})
+			}
+			if err := eng.Run(); err != nil {
+				t.Error(err)
+			}
+			st := d.stats
+			if st.Grants != int64(requests) || (st.QueuePeak > 0) != (tc.queued || tc.cfg.Window > 0) {
+				t.Errorf("%s: stats %+v for %d requests", tc.name, st, requests)
+			}
+		}
+		const n = 1000
+		small := testing.AllocsPerRun(5, func() { run(n) })
+		large := testing.AllocsPerRun(5, func() { run(2 * n) })
+		perRequest := (large - small) / n
+		t.Logf("%s: %.3f allocations per request", tc.name, perRequest)
+		if perRequest > 0.01 {
+			t.Errorf("%s: an extra request allocated %.3f times; want 0", tc.name, perRequest)
+		}
 	}
 }

@@ -12,9 +12,9 @@
 //
 // Two event streams result from a PPFS run: the application-visible stream
 // captured by the recorder installed on the PPFS layer (small writes return
-// at memory-copy cost), and the physical stream captured by the recorder on
-// the underlying PFS (few, large, aggregated extents written by background
-// flushers).
+// at memory-copy cost), and the physical stream the underlying PFS serves
+// (few, large, aggregated extents written by background flushers), which
+// its per-op counters count and a recorder on it can capture.
 package ppfs
 
 import "repro/internal/sim"

@@ -226,16 +226,17 @@ func (fs *FileSystem) scheduleFlush(fb *fileBuffer) {
 // aggregation of §5.2.
 func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 	for len(fb.extents) > 0 {
-		batch := fb.extents
-		fb.extents = nil
 		gext := fs.takeExtents()
 		var n int64
 		var node int
-		for _, e := range batch {
+		for _, e := range fb.extents {
 			gext = append(gext, pfs.Extent{Start: e.start, End: e.end})
 			n += e.end - e.start
 			node = e.node
 		}
+		// The batch is copied out, so writes that arrive while it is in
+		// flight start a new batch in its array.
+		fb.extents = fb.extents[:0]
 		// fb.bytes stays up until the physical writes land, so drain
 		// waiters cannot observe a flush-in-flight as "done".
 		written, sweeps, err := fs.under.WriteGather(p, node, fb.name, gext)

@@ -114,6 +114,14 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// replaceTop returns the minimum event and puts ev in its place, sifting ev
+// down from the root: one sift where a push and a pop would take two.
+func (q *eventQueue) replaceTop(ev event) event {
+	top := q.ev[0]
+	q.siftDown(0, ev)
+	return top
+}
+
 // siftDown places ev at hole i, pushing smaller children up toward the root's
 // former position. The slice beyond i must already satisfy the heap property.
 func (q *eventQueue) siftDown(i int, ev event) {
@@ -247,19 +255,26 @@ func (e *Engine) SpawnAt(name string, delay Time, fn func(p *Process)) *Process 
 // order does not depend on which of them runs it.
 func (e *Engine) advance() *Process {
 	for !e.stopped && len(e.events.ev) > 0 {
-		ev := e.events.pop()
-		if ev.p.done {
-			// Stale event for a finished process. Now that it has left the
-			// queue nothing references the process, so it can be reused.
-			ev.p.pendingWake = false
-			e.recycle(ev.p)
-			continue
+		if p := e.dispatch(e.events.pop()); p != nil {
+			return p
 		}
-		e.now = ev.at
-		ev.p.pendingWake = false
-		return ev.p
 	}
 	return nil
+}
+
+// dispatch takes an event off the queue: it advances the clock to it and
+// returns its process, or recycles the process of a stale event and returns
+// nil.
+func (e *Engine) dispatch(ev event) *Process {
+	ev.p.pendingWake = false
+	if ev.p.done {
+		// Stale event for a finished process. Now that it has left the
+		// queue nothing references the process, so it can be reused.
+		e.recycle(ev.p)
+		return nil
+	}
+	e.now = ev.at
+	return ev.p
 }
 
 // unregister removes a finished process from the live-process list

@@ -105,19 +105,23 @@ func (p *Process) Now() Time { return p.eng.now }
 
 // block suspends the process until its next wake event pops. The blocking
 // process runs the engine's dispatch step itself: when its own wake-up is the
-// next event, block returns without any switch at all; otherwise it leaves
-// the popped successor (nil when nothing is runnable) for the driver and
-// yields. The yield returns false when the run has ended with the process
-// still blocked and the engine stops its coroutine; block then unwinds the
-// process (its deferred calls run) back to run.
+// next event, block returns without any switch at all; otherwise it hands
+// over to the successor advance pops.
 func (p *Process) block(why waitOn) {
+	if next := p.eng.advance(); next != p {
+		p.handOff(why, next)
+	}
+}
+
+// handOff leaves next (nil when nothing is runnable) for the driver and
+// yields. The yield returns false when the run has ended with the process
+// still blocked and the engine stops its coroutine; handOff then unwinds the
+// process (its deferred calls run) back to run.
+func (p *Process) handOff(why waitOn, next *Process) {
 	p.blockedOn = why
-	e := p.eng
-	if next := e.advance(); next != p {
-		e.handoff = next
-		if !p.yield(struct{}{}) {
-			panic(unwound{})
-		}
+	p.eng.handoff = next
+	if !p.yield(struct{}{}) {
+		panic(unwound{})
 	}
 	p.blockedOn.kind = ""
 }
@@ -126,28 +130,40 @@ func (p *Process) block(why waitOn) {
 // once the simulated clock has advanced by d. Sleeping for zero time yields
 // to other processes scheduled at the same instant.
 //
-// Fast path: when this process's own wake-up is the head of the queue
-// (nothing else is due at or before it), the process pops its event,
-// advances the clock, and keeps running — no dispatch step, no switch. The
-// popped event is exactly the one advance would have popped, so scheduling
-// order, tie-breaking, and the clock are bit-identical to the general path.
+// A running process has no pending event, so its wake competes only with the
+// queue's head. When the wake is strictly earlier than the head (or the queue
+// is empty), it would be the next event popped: the process takes a schedule
+// sequence number, advances the clock and keeps running, with no heap
+// operation and no switch. An equal time loses the tie, because the new
+// sequence number is the largest. Otherwise one replace-top swaps the wake in
+// for the head, which is dispatched as advance would: the heap's pop order is
+// the same (time, sequence) order, so the clock and every wake order are
+// those of a push followed by a pop. A stopped engine takes the general path.
 func (p *Process) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %q", d, p.name))
 	}
 	e := p.eng
 	at := e.now + d
-	e.schedule(p, at)
-	if !e.stopped && e.events.ev[0].p == p {
-		// A process has at most one pending event (double wakes panic), so
-		// the queue head being ours means our fresh wake is the strict
-		// minimum.
-		e.events.pop()
-		p.pendingWake = false
+	if e.stopped {
+		e.schedule(p, at)
+		p.block(waitOn{kind: "sleep"})
+		return
+	}
+	e.seq++
+	q := &e.events
+	if len(q.ev) == 0 || at < q.ev[0].at {
 		e.now = at
 		return
 	}
-	p.block(waitOn{kind: "sleep"})
+	p.pendingWake = true
+	next := e.dispatch(q.replaceTop(event{at: at, seq: e.seq, p: p}))
+	if next == nil {
+		next = e.advance()
+	}
+	if next != p {
+		p.handOff(waitOn{kind: "sleep"}, next)
+	}
 }
 
 // Park blocks the process indefinitely until some other process wakes it via
