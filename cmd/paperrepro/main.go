@@ -1,7 +1,9 @@
 // Command paperrepro regenerates every table and figure of the paper:
 // it runs the three application studies at paper scale, prints
-// paper-vs-measured comparisons for Tables 1-6, and writes each figure
-// (2-17) as CSV data plus an ASCII rendering.
+// paper-vs-measured comparisons for Tables 1-6, grades each run against the
+// paper's fidelity contract (a scorecard line per app, plus one line per
+// failing check), and writes each figure (2-17) as CSV data plus an ASCII
+// rendering.
 //
 // Usage:
 //
@@ -82,7 +84,7 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(out, core.CompareSizeTable(st, report))
 			}
 		}
-		fmt.Fprintf(out, "%s\n\n", report.Headline())
+		fmt.Fprintf(out, "%s\n%s\n", report.Headline(), report.Fidelity())
 
 		if !*noFigures {
 			if err := writeFigures(out, *outDir, app, report); err != nil {

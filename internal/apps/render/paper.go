@@ -30,15 +30,22 @@ var Paper = workload.Paper{
 		Sizes:   "Table 4: The sizes of reads and writes in RENDER",
 		Rows: []workload.PaperRow{
 			{Op: "All I/O", Count: 1504, Volume: 979162982, Seconds: 164.75, Pct: 100},
-			{Op: "Read", Count: 121, Volume: 8457, Seconds: 0.17, Pct: 0.10},
-			{Op: "AsynchRead", Count: 436, Volume: 880849125, Seconds: 4.60, Pct: 2.79},
-			{Op: "I/O Wait", Count: 436, Volume: -1, Seconds: 88.44, Pct: 53.68},
-			{Op: "Write", Count: 300, Volume: 98305400, Seconds: 31.76, Pct: 19.28},
-			{Op: "Seek", Count: 4, Volume: 0, Seconds: 0.13, Pct: 0.08},
-			{Op: "Open", Count: 106, Volume: -1, Seconds: 32.78, Pct: 19.90},
+			{Op: "Read", Count: 121, Volume: 8457, Seconds: 0.17, Pct: 0.10,
+				VolumeBand: workload.Band{8000, 9000}, Share: workload.Band{0, 1}},
+			{Op: "AsynchRead", Count: 436, Volume: 880849125, Seconds: 4.60, Pct: 2.79,
+				VolumeBand: workload.Band{870e6, 890e6}, Share: workload.Band{0, 8}},
+			{Op: "I/O Wait", Count: 436, Volume: -1, Seconds: 88.44, Pct: 53.68,
+				Share: workload.Band{40, 65}},
+			{Op: "Write", Count: 300, Volume: 98305400, Seconds: 31.76, Pct: 19.28,
+				ExactVolume: true, Share: workload.Band{10, 30}},
+			{Op: "Seek", Count: 4, Volume: 0, Seconds: 0.13, Pct: 0.08, ExactVolume: true},
+			{Op: "Open", Count: 106, Volume: -1, Seconds: 32.78, Pct: 19.90,
+				Share: workload.Band{10, 30}},
 			{Op: "Close", Count: 101, Volume: -1, Seconds: 6.87, Pct: 4.17},
 		},
 		Read: [4]int64{121, 0, 0, 436}, Write: [4]int64{200, 0, 0, 100},
+		// initialization plus 100 frames
+		Wall: 470, WallBand: workload.Band{380, 600},
 	}},
 	Headline: func(events func(iotrace.Phase) []iotrace.Event) string {
 		return fmt.Sprintf("§6.2 initialization read throughput: %.1f MB/s (paper: ~9.5)",

@@ -264,8 +264,8 @@ func TestCompareTablesRender(t *testing.T) {
 // each of Figures 2-17 comes from exactly one app, the app the paper draws it
 // for, and each of Tables 1-6 from at least one; every figure and table reads
 // a phase its app's small run records (PhaseNone is the whole run); the
-// published rows are well-formed; and a small run draws its app's figures in
-// figure-number order.
+// published rows are well-formed, with grades that hold on the paper's own
+// values; and a small run draws its app's figures in figure-number order.
 func TestPaperExpectationsConsistency(t *testing.T) {
 	figureApps := map[AppID][2]int{ESCAT: {2, 5}, RENDER: {6, 8}, HTF: {9, 17}}
 	figures := map[string]int{}
@@ -309,6 +309,7 @@ func TestPaperExpectationsConsistency(t *testing.T) {
 			if len(tb.Rows) == 0 || tb.Rows[0].Op != "All I/O" {
 				t.Errorf("%s %q rows malformed", app, tb.Summary)
 			}
+			gradesHoldOnThePaper(t, app, tb)
 		}
 	}
 	for n := 2; n <= 17; n++ {
@@ -326,6 +327,44 @@ func TestPaperExpectationsConsistency(t *testing.T) {
 	}
 	if len(PaperTables()) != 5 || len(PaperSizeTables()) != 5 {
 		t.Errorf("%d operation and %d size tables, want 5 each", len(PaperTables()), len(PaperSizeTables()))
+	}
+}
+
+// gradesHoldOnThePaper fails unless every band of tb is well-formed and
+// holds the paper's own value for its cell, every order holds on the paper's
+// own times, and the "All I/O" row carries no grade the checker would skip.
+// A mistyped band fails here without a run.
+func gradesHoldOnThePaper(t *testing.T, app AppID, tb workload.TableSpec) {
+	t.Helper()
+	holds := func(cell string, b workload.Band, paper float64) {
+		if b[0] > b[1] || paper < b[0] || paper > b[1] {
+			t.Errorf("%s %q %s: band %v does not hold the paper's %g", app, tb.Summary, cell, b, paper)
+		}
+	}
+	if tb.Wall <= 0 {
+		t.Errorf("%s %q publishes no wall clock", app, tb.Summary)
+	}
+	holds("wall clock", tb.WallBand, tb.Wall)
+	var none workload.Band
+	for i, row := range tb.Rows {
+		if i == 0 && (row.VolumeBand != none || row.ExactVolume || row.Share != none || row.Exceeds != "") {
+			t.Errorf("%s %q: the %s row carries a grade", app, tb.Summary, row.Op)
+		}
+		if row.ExactVolume && (row.Volume < 0 || row.VolumeBand != none) {
+			t.Errorf("%s %q %s: an exact volume needs a published volume and no band", app, tb.Summary, row.Op)
+		}
+		if row.VolumeBand != none {
+			holds(row.Op+" volume", row.VolumeBand, float64(row.Volume))
+		}
+		if row.Share != none {
+			holds(row.Op+" %", row.Share, row.Pct)
+		}
+		if row.Exceeds != "" {
+			j := slices.IndexFunc(tb.Rows, func(r workload.PaperRow) bool { return r.Op == row.Exceeds })
+			if j <= 0 || row.Seconds <= tb.Rows[j].Seconds {
+				t.Errorf("%s %q: %s's time does not exceed %q's in the paper", app, tb.Summary, row.Op, row.Exceeds)
+			}
+		}
 	}
 }
 

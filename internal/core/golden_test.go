@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 const paperGolden = "testdata/paper_output.golden"
 
-// paperOutputDigests runs the three paper-scale studies and hashes every
+// paperOutputDigests takes the three paper-scale reports and hashes every
 // rendered artefact: each figure's CSV, ASCII and SVG bytes, each Tables()
 // string, and each paper-vs-measured comparison table. One line per
 // artefact, "name sha256".
@@ -30,10 +30,7 @@ func paperOutputDigests(t *testing.T) string {
 		fmt.Fprintf(&b, "%s %s\n", name, hex.EncodeToString(sum[:]))
 	}
 	for _, app := range Apps() {
-		r, err := Run(PaperStudy(app))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := paperReport(t, app)
 		for i, tbl := range r.Tables() {
 			line(fmt.Sprintf("%s/table-%d", app, i), []byte(tbl))
 		}

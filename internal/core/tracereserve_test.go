@@ -72,10 +72,7 @@ func physicalMatchesEvents(t *testing.T, name string, r *Report) {
 // physical trace at all, only its counters.
 func TestExactTraceReserve(t *testing.T) {
 	for _, app := range Apps() {
-		paper, err := Run(PaperStudy(app))
-		if err != nil {
-			t.Fatal(err)
-		}
+		paper := paperReport(t, app)
 		exactReserve(t, string(app)+" paper", paper.Events)
 		physicalMatchesEvents(t, string(app)+" paper", paper)
 		if want := paperCount(app); len(paper.Events) != want {

@@ -39,7 +39,7 @@ type FileSystem struct {
 	files  map[string]*File
 	nextID iotrace.FileID
 
-	rec      iotrace.Recorder
+	rec      iotrace.Recorder // nil: the counters alone record
 	phase    iotrace.Phase
 	seq      int64
 	coldOpen bool // first open of this instance already happened
@@ -90,7 +90,6 @@ func New(eng *sim.Engine, msh *mesh.Mesh, cfg Config) (*FileSystem, error) {
 		cfg:   cfg,
 		meta:  sim.NewResource(eng, "pfs-meta", 1),
 		files: make(map[string]*File),
-		rec:   iotrace.Discard,
 	}
 	fs.cfg.Reliability = cfg.Reliability.Normalized()
 	if fs.cfg.Reliability.Enabled {
@@ -162,10 +161,10 @@ func (fs *FileSystem) PhysRequests() int64 {
 func (fs *FileSystem) Config() Config { return fs.cfg }
 
 // SetRecorder installs the trace recorder (e.g. a pablo.Tracer). Passing nil
-// disables recording.
+// or iotrace.Discard disables recording; the per-op counters count on.
 func (fs *FileSystem) SetRecorder(r iotrace.Recorder) {
-	if r == nil {
-		r = iotrace.Discard
+	if r == iotrace.Discard {
+		r = nil
 	}
 	fs.rec = r
 }
@@ -192,16 +191,18 @@ func (fs *FileSystem) record(node int, op iotrace.Op, f *File, offset, bytes int
 func (fs *FileSystem) recordPhase(node int, op iotrace.Op, f *File, offset, bytes int64,
 	start sim.Time, mode iotrace.AccessMode, phase iotrace.Phase) {
 	fs.seq++
-	var id iotrace.FileID
-	if f != nil {
-		id = f.id
-	}
 	end := fs.eng.Now()
-	fs.rec.Record(iotrace.Event{
-		Seq: fs.seq, Node: int32(node), Op: op, File: id,
-		Offset: offset, Bytes: bytes, Start: start, End: end,
-		Mode: mode, Phase: phase,
-	})
+	if fs.rec != nil {
+		var id iotrace.FileID
+		if f != nil {
+			id = f.id
+		}
+		fs.rec.Record(iotrace.Event{
+			Seq: fs.seq, Node: int32(node), Op: op, File: id,
+			Offset: offset, Bytes: bytes, Start: start, End: end,
+			Mode: mode, Phase: phase,
+		})
+	}
 	fs.opCount[op]++
 	if op.Moves() {
 		fs.opBytes[op] += bytes

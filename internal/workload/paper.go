@@ -36,21 +36,43 @@ type FigureSpec struct {
 }
 
 // TableSpec is one phase's pair of paper tables, the operation summary and
-// the request-size buckets, with the values the paper publishes for them.
-// Summary and Sizes are the measured tables' titles, each beginning
-// "Table N:"; the paper-vs-measured views are named "Table N (Compare)".
+// the request-size buckets, with the values the paper publishes for them and
+// the grades the reproduction is held to. Summary and Sizes are the measured
+// tables' titles, each beginning "Table N:"; the paper-vs-measured views are
+// named "Table N (Compare)". Every count and bucket is graded exactly.
 type TableSpec struct {
 	Phase                   iotrace.Phase
 	Summary, Sizes, Compare string
 	Rows                    []PaperRow // "All I/O" first
 	Read, Write             [4]int64   // size buckets: <4K, <64K, <256K, >=256K
+	// Wall is the published wall clock in seconds, of the whole run for
+	// PhaseNone and of the phase's program otherwise; WallBand grades the
+	// measured one.
+	Wall     float64
+	WallBand Band
 }
 
-// PaperRow is one row of a published operation summary.
+// PaperRow is one row of a published operation summary and its grades. The
+// count is graded exactly; the "All I/O" count is graded as the sum of the
+// other rows' measured counts, since the paper's printed total need not be
+// that sum (ESCAT's Table 1 prints 30 fewer).
 type PaperRow struct {
 	Op      string
 	Count   int64
 	Volume  int64 // -1 when the paper prints "-"
 	Seconds float64
 	Pct     float64
+
+	// VolumeBand grades the measured volume; ExactVolume grades it as
+	// equal to Volume instead. Share grades the measured share of the
+	// table's node time, in percent. Exceeds names a row whose measured node
+	// time this row's must exceed; "" grades no order.
+	VolumeBand  Band
+	ExactVolume bool
+	Share       Band
+	Exceeds     string
 }
+
+// Band is a closed range {lo, hi} that a measured value must fall in. The
+// zero Band grades nothing.
+type Band [2]float64
