@@ -8,11 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// inFlight counts the block map's entries with a fetch or prefetch in
+// inFlight counts the block index's entries with a fetch or prefetch in
 // flight.
 func inFlight(c *Cache) int {
 	n := 0
-	for _, b := range c.blocks {
+	for _, b := range entries(c) {
 		if b.fetch != nil {
 			n++
 		}

@@ -75,3 +75,58 @@ func TestCacheFetchAllocCeiling(t *testing.T) {
 		t.Fatalf("a demand-miss + prefetch + evict cycle allocated %.3f times; want 0", perCycle)
 	}
 }
+
+// churnCycles runs n cycles over a full 128-block write-behind cache with
+// 300 streams and returns its stats. Cycle i is a write and a read on
+// stream i mod 300, each to a block never touched before, so every install
+// evicts a block, dirty victims are written back with their runs, and the
+// dirty index keeps taking streams in and out.
+func churnCycles(t *testing.T, n int) Stats {
+	const streams = 300
+	cfg := testConfig()
+	cfg.CapacityBytes = 128 * bs
+	eng := sim.NewEngine()
+	c := New(eng, "churn", cfg, bs, costBackend{cost: sim.Millisecond})
+	eng.Spawn("churn", func(p *sim.Process) {
+		for i := int64(0); i < int64(n); i++ {
+			s := i % streams
+			if err := c.Write(p, s, (s<<20+i)*bs, bs); err != nil {
+				t.Error(err)
+			}
+			if err := c.Read(p, s, (1<<40+i*i)*bs, bs); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats()
+}
+
+// TestCacheChurnAllocCeiling pins evictions at zero allocations once the
+// cache is full and every one of its 300 streams has been seen: going from
+// 1,200 to 2,400 cycles adds 2,400 evictions, among them dirty ones, and
+// must add no allocation.
+func TestCacheChurnAllocCeiling(t *testing.T) {
+	const short, long = 1200, 2400
+	s, l := churnCycles(t, short), churnCycles(t, long)
+	evictions := l.Evictions - s.Evictions
+	dirty := l.DirtyEvictions - s.DirtyEvictions
+	if evictions < 2*(long-short)*9/10 || dirty == 0 || l.UnknownStreams+l.RandomStreams+l.SeqStreams+l.StridedStreams != 300 {
+		t.Fatalf("the extra cycles made %d evictions (%d dirty) over %d streams; want about %d, some dirty, over 300",
+			evictions, dirty, l.UnknownStreams+l.RandomStreams+l.SeqStreams+l.StridedStreams, 2*(long-short))
+	}
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() { churnCycles(t, n) })
+	}
+	a, b := allocs(short), allocs(long)
+	perCycle := (b - a) / (long - short)
+	t.Logf("%.0f allocations at %d cycles, %.0f at %d: %.3f per cycle", a, short, b, long, perCycle)
+	if perCycle > 0.01 {
+		t.Fatalf("a write + read cycle with two evictions allocated %.3f times; want 0", perCycle)
+	}
+}

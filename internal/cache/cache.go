@@ -14,7 +14,7 @@
 //
 // Determinism: every externally visible action happens in an order that is a
 // pure function of the simulation state. Flushes and outage handling take
-// dirty blocks in ascending block-index order (never map order) from a
+// dirty blocks in ascending block-index order (never hash-table order) from a
 // per-stream dirty index, so two runs with the same seed produce
 // bit-identical traces.
 //
@@ -26,7 +26,6 @@
 package cache
 
 import (
-	"cmp"
 	"errors"
 	"slices"
 
@@ -42,7 +41,7 @@ type Backend interface {
 	BlockIO(p *sim.Process, stream, addr, bytes int64, read bool) error
 }
 
-// block is one entry of the block map, keyed by block index (array
+// block is one entry of the block index, keyed by block index (array
 // address / block size); the synthetic array address space already makes
 // indices unique per file. A resident entry holds data and sits in the LRU
 // list. An entry with a fetch set is in flight: readers of it wait on the
@@ -101,16 +100,12 @@ type Cache struct {
 	be         Backend
 
 	capBlocks int64
-	blocks    map[int64]*block // resident and in-flight entries
-	nResident int              // resident entries, all in the LRU list
-	head      *block           // most recently used
-	tail      *block           // least recently used
+	blocks    blockIndex // resident and in-flight entries
+	nResident int        // resident entries, all in the LRU list
+	head      *block     // most recently used
+	tail      *block     // least recently used
 
-	// dirty indexes the resident dirty blocks: per stream, ascending by
-	// block index. Only markDirty and markClean change it or block.dirty,
-	// so the two cannot disagree. nDirty is the total over all streams.
-	dirty  map[int64][]*block
-	nDirty int
+	dirty dirtyIndex // the resident dirty blocks
 
 	cls     *classifier
 	pred    []int64 // scratch for the classifier's predictions
@@ -120,11 +115,9 @@ type Cache struct {
 	down    bool
 
 	// Reused instead of allocated: evicted blocks, finished fetch records,
-	// emptied dirty lists, and the names and bodies of the daemons, which
-	// respawn on demand.
+	// and the names and bodies of the daemons, which respawn on demand.
 	spareBlocks  []*block
 	spareFetches []*fetch
-	spareLists   [][]*block
 	fetchName    string
 	pfName       string
 	flushName    string
@@ -149,8 +142,7 @@ func New(eng *sim.Engine, name string, cfg Config, blockBytes int64, be Backend)
 		blockBytes:   blockBytes,
 		be:           be,
 		capBlocks:    capBlocks,
-		blocks:       make(map[int64]*block),
-		dirty:        make(map[int64][]*block),
+		blocks:       newBlockIndex(capBlocks),
 		cls:          newClassifier(),
 		fetchName:    name + "-fetch",
 		pfName:       name + "-pf",
@@ -169,7 +161,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Len() int { return c.nResident }
 
 // DirtyLen returns the number of resident dirty blocks.
-func (c *Cache) DirtyLen() int { return c.nDirty }
+func (c *Cache) DirtyLen() int { return c.dirty.n }
 
 // Stats returns the accumulated counters plus the classifier's current
 // per-stream verdicts.
@@ -210,7 +202,7 @@ func (c *Cache) Read(p *sim.Process, stream, addr, n int64) error {
 	last := (addr + n - 1) / bs
 	idx := addr / bs
 	for idx <= last {
-		b := c.blocks[idx]
+		b := c.blocks.get(idx)
 		switch {
 		case b != nil && b.resident:
 			c.hit(p, b, c.overlap(idx, addr, n))
@@ -239,7 +231,7 @@ func (c *Cache) fetchRun(p *sim.Process, b *block, stream, idx, last, addr, n in
 	f := c.newFetch(c.fetchName, stream)
 	c.claim(f, b, idx)
 	for j := idx + 1; j <= last; j++ {
-		nb := c.blocks[j]
+		nb := c.blocks.get(j)
 		if nb != nil && (nb.resident || nb.fetch != nil) {
 			break
 		}
@@ -308,19 +300,19 @@ func (c *Cache) putFetch(f *fetch) {
 func (c *Cache) claim(f *fetch, b *block, idx int64) {
 	if b == nil {
 		b = c.newBlock(idx)
-		c.blocks[idx] = b
+		c.blocks.put(b)
 	}
 	b.fetch = f
 	f.run = append(f.run, b)
 }
 
 // land takes entry b out of flight when its fetch returns. After a failed
-// fetch an entry that is not resident leaves the map; after a good one it
-// stays, absent, until its install.
+// fetch an entry that is not resident leaves the index; after a good one
+// it stays, absent, until its install.
 func (c *Cache) land(b *block, failed bool) {
 	b.fetch = nil
 	if failed && !b.resident {
-		delete(c.blocks, b.idx)
+		c.blocks.del(b.idx)
 		c.recycle(b)
 	}
 }
@@ -338,7 +330,7 @@ func (c *Cache) newBlock(idx int64) *block {
 	return b
 }
 
-// recycle puts a block that has left the map on the free list.
+// recycle puts a block that has left the index on the free list.
 func (c *Cache) recycle(b *block) {
 	*b = block{}
 	c.spareBlocks = append(c.spareBlocks, b)
@@ -392,7 +384,7 @@ func (c *Cache) OnFail(p *sim.Process) {
 	if c.down {
 		return
 	}
-	if c.cfg.FlushOnFail && c.nDirty > 0 {
+	if c.cfg.FlushOnFail && c.dirty.n > 0 {
 		c.s.OutageDrains++
 		_ = c.flushDirty(p, 0, false)
 	}
@@ -400,14 +392,14 @@ func (c *Cache) OnFail(p *sim.Process) {
 	c.discardDirty()
 
 	var idxs []int64
-	for idx, b := range c.blocks {
-		if b.fetch != nil {
-			idxs = append(idxs, idx)
+	for _, b := range c.blocks.slots {
+		if b != nil && b.fetch != nil {
+			idxs = append(idxs, b.idx)
 		}
 	}
 	slices.Sort(idxs)
 	for _, idx := range idxs {
-		b := c.blocks[idx]
+		b := c.blocks.get(idx)
 		f := b.fetch
 		c.land(b, true)
 		if !f.done {
@@ -442,13 +434,13 @@ func (c *Cache) hit(p *sim.Process, b *block, segBytes int64) {
 // victim, catches a concurrent install of the same index in that window:
 // making a second block resident would orphan the first in the LRU list.
 func (c *Cache) installBlock(p *sim.Process, stream, idx int64, dirty, prefetched bool) {
-	b := c.blocks[idx]
+	b := c.blocks.get(idx)
 	if (b == nil || !b.resident) && c.ensureRoom(p) {
-		b = c.blocks[idx]
+		b = c.blocks.get(idx)
 	}
 	if b == nil {
 		b = c.newBlock(idx)
-		c.blocks[idx] = b
+		c.blocks.put(b)
 	}
 	if b.resident {
 		c.moveFront(b)
@@ -495,8 +487,9 @@ func (c *Cache) ensureRoom(p *sim.Process) (yielded bool) {
 // write in ascending block order. v is out of the LRU list but still in
 // the dirty index, where the run is the contiguous stretch around it.
 func (c *Cache) flushAround(p *sim.Process, v *block) {
-	l := c.dirty[v.stream]
-	i, _ := slices.BinarySearchFunc(l, v.idx, byIdx)
+	st := c.cls.state(v.stream)
+	l := c.dirty.of(st)
+	i := find(l, v)
 	lo, hi := i, i+1
 	for lo > 0 && l[lo-1].idx == l[lo].idx-1 {
 		lo--
@@ -505,7 +498,7 @@ func (c *Cache) flushAround(p *sim.Process, v *block) {
 		hi++
 	}
 	first, last := l[lo].idx, l[hi-1].idx
-	c.markClean(v.stream, lo, hi)
+	c.dirty.drop(st, lo, hi)
 	_ = c.writeRun(p, v.stream, first, last)
 }
 
@@ -520,13 +513,14 @@ func (c *Cache) flushDirty(p *sim.Process, stream int64, filtered bool) error {
 			return nil
 		}
 		// The run is the contiguous prefix of its stream's dirty list.
-		l := c.dirty[b.stream]
+		st := c.cls.state(b.stream)
+		l := c.dirty.of(st)
 		k := 1
 		for k < len(l) && l[k].idx == l[k-1].idx+1 {
 			k++
 		}
 		s, lo, hi := b.stream, l[0].idx, l[k-1].idx
-		c.markClean(s, 0, k)
+		c.dirty.drop(st, 0, k)
 		if err := c.writeRun(p, s, lo, hi); err != nil {
 			return err
 		}
@@ -535,68 +529,32 @@ func (c *Cache) flushDirty(p *sim.Process, stream int64, filtered bool) error {
 
 // firstDirty returns the dirty block with the smallest index, optionally
 // restricted to one stream, or nil: the head of that stream's dirty list,
-// or the smallest head over all streams. The index holds no empty lists.
+// or the head of the dirty heap's root stream.
 func (c *Cache) firstDirty(stream int64, filtered bool) *block {
-	if filtered {
-		if l := c.dirty[stream]; l != nil {
-			return l[0]
-		}
-		return nil
+	if !filtered {
+		return c.dirty.first()
 	}
-	var best *block
-	for _, l := range c.dirty {
-		if best == nil || l[0].idx < best.idx {
-			best = l[0]
-		}
+	if l := c.dirty.of(c.cls.state(stream)); len(l) > 0 {
+		return l[0]
 	}
-	return best
+	return nil
 }
 
-// byIdx orders a dirty list by block index, for binary search and sorting.
-func byIdx(b *block, idx int64) int { return cmp.Compare(b.idx, idx) }
-
-// markDirty dirties b on stream s and files it in s's dirty list. A clean
-// block becoming dirty is a dirty install; a dirty block written on another
-// stream moves to that stream's list (a re-tag).
+// markDirty dirties b on stream s. A clean block becoming dirty is a dirty
+// install; a dirty block written on another stream moves to that stream's
+// list (a re-tag).
 func (c *Cache) markDirty(b *block, s int64) {
 	if b.dirty {
 		if b.stream == s {
 			return
 		}
-		l := c.dirty[b.stream]
-		i, _ := slices.BinarySearchFunc(l, b.idx, byIdx)
-		c.markClean(b.stream, i, i+1)
+		st := c.cls.state(b.stream)
+		i := find(c.dirty.of(st), b)
+		c.dirty.drop(st, i, i+1)
 	} else {
 		c.s.DirtyInstalls++
 	}
-	b.stream, b.dirty = s, true
-	c.nDirty++
-	l := c.dirty[s]
-	if k := len(c.spareLists); l == nil && k > 0 {
-		l = c.spareLists[k-1]
-		c.spareLists = c.spareLists[:k-1]
-	}
-	i, _ := slices.BinarySearchFunc(l, b.idx, byIdx)
-	c.dirty[s] = slices.Insert(l, i, b)
-}
-
-// markClean cleans the blocks at positions [i, j) of stream s's dirty list
-// and drops them from it. A stream left with no dirty blocks leaves the
-// index, so the unfiltered firstDirty visits only streams with work, and
-// its emptied list is kept for the next stream to dirty a block.
-func (c *Cache) markClean(s int64, i, j int) {
-	l := c.dirty[s]
-	for _, b := range l[i:j] {
-		b.dirty = false
-	}
-	c.nDirty -= j - i
-	if j-i == len(l) {
-		delete(c.dirty, s)
-		clear(l)
-		c.spareLists = append(c.spareLists, l[:0])
-		return
-	}
-	c.dirty[s] = slices.Delete(l, i, j)
+	c.dirty.add(b, s, c.cls.get(s))
 }
 
 // writeRun writes blocks [lo, hi] (already marked clean) back as one array
@@ -619,13 +577,14 @@ func (c *Cache) writeRun(p *sim.Process, stream, lo, hi int64) error {
 // discardDirty drops all dirty blocks (outage without FlushOnFail), in
 // ascending block order across streams, counting them lost.
 func (c *Cache) discardDirty() {
-	if c.nDirty == 0 {
+	if c.dirty.n == 0 {
 		return
 	}
-	lost := make([]*block, 0, c.nDirty)
-	for s, l := range c.dirty {
-		lost = append(lost, l...)
-		c.markClean(s, 0, len(l))
+	lost := make([]*block, 0, c.dirty.n)
+	for len(c.dirty.heap) > 0 {
+		e := c.dirty.heap[0]
+		lost = append(lost, e.blocks...)
+		c.dirty.drop(e.st, 0, len(e.blocks))
 	}
 	slices.SortFunc(lost, func(a, b *block) int { return byIdx(a, b.idx) })
 	for i := 0; i < len(lost); {
@@ -678,7 +637,7 @@ func (c *Cache) flushLoop(p *sim.Process) {
 		if err := c.flushDirty(p, 0, false); err != nil {
 			return
 		}
-		if c.nDirty == 0 {
+		if c.dirty.n == 0 {
 			return
 		}
 	}
@@ -696,7 +655,7 @@ func (c *Cache) observe(p *sim.Process, stream, addr, n int64, read bool) {
 		if idx < 0 {
 			continue
 		}
-		b := c.blocks[idx]
+		b := c.blocks.get(idx)
 		if b != nil && (b.resident || b.fetch != nil) {
 			continue
 		}
@@ -771,8 +730,8 @@ func (c *Cache) pushFront(b *block) {
 }
 
 // remove takes resident block b out of the LRU list and reports whether
-// it also left the block map: an entry whose fetch is still in flight stays
-// there for the fetch's waiters and owner.
+// it also left the block index: an entry whose fetch is still in flight
+// stays there for the fetch's waiters and owner.
 func (c *Cache) remove(b *block) bool {
 	c.unlink(b)
 	b.resident = false
@@ -780,7 +739,7 @@ func (c *Cache) remove(b *block) bool {
 	if b.fetch != nil {
 		return false
 	}
-	delete(c.blocks, b.idx)
+	c.blocks.del(b.idx)
 	return true
 }
 

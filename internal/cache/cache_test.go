@@ -407,16 +407,38 @@ func TestAggregateSums(t *testing.T) {
 	}
 }
 
-// checkLRU reports any disagreement between the LRU list and the block map:
-// every list entry must be the map's resident entry for its index, the
-// links must be consistent, and the list must hold exactly the map's
+// entries returns the block index's entries in slot order.
+func entries(c *Cache) []*block {
+	var out []*block
+	for _, b := range c.blocks.slots {
+		if b != nil {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// checkLRU reports any disagreement between the LRU list and the block
+// index: every entry must be found by a lookup of its own index, once,
+// every list entry must be the index's resident entry for its index, the
+// links must be consistent, and the list must hold exactly the index's
 // resident blocks, within capacity. An entry that is not resident holds no
 // dirty data, and no entry keeps a fetch that has already fired.
 func checkLRU(c *Cache) error {
 	resident := 0
-	for idx, b := range c.blocks {
-		if b.idx != idx {
-			return fmt.Errorf("map entry %d holds block %d", idx, b.idx)
+	all := entries(c)
+	if len(all) != c.blocks.n {
+		return fmt.Errorf("block index holds %d entries, counts %d", len(all), c.blocks.n)
+	}
+	seen := make(map[int64]bool, len(all))
+	for _, b := range all {
+		idx := b.idx
+		if seen[idx] {
+			return fmt.Errorf("block index holds block %d twice", idx)
+		}
+		seen[idx] = true
+		if got := c.blocks.get(idx); got != b {
+			return fmt.Errorf("lookup of block %d finds %v, not its entry", idx, got)
 		}
 		if b.resident {
 			resident++
@@ -428,13 +450,13 @@ func checkLRU(c *Cache) error {
 		}
 	}
 	if resident != c.Len() {
-		return fmt.Errorf("map holds %d resident blocks, Len %d", resident, c.Len())
+		return fmt.Errorf("index holds %d resident blocks, Len %d", resident, c.Len())
 	}
 	n := 0
 	var prev *block
 	for b := c.head; b != nil; prev, b = b, b.next {
-		if c.blocks[b.idx] != b || !b.resident {
-			return fmt.Errorf("LRU entry for block %d is not the map's resident entry", b.idx)
+		if c.blocks.get(b.idx) != b || !b.resident {
+			return fmt.Errorf("LRU entry for block %d is not the index's resident entry", b.idx)
 		}
 		if b.prev != prev {
 			return fmt.Errorf("block %d has a broken back link", b.idx)
@@ -445,7 +467,7 @@ func checkLRU(c *Cache) error {
 		return errors.New("tail is not the last LRU entry")
 	}
 	if n != c.Len() {
-		return fmt.Errorf("LRU list holds %d blocks, map %d", n, c.Len())
+		return fmt.Errorf("LRU list holds %d blocks, index %d", n, c.Len())
 	}
 	if int64(n) > c.capBlocks {
 		return fmt.Errorf("%d resident blocks exceed capacity %d", n, c.capBlocks)
@@ -468,7 +490,7 @@ func checkDirtyConservation(c *Cache) error {
 // writes over 3 streams and 8 block indices on the 4-block write-behind
 // cache. An install that must evict a dirty victim yields while the victim
 // is written back, and another process often installs the same index in
-// that window. Every run must end with the LRU list and the block map
+// that window. Every run must end with the LRU list and the block index
 // holding the same blocks and every dirty install accounted for.
 func TestConcurrentInstallDuringEvictionFlush(t *testing.T) {
 	for seed := uint64(1); seed <= 100; seed++ {

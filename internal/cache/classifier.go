@@ -1,5 +1,7 @@
 package cache
 
+import "slices"
+
 // Pattern is an online per-stream access-pattern verdict. The thresholds
 // mirror the offline classifier in internal/analysis/patterns.go (and the
 // PPFS client classifier): a stream is sequential when at least 60% of its
@@ -33,7 +35,8 @@ const (
 	strideThreshold     = 0.5
 )
 
-// streamState is the classifier's per-stream memory.
+// streamState is one stream's memory: the classifier's counts and where
+// the cache's dirty index keeps the stream's dirty blocks.
 type streamState struct {
 	lastStart int64
 	lastEnd   int64
@@ -42,6 +45,8 @@ type streamState struct {
 	seq       int64 // transitions continuing at lastEnd
 	strided   int64 // non-sequential transitions repeating the stride
 	seqRun    int64 // current consecutive sequential transitions
+
+	dirtyAt int32 // 1 + the place of the stream's dirty list in the dirty index; 0 when clean
 }
 
 func (st *streamState) pattern() Pattern {
@@ -58,27 +63,57 @@ func (st *streamState) pattern() Pattern {
 	return PatternRandom
 }
 
-// classifier tracks every stream (file identity) seen by one cache. It
-// remembers the last stream it looked up, so a run of accesses on one
-// stream skips the map.
+// statePage is how many stream states share one allocation.
+const statePage = 32
+
+// classifier holds the state of every stream one cache has seen. Streams
+// are small non-negative numbers (the PFS numbers each file copy densely),
+// so a stream's state is found through slot, indexed by stream: 0 for a
+// stream never seen, else one more than the state's number. States live in
+// pages that never move, so a pointer to one stays valid as streams are
+// added. The classifier also remembers the last stream it observed.
 type classifier struct {
-	streams    map[int64]*streamState
+	slot       []int32
+	pages      []*[statePage]streamState
+	n          int // streams seen
 	lastStream int64
 	last       *streamState // nil until the first lookup
 }
 
-func newClassifier() *classifier {
-	return &classifier{streams: make(map[int64]*streamState)}
+func newClassifier() *classifier { return &classifier{} }
+
+// state returns the stream's state, or nil for a stream not yet numbered.
+func (cl *classifier) state(stream int64) *streamState {
+	if stream >= int64(len(cl.slot)) || cl.slot[stream] == 0 {
+		return nil
+	}
+	k := int(cl.slot[stream]) - 1
+	return &cl.pages[k/statePage][k%statePage]
+}
+
+// get returns the stream's state, numbering the stream with a zeroed state
+// if it is new.
+func (cl *classifier) get(stream int64) *streamState {
+	if st := cl.state(stream); st != nil {
+		return st
+	}
+	if n := int(stream) + 1; n > len(cl.slot) {
+		cl.slot = slices.Grow(cl.slot, n-len(cl.slot))[:n]
+	}
+	k := cl.n
+	if k%statePage == 0 {
+		cl.pages = append(cl.pages, new([statePage]streamState))
+	}
+	cl.n++
+	cl.slot[stream] = int32(k + 1)
+	return &cl.pages[k/statePage][k%statePage]
 }
 
 // observe folds one access into the stream's state and returns it.
 func (cl *classifier) observe(stream, addr, n int64) *streamState {
 	st := cl.last
 	if st == nil || cl.lastStream != stream {
-		if st = cl.streams[stream]; st == nil {
-			st = &streamState{}
-			cl.streams[stream] = st
-		}
+		st = cl.get(stream)
 		cl.lastStream, cl.last = stream, st
 	}
 	if st.accesses > 0 {
@@ -132,9 +167,14 @@ func (cl *classifier) predict(dst []int64, st *streamState, n, blockBytes int64,
 	return dst
 }
 
-// counts tallies the per-stream verdicts (for Stats).
+// counts tallies the verdicts of the streams observed so far (for Stats);
+// a stream numbered only for its dirty blocks has none.
 func (cl *classifier) counts() (seq, strided, random, unknown int64) {
-	for _, st := range cl.streams {
+	for k := 0; k < cl.n; k++ {
+		st := &cl.pages[k/statePage][k%statePage]
+		if st.accesses == 0 {
+			continue
+		}
 		switch st.pattern() {
 		case PatternSequential:
 			seq++

@@ -52,8 +52,8 @@ func FuzzClassifier(f *testing.F) {
 
 			st := cl.observe(s, a, ln)
 			ref.observe(s, a, ln)
-			if st != cl.streams[s] {
-				t.Fatalf("stream %d: observe returned a state the stream map does not hold", s)
+			if st != cl.state(s) {
+				t.Fatalf("stream %d: observe returned a state the stream's slot does not hold", s)
 			}
 			if st.accesses < classifyMinAccesses && st.pattern() != PatternUnknown {
 				t.Fatalf("verdict %v after only %d accesses", st.pattern(), st.accesses)
@@ -77,15 +77,28 @@ func FuzzClassifier(f *testing.F) {
 		}
 
 		for s, seq := range allSeq {
-			st := cl.streams[s]
+			st := cl.state(s)
 			if seq && count[s] >= classifyMinAccesses && st.pattern() != PatternSequential {
 				t.Fatalf("stream %d: every transition sequential over %d accesses, verdict %v",
 					s, count[s], st.pattern())
 			}
 		}
+		if cl.n != len(count) {
+			t.Fatalf("classifier numbered %d streams, trace has %d", cl.n, len(count))
+		}
+		numbered := map[int32]bool{}
+		for s, k := range cl.slot {
+			if k == 0 {
+				continue
+			}
+			if count[int64(s)] == 0 || numbered[k] || int(k) > cl.n {
+				t.Fatalf("stream %d holds slot %d of %d, trace accesses %d", s, k, cl.n, count[int64(s)])
+			}
+			numbered[k] = true
+		}
 		gotSeq, gotStr, gotRnd, gotUnk := cl.counts()
-		if total := gotSeq + gotStr + gotRnd + gotUnk; total != int64(len(cl.streams)) {
-			t.Fatalf("counts sum %d != %d streams", total, len(cl.streams))
+		if total := gotSeq + gotStr + gotRnd + gotUnk; total != int64(cl.n) {
+			t.Fatalf("counts sum %d != %d streams", total, cl.n)
 		}
 		refSeq, refStr, refRnd, refUnk := ref.counts()
 		if gotSeq != refSeq || gotStr != refStr || gotRnd != refRnd || gotUnk != refUnk {
@@ -146,12 +159,12 @@ func (b *checkedBackend) BlockIO(p *sim.Process, stream, addr, bytes int64, read
 func scanFirstDirty(c *Cache, stream int64, filtered bool) (int64, bool) {
 	var best int64
 	found := false
-	for idx, b := range c.blocks {
+	for _, b := range entries(c) {
 		if !b.dirty || (filtered && b.stream != stream) {
 			continue
 		}
-		if !found || idx < best {
-			best, found = idx, true
+		if !found || b.idx < best {
+			best, found = b.idx, true
 		}
 	}
 	return best, found
@@ -160,22 +173,43 @@ func scanFirstDirty(c *Cache, stream int64, filtered bool) (int64, bool) {
 // checkDirtyIndex compares the dirty index with a scan of the resident
 // blocks: per stream the same blocks in ascending order, the same total,
 // and the same first dirty block as scanFirstDirty, per stream and overall.
+// The heap must hold exactly the streams with dirty blocks, each at the
+// place its position records, every parent's head below its children's.
 func checkDirtyIndex(c *Cache) error {
 	want := map[int64][]*block{}
 	n := 0
-	for _, b := range c.blocks {
+	for _, b := range entries(c) {
 		if b.dirty {
 			want[b.stream] = append(want[b.stream], b)
 			n++
 		}
 	}
-	if len(want) != len(c.dirty) {
-		return fmt.Errorf("dirty index has %d streams, scan %d", len(c.dirty), len(want))
+	streams := 0
+	for k := 0; k < c.cls.n; k++ {
+		if c.cls.pages[k/statePage][k%statePage].dirtyAt != 0 {
+			streams++
+		}
+	}
+	if len(want) != streams {
+		return fmt.Errorf("dirty index has %d streams, scan %d", streams, len(want))
 	}
 	for s, l := range want {
 		slices.SortFunc(l, func(a, b *block) int { return byIdx(a, b.idx) })
-		if !slices.Equal(c.dirty[s], l) {
-			return fmt.Errorf("stream %d: dirty index %v, scan %v", s, idxsOf(c.dirty[s]), idxsOf(l))
+		if got := dirtyOf(c, s); !slices.Equal(got, l) {
+			return fmt.Errorf("stream %d: dirty index %v, scan %v", s, idxsOf(got), idxsOf(l))
+		}
+	}
+	if len(c.dirty.heap) != len(want) {
+		return fmt.Errorf("dirty heap holds %d streams, scan %d", len(c.dirty.heap), len(want))
+	}
+	for k, e := range c.dirty.heap {
+		if len(e.blocks) == 0 || int(e.st.dirtyAt) != k+1 {
+			return fmt.Errorf("dirty heap place %d holds a list of %d blocks whose stream records place %d",
+				k, len(e.blocks), e.st.dirtyAt-1)
+		}
+		if p := (k - 1) / 2; k > 0 && c.dirty.head(p) > c.dirty.head(k) {
+			return fmt.Errorf("dirty heap place %d heads block %d above its child's %d",
+				p, c.dirty.head(p), c.dirty.head(k))
 		}
 	}
 	if c.DirtyLen() != n {
@@ -195,6 +229,11 @@ func checkDirtyIndex(c *Cache) error {
 		}
 	}
 	return pick(0, false)
+}
+
+// dirtyOf returns stream s's dirty list in the index.
+func dirtyOf(c *Cache, s int64) []*block {
+	return c.dirty.of(c.cls.state(s))
 }
 
 func idxsOf(l []*block) []int64 {
@@ -294,7 +333,7 @@ func runCacheOps(data []byte) (*Cache, error) {
 var raceSeed = []byte{23, 233, 114, 39, 120, 232, 65, 51, 31, 133, 103, 193, 191, 149}
 
 // FuzzCacheOps runs decoded concurrent Read/Write/Drain traffic, with an
-// optional outage, and requires the LRU list and block map to agree, the
+// optional outage, and requires the LRU list and block index to agree, the
 // dirty index to match a scan of the resident blocks (including the flush
 // pick of the scan-based reference) throughout, and every dirty install to
 // end flushed, lost or still resident.
@@ -304,6 +343,14 @@ func FuzzCacheOps(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 1, 4, 4, 1, 1, 2, 0, 4, 6, 0, 2, 0, 0, 5, 0, 0})
 	// Two streams writing the same blocks: dirty blocks change streams.
 	f.Add([]byte{1, 0, 1, 0, 1, 4, 1, 1, 7, 0, 0, 3, 0, 0, 8, 0, 0, 5, 0, 0})
+	// Stream 0 dirties blocks 0-1 and stream 1 block 2; stream 1 then
+	// writes block 0, which moves to the head of its list: both streams'
+	// heads change, and the dirty heap must reorder them.
+	f.Add([]byte{0, 0, 1, 0, 1, 4, 2, 0, 4, 0, 0})
+	// Streams 0, 1 and 2 dirty blocks 0, 1 and 2; the flusher's first run
+	// empties the root's list, and the last stream's list, moved into the
+	// root's place, must sink below stream 1's.
+	f.Add([]byte{0, 0, 1, 0, 0, 4, 1, 0, 7, 2, 0})
 	// One sequential reader, so prefetch runs, with a write in its stream.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 1, 4, 0, 0, 5, 0, 0, 6, 0})
 	// Dirty blocks on two streams when the node fails at 3 ms for 10 ms:

@@ -318,8 +318,9 @@ func (n *Node) usable() error {
 // Do services one request against the array byte address space. Without a
 // cache the caller queues FIFO and is charged the array service time; with
 // one, hits are served from node memory and only misses and write-backs
-// reach the queue. The stream key (the file identity) drives
-// sequential-access detection; read selects the degraded-mode read path when
+// reach the queue. The stream key (the PFS's small non-negative number for
+// one copy of a file) drives sequential-access detection and keys the
+// cache's per-stream state; read selects the degraded-mode read path when
 // a drive is out. It returns the total time spent (queueing + service) and
 // ErrDown if the node is (or goes) out of service before the request
 // reaches the array.

@@ -163,7 +163,7 @@ func (fs *FileSystem) WriteGather(p *sim.Process, node int, name string, extents
 		}
 		sweeps++
 		fs.msh.Transfer(p, node, fs.ionHome[ion], g.bytes)
-		if _, err := fs.ion[ion].DoSweep(p, int64(f.id), g.addr, g.bytes, g.requests); err != nil {
+		if _, err := fs.ion[ion].DoSweep(p, replicaStream(int64(f.id), 0), g.addr, g.bytes, g.requests); err != nil {
 			return total, sweeps, fmt.Errorf("write-gather %q at ionode %d: %w", name, ion, ErrIONodeDown)
 		}
 		fs.record(node, iotrace.OpWrite, f, g.firstOff, g.bytes, start, iotrace.ModeAsync)

@@ -79,6 +79,42 @@ func TestFastNodeOverrideSpeedsTheRun(t *testing.T) {
 	}
 }
 
+// TestFlushDrainsCachedFile writes a cached RF=1 file with write-behind
+// and flushes it before the flush daemon's first pass: dirty blocks are
+// left on the nodes before Flush and none on any node after it, so Flush
+// drains the stream the file's writes were cached on.
+func TestFlushDrainsCachedFile(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.Cache = cacheOn() })
+	dirty := func() int {
+		n := 0
+		for _, ion := range r.fs.IONodes() {
+			n += ion.Cache().DirtyLen()
+		}
+		return n
+	}
+	r.run(t, func(p *sim.Process) {
+		h, err := r.fs.Create(p, 0, "f", iotrace.ModeUnix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Write(p, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		if dirty() == 0 {
+			t.Fatal("write-behind left no dirty block to flush")
+		}
+		if err := h.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		if n := dirty(); n != 0 {
+			t.Fatalf("%d dirty blocks left on the nodes after Flush", n)
+		}
+		if err := h.Close(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestPerNodeCacheCapacityOverride(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.Cache = cacheOn()

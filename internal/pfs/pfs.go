@@ -349,7 +349,7 @@ func (fs *FileSystem) drainCache(p *sim.Process, f *File) {
 		return
 	}
 	for _, n := range fs.ion {
-		_ = n.Drain(p, int64(f.id))
+		_ = n.Drain(p, replicaStream(int64(f.id), 0))
 	}
 }
 

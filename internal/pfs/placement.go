@@ -93,24 +93,25 @@ func (c ReplicationConfig) normalized(fo FailoverConfig, nion int) ReplicationCo
 }
 
 // Replica copy tags. A chunk's copy r > 0 occupies a separate region of the
-// target node's array address space and a separate sequential-detection
-// stream, so replica traffic neither masquerades as a continuation of primary
-// streams nor collides between copies at RF > 2. The copy index is encoded in
-// high bits clear of both the per-file local space (bits 0..32) and the file
-// id (bits 34 up): streams carry it at bit 40 (copy 1 matches the legacy
-// single replica-stream bit), addresses at bit 56.
+// target node's array address space and a separate stream, so replica
+// traffic neither masquerades as a continuation of primary streams nor
+// collides between copies at RF > 2. Addresses carry the copy index at bit
+// 56, clear of both the per-file local space (bits 0..32) and the file id
+// (bits 34 up). Streams are numbered densely instead: copy r of file fid is
+// stream fid*MaxReplicationFactor + r, so an I/O node's cache can keep its
+// per-stream state in slices indexed by stream. The disk array compares
+// stream numbers only for equality, so any one-to-one numbering serves.
 const (
-	replicaStreamShift = 40
-	replicaAddrShift   = 56
+	replicaAddrShift = 56
 
 	// localAddrMask extracts a file-local byte address from an array
 	// address; the per-file region must stay below bit 33.
 	localAddrMask = int64(1)<<33 - 1
 )
 
-// replicaStream tags a file's node stream key with a copy index (0 = the
-// primary stream, untagged).
-func replicaStream(fid int64, r int) int64 { return fid | int64(r)<<replicaStreamShift }
+// replicaStream numbers copy r of file fid's node stream (r = 0 is the
+// primary). Every stream key the PFS hands an I/O node goes through it.
+func replicaStream(fid int64, r int) int64 { return fid*MaxReplicationFactor + int64(r) }
 
 // replicaAddr tags an array address with a copy index.
 func replicaAddr(addr int64, r int) int64 { return addr | int64(r)<<replicaAddrShift }

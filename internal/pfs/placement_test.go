@@ -306,3 +306,28 @@ func FuzzPlacement(f *testing.F) {
 		}
 	})
 }
+
+// TestReplicaStreamsAreDistinct checks that replicaStream numbers every
+// (file, copy) pair differently, so no two copies share a stream's
+// sequential detection or cache state, and that the numbers are dense: the
+// first n files' copies fill 0..n*MaxReplicationFactor-1.
+func TestReplicaStreamsAreDistinct(t *testing.T) {
+	const files = 1 << 12
+	type pair struct {
+		fid int64
+		r   int
+	}
+	seen := make(map[int64]pair, files*MaxReplicationFactor)
+	for fid := int64(0); fid < files; fid++ {
+		for r := 0; r < MaxReplicationFactor; r++ {
+			s := replicaStream(fid, r)
+			if prev, dup := seen[s]; dup {
+				t.Fatalf("file %d copy %d and file %d copy %d share stream %d", fid, r, prev.fid, prev.r, s)
+			}
+			if s < 0 || s >= files*MaxReplicationFactor {
+				t.Fatalf("file %d copy %d: stream %d outside [0, %d)", fid, r, s, files*MaxReplicationFactor)
+			}
+			seen[s] = pair{fid, r}
+		}
+	}
+}
