@@ -49,8 +49,10 @@ var errNoApp = errors.New("core: study has no app")
 
 // prepare builds a fresh runtime, on a fresh engine, for one attempt of the
 // study. The returned study has defaults merged in and its compute partition
-// sized to the app.
-func prepare(s Study) (Study, *runtime, error) {
+// sized to the app. The engine is attached to pool, the driver's carrier of
+// parked coroutines and warm arrays from one engine to the next; a driver
+// that runs one engine passes nil.
+func prepare(s Study, pool *sim.Pool) (Study, *runtime, error) {
 	if s.App == nil {
 		return s, nil, errNoApp
 	}
@@ -59,6 +61,7 @@ func prepare(s Study) (Study, *runtime, error) {
 	if err != nil {
 		return s, nil, err
 	}
+	m.Eng.SetPool(pool)
 	if s.WindowWidth <= 0 {
 		s.WindowWidth = 10 * sim.Second
 	}

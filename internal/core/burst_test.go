@@ -40,7 +40,7 @@ func burstAppImage(t *testing.T, app AppID, bcfg burst.Config) string {
 	study := SmallStudy(app)
 	study.Machine.PFS.Integrity = integrity.Config{Enabled: true}
 	study.Burst = bcfg
-	_, rt, err := prepare(study)
+	_, rt, err := prepare(study, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}

@@ -56,7 +56,7 @@ func appImage(t *testing.T, app AppID, coll collective.Config, sch ionode.SchedC
 	study.Machine.PFS.Integrity = integrity.Config{Enabled: true}
 	study.Machine.PFS.Collective = coll
 	study.Machine.PFS.Sched = sch
-	_, rt, err := prepare(study)
+	_, rt, err := prepare(study, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}

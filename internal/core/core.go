@@ -149,7 +149,7 @@ type OpCounts struct {
 // PFS failover) surfaces as an error, exactly like the real machine's job
 // kill. Use RunResilient for checkpoint/restart semantics.
 func Run(s Study) (*Report, error) {
-	s, rt, err := prepare(s)
+	s, rt, err := prepare(s, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -523,14 +523,23 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 	settleGoroutines(t, base, "Run")
 }
 
-// TestRunFleetLeavesNoGoroutines checks that a small fleet on two workers
-// ends every worker and every cell's process coroutines.
+// TestRunFleetLeavesNoGoroutines checks that a fleet ends every worker and
+// every cell's process coroutines, those its cells handed on through the
+// fleet's pool included, on one worker and on two, and when a cell fails.
 func TestRunFleetLeavesNoGoroutines(t *testing.T) {
 	base := goruntime.NumGoroutine()
-	if _, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 3, Shards: 2}); err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 2} {
+		if _, err := RunFleet(SmallStudy(ESCAT), FleetOptions{Cells: 8, Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		settleGoroutines(t, base, fmt.Sprintf("RunFleet at %d shards", shards))
 	}
-	settleGoroutines(t, base, "RunFleet")
+	// Every I/O node down with no failover kills each cell's job.
+	failing := chaosStudy().Study
+	if _, err := RunFleet(failing, FleetOptions{Cells: 8, Shards: 2}); err == nil {
+		t.Fatal("RunFleet succeeded; want a failed cell")
+	}
+	settleGoroutines(t, base, "a failed RunFleet")
 }
 
 // TestFailedAttemptLeavesNoGoroutines checks that a resilient run whose

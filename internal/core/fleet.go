@@ -101,8 +101,12 @@ func runFleet(s Study, opts FleetOptions, inspect func(i int, m *workload.Machin
 		}
 	}
 
+	// Each finished cell leaves its parked coroutines and warm engine arrays
+	// to the cells after it, on either worker.
+	var pool sim.Pool
+	defer pool.Close()
 	cells, err := exec.MapN(workers, studies, func(i int, cs Study) (fleetCell, error) {
-		cs, rt, err := prepare(cs)
+		cs, rt, err := prepare(cs, &pool)
 		if err != nil {
 			return fleetCell{}, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}

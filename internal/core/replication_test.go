@@ -55,7 +55,7 @@ func replicatedStudy(app AppID, rf int) Study {
 func appImageAtRF(t *testing.T, app AppID, rf int) string {
 	t.Helper()
 	study := replicatedStudy(app, rf)
-	_, rt, err := prepare(study)
+	_, rt, err := prepare(study, nil)
 	if err != nil {
 		t.Fatalf("%s rf=%d: %v", app, rf, err)
 	}
@@ -176,7 +176,7 @@ func TestZoneOutageRF3PaperScale(t *testing.T) {
 	}
 
 	run := func(study Study) (*Report, string) {
-		s, rt, err := prepare(study)
+		s, rt, err := prepare(study, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

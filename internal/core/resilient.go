@@ -102,8 +102,11 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	// storage: latent corruption does not go away because the application
 	// restarted, so it is re-injected into the fresh instance.
 	var carried []pfs.CorruptRange
+	// A restart reissues the coroutines its failed attempt parked.
+	var pool sim.Pool
+	defer pool.Close()
 	for attempt := 0; attempt < rs.MaxAttempts; attempt++ {
-		s, rt, err := prepare(s)
+		s, rt, err := prepare(s, &pool)
 		if err != nil {
 			return nil, err
 		}

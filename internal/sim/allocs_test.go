@@ -211,3 +211,40 @@ func TestCompletionAwaitAllocCeiling(t *testing.T) {
 	})
 	checkZeroPerWait(t, "Completion.Await", perWait)
 }
+
+// TestPooledSpawnAllocCeiling pins the pool's reuse across engines: once one
+// engine has finished on a pool, a second engine on it that spawns and
+// finishes 2,000 concurrent processes reissues the first engine's parked
+// coroutines and warm arrays, so it creates no coroutine and allocates far
+// less than once per spawn. A fresh engine pays a coroutine and a process
+// struct per spawn.
+func TestPooledSpawnAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	const procs = 2000
+	body := func(p *Process) { p.Sleep(Microsecond) }
+	run := func(pool *Pool) {
+		e := NewEngine()
+		e.SetPool(pool)
+		for j := 0; j < procs; j++ {
+			e.Spawn("p", body)
+		}
+		if err := e.Run(); err != nil {
+			t.Error(err)
+		}
+	}
+	var pool Pool
+	defer pool.Close()
+	run(&pool) // the warm engine
+	pooled := testing.AllocsPerRun(5, func() { run(&pool) })
+	fresh := testing.AllocsPerRun(5, func() { run(nil) })
+	t.Logf("per %d-process engine: %.0f allocations pooled, %.0f fresh", procs, pooled, fresh)
+	// The engine struct and a stray runtime allocation. A single new
+	// coroutine costs several allocations.
+	const ceiling = 4
+	if pooled > ceiling || pooled >= fresh {
+		t.Fatalf("pooled engine allocated %.0f times for %d spawns (fresh %.0f); ceiling %d",
+			pooled, procs, fresh, ceiling)
+	}
+}

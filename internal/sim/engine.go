@@ -24,8 +24,11 @@
 // without readying it through the scheduler, so no idle P is woken. A
 // finished process parks its coroutine on the engine's free list and a later
 // Spawn reissues it, so process churn costs neither a goroutine nor a
-// closure. When a run ends, the parked coroutines are stopped and the
-// processes still blocked are unwound, so no goroutine outlives it.
+// closure. When a run ends, the processes still blocked are unwound and the
+// parked coroutines are stopped, so no goroutine outlives it — unless the
+// engine is attached to a Pool. Then the parked coroutines and the emptied
+// event and process arrays pass to the pool, the next engine attached to it
+// reissues them, and the driver's Pool.Close stops what is left.
 package sim
 
 import (
@@ -47,14 +50,38 @@ type Engine struct {
 	stopped bool
 	handoff *Process   // successor a yielding process popped for the driver; nil ends the run
 	procs   []*Process // live processes, for deadlock diagnostics
-	free    []*Process // finished processes whose parked coroutines are reusable
+	free    []*Process // finished processes whose parked coroutines are reusable; SetPool seeds it
 
 	batch []event // scratch for scheduleBatch
+	pool  *Pool   // receives free and the arrays when Run ends; nil stops free's coroutines
 }
 
 // NewEngine returns an engine with the clock at time zero and no processes.
 func NewEngine() *Engine {
 	return &Engine{}
+}
+
+// SetPool attaches the engine to pool, or detaches it when pool is nil. The
+// engine takes the kit the pool got last (see Pool): its arrays become the
+// engine's, and its parked processes become the engine's free list, so
+// Spawn reissues them as it does the engine's own. Run then leaves its
+// parked coroutines and emptied arrays in the pool instead of stopping the
+// coroutines. Process ids, sequence numbers and wake order stay the
+// engine's own, so a pooled engine runs exactly as a fresh one. Call it
+// before Run.
+func (e *Engine) SetPool(pool *Pool) {
+	e.pool = pool
+	if pool == nil {
+		return
+	}
+	if k, ok := pool.take(); ok {
+		// Whatever the engine already scheduled or spawned keeps its order
+		// (and its procIdx) in the warm arrays.
+		e.events.ev = append(k.events, e.events.ev...)
+		e.procs = append(k.procs, e.procs...)
+		e.free = append(k.free, e.free...)
+		e.batch = k.batch
+	}
 }
 
 // Now reports the current simulated time.
@@ -233,6 +260,7 @@ func (e *Engine) SpawnAt(name string, delay Time, fn func(p *Process)) *Process 
 		p = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
+		p.eng = e // a pooled process last ran on another engine
 		p.done = false
 	} else {
 		p = &Process{eng: e}
@@ -299,9 +327,15 @@ func (e *Engine) recycle(p *Process) {
 	e.free = append(e.free, p)
 }
 
-// release stops every coroutine parked on the free list, so its goroutine
-// exits. A later Spawn on the engine simply starts fresh coroutines.
+// release lets go of the coroutines parked on the free list. Without a pool
+// it stops each, so its goroutine exits; with one, the pool takes them with
+// the engine's emptied arrays (see Pool.put). Either way the free list is
+// left empty.
 func (e *Engine) release() {
+	if e.pool != nil {
+		e.pool.put(e)
+		return
+	}
 	for i, p := range e.free {
 		p.stop()
 		e.free[i] = nil
@@ -312,7 +346,8 @@ func (e *Engine) release() {
 // unwind stops the coroutine of every process still living when a run
 // ends, so none stays parked forever. A blocked process unwinds through its
 // deferred calls and retires; one that never started (or was reissued from
-// the free list and never resumed) is retired here.
+// the free list and never resumed) is retired here. Either way its
+// coroutine ends: an unwound process never reaches the free list or a pool.
 func (e *Engine) unwind() {
 	for n := len(e.procs); n > 0; n = len(e.procs) {
 		p := e.procs[n-1]
@@ -330,19 +365,21 @@ func (e *Engine) unwind() {
 // (deadlock). A panic in a process is re-raised in the caller, naming the
 // process and carrying its stack. The calling goroutine is the driver: it
 // resumes one process at a time, and each yields back the successor it
-// popped. When Run returns, every process coroutine has ended: blocked ones
-// are unwound, so an engine cannot be run on after a Stop or a deadlock.
+// popped. When Run returns, blocked processes are unwound, so an engine
+// cannot be run on after a Stop or a deadlock, and every process coroutine
+// has ended except those a pool now holds (see SetPool). Unwinding comes
+// first: a deferred call may still spawn or schedule on the engine.
 func (e *Engine) Run() error {
 	for p := e.advance(); p != nil; p = e.handoff {
 		e.handoff = nil
 		p.resume()
 	}
-	e.release()
 	var err error
 	if !e.stopped && e.living > 0 {
 		err = e.deadlockError()
 	}
 	e.unwind()
+	e.release()
 	return err
 }
 

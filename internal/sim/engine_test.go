@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -524,7 +525,9 @@ func waitGoroutines(t *testing.T, want int) {
 // TestRunLeavesNoGoroutines checks that a completed run ends every process
 // coroutine, including those parked on the free list for reuse, and that a
 // stopped run ends those of the processes it left blocked, unwinding each
-// through its deferred calls.
+// through its deferred calls. On a pooled engine the halted run's unwound
+// processes stay out of the pool, the finished ones pass to the next
+// engine, and Close ends every coroutine the pool still holds.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
@@ -546,38 +549,64 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 
 	// A halted run: processes blocked on a resource, a completion and a
 	// sleep, one reissued from the free list and one not yet started.
-	e = NewEngine()
-	r = NewResource(e, "disk", 1)
-	io := NewCompletion("io")
-	unwound := 0
-	e.Spawn("short", func(p *Process) {})
-	for j := 0; j < 4; j++ {
-		e.Spawn(fmt.Sprintf("user%d", j), func(p *Process) {
-			defer func() { unwound++ }()
-			r.Acquire(p)
-			p.Sleep(Second)
-			r.Release(p)
+	halted := func(pool *Pool) (unwound []*Process, stopper *Process) {
+		e := NewEngine()
+		e.SetPool(pool)
+		r := NewResource(e, "disk", 1)
+		io := NewCompletion("io")
+		e.Spawn("short", func(p *Process) {})
+		for j := 0; j < 4; j++ {
+			e.Spawn(fmt.Sprintf("user%d", j), func(p *Process) {
+				defer func() { unwound = append(unwound, p) }()
+				r.Acquire(p)
+				p.Sleep(Second)
+				r.Release(p)
+			})
+		}
+		e.Spawn("awaiter", func(p *Process) {
+			defer func() { unwound = append(unwound, p) }()
+			io.Await(p)
 		})
+		e.Spawn("sleeper", func(p *Process) {
+			defer func() { unwound = append(unwound, p) }()
+			p.Sleep(Hour)
+		})
+		stopper = e.Spawn("stopper", func(p *Process) {
+			p.Sleep(Millisecond)
+			unwound = append(unwound,
+				p.Engine().Spawn("reissued", func(*Process) { t.Error("reissued process ran") }),
+				p.Engine().SpawnAt("late", Second, func(*Process) { t.Error("late process ran") }))
+			p.Engine().Stop()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(unwound) != 8 || e.Living() != 0 {
+			t.Fatalf("after Stop: %d processes unwound or never run, %d living; want 8 and 0", len(unwound), e.Living())
+		}
+		return unwound, stopper
 	}
-	e.Spawn("awaiter", func(p *Process) {
-		defer func() { unwound++ }()
-		io.Await(p)
-	})
-	e.Spawn("sleeper", func(p *Process) {
-		defer func() { unwound++ }()
-		p.Sleep(Hour)
-	})
-	e.Spawn("stopper", func(p *Process) {
-		p.Sleep(Millisecond)
-		p.Engine().Spawn("reissued", func(*Process) { t.Error("reissued process ran") })
-		p.Engine().SpawnAt("late", Second, func(*Process) { t.Error("late process ran") })
-		p.Engine().Stop()
-	})
+	halted(nil)
+	waitGoroutines(t, base)
+
+	var pool Pool
+	unwound, stopper := halted(&pool)
+	// "short" finished but was reissued and unwound; only the stopper's
+	// coroutine is pooled, and the next engine's first spawn reissues it.
+	e = NewEngine()
+	e.SetPool(&pool)
+	for j := 0; j < 8; j++ {
+		p := e.Spawn(fmt.Sprintf("next%d", j), func(p *Process) { p.Sleep(Microsecond) })
+		if slices.Contains(unwound, p) {
+			t.Fatalf("spawn %d reissued a process the halted run unwound", j)
+		}
+		if (p == stopper) != (j == 0) {
+			t.Fatalf("spawn %d: reissued the pooled stopper %v, want only at spawn 0", j, p == stopper)
+		}
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if unwound != 6 || e.Living() != 0 {
-		t.Fatalf("after Stop: %d processes unwound, %d living; want 6 and 0", unwound, e.Living())
-	}
+	pool.Close()
 	waitGoroutines(t, base)
 }

@@ -13,7 +13,10 @@ import (
 //
 // The struct and its coroutine outlive the process: when a process finishes,
 // its coroutine parks on the engine's free list and a later Spawn reissues
-// both, so process churn costs neither a goroutine nor a closure.
+// both, so process churn costs neither a goroutine nor a closure. When the
+// run ends the parked coroutine is stopped or, on an engine attached to a
+// Pool, passes to the pool, and a spawn on the next engine to take it from
+// the pool reissues it there.
 type Process struct {
 	eng  *Engine
 	id   int
@@ -54,9 +57,10 @@ func (w waitOn) String() string {
 
 // loop is the body of a process's coroutine. It runs the current fn, then
 // parks on the free list — handing the driver the next due process — until
-// a later Spawn reissues the process (yield returns true) or the run
-// completes and the engine stops the coroutine (yield returns false). A
-// process unwound by the engine is not recycled: its coroutine ends.
+// a later Spawn reissues the process (yield returns true), possibly on
+// another engine of the same pool, or the engine or the pool stops the
+// coroutine (yield returns false). A process unwound by the engine is not
+// recycled: its coroutine ends.
 func (p *Process) loop(yield func(struct{}) bool) {
 	p.yield = yield
 	for p.run() {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -108,10 +110,12 @@ func (w *wakeWorld) finish() []int {
 
 const wakeRoots = 4
 
-// runWakeEngine runs seed's scripts on the engine and returns the resume log.
-func runWakeEngine(t *testing.T, seed uint64) []string {
+// runWakeEngine runs seed's scripts on an engine attached to pool (none
+// when nil) and returns the resume log.
+func runWakeEngine(t *testing.T, seed uint64, pool *Pool) []string {
 	w := &wakeWorld{seed: seed}
 	e := NewEngine()
+	e.SetPool(pool)
 	var procs []*Process
 	var body func(pid int) func(p *Process)
 	body = func(pid int) func(p *Process) {
@@ -230,7 +234,7 @@ func runWakeModel(seed uint64) []string {
 func TestRandomWakeOrderMatchesModel(t *testing.T) {
 	resumes := 0
 	for seed := uint64(1); seed <= 300; seed++ {
-		got, want := runWakeEngine(t, seed), runWakeModel(seed)
+		got, want := runWakeEngine(t, seed, nil), runWakeModel(seed)
 		resumes += len(want)
 		n := min(len(got), len(want))
 		for i := 0; i < n; i++ {
@@ -244,6 +248,31 @@ func TestRandomWakeOrderMatchesModel(t *testing.T) {
 		}
 	}
 	t.Logf("%d resumes matched", resumes)
+}
+
+// TestPoolReissuesAcrossEngines runs the wake-order scripts over a chain of
+// engines sharing one pool: each reissues the coroutines and arrays the
+// engines before it left, and must still resume exactly as a fresh engine
+// does. Each seed runs twice; the second run finds every coroutine it needs
+// in the pool, so it starts no goroutine. Close then stops them all.
+func TestPoolReissuesAcrossEngines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var pool Pool
+	for seed := uint64(1); seed <= 100; seed++ {
+		want := runWakeEngine(t, seed, nil)
+		for run := 0; run < 2; run++ {
+			before := runtime.NumGoroutine()
+			got := runWakeEngine(t, seed, &pool)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d run %d: pooled engine resumed %v, a fresh one %v", seed, run, got, want)
+			}
+			if after := runtime.NumGoroutine(); run == 1 && after > before {
+				t.Fatalf("seed %d: the warm run raised the goroutine count %d -> %d", seed, before, after)
+			}
+		}
+	}
+	pool.Close()
+	waitGoroutines(t, base)
 }
 
 // TestLoneSleeperSkipsTheHeap pins Sleep's heap-free path: a process whose
