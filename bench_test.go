@@ -13,6 +13,7 @@ import (
 	"repro/internal/apps/escat"
 	"repro/internal/apps/htf"
 	"repro/internal/apps/render"
+	"repro/internal/cache"
 	"repro/internal/iotrace"
 	"repro/internal/ppfs"
 	"repro/internal/sim"
@@ -279,7 +280,7 @@ func BenchmarkCacheESCATReads(b *testing.B) {
 		run := func(on bool) *iochar.Report {
 			study := iochar.PaperStudy(iochar.ESCAT)
 			if on {
-				study.Machine.PFS.Cache = iochar.DefaultCacheConfig()
+				study.Machine.PFS.Cache = cache.DefaultConfig()
 			}
 			r, err := iochar.Run(study)
 			if err != nil {

@@ -75,20 +75,16 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// iochar runs a single attempt of the study: no restart loop (use
-	// 'stress scenario run' for the resilience semantics).
+	// iochar runs a single attempt of the study without checkpoints: no
+	// restart loop (use 'stress scenario run' for the resilience semantics).
+	noCkpt := 0
+	sc.Run.CkptInterval = &noCkpt
 	rs, fleet, err := sc.Build()
 	if err != nil {
 		return err
 	}
 	study := rs.Study
 	app := sc.Workload.App
-	if study.Burst.Enabled {
-		// iochar runs without checkpointing, so route the application's bulk
-		// output files through the log by name prefix — otherwise the tier
-		// would sit idle (no application in the suite uses M_LOG).
-		study.Burst.Prefixes = append(study.App.OutputPrefixes(), study.Burst.Prefixes...)
-	}
 	if fl := scenario.RenderFleet(fleet); fl != "" {
 		fmt.Fprint(out, fl)
 	}
@@ -212,7 +208,11 @@ func loadScenario(fs *flag.FlagSet, st *cliflags.Study, file string) (*scenario.
 	if err != nil {
 		return nil, err
 	}
-	return scenario.Load(file)
+	sc, err := scenario.Load(file)
+	if err == nil && len(sc.Variants) > 0 {
+		err = fmt.Errorf("-scenario %s has %d variants but iochar runs one study (run it with 'stress scenario run')", file, len(sc.Variants))
+	}
+	return sc, err
 }
 
 // printLifetimes shows the Pablo file-lifetime reduction.

@@ -69,6 +69,10 @@ func TestScenarioFlagBadFile(t *testing.T) {
 	if err := run([]string{"-scenario", path}, &bytes.Buffer{}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
+	err := run([]string{"-scenario", "../../scenarios/whatif-cache.yaml"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "has 5 variants but iochar runs one study") {
+		t.Fatalf("a file with variants: got %v, want an error counting them", err)
+	}
 }
 
 // TestScenarioFileRejectsStudyFlags: a -scenario file describes the whole

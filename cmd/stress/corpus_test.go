@@ -11,8 +11,8 @@ import (
 
 const corpusDir = "../../scenarios"
 
-// TestCorpusValidates: every checked-in scenario parses, validates and
-// builds. This is the cheap half of the CI smoke job.
+// TestCorpusValidates: every checked-in scenario, and each variant, parses,
+// validates and builds. This is the cheap half of the CI smoke job.
 func TestCorpusValidates(t *testing.T) {
 	files, err := collectScenarioFiles([]string{corpusDir})
 	if err != nil {
@@ -27,11 +27,13 @@ func TestCorpusValidates(t *testing.T) {
 			t.Errorf("%s: %v", f, err)
 			continue
 		}
-		if _, _, err := sc.Build(); err != nil {
-			t.Errorf("%s: %v", f, err)
-		}
-		if sc.Assertions == nil || sc.Assertions.Expected == "" {
-			t.Errorf("%s: corpus scenarios must declare assertions.expected", f)
+		for _, v := range append([]*scenario.Scenario{sc}, sc.Variants...) {
+			if _, _, err := v.Build(); err != nil {
+				t.Errorf("%s: %v", f, err)
+			}
+			if v.Assertions == nil || v.Assertions.Expected == "" {
+				t.Errorf("%s: %s: corpus scenarios must declare assertions.expected", f, v.Name)
+			}
 		}
 	}
 }

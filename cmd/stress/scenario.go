@@ -75,19 +75,26 @@ func scenarioValidate(args []string, out io.Writer) error {
 	bad := 0
 	for _, f := range files {
 		sc, err := scenario.Load(f)
+		if err == nil {
+			// Validate includes the build-time cross-checks (zone
+			// membership, app node-count fit) so "validate" means "would
+			// run", for the base and every variant.
+			for _, v := range append([]*scenario.Scenario{sc}, sc.Variants...) {
+				if _, _, err = v.Build(); err != nil {
+					break
+				}
+			}
+		}
 		if err != nil {
 			bad++
 			fmt.Fprintf(out, "FAIL %s\n     %v\n", f, err)
 			continue
 		}
-		// Validate includes the build-time cross-checks (zone membership,
-		// app node-count fit) so "validate" means "would run".
-		if _, _, err := sc.Build(); err != nil {
-			bad++
-			fmt.Fprintf(out, "FAIL %s\n     %v\n", f, err)
-			continue
+		if len(sc.Variants) > 0 {
+			fmt.Fprintf(out, "ok   %s (%s + %d variants)\n", f, sc.Name, len(sc.Variants))
+		} else {
+			fmt.Fprintf(out, "ok   %s (%s)\n", f, sc.Name)
 		}
-		fmt.Fprintf(out, "ok   %s (%s)\n", f, sc.Name)
 	}
 	fmt.Fprintf(out, "%d scenarios, %d invalid\n", len(files), bad)
 	if bad > 0 {
@@ -96,10 +103,12 @@ func scenarioValidate(args []string, out io.Writer) error {
 	return nil
 }
 
-// scenarioRun executes each scenario and prints the standard stress report
-// followed by the fleet and assertion sections; any failed assertion fails
-// the command. With a single file the report is byte-identical to the
-// equivalent flag-driven invocation, with the scenario sections appended.
+// scenarioRun executes each scenario, a file's variants after its base, and
+// prints the standard stress report followed by the fleet and assertion
+// sections, and for a file with variants a table comparing its runs; any
+// failed assertion fails the command. With a single file without variants the
+// report is byte-identical to the equivalent flag-driven invocation, with the
+// scenario sections appended.
 func scenarioRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stress scenario run", flag.ContinueOnError)
 	shards := cliflags.AddShards(fs)
@@ -110,37 +119,46 @@ func scenarioRun(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	failed := 0
+	runs, failed := 0, 0
 	for i, f := range files {
 		sc, err := scenario.Load(f)
 		if err != nil {
 			return err
 		}
-		sc.Shards = *shards
-		if len(files) > 1 {
-			if i > 0 {
-				fmt.Fprintln(out)
+		all := append([]*scenario.Scenario{sc}, sc.Variants...)
+		results := make([]*scenario.Result, 0, len(all))
+		for j, v := range all {
+			v.Shards = *shards
+			if len(files) > 1 || len(all) > 1 {
+				if i > 0 || j > 0 {
+					fmt.Fprintln(out)
+				}
+				fmt.Fprintf(out, "=== %s (%s) ===\n", v.Name, f)
 			}
-			fmt.Fprintf(out, "=== %s (%s) ===\n", sc.Name, f)
+			res, err := v.Execute()
+			if err != nil {
+				return err
+			}
+			printResilientReport(out, res.Report)
+			if res.FleetRun != nil {
+				fmt.Fprint(out, scenario.RenderFleetRun(res.FleetRun))
+			}
+			if fl := scenario.RenderFleet(res.Fleet); fl != "" {
+				fmt.Fprint(out, fl)
+			}
+			fmt.Fprint(out, scenario.RenderChecks(v.Name, res.M, res.Checks))
+			results = append(results, res)
+			runs++
+			if !res.Pass() {
+				failed++
+			}
 		}
-		res, err := sc.Execute()
-		if err != nil {
-			return err
-		}
-		printResilientReport(out, res.Report)
-		if res.FleetRun != nil {
-			fmt.Fprint(out, scenario.RenderFleetRun(res.FleetRun))
-		}
-		if fl := scenario.RenderFleet(res.Fleet); fl != "" {
-			fmt.Fprint(out, fl)
-		}
-		fmt.Fprint(out, scenario.RenderChecks(sc.Name, res.M, res.Checks))
-		if !res.Pass() {
-			failed++
+		if len(sc.Variants) > 0 {
+			fmt.Fprintf(out, "\n%s", scenario.RenderVariants(sc.Name, results))
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d scenarios failed their assertions", failed, len(files))
+		return fmt.Errorf("%d of %d scenarios failed their assertions", failed, runs)
 	}
 	return nil
 }

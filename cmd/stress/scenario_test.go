@@ -160,3 +160,49 @@ assertions:
 		t.Fatalf("assertions did not pass:\n%s", out)
 	}
 }
+
+// TestScenarioRunVariants: a file with variants runs its base, then each
+// variant under its own header, and ends with one table of their runs; a
+// failing variant fails the command and counts as one scenario.
+func TestScenarioRunVariants(t *testing.T) {
+	path := writeScenario(t, "v.yaml", `
+name: v
+workload:
+  app: escat
+features:
+  failover:
+    enabled: false
+assertions:
+  expected: ok
+variants:
+  - name: cached
+    features:
+      cache:
+        enabled: true
+  - name: doomed
+    assertions:
+      max_makespan_s: 0.001
+`)
+	var buf bytes.Buffer
+	err := run([]string{"scenario", "run", path}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "1 of 3 scenarios failed") {
+		t.Fatalf("got %v, want the doomed variant to fail 1 of 3", err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"=== v (" + path + ") ===\n", "\n\n=== v/cached (", "Assertions (v/doomed): FAIL",
+		"\nVariants (v):\n", "\n  v/cached ", "\n  v/doomed ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, tail(out, 1500))
+		}
+	}
+
+	buf.Reset()
+	if err := run([]string{"scenario", "validate", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "ok   " + path + " (v + 2 variants)\n1 scenarios, 0 invalid\n"; buf.String() != want {
+		t.Errorf("validate printed %q, want %q", buf.String(), want)
+	}
+}

@@ -116,59 +116,3 @@ func RenderBurstReport(r *BurstReport) string {
 	}
 	return b.String()
 }
-
-// BurstComparison is one application's burst-on-versus-off outcome at equal
-// configuration: end-to-end makespan and checkpoint stall time under each
-// regime, with the tier's own counters alongside.
-type BurstComparison struct {
-	Name string
-
-	DirectWall  sim.Time // makespan, burst off
-	BurstWall   sim.Time // makespan (application finish), burst on
-	DirectStall sim.Time // checkpoint overhead, burst off
-	BurstStall  sim.Time // checkpoint overhead, burst on
-
-	// Report is the burst run's tier report.
-	Report *BurstReport
-}
-
-// Speedup returns the makespan ratio direct/burst.
-func (c BurstComparison) Speedup() float64 {
-	if c.BurstWall == 0 {
-		return 0
-	}
-	return float64(c.DirectWall) / float64(c.BurstWall)
-}
-
-// StallReduction returns the checkpoint-stall collapse factor direct/burst.
-func (c BurstComparison) StallReduction() float64 {
-	if c.BurstStall == 0 {
-		return 0
-	}
-	return float64(c.DirectStall) / float64(c.BurstStall)
-}
-
-// RenderBurstSweep formats a burst-on-versus-off comparison table.
-func RenderBurstSweep(title string, rows []BurstComparison) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "  %-10s %12s %12s %8s %12s %12s %10s %9s %10s\n",
-		"app", "direct wall", "burst wall", "speedup",
-		"direct stall", "burst stall", "stall red", "absorb", "saved")
-	for _, r := range rows {
-		absorb, saved := 0.0, int64(0)
-		if r.Report != nil {
-			absorb = r.Report.Stats.AbsorbRatio()
-			saved = r.Report.Stats.CompressSavedBytes()
-		}
-		red := "-"
-		if r.DirectStall > 0 && r.BurstStall > 0 {
-			red = fmt.Sprintf("%.1fx", r.StallReduction())
-		}
-		fmt.Fprintf(&b, "  %-10s %12s %12s %7.2fx %12s %12s %10s %8.1f%% %10s\n",
-			r.Name, fmtT(r.DirectWall), fmtT(r.BurstWall), r.Speedup(),
-			fmtT(r.DirectStall), fmtT(r.BurstStall), red,
-			100*absorb, HumanBytes(saved))
-	}
-	return b.String()
-}

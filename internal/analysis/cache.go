@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/sim"
 )
 
 // CacheReport is the cache-effectiveness section of a run report: per-node
@@ -61,48 +60,6 @@ func RenderCacheReport(r *CacheReport) string {
 				s.Node, s.Hits, s.Misses, 100*s.HitRatio(), s.PrefetchUsed,
 				s.Flushes, s.Coalescing())
 		}
-	}
-	return b.String()
-}
-
-// CacheComparison is one workload's cached-versus-uncached outcome: the mean
-// latency of its dominant operation and the wall-clock time, with the cache's
-// own effectiveness ratios alongside.
-type CacheComparison struct {
-	Name string // workload label
-	Op   string // the operation class compared (e.g. "Read")
-	Ops  int64  // operations of that class in the base run
-
-	BaseMean   sim.Time // mean op latency, cache disabled
-	CachedMean sim.Time // mean op latency, cache enabled
-	BaseWall   sim.Time
-	CachedWall sim.Time
-
-	HitRatio         float64
-	PrefetchAccuracy float64
-	Coalescing       float64
-}
-
-// Reduction returns the fractional mean-latency reduction the cache bought
-// (0.25 = 25% faster; negative = the cache hurt).
-func (c CacheComparison) Reduction() float64 {
-	if c.BaseMean == 0 {
-		return 0
-	}
-	return 1 - float64(c.CachedMean)/float64(c.BaseMean)
-}
-
-// RenderCacheSweep formats a cached-versus-uncached comparison table.
-func RenderCacheSweep(title string, rows []CacheComparison) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "  %-22s %-10s %6s %12s %12s %9s %6s %6s %8s\n",
-		"workload", "op", "ops", "base mean", "cached mean", "reduction",
-		"hit%", "pf%", "coalesce")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-22s %-10s %6d %12s %12s %8.1f%% %5.1f%% %5.1f%% %8.1f\n",
-			r.Name, r.Op, r.Ops, fmtT(r.BaseMean), fmtT(r.CachedMean),
-			100*r.Reduction(), 100*r.HitRatio, 100*r.PrefetchAccuracy, r.Coalescing)
 	}
 	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/sim"
 )
 
 func TestBuildCacheReport(t *testing.T) {
@@ -31,25 +30,5 @@ func TestBuildCacheReport(t *testing.T) {
 	}
 	if RenderCacheReport(nil) != "" {
 		t.Error("nil report rendered text")
-	}
-}
-
-func TestCacheComparisonReduction(t *testing.T) {
-	c := CacheComparison{BaseMean: 100 * sim.Millisecond, CachedMean: 25 * sim.Millisecond}
-	if got := c.Reduction(); got != 0.75 {
-		t.Fatalf("reduction %f", got)
-	}
-	if (CacheComparison{}).Reduction() != 0 {
-		t.Fatal("zero-base reduction")
-	}
-	out := RenderCacheSweep("Sweep:", []CacheComparison{{
-		Name: "escat", Op: "Read", Ops: 38,
-		BaseMean: 100 * sim.Millisecond, CachedMean: 25 * sim.Millisecond,
-		HitRatio: 0.9,
-	}})
-	for _, want := range []string{"Sweep:", "escat", "75.0%", "90.0%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sweep render missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/ionode"
-	"repro/internal/sim"
 )
 
 // RenderCollectiveReport formats the two-phase aggregation counters as a text
@@ -50,59 +49,6 @@ func RenderSchedReport(rows []ionode.SchedStats) string {
 	for i, s := range rows {
 		fmt.Fprintf(&b, "  %6d %10d %10d %8d %12d %10d\n",
 			i, s.Grants, s.Reorders, s.Wraps, s.Anticipated, s.QueuePeak)
-	}
-	return b.String()
-}
-
-// CollectiveComparison is one workload's collective-on-versus-off outcome:
-// the wall clock and the physical request count under each regime, with the
-// aggregation engine's own counters alongside.
-type CollectiveComparison struct {
-	Name  string // workload label
-	Sched string // disk policy of the collective run ("" = FIFO)
-
-	BaseWall sim.Time // wall clock, collective off
-	CollWall sim.Time // wall clock, collective on
-	BasePhys int64    // physical array requests, collective off
-	CollPhys int64    // physical array requests, collective on
-
-	// Stats are the aggregation counters of the collective run.
-	Stats collective.Stats
-}
-
-// RequestReduction returns the physical-request collapse factor (4.0 = the
-// collective run issued a quarter of the baseline's array requests).
-func (c CollectiveComparison) RequestReduction() float64 {
-	if c.CollPhys == 0 {
-		return 0
-	}
-	return float64(c.BasePhys) / float64(c.CollPhys)
-}
-
-// Speedup returns the makespan ratio baseline/collective (1.3 = 30% faster
-// with aggregation; below 1 = aggregation hurt).
-func (c CollectiveComparison) Speedup() float64 {
-	if c.CollWall == 0 {
-		return 0
-	}
-	return float64(c.BaseWall) / float64(c.CollWall)
-}
-
-// RenderCollectiveSweep formats a collective-on-versus-off comparison table.
-func RenderCollectiveSweep(title string, rows []CollectiveComparison) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "  %-22s %-8s %12s %12s %8s %10s %10s %8s %8s\n",
-		"workload", "sched", "base wall", "coll wall", "speedup",
-		"base phys", "coll phys", "req red", "rounds")
-	for _, r := range rows {
-		sched := r.Sched
-		if sched == "" {
-			sched = "fifo"
-		}
-		fmt.Fprintf(&b, "  %-22s %-8s %12s %12s %7.2fx %10d %10d %7.1fx %8d\n",
-			r.Name, sched, fmtT(r.BaseWall), fmtT(r.CollWall), r.Speedup(),
-			r.BasePhys, r.CollPhys, r.RequestReduction(), r.Stats.Rounds)
 	}
 	return b.String()
 }

@@ -62,17 +62,3 @@ func BenchmarkBurstHtfTier(b *testing.B)   { benchBurstApp(b, HTF, true) }
 // no-checkpoint control pair.
 func BenchmarkBurstRenderDirect(b *testing.B) { benchBurstApp(b, RENDER, false) }
 func BenchmarkBurstRenderTier(b *testing.B)   { benchBurstApp(b, RENDER, true) }
-
-// BenchmarkSweepBurst runs the full direct-versus-tier comparison at small
-// scale: six independent resilient runs per iteration through the parallel
-// executor.
-func BenchmarkSweepBurst(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := BurstSweep(true,
-			ckpt.Config{Interval: 1, BytesPerNode: 1 << 20},
-			burst.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -78,15 +78,3 @@ func BenchmarkCollectiveSyncAggFCFS(b *testing.B) {
 func BenchmarkCollectiveSyncAggCSCAN(b *testing.B) {
 	benchCollectiveMode(b, iotrace.ModeSync, aggCfg("cscan"))
 }
-
-// BenchmarkSweepCollective runs the three-application collective-versus-base
-// sweep at small scale: six independent core.Run invocations per iteration.
-func BenchmarkSweepCollective(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := CollectiveSweep(true, collective.Config{},
-			ionode.SchedConfig{Policy: "cscan", Seed: 3}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -4,10 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/burst"
 	"repro/internal/ckpt"
-	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/iotrace"
@@ -248,49 +246,6 @@ func TestNodeLossRejectsUndrainedCheckpoint(t *testing.T) {
 	}
 	if rr.Final == nil {
 		t.Fatal("run did not complete")
-	}
-}
-
-// renderBurstSweep runs the small sweep and renders it for byte comparison.
-func renderBurstSweep(t *testing.T) (string, []analysis.BurstComparison) {
-	t.Helper()
-	rows, err := BurstSweep(true, ckpt.Config{Interval: 1, BytesPerNode: 1 << 20},
-		burst.DefaultConfig())
-	if err != nil {
-		t.Fatalf("BurstSweep: %v", err)
-	}
-	return analysis.RenderBurstSweep("Burst sweep:", rows), rows
-}
-
-// TestBurstSweepSmall is the CI smoke: the tier must cut checkpoint stall for
-// the checkpointing applications (ESCAT, HTF) without slowing any app down,
-// and the sweep must render byte-identically at any worker count.
-func TestBurstSweepSmall(t *testing.T) {
-	defer exec.SetWorkers(0)
-	exec.SetWorkers(1)
-	sequential, rows := renderBurstSweep(t)
-	exec.SetWorkers(4)
-	parallel, _ := renderBurstSweep(t)
-	if sequential != parallel {
-		t.Fatalf("burst sweep differs between -parallel=1 and -parallel=4:\n--- 1 ---\n%s--- 4 ---\n%s",
-			sequential, parallel)
-	}
-
-	for _, r := range rows {
-		if r.Report == nil || r.Report.Stats.Committed == 0 {
-			t.Errorf("%s: tier absorbed nothing", r.Name)
-			continue
-		}
-		if r.Speedup() < 1 {
-			t.Errorf("%s: burst tier slowed the run: %.2fx", r.Name, r.Speedup())
-		}
-		switch r.Name {
-		case "escat", "htf":
-			if r.StallReduction() <= 1 {
-				t.Errorf("%s: checkpoint stall not reduced: %v -> %v",
-					r.Name, r.DirectStall, r.BurstStall)
-			}
-		}
 	}
 }
 

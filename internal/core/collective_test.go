@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/collective"
-	"repro/internal/exec"
 	"repro/internal/integrity"
 	"repro/internal/ionode"
 	"repro/internal/iotrace"
@@ -145,78 +143,6 @@ func TestCollectiveFileImageModes(t *testing.T) {
 			if got != base {
 				t.Errorf("%s: file image differs with %s:\n--- off ---\n%s--- %s ---\n%s",
 					mode, v.name, base, v.name, got)
-			}
-		}
-	}
-}
-
-// renderCollectiveSweeps runs both collective sweeps and renders the reports
-// into one text blob for a byte comparison.
-func renderCollectiveSweeps(t *testing.T) string {
-	t.Helper()
-	var out string
-	rows, err := CollectiveSweep(true, collective.Config{},
-		ionode.SchedConfig{Policy: "cscan", Seed: 3})
-	if err != nil {
-		t.Fatalf("CollectiveSweep: %v", err)
-	}
-	out += analysis.RenderCollectiveSweep("Collective sweep:", rows)
-	mrows, err := ModeCollectiveSweep(collective.Config{}, ionode.SchedConfig{})
-	if err != nil {
-		t.Fatalf("ModeCollectiveSweep: %v", err)
-	}
-	out += analysis.RenderCollectiveSweep("Mode collective sweep:", mrows)
-	return out
-}
-
-// TestCollectiveSweepByteIdenticalAcrossWorkerCounts: the collective sweeps
-// must render byte-identically at any executor worker count — the aggregation
-// machinery (round barriers, straggler timers, seeded schedulers) is entirely
-// inside each run's own engine, so -parallel only changes real time.
-func TestCollectiveSweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	defer exec.SetWorkers(0)
-
-	exec.SetWorkers(1)
-	sequential := renderCollectiveSweeps(t)
-	exec.SetWorkers(8)
-	parallel := renderCollectiveSweeps(t)
-
-	if sequential != parallel {
-		t.Fatalf("collective sweep output differs between -parallel=1 and -parallel=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
-			sequential, parallel)
-	}
-	if len(sequential) == 0 {
-		t.Fatal("collective sweeps rendered nothing")
-	}
-}
-
-// TestCollectiveSweepReductions pins the headline numbers: the round-
-// structured modes collapse physical requests by at least 5x and do not slow
-// down, while every other mode passes through untouched.
-func TestCollectiveSweepReductions(t *testing.T) {
-	rows, err := ModeCollectiveSweep(collective.Config{}, ionode.SchedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		switch r.Name {
-		case "M_SYNC", "M_RECORD":
-			if r.RequestReduction() < 5 {
-				t.Errorf("%s: request reduction %.1fx, want >= 5x", r.Name, r.RequestReduction())
-			}
-			if r.Speedup() < 1 {
-				t.Errorf("%s: collective slowed the run down: %.2fx", r.Name, r.Speedup())
-			}
-			if r.Stats.Rounds == 0 || r.Stats.FullRounds != r.Stats.Rounds {
-				t.Errorf("%s: rounds %d full %d, want all full", r.Name, r.Stats.Rounds, r.Stats.FullRounds)
-			}
-		default:
-			if r.BasePhys != r.CollPhys {
-				t.Errorf("%s: control mode physical requests changed: %d vs %d",
-					r.Name, r.BasePhys, r.CollPhys)
-			}
-			if r.Stats.Rounds != 0 {
-				t.Errorf("%s: control mode saw %d rounds", r.Name, r.Stats.Rounds)
 			}
 		}
 	}

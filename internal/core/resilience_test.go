@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/cache"
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -123,5 +124,24 @@ func TestRunAndRunResilientAgree(t *testing.T) {
 	}
 	if want != got {
 		t.Errorf("repair summary:\n Run          %+v\n RunResilient %+v", want, got)
+	}
+}
+
+// TestRunAndRunResilientAgreeOnCachedWall: a cached study's write-behind
+// keeps the engine clock running after the application's last operation, and
+// both drivers still end the wall clock at that operation.
+func TestRunAndRunResilientAgreeOnCachedWall(t *testing.T) {
+	s := SmallStudy(ESCAT)
+	s.Machine.PFS.Cache = cache.DefaultConfig()
+	r, err := Run(s)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rr, err := RunResilient(ResilientStudy{Study: s, MaxAttempts: 1})
+	if err != nil {
+		t.Fatalf("RunResilient: %v", err)
+	}
+	if end := analysis.AppEnd(r.Events); r.Wall != end || rr.Wall != end {
+		t.Errorf("wall: Run %v, RunResilient %v, application end %v", r.Wall, rr.Wall, end)
 	}
 }

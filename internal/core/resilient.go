@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/pfs"
@@ -147,10 +146,9 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 		}
 
 		if nodeErr == nil {
+			// The attempt's clock is the application's own finish (see
+			// finishReport): restarts are measured from it.
 			r := finishReport(s, rt)
-			// The attempt's clock is the application's own finish even
-			// without background daemons: restarts are measured from it.
-			r.Wall = analysis.AppEnd(r.Events)
 			rr.Final = r
 			rr.addIncidents(r.Incidents, base)
 			rr.Attempts = append(rr.Attempts, Attempt{

@@ -63,9 +63,6 @@ func newCollState(fs *FileSystem) *collState {
 	return &collState{fs: fs, cfg: fs.cfg.Collective, rounds: make(map[collKey]*collRound)}
 }
 
-// CollectiveEnabled reports whether two-phase aggregation is active.
-func (fs *FileSystem) CollectiveEnabled() bool { return fs.coll != nil }
-
 // CollectiveStats returns the aggregation counters; ok is false when
 // collective I/O is disabled.
 func (fs *FileSystem) CollectiveStats() (collective.Stats, bool) {

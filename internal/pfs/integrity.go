@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/integrity"
 	"repro/internal/iotrace"
-	"repro/internal/sim"
 )
 
 // IntegrityStats returns every I/O node's integrity counters, in node order;
@@ -213,14 +212,4 @@ func (fs *FileSystem) InjectCorruption(recs []CorruptRange) int {
 		applied++
 	}
 	return applied
-}
-
-// ScrubWindowEnd returns the instant the background scrubbers stand down
-// (zero when scrubbing is off), so reports can cap the wall clock the way
-// fault plans do.
-func (fs *FileSystem) ScrubWindowEnd() sim.Time {
-	if !fs.cfg.Integrity.Enabled || !fs.cfg.Integrity.Scrub.Enabled {
-		return 0
-	}
-	return fs.cfg.Integrity.Normalized().Scrub.Window
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/ppfs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // chaosWindowDefault matches the stress command's -chaos-window default.
@@ -81,6 +82,12 @@ func (s *Scenario) Build() (core.ResilientStudy, *Fleet, error) {
 		}
 		rs.Ckpt = ckpt.Config{Interval: iv, BytesPerNode: bytes}
 	}
+	if rs.Burst.Enabled && rs.Ckpt.Interval == 0 {
+		// No checkpoint traffic and no application in the suite uses M_LOG,
+		// so the tier would sit idle: route the application's bulk output
+		// files through the log by name prefix.
+		rs.Burst.Prefixes = append(rs.App.OutputPrefixes(), rs.Burst.Prefixes...)
+	}
 	return rs, fleet, nil
 }
 
@@ -88,13 +95,21 @@ func (s *Scenario) fail(err error) error {
 	return fmt.Errorf("scenario %s: %w", s.Name, err)
 }
 
-// baseStudy picks the scale template for the app.
+// baseStudy picks the scale template for the app, or the default machine
+// for the synthetic workload.
 func (s *Scenario) baseStudy() (core.Study, error) {
 	app := core.AppID(s.Workload.App)
 	var study core.Study
-	if s.Workload.Scale == "paper" {
+	switch {
+	case s.Workload.Synthetic != nil:
+		cfg, err := s.Workload.Synthetic.config()
+		if err != nil {
+			return study, s.fail(err)
+		}
+		study = core.Study{App: cfg, Machine: workload.MachineConfig{PFS: pfs.DefaultConfig()}, KeepTrace: true}
+	case s.Workload.Scale == "paper":
 		study = core.PaperStudy(app)
-	} else {
+	default:
 		study = core.SmallStudy(app)
 	}
 	switch s.policy() {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +29,12 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte("key: \"unterminated\n"))
 	f.Add([]byte("a:\n  - b: 1\n    c: 2\n"))
 	f.Add([]byte("{"))
+	f.Add([]byte("workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: false\nvariants:\n" +
+		"  - name: cached\n    features:\n      cache:\n        enabled: true\n" +
+		"  - name: render\n    workload:\n      app: render\n    run:\n      ckpt_interval: 0\n"))
+	f.Add([]byte(`{"workload":{"app":"synthetic","synthetic":{"mode":"M_RECORD","nodes":8,` +
+		`"record_bytes":4096,"records":32,"barrier":true}},"variants":[{"name":"coll",` +
+		`"features":{"collective":{"enabled":true}}},{"name":"sync","workload":{"synthetic":{"mode":"M_SYNC"}}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data, "fuzz.yaml")
@@ -38,8 +45,13 @@ func FuzzParseScenario(f *testing.F) {
 		if s.Name == "" {
 			t.Fatal("accepted scenario with empty name")
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("accepted scenario fails its own Validate: %v", err)
+		for _, v := range append([]*Scenario{s}, s.Variants...) {
+			if err := v.Validate(); err != nil {
+				t.Fatalf("accepted scenario %s fails its own Validate: %v", v.Name, err)
+			}
+			if v != s && (v.Variants != nil || !strings.HasPrefix(v.Name, s.Name+"/")) {
+				t.Fatalf("variant %s of %s: not a plain scenario of that name", v.Name, s.Name)
+			}
 		}
 	})
 }

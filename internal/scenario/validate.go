@@ -6,8 +6,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ionode"
+	"repro/internal/iotrace"
 	"repro/internal/pfs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Scales, policies and patterns the workload/fleet sections accept; the
@@ -35,8 +37,8 @@ func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario needs a name")
 	}
-	if _, err := core.ParseApp(s.Workload.App); err != nil {
-		return fmt.Errorf("workload.app %w", err)
+	if err := s.validateApp(); err != nil {
+		return err
 	}
 	if !oneOf(s.Workload.Scale, validScales) {
 		return fmt.Errorf("workload.scale %q: want small or paper", s.Workload.Scale)
@@ -63,6 +65,53 @@ func (s *Scenario) Validate() error {
 		return err
 	}
 	return s.validateAssertions()
+}
+
+// synthetic is the workload.app value that runs workload.synthetic.
+const synthetic = "synthetic"
+
+func (s *Scenario) validateApp() error {
+	w := s.Workload
+	if w.App != synthetic {
+		if _, err := core.ParseApp(w.App); err != nil {
+			return fmt.Errorf("workload.app %w (or %s)", err, synthetic)
+		}
+		if w.Synthetic != nil {
+			return fmt.Errorf("workload.synthetic needs workload.app: %s", synthetic)
+		}
+		return nil
+	}
+	if w.Synthetic == nil {
+		return fmt.Errorf("workload.app %s needs a workload.synthetic section", synthetic)
+	}
+	if w.Scale == "paper" {
+		return fmt.Errorf("workload.scale paper: the synthetic workload has no paper scale")
+	}
+	if _, err := w.Synthetic.config(); err != nil {
+		return fmt.Errorf("workload.synthetic: %v", err)
+	}
+	return nil
+}
+
+// config returns the workload configuration the section describes.
+func (sy *Synthetic) config() (workload.SyntheticConfig, error) {
+	cfg := workload.SyntheticConfig{
+		Nodes: sy.Nodes, RecordBytes: sy.RecordBytes, Records: sy.Records,
+		Read: sy.Read, Random: sy.Random, Seed: sy.Seed,
+		FileBytes: sy.FileBytes, Barrier: sy.Barrier,
+	}
+	for m := iotrace.ModeUnix; m <= iotrace.ModeAsync; m++ {
+		if m.String() == sy.Mode {
+			cfg.Mode = m
+		}
+	}
+	if cfg.Mode == iotrace.ModeNone {
+		return cfg, fmt.Errorf("mode %q: want M_UNIX, M_LOG, M_SYNC, M_RECORD, M_GLOBAL or M_ASYNC", sy.Mode)
+	}
+	if sy.FileBytes < 0 {
+		return cfg, fmt.Errorf("file_bytes %d is negative", sy.FileBytes)
+	}
+	return cfg, cfg.Validate()
 }
 
 func (s *Scenario) validateFleetGen() error {
