@@ -28,14 +28,14 @@ func sweepCorruptionPlan(class integrity.Class) fault.CorruptionPlan {
 	return fault.CorruptionPlan{}
 }
 
-// CorruptionSweep runs each application under each corruption class with the
-// integrity layer (and scrubber) enabled, and tallies detection coverage from
-// the corruption event log. The invariant the robustness work claims — no
+// CorruptionSweep runs each small application under each corruption class
+// with the integrity layer (and scrubber) enabled, and tallies detection
+// coverage from the corruption event log. The invariant the robustness work claims — no
 // injected error stays both undetected and unresolved — shows up as a zero
 // Latent column: every corruption is either detected (by a read, the
 // scrubber, or the end-of-run audit) or healed by a later full rewrite of its
 // block. The sweep is deterministic: same seed, same rows.
-func CorruptionSweep(small bool, seed uint64) ([]CorruptionSweepRow, error) {
+func CorruptionSweep(seed uint64) ([]CorruptionSweepRow, error) {
 	classes := []integrity.Class{integrity.BitRot, integrity.TornWrite, integrity.Misdirected}
 	type cell struct {
 		app   AppID
@@ -48,7 +48,7 @@ func CorruptionSweep(small bool, seed uint64) ([]CorruptionSweepRow, error) {
 		}
 	}
 	return exec.Map(cells, func(_ int, c cell) (CorruptionSweepRow, error) {
-		study := sweepStudy(c.app, small)
+		study := SmallStudy(c.app)
 		study.Machine.PFS.Integrity = integrity.Config{
 			Enabled: true,
 			Scrub: integrity.ScrubConfig{
@@ -95,14 +95,21 @@ func ModeIntegritySweep(icfg integrity.Config) ([]IntegrityOverheadRow, error) {
 	verCfg := base
 	verCfg.Integrity = icfg
 
+	// The runs fan out as [cell0 base, cell0 verified, cell1 base, ...].
 	cells := modeCells()
-	pairs, err := runPairs("integrity sweep", [2]string{"base", "verified"}, cells, runModes(base, verCfg))
+	reports, err := exec.Map(make([]struct{}, 2*len(cells)), func(j int, _ struct{}) (*Report, error) {
+		pcfg := base
+		if j%2 == 1 {
+			pcfg = verCfg
+		}
+		return Run(syntheticStudy(cells[j/2].scfg, pcfg))
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("integrity sweep: %w", err)
 	}
 	rows := make([]IntegrityOverheadRow, 0, len(cells))
 	for i, cell := range cells {
-		b, v := pairs[i][0], pairs[i][1]
+		b, v := reports[2*i], reports[2*i+1]
 		bm, n := meanFor(b.Summary, cell.labels...)
 		vm, _ := meanFor(v.Summary, cell.labels...)
 		rows = append(rows, IntegrityOverheadRow{
@@ -178,7 +185,7 @@ func RenderCorruptionSweep(rows []CorruptionSweepRow) string {
 func fmtT(t sim.Time) string { return fmt.Sprintf("%.3fs", float64(t)/float64(sim.Second)) }
 
 func TestCorruptionSweepDetectsEverything(t *testing.T) {
-	rows, err := CorruptionSweep(true, 11)
+	rows, err := CorruptionSweep(11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +211,8 @@ func TestCorruptionSweepDetectsEverything(t *testing.T) {
 }
 
 func TestCorruptionSweepDeterministic(t *testing.T) {
-	a, errA := CorruptionSweep(true, 11)
-	b, errB := CorruptionSweep(true, 11)
+	a, errA := CorruptionSweep(11)
+	b, errB := CorruptionSweep(11)
 	if errA != nil || errB != nil {
 		t.Fatalf("errs: %v / %v", errA, errB)
 	}

@@ -135,6 +135,11 @@ func TestParseErrors(t *testing.T) {
 		{"sub-microsecond chaos window", "workload:\n  app: escat\nchaos:\n  window_s: 0.0000001\n", "chaos.window_s 1e-07 is below the clock's 1 µs resolution"},
 		{"sub-microsecond deadline", "workload:\n  app: escat\nfeatures:\n  reliability:\n    enabled: true\n    deadline_s: 0.0000001\n", "features.reliability.deadline_s 1e-07 is below"},
 		{"sub-microsecond give-up", "workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: true\n    factor: 2\n    repair:\n      enabled: true\n      give_up_s: 0.0000001\n", "features.failover.repair.give_up_s 1e-07 is below"},
+		{"synthetic without section", "workload:\n  app: synthetic\n", "needs a workload.synthetic section"},
+		{"section without synthetic", "workload:\n  app: escat\n  synthetic:\n    mode: M_UNIX\n", "workload.synthetic needs workload.app: synthetic"},
+		{"bad synthetic mode", "workload:\n  app: synthetic\n  synthetic:\n    mode: M_BOGUS\n    nodes: 1\n    record_bytes: 1\n    records: 1\n", `workload.synthetic: mode "M_BOGUS"`},
+		{"synthetic without nodes", "workload:\n  app: synthetic\n  synthetic:\n    mode: M_UNIX\n    record_bytes: 1\n    records: 1\n", "synthetic needs >= 1 node"},
+		{"synthetic at paper scale", "workload:\n  app: synthetic\n  scale: paper\n  synthetic:\n    mode: M_UNIX\n    nodes: 1\n    record_bytes: 1\n    records: 1\n", "no paper scale"},
 		{"bad node ref", "workload:\n  app: escat\nchaos:\n  events:\n    - kind: disk-failure\n      at_s: 1\n      node: some\n", "node"},
 	}
 	for _, tc := range cases {

@@ -11,7 +11,8 @@ import (
 // SyntheticConfig parameterizes a Synthetic workload: every node moves
 // Records records of RecordBytes each through one shared file under the given
 // PFS access mode. It is the sixmodes demonstration workload generalized into
-// a reusable App, so mode sweeps (and the cache what-if) can drive arbitrary
+// a reusable App, so mode what-ifs (scenario variants over
+// workload.synthetic) and the integrity mode sweep can drive arbitrary
 // record sizes, read/write direction, and access order from one skeleton.
 type SyntheticConfig struct {
 	Name        string // file name; defaults to "synthetic-<mode>"
@@ -88,8 +89,8 @@ func (c SyntheticConfig) WithNodes(n int) (AppConfig, error) {
 // WithCkpt implements AppConfig: the record loop is not checkpointed.
 func (c SyntheticConfig) WithCkpt(Checkpointer) (AppConfig, bool) { return c, false }
 
-// OutputPrefixes implements AppConfig: the mode sweeps route nothing through
-// the burst log.
+// OutputPrefixes implements AppConfig: the workload routes nothing through
+// the burst log by name.
 func (SyntheticConfig) OutputPrefixes() []string { return nil }
 
 // Name implements App.
