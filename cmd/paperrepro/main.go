@@ -124,7 +124,7 @@ func writeFigures(out io.Writer, dir string, app core.AppID, r *core.Report) err
 			Title: fig.Title, LogY: fig.LogY,
 			YLabel: yLabel(fig.LogY), XLabel: "time (s)",
 		})
-		if err := os.WriteFile(filepath.Join(sub, fig.ID+".svg"), []byte(svg), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(sub, fig.ID+".svg"), svg, 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s (%d points) plus .txt and .svg renderings\n", csvPath, len(fig.Points))

@@ -308,7 +308,7 @@ func TestRenderSVGStructure(t *testing.T) {
 		{T: 10 * sim.Second, Y: 1 << 20, Op: iotrace.OpWrite},
 		{T: 5 * sim.Second, Y: 2048, Op: iotrace.OpAsyncRead},
 	}
-	out := RenderSVG(pts, SVGOptions{Title: "Fig <4> & more", LogY: true, YLabel: "size", XLabel: "time"})
+	out := string(RenderSVG(pts, SVGOptions{Title: "Fig <4> & more", LogY: true, YLabel: "size", XLabel: "time"}))
 	for _, want := range []string{
 		"<svg", "</svg>", "Fig &lt;4&gt; &amp; more", "read", "write",
 		`stroke="#c0392b"`, `stroke="#2c5f8a"`,
@@ -324,7 +324,7 @@ func TestRenderSVGStructure(t *testing.T) {
 }
 
 func TestRenderSVGEmpty(t *testing.T) {
-	out := RenderSVG(nil, SVGOptions{})
+	out := string(RenderSVG(nil, SVGOptions{}))
 	if !strings.Contains(out, "no data") || !strings.Contains(out, "</svg>") {
 		t.Fatalf("empty svg: %q", out)
 	}

@@ -2,11 +2,14 @@ package analysis
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -237,6 +240,178 @@ func minAllocs(f func()) float64 {
 		least = min(least, testing.AllocsPerRun(5, f))
 	}
 	return least
+}
+
+// TestWriteCSVLenIsExact holds csvLen to the length WriteCSV writes, over
+// random points with negative fields and times either side of
+// appendSeconds6's integer range, and checks that a growable writer is
+// grown once to exactly that length.
+func TestWriteCSVLenIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pts := randomPoints(3000, 7)
+	for i := range pts {
+		p := &pts[i]
+		switch i % 5 {
+		case 1:
+			p.T, p.Y, p.Node = -p.T, -p.Y, -p.Node
+		case 2:
+			p.T = exactSecondsLimit + sim.Time(rng.Int63n(int64(math.MaxInt64-exactSecondsLimit)))
+		case 3:
+			p.T = exactSecondsLimit - 1 - sim.Time(rng.Intn(3))
+			p.File = -p.File
+		case 4:
+			p.Op = iotrace.Op(rng.Intn(256))
+		}
+	}
+	for _, s := range secondsCases() {
+		pts = append(pts, Point{T: s, Y: int64(s), Node: math.MinInt, File: math.MinInt32})
+	}
+	pts = append(pts, Point{T: math.MinInt64, Y: math.MinInt64, Node: math.MaxInt, File: math.MaxInt32, Op: iotrace.OpAsyncRead})
+	for _, n := range []int{0, 1, 100, len(pts)} {
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, pts[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if got := csvLen(pts[:n]); got != buf.Len() {
+			t.Fatalf("%d points: csvLen = %d, WriteCSV wrote %d bytes", n, got, buf.Len())
+		}
+		var g growRecorder
+		if err := WriteCSV(&g, pts[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), buf.Bytes()) || len(g.grows) != 1 || g.grows[0] != g.Len() {
+			t.Fatalf("%d points: grown by %v for %d bytes, want once by exactly that", n, g.grows, g.Len())
+		}
+	}
+}
+
+// growRecorder is a bytes.Buffer that records each Grow request.
+type growRecorder struct {
+	bytes.Buffer
+	grows []int
+}
+
+func (g *growRecorder) Grow(n int) {
+	g.grows = append(g.grows, n)
+	g.Buffer.Grow(n)
+}
+
+// failingWriter accepts its first ok writes and fails every later one.
+type failingWriter struct {
+	ok, writes int
+}
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes > w.ok {
+		return 0, errWriteFailed
+	}
+	return len(p), nil
+}
+
+// TestWriteCSVReturnsWriteError checks that a failed chunk write ends
+// WriteCSV with that error and no further writes.
+func TestWriteCSVReturnsWriteError(t *testing.T) {
+	pts := randomPoints(10000, 11)
+	if n := csvLen(pts); n < 3*csvChunk {
+		t.Fatalf("%d bytes of CSV fill fewer than three chunks", n)
+	}
+	w := &failingWriter{ok: 1}
+	if err := WriteCSV(w, pts); !errors.Is(err, errWriteFailed) {
+		t.Fatalf("WriteCSV = %v, want the second Write's error", err)
+	}
+	if w.writes != 2 {
+		t.Fatalf("WriteCSV made %d writes, want it to stop at the failed second", w.writes)
+	}
+}
+
+// TestRenderSVGSizeBound checks that svgSize bounds RenderSVG's output and
+// that the output is the buffer svgSize sized, never regrown (its capacity
+// is still the bound), on empty input, tiny and huge canvases, extreme
+// times and sizes, and labels that need XML escapes.
+func TestRenderSVGSizeBound(t *testing.T) {
+	// Times and sizes across the whole int64 range, ends included.
+	extreme := []Point{
+		{T: math.MinInt64, Y: math.MinInt64, Op: iotrace.OpWrite},
+		{T: math.MaxInt64, Y: math.MaxInt64, Op: iotrace.OpAsyncRead},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		extreme = append(extreme, Point{T: sim.Time(rng.Uint64()), Y: int64(rng.Uint64()), Op: iotrace.Op(i % 3)})
+	}
+	escapes := strings.Repeat(`<&>"'`, 40)
+	inputs := [][]Point{nil, randomPoints(1, 1), randomPoints(5000, 2), extreme}
+	for _, w := range []int{0, 10, 90, 720, 10000} {
+		for _, h := range []int{0, 10, 420, 10000} {
+			for _, title := range []string{"", "Read <timeline> & \"more\"", escapes} {
+				for i, pts := range inputs {
+					for _, logY := range []bool{false, true} {
+						opts := SVGOptions{Title: title, Width: w, Height: h, LogY: logY, YLabel: title, XLabel: title}
+						out := RenderSVG(pts, opts)
+						sized := opts
+						sized.Width, sized.Height = cmp.Or(w, 720), cmp.Or(h, 420)
+						bound := svgSize(pts, sized)
+						if len(out) > bound || cap(out) != bound {
+							t.Fatalf("%dx%d, title %q, input %d, log %v: %d bytes in a buffer of %d, want at most and exactly svgSize %d",
+								w, h, title, i, logY, len(out), cap(out), bound)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// pageTail is how far the heap rounds a large allocation of n bytes up, to
+// whole 8 KB pages; runtime.MemStats.TotalAlloc counts the rounded size.
+func pageTail(n int) uint64 {
+	const page = 8 << 10
+	return uint64((n+page-1)/page*page - n)
+}
+
+// leastAlloc is the fewest bytes f allocates over three runs.
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestRenderBytesNearOutput holds the renderers' allocated bytes near their
+// output at 10k points: RenderSVG to its output plus 4 KB, WriteCSV into a
+// fresh bytes.Buffer to its output plus 40 KB (the 32 KB chunk). The heap's
+// rounding of the output buffer up to whole pages is not counted against
+// them. A copy of the output, or a size bound grown loose again, exceeds
+// these by the size of the figure, which an allocation count cannot see.
+func TestRenderBytesNearOutput(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	pts := randomPoints(10000, 13)
+	opts := SVGOptions{Title: "Read <timeline>", Width: 720, Height: 420, YLabel: "request size", XLabel: "time (s)"}
+	var svg []byte
+	got := leastAlloc(func() { svg = RenderSVG(pts, opts) })
+	if limit := uint64(len(svg)) + 4<<10 + pageTail(cap(svg)); got > limit {
+		t.Errorf("RenderSVG allocated %d bytes for %d bytes of output, want at most %d", got, len(svg), limit)
+	}
+	var n int
+	got = leastAlloc(func() {
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, pts); err != nil {
+			t.Fatal(err)
+		}
+		n = buf.Len()
+	})
+	if limit := uint64(n) + 40<<10 + pageTail(n); got > limit {
+		t.Errorf("WriteCSV allocated %d bytes for %d bytes of output, want at most %d", got, n, limit)
+	}
 }
 
 func TestTimelinesMatchStableSort(t *testing.T) {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -28,49 +29,46 @@ const (
 	svgWriteMark = ` l3 3 m0 -3 l-3 3" stroke="#c0392b" stroke-width="1" transform="translate(-1.5,-1.5)"/>` + "\n"
 )
 
+// The plot area's margins inside RenderSVG's canvas, in pixels.
+const (
+	marginL = 70
+	marginR = 20
+	marginT = 40
+	marginB = 50
+)
+
 // RenderSVG draws a timeline as a standalone SVG document in the visual
 // vocabulary of the paper's figures: diamonds for reads, crosses for writes,
 // time on the x axis. The output is self-contained (no external assets) and
-// renders in any browser.
-func RenderSVG(pts []Point, opts SVGOptions) string {
+// renders in any browser. It is built once into a buffer of svgSize bytes
+// and returned as those bytes, with no copy.
+func RenderSVG(pts []Point, opts SVGOptions) []byte {
 	if opts.Width <= 0 {
 		opts.Width = 720
 	}
 	if opts.Height <= 0 {
 		opts.Height = 420
 	}
-	const (
-		marginL = 70
-		marginR = 20
-		marginT = 40
-		marginB = 50
-	)
 	plotW := float64(opts.Width - marginL - marginR)
 	plotH := float64(opts.Height - marginT - marginB)
 
-	// The document is the fixed frame (under 1.5 KB plus the escaped
-	// labels, each at most six bytes per input byte) and one mark per point:
-	// its constant text and two coordinates of at most width digits each.
-	width := decimalWidth(int64(max(opts.Width, opts.Height))) + 3
-	var b strings.Builder
-	b.Grow(1536 + 6*(len(opts.Title)+len(opts.XLabel)+len(opts.YLabel)) +
-		len(pts)*(len(svgMarkStart)+2*width+len(svgWriteMark)))
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
+	b := bytes.NewBuffer(make([]byte, 0, svgSize(pts, opts)))
+	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
 		opts.Width, opts.Height, opts.Width, opts.Height)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", opts.Width, opts.Height)
+	fmt.Fprintf(b, `<rect width="%d" height="%d" fill="white"/>`+"\n", opts.Width, opts.Height)
 	if opts.Title != "" {
-		fmt.Fprintf(&b, `<text x="%d" y="24" font-family="sans-serif" font-size="15" font-weight="bold">%s</text>`+"\n",
+		fmt.Fprintf(b, `<text x="%d" y="24" font-family="sans-serif" font-size="15" font-weight="bold">%s</text>`+"\n",
 			marginL, escapeXML(opts.Title))
 	}
 	// Plot frame.
-	fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%.0f" height="%.0f" fill="none" stroke="black"/>`+"\n",
+	fmt.Fprintf(b, `<rect x="%d" y="%d" width="%.0f" height="%.0f" fill="none" stroke="black"/>`+"\n",
 		marginL, marginT, plotW, plotH)
 
 	if len(pts) == 0 {
-		fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="13">(no data)</text>`+"\n",
+		fmt.Fprintf(b, `<text x="%d" y="%d" font-family="sans-serif" font-size="13">(no data)</text>`+"\n",
 			marginL+10, marginT+30)
 		b.WriteString("</svg>\n")
-		return b.String()
+		return b.Bytes()
 	}
 
 	tMin, tMax := pts[0].T, pts[0].T
@@ -92,27 +90,30 @@ func RenderSVG(pts []Point, opts SVGOptions) string {
 	if tMax == tMin {
 		tMax = tMin + 1
 	}
+	// Offsets are float64 differences: an int64 difference overflows on a
+	// span wider than int64's range, and would put a mark off the canvas.
 	logLo := math.Log10(math.Max(1, float64(yMin)))
 	logHi := math.Log10(math.Max(1, float64(yMax)))
+	ySpan := float64(yMax) - float64(yMin)
 	yPos := func(y int64) float64 {
 		var frac float64
 		if opts.LogY {
 			if logHi > logLo {
 				frac = (math.Log10(math.Max(1, float64(y))) - logLo) / (logHi - logLo)
 			}
-		} else if yMax > yMin {
-			frac = float64(y-yMin) / float64(yMax-yMin)
+		} else if ySpan > 0 {
+			frac = (float64(y) - float64(yMin)) / ySpan
 		}
 		return float64(marginT) + plotH*(1-frac)
 	}
-	tSpan := float64(tMax - tMin)
+	tSpan := max(float64(tMax)-float64(tMin), 1)
 	xPos := func(t sim.Time) float64 {
-		return float64(marginL) + plotW*float64(t-tMin)/tSpan
+		return float64(marginL) + plotW*(float64(t)-float64(tMin))/tSpan
 	}
 
 	// Axis labels: min/mid/max ticks.
 	tick := func(x, y float64, label, anchor string) {
-		fmt.Fprintf(&b, `<text x="%.0f" y="%.0f" font-family="sans-serif" font-size="11" text-anchor="%s">%s</text>`+"\n",
+		fmt.Fprintf(b, `<text x="%.0f" y="%.0f" font-family="sans-serif" font-size="11" text-anchor="%s">%s</text>`+"\n",
 			x, y, anchor, escapeXML(label))
 	}
 	tick(float64(marginL), float64(opts.Height-marginB+16), fmt.Sprintf("%.0fs", tMin.Seconds()), "middle")
@@ -123,7 +124,7 @@ func RenderSVG(pts []Point, opts SVGOptions) string {
 		tick(float64(marginL)+plotW/2, float64(opts.Height-marginB+32), opts.XLabel, "middle")
 	}
 	if opts.YLabel != "" {
-		fmt.Fprintf(&b, `<text x="14" y="%.0f" font-family="sans-serif" font-size="11" text-anchor="middle" transform="rotate(-90 14 %.0f)">%s</text>`+"\n",
+		fmt.Fprintf(b, `<text x="14" y="%.0f" font-family="sans-serif" font-size="11" text-anchor="middle" transform="rotate(-90 14 %.0f)">%s</text>`+"\n",
 			float64(marginT)+plotH/2, float64(marginT)+plotH/2, escapeXML(opts.YLabel))
 	}
 
@@ -143,13 +144,39 @@ func RenderSVG(pts []Point, opts SVGOptions) string {
 
 	// Legend.
 	lx := float64(marginL) + 6
-	fmt.Fprintf(&b, `<path d="M%.1f %.1f m0 -3 l3 3 l-3 3 l-3 -3 z" fill="none" stroke="#2c5f8a"/>`+"\n", lx, float64(marginT)-8)
+	fmt.Fprintf(b, `<path d="M%.1f %.1f m0 -3 l3 3 l-3 3 l-3 -3 z" fill="none" stroke="#2c5f8a"/>`+"\n", lx, float64(marginT)-8)
 	tick(lx+8, float64(marginT)-4, "read", "start")
-	fmt.Fprintf(&b, `<path d="M%.1f %.1f l3 3 m0 -3 l-3 3" stroke="#c0392b" transform="translate(-1.5,-1.5)"/>`+"\n", lx+50, float64(marginT)-8)
+	fmt.Fprintf(b, `<path d="M%.1f %.1f l3 3 m0 -3 l-3 3" stroke="#c0392b" transform="translate(-1.5,-1.5)"/>`+"\n", lx+50, float64(marginT)-8)
 	tick(lx+58, float64(marginT)-4, "write", "start")
 
 	b.WriteString("</svg>\n")
-	return b.String()
+	return b.Bytes()
+}
+
+// svgSize bounds RenderSVG's output length, so its buffer is sized once.
+// The document is the fixed frame (under 1.5 KB plus the escaped labels,
+// each at most six bytes per input byte) and one mark per point: its start,
+// two coordinates and the space between them, and its read or write body.
+// Each coordinate lies between a margin and the far edge less the opposite
+// margin, so "%.1f" prints at most the digits of the wider of the canvas and
+// the left margin, a point and one decimal, plus a sign when the canvas is
+// narrower or shorter than its margins and the coordinates go negative.
+// opts carries RenderSVG's default Width and Height already.
+func svgSize(pts []Point, opts SVGOptions) int {
+	n := 1536 + 6*(len(opts.Title)+len(opts.XLabel)+len(opts.YLabel))
+	coord := decimalWidth(int64(max(opts.Width, opts.Height, marginL))) + 2
+	if opts.Width < marginL+marginR || opts.Height < marginT+marginB {
+		coord++
+	}
+	for i := range pts {
+		n += len(svgMarkStart) + 2*coord + 1
+		if pts[i].Op == iotrace.OpWrite {
+			n += len(svgWriteMark)
+		} else {
+			n += len(svgReadMark)
+		}
+	}
+	return n
 }
 
 // xmlEscaper escapes the five XML special characters.

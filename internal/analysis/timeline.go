@@ -122,15 +122,34 @@ func FilterPhase(events []iotrace.Event, phase iotrace.Phase) []iotrace.Event {
 // csvHeader is the first line WriteCSV emits.
 const csvHeader = "time_s,y,node,file,op\n"
 
+// csvChunk is the size of the buffer WriteCSV formats rows through, and
+// csvRowMax the longest row: a 21-byte time, a 20-byte y and node, an
+// 11-byte file, an operation name of at most 10 bytes, four commas and the
+// newline.
+const (
+	csvChunk  = 32 << 10
+	csvRowMax = 21 + 20 + 20 + 11 + 10 + 5
+)
+
 // WriteCSV emits a timeline as CSV with header, one row per point:
-// time_s, y, node, file, op. The whole document is formatted into one
-// buffer and handed to w in a single Write. No field ever needs quoting:
-// numbers carry no separators and no operation name holds a comma, quote or
-// line break.
+// time_s, y, node, file, op. The rows are formatted through one fixed
+// chunk, written to w each time it fills; a w that can Grow (a bytes.Buffer
+// or strings.Builder) is first grown once to the exact output length. The
+// first Write error ends it. No field ever needs quoting: numbers carry no
+// separators and no operation name holds a comma, quote or line break.
 func WriteCSV(w io.Writer, pts []Point) error {
-	b := make([]byte, 0, csvSize(pts))
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(csvLen(pts))
+	}
+	b := make([]byte, 0, csvChunk)
 	b = append(b, csvHeader...)
 	for i := range pts {
+		if len(b) > csvChunk-csvRowMax {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
 		p := &pts[i]
 		b = appendSeconds6(b, p.T)
 		b = append(b, ',')
@@ -147,30 +166,34 @@ func WriteCSV(w io.Writer, pts []Point) error {
 	return err
 }
 
-// csvSize bounds WriteCSV's output length from the widest value of each
-// column, so the buffer is sized once.
-func csvSize(pts []Point) int {
-	var t sim.Time
-	var y, node, file int64
+// csvLen is the exact length of WriteCSV's output: per row, the time's
+// integer digits and six decimals (or strconv's text outside
+// appendSeconds6's integer range), each integer's digits and sign, the
+// operation name, four commas and the newline.
+func csvLen(pts []Point) int {
+	n := len(csvHeader)
+	var tmp [32]byte
 	for i := range pts {
 		p := &pts[i]
-		t = max(t, p.T, -p.T)
-		y = max(y, p.Y, -p.Y)
-		node = max(node, int64(p.Node), -int64(p.Node))
-		file = max(file, int64(p.File), -int64(p.File))
+		if p.T < 0 || p.T >= exactSecondsLimit {
+			n += len(strconv.AppendFloat(tmp[:0], p.T.Seconds(), 'f', 6, 64))
+		} else {
+			n += decimalWidth(int64(p.T/sim.Second)) + 7
+		}
+		n += decimalWidth(p.Y) + decimalWidth(int64(p.Node)) + decimalWidth(int64(p.File)) +
+			len(p.Op.String()) + 5
 	}
-	// Per row: sign and ".dddddd" of the time, a sign for each integer,
-	// four commas, the longest operation name and the newline.
-	row := 8 + decimalWidth(int64(t/sim.Second)) + 3 + decimalWidth(y) +
-		decimalWidth(node) + decimalWidth(file) + 4 + len("AsynchRead") + 1
-	return len(csvHeader) + len(pts)*row
+	return n
 }
 
-// decimalWidth is the number of decimal digits of v >= 0.
+// decimalWidth is the length of v in decimal, with its sign.
 func decimalWidth(v int64) int {
-	n := 1
-	for v >= 10 {
-		v /= 10
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for u >= 10 {
+		u /= 10
 		n++
 	}
 	return n

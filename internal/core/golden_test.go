@@ -61,7 +61,7 @@ func paperOutputDigests(t *testing.T) string {
 			})
 			line(fmt.Sprintf("%s/%s.csv", app, fig.ID), csv.Bytes())
 			line(fmt.Sprintf("%s/%s.txt", app, fig.ID), []byte(ascii))
-			line(fmt.Sprintf("%s/%s.svg", app, fig.ID), []byte(svg))
+			line(fmt.Sprintf("%s/%s.svg", app, fig.ID), svg)
 		}
 	}
 	return b.String()

@@ -24,6 +24,13 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(`{"workload":{"app":"escat"},"chaos":{"events":[{"kind":"disk-failure","at_s":2,"node":0}],` +
 		`"cascades":[{"kind":"ionode-outage","at_s":4.2,"nodes":16,"first_node":0,"duration_s":1.2}]}}`))
 	f.Add([]byte("a: [1, \"two\", 3.5]\n"))
+	// Every number type the YAML tree holds: integers as json.Number up to
+	// uint64 (signed and zero-padded ones normalized), float64 past it.
+	f.Add([]byte("workload:\n  app: escat\nseed: 18446744073709551615\n"))
+	f.Add([]byte("workload:\n  app: escat\nseed: +007\nchaos:\n  events:\n    - kind: disk-failure\n      at_s: -0\n      node: 3\n"))
+	f.Add([]byte("workload:\n  app: escat\nseed: 99999999999999999999999\n"))
+	f.Add([]byte("workload:\n  app: escat\nfeatures:\n  failover:\n    enabled: false\nvariants:\n" +
+		"  - name: placed\n    features:\n      failover:\n        enabled: true\n        placement_seed: 9007199254740993\n"))
 	f.Add([]byte("\t"))
 	f.Add([]byte("- 1\n- 2\n"))
 	f.Add([]byte("key: \"unterminated\n"))

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -15,8 +16,9 @@ import (
 // Not supported (rejected with a line number): tab indentation, anchors,
 // aliases, tags, multi-line strings, and multi-level flow nesting.
 
-// parseYAML decodes the subset into the same any-tree json.Unmarshal would
-// produce: map[string]any, []any, string, float64, bool, nil.
+// parseYAML decodes the subset into a tree json.Marshal turns back into
+// JSON: map[string]any, []any, string, bool, nil, json.Number for integers
+// (exact up to uint64) and float64 for other numbers.
 func parseYAML(data []byte) (any, error) {
 	lines, err := splitYAMLLines(string(data))
 	if err != nil {
@@ -293,8 +295,14 @@ func parseScalar(s string, num int) (any, error) {
 	if s[0] == '&' || s[0] == '*' || s[0] == '!' || s[0] == '|' || s[0] == '>' {
 		return nil, fmt.Errorf("yaml: line %d: %q: anchors, tags and block scalars are not supported", num, s)
 	}
+	// An integer keeps its exact value as a json.Number in strconv's
+	// canonical text, which json.Marshal accepts where "+5" or "007" would be
+	// invalid literals. Only one past uint64 falls back to float64.
 	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return float64(n), nil
+		return json.Number(strconv.FormatInt(n, 10)), nil
+	}
+	if n, err := strconv.ParseUint(strings.TrimPrefix(s, "+"), 10, 64); err == nil {
+		return json.Number(strconv.FormatUint(n, 10)), nil
 	}
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
 		return f, nil
