@@ -1,6 +1,6 @@
 // Package cmd_test locks the byte-exact stdout of the command-line tools: the
-// paper reproduction tables, one iochar study, and the rendered report of
-// every scenario in the corpus. Any behavioural change in the simulator shows
+// paper reproduction tables, one iochar study, the rendered report of every
+// scenario in the corpus, and an SDDF trace with its replay. Any behavioural change in the simulator shows
 // up here as a digest mismatch, so refactors that claim identical output can
 // prove it.
 package cmd_test
@@ -78,18 +78,22 @@ func readInputs(t *testing.T) {
 func cliOutputDigests(t *testing.T) string {
 	t.Helper()
 	readInputs(t)
-	bin := buildCLIs(t, "paperrepro", "iochar", "stress")
+	bin := buildCLIs(t, "paperrepro", "iochar", "stress", "replay")
 	var b strings.Builder
-	line := func(name string, argv ...string) {
+	digest := func(name string, data []byte) {
+		sum := sha256.Sum256(data)
+		fmt.Fprintf(&b, "%s %s\n", name, hex.EncodeToString(sum[:]))
+	}
+	run := func(argv ...string) []byte {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(bin, argv[0]), argv[1:]...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		if err := cmd.Run(); err != nil {
 			t.Fatalf("%s: %v\n%s", strings.Join(argv, " "), err, stderr.String())
 		}
-		sum := sha256.Sum256(stdout.Bytes())
-		fmt.Fprintf(&b, "%s %s\n", name, hex.EncodeToString(sum[:]))
+		return stdout.Bytes()
 	}
+	line := func(name string, argv ...string) { digest(name, run(argv...)) }
 	line("paperrepro -no-figures", "paperrepro", "-no-figures")
 	line("iochar -app escat -small -seed 7", "iochar", "-app", "escat", "-small", "-seed", "7")
 	// Flag-driven runs: every feature flag group of both commands, so a
@@ -112,6 +116,24 @@ func cliOutputDigests(t *testing.T) string {
 	} {
 		line(strings.Join(argv, " "), argv...)
 	}
+	// The SDDF trace bytes, binary and ASCII, and a replay of the binary
+	// trace: F stands for the trace file, which lives in a temporary
+	// directory.
+	trace := filepath.Join(t.TempDir(), "render.sddf")
+	run("iochar", "-app", "render", "-small", "-trace", trace)
+	traceBytes, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest("iochar -app render -small -trace F: F", traceBytes)
+	line("replay -ionodes 8 F", "replay", "-ionodes", "8", trace)
+	asciiTrace := filepath.Join(t.TempDir(), "render.ascii.sddf")
+	run("iochar", "-app", "render", "-small", "-trace", asciiTrace, "-trace-ascii")
+	asciiBytes, err := os.ReadFile(asciiTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest("iochar -app render -small -trace F -trace-ascii: F", asciiBytes)
 	corpus, err := filepath.Glob(filepath.Join("..", "scenarios", "*"))
 	if err != nil {
 		t.Fatal(err)
