@@ -189,7 +189,7 @@ func randomEvents(n int, seed int64) []iotrace.Event {
 	for i := range events {
 		start := sim.Time(rng.Int63n(int64(40000 * sim.Second)))
 		events[i] = iotrace.Event{
-			Seq: int64(i), Node: int32(rng.Intn(512)), Op: iotrace.Op(rng.Intn(iotrace.NumOps)),
+			Node: int32(rng.Intn(512)), Op: iotrace.Op(rng.Intn(iotrace.NumOps)),
 			File: iotrace.FileID(rng.Intn(300)), Bytes: rng.Int63n(1 << 22),
 			Start: start, End: start + sim.Time(rng.Int63n(int64(sim.Second))),
 		}

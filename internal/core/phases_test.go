@@ -90,8 +90,8 @@ func TestPhaseEventsMatchFilterPhase(t *testing.T) {
 func TestPartitionPhasesInterleaved(t *testing.T) {
 	a, b := iotrace.PhaseQuadrature, iotrace.PhaseReload
 	events := []iotrace.Event{
-		{Seq: 0, Phase: a}, {Seq: 1, Phase: a}, {Seq: 2, Phase: b},
-		{Seq: 3, Phase: a}, {Seq: 4, Phase: iotrace.PhaseNone}, {Seq: 5, Phase: b},
+		{Offset: 0, Phase: a}, {Offset: 1, Phase: a}, {Offset: 2, Phase: b},
+		{Offset: 3, Phase: a}, {Offset: 4, Phase: iotrace.PhaseNone}, {Offset: 5, Phase: b},
 	}
 	byPhase := partitionPhases(events)
 	for _, ph := range []iotrace.Phase{a, b, iotrace.PhaseNone, iotrace.PhaseOutput} {

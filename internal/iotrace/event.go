@@ -73,11 +73,13 @@ type FileID int32
 // Start/End are simulated times; End-Start is the operation's duration as it
 // would be measured by instrumentation bracketing the call.
 //
-// The record is 56 bytes and holds no pointers, so a trace buffer is one
+// The record is 48 bytes and holds no pointers, so a trace buffer is one
 // allocation the garbage collector never scans (TestEventLayout pins both).
-// The narrow fields come last so they share one padded word.
+// The narrow fields come last so they share one padded word. It carries no
+// sequence number: capture order is trace order by construction, so an
+// event's position in its trace is its identity (the SDDF encoding writes
+// that 1-based position in its seq column).
 type Event struct {
-	Seq    int64      // capture sequence number, unique per trace
 	Node   int32      // compute node performing the operation
 	File   FileID     // file operated on (0 = none, e.g. a failed open)
 	Offset int64      // file offset of the access (or seek target)

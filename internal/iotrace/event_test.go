@@ -121,8 +121,8 @@ func TestPhaseNames(t *testing.T) {
 // buffer, and a pointer, string, slice or map makes the garbage collector
 // scan them all.
 func TestEventLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 56 {
-		t.Errorf("Event is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(Event{}); got != 48 {
+		t.Errorf("Event is %d bytes, want 48", got)
 	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {

@@ -10,21 +10,27 @@ import (
 // Handle is one node's open descriptor on a file. Independent-pointer modes
 // (M_UNIX, M_RECORD, M_ASYNC) keep their position here; shared-pointer modes
 // keep it on the File.
+//
+// The struct is 64 bytes, and TestHandleLayout fails above that: the narrow
+// fields come last so they share one padded word.
 type Handle struct {
 	fs   *FileSystem
 	file *File
-	node int
-	mode iotrace.AccessMode
 
-	offset      int64 // independent file pointer
-	recordRound int64 // M_RECORD: how many records this node has accessed
-	syncRound   int   // M_SYNC: this node's round counter
-	globalRound int64 // M_GLOBAL: this node's round counter
-	closed      bool
+	offset int64 // independent file pointer
+	// round counts this handle's accesses in its mode, for the modes that
+	// order them by round: M_RECORD (records accessed), M_SYNC and M_GLOBAL
+	// (rounds joined). One counter serves all three because a handle has
+	// one mode at a time; SetIOMode to another mode restarts it.
+	round int64
 
 	// client write buffer (CostModel.WriteBufferBytes > 0, M_UNIX only)
 	bufStart int64
 	bufLen   int64
+
+	node   int
+	mode   iotrace.AccessMode
+	closed bool
 }
 
 // buffered reports whether this handle coalesces small sequential writes.
@@ -163,15 +169,13 @@ func (h *Handle) access(p *sim.Process, op iotrace.Op, n int64) (int64, error) {
 		// assigns offsets in node order — the same discipline, one
 		// aggregated transfer.
 		p.Sleep(fs.cfg.Cost.SharedTokenService)
+		round := h.round
+		h.round++
 		if fs.coll != nil && (op == iotrace.OpRead || op == iotrace.OpWrite) {
-			idx := int64(h.syncRound)
-			h.syncRound++
-			done, at, err = fs.coll.syncAccess(p, h, op, idx, n)
+			done, at, err = fs.coll.syncAccess(p, h, op, round, n)
 			break
 		}
-		turn := h.syncRound*h.computeNodes() + h.node
-		h.syncRound++
-		f.seq.WaitTurn(p, turn)
+		f.seq.WaitTurn(p, int(round)*h.computeNodes()+h.node)
 		at = f.sharedOff
 		done, err = h.doAt(p, op, at, n)
 		f.sharedOff += done
@@ -189,11 +193,11 @@ func (h *Handle) access(p *sim.Process, op iotrace.Op, n int64) (int64, error) {
 			return 0, fmt.Errorf("%s %q: got %d, record length %d: %w",
 				op, f.name, n, f.recordLen, ErrRecordLength)
 		}
-		rec := h.recordRound*int64(h.computeNodes()) + int64(h.node)
-		h.recordRound++
-		at = rec * f.recordLen
+		round := h.round
+		h.round++
+		at = (round*int64(h.computeNodes()) + int64(h.node)) * f.recordLen
 		if fs.coll != nil && (op == iotrace.OpRead || op == iotrace.OpWrite) {
-			done, err = fs.coll.recordAccess(p, h, op, h.recordRound-1, at, n)
+			done, err = fs.coll.recordAccess(p, h, op, round, at, n)
 			h.offset = at + done
 			break
 		}
@@ -259,8 +263,8 @@ func (h *Handle) doAt(p *sim.Process, op iotrace.Op, off, n int64) (int64, error
 func (h *Handle) globalAccess(p *sim.Process, op iotrace.Op, n int64) (int64, int64, error) {
 	fs, f := h.fs, h.file
 	p.Sleep(fs.cfg.Cost.SharedTokenService)
-	round := h.globalRound
-	h.globalRound++
+	round := h.round
+	h.round++
 	g := f.global[round]
 	if g == nil {
 		// Leader: perform the physical transfer and publish the round.

@@ -41,7 +41,6 @@ type FileSystem struct {
 
 	rec      iotrace.Recorder // nil: the counters alone record
 	phase    iotrace.Phase
-	seq      int64
 	coldOpen bool // first open of this instance already happened
 
 	opCount [iotrace.NumOps]int64
@@ -190,7 +189,6 @@ func (fs *FileSystem) record(node int, op iotrace.Op, f *File, offset, bytes int
 // regardless of what the application is doing at drain time).
 func (fs *FileSystem) recordPhase(node int, op iotrace.Op, f *File, offset, bytes int64,
 	start sim.Time, mode iotrace.AccessMode, phase iotrace.Phase) {
-	fs.seq++
 	end := fs.eng.Now()
 	if fs.rec != nil {
 		var id iotrace.FileID
@@ -198,7 +196,7 @@ func (fs *FileSystem) recordPhase(node int, op iotrace.Op, f *File, offset, byte
 			id = f.id
 		}
 		fs.rec.Record(iotrace.Event{
-			Seq: fs.seq, Node: int32(node), Op: op, File: id,
+			Node: int32(node), Op: op, File: id,
 			Offset: offset, Bytes: bytes, Start: start, End: end,
 			Mode: mode, Phase: phase,
 		})

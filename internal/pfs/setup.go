@@ -40,7 +40,9 @@ func (fs *FileSystem) ReserveIDs(n int) {
 // in M_RECORD through the same descriptors (§5.1), which is why the paper
 // counts 262 opens rather than 518. For M_RECORD the fixed record length
 // must be supplied (and must agree with any length already fixed on the
-// file); for other modes recordLen must be zero.
+// file); for other modes recordLen must be zero. A switch to a different
+// mode restarts the handle's round count, so its first access in the new
+// mode is its round 0 there.
 func (h *Handle) SetIOMode(p *sim.Process, mode iotrace.AccessMode, recordLen int64) error {
 	if h.closed {
 		return ErrClosed
@@ -66,6 +68,8 @@ func (h *Handle) SetIOMode(p *sim.Process, mode iotrace.AccessMode, recordLen in
 	// Mode switches synchronize with the I/O subsystem like other
 	// shared-state changes, but are not an instrumented operation class.
 	p.Sleep(h.fs.cfg.Cost.SharedTokenService)
-	h.mode = mode
+	if mode != h.mode {
+		h.mode, h.round = mode, 0
+	}
 	return nil
 }

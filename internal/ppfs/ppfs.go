@@ -25,7 +25,6 @@ type FileSystem struct {
 
 	rec   iotrace.Recorder
 	phase iotrace.Phase
-	seq   int64
 
 	// spareExt holds aggregated flushes' extent lists between flushes.
 	// Concurrent flushers each hold their own across the gather's sleeps.
@@ -88,9 +87,8 @@ func (fs *FileSystem) Stat(name string) (pfs.FileInfo, bool) { return fs.under.S
 // record captures one application-visible operation.
 func (fs *FileSystem) record(node int, op iotrace.Op, file iotrace.FileID,
 	off, bytes int64, start sim.Time, mode iotrace.AccessMode) {
-	fs.seq++
 	fs.rec.Record(iotrace.Event{
-		Seq: fs.seq, Node: int32(node), Op: op, File: file,
+		Node: int32(node), Op: op, File: file,
 		Offset: off, Bytes: bytes, Start: start, End: fs.eng.Now(),
 		Mode: mode, Phase: fs.phase,
 	})

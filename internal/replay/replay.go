@@ -163,7 +163,7 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 	var prevEnd sim.Time
 	pending := map[iotrace.FileID][]*asyncSlot{}
 
-	for _, e := range stream {
+	for i, e := range stream {
 		if think && e.Start > prevEnd {
 			gap := e.Start - prevEnd
 			if rng != nil {
@@ -196,12 +196,12 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 				skipped++
 				continue
 			}
-			slot := &asyncSlot{comp: sim.NewCompletion(fmt.Sprintf("replay-ar-%d-%d", node, e.Seq))}
+			slot := &asyncSlot{comp: sim.NewCompletion(fmt.Sprintf("replay-ar-%d-%d", node, i))}
 			pending[e.File] = append(pending[e.File], slot)
 			off, n := e.Offset, e.Bytes
 			// The issue cost is the configured async-issue overhead.
 			p.Sleep(m.PFS.Config().Cost.AsyncIssue)
-			m.Eng.Spawn(fmt.Sprintf("replay-bg-%d-%d", node, e.Seq), func(bg *sim.Process) {
+			m.Eng.Spawn(fmt.Sprintf("replay-bg-%d-%d", node, i), func(bg *sim.Process) {
 				m.PFS.Access(bg, node, name, iotrace.OpRead, off, n)
 				slot.comp.Complete(bg)
 			})

@@ -194,11 +194,11 @@ func TestReplayThinkJitterSeeded(t *testing.T) {
 
 func TestReplayAsyncReadsComplete(t *testing.T) {
 	trace := []iotrace.Event{
-		{Seq: 1, Node: 0, Op: iotrace.OpAsyncRead, File: 1, Offset: 0, Bytes: 1 << 20,
+		{Node: 0, Op: iotrace.OpAsyncRead, File: 1, Offset: 0, Bytes: 1 << 20,
 			Start: 0, End: sim.Millisecond},
-		{Seq: 2, Node: 0, Op: iotrace.OpAsyncRead, File: 1, Offset: 1 << 20, Bytes: 1 << 20,
+		{Node: 0, Op: iotrace.OpAsyncRead, File: 1, Offset: 1 << 20, Bytes: 1 << 20,
 			Start: sim.Millisecond, End: 2 * sim.Millisecond},
-		{Seq: 3, Node: 0, Op: iotrace.OpIOWait, File: 1, Start: 2 * sim.Millisecond, End: sim.Second},
+		{Node: 0, Op: iotrace.OpIOWait, File: 1, Start: 2 * sim.Millisecond, End: sim.Second},
 		// Second wait intentionally missing: replay drains it at the end.
 	}
 	mc := workload.MachineConfig{ComputeNodes: 2, PFS: pfs.DefaultConfig()}

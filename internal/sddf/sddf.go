@@ -5,6 +5,13 @@
 // followed by data *records* that reference a descriptor by tag. Both a
 // compact binary encoding and a human-readable ASCII encoding are provided,
 // and they round-trip losslessly.
+//
+// An io-event record's seq column is the record's 1-based position in its
+// trace: WriteTrace numbers records 1..n, and ReadTrace checks the column's
+// type but keeps events in stream order without it. So a trace written by
+// another tool with other seq values (gaps, or out of order) reads as its
+// records in stream order, and `sddfdump -convert` re-encodes it numbered
+// 1..n. Every trace this program writes already is.
 package sddf
 
 import (

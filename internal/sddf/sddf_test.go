@@ -190,13 +190,13 @@ func TestFieldTypeParse(t *testing.T) {
 
 func sampleEvents() []iotrace.Event {
 	return []iotrace.Event{
-		{Seq: 1, Node: 0, Op: iotrace.OpOpen, File: 9, Start: 0, End: sim.Second, Mode: iotrace.ModeUnix,
+		{Node: 0, Op: iotrace.OpOpen, File: 9, Start: 0, End: sim.Second, Mode: iotrace.ModeUnix,
 			Phase: iotrace.PhaseInitialization},
-		{Seq: 2, Node: 5, Op: iotrace.OpWrite, File: 9, Offset: 2048, Bytes: 2048,
+		{Node: 5, Op: iotrace.OpWrite, File: 9, Offset: 2048, Bytes: 2048,
 			Start: 2 * sim.Second, End: 3 * sim.Second, Mode: iotrace.ModeUnix, Phase: iotrace.PhaseQuadrature},
-		{Seq: 3, Node: 5, Op: iotrace.OpIOWait, File: 3, Start: 4 * sim.Second, End: 5 * sim.Second,
+		{Node: 5, Op: iotrace.OpIOWait, File: 3, Start: 4 * sim.Second, End: 5 * sim.Second,
 			Mode: iotrace.ModeAsync, Phase: iotrace.PhaseBurstDrain},
-		{Seq: 4, Node: 1 << 20, Op: iotrace.OpClose, File: 1<<31 - 1, Start: 6 * sim.Second, End: 6 * sim.Second},
+		{Node: 1 << 20, Op: iotrace.OpClose, File: 1<<31 - 1, Start: 6 * sim.Second, End: 6 * sim.Second},
 	}
 }
 
@@ -244,7 +244,7 @@ func TestReadTraceRejectsInvalidOp(t *testing.T) {
 		t.Fatalf("invalid op accepted: %v", err)
 	}
 
-	good := EventRecord(sampleEvents()[1])
+	good := EventRecord(2, sampleEvents()[1])
 	cases := []struct {
 		name  string
 		field int
@@ -290,6 +290,66 @@ func TestReadTraceRejectsInvalidOp(t *testing.T) {
 	}
 }
 
+// TestTraceSeqIsPosition checks that WriteTrace numbers its records 1..n in
+// the seq column, in both encodings, and that a trace written elsewhere with
+// other seq values (7, 3, 100) reads as its events in stream order and
+// re-encodes as 1, 2, 3.
+func TestTraceSeqIsPosition(t *testing.T) {
+	seqs := func(stream []byte) []int64 {
+		t.Helper()
+		var tr traceReader
+		var err error
+		if stream[0] == '#' {
+			tr, err = NewASCIIReader(bytes.NewReader(stream))
+		} else {
+			tr, err = NewBinaryReader(bytes.NewReader(stream))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int64
+		for {
+			item, err := tr.Next()
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec, ok := item.(Record); ok {
+				out = append(out, rec.Values[0].(int64))
+			}
+		}
+	}
+	for _, ascii := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, sampleEvents(), ascii); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := seqs(buf.Bytes()), []int64{1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+			t.Errorf("ascii=%v: seq column %v, want %v", ascii, got, want)
+		}
+	}
+
+	events := sampleEvents()[:3]
+	foreign := rawTrace(t, EventDescriptor(),
+		EventRecord(7, events[0]), EventRecord(3, events[1]), EventRecord(100, events[2]))
+	got, err := ReadTrace(bytes.NewReader(foreign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("foreign trace read as %#v", got)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, got, false); err != nil {
+		t.Fatal(err)
+	}
+	if seq, want := seqs(buf.Bytes()), []int64{1, 2, 3}; !reflect.DeepEqual(seq, want) {
+		t.Errorf("re-encoded seq column %v, want %v", seq, want)
+	}
+}
+
 // rawTrace encodes one descriptor and its records in the binary form.
 func rawTrace(t *testing.T, d Descriptor, recs ...Record) []byte {
 	t.Helper()
@@ -320,9 +380,8 @@ func TestReadTraceEmpty(t *testing.T) {
 
 // Property: any event with a defined op and phase survives binary round trip.
 func TestEventRoundTripProperty(t *testing.T) {
-	prop := func(seq int64, node uint8, op uint8, file uint8, off, n int64, s, e uint32, phase uint8) bool {
+	prop := func(node uint8, op uint8, file uint8, off, n int64, s, e uint32, phase uint8) bool {
 		ev := iotrace.Event{
-			Seq:  seq,
 			Node: int32(node),
 			Op:   iotrace.Op(int(op) % iotrace.NumOps),
 			File: iotrace.FileID(file),

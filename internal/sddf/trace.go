@@ -32,12 +32,13 @@ func EventDescriptor() Descriptor {
 	}
 }
 
-// EventRecord converts an event into an SDDF record.
-func EventRecord(e iotrace.Event) Record {
+// EventRecord converts an event into an SDDF record whose seq column holds
+// seq, the event's 1-based position in its trace.
+func EventRecord(seq int64, e iotrace.Event) Record {
 	return Record{
 		Tag: EventTag,
 		Values: []any{
-			e.Seq, e.Node, int32(e.Op), int32(e.File),
+			seq, e.Node, int32(e.Op), int32(e.File),
 			e.Offset, e.Bytes, int64(e.Start), int64(e.End),
 			int32(e.Mode), e.Phase.String(),
 		},
@@ -50,7 +51,9 @@ var eventDesc = EventDescriptor()
 // RecordEvent converts an io-event SDDF record back into an event. Every
 // value is checked before it is narrowed into the event: a field of the
 // wrong type, a negative node or file, an undefined op or mode, or an
-// unknown phase label is ErrBadFormat, never a wrapped value.
+// unknown phase label is ErrBadFormat, never a wrapped value. The seq column
+// is type-checked and then dropped: an event's identity is its position in
+// the trace it is read into.
 func RecordEvent(r Record) (iotrace.Event, error) {
 	if r.Tag != EventTag {
 		return iotrace.Event{}, fmt.Errorf("%w: not an io-event record", ErrBadFormat)
@@ -75,7 +78,6 @@ func RecordEvent(r Record) (iotrace.Event, error) {
 		return iotrace.Event{}, fmt.Errorf("%w: unknown phase %q", ErrBadFormat, label)
 	}
 	return iotrace.Event{
-		Seq:    r.Values[0].(int64),
 		Node:   node,
 		File:   iotrace.FileID(file),
 		Offset: r.Values[4].(int64),
@@ -96,7 +98,8 @@ type traceWriter interface {
 }
 
 // WriteTrace encodes a full event trace — descriptor first, then one record
-// per event — in binary (ascii=false) or ASCII (ascii=true) form.
+// per event — in binary (ascii=false) or ASCII (ascii=true) form. The i-th
+// event's seq column is i+1.
 func WriteTrace(w io.Writer, events []iotrace.Event, ascii bool) error {
 	var tw traceWriter
 	var err error
@@ -111,8 +114,8 @@ func WriteTrace(w io.Writer, events []iotrace.Event, ascii bool) error {
 	if err := tw.WriteDescriptor(EventDescriptor()); err != nil {
 		return err
 	}
-	for _, e := range events {
-		if err := tw.WriteRecord(EventRecord(e)); err != nil {
+	for i, e := range events {
+		if err := tw.WriteRecord(EventRecord(int64(i+1), e)); err != nil {
 			return err
 		}
 	}
