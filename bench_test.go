@@ -61,7 +61,7 @@ func BenchmarkFigure2ESCATReadTimeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(len(fig.Points)), "points")
+	b.ReportMetric(float64(fig.Points.Len()), "points")
 }
 
 func BenchmarkFigure3ESCATReadDetail(b *testing.B) {
@@ -71,9 +71,9 @@ func BenchmarkFigure3ESCATReadDetail(b *testing.B) {
 		b.Fatal(err)
 	}
 	// The detail figure covers only the initialization spike.
-	span := fig.Points[len(fig.Points)-1].T - fig.Points[0].T
+	span := fig.Points.At(fig.Points.Len()-1).T - fig.Points.At(0).T
 	b.ReportMetric(span.Seconds(), "init-span-s")
-	b.ReportMetric(float64(len(fig.Points)), "points")
+	b.ReportMetric(float64(fig.Points.Len()), "points")
 }
 
 func BenchmarkFigure4ESCATWriteTimeline(b *testing.B) {
@@ -91,8 +91,8 @@ func BenchmarkFigure5ESCATFileAccess(b *testing.B) {
 		b.Fatal(err)
 	}
 	files := map[int64]bool{}
-	for _, p := range fig.Points {
-		files[p.Y] = true
+	for i := range fig.Points.Len() {
+		files[fig.Points.At(i).Y] = true
 	}
 	b.ReportMetric(float64(len(files)), "active-files")
 }
@@ -128,7 +128,7 @@ func BenchmarkFigure6RENDERReadTimeline(b *testing.B) {
 		}
 	}
 	b.ReportMetric(transition.Seconds(), "transition-s")
-	b.ReportMetric(float64(len(fig.Points)), "points")
+	b.ReportMetric(float64(fig.Points.Len()), "points")
 }
 
 func BenchmarkFigure7RENDERWriteTimeline(b *testing.B) {
@@ -138,8 +138,8 @@ func BenchmarkFigure7RENDERWriteTimeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	frames := 0
-	for _, p := range fig.Points {
-		if p.Y >= 256*1024 {
+	for i := range fig.Points.Len() {
+		if fig.Points.At(i).Y >= 256*1024 {
 			frames++
 		}
 	}
@@ -154,8 +154,8 @@ func BenchmarkFigure8RENDERFileAccess(b *testing.B) {
 		b.Fatal(err)
 	}
 	files := map[int64]bool{}
-	for _, p := range fig.Points {
-		files[p.Y] = true
+	for i := range fig.Points.Len() {
+		files[fig.Points.At(i).Y] = true
 	}
 	b.ReportMetric(float64(len(files)), "active-files")
 }
@@ -195,8 +195,8 @@ func benchHTFPhaseFigure(b *testing.B, readFig int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(len(rf.Points)), "read-points")
-	b.ReportMetric(float64(len(wf.Points)), "write-points")
+	b.ReportMetric(float64(rf.Points.Len()), "read-points")
+	b.ReportMetric(float64(wf.Points.Len()), "write-points")
 }
 
 func BenchmarkFigure9And10HTFInitTimelines(b *testing.B)      { benchHTFPhaseFigure(b, 9) }
@@ -211,8 +211,8 @@ func BenchmarkFigure15To17HTFFileAccess(b *testing.B) {
 			b.Fatal(err)
 		}
 		files := map[int64]bool{}
-		for _, p := range fig.Points {
-			files[p.Y] = true
+		for i := range fig.Points.Len() {
+			files[fig.Points.At(i).Y] = true
 		}
 		b.ReportMetric(float64(len(files)), fig.ID+"-files")
 	}

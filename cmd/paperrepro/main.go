@@ -127,7 +127,7 @@ func writeFigures(out io.Writer, dir string, app core.AppID, r *core.Report) err
 		if err := os.WriteFile(filepath.Join(sub, fig.ID+".svg"), svg, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %s (%d points) plus .txt and .svg renderings\n", csvPath, len(fig.Points))
+		fmt.Fprintf(out, "wrote %s (%d points) plus .txt and .svg renderings\n", csvPath, fig.Points.Len())
 	}
 	fmt.Fprintln(out)
 	return nil

@@ -15,6 +15,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apps/render"
 	"repro/internal/iotrace"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -41,15 +42,21 @@ func main() {
 
 	// Frame cadence from the write timeline.
 	renderEvents := analysis.FilterPhase(report.Events, render.PhaseRender)
-	var frames []analysis.Point
-	for _, pt := range analysis.WriteTimeline(renderEvents) {
-		if pt.Y >= 256*1024 {
-			frames = append(frames, pt)
+	writes := analysis.WriteTimeline(renderEvents)
+	var first, last sim.Time
+	frames := 0
+	for i := range writes.Len() {
+		if pt := writes.At(i); pt.Y >= 256*1024 {
+			if frames == 0 {
+				first = pt.T
+			}
+			last = pt.T
+			frames++
 		}
 	}
-	if len(frames) > 1 {
-		span := (frames[len(frames)-1].T - frames[0].T).Seconds()
-		perFrame := span / float64(len(frames)-1)
+	if frames > 1 {
+		span := (last - first).Seconds()
+		perFrame := span / float64(frames-1)
 		fmt.Printf("frame cadence: %.2f s/frame (%.2f frames/s; paper: several seconds per frame)\n",
 			perFrame, 1/perFrame)
 
@@ -63,7 +70,7 @@ func main() {
 				ioPerFrame += e.Duration().Seconds()
 			}
 		}
-		ioPerFrame /= float64(len(frames))
+		ioPerFrame /= float64(frames)
 		fmt.Printf("with HiPPi output (no per-frame file I/O): ~%.2f s/frame (%.2f frames/s; target: 10)\n",
 			perFrame-ioPerFrame, 1/(perFrame-ioPerFrame))
 	}

@@ -131,11 +131,11 @@ func TestOpTimelineOrderingAndFiltering(t *testing.T) {
 		ev(iotrace.OpRead, 1, 20, 2*sim.Second, 3*sim.Second),
 		ev(iotrace.OpSeek, 1, 0, sim.Second, 2*sim.Second),
 	}
-	pts := ReadTimeline(events)
+	pts := pointsOf(ReadTimeline(events))
 	if len(pts) != 1 || pts[0].Y != 20 {
 		t.Fatalf("read timeline %v", pts)
 	}
-	both := OpTimeline(events, iotrace.OpRead, iotrace.OpWrite)
+	both := pointsOf(OpTimeline(events, iotrace.OpRead, iotrace.OpWrite))
 	if len(both) != 2 || both[0].T != 2*sim.Second || both[1].T != 5*sim.Second {
 		t.Fatalf("timeline not time-ordered: %v", both)
 	}
@@ -147,7 +147,7 @@ func TestFileTimelineUsesFileAsY(t *testing.T) {
 		ev(iotrace.OpWrite, 3, 10, 2, 3),
 		ev(iotrace.OpOpen, 5, 0, 4, 5),
 	}
-	pts := FileTimeline(events)
+	pts := pointsOf(FileTimeline(events))
 	if len(pts) != 2 {
 		t.Fatalf("file timeline %v", pts)
 	}
@@ -169,8 +169,8 @@ func TestFilters(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
-	pts := []Point{{T: sim.Second + sim.Time(500000), Y: 42, Node: 3, File: 7, Op: iotrace.OpWrite}}
-	if err := WriteCSV(&buf, pts); err != nil {
+	tl := viewOf(Point{T: sim.Second + sim.Time(500000), Y: 42, Node: 3, File: 7, Op: iotrace.OpWrite})
+	if err := WriteCSV(&buf, tl); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -182,7 +182,7 @@ func TestWriteCSV(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteCSV(&buf, nil); err != nil {
+	if err := WriteCSV(&buf, Timeline{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "time_s,y,node,file,op\n" {
@@ -190,12 +190,12 @@ func TestWriteCSV(t *testing.T) {
 	}
 
 	buf.Reset()
-	pts = []Point{
-		{T: 0, Y: 0, Node: 0, File: 0, Op: iotrace.OpRead},
-		{T: 1, Y: 1 << 20, Node: 12, File: 3, Op: iotrace.OpAsyncRead},
-		{T: 3600*sim.Second + 999_999, Y: -1, Node: 511, File: 42, Op: iotrace.OpIOWait},
-	}
-	if err := WriteCSV(&buf, pts); err != nil {
+	tl = viewOf(
+		Point{T: 0, Y: 0, Node: 0, File: 0, Op: iotrace.OpRead},
+		Point{T: 1, Y: 1 << 20, Node: 12, File: 3, Op: iotrace.OpAsyncRead},
+		Point{T: 3600*sim.Second + 999_999, Y: -1, Node: 511, File: 42, Op: iotrace.OpIOWait},
+	)
+	if err := WriteCSV(&buf, tl); err != nil {
 		t.Fatal(err)
 	}
 	want := "time_s,y,node,file,op\n" +
@@ -208,12 +208,12 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestBurstsClusterByGap(t *testing.T) {
-	mk := func(secs ...int) []Point {
+	mk := func(secs ...int) Timeline {
 		var pts []Point
 		for _, s := range secs {
 			pts = append(pts, Point{T: sim.Time(s) * sim.Second, Y: 1})
 		}
-		return pts
+		return viewOf(pts...)
 	}
 	// Three clusters: {0,1,2}, {50,51}, {120}.
 	bursts := Bursts(mk(0, 1, 2, 50, 51, 120), 10*sim.Second)
@@ -239,7 +239,7 @@ func TestBurstsPartitionProperty(t *testing.T) {
 			pts = append(pts, Point{T: cur, Y: 1})
 		}
 		total := 0
-		for _, b := range Bursts(pts, 5*sim.Second) {
+		for _, b := range Bursts(viewOf(pts...), 5*sim.Second) {
 			total += b.Count
 		}
 		return total == len(pts)
@@ -250,36 +250,36 @@ func TestBurstsPartitionProperty(t *testing.T) {
 }
 
 func TestThroughput(t *testing.T) {
-	pts := []Point{{Y: 5 << 20}, {Y: 5 << 20}}
-	if got := Throughput(pts, sim.Second); got != 10*(1<<20) {
+	tl := viewOf(Point{Y: 5 << 20}, Point{Y: 5 << 20})
+	if got := Throughput(tl, sim.Second); got != 10*(1<<20) {
 		t.Fatalf("throughput %f", got)
 	}
-	if Throughput(pts, 0) != 0 {
+	if Throughput(tl, 0) != 0 {
 		t.Fatal("zero span should give 0")
 	}
 }
 
 func TestRenderScatterMarks(t *testing.T) {
-	pts := []Point{
-		{T: 0, Y: 100, Op: iotrace.OpRead},
-		{T: 10 * sim.Second, Y: 1 << 20, Op: iotrace.OpWrite},
-	}
-	out := RenderScatter(pts, PlotOptions{Title: "Fig", Width: 40, Height: 10, LogY: true})
+	tl := viewOf(
+		Point{T: 0, Y: 100, Op: iotrace.OpRead},
+		Point{T: 10 * sim.Second, Y: 1 << 20, Op: iotrace.OpWrite},
+	)
+	out := RenderScatter(tl, PlotOptions{Title: "Fig", Width: 40, Height: 10, LogY: true})
 	if !strings.Contains(out, "Fig") || !strings.Contains(out, "o") || !strings.Contains(out, "+") {
 		t.Fatalf("scatter:\n%s", out)
 	}
-	empty := RenderScatter(nil, PlotOptions{})
+	empty := RenderScatter(Timeline{}, PlotOptions{})
 	if !strings.Contains(empty, "no data") {
 		t.Fatalf("empty scatter: %q", empty)
 	}
 }
 
 func TestRenderScatterOverlapBecomesStar(t *testing.T) {
-	pts := []Point{
-		{T: 0, Y: 100, Op: iotrace.OpRead},
-		{T: 0, Y: 100, Op: iotrace.OpWrite},
-	}
-	out := RenderScatter(pts, PlotOptions{Width: 10, Height: 5})
+	tl := viewOf(
+		Point{T: 0, Y: 100, Op: iotrace.OpRead},
+		Point{T: 0, Y: 100, Op: iotrace.OpWrite},
+	)
+	out := RenderScatter(tl, PlotOptions{Width: 10, Height: 5})
 	if !strings.Contains(out, "*") {
 		t.Fatalf("overlap mark missing:\n%s", out)
 	}
@@ -303,12 +303,12 @@ func TestHumanBytes(t *testing.T) {
 }
 
 func TestRenderSVGStructure(t *testing.T) {
-	pts := []Point{
-		{T: 0, Y: 100, Op: iotrace.OpRead},
-		{T: 10 * sim.Second, Y: 1 << 20, Op: iotrace.OpWrite},
-		{T: 5 * sim.Second, Y: 2048, Op: iotrace.OpAsyncRead},
-	}
-	out := string(RenderSVG(pts, SVGOptions{Title: "Fig <4> & more", LogY: true, YLabel: "size", XLabel: "time"}))
+	tl := viewOf(
+		Point{T: 0, Y: 100, Op: iotrace.OpRead},
+		Point{T: 10 * sim.Second, Y: 1 << 20, Op: iotrace.OpWrite},
+		Point{T: 5 * sim.Second, Y: 2048, Op: iotrace.OpAsyncRead},
+	)
+	out := string(RenderSVG(tl, SVGOptions{Title: "Fig <4> & more", LogY: true, YLabel: "size", XLabel: "time"}))
 	for _, want := range []string{
 		"<svg", "</svg>", "Fig &lt;4&gt; &amp; more", "read", "write",
 		`stroke="#c0392b"`, `stroke="#2c5f8a"`,
@@ -324,7 +324,7 @@ func TestRenderSVGStructure(t *testing.T) {
 }
 
 func TestRenderSVGEmpty(t *testing.T) {
-	out := string(RenderSVG(nil, SVGOptions{}))
+	out := string(RenderSVG(Timeline{}, SVGOptions{}))
 	if !strings.Contains(out, "no data") || !strings.Contains(out, "</svg>") {
 		t.Fatalf("empty svg: %q", out)
 	}

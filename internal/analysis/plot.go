@@ -34,7 +34,7 @@ func markFor(op iotrace.Op) byte {
 // RenderScatter draws a timeline as an ASCII scatter plot, the textual
 // analogue of the paper's figures. Reads render as 'o', writes as '+'; a
 // cell holding both renders as '*'.
-func RenderScatter(pts []Point, opts PlotOptions) string {
+func RenderScatter(tl Timeline, opts PlotOptions) string {
 	if opts.Width <= 0 {
 		opts.Width = 72
 	}
@@ -45,33 +45,20 @@ func RenderScatter(pts []Point, opts PlotOptions) string {
 	if opts.Title != "" {
 		fmt.Fprintf(&b, "%s\n", opts.Title)
 	}
-	if len(pts) == 0 {
+	if tl.Len() == 0 {
 		b.WriteString("(no data)\n")
 		return b.String()
 	}
 
-	tMin, tMax := pts[0].T, pts[0].T
-	yMin, yMax := pts[0].Y, pts[0].Y
-	for _, p := range pts {
-		if p.T < tMin {
-			tMin = p.T
-		}
-		if p.T > tMax {
-			tMax = p.T
-		}
-		if p.Y < yMin {
-			yMin = p.Y
-		}
-		if p.Y > yMax {
-			yMax = p.Y
-		}
-	}
+	tMin, tMax, yMin, yMax := tl.bounds()
 	if tMax == tMin {
 		tMax = tMin + 1
 	}
-
+	// Offsets are float64 differences, as in RenderSVG: an int64 difference
+	// overflows on a span wider than int64's range and indexes off the grid.
 	lo := math.Log10(math.Max(1, float64(yMin)))
 	hi := math.Log10(math.Max(1, float64(yMax)))
+	ySpan := float64(yMax) - float64(yMin)
 	yPos := func(y int64) int {
 		if opts.LogY {
 			if hi == lo {
@@ -80,21 +67,23 @@ func RenderScatter(pts []Point, opts PlotOptions) string {
 			v := math.Log10(math.Max(1, float64(y)))
 			return int((v - lo) / (hi - lo) * float64(opts.Height-1))
 		}
-		if yMax == yMin {
+		if ySpan <= 0 {
 			return 0
 		}
-		return int(float64(y-yMin) / float64(yMax-yMin) * float64(opts.Height-1))
+		return int((float64(y) - float64(yMin)) / ySpan * float64(opts.Height-1))
 	}
+	tSpan := max(float64(tMax)-float64(tMin), 1)
 
 	grid := make([][]byte, opts.Height)
 	for i := range grid {
 		grid[i] = []byte(strings.Repeat(" ", opts.Width))
 	}
-	for _, p := range pts {
-		x := int(float64(p.T-tMin) / float64(tMax-tMin) * float64(opts.Width-1))
-		y := yPos(p.Y)
+	for i := range tl.Len() {
+		e := tl.event(i)
+		x := int((float64(e.Start) - float64(tMin)) / tSpan * float64(opts.Width-1))
+		y := yPos(tl.y(e))
 		row := opts.Height - 1 - y
-		m := markFor(p.Op)
+		m := markFor(e.Op)
 		switch cur := grid[row][x]; {
 		case cur == ' ':
 			grid[row][x] = m
@@ -109,7 +98,7 @@ func RenderScatter(pts []Point, opts PlotOptions) string {
 		if opts.LogY {
 			v = math.Pow(10, lo+frac*(hi-lo))
 		} else {
-			v = float64(yMin) + frac*float64(yMax-yMin)
+			v = float64(yMin) + frac*ySpan
 		}
 		return humanBytes(v)
 	}

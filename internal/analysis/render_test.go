@@ -125,12 +125,12 @@ func TestOpNamesNeedNoCSVQuoting(t *testing.T) {
 
 // writeCSVReference is the encoding/csv + fmt formulation WriteCSV must
 // reproduce byte for byte.
-func writeCSVReference(w io.Writer, pts []Point) error {
+func writeCSVReference(w io.Writer, tl Timeline) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"time_s", "y", "node", "file", "op"}); err != nil {
 		return err
 	}
-	for _, p := range pts {
+	for _, p := range pointsOf(tl) {
 		err := cw.Write([]string{
 			fmt.Sprintf("%.6f", p.T.Seconds()),
 			fmt.Sprintf("%d", p.Y),
@@ -149,14 +149,15 @@ func writeCSVReference(w io.Writer, pts []Point) error {
 func TestWriteCSVMatchesReference(t *testing.T) {
 	pts := randomPoints(2000, 3)
 	for i, s := range secondsCases() {
-		pts = append(pts, Point{T: s, Y: int64(s) / 3, Node: -i, File: iotrace.FileID(i), Op: iotrace.Op(i%(iotrace.NumOps+2) - 1)})
+		pts = append(pts, Point{T: s, Y: int64(s) / 3, Node: -i, File: iotrace.FileID(i), Op: iotrace.Op(i % (iotrace.NumOps + 2))})
 	}
-	pts = append(pts, Point{T: math.MaxInt64, Y: math.MinInt64, Node: math.MinInt, File: math.MaxInt32, Op: iotrace.OpFlush})
+	pts = append(pts, Point{T: math.MaxInt64, Y: math.MinInt64, Node: math.MinInt32, File: math.MaxInt32, Op: iotrace.OpFlush})
+	tl := viewOf(pts...)
 	var got, want bytes.Buffer
-	if err := WriteCSV(&got, pts); err != nil {
+	if err := WriteCSV(&got, tl); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCSVReference(&want, pts); err != nil {
+	if err := writeCSVReference(&want, tl); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -165,7 +166,7 @@ func TestWriteCSVMatchesReference(t *testing.T) {
 }
 
 // randomPoints returns n points in random start order with a mix of read
-// and write classes, seeded.
+// and write classes, seeded. viewOf turns them into a timeline.
 func randomPoints(n int, seed int64) []Point {
 	rng := rand.New(rand.NewSource(seed))
 	ops := []iotrace.Op{iotrace.OpRead, iotrace.OpAsyncRead, iotrace.OpWrite}
@@ -198,10 +199,10 @@ func randomEvents(n int, seed int64) []iotrace.Event {
 }
 
 // TestRenderAllocsConstant holds the render paths to a fixed number of
-// allocations whatever the figure's size: the output (or the point slice)
-// is sized once, not grown per point. A per-point allocation would cost a
-// thousand at 1k points. RenderSVG's ceiling covers its per-figure frame,
-// tick and legend lines, which still go through fmt.
+// allocations whatever the figure's size: the output (or the timeline's
+// index) is sized once, not grown per point. A per-point allocation would
+// cost a thousand at 1k points. RenderSVG's ceiling covers its per-figure
+// frame, tick and legend lines, which still go through fmt.
 func TestRenderAllocsConstant(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race runtime allocates on its own")
@@ -209,20 +210,20 @@ func TestRenderAllocsConstant(t *testing.T) {
 	cases := []struct {
 		name    string
 		ceiling float64
-		run     func(pts []Point, events []iotrace.Event)
+		run     func(tl Timeline, events []iotrace.Event)
 	}{
-		{"WriteCSV", 1, func(pts []Point, _ []iotrace.Event) { _ = WriteCSV(io.Discard, pts) }},
-		{"RenderSVG", 128, func(pts []Point, _ []iotrace.Event) {
-			_ = RenderSVG(pts, SVGOptions{Title: "Read <timeline>", LogY: true, YLabel: "request size", XLabel: "time (s)"})
+		{"WriteCSV", 1, func(tl Timeline, _ []iotrace.Event) { _ = WriteCSV(io.Discard, tl) }},
+		{"RenderSVG", 128, func(tl Timeline, _ []iotrace.Event) {
+			_ = RenderSVG(tl, SVGOptions{Title: "Read <timeline>", LogY: true, YLabel: "request size", XLabel: "time (s)"})
 		}},
-		{"OpTimeline", 1, func(_ []Point, events []iotrace.Event) { _ = ReadTimeline(events) }},
-		{"FileTimeline", 1, func(_ []Point, events []iotrace.Event) { _ = FileTimeline(events) }},
+		{"OpTimeline", 1, func(_ Timeline, events []iotrace.Event) { _ = ReadTimeline(events) }},
+		{"FileTimeline", 1, func(_ Timeline, events []iotrace.Event) { _ = FileTimeline(events) }},
 	}
 	for _, c := range cases {
 		var allocs [2]float64
 		for i, n := range []int{1000, 10000} {
-			pts, events := randomPoints(n, int64(n)), randomEvents(n, int64(n))
-			allocs[i] = minAllocs(func() { c.run(pts, events) })
+			tl, events := viewOf(randomPoints(n, int64(n))...), randomEvents(n, int64(n))
+			allocs[i] = minAllocs(func() { c.run(tl, events) })
 		}
 		if allocs[0] > c.ceiling || allocs[1] > c.ceiling {
 			t.Errorf("%s: %v allocs at 1k points, %v at 10k; want at most %v at both",
@@ -260,23 +261,24 @@ func TestWriteCSVLenIsExact(t *testing.T) {
 			p.T = exactSecondsLimit - 1 - sim.Time(rng.Intn(3))
 			p.File = -p.File
 		case 4:
-			p.Op = iotrace.Op(rng.Intn(256))
+			p.Op = iotrace.Op(rng.Intn(64))
 		}
 	}
 	for _, s := range secondsCases() {
-		pts = append(pts, Point{T: s, Y: int64(s), Node: math.MinInt, File: math.MinInt32})
+		pts = append(pts, Point{T: s, Y: int64(s), Node: math.MinInt32, File: math.MinInt32})
 	}
-	pts = append(pts, Point{T: math.MinInt64, Y: math.MinInt64, Node: math.MaxInt, File: math.MaxInt32, Op: iotrace.OpAsyncRead})
+	pts = append(pts, Point{T: math.MinInt64, Y: math.MinInt64, Node: math.MaxInt32, File: math.MaxInt32, Op: iotrace.OpAsyncRead})
 	for _, n := range []int{0, 1, 100, len(pts)} {
+		tl := viewOf(pts[:n]...)
 		var buf bytes.Buffer
-		if err := WriteCSV(&buf, pts[:n]); err != nil {
+		if err := WriteCSV(&buf, tl); err != nil {
 			t.Fatal(err)
 		}
-		if got := csvLen(pts[:n]); got != buf.Len() {
+		if got := csvLen(tl); got != buf.Len() {
 			t.Fatalf("%d points: csvLen = %d, WriteCSV wrote %d bytes", n, got, buf.Len())
 		}
 		var g growRecorder
-		if err := WriteCSV(&g, pts[:n]); err != nil {
+		if err := WriteCSV(&g, tl); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(g.Bytes(), buf.Bytes()) || len(g.grows) != 1 || g.grows[0] != g.Len() {
@@ -314,12 +316,12 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // TestWriteCSVReturnsWriteError checks that a failed chunk write ends
 // WriteCSV with that error and no further writes.
 func TestWriteCSVReturnsWriteError(t *testing.T) {
-	pts := randomPoints(10000, 11)
-	if n := csvLen(pts); n < 3*csvChunk {
+	tl := viewOf(randomPoints(10000, 11)...)
+	if n := csvLen(tl); n < 3*csvChunk {
 		t.Fatalf("%d bytes of CSV fill fewer than three chunks", n)
 	}
 	w := &failingWriter{ok: 1}
-	if err := WriteCSV(w, pts); !errors.Is(err, errWriteFailed) {
+	if err := WriteCSV(w, tl); !errors.Is(err, errWriteFailed) {
 		t.Fatalf("WriteCSV = %v, want the second Write's error", err)
 	}
 	if w.writes != 2 {
@@ -342,17 +344,17 @@ func TestRenderSVGSizeBound(t *testing.T) {
 		extreme = append(extreme, Point{T: sim.Time(rng.Uint64()), Y: int64(rng.Uint64()), Op: iotrace.Op(i % 3)})
 	}
 	escapes := strings.Repeat(`<&>"'`, 40)
-	inputs := [][]Point{nil, randomPoints(1, 1), randomPoints(5000, 2), extreme}
+	inputs := []Timeline{{}, viewOf(randomPoints(1, 1)...), viewOf(randomPoints(5000, 2)...), viewOf(extreme...)}
 	for _, w := range []int{0, 10, 90, 720, 10000} {
 		for _, h := range []int{0, 10, 420, 10000} {
 			for _, title := range []string{"", "Read <timeline> & \"more\"", escapes} {
-				for i, pts := range inputs {
+				for i, tl := range inputs {
 					for _, logY := range []bool{false, true} {
 						opts := SVGOptions{Title: title, Width: w, Height: h, LogY: logY, YLabel: title, XLabel: title}
-						out := RenderSVG(pts, opts)
+						out := RenderSVG(tl, opts)
 						sized := opts
 						sized.Width, sized.Height = cmp.Or(w, 720), cmp.Or(h, 420)
-						bound := svgSize(pts, sized)
+						bound := svgSize(tl, sized)
 						if len(out) > bound || cap(out) != bound {
 							t.Fatalf("%dx%d, title %q, input %d, log %v: %d bytes in a buffer of %d, want at most and exactly svgSize %d",
 								w, h, title, i, logY, len(out), cap(out), bound)
@@ -385,8 +387,9 @@ func leastAlloc(f func()) uint64 {
 }
 
 // TestRenderBytesNearOutput holds the renderers' allocated bytes near their
-// output at 10k points: RenderSVG to its output plus 4 KB, WriteCSV into a
-// fresh bytes.Buffer to its output plus 40 KB (the 32 KB chunk). The heap's
+// output at 10k points: RenderSVG to its output plus 4 KB, and WriteCSV
+// into a fresh bytes.Buffer, which it formats into directly, to its output
+// plus 4 KB as well (a 32 KB chunk on top would exceed it). The heap's
 // rounding of the output buffer up to whole pages is not counted against
 // them. A copy of the output, or a size bound grown loose again, exceeds
 // these by the size of the figure, which an allocation count cannot see.
@@ -394,22 +397,22 @@ func TestRenderBytesNearOutput(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race runtime allocates on its own")
 	}
-	pts := randomPoints(10000, 13)
+	tl := viewOf(randomPoints(10000, 13)...)
 	opts := SVGOptions{Title: "Read <timeline>", Width: 720, Height: 420, YLabel: "request size", XLabel: "time (s)"}
 	var svg []byte
-	got := leastAlloc(func() { svg = RenderSVG(pts, opts) })
+	got := leastAlloc(func() { svg = RenderSVG(tl, opts) })
 	if limit := uint64(len(svg)) + 4<<10 + pageTail(cap(svg)); got > limit {
 		t.Errorf("RenderSVG allocated %d bytes for %d bytes of output, want at most %d", got, len(svg), limit)
 	}
 	var n int
 	got = leastAlloc(func() {
 		var buf bytes.Buffer
-		if err := WriteCSV(&buf, pts); err != nil {
+		if err := WriteCSV(&buf, tl); err != nil {
 			t.Fatal(err)
 		}
 		n = buf.Len()
 	})
-	if limit := uint64(n) + 40<<10 + pageTail(n); got > limit {
+	if limit := uint64(n) + 4<<10 + pageTail(n); got > limit {
 		t.Errorf("WriteCSV allocated %d bytes for %d bytes of output, want at most %d", got, n, limit)
 	}
 }
@@ -420,7 +423,7 @@ func TestTimelinesMatchStableSort(t *testing.T) {
 	for i := range events {
 		events[i].Start -= events[i].Start % (100 * sim.Second)
 	}
-	for _, pts := range [][]Point{ReadTimeline(events), FileTimeline(events)} {
+	for _, pts := range [][]Point{pointsOf(ReadTimeline(events)), pointsOf(FileTimeline(events))} {
 		for i := 1; i < len(pts); i++ {
 			if pts[i].T < pts[i-1].T {
 				t.Fatalf("point %d out of time order", i)
@@ -432,7 +435,7 @@ func TestTimelinesMatchStableSort(t *testing.T) {
 	for i := range events {
 		events[i].Start = 0
 	}
-	pts := FileTimeline(events)
+	pts := pointsOf(FileTimeline(events))
 	j := 0
 	for _, e := range events {
 		if e.Op == iotrace.OpRead || e.Op == iotrace.OpAsyncRead || e.Op == iotrace.OpWrite {

@@ -42,7 +42,7 @@ const (
 // time on the x axis. The output is self-contained (no external assets) and
 // renders in any browser. It is built once into a buffer of svgSize bytes
 // and returned as those bytes, with no copy.
-func RenderSVG(pts []Point, opts SVGOptions) []byte {
+func RenderSVG(tl Timeline, opts SVGOptions) []byte {
 	if opts.Width <= 0 {
 		opts.Width = 720
 	}
@@ -52,7 +52,7 @@ func RenderSVG(pts []Point, opts SVGOptions) []byte {
 	plotW := float64(opts.Width - marginL - marginR)
 	plotH := float64(opts.Height - marginT - marginB)
 
-	b := bytes.NewBuffer(make([]byte, 0, svgSize(pts, opts)))
+	b := bytes.NewBuffer(make([]byte, 0, svgSize(tl, opts)))
 	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
 		opts.Width, opts.Height, opts.Width, opts.Height)
 	fmt.Fprintf(b, `<rect width="%d" height="%d" fill="white"/>`+"\n", opts.Width, opts.Height)
@@ -64,29 +64,14 @@ func RenderSVG(pts []Point, opts SVGOptions) []byte {
 	fmt.Fprintf(b, `<rect x="%d" y="%d" width="%.0f" height="%.0f" fill="none" stroke="black"/>`+"\n",
 		marginL, marginT, plotW, plotH)
 
-	if len(pts) == 0 {
+	if tl.Len() == 0 {
 		fmt.Fprintf(b, `<text x="%d" y="%d" font-family="sans-serif" font-size="13">(no data)</text>`+"\n",
 			marginL+10, marginT+30)
 		b.WriteString("</svg>\n")
 		return b.Bytes()
 	}
 
-	tMin, tMax := pts[0].T, pts[0].T
-	yMin, yMax := pts[0].Y, pts[0].Y
-	for _, p := range pts {
-		if p.T < tMin {
-			tMin = p.T
-		}
-		if p.T > tMax {
-			tMax = p.T
-		}
-		if p.Y < yMin {
-			yMin = p.Y
-		}
-		if p.Y > yMax {
-			yMax = p.Y
-		}
-	}
+	tMin, tMax, yMin, yMax := tl.bounds()
 	if tMax == tMin {
 		tMax = tMin + 1
 	}
@@ -131,11 +116,11 @@ func RenderSVG(pts []Point, opts SVGOptions) []byte {
 	// Marks, appended without fmt: the two coordinates go through
 	// appendFixed1 into a stack buffer, the rest is constant text.
 	var num [64]byte
-	for i := range pts {
-		p := &pts[i]
+	for i := range tl.Len() {
+		e := tl.event(i)
 		b.WriteString(svgMarkStart)
-		b.Write(appendFixed1(append(appendFixed1(num[:0], xPos(p.T)), ' '), yPos(p.Y)))
-		if p.Op == iotrace.OpWrite {
+		b.Write(appendFixed1(append(appendFixed1(num[:0], xPos(e.Start)), ' '), yPos(tl.y(e))))
+		if e.Op == iotrace.OpWrite {
 			b.WriteString(svgWriteMark)
 		} else { // reads and async reads
 			b.WriteString(svgReadMark)
@@ -162,15 +147,15 @@ func RenderSVG(pts []Point, opts SVGOptions) []byte {
 // the left margin, a point and one decimal, plus a sign when the canvas is
 // narrower or shorter than its margins and the coordinates go negative.
 // opts carries RenderSVG's default Width and Height already.
-func svgSize(pts []Point, opts SVGOptions) int {
+func svgSize(tl Timeline, opts SVGOptions) int {
 	n := 1536 + 6*(len(opts.Title)+len(opts.XLabel)+len(opts.YLabel))
 	coord := decimalWidth(int64(max(opts.Width, opts.Height, marginL))) + 2
 	if opts.Width < marginL+marginR || opts.Height < marginT+marginB {
 		coord++
 	}
-	for i := range pts {
+	for i := range tl.Len() {
 		n += len(svgMarkStart) + 2*coord + 1
-		if pts[i].Op == iotrace.OpWrite {
+		if tl.event(i).Op == iotrace.OpWrite {
 			n += len(svgWriteMark)
 		} else {
 			n += len(svgReadMark)

@@ -58,7 +58,7 @@ var Paper = workload.Paper{
 // 0 when the events hold no asynchronous read.
 func InitReadThroughput(init []iotrace.Event) float64 {
 	reads := analysis.OpTimeline(init, iotrace.OpAsyncRead)
-	if len(reads) == 0 {
+	if reads.Len() == 0 {
 		return 0
 	}
 	var last sim.Time
@@ -67,5 +67,5 @@ func InitReadThroughput(init []iotrace.Event) float64 {
 			last = e.End
 		}
 	}
-	return analysis.Throughput(reads, last-reads[0].T)
+	return analysis.Throughput(reads, last-reads.At(0).T)
 }

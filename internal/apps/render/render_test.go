@@ -79,10 +79,10 @@ func TestReadSizesShrinkAcrossInit(t *testing.T) {
 	// Figure 6: first 3 MB requests, then 1.5 MB.
 	events := analysis.FilterPhase(paperRun(t), PhaseInit)
 	reads := analysis.OpTimeline(events, iotrace.OpAsyncRead)
-	if reads[0].Y != 3<<20 {
-		t.Errorf("first read %d bytes, want 3 MB", reads[0].Y)
+	if first := reads.At(0).Y; first != 3<<20 {
+		t.Errorf("first read %d bytes, want 3 MB", first)
 	}
-	if last := reads[len(reads)-1].Y; last != 3<<19 {
+	if last := reads.At(reads.Len() - 1).Y; last != 3<<19 {
 		t.Errorf("last init read %d bytes, want 1.5 MB", last)
 	}
 }
@@ -132,9 +132,9 @@ func TestFrameCadenceSeveralSecondsPerFrame(t *testing.T) {
 	// §6.2: "the current system requires several seconds per frame".
 	events := analysis.FilterPhase(paperRun(t), PhaseRender)
 	writes := analysis.WriteTimeline(events)
-	big := writes[:0:0]
-	for _, w := range writes {
-		if w.Y >= 256*1024 {
+	var big []analysis.Point
+	for i := range writes.Len() {
+		if w := writes.At(i); w.Y >= 256*1024 {
 			big = append(big, w)
 		}
 	}

@@ -9,16 +9,16 @@ import (
 )
 
 // Figure is one reproduced paper figure: its identity and the timeline
-// points that regenerate it.
+// that regenerates it, a sorted view over the report's trace.
 type Figure struct {
 	ID     string // paper figure number, e.g. "figure-04"
 	Title  string
-	Points []analysis.Point
+	Points analysis.Timeline
 	LogY   bool // request-size axes are logarithmic; file-id axes are not
 }
 
 // timelines maps each figure kind to the analysis that draws it.
-var timelines = [...]func([]iotrace.Event) []analysis.Point{
+var timelines = [...]func([]iotrace.Event) analysis.Timeline{
 	workload.ReadTimeline:  analysis.ReadTimeline,
 	workload.WriteTimeline: analysis.WriteTimeline,
 	workload.FileTimeline:  analysis.FileTimeline,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	goruntime "runtime"
 	"sync"
@@ -54,11 +55,45 @@ func TestHTFFiguresAndTablesPartitionOnce(t *testing.T) {
 	}
 	var points uint64
 	for _, f := range figs {
-		points += uint64(cap(f.Points)) * uint64(unsafe.Sizeof(analysis.Point{}))
+		points += uint64(f.Points.Len()) * uint64(unsafe.Sizeof(int32(0)))
 	}
 	trace := uint64(len(r.Events)) * uint64(unsafe.Sizeof(iotrace.Event{}))
 	if extra := ms1.TotalAlloc - ms0.TotalAlloc - points; extra >= trace/2 {
 		t.Fatalf("figures and tables allocated %d bytes beyond their points; the trace is %d", extra, trace)
+	}
+}
+
+// TestFiguresAllocBound holds Report.Figures on each paper-scale report to
+// its timelines' indices: 4 bytes per point, plus per figure its entry in
+// the returned slice and the heap's rounding of its index up to a size
+// class or to whole 8 KB pages. Copying the points (32 bytes each) would
+// exceed that by megabytes. It takes the least of three runs, so the
+// report's phase partition, built on first use, is not counted, and it
+// skips under -race, whose runtime allocates on its own.
+func TestFiguresAllocBound(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	const perFigure = 8<<10 + 256
+	for _, app := range Apps() {
+		r := paperReport(t, app)
+		var figs []Figure
+		got := uint64(math.MaxUint64)
+		var before, after goruntime.MemStats
+		for range 3 {
+			goruntime.ReadMemStats(&before)
+			figs = r.Figures()
+			goruntime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		points := 0
+		for _, f := range figs {
+			points += f.Points.Len()
+		}
+		if limit := uint64(4*points + perFigure*len(figs)); got > limit {
+			t.Errorf("%s: Figures allocated %d bytes for %d figures of %d points, want at most %d",
+				app, got, len(figs), points, limit)
+		}
 	}
 }
 
