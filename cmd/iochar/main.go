@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,7 +61,7 @@ func run(args []string, out io.Writer) error {
 	traceASCII := fs.Bool("trace-ascii", false, "write the trace in ASCII SDDF instead of binary")
 	summaryFile := fs.String("summaries", "", "write the Pablo reductions as SDDF records to this file")
 	jsonFile := fs.String("json", "", "write the characterization results as JSON to this file")
-	figures := fs.String("figures", "", "write figure CSV/ASCII files to this directory")
+	figures := fs.String("figures", "", "write figure CSV/ASCII/SVG files to this directory")
 	shards := cliflags.AddShards(fs)
 	prof := profiling.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -82,6 +83,12 @@ func run(args []string, out io.Writer) error {
 	rs, fleet, err := sc.Build()
 	if err != nil {
 		return err
+	}
+	if *figures != "" {
+		// A bad -figures fails here, before the study runs.
+		if err := os.MkdirAll(*figures, 0o755); err != nil {
+			return err
+		}
 	}
 	study := rs.Study
 	app := sc.Workload.App
@@ -152,38 +159,26 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *figures != "" {
-		if err := os.MkdirAll(*figures, 0o755); err != nil {
+		files := 0
+		if err := report.WriteFigures(func(name string, write func(io.Writer) error) error {
+			files++
+			return writeFile(filepath.Join(*figures, name), write)
+		}); err != nil {
 			return err
 		}
-		figs := report.Figures()
-		for _, fig := range figs {
-			if err := writeFile(filepath.Join(*figures, fig.ID+".csv"), func(w io.Writer) error {
-				return analysis.WriteCSV(w, fig.Points)
-			}); err != nil {
-				return err
-			}
-			txt := analysis.RenderScatter(fig.Points, analysis.PlotOptions{Title: fig.Title, LogY: fig.LogY})
-			if err := os.WriteFile(filepath.Join(*figures, fig.ID+".txt"), []byte(txt), 0o644); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(out, "figures: %d -> %s\n", len(figs), *figures)
+		fmt.Fprintf(out, "figures: %d -> %s\n", files/3, *figures)
 	}
 	return nil
 }
 
-// writeFile creates name and hands it to write, closing it on every path. It
-// returns write's error, else the close's.
+// writeFile creates name, hands it to write and closes it on every path. It
+// returns the errors of both.
 func writeFile(name string, write func(io.Writer) error) error {
 	f, err := os.Create(name)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(write(f), f.Close())
 }
 
 // outputFlags shape what iochar writes, not the study it runs: the only flags

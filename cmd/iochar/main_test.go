@@ -181,7 +181,7 @@ func TestSmokeFiguresWritesCSVAndTextPerFigure(t *testing.T) {
 	if !strings.Contains(buf.String(), "figures: 9 -> "+dir) {
 		t.Fatalf("figure count line missing:\n%s", buf.String())
 	}
-	for _, ext := range []string{".csv", ".txt"} {
+	for _, ext := range []string{".csv", ".txt", ".svg"} {
 		files, err := filepath.Glob(filepath.Join(dir, "figure-*"+ext))
 		if err != nil {
 			t.Fatal(err)
@@ -199,8 +199,32 @@ func TestSmokeFiguresWritesCSVAndTextPerFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 18 {
-		t.Fatalf("%d files in the figure directory, want 18", len(entries))
+	if len(entries) != 27 {
+		t.Fatalf("%d files in the figure directory, want 27", len(entries))
+	}
+	// The ASCII plots carry the same axis labels as paperrepro's.
+	txt, err := os.ReadFile(filepath.Join(dir, "figure-09.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(txt), "vs time)") {
+		t.Errorf("figure-09.txt has no axis label:\n%s", txt)
+	}
+}
+
+// TestBadFiguresDirFailsBeforeTheRun: a -figures path that cannot be a
+// directory fails before the study runs, so nothing is printed.
+func TestBadFiguresDirFailsBeforeTheRun(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-small", "-figures", file}, &buf); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Errorf("got %v, want a not-a-directory error", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("printed output before failing:\n%.400s", buf.String())
 	}
 }
 

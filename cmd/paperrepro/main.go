@@ -2,8 +2,8 @@
 // it runs the three application studies at paper scale, prints
 // paper-vs-measured comparisons for Tables 1-6, grades each run against the
 // paper's fidelity contract (a scorecard line per app, plus one line per
-// failing check), and writes each figure (2-17) as CSV data plus an ASCII
-// rendering.
+// failing check), and writes each figure (2-17) as CSV data plus ASCII and
+// SVG renderings.
 //
 // Usage:
 //
@@ -11,6 +11,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/profiling"
@@ -50,6 +51,14 @@ func run(args []string, out io.Writer) error {
 		}
 		apps = []core.AppID{app}
 	}
+	if !*noFigures {
+		// A bad -out fails here, before any study runs.
+		for _, app := range apps {
+			if err := os.MkdirAll(filepath.Join(*outDir, string(app)), 0o755); err != nil {
+				return err
+			}
+		}
+	}
 	exec.SetWorkers(*parallel)
 	if err := prof.Start(); err != nil {
 		return err
@@ -73,21 +82,13 @@ func run(args []string, out io.Writer) error {
 		report := reports[i]
 		fmt.Fprintf(out, "==== %s (wall clock %.0f s, %d events) ====\n\n",
 			app, report.Wall.Seconds(), len(report.Events))
-
-		for _, pt := range core.PaperTables() {
-			if pt.App == app {
-				fmt.Fprintln(out, core.CompareTable(pt, report))
-			}
-		}
-		for _, st := range core.PaperSizeTables() {
-			if st.App == app {
-				fmt.Fprintln(out, core.CompareSizeTable(st, report))
-			}
+		for _, c := range report.Comparisons() {
+			fmt.Fprintln(out, c.Text)
 		}
 		fmt.Fprintf(out, "%s\n%s\n", report.Headline(), report.Fidelity())
 
 		if !*noFigures {
-			if err := writeFigures(out, *outDir, app, report); err != nil {
+			if err := writeFigures(out, filepath.Join(*outDir, string(app)), report); err != nil {
 				return fmt.Errorf("%s: %v", app, err)
 			}
 		}
@@ -95,47 +96,38 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func writeFigures(out io.Writer, dir string, app core.AppID, r *core.Report) error {
-	sub := filepath.Join(dir, string(app))
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		return err
-	}
-	for _, fig := range r.Figures() {
-		csvPath := filepath.Join(sub, fig.ID+".csv")
-		f, err := os.Create(csvPath)
+// writeFigures writes the report's figure files into dir, with a line for
+// each figure once its three files are written.
+func writeFigures(out io.Writer, dir string, r *core.Report) error {
+	var csvPath string
+	var csvLines lineCount // a header, then one line per point
+	err := r.WriteFigures(func(name string, write func(io.Writer) error) error {
+		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
-		if err := analysis.WriteCSV(f, fig.Points); err != nil {
-			f.Close()
+		w := io.Writer(f)
+		if filepath.Ext(name) == ".csv" {
+			csvPath, csvLines, w = f.Name(), 0, io.MultiWriter(f, &csvLines)
+		}
+		if err := errors.Join(write(w), f.Close()); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
+		if filepath.Ext(name) == ".svg" {
+			fmt.Fprintf(out, "wrote %s (%d points) plus .txt and .svg renderings\n", csvPath, csvLines-1)
 		}
-		txt := analysis.RenderScatter(fig.Points, analysis.PlotOptions{
-			Title: fig.Title, LogY: fig.LogY,
-			YLabel: yLabel(fig.LogY), XLabel: "time",
-		})
-		if err := os.WriteFile(filepath.Join(sub, fig.ID+".txt"), []byte(txt), 0o644); err != nil {
-			return err
-		}
-		svg := analysis.RenderSVG(fig.Points, analysis.SVGOptions{
-			Title: fig.Title, LogY: fig.LogY,
-			YLabel: yLabel(fig.LogY), XLabel: "time (s)",
-		})
-		if err := os.WriteFile(filepath.Join(sub, fig.ID+".svg"), svg, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s (%d points) plus .txt and .svg renderings\n", csvPath, fig.Points.Len())
+		return nil
+	})
+	if err == nil {
+		fmt.Fprintln(out)
 	}
-	fmt.Fprintln(out)
-	return nil
+	return err
 }
 
-func yLabel(logY bool) string {
-	if logY {
-		return "request size"
-	}
-	return "file id"
+// lineCount counts the lines written to it.
+type lineCount int
+
+func (n *lineCount) Write(p []byte) (int, error) {
+	*n += lineCount(bytes.Count(p, []byte{'\n'}))
+	return len(p), nil
 }

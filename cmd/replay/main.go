@@ -35,13 +35,19 @@ func run(args []string, out io.Writer) error {
 	stripe := fs.Int64("stripe", 64*1024, "stripe unit in bytes")
 	nodes := fs.Int("nodes", 0, "compute nodes (0 = infer from trace, min 1 more than max node)")
 	think := fs.Bool("think", true, "preserve the trace's inter-request compute gaps")
-	jitter := fs.Float64("jitter", 0, "perturb each think gap by up to this fraction (0 = exact replay)")
+	jitter := fs.Float64("jitter", 0, "perturb each think gap by up to this fraction, in [0, 1] (0 = exact replay)")
 	seed := fs.Uint64("seed", 0, "seed for the think-gap jitter streams")
 	sweep := fs.Bool("sweep", false, "replay across 1..64 I/O nodes and print the scaling table")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
+	if *nodes < 0 {
+		return fmt.Errorf("-nodes %d: want >= 0 (0 = infer from trace)", *nodes)
+	}
+	if !(*jitter >= 0 && *jitter <= 1) { // NaN fails both
+		return fmt.Errorf("-jitter %v: want a fraction in [0, 1]", *jitter)
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: replay [flags] TRACE.sddf")
 	}
@@ -54,15 +60,11 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	maxNode := 0
-	for _, e := range trace {
-		if n := int(e.Node); n > maxNode {
-			maxNode = n
-		}
-	}
 	compute := *nodes
 	if compute == 0 {
-		compute = maxNode + 1
+		for _, e := range trace {
+			compute = max(compute, int(e.Node)+1)
+		}
 	}
 
 	mkOpt := func(ion int) replay.Options {

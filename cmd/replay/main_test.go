@@ -64,3 +64,29 @@ func TestSmokeReplayUsage(t *testing.T) {
 		t.Fatal("missing trace argument accepted")
 	}
 }
+
+// TestBadFlagsFailBeforeAnyReplay: a -jitter outside [0, 1] (NaN too) or a
+// negative -nodes fails naming the flag, with nothing printed, where it
+// once panicked, replayed without jitter or blamed the trace.
+func TestBadFlagsFailBeforeAnyReplay(t *testing.T) {
+	trace := captureTrace(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-jitter", "5"}, "-jitter 5: want a fraction in [0, 1]"},
+		{[]string{"-sweep", "-jitter", "2"}, "-jitter 2: want a fraction in [0, 1]"},
+		{[]string{"-jitter", "-1"}, "-jitter -1: want a fraction in [0, 1]"},
+		{[]string{"-jitter", "NaN"}, "-jitter NaN: want a fraction in [0, 1]"},
+		{[]string{"-nodes", "-2"}, "-nodes -2: want >= 0"},
+	} {
+		var buf bytes.Buffer
+		err := run(append(tc.args, trace), &buf)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want %q", tc.args, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: printed output before failing:\n%.400s", tc.args, buf.String())
+		}
+	}
+}

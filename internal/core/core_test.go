@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	goruntime "runtime"
 	"slices"
 	"sort"
@@ -272,7 +276,65 @@ func TestCompareTablesRender(t *testing.T) {
 	if !strings.Contains(sout, "Read") || !strings.Contains(sout, "measured") {
 		t.Fatalf("compare sizes:\n%s", sout)
 	}
+
+	want := []Comparison{{"compare " + pt.Name, out}, {"compare " + st.Name, sout}}
+	if got := r.Comparisons(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Comparisons() = %q, want %q", got, want)
+	}
+	if pt.Name != "Table 1 (ESCAT)" || st.Name != "Table 2 (ESCAT)" {
+		t.Fatalf("ESCAT's tables are named %q and %q", pt.Name, st.Name)
+	}
 }
+
+// TestWriteFiguresOrderAndErrors: WriteFigures hands out each figure's CSV,
+// ASCII and SVG in that order, returns the first error of put or of a
+// write, and hands out nothing after it.
+func TestWriteFiguresOrderAndErrors(t *testing.T) {
+	r, err := Run(SmallStudy(ESCAT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names, want []string
+	for _, fig := range r.Figures() {
+		want = append(want, fig.ID+".csv", fig.ID+".txt", fig.ID+".svg")
+	}
+	if err := r.WriteFigures(func(name string, write func(io.Writer) error) error {
+		names = append(names, name)
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil || buf.Len() == 0 {
+			t.Fatalf("%s: %d bytes, error %v", name, buf.Len(), err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("handed out %q, want %q", names, want)
+	}
+
+	stop := errors.New("stop")
+	for _, fail := range []string{want[0], want[1], want[2]} {
+		calls := 0
+		err := r.WriteFigures(func(name string, write func(io.Writer) error) error {
+			calls++
+			if name == fail {
+				return write(failingWriter{stop})
+			}
+			return write(io.Discard)
+		})
+		if !errors.Is(err, stop) {
+			t.Errorf("%s: error %v, want %v", fail, err, stop)
+		}
+		if n := slices.Index(want, fail) + 1; calls != n {
+			t.Errorf("%s: put called %d times, want %d", fail, calls, n)
+		}
+	}
+}
+
+// failingWriter fails every write with err.
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
 
 // TestPaperExpectationsConsistency checks the registry against the paper:
 // each of Figures 2-17 comes from exactly one app, the app the paper draws it

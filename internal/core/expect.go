@@ -51,6 +51,28 @@ func PaperSizeTables() []PaperSizeTable {
 	return out
 }
 
+// Comparison is one rendered paper-vs-measured table and its name, such as
+// "compare Table 1 (ESCAT)".
+type Comparison struct{ Name, Text string }
+
+// Comparisons renders the paper-vs-measured view of each table the paper
+// publishes for the report's application: the operation tables, then the
+// size tables, each in table order.
+func (r *Report) Comparisons() []Comparison {
+	var out []Comparison
+	for _, pt := range PaperTables() {
+		if pt.App == r.App {
+			out = append(out, Comparison{"compare " + pt.Name, CompareTable(pt, r)})
+		}
+	}
+	for _, st := range PaperSizeTables() {
+		if st.App == r.App {
+			out = append(out, Comparison{"compare " + st.Name, CompareSizeTable(st, r)})
+		}
+	}
+	return out
+}
+
 // compareName names a paper-vs-measured view "Table N (label)" after the
 // "Table N:" that begins the measured table's title.
 func compareName(title, label string) string {

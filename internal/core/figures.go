@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/analysis"
 	"repro/internal/iotrace"
@@ -56,6 +57,37 @@ func (r *Report) Figure(number int) (Figure, error) {
 func (r *Report) figure(f workload.FigureSpec) Figure {
 	return Figure{ID: f.ID, Title: f.Title, LogY: f.Timeline != workload.FileTimeline,
 		Points: timelines[f.Timeline](r.events(f.Phase))}
+}
+
+// WriteFigures renders each figure of Figures and hands its files to put as
+// "<id>.csv", "<id>.txt" (the ASCII plot) and "<id>.svg", in that order: put
+// picks the destination and calls write on it. It stops at put's first error.
+func (r *Report) WriteFigures(put func(name string, write func(io.Writer) error) error) error {
+	for _, fig := range r.Figures() {
+		yLabel := "file id"
+		if fig.LogY {
+			yLabel = "request size"
+		}
+		ascii := analysis.PlotOptions{Title: fig.Title, LogY: fig.LogY, YLabel: yLabel, XLabel: "time"}
+		svg := analysis.SVGOptions{Title: fig.Title, LogY: fig.LogY, YLabel: yLabel, XLabel: "time (s)"}
+		err := put(fig.ID+".csv", func(w io.Writer) error { return analysis.WriteCSV(w, fig.Points) })
+		if err == nil {
+			err = put(fig.ID+".txt", func(w io.Writer) error {
+				_, err := io.WriteString(w, analysis.RenderScatter(fig.Points, ascii))
+				return err
+			})
+		}
+		if err == nil {
+			err = put(fig.ID+".svg", func(w io.Writer) error {
+				_, err := w.Write(analysis.RenderSVG(fig.Points, svg))
+				return err
+			})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Tables renders the report's operation-summary and size tables with the

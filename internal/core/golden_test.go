@@ -6,12 +6,11 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
@@ -19,9 +18,9 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 const paperGolden = "testdata/paper_output.golden"
 
 // paperOutputDigests takes the three paper-scale reports and hashes every
-// rendered artefact: each figure's CSV, ASCII and SVG bytes, each Tables()
-// string, and each paper-vs-measured comparison table. One line per
-// artefact, "name sha256".
+// rendered artefact: each Tables() string, each paper-vs-measured comparison
+// and each figure file WriteFigures hands out (CSV, ASCII and SVG), the
+// bytes paperrepro writes. One line per artefact, "name sha256".
 func paperOutputDigests(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -34,34 +33,18 @@ func paperOutputDigests(t *testing.T) string {
 		for i, tbl := range r.Tables() {
 			line(fmt.Sprintf("%s/table-%d", app, i), []byte(tbl))
 		}
-		for _, pt := range PaperTables() {
-			if pt.App == app {
-				line(fmt.Sprintf("%s/compare %s", app, pt.Name), []byte(CompareTable(pt, r)))
-			}
+		for _, c := range r.Comparisons() {
+			line(fmt.Sprintf("%s/%s", app, c.Name), []byte(c.Text))
 		}
-		for _, st := range PaperSizeTables() {
-			if st.App == app {
-				line(fmt.Sprintf("%s/compare %s", app, st.Name), []byte(CompareSizeTable(st, r)))
+		if err := r.WriteFigures(func(name string, write func(io.Writer) error) error {
+			var buf bytes.Buffer
+			if err := write(&buf); err != nil {
+				return err
 			}
-		}
-		for _, fig := range r.Figures() {
-			var csv bytes.Buffer
-			if err := analysis.WriteCSV(&csv, fig.Points); err != nil {
-				t.Fatal(err)
-			}
-			yl := "file id"
-			if fig.LogY {
-				yl = "request size"
-			}
-			ascii := analysis.RenderScatter(fig.Points, analysis.PlotOptions{
-				Title: fig.Title, LogY: fig.LogY, YLabel: yl, XLabel: "time",
-			})
-			svg := analysis.RenderSVG(fig.Points, analysis.SVGOptions{
-				Title: fig.Title, LogY: fig.LogY, YLabel: yl, XLabel: "time (s)",
-			})
-			line(fmt.Sprintf("%s/%s.csv", app, fig.ID), csv.Bytes())
-			line(fmt.Sprintf("%s/%s.txt", app, fig.ID), []byte(ascii))
-			line(fmt.Sprintf("%s/%s.svg", app, fig.ID), svg)
+			line(fmt.Sprintf("%s/%s", app, name), buf.Bytes())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return b.String()

@@ -31,15 +31,8 @@ func TestHTFFiguresAndTablesPartitionOnce(t *testing.T) {
 	goruntime.ReadMemStats(&ms0)
 	figs := r.Figures()
 	tables := r.Tables()
-	for _, pt := range PaperTables() {
-		if pt.App == HTF {
-			tables = append(tables, CompareTable(pt, r))
-		}
-	}
-	for _, st := range PaperSizeTables() {
-		if st.App == HTF {
-			tables = append(tables, CompareSizeTable(st, r))
-		}
+	for _, c := range r.Comparisons() {
+		tables = append(tables, c.Text)
 	}
 	goruntime.ReadMemStats(&ms1)
 	if len(figs) != 9 || len(tables) != 12 {

@@ -38,8 +38,8 @@ type Options struct {
 	PreserveThinkTime bool
 
 	// ThinkJitter perturbs each preserved think gap by up to ±this
-	// fraction (0 replays the gaps exactly). Jitter models run-to-run
-	// compute variability around the recorded trace; it only applies with
+	// fraction, in [0, 1] (0 replays the gaps exactly). It models run-to-run
+	// compute variability around the recorded trace and only applies with
 	// PreserveThinkTime.
 	ThinkJitter float64
 
@@ -70,14 +70,20 @@ func Run(events []iotrace.Event, opt Options) (*Result, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("replay: empty trace")
 	}
+	if !(opt.ThinkJitter >= 0 && opt.ThinkJitter <= 1) { // NaN fails both
+		return nil, fmt.Errorf("replay: think jitter %v: want a fraction in [0, 1]", opt.ThinkJitter)
+	}
 	if opt.Machine.ComputeNodes == 0 {
 		opt.Machine = workload.DefaultMachineConfig()
 	}
-	// The machine must span every node appearing in the trace.
-	maxNode := 0
+	// The machine must span every node appearing in the trace, and each
+	// file is preloaded at its maximum observed extent so recorded reads
+	// succeed regardless of write order.
+	maxNode, sizes := 0, map[iotrace.FileID]int64{}
 	for _, e := range events {
-		if n := int(e.Node); n > maxNode {
-			maxNode = n
+		maxNode = max(maxNode, int(e.Node))
+		if end := e.Offset + e.Bytes; e.Op.Moves() && end > sizes[e.File] {
+			sizes[e.File] = end
 		}
 	}
 	if opt.Machine.ComputeNodes <= maxNode {
@@ -94,14 +100,6 @@ func Run(events []iotrace.Event, opt Options) (*Result, error) {
 	tracer.Reserve(len(events))
 	m.PFS.SetRecorder(tracer)
 
-	// Preload every file at its maximum observed extent so recorded reads
-	// succeed regardless of write order.
-	sizes := map[iotrace.FileID]int64{}
-	for _, e := range events {
-		if end := e.Offset + e.Bytes; e.Op.Moves() && end > sizes[e.File] {
-			sizes[e.File] = end
-		}
-	}
 	names := map[iotrace.FileID]string{}
 	ids := make([]iotrace.FileID, 0, len(sizes))
 	for id := range sizes {
@@ -150,18 +148,16 @@ func Run(events []iotrace.Event, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// asyncSlot tracks an in-flight replayed asynchronous read.
-type asyncSlot struct {
-	comp *sim.Completion
-}
-
 // replayNode reissues one node's stream. It returns the number of records
 // it had to skip.
 func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]string,
 	node int, stream []iotrace.Event, think bool, rng *sim.RNG, jitter float64) int64 {
 	var skipped int64
 	var prevEnd sim.Time
-	pending := map[iotrace.FileID][]*asyncSlot{}
+	pending := map[iotrace.FileID][]*sim.Completion{} // in-flight async reads
+	cost := m.PFS.Config().Cost
+	meta := [iotrace.NumOps]sim.Time{iotrace.OpOpen: cost.OpenService, iotrace.OpClose: cost.CloseService,
+		iotrace.OpLsize: cost.LsizeService, iotrace.OpFlush: cost.FlushService}
 
 	for i, e := range stream {
 		if think && e.Start > prevEnd {
@@ -175,20 +171,12 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 
 		name, known := names[e.File]
 		switch e.Op {
-		case iotrace.OpRead:
+		case iotrace.OpRead, iotrace.OpWrite:
 			if !known {
 				skipped++
 				continue
 			}
-			if _, err := m.PFS.Access(p, node, name, iotrace.OpRead, e.Offset, e.Bytes); err != nil {
-				skipped++
-			}
-		case iotrace.OpWrite:
-			if !known {
-				skipped++
-				continue
-			}
-			if _, err := m.PFS.Access(p, node, name, iotrace.OpWrite, e.Offset, e.Bytes); err != nil {
+			if _, err := m.PFS.Access(p, node, name, e.Op, e.Offset, e.Bytes); err != nil {
 				skipped++
 			}
 		case iotrace.OpAsyncRead:
@@ -196,30 +184,29 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 				skipped++
 				continue
 			}
-			slot := &asyncSlot{comp: sim.NewCompletion(fmt.Sprintf("replay-ar-%d-%d", node, i))}
-			pending[e.File] = append(pending[e.File], slot)
+			comp := sim.NewCompletion(fmt.Sprintf("replay-ar-%d-%d", node, i))
+			pending[e.File] = append(pending[e.File], comp)
 			off, n := e.Offset, e.Bytes
 			// The issue cost is the configured async-issue overhead.
-			p.Sleep(m.PFS.Config().Cost.AsyncIssue)
+			p.Sleep(cost.AsyncIssue)
 			m.Eng.Spawn(fmt.Sprintf("replay-bg-%d-%d", node, i), func(bg *sim.Process) {
 				m.PFS.Access(bg, node, name, iotrace.OpRead, off, n)
-				slot.comp.Complete(bg)
+				comp.Complete(bg)
 			})
 		case iotrace.OpIOWait:
-			slots := pending[e.File]
-			if len(slots) == 0 {
+			comps := pending[e.File]
+			if len(comps) == 0 {
 				skipped++
 				continue
 			}
-			slot := slots[0]
-			pending[e.File] = slots[1:]
-			slot.comp.Await(p)
+			pending[e.File] = comps[1:]
+			comps[0].Await(p)
 		case iotrace.OpOpen, iotrace.OpClose, iotrace.OpLsize, iotrace.OpFlush:
 			// Metadata operations replay as their configured service cost
 			// without handle bookkeeping (the data path above is
 			// handle-free). Opens/closes contend at the new machine's
 			// metadata server via a raw service visit.
-			replayMeta(p, m, e)
+			m.PFS.MetaVisit(p, node, e.Op, meta[e.Op])
 		case iotrace.OpSeek:
 			// Pointer movement is baked into the recorded offsets.
 		default:
@@ -227,25 +214,10 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 		}
 	}
 	// Drain any un-awaited async reads so the engine can finish cleanly.
-	for _, slots := range pending {
-		for _, s := range slots {
-			s.comp.Await(p)
+	for _, comps := range pending {
+		for _, c := range comps {
+			c.Await(p)
 		}
 	}
 	return skipped
-}
-
-// replayMeta charges a metadata operation's cost on the replay machine.
-func replayMeta(p *sim.Process, m *workload.Machine, e iotrace.Event) {
-	cost, node := m.PFS.Config().Cost, int(e.Node)
-	switch e.Op {
-	case iotrace.OpOpen:
-		m.PFS.MetaVisit(p, node, iotrace.OpOpen, cost.OpenService)
-	case iotrace.OpClose:
-		m.PFS.MetaVisit(p, node, iotrace.OpClose, cost.CloseService)
-	case iotrace.OpLsize:
-		m.PFS.MetaVisit(p, node, iotrace.OpLsize, cost.LsizeService)
-	case iotrace.OpFlush:
-		m.PFS.MetaVisit(p, node, iotrace.OpFlush, cost.FlushService)
-	}
 }

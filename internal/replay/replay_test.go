@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/escat"
@@ -132,6 +134,14 @@ func TestReplayRejectsBadInputs(t *testing.T) {
 	opt.Machine.ComputeNodes = 2 // trace uses 8 nodes
 	if _, err := Run(trace, opt); err == nil {
 		t.Fatal("undersized machine accepted")
+	}
+
+	for _, j := range []float64{-1, 1.5, 5, math.NaN()} {
+		opt := baseOptions()
+		opt.ThinkJitter = j
+		if _, err := Run(trace, opt); err == nil || !strings.Contains(err.Error(), "want a fraction in [0, 1]") {
+			t.Errorf("jitter %v: got %v, want a range error", j, err)
+		}
 	}
 }
 

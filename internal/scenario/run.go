@@ -139,10 +139,14 @@ func RenderFleet(f *Fleet) string {
 		// Group consecutive nodes sharing a template for a compact layout.
 		fmt.Fprintf(&b, "  %d I/O nodes: %s\n", f.IONodes, layout(f.Assignment))
 		byT := map[string]int{}
+		var order []string // templates in first-use order
 		for _, name := range f.Assignment {
+			if byT[name] == 0 {
+				order = append(order, name)
+			}
 			byT[name]++
 		}
-		for _, name := range uniqueInOrder(f.Assignment) {
+		for _, name := range order {
 			fmt.Fprintf(&b, "  template %-12s x%d\n", name, byT[name])
 		}
 	}
@@ -246,16 +250,4 @@ func layout(assign []string) string {
 		i = j + 1
 	}
 	return strings.Join(parts, " ")
-}
-
-func uniqueInOrder(names []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, n := range names {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
 }

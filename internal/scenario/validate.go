@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -21,15 +22,6 @@ var (
 	validExpected = []string{"", "ok", "degraded", "failed"}
 )
 
-func oneOf(v string, allowed []string) bool {
-	for _, a := range allowed {
-		if v == a {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks the scenario's internal consistency — everything knowable
 // without running it. Cross-checks that need the expanded fleet (zone-outage
 // membership) happen in Build.
@@ -40,10 +32,10 @@ func (s *Scenario) Validate() error {
 	if err := s.validateApp(); err != nil {
 		return err
 	}
-	if !oneOf(s.Workload.Scale, validScales) {
+	if !slices.Contains(validScales, s.Workload.Scale) {
 		return fmt.Errorf("workload.scale %q: want small or paper", s.Workload.Scale)
 	}
-	if !oneOf(s.Workload.Policy, validPolicies) {
+	if !slices.Contains(validPolicies, s.Workload.Policy) {
 		return fmt.Errorf("workload.policy %q: want none, ppfs or adaptive", s.Workload.Policy)
 	}
 	if s.Workload.WindowS < 0 {
@@ -178,7 +170,7 @@ func (s *Scenario) validateFleetGen() error {
 		return fmt.Errorf("fleet_gen.templates pin %d nodes by count but the fleet has %d I/O nodes", fixed, ion)
 	}
 	if st := fg.Startup; st != nil {
-		if !oneOf(st.Pattern, validPatterns) {
+		if !slices.Contains(validPatterns, st.Pattern) {
 			return fmt.Errorf("fleet_gen.startup.pattern %q: want instant, linear, exponential or wave", st.Pattern)
 		}
 		if st.OverS < 0 {
@@ -392,7 +384,7 @@ func (s *Scenario) validateAssertions() error {
 	if a == nil {
 		return nil
 	}
-	if !oneOf(a.Expected, validExpected) {
+	if !slices.Contains(validExpected, a.Expected) {
 		return fmt.Errorf("assertions.expected %q: want ok, degraded or failed", a.Expected)
 	}
 	if a.MaxMakespanS < 0 || a.MinMakespanS < 0 {
