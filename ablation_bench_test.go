@@ -227,27 +227,21 @@ func BenchmarkAblationStreamCache(b *testing.B) {
 // populations — the §8 question of how much parallel storage an application
 // pattern can exploit.
 func BenchmarkReplayIONodeSweep(b *testing.B) {
-	trace, err := func() ([]iotrace.Event, error) {
-		r, err := core.Run(core.SmallStudy(core.ESCAT))
-		if err != nil {
-			return nil, err
-		}
-		return r.Events, nil
-	}()
+	r, err := core.Run(core.SmallStudy(core.ESCAT))
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := replay.Config{Trace: r.Events}
 	results := map[int]sim.Time{}
 	for i := 0; i < b.N; i++ {
 		for _, ion := range []int{1, 4, 16} {
 			mc := workload.DefaultMachineConfig()
-			mc.ComputeNodes = 8
 			mc.PFS.IONodes = ion
-			res, err := replay.Run(trace, replay.Options{Machine: mc})
+			res, err := core.Run(core.Study{App: cfg, Machine: mc, KeepTrace: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			results[ion] = res.Makespan
+			results[ion] = res.Wall
 		}
 	}
 	for ion, d := range results {

@@ -84,12 +84,24 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Every output path is made now, so a bad one fails before the study
+	// runs, with nothing printed.
 	if *figures != "" {
-		// A bad -figures fails here, before the study runs.
 		if err := os.MkdirAll(*figures, 0o755); err != nil {
 			return err
 		}
 	}
+	outs := make([]*os.File, 3)
+	for i, name := range []string{*traceFile, *jsonFile, *summaryFile} {
+		if name == "" {
+			continue
+		}
+		if outs[i], err = os.Create(name); err != nil {
+			return err
+		}
+		defer outs[i].Close() // for a failed run: each is closed once written
+	}
+	traceOut, jsonOut, summaryOut := outs[0], outs[1], outs[2]
 	study := rs.Study
 	app := sc.Workload.App
 	if fl := scenario.RenderFleet(fleet); fl != "" {
@@ -133,26 +145,23 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, analysis.RenderResilience(report.Resilience()))
 	}
 
-	if *traceFile != "" {
-		if err := writeFile(*traceFile, func(w io.Writer) error {
-			return sddf.WriteTrace(w, report.Events, *traceASCII)
-		}); err != nil {
+	if traceOut != nil {
+		if err := errors.Join(sddf.WriteTrace(traceOut, report.Events, *traceASCII), traceOut.Close()); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "trace: %d events -> %s\n", len(report.Events), *traceFile)
 	}
 
-	if *jsonFile != "" {
-		if err := writeFile(*jsonFile, report.WriteJSON); err != nil {
+	if jsonOut != nil {
+		if err := errors.Join(report.WriteJSON(jsonOut), jsonOut.Close()); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "json -> %s\n", *jsonFile)
 	}
 
-	if *summaryFile != "" {
-		if err := writeFile(*summaryFile, func(w io.Writer) error {
-			return sddf.WriteSummaries(w, *traceASCII, report.Lifetime, report.Windows, report.Wall)
-		}); err != nil {
+	if summaryOut != nil {
+		err := sddf.WriteSummaries(summaryOut, *traceASCII, report.Lifetime, report.Windows, report.Wall)
+		if err := errors.Join(err, summaryOut.Close()); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "summaries -> %s\n", *summaryFile)
@@ -162,23 +171,17 @@ func run(args []string, out io.Writer) error {
 		files := 0
 		if err := report.WriteFigures(func(name string, write func(io.Writer) error) error {
 			files++
-			return writeFile(filepath.Join(*figures, name), write)
+			f, err := os.Create(filepath.Join(*figures, name))
+			if err != nil {
+				return err
+			}
+			return errors.Join(write(f), f.Close())
 		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "figures: %d -> %s\n", files/3, *figures)
 	}
 	return nil
-}
-
-// writeFile creates name, hands it to write and closes it on every path. It
-// returns the errors of both.
-func writeFile(name string, write func(io.Writer) error) error {
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	return errors.Join(write(f), f.Close())
 }
 
 // outputFlags shape what iochar writes, not the study it runs: the only flags

@@ -213,18 +213,30 @@ func TestSmokeFiguresWritesCSVAndTextPerFigure(t *testing.T) {
 }
 
 // TestBadFiguresDirFailsBeforeTheRun: a -figures path that cannot be a
-// directory fails before the study runs, so nothing is printed.
+// directory, or a -json, -trace or -summaries file that cannot be created,
+// fails before the study runs, so nothing is printed.
 func TestBadFiguresDirFailsBeforeTheRun(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := run([]string{"-small", "-figures", file}, &buf); err == nil || !strings.Contains(err.Error(), "not a directory") {
-		t.Errorf("got %v, want a not-a-directory error", err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("printed output before failing:\n%.400s", buf.String())
+	missing := filepath.Join(t.TempDir(), "nonexistent", "x")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-small", "-figures", file}, "not a directory"},
+		{[]string{"-small", "-json", missing + ".json"}, "no such file or directory"},
+		{[]string{"-small", "-trace", missing + ".sddf"}, "no such file or directory"},
+		{[]string{"-small", "-summaries", missing + ".sddf"}, "no such file or directory"},
+	} {
+		var buf bytes.Buffer
+		if err := run(tc.args, &buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want %q", tc.args, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: printed output before failing:\n%.400s", tc.args, buf.String())
+		}
 	}
 }
 

@@ -7,6 +7,7 @@
 // It prints the replayed operation summary, the makespan, and (with -sweep)
 // an I/O-node scaling table. With -jitter the preserved think gaps are
 // perturbed by a seeded random fraction (-seed picks the perturbation).
+// Each replay is a study like any other, run through core.Run.
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/replay"
 	"repro/internal/sddf"
 	"repro/internal/workload"
@@ -60,45 +62,39 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	compute := *nodes
-	if compute == 0 {
-		for _, e := range trace {
-			compute = max(compute, int(e.Node)+1)
-		}
+	cfg := replay.Config{
+		Trace: trace, Nodes: *nodes, PreserveThinkTime: *think,
+		ThinkJitter: *jitter, Seed: *seed,
 	}
-
-	mkOpt := func(ion int) replay.Options {
+	replayOn := func(ion int) (*core.Report, error) {
 		mc := workload.DefaultMachineConfig()
-		mc.ComputeNodes = compute
 		mc.PFS.IONodes = ion
 		mc.PFS.StripeUnit = *stripe
-		return replay.Options{
-			Machine: mc, PreserveThinkTime: *think,
-			ThinkJitter: *jitter, Seed: *seed,
-		}
+		return core.Run(core.Study{App: cfg, Machine: mc, KeepTrace: true})
 	}
+	skipped := cfg.Skipped()
 
 	if *sweep {
 		fmt.Fprintf(out, "%-10s %12s %14s %10s\n", "I/O nodes", "makespan", "I/O node-time", "skipped")
 		for _, ion := range []int{1, 2, 4, 8, 16, 32, 64} {
-			res, err := replay.Run(trace, mkOpt(ion))
+			r, err := replayOn(ion)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "%-10d %11.2fs %13.2fs %10d\n",
-				ion, res.Makespan.Seconds(), res.Summary.Total.NodeTime.Seconds(), res.Skipped)
+				ion, r.Wall.Seconds(), r.Summary.Total.NodeTime.Seconds(), skipped)
 		}
 		return nil
 	}
 
-	res, err := replay.Run(trace, mkOpt(*ionodes))
+	r, err := replayOn(*ionodes)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "replayed %d events on %d compute + %d I/O nodes (stripe %s)\n",
-		len(trace), compute, *ionodes, humanStripe(*stripe))
-	fmt.Fprintf(out, "makespan: %.2f s, skipped: %d\n\n", res.Makespan.Seconds(), res.Skipped)
-	fmt.Fprintln(out, res.Summary.Render("Replayed operation summary"))
+		len(trace), cfg.ComputeNodes(), *ionodes, humanStripe(*stripe))
+	fmt.Fprintf(out, "makespan: %.2f s, skipped: %d\n\n", r.Wall.Seconds(), skipped)
+	fmt.Fprintln(out, r.Summary.Render("Replayed operation summary"))
 	return nil
 }
 

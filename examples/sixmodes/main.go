@@ -3,122 +3,63 @@
 // eight 4 KB records to a shared file. It prints, per mode, where each
 // node's data landed and what the access discipline cost — the §8 point
 // that mode choice (i.e. synchronization discipline) dominates small-request
-// performance on a parallel file system.
+// performance on a parallel file system. Each mode runs as a study of the
+// synthetic one-shared-file workload.
 package main
 
 import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/iotrace"
-	"repro/internal/pablo"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-const (
-	nodes   = 8
-	records = 8
-	recSize = 4096
-)
+// modes pairs each PFS mode with the discipline it imposes.
+var modes = []struct {
+	mode iotrace.AccessMode
+	note string
+}{
+	{iotrace.ModeUnix, "independent pointers, POSIX atomicity (file token serializes)"},
+	{iotrace.ModeLog, "shared pointer, first-come-first-served appends"},
+	{iotrace.ModeSync, "shared pointer, strict node-number order"},
+	{iotrace.ModeRecord, "fixed records interleaved node-major: record j*N+k"},
+	{iotrace.ModeGlobal, "all nodes get the same data, one physical read per round"},
+	{iotrace.ModeAsync, "independent pointers, no atomicity: full overlap"},
+}
 
 func main() {
 	log.SetFlags(0)
 	fmt.Println("Eight nodes, eight 4 KB records each, one shared file — per PFS mode:")
 	fmt.Printf("%-10s %10s %10s   %s\n", "mode", "wall", "node0@", "discipline")
-
-	modes := []iotrace.AccessMode{
-		iotrace.ModeUnix, iotrace.ModeLog, iotrace.ModeSync,
-		iotrace.ModeRecord, iotrace.ModeGlobal, iotrace.ModeAsync,
-	}
-	for _, mode := range modes {
-		wall, node0First, note := runMode(mode)
-		fmt.Printf("%-10s %9.2fs %10d   %s\n", mode, wall.Seconds(), node0First, note)
+	for _, m := range modes {
+		wall, node0First := runMode(m.mode)
+		fmt.Printf("%-10s %9.2fs %10d   %s\n", m.mode, wall.Seconds(), node0First, m.note)
 	}
 }
 
-// runMode executes the workload under one mode and reports the makespan,
-// the offset node 0's first record landed at, and a semantics note.
-func runMode(mode iotrace.AccessMode) (sim.Time, int64, string) {
-	m, err := workload.NewMachine(workload.MachineConfig{
-		ComputeNodes: nodes,
-		PFS:          pfs.DefaultConfig(),
+// runMode runs the workload under one mode and reports its wall clock (each
+// node's last operation is its close) and the offset node 0's first record
+// landed at. M_GLOBAL is a read discipline (all nodes fetch the same data),
+// so the synthetic workload reads a preloaded file there instead of writing.
+func runMode(mode iotrace.AccessMode) (sim.Time, int64) {
+	r, err := core.Run(core.Study{
+		App: workload.SyntheticConfig{
+			Nodes: 8, Mode: mode, RecordBytes: 4096, Records: 8,
+		},
+		Machine:   workload.MachineConfig{PFS: pfs.DefaultConfig()},
+		KeepTrace: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := pablo.NewTracer(true)
-	m.PFS.SetRecorder(tr)
-	name := "shared-" + mode.String()
-
-	if mode == iotrace.ModeGlobal {
-		// M_GLOBAL is a read discipline (all nodes fetch the same data):
-		// demonstrate with reads of a preloaded file instead of writes.
-		m.PFS.Preload(name, records*recSize)
-	} else {
-		m.PFS.Preload(name, 0)
-	}
-
-	for node := 0; node < nodes; node++ {
-		node := node
-		m.Eng.Spawn(fmt.Sprintf("n%d", node), func(p *sim.Process) {
-			var h *pfs.Handle
-			var err error
-			if mode == iotrace.ModeRecord {
-				h, err = m.PFS.OpenRecord(p, node, name, recSize)
-			} else {
-				h, err = m.PFS.Open(p, node, name, mode)
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			if mode == iotrace.ModeUnix || mode == iotrace.ModeAsync {
-				// Independent pointers: the application computes disjoint
-				// regions itself.
-				if _, err := h.Seek(p, int64(node)*records*recSize, pfs.SeekStart); err != nil {
-					log.Fatal(err)
-				}
-			}
-			for r := 0; r < records; r++ {
-				if mode == iotrace.ModeGlobal {
-					_, err = h.Read(p, recSize)
-				} else {
-					_, err = h.Write(p, recSize)
-				}
-				if err != nil {
-					log.Fatal(err)
-				}
-			}
-		})
-	}
-	if err := m.Eng.Run(); err != nil {
-		log.Fatal(err)
-	}
-
-	var node0First int64 = -1
-	for _, e := range tr.Events() {
-		if e.Node == 0 && e.Op.Moves() && node0First == -1 {
-			node0First = e.Offset
+	for _, e := range r.Events {
+		if e.Node == 0 && e.Op.Moves() {
+			return r.Wall, e.Offset
 		}
 	}
-	return m.Eng.Now(), node0First, semantics(mode)
-}
-
-func semantics(mode iotrace.AccessMode) string {
-	switch mode {
-	case iotrace.ModeUnix:
-		return "independent pointers, POSIX atomicity (file token serializes)"
-	case iotrace.ModeLog:
-		return "shared pointer, first-come-first-served appends"
-	case iotrace.ModeSync:
-		return "shared pointer, strict node-number order"
-	case iotrace.ModeRecord:
-		return "fixed records interleaved node-major: record j*N+k"
-	case iotrace.ModeGlobal:
-		return "all nodes get the same data, one physical read per round"
-	case iotrace.ModeAsync:
-		return "independent pointers, no atomicity: full overlap"
-	}
-	return ""
+	return r.Wall, -1
 }

@@ -5,32 +5,41 @@
 // access patterns", §1). A trace captured from one simulated machine (or
 // loaded from an SDDF file) can be replayed with a different I/O-node
 // count, striping unit, disk model, or cost model, answering "what would
-// this application's I/O have cost on that configuration?".
+// this application's I/O have cost on that configuration?". Config is a
+// workload.AppConfig, so a replay runs through core.Run like any app.
 //
 // Replay preserves the logical request stream: every data-moving operation
 // is reissued at its recorded offset and size by its recorded node, in the
 // recorded per-node order, with the recorded inter-request think time
 // (optionally). Pointer bookkeeping (seeks) and mode synchronization are
 // already baked into the recorded offsets, so replays issue raw positioned
-// requests; the opens, closes and metadata operations are replayed against
-// the new machine's metadata service.
+// requests to the machine's PFS, beneath any client layer; the opens,
+// closes and metadata operations are replayed against the new machine's
+// metadata service. A replayed report keeps the original's size buckets,
+// its Write, Open, Close, Lsize and Forflush rows, and its Read and
+// AsynchRead rows taken together. It has no Seek, AsynchRead or I/O Wait
+// row: seeks are not reissued, an asynchronous read is reissued as a
+// background read, and a wait blocks on that read without a record.
 package replay
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/analysis"
 	"repro/internal/iotrace"
-	"repro/internal/pablo"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Options configures a replay.
-type Options struct {
-	// Machine is the configuration to replay against.
-	Machine workload.MachineConfig
+// Config is a replay of one trace: a workload.AppConfig.
+type Config struct {
+	// Trace is the application-level trace to replay (a Report's Events or
+	// an SDDF file's contents).
+	Trace []iotrace.Event
+
+	// Nodes is the compute partition; 0 sizes it to 1 + the highest traced
+	// node.
+	Nodes int
 
 	// PreserveThinkTime keeps the trace's inter-request gaps per node
 	// (compute time); false issues each node's requests back to back,
@@ -43,116 +52,175 @@ type Options struct {
 	// PreserveThinkTime.
 	ThinkJitter float64
 
-	// Seed drives the jitter streams: the same (trace, options) replay is
+	// Seed drives the jitter streams: the same (trace, config) replay is
 	// bit-identical, a different seed gives an independent perturbation.
 	Seed uint64
 }
 
-// Result is the outcome of a replay.
-type Result struct {
-	// Events is the replayed trace: same logical stream, new timings.
-	Events []iotrace.Event
-
-	// Makespan is the replay's simulated duration.
-	Makespan sim.Time
-
-	// Summary is the operation summary over the replayed events.
-	Summary analysis.OpSummary
-
-	// Skipped counts trace records that could not be replayed (e.g.
-	// closes without a matching open in a sliced trace).
-	Skipped int64
-}
-
-// Run replays events (an application-level trace, e.g. a Report's Events or
-// an SDDF file's contents) against the machine in opt.
-func Run(events []iotrace.Event, opt Options) (*Result, error) {
-	if len(events) == 0 {
+// New implements workload.AppConfig: it validates the configuration and
+// plans the replay.
+func (c Config) New() (workload.App, error) {
+	if len(c.Trace) == 0 {
 		return nil, fmt.Errorf("replay: empty trace")
 	}
-	if !(opt.ThinkJitter >= 0 && opt.ThinkJitter <= 1) { // NaN fails both
-		return nil, fmt.Errorf("replay: think jitter %v: want a fraction in [0, 1]", opt.ThinkJitter)
+	if !(c.ThinkJitter >= 0 && c.ThinkJitter <= 1) { // NaN fails both
+		return nil, fmt.Errorf("replay: think jitter %v: want a fraction in [0, 1]", c.ThinkJitter)
 	}
-	if opt.Machine.ComputeNodes == 0 {
-		opt.Machine = workload.DefaultMachineConfig()
-	}
-	// The machine must span every node appearing in the trace, and each
-	// file is preloaded at its maximum observed extent so recorded reads
-	// succeed regardless of write order.
-	maxNode, sizes := 0, map[iotrace.FileID]int64{}
-	for _, e := range events {
-		maxNode = max(maxNode, int(e.Node))
-		if end := e.Offset + e.Bytes; e.Op.Moves() && end > sizes[e.File] {
-			sizes[e.File] = end
-		}
-	}
-	if opt.Machine.ComputeNodes <= maxNode {
-		return nil, fmt.Errorf("replay: trace uses node %d, machine has %d nodes",
-			maxNode, opt.Machine.ComputeNodes)
-	}
-	m, err := workload.NewMachine(opt.Machine)
-	if err != nil {
+	if _, err := c.WithNodes(c.ComputeNodes()); err != nil {
 		return nil, err
 	}
-	// Every replayed record yields at most one event (seeks and waits
-	// yield none), so the capture buffer never regrows.
-	tracer := pablo.NewTracer(true)
-	tracer.Reserve(len(events))
-	m.PFS.SetRecorder(tracer)
+	return &app{cfg: c, plan: newPlan(c.Trace)}, nil
+}
 
-	names := map[iotrace.FileID]string{}
-	ids := make([]iotrace.FileID, 0, len(sizes))
-	for id := range sizes {
-		ids = append(ids, id)
+// ComputeNodes implements workload.AppConfig.
+func (c Config) ComputeNodes() int {
+	if c.Nodes != 0 {
+		return c.Nodes
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		names[id] = fmt.Sprintf("replay-file-%d", id)
-		if _, err := m.PFS.Preload(names[id], sizes[id]); err != nil {
-			return nil, err
+	return highestNode(c.Trace) + 1
+}
+
+// WithNodes implements workload.AppConfig: the partition must span every
+// traced node.
+func (c Config) WithNodes(n int) (workload.AppConfig, error) {
+	if top := highestNode(c.Trace); n <= top {
+		return nil, fmt.Errorf("replay: trace uses node %d, machine has %d nodes", top, n)
+	}
+	c.Nodes = n
+	return c, nil
+}
+
+// WithCkpt implements workload.AppConfig: a replay has no work loop to
+// checkpoint.
+func (c Config) WithCkpt(workload.Checkpointer) (workload.AppConfig, bool) { return c, false }
+
+// OutputPrefixes implements workload.AppConfig: a replay routes nothing
+// through the burst log by name.
+func (Config) OutputPrefixes() []string { return nil }
+
+// Skipped returns the number of trace records the replay skips, which the
+// trace alone decides: a read, write or asynchronous read of a file no
+// data-moving record sizes, a zero-byte asynchronous read, a wait with no
+// issued read, or an unknown operation (a sliced trace has such records).
+func (c Config) Skipped() int64 { return newPlan(c.Trace).skipped }
+
+func highestNode(trace []iotrace.Event) int {
+	top := 0
+	for _, e := range trace {
+		top = max(top, int(e.Node))
+	}
+	return top
+}
+
+// plan is a replay decided from its trace before the run.
+type plan struct {
+	// streams is the trace split per node, in order, each record the replay
+	// skips turned into a seek: like a seek, it keeps its think gap and
+	// issues nothing.
+	streams [][]iotrace.Event
+	// sizes is each file's preload extent, its largest recorded
+	// data-moving end, so recorded reads succeed regardless of write order.
+	sizes   map[iotrace.FileID]int64
+	events  int // one per replayed read, write, async read and metadata operation
+	skipped int64
+}
+
+func newPlan(trace []iotrace.Event) plan {
+	pl := plan{streams: make([][]iotrace.Event, highestNode(trace)+1), sizes: map[iotrace.FileID]int64{}}
+	for _, e := range trace {
+		if end := e.Offset + e.Bytes; e.Op.Moves() && end > pl.sizes[e.File] {
+			pl.sizes[e.File] = end
 		}
 	}
+	type stream struct {
+		node int32
+		file iotrace.FileID
+	}
+	pending := map[stream]int{} // issued, unawaited async reads
+	for _, e := range trace {
+		_, known := pl.sizes[e.File]
+		s := stream{e.Node, e.File}
+		switch op := e.Op; {
+		case op == iotrace.OpSeek:
+		case op == iotrace.OpIOWait && pending[s] > 0:
+			pending[s]--
+		case op == iotrace.OpAsyncRead && known && e.Bytes > 0:
+			pending[s]++
+			pl.events++
+		case (op == iotrace.OpRead || op == iotrace.OpWrite) && known,
+			op == iotrace.OpOpen, op == iotrace.OpClose, op == iotrace.OpLsize, op == iotrace.OpFlush:
+			pl.events++
+		default:
+			// A data-moving record of an unsized file, a zero-byte async
+			// read, a wait with no issued read, or an unknown operation.
+			e.Op = iotrace.OpSeek
+			pl.skipped++
+		}
+		pl.streams[e.Node] = append(pl.streams[e.Node], e)
+	}
+	return pl
+}
 
-	// Split the trace into per-node streams, preserving order.
-	streams := map[int][]iotrace.Event{}
-	for _, e := range events {
-		streams[int(e.Node)] = append(streams[int(e.Node)], e)
+// app is one replay run.
+type app struct {
+	cfg  Config
+	plan plan
+	errs *workload.NodeErrors
+}
+
+// Name implements workload.App.
+func (a *app) Name() string { return "replay" }
+
+// TraceEvents implements workload.App: the trace minus its seeks, its
+// matched waits and its skipped records.
+func (a *app) TraceEvents() int { return a.plan.events }
+
+// Err returns the first node failure, if any.
+func (a *app) Err() error { return a.errs.Err() }
+
+// Launch implements workload.App: it preloads every replayed file at its
+// extent and spawns one process per traced node.
+func (a *app) Launch(m *workload.Machine, _ workload.FS) error {
+	a.errs = workload.NewNodeErrors(m.Eng)
+	ids := make([]iotrace.FileID, 0, len(a.plan.sizes))
+	for id := range a.plan.sizes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	names := make(map[iotrace.FileID]string, len(ids))
+	for _, id := range ids {
+		names[id] = fmt.Sprintf("replay-file-%d", id)
+		if _, err := m.PFS.Preload(names[id], a.plan.sizes[id]); err != nil {
+			return err
+		}
 	}
 
 	// Spawn in node order: each node draws its jitter stream from the
 	// shared seed in a fixed sequence, and event-time ties break the same
 	// way on every run.
-	nodeIDs := make([]int, 0, len(streams))
-	for node := range streams {
-		nodeIDs = append(nodeIDs, node)
-	}
-	sort.Ints(nodeIDs)
-	base := sim.NewRNG(opt.Seed)
-	res := &Result{}
-	for _, node := range nodeIDs {
-		node, stream := node, streams[node]
+	think, jitter := a.cfg.PreserveThinkTime, a.cfg.ThinkJitter
+	base := sim.NewRNG(a.cfg.Seed)
+	for node, stream := range a.plan.streams {
+		if len(stream) == 0 {
+			continue
+		}
 		var rng *sim.RNG
-		if opt.PreserveThinkTime && opt.ThinkJitter > 0 {
+		if think && jitter > 0 {
 			rng = base.Split()
 		}
 		m.Eng.Spawn(fmt.Sprintf("replay-n%d", node), func(p *sim.Process) {
-			res.Skipped += replayNode(p, m, names, node, stream, opt.PreserveThinkTime, rng, opt.ThinkJitter)
+			if err := replayNode(p, m, names, node, stream, think, rng, jitter); err != nil {
+				a.errs.Addf("node %d: %w", node, err)
+			}
 		})
 	}
-	if err := m.Eng.Run(); err != nil {
-		return nil, err
-	}
-	res.Events = tracer.Events()
-	res.Makespan = m.Eng.Now()
-	res.Summary = analysis.Summarize(res.Events)
-	return res, nil
+	return nil
 }
 
-// replayNode reissues one node's stream. It returns the number of records
-// it had to skip.
+// replayNode reissues one node's planned stream. It returns the first
+// failed access.
 func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]string,
-	node int, stream []iotrace.Event, think bool, rng *sim.RNG, jitter float64) int64 {
-	var skipped int64
+	node int, stream []iotrace.Event, think bool, rng *sim.RNG, jitter float64) error {
 	var prevEnd sim.Time
 	pending := map[iotrace.FileID][]*sim.Completion{} // in-flight async reads
 	cost := m.PFS.Config().Cost
@@ -169,21 +237,13 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 		}
 		prevEnd = e.End
 
-		name, known := names[e.File]
+		name := names[e.File]
 		switch e.Op {
 		case iotrace.OpRead, iotrace.OpWrite:
-			if !known {
-				skipped++
-				continue
-			}
 			if _, err := m.PFS.Access(p, node, name, e.Op, e.Offset, e.Bytes); err != nil {
-				skipped++
+				return err
 			}
 		case iotrace.OpAsyncRead:
-			if !known || e.Bytes == 0 {
-				skipped++
-				continue
-			}
 			comp := sim.NewCompletion(fmt.Sprintf("replay-ar-%d-%d", node, i))
 			pending[e.File] = append(pending[e.File], comp)
 			off, n := e.Offset, e.Bytes
@@ -195,10 +255,6 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 			})
 		case iotrace.OpIOWait:
 			comps := pending[e.File]
-			if len(comps) == 0 {
-				skipped++
-				continue
-			}
 			pending[e.File] = comps[1:]
 			comps[0].Await(p)
 		case iotrace.OpOpen, iotrace.OpClose, iotrace.OpLsize, iotrace.OpFlush:
@@ -208,9 +264,8 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 			// metadata server via a raw service visit.
 			m.PFS.MetaVisit(p, node, e.Op, meta[e.Op])
 		case iotrace.OpSeek:
-			// Pointer movement is baked into the recorded offsets.
-		default:
-			skipped++
+			// Pointer movement is baked into the recorded offsets; a
+			// skipped record is planned as a seek.
 		}
 	}
 	// Drain any un-awaited async reads so the engine can finish cleanly.
@@ -219,5 +274,5 @@ func replayNode(p *sim.Process, m *workload.Machine, names map[iotrace.FileID]st
 			c.Await(p)
 		}
 	}
-	return skipped
+	return nil
 }

@@ -1,11 +1,12 @@
 package replay
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/apps/escat"
 	"repro/internal/core"
 	"repro/internal/iotrace"
 	"repro/internal/pfs"
@@ -13,109 +14,128 @@ import (
 	"repro/internal/workload"
 )
 
+// smallApps are the applications whose reduced runs the replay tests capture.
+var smallApps = []core.AppID{core.ESCAT, core.RENDER, core.HTF}
+
+// smallRun runs app's reduced study: its trace and the machine it ran on.
+func smallRun(t testing.TB, app core.AppID) (*core.Report, workload.MachineConfig) {
+	t.Helper()
+	s := core.SmallStudy(app)
+	r, err := core.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, s.Machine
+}
+
 // smallTrace captures a reduced ESCAT run's application trace.
 func smallTrace(t testing.TB) []iotrace.Event {
 	t.Helper()
-	r, err := core.Run(core.SmallStudy(core.ESCAT))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := smallRun(t, core.ESCAT)
 	return r.Events
 }
 
-func baseOptions() Options {
-	mc := escat.MachineConfig()
-	mc.ComputeNodes = escat.SmallConfig().Nodes
-	return Options{Machine: mc, PreserveThinkTime: true}
-}
+// escatMachine is the machine the reduced ESCAT run uses.
+func escatMachine() workload.MachineConfig { return core.SmallStudy(core.ESCAT).Machine }
 
-func TestReplayPreservesLogicalStream(t *testing.T) {
-	trace := smallTrace(t)
-	res, err := Run(trace, baseOptions())
+// run replays cfg on mc through core.Run.
+func run(t testing.TB, cfg Config, mc workload.MachineConfig) *core.Report {
+	t.Helper()
+	r, err := core.Run(core.Study{App: cfg, Machine: mc, KeepTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Skipped != 0 {
-		t.Fatalf("skipped %d records", res.Skipped)
-	}
-	// Data-moving counts and bytes survive the replay exactly.
-	orig := map[iotrace.Op][2]int64{}
-	replayed := map[iotrace.Op][2]int64{}
-	for _, e := range trace {
-		if e.Op.Moves() {
-			v := orig[e.Op]
-			orig[e.Op] = [2]int64{v[0] + 1, v[1] + e.Bytes}
+	return r
+}
+
+// opTally is each operation class's count and bytes over a trace, an
+// asynchronous read tallied as a read.
+func opTally(events []iotrace.Event) [iotrace.NumOps][2]int64 {
+	var tally [iotrace.NumOps][2]int64
+	for _, e := range events {
+		op := e.Op
+		if op == iotrace.OpAsyncRead {
+			op = iotrace.OpRead
 		}
+		tally[op][0]++
+		tally[op][1] += e.Bytes
 	}
-	for _, e := range res.Events {
-		if e.Op.Moves() {
-			v := replayed[e.Op]
-			replayed[e.Op] = [2]int64{v[0] + 1, v[1] + e.Bytes}
+	return tally
+}
+
+// TestReplayPreservesLogicalStream is the replay oracle: replaying each
+// small app's own trace on the machine it ran on, with its think time,
+// keeps its request-size table, its Read-plus-AsynchRead count and bytes,
+// and its Write, Open, Close, Lsize and Forflush rows. Seeks, AsynchRead
+// and I/O Wait rows do not survive a replay (see the package doc), so the
+// replay records none of them.
+func TestReplayPreservesLogicalStream(t *testing.T) {
+	kept := []iotrace.Op{iotrace.OpRead, iotrace.OpWrite, iotrace.OpOpen,
+		iotrace.OpClose, iotrace.OpLsize, iotrace.OpFlush}
+	for _, app := range smallApps {
+		orig, mc := smallRun(t, app)
+		cfg := Config{Trace: orig.Events, PreserveThinkTime: true}
+		if n := cfg.Skipped(); n != 0 {
+			t.Fatalf("%s: skipped %d records", app, n)
 		}
-	}
-	for op, want := range orig {
-		if replayed[op] != want {
-			t.Errorf("%v: replayed %v, want %v", op, replayed[op], want)
+		r := run(t, cfg, mc)
+		for _, h := range [][2][]int64{
+			{orig.Sizes.Read.Buckets(), r.Sizes.Read.Buckets()},
+			{orig.Sizes.Write.Buckets(), r.Sizes.Write.Buckets()},
+		} {
+			if !slices.Equal(h[0], h[1]) {
+				t.Errorf("%s: size buckets %v, want %v", app, h[1], h[0])
+			}
 		}
-	}
-	if res.Makespan <= 0 {
-		t.Fatal("no makespan")
+		want, got := opTally(orig.Events), opTally(r.Events)
+		for _, op := range kept {
+			if got[op] != want[op] {
+				t.Errorf("%s %v: replayed count and bytes %v, want %v", app, op, got[op], want[op])
+			}
+		}
+		for _, op := range []iotrace.Op{iotrace.OpSeek, iotrace.OpAsyncRead, iotrace.OpIOWait} {
+			if row := r.Summary.Row(op.String()); row != nil {
+				t.Errorf("%s: replay has a %s row: %+v", app, op, *row)
+			}
+		}
+		if r.Wall <= 0 {
+			t.Fatalf("%s: no wall clock", app)
+		}
 	}
 }
 
 func TestReplayWithoutThinkTimeIsFaster(t *testing.T) {
 	trace := smallTrace(t)
-	with, err := Run(trace, baseOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := baseOptions()
-	opt.PreserveThinkTime = false
-	without, err := Run(trace, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.Makespan >= with.Makespan {
+	with := run(t, Config{Trace: trace, PreserveThinkTime: true}, escatMachine())
+	without := run(t, Config{Trace: trace}, escatMachine())
+	if without.Wall >= with.Wall {
 		t.Fatalf("back-to-back replay (%v) not faster than think-time replay (%v)",
-			without.Makespan, with.Makespan)
+			without.Wall, with.Wall)
 	}
 }
 
 func TestReplayMoreIONodesCutsIOTime(t *testing.T) {
-	trace := smallTrace(t)
-	opt := baseOptions()
-	opt.PreserveThinkTime = false
-
-	narrow := opt
-	narrow.Machine.PFS.IONodes = 1
-	wide := opt
-	wide.Machine.PFS.IONodes = 16
-
-	nres, err := Run(trace, narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wres, err := Run(trace, wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wres.Makespan >= nres.Makespan {
-		t.Fatalf("16 I/O nodes (%v) not faster than 1 (%v)", wres.Makespan, nres.Makespan)
+	// Neither machine names a compute partition: the replay sizes it, and
+	// each machine's PFS is used as given.
+	cfg := Config{Trace: smallTrace(t)}
+	narrow, wide := escatMachine(), escatMachine()
+	narrow.ComputeNodes, wide.ComputeNodes = 0, 0
+	narrow.PFS.IONodes = 1
+	wide.PFS.IONodes = 16
+	nres, wres := run(t, cfg, narrow), run(t, cfg, wide)
+	if wres.Wall >= nres.Wall {
+		t.Fatalf("16 I/O nodes (%v) not faster than 1 (%v)", wres.Wall, nres.Wall)
 	}
 }
 
 func TestReplayCostModelSweep(t *testing.T) {
 	// Replaying on a machine with free metadata operations must shrink
 	// open/close time to ~client overhead.
-	trace := smallTrace(t)
-	opt := baseOptions()
-	opt.Machine.PFS.Cost.OpenService = 0
-	opt.Machine.PFS.Cost.CloseService = 0
-	res, err := Run(trace, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := res.Summary.Row("Open")
+	mc := escatMachine()
+	mc.PFS.Cost.OpenService = 0
+	mc.PFS.Cost.CloseService = 0
+	r := run(t, Config{Trace: smallTrace(t), PreserveThinkTime: true}, mc)
+	open := r.Summary.Row("Open")
 	if open == nil {
 		t.Fatal("no open row")
 	}
@@ -126,33 +146,29 @@ func TestReplayCostModelSweep(t *testing.T) {
 }
 
 func TestReplayRejectsBadInputs(t *testing.T) {
-	if _, err := Run(nil, baseOptions()); err == nil {
-		t.Fatal("empty trace accepted")
+	if _, err := (Config{}).New(); err == nil || !strings.Contains(err.Error(), "empty trace") {
+		t.Fatalf("empty trace: got %v", err)
 	}
 	trace := smallTrace(t)
-	opt := baseOptions()
-	opt.Machine.ComputeNodes = 2 // trace uses 8 nodes
-	if _, err := Run(trace, opt); err == nil {
-		t.Fatal("undersized machine accepted")
+	// The trace uses 8 nodes: a 2-node partition misses some, as a
+	// setting and as a resize.
+	undersized := Config{Trace: trace, Nodes: 2}
+	if _, err := core.Run(core.Study{App: undersized, Machine: escatMachine()}); err == nil ||
+		!strings.Contains(err.Error(), "trace uses node 7, machine has 2 nodes") {
+		t.Errorf("undersized machine: got %v", err)
+	}
+	if _, err := (Config{Trace: trace}).WithNodes(2); err == nil {
+		t.Error("WithNodes(2) accepted")
+	}
+	if c, err := (Config{Trace: trace}).WithNodes(16); err != nil || c.ComputeNodes() != 16 {
+		t.Errorf("WithNodes(16): %v, %v", c, err)
 	}
 
 	for _, j := range []float64{-1, 1.5, 5, math.NaN()} {
-		opt := baseOptions()
-		opt.ThinkJitter = j
-		if _, err := Run(trace, opt); err == nil || !strings.Contains(err.Error(), "want a fraction in [0, 1]") {
+		if _, err := (Config{Trace: trace, ThinkJitter: j}).New(); err == nil ||
+			!strings.Contains(err.Error(), "want a fraction in [0, 1]") {
 			t.Errorf("jitter %v: got %v, want a range error", j, err)
 		}
-	}
-}
-
-func TestReplayDefaultsMachine(t *testing.T) {
-	trace := smallTrace(t)
-	res, err := Run(trace, Options{PreserveThinkTime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan <= 0 {
-		t.Fatal("no makespan with defaulted machine")
 	}
 }
 
@@ -164,41 +180,32 @@ func TestReplaySlicedTraceSkipsGracefully(t *testing.T) {
 		{Node: 0, Op: iotrace.OpRead, File: 1, Offset: 0, Bytes: 1000,
 			Start: sim.Second, End: 2 * sim.Second},
 	}
-	mc := workload.MachineConfig{ComputeNodes: 2, PFS: pfs.DefaultConfig()}
-	res, err := Run(trace, Options{Machine: mc})
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{Trace: trace, Nodes: 2}
+	if n := cfg.Skipped(); n != 1 {
+		t.Fatalf("skipped %d, want 1", n)
 	}
-	if res.Skipped != 1 {
-		t.Fatalf("skipped %d, want 1", res.Skipped)
+	r := run(t, cfg, workload.MachineConfig{PFS: pfs.DefaultConfig()})
+	if len(r.Events) != 1 || cap(r.Events) != 1 {
+		t.Fatalf("replayed %d events into cap %d, want the one read", len(r.Events), cap(r.Events))
 	}
 }
 
 func TestReplayThinkJitterSeeded(t *testing.T) {
 	trace := smallTrace(t)
-	jittered := func(seed uint64) sim.Time {
-		opt := baseOptions()
-		opt.ThinkJitter = 0.3
-		opt.Seed = seed
-		res, err := Run(trace, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Makespan
+	replayed := func(jitter float64, seed uint64) sim.Time {
+		cfg := Config{Trace: trace, PreserveThinkTime: true, ThinkJitter: jitter, Seed: seed}
+		return run(t, cfg, escatMachine()).Wall
 	}
-	exact, err := Run(trace, baseOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, c := jittered(1), jittered(1), jittered(2)
+	exact := replayed(0, 0)
+	a, b, c := replayed(0.3, 1), replayed(0.3, 1), replayed(0.3, 2)
 	if a != b {
 		t.Errorf("same seed diverged: %v vs %v", a, b)
 	}
 	if a == c {
-		t.Errorf("seeds 1 and 2 gave identical makespan %v", a)
+		t.Errorf("seeds 1 and 2 gave identical wall clock %v", a)
 	}
-	if a == exact.Makespan && c == exact.Makespan {
-		t.Error("jitter had no effect on makespan")
+	if a == exact && c == exact {
+		t.Error("jitter had no effect on the wall clock")
 	}
 }
 
@@ -211,35 +218,42 @@ func TestReplayAsyncReadsComplete(t *testing.T) {
 		{Node: 0, Op: iotrace.OpIOWait, File: 1, Start: 2 * sim.Millisecond, End: sim.Second},
 		// Second wait intentionally missing: replay drains it at the end.
 	}
-	mc := workload.MachineConfig{ComputeNodes: 2, PFS: pfs.DefaultConfig()}
-	res, err := Run(trace, Options{Machine: mc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := res.Summary.Row("Read")
+	r := run(t, Config{Trace: trace, Nodes: 2}, workload.MachineConfig{PFS: pfs.DefaultConfig()})
+	reads := r.Summary.Row("Read")
 	if reads == nil || reads.Count != 2 || reads.Volume != 2<<20 {
 		t.Fatalf("replayed reads %+v", reads)
 	}
 }
 
-// TestReplayTraceNeverRegrows checks the replayed trace is captured into the
-// buffer reserved from the input's length: every record yields at most one
-// event, so capture never reallocates. RENDER exercises the asynchronous
-// reads and their waits.
+// TestReplayTraceNeverRegrows checks the replayed trace is captured into a
+// buffer of exactly the events the replay records: the trace minus its
+// seeks, its waits and its skipped records, counted before the run. RENDER
+// exercises the asynchronous reads and their waits.
 func TestReplayTraceNeverRegrows(t *testing.T) {
-	for _, app := range []core.AppID{core.ESCAT, core.RENDER} {
-		s := core.SmallStudy(app)
-		r, err := core.Run(s)
-		if err != nil {
-			t.Fatal(err)
+	for _, app := range smallApps {
+		orig, mc := smallRun(t, app)
+		r := run(t, Config{Trace: orig.Events, PreserveThinkTime: true}, mc)
+		if len(r.Events) == 0 || cap(r.Events) != len(r.Events) {
+			t.Errorf("%s: replayed %d events into cap %d, want an exact fit",
+				app, len(r.Events), cap(r.Events))
 		}
-		res, err := Run(r.Events, Options{Machine: s.Machine, PreserveThinkTime: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Events) == 0 || cap(res.Events) != len(r.Events) {
-			t.Errorf("%s: replayed %d events into cap %d, want the reserved %d",
-				app, len(res.Events), cap(res.Events), len(r.Events))
-		}
+	}
+}
+
+// TestReplayFailedAccessFailsTheRun: an access the machine refuses (here a
+// zero-byte read at the end of its file) is the replay's node error, which
+// fails the run, as a failed operation does in every other app.
+func TestReplayFailedAccessFailsTheRun(t *testing.T) {
+	trace := []iotrace.Event{
+		{Node: 0, Op: iotrace.OpWrite, File: 1, Offset: 0, Bytes: 1000, End: sim.Millisecond},
+		{Node: 0, Op: iotrace.OpRead, File: 1, Offset: 1000, Start: sim.Millisecond, End: 2 * sim.Millisecond},
+	}
+	cfg := Config{Trace: trace}
+	if n := cfg.Skipped(); n != 0 {
+		t.Fatalf("skipped %d, want 0", n)
+	}
+	_, err := core.Run(core.Study{App: cfg, Machine: workload.MachineConfig{PFS: pfs.DefaultConfig()}})
+	if err == nil || !strings.Contains(err.Error(), "replay: node 0: ") || !errors.Is(err, pfs.ErrEOF) {
+		t.Fatalf("got %v, want node 0's end-of-file error", err)
 	}
 }
